@@ -14,14 +14,11 @@
 //! document that hash-bound regime; record/replay rows keep the default
 //! `Full` mode, as the accuracy machinery does.
 //!
-//! The attached TELEMETRY document comes from *environment-default*
-//! quickening with tier-2 pinned off: running this bench under
-//! `DJVM_NO_QUICKEN=1` (or `DJVM_NO_MEGA=1`) and again without it must
-//! produce byte-identical telemetry (fingerprints, counters, trace stats)
-//! — `scripts/verify.sh` cmp's the files to enforce neutrality in CI.
-//! (Tier-2 is pinned off for this document only because the `compile.mega`
-//! ring event — itself an observer artifact — would legitimately differ
-//! across the ablation.)
+//! The attached TELEMETRY document comes from a default-quickening
+//! record with tier-2 pinned off, so the `compile.mega` ring event —
+//! itself an observer artifact — does not appear in it. (Tier neutrality
+//! is gated by `scripts/verify.sh`'s `tier2` stage through the CLI's
+//! `--no-quicken` / `--no-mega`.)
 
 use bench::bench_spec;
 use bench::harness::{black_box, Group};
@@ -148,9 +145,7 @@ fn main() {
     g.meta(&format!("mega_{WORKLOAD}_coarse"), rep_mc.mega.to_json());
     g.meta("speedups", speedups);
 
-    // Telemetry from an env-default-quicken record with tier-2 pinned off:
-    // verify.sh runs this bench under DJVM_NO_QUICKEN=1 / DJVM_NO_MEGA=1
-    // and byte-compares the resulting files against the default run.
+    // Telemetry from a default-quickening record with tier-2 pinned off.
     let tspec = spec.clone().with_telemetry().with_mega(false);
     let (rec, trace) = dejavu::record_run(&tspec, natives, SymmetryConfig::full(), true);
     g.attach_telemetry(

@@ -112,12 +112,10 @@ impl DebugSession {
         }
     }
 
-    /// Start a session from serialized trace bytes in either on-disk
-    /// format, via the session-safe [`dejavu::ingest_bytes`] path shared
-    /// with the fleet tier's streaming upload. A block trace's footer
-    /// index becomes the checkpoint keying; a flat trace degrades to
-    /// interval-only checkpoints. Corrupt bytes produce a typed
-    /// [`TraceError`], never a panic.
+    /// Start a session from a serialized DJVB trace, via the session-safe
+    /// [`dejavu::ingest_bytes`] path shared with the fleet tier's
+    /// streaming upload. The footer index becomes the checkpoint keying.
+    /// Corrupt bytes produce a typed [`TraceError`], never a panic.
     pub fn from_trace_bytes(
         program: Arc<Program>,
         vm_config: VmConfig,

@@ -7,20 +7,21 @@
 //!        ▲
 //!        │ remote reflection (word reads only — never executes app code)
 //!  debugger tier: [`engine::DebugSession`] — breakpoints, step,
-//!        │         reverse-step (checkpoints), stack/thread views
-//!        │ TCP, JSON-line protocol ([`protocol`]), small packets
-//!  GUI tier: [`client::DebugClient`] (CLI stand-in for the Swing GUI)
+//!        │         reverse-step (checkpoints), stack/thread views;
+//!        │         hosted by the fleet server, one per session
+//!        │ TCP: a [`protocol`] command as one JSON line inside a fleet
+//!        │      `Debug` frame, executed by [`server::handle`]
+//!  GUI tier: `fleet::FleetClient::debug` / `dejavu-cli debug`
+//!            (CLI stand-in for the Swing GUI)
 //! ```
 //!
 //! Because the application runs under DejaVu replay and every query goes
 //! through remote reflection, debugging is *perturbation-free*: stop,
 //! inspect, resume — the execution remains exactly the recorded one.
 
-pub mod client;
 pub mod engine;
 pub mod protocol;
 pub mod server;
 
-pub use client::DebugClient;
 pub use engine::{DebugSession, FrameInfo, StopReason, ThreadInfo};
 pub use protocol::{Command, Response};

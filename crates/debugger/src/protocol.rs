@@ -4,7 +4,7 @@
 //! debugger JVM through TCP. (Bandwidth is minimized by transmitting small
 //! packets of data rather than large images.)" Our protocol is JSON lines:
 //! one request and one response object per line, each a small structured
-//! packet. Serialization is hand-rolled over the workspace's own
+//! packet (carried over TCP inside a fleet `Debug` frame). Serialization is hand-rolled over the workspace's own
 //! [`codec::json`] layer (hermetic build — no serde):
 //!
 //! * a [`Command`] is `{"cmd": "<snake_case name>", ...fields}`,

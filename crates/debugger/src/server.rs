@@ -1,68 +1,10 @@
-//! The debugger tier: hosts a [`DebugSession`] and serves the JSON-line
-//! protocol over TCP to the GUI tier (paper Fig. 4's three-process split,
-//! with our CLI client standing in for the Swing GUI).
+//! The debugger tier's command semantics: [`handle`] is the one
+//! definition of what each [`Command`] does to a [`DebugSession`].
+//! Transport lives in the fleet tier (`fleet::Request::Debug` carries a
+//! command as one JSON line; `fleet::FleetClient::debug` is the client).
 
 use crate::engine::DebugSession;
 use crate::protocol::{Command, Response};
-use codec::{FromJson, ToJson};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-
-/// Serve one client connection, then return the session.
-pub fn serve_one(
-    mut session: DebugSession,
-    listener: TcpListener,
-) -> std::io::Result<DebugSession> {
-    let (conn, _) = listener.accept()?;
-    serve_lines(conn, |cmd| handle(&mut session, cmd))?;
-    Ok(session)
-}
-
-/// Run the JSON-line request/response loop on one connection, dispatching
-/// each parsed [`Command`] through `dispatch`. Returns `Ok(true)` iff the
-/// client sent [`Command::Quit`]; `Ok(false)` means the peer closed the
-/// connection. A dropped peer surfaces as a typed `io::Error`, never a
-/// panic — the fleet tier's JSON-line compatibility adapter reuses this
-/// loop verbatim so the single-session and multi-session servers cannot
-/// drift.
-pub fn serve_lines(
-    conn: TcpStream,
-    mut dispatch: impl FnMut(Command) -> Response,
-) -> std::io::Result<bool> {
-    let mut reader = BufReader::new(conn.try_clone()?);
-    let mut conn = conn;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(false);
-        }
-        let cmd: Command = match Command::from_json_str(line.trim()) {
-            Ok(c) => c,
-            Err(e) => {
-                send(
-                    &mut conn,
-                    &Response::Error {
-                        message: format!("bad command: {e}"),
-                    },
-                )?;
-                continue;
-            }
-        };
-        let quit = matches!(cmd, Command::Quit);
-        let resp = dispatch(cmd);
-        send(&mut conn, &resp)?;
-        if quit {
-            return Ok(true);
-        }
-    }
-}
-
-fn send(conn: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
-    let mut s = resp.to_json_string();
-    s.push('\n');
-    conn.write_all(s.as_bytes())
-}
 
 /// Execute one command against the session.
 pub fn handle(session: &mut DebugSession, cmd: Command) -> Response {

@@ -1,7 +1,10 @@
 //! E9: the debugger — breakpoints, stepping, reverse execution, stack and
-//! thread views, and the 3-tier TCP split — all perturbation-free.
+//! thread views, and the protocol's command semantics — all
+//! perturbation-free. (The TCP leg of the 3-tier split is the fleet's:
+//! `three_tier_debug_over_fleet` in `crates/fleet/tests/fleet_service.rs`.)
 
-use debugger::{Command, DebugClient, DebugSession, Response, StopReason};
+use debugger::server::handle;
+use debugger::{Command, DebugSession, Response, StopReason};
 use dejavu::{record_run, ExecSpec, SymmetryConfig};
 use djvm::{Program, VmStatus};
 use std::sync::Arc;
@@ -111,19 +114,17 @@ fn breakpoints_by_source_line() {
 }
 
 #[test]
-fn e9_three_tier_tcp_session() {
+fn e9_protocol_session() {
     let (program, vmc, trace, rec_output) = recorded("racy_counter", 9);
     let worker = program.method_id_by_name("worker").unwrap();
-    let session = DebugSession::new(program, vmc, trace, 5_000);
+    let mut s = DebugSession::new(program, vmc, trace, 5_000);
+    let (method, pc) = (worker, 0);
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server =
-        std::thread::spawn(move || debugger::server::serve_one(session, listener).unwrap());
-
-    let mut client = DebugClient::connect(&addr.to_string()).unwrap();
-    assert!(matches!(client.brk(worker, 0).unwrap(), Response::Ok));
-    let r = client.cont().unwrap();
+    assert!(matches!(
+        handle(&mut s, Command::Break { method, pc }),
+        Response::Ok
+    ));
+    let r = handle(&mut s, Command::Continue);
     assert!(
         matches!(
             r,
@@ -134,31 +135,24 @@ fn e9_three_tier_tcp_session() {
         ),
         "{r:?}"
     );
-    // stack over the wire
-    let Response::Threads { threads } = client.threads().unwrap() else {
+    let Response::Threads { threads } = handle(&mut s, Command::Threads) else {
         panic!("expected threads");
     };
     let running = threads.iter().find(|t| t.status == "running").unwrap();
-    let Response::Stack { frames } = client.stack(running.tid).unwrap() else {
+    let Response::Stack { frames } = handle(&mut s, Command::Stack { tid: running.tid }) else {
         panic!("expected stack");
     };
     assert_eq!(frames[0].method_name, "worker");
-    // step back over the wire
-    let r = client.step().unwrap();
+    let r = handle(&mut s, Command::Step);
     assert!(matches!(r, Response::Stopped { .. }));
-    let r = client.step_back().unwrap();
+    let r = handle(&mut s, Command::StepBack);
     assert!(matches!(r, Response::Stopped { .. }));
     // clear and run to completion
     assert!(matches!(
-        client
-            .request(&Command::ClearBreak {
-                method: worker,
-                pc: 0
-            })
-            .unwrap(),
+        handle(&mut s, Command::ClearBreak { method, pc }),
         Response::Ok
     ));
-    let r = client.cont().unwrap();
+    let r = handle(&mut s, Command::Continue);
     assert!(
         matches!(
             r,
@@ -169,34 +163,27 @@ fn e9_three_tier_tcp_session() {
         ),
         "{r:?}"
     );
-    let Response::Output { text } = client.output().unwrap() else {
+    let Response::Output { text } = handle(&mut s, Command::Output) else {
         panic!("expected output");
     };
     assert_eq!(
         text, rec_output,
         "replayed-through-debugger output matches record"
     );
-    client.quit().unwrap();
-    let final_session = server.join().unwrap();
-    assert_eq!(final_session.vm().status, VmStatus::Halted);
+    assert!(matches!(handle(&mut s, Command::Quit), Response::Bye));
+    assert_eq!(s.vm().status, VmStatus::Halted);
 }
 
 #[test]
-fn metrics_and_divergence_over_the_wire() {
+fn metrics_and_divergence_commands() {
     let (program, vmc, trace, rec_output) = recorded("racy_counter", 11);
-    let session = DebugSession::new(program, vmc, trace, 5_000);
+    let mut s = DebugSession::new(program, vmc, trace, 5_000);
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server =
-        std::thread::spawn(move || debugger::server::serve_one(session, listener).unwrap());
-
-    let mut client = DebugClient::connect(&addr.to_string()).unwrap();
     // Advance a little, then read metrics mid-replay.
     for _ in 0..50 {
-        client.step().unwrap();
+        handle(&mut s, Command::Step);
     }
-    let Response::Metrics { json } = client.metrics().unwrap() else {
+    let Response::Metrics { json } = handle(&mut s, Command::Metrics) else {
         panic!("expected metrics");
     };
     let parsed = codec::Json::parse(&json).expect("metrics is valid JSON");
@@ -215,7 +202,7 @@ fn metrics_and_divergence_over_the_wire() {
     );
     assert!(parsed.get("counters").is_some() && parsed.get("ring").is_some());
     // Reading metrics twice in a paused state is byte-identical.
-    let Response::Metrics { json: json2 } = client.metrics().unwrap() else {
+    let Response::Metrics { json: json2 } = handle(&mut s, Command::Metrics) else {
         panic!("expected metrics");
     };
     assert_eq!(json, json2, "metrics reads are deterministic");
@@ -225,7 +212,7 @@ fn metrics_and_divergence_over_the_wire() {
         clean,
         desyncs,
         json,
-    } = client.divergence().unwrap()
+    } = handle(&mut s, Command::Divergence)
     else {
         panic!("expected divergence");
     };
@@ -233,7 +220,7 @@ fn metrics_and_divergence_over_the_wire() {
     assert_eq!(json, "[]");
 
     // Metrics reads must not have perturbed the replay.
-    let r = client.cont().unwrap();
+    let r = handle(&mut s, Command::Continue);
     assert!(
         matches!(
             r,
@@ -244,32 +231,24 @@ fn metrics_and_divergence_over_the_wire() {
         ),
         "{r:?}"
     );
-    let Response::Output { text } = client.output().unwrap() else {
+    let Response::Output { text } = handle(&mut s, Command::Output) else {
         panic!("expected output");
     };
     assert_eq!(text, rec_output, "metrics queries must not perturb replay");
-    let Response::Divergence { clean, .. } = client.divergence().unwrap() else {
+    let Response::Divergence { clean, .. } = handle(&mut s, Command::Divergence) else {
         panic!("expected divergence");
     };
     assert!(clean, "accurate replay stays clean to the end");
-    client.quit().unwrap();
-    server.join().unwrap();
 }
 
 #[test]
-fn profile_over_the_wire_and_no_trace_error() {
+fn profile_command_and_no_trace_error() {
     let (program, vmc, trace, rec_output) = recorded("fig1_ab", 5);
-    let session = DebugSession::new(Arc::clone(&program), vmc.clone(), trace, 5_000);
+    let mut s = DebugSession::new(Arc::clone(&program), vmc.clone(), trace, 5_000);
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server =
-        std::thread::spawn(move || debugger::server::serve_one(session, listener).unwrap());
-
-    let mut client = DebugClient::connect(&addr.to_string()).unwrap();
     // Profile before stepping at all: the command replays the whole run in
     // a scratch VM, so it works from any session position.
-    let Response::Profile { json } = client.profile(5).unwrap() else {
+    let Response::Profile { json } = handle(&mut s, Command::Profile { top: 5 }) else {
         panic!("expected profile");
     };
     let parsed = codec::Json::parse(&json).expect("profile is valid JSON");
@@ -280,12 +259,12 @@ fn profile_over_the_wire_and_no_trace_error() {
     assert!(!hot.is_empty() && hot.len() <= 5, "top-5 hot methods");
     assert!(parsed.get("fingerprint").is_some() && parsed.get("phases").is_some());
     // Profile reads are byte-deterministic.
-    let Response::Profile { json: json2 } = client.profile(5).unwrap() else {
+    let Response::Profile { json: json2 } = handle(&mut s, Command::Profile { top: 5 }) else {
         panic!("expected profile");
     };
     assert_eq!(json, json2, "profile reads are deterministic");
     // …and must not perturb the session's own replay.
-    let r = client.cont().unwrap();
+    let r = handle(&mut s, Command::Continue);
     assert!(
         matches!(
             r,
@@ -296,12 +275,10 @@ fn profile_over_the_wire_and_no_trace_error() {
         ),
         "{r:?}"
     );
-    let Response::Output { text } = client.output().unwrap() else {
+    let Response::Output { text } = handle(&mut s, Command::Output) else {
         panic!("expected output");
     };
     assert_eq!(text, rec_output, "profiling must not perturb the replay");
-    client.quit().unwrap();
-    server.join().unwrap();
 
     // Error path: a session with no trace loaded reports a protocol error
     // instead of profiling garbage (or panicking).
@@ -310,23 +287,16 @@ fn profile_over_the_wire_and_no_trace_error() {
         switches: Vec::new(),
         data: Vec::new(),
     };
-    let session = DebugSession::new(program, vmc, empty, 5_000);
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server =
-        std::thread::spawn(move || debugger::server::serve_one(session, listener).unwrap());
-    let mut client = DebugClient::connect(&addr.to_string()).unwrap();
-    let Response::Error { message } = client.profile(5).unwrap() else {
+    let mut s = DebugSession::new(program, vmc, empty, 5_000);
+    let Response::Error { message } = handle(&mut s, Command::Profile { top: 5 }) else {
         panic!("expected error for profile with no trace");
     };
     assert!(message.contains("no trace loaded"), "{message}");
     // The error leaves the session usable: metrics still answers.
     assert!(matches!(
-        client.metrics().unwrap(),
+        handle(&mut s, Command::Metrics),
         Response::Metrics { .. }
     ));
-    client.quit().unwrap();
-    server.join().unwrap();
 }
 
 #[test]
@@ -371,17 +341,15 @@ fn seek_time_replays_only_the_target_block_span() {
         stats.events_replayed
     );
 
-    // The same seek on a flat-format session (single step-0 checkpoint)
+    // The same seek on an unindexed session (single step-0 checkpoint)
     // replays the whole prefix — the block index is what makes the seek
     // O(block) instead of O(run).
-    let flat = dejavu::encode_trace(&trace, dejavu::TraceFormat::Flat, budget);
-    let mut full =
-        DebugSession::from_trace_bytes(program, vmc, &flat, u64::MAX).expect("flat bytes accepted");
+    let mut full = DebugSession::new(program, vmc, trace, u64::MAX);
     assert_eq!(full.cont(), StopReason::Halted);
     let full_stats = full.seek_time(target);
     assert_eq!(
         full_stats.checkpoint_logical, 0,
-        "flat session restores step 0"
+        "unindexed session restores step 0"
     );
     assert!(
         full_stats.events_replayed > stats.events_replayed * 4,
@@ -402,18 +370,12 @@ fn seek_time_replays_only_the_target_block_span() {
 }
 
 #[test]
-fn seek_time_over_the_wire() {
+fn seek_time_command() {
     let (program, vmc, trace, _) = recorded("racy_counter", 13);
     let bytes = dejavu::encode_trace(&trace, dejavu::TraceFormat::Block, 64);
-    let session = DebugSession::from_trace_bytes(program, vmc, &bytes, 5_000).unwrap();
+    let mut s = DebugSession::from_trace_bytes(program, vmc, &bytes, 5_000).unwrap();
 
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server =
-        std::thread::spawn(move || debugger::server::serve_one(session, listener).unwrap());
-
-    let mut client = DebugClient::connect(&addr.to_string()).unwrap();
-    let r = client.cont().unwrap();
+    let r = handle(&mut s, Command::Continue);
     assert!(
         matches!(
             r,
@@ -431,7 +393,7 @@ fn seek_time_over_the_wire() {
         events_replayed,
         final_logical,
         ..
-    } = client.seek_time(40).unwrap()
+    } = handle(&mut s, Command::SeekTime { time: 40 })
     else {
         panic!("expected seek_stats");
     };
@@ -440,6 +402,4 @@ fn seek_time_over_the_wire() {
     assert!(checkpoint_logical <= 40);
     assert!(final_logical >= 40);
     assert!(events_replayed > 0);
-    client.quit().unwrap();
-    server.join().unwrap();
 }

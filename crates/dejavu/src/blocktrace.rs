@@ -1,8 +1,11 @@
-//! The block-structured trace format: delta-encoded, compressed,
-//! checkpoint-indexable storage for DejaVu traces.
+//! The block-structured trace format (DJVB): delta-encoded, compressed,
+//! checkpoint-indexable storage for DejaVu traces — the one format
+//! traces are persisted, uploaded and read back in.
 //!
-//! The flat format ([`Trace::encoded`]) writes one unindexed event
-//! stream; navigating to a logical time means replaying from zero. This
+//! The flat encoding ([`Trace::encoded`]) is one unindexed event stream;
+//! it stays as the in-memory canonical bytes of a [`Trace`] (size
+//! accounting, neutrality comparisons) but no read door accepts it:
+//! navigating it to a logical time would mean replaying from zero. This
 //! module makes the trace a first-class storage layer (rr's lesson:
 //! trace compactness and cheap navigation are what make record/replay
 //! deployable):
@@ -67,31 +70,16 @@ pub const DEFAULT_BLOCK_BUDGET: u32 = 4096;
 /// Upper bound on a single block's raw payload (decoder allocation cap).
 const MAX_RAW_LEN: u64 = 1 << 26;
 
-/// On-disk trace encodings the platform understands.
+/// Trace encodings [`encode_trace`] can produce. Only `Block` is a file
+/// format; every read door ([`BlockFile::parse`], [`ingest_bytes`])
+/// rejects `Flat` bytes as [`TraceError::NotATrace`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFormat {
-    /// The legacy single-stream varint format (`DJV1`).
+    /// The in-memory single-stream varint encoding (`DJV1`,
+    /// [`Trace::encoded`]).
     Flat,
-    /// The block-structured compressed format (`DJVB`).
+    /// The block-structured compressed file format (`DJVB`).
     Block,
-}
-
-impl TraceFormat {
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceFormat::Flat => "flat",
-            TraceFormat::Block => "block",
-        }
-    }
-
-    /// Parse a `--trace-format` value.
-    pub fn from_name(s: &str) -> Option<Self> {
-        match s {
-            "flat" => Some(TraceFormat::Flat),
-            "block" => Some(TraceFormat::Block),
-            _ => None,
-        }
-    }
 }
 
 /// Which compressor a block's on-disk payload went through — `Stored`
@@ -139,7 +127,8 @@ impl BlockMethod {
 /// an unknown format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
-    /// Neither magic matched: not a trace file at all.
+    /// The `DJVB` magic did not match: not a trace file (flat `DJV1`
+    /// bytes included — they are an in-memory encoding, not a file).
     NotATrace,
     /// A `DJVB` file with a version this build does not speak.
     UnsupportedVersion(u8),
@@ -152,7 +141,7 @@ pub enum TraceError {
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TraceError::NotATrace => write!(f, "not a trace file (unknown magic)"),
+            TraceError::NotATrace => write!(f, "not a DJVB trace file (bad magic)"),
             TraceError::UnsupportedVersion(v) => {
                 write!(f, "unsupported block-trace version {v}")
             }
@@ -956,44 +945,15 @@ impl BlockFile {
 }
 
 // ---------------------------------------------------------------------
-// Format sniffing
-// ---------------------------------------------------------------------
-
-/// Identify the on-disk format from the leading magic.
-pub fn sniff_format(buf: &[u8]) -> Result<TraceFormat, TraceError> {
-    if buf.len() >= 4 && &buf[..4] == b"DJV1" {
-        Ok(TraceFormat::Flat)
-    } else if buf.len() >= 4 && &buf[..4] == BLOCK_MAGIC {
-        Ok(TraceFormat::Block)
-    } else {
-        Err(TraceError::NotATrace)
-    }
-}
-
-/// Decode a trace in either format, reporting which one it was.
-pub fn decode_any(buf: &[u8]) -> Result<(Trace, TraceFormat), TraceError> {
-    match sniff_format(buf)? {
-        TraceFormat::Flat => Trace::decode(buf)
-            .map(|t| (t, TraceFormat::Flat))
-            .ok_or(TraceError::Corrupt("flat trace rejected by decoder")),
-        TraceFormat::Block => {
-            let bf = BlockFile::parse(buf.to_vec())?;
-            Ok((bf.to_trace()?, TraceFormat::Block))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Streaming ingest (the session-safe upload path)
 // ---------------------------------------------------------------------
 
 /// A fully ingested trace: decoded events plus the checkpoint boundaries
-/// a block-format upload carries in its footer index (empty for flat).
+/// the file carries in its footer index.
 #[derive(Debug, Clone)]
 pub struct IngestedTrace {
     pub trace: Trace,
     pub boundaries: Vec<u64>,
-    pub format: TraceFormat,
 }
 
 /// Streaming trace ingest: accumulate serialized trace bytes chunk by
@@ -1041,8 +1001,8 @@ impl TraceIngest {
         &self.buf
     }
 
-    /// Decode the accumulated bytes in whichever on-disk format they
-    /// carry. Block uploads keep their footer index as seek boundaries.
+    /// Decode the accumulated DJVB bytes; the footer index becomes the
+    /// seek boundaries.
     pub fn finish(self) -> Result<IngestedTrace, TraceError> {
         ingest_bytes(self.buf)
     }
@@ -1054,32 +1014,16 @@ impl Default for TraceIngest {
     }
 }
 
-/// One-shot form of [`TraceIngest`]: decode serialized trace bytes into
+/// One-shot form of [`TraceIngest`]: decode a serialized DJVB file into
 /// an [`IngestedTrace`]. This is the single ingest path every session
 /// host (debugger tier, fleet tier) shares, so "corrupt bytes produce a
 /// typed error, never a panic" is proven in one place.
 pub fn ingest_bytes(bytes: Vec<u8>) -> Result<IngestedTrace, TraceError> {
-    match sniff_format(&bytes)? {
-        TraceFormat::Flat => {
-            let trace = Trace::decode(&bytes)
-                .ok_or(TraceError::Corrupt("flat trace rejected by decoder"))?;
-            Ok(IngestedTrace {
-                trace,
-                boundaries: Vec::new(),
-                format: TraceFormat::Flat,
-            })
-        }
-        TraceFormat::Block => {
-            let bf = BlockFile::parse(bytes)?;
-            let boundaries = bf.boundaries();
-            let trace = bf.to_trace()?;
-            Ok(IngestedTrace {
-                trace,
-                boundaries,
-                format: TraceFormat::Block,
-            })
-        }
-    }
+    let bf = BlockFile::parse(bytes)?;
+    Ok(IngestedTrace {
+        boundaries: bf.boundaries(),
+        trace: bf.to_trace()?,
+    })
 }
 
 #[cfg(test)]
@@ -1118,9 +1062,6 @@ mod tests {
                 let enc = encode_block(&t, budget);
                 let bf = BlockFile::parse(enc.clone()).unwrap();
                 assert_eq!(bf.to_trace().unwrap(), t, "budget {budget}");
-                let (t2, f) = decode_any(&enc).unwrap();
-                assert_eq!(f, TraceFormat::Block);
-                assert_eq!(t2, t);
             }
         }
     }
@@ -1194,13 +1135,8 @@ mod tests {
         let enc = encode_block(&t, 16);
         for cut in 1..enc.len() {
             let short = &enc[..enc.len() - cut];
-            match sniff_format(short) {
-                Ok(TraceFormat::Block) => {
-                    let r = BlockFile::parse(short.to_vec()).and_then(|bf| bf.to_trace());
-                    assert!(r.is_err(), "accepted a {}-byte truncation", cut);
-                }
-                _ => {} // shorter than the magic — trivially rejected
-            }
+            let r = BlockFile::parse(short.to_vec()).and_then(|bf| bf.to_trace());
+            assert!(r.is_err(), "accepted a {}-byte truncation", cut);
         }
     }
 
@@ -1312,22 +1248,16 @@ mod tests {
 
     #[test]
     fn not_a_trace_rejected_typed() {
-        assert_eq!(sniff_format(b"XXXXXX"), Err(TraceError::NotATrace));
-        assert_eq!(decode_any(b"").unwrap_err(), TraceError::NotATrace);
+        for junk in [&b"XXXXXX"[..], b""] {
+            let err = BlockFile::parse(junk.to_vec()).unwrap_err();
+            assert_eq!(err, TraceError::NotATrace);
+        }
         let mut bad = encode_block(&sample(false, 4), 2);
         bad[4] = 9; // unsupported version
         assert_eq!(
             BlockFile::parse(bad).unwrap_err(),
             TraceError::UnsupportedVersion(9)
         );
-    }
-
-    #[test]
-    fn decode_any_reads_flat_too() {
-        let t = sample(true, 8);
-        let (t2, f) = decode_any(&t.encoded()).unwrap();
-        assert_eq!(f, TraceFormat::Flat);
-        assert_eq!(t2, t);
     }
 
     #[test]
@@ -1439,25 +1369,17 @@ mod tests {
     #[test]
     fn chunked_ingest_matches_one_shot_decode() {
         let t = sample(true, 500);
-        for format in [TraceFormat::Flat, TraceFormat::Block] {
-            let bytes = encode_trace(&t, format, 64);
-            // Stream in uneven chunks, as a TCP upload would arrive.
-            let mut ingest = TraceIngest::new();
-            for chunk in bytes.chunks(13) {
-                ingest.push(chunk).unwrap();
-            }
-            assert_eq!(ingest.bytes(), bytes.len() as u64);
-            let got = ingest.finish().unwrap();
-            assert_eq!(got.format, format);
-            assert_eq!(got.trace, t);
-            let direct = ingest_bytes(bytes).unwrap();
-            assert_eq!(direct.boundaries, got.boundaries);
-            if format == TraceFormat::Block {
-                assert!(!got.boundaries.is_empty(), "block footer keys checkpoints");
-            } else {
-                assert!(got.boundaries.is_empty());
-            }
+        let bytes = encode_block(&t, 64);
+        // Stream in uneven chunks, as a TCP upload would arrive.
+        let mut ingest = TraceIngest::new();
+        for chunk in bytes.chunks(13) {
+            ingest.push(chunk).unwrap();
         }
+        assert_eq!(ingest.bytes(), bytes.len() as u64);
+        let got = ingest.finish().unwrap();
+        assert_eq!(got.trace, t);
+        assert!(!got.boundaries.is_empty(), "block footer keys checkpoints");
+        assert_eq!(ingest_bytes(bytes).unwrap().boundaries, got.boundaries);
     }
 
     #[test]

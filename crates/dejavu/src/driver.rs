@@ -78,8 +78,8 @@ impl ExecSpec {
     }
 
     /// Force quickened dispatch on or off for every VM built from this
-    /// spec (the `DJVM_NO_QUICKEN` ablation as an API knob). Purely a
-    /// speed setting: runs are bit-identical either way.
+    /// spec (the CLI's `--no-quicken` ablation). Purely a speed setting:
+    /// runs are bit-identical either way.
     pub fn with_quicken(mut self, quicken: bool) -> Self {
         self.vm.quicken = quicken;
         self
@@ -101,9 +101,9 @@ impl ExecSpec {
     }
 
     /// Force tier-2 megablock execution on or off for every VM built from
-    /// this spec (the `DJVM_NO_MEGA` ablation as an API knob). Like
-    /// quickening, purely a speed setting: runs are bit-identical either
-    /// way. Megablocks additionally require quickening.
+    /// this spec (the CLI's `--no-mega` ablation). Like quickening,
+    /// purely a speed setting: runs are bit-identical either way.
+    /// Megablocks additionally require quickening.
     pub fn with_mega(mut self, mega: bool) -> Self {
         self.vm.mega = mega;
         self

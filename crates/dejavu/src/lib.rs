@@ -33,7 +33,7 @@
 //! ## Modules
 //!
 //! * [`trace`] — the two-stream trace (switch deltas + data events).
-//! * [`blocktrace`] — the block-structured on-disk format: delta-encoded,
+//! * [`blocktrace`] — DJVB, the one on-disk/on-wire format: delta-encoded,
 //!   compressed fixed-budget blocks (LZ or adaptive range coder, per
 //!   block) with a footer index for O(block) seek (see DESIGN.md §6).
 //! * [`record`] — Fig. 2-(A): the recording hook.
@@ -52,8 +52,7 @@ pub mod symmetry;
 pub mod trace;
 
 pub use blocktrace::{
-    assemble_block_file, decode_any, decode_block_events, encode_trace, ingest_bytes, sniff_format,
-    BlockFile, BlockInfo, BlockMethod, BlockStats, IngestedTrace, RawBlock, TraceError,
+    assemble_block_file, decode_block_events, encode_trace, ingest_bytes, BlockFile, BlockInfo, BlockMethod, BlockStats, IngestedTrace, RawBlock, TraceError,
     TraceFormat, TraceIngest, DEFAULT_BLOCK_BUDGET, DEFAULT_INGEST_LIMIT,
 };
 pub use driver::{

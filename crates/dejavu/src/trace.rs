@@ -112,7 +112,9 @@ impl TraceStats {
 const MAGIC: &[u8; 4] = b"DJV1";
 
 impl Trace {
-    /// Encode to the binary on-disk format.
+    /// Encode to the canonical flat byte form (`DJV1`). An in-memory
+    /// encoding — size accounting and byte-equality checks — not a file
+    /// format: files are DJVB ([`crate::blocktrace`]).
     pub fn encoded(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
@@ -148,7 +150,7 @@ impl Trace {
         out
     }
 
-    /// Decode the binary format; `None` on corruption.
+    /// Decode the flat byte form; `None` on corruption.
     pub fn decode(buf: &[u8]) -> Option<Trace> {
         if buf.len() < 5 || &buf[..4] != MAGIC {
             return None;

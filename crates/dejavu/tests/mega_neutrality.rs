@@ -5,7 +5,7 @@
 //!    intervals × forced-deopt injection, asserting fingerprints, trace
 //!    bytes, and heap/state digests are identical across all three tiers
 //!    (generic, quickened, megablock);
-//! 2. the whole workload registry under the `DJVM_NO_MEGA` ablation,
+//! 2. the whole workload registry under the `with_mega(false)` ablation,
 //!    including cross-tier replay (a trace recorded under one tier
 //!    replays accurately under another);
 //! 3. a deopt-at-every-guard sweep on `fig1_hot` and forced-deopt stress

@@ -1,11 +1,12 @@
-//! Cross-format matrix: every workload in the registry, recorded once,
-//! must replay identically from a trace that took either on-disk route
-//! (flat `DJV1` or block `DJVB`) — the storage format is a pure observer
-//! and must never leak into replay. Damaged files surface as typed
-//! errors, never as panics or silently different executions.
+//! DJVB versus the in-memory trace: every workload in the registry,
+//! recorded once, must replay identically from the `Trace` the recorder
+//! handed back and from the same trace after a trip through the file
+//! format — storage is a pure observer and must never leak into replay.
+//! Damaged files surface as typed errors, never as panics or silently
+//! different executions.
 
 use dejavu::{
-    decode_any, encode_trace, record_run, replay_run, BlockFile, ExecSpec, SymmetryConfig,
+    encode_trace, ingest_bytes, record_run, replay_run, BlockFile, ExecSpec, SymmetryConfig,
     TraceError, TraceFormat, DEFAULT_BLOCK_BUDGET,
 };
 
@@ -17,70 +18,47 @@ fn spec_of(w: &workloads::Workload) -> ExecSpec {
 }
 
 #[test]
-fn every_workload_replays_identically_from_both_formats() {
+fn every_workload_replays_identically_from_djvb_and_from_memory() {
     for w in workloads::registry() {
         let spec = spec_of(&w);
         let (rec, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
 
-        for format in [TraceFormat::Flat, TraceFormat::Block] {
-            let bytes = encode_trace(&trace, format, DEFAULT_BLOCK_BUDGET);
-            let (decoded, sniffed) = decode_any(&bytes)
-                .unwrap_or_else(|e| panic!("{}: {} decode failed: {e}", w.name, format.name()));
-            assert_eq!(sniffed, format, "{}: sniffed format", w.name);
-            assert_eq!(decoded, trace, "{}: {} roundtrip", w.name, format.name());
+        let bytes = encode_trace(&trace, TraceFormat::Block, DEFAULT_BLOCK_BUDGET);
+        let decoded = ingest_bytes(bytes.clone())
+            .unwrap_or_else(|e| panic!("{}: decode failed: {e}", w.name))
+            .trace;
+        assert_eq!(decoded, trace, "{}: roundtrip", w.name);
+        assert_eq!(
+            encode_trace(&decoded, TraceFormat::Block, DEFAULT_BLOCK_BUDGET),
+            bytes,
+            "{}: re-encoding the decode reproduces the file bytes",
+            w.name
+        );
 
-            let (rep, desyncs) = replay_run(&spec, decoded, SymmetryConfig::full());
+        let (mem, mem_desyncs) = replay_run(&spec, trace, SymmetryConfig::full());
+        let (file, file_desyncs) = replay_run(&spec, decoded, SymmetryConfig::full());
+        assert!(
+            mem_desyncs.is_empty() && file_desyncs.is_empty(),
+            "{}: desynced: memory {mem_desyncs:?}, file {file_desyncs:?}",
+            w.name
+        );
+        for (route, rep) in [("memory", &mem), ("file", &file)] {
             assert!(
-                desyncs.is_empty(),
-                "{}: replay from {} desynced: {desyncs:?}",
+                rec.matches(rep),
+                "{}: replay from {route} diverged (fingerprint {:#x} vs {:#x}, digest {:#x} vs {:#x})",
                 w.name,
-                format.name()
-            );
-            assert!(
-                rec.matches(&rep),
-                "{}: replay from {} diverged (fingerprint {:#x} vs {:#x}, digest {:#x} vs {:#x})",
-                w.name,
-                format.name(),
                 rec.fingerprint,
                 rep.fingerprint,
                 rec.state_digest,
                 rep.state_digest
             );
         }
+        assert_eq!(mem.output, file.output, "{}: output", w.name);
     }
 }
 
-/// The two encodings must agree byte-for-byte after a format conversion
-/// round trip: flat → block → flat reproduces the flat bytes, and
-/// re-encoding the block decode reproduces the block bytes. This is the
-/// "writer is a pure observer" invariant at the storage layer.
-#[test]
-fn format_conversion_is_byte_stable() {
-    for w in workloads::registry() {
-        let spec = spec_of(&w);
-        let (_rec, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
-        let flat = encode_trace(&trace, TraceFormat::Flat, DEFAULT_BLOCK_BUDGET);
-        let block = encode_trace(&trace, TraceFormat::Block, DEFAULT_BLOCK_BUDGET);
-
-        let (from_flat, _) = decode_any(&flat).expect("flat decodes");
-        let (from_block, _) = decode_any(&block).expect("block decodes");
-        assert_eq!(
-            encode_trace(&from_block, TraceFormat::Flat, DEFAULT_BLOCK_BUDGET),
-            flat,
-            "{}: block → flat bytes",
-            w.name
-        );
-        assert_eq!(
-            encode_trace(&from_flat, TraceFormat::Block, DEFAULT_BLOCK_BUDGET),
-            block,
-            "{}: flat → block bytes",
-            w.name
-        );
-    }
-}
-
-/// Corruption in either format is a typed error — never a panic, never a
-/// silently different replay.
+/// Corruption is a typed error — never a panic, never a silently
+/// different replay.
 #[test]
 fn corrupt_files_fail_typed_not_loud() {
     let w = workloads::registry()
@@ -90,44 +68,31 @@ fn corrupt_files_fail_typed_not_loud() {
     let spec = spec_of(&w);
     let (_rec, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
 
-    for format in [TraceFormat::Flat, TraceFormat::Block] {
-        let bytes = encode_trace(&trace, format, DEFAULT_BLOCK_BUDGET);
-        // Truncations at every eighth cut point.
-        for cut in (1..bytes.len()).step_by(8) {
-            let short = &bytes[..bytes.len() - cut];
-            match decode_any(short) {
-                Ok((t, _)) => assert_eq!(
-                    t,
-                    trace,
-                    "{}: a {cut}-byte truncation decoded to a different trace",
-                    format.name()
-                ),
-                Err(_) => {} // typed rejection is the expected outcome
-            }
-        }
-        // Single-byte corruption across the file body.
-        for i in (6..bytes.len()).step_by(7) {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x20;
-            match decode_any(&bad) {
-                // The flat format is CRC-less by design; flipped bits can
-                // decode to a *different but well-formed* trace there. The
-                // block format must either reject or decode identically.
-                Ok((t, TraceFormat::Block)) => {
-                    assert_eq!(t, trace, "block: flipped byte {i} silently misdecoded")
-                }
-                _ => {}
-            }
+    let bytes = encode_trace(&trace, TraceFormat::Block, DEFAULT_BLOCK_BUDGET);
+    // Truncations at every eighth cut point.
+    for cut in (1..bytes.len()).step_by(8) {
+        let short = bytes[..bytes.len() - cut].to_vec();
+        assert!(
+            ingest_bytes(short).is_err(),
+            "a {cut}-byte truncation was accepted"
+        );
+    }
+    // Single-byte corruption across the file body: reject, or decode
+    // identically (a flip in a byte no field reads).
+    for i in (6..bytes.len()).step_by(7) {
+        let mut bad = bytes.clone();
+        bad[i] ^= 0x20;
+        if let Ok(got) = ingest_bytes(bad) {
+            assert_eq!(got.trace, trace, "flipped byte {i} silently misdecoded");
         }
     }
     // Garbage is NotATrace, empty is NotATrace.
-    assert_eq!(
-        decode_any(b"garbage bytes").unwrap_err(),
-        TraceError::NotATrace
-    );
-    assert_eq!(decode_any(b"").unwrap_err(), TraceError::NotATrace);
-    // A block file whose CRC is damaged reports the block index.
-    let bytes = encode_trace(&trace, TraceFormat::Block, 64);
-    let bf = BlockFile::parse(bytes).expect("parses");
+    for junk in [&b"garbage bytes"[..], b""] {
+        assert_eq!(
+            ingest_bytes(junk.to_vec()).unwrap_err(),
+            TraceError::NotATrace
+        );
+    }
+    let bf = BlockFile::parse(encode_trace(&trace, TraceFormat::Block, 64)).expect("parses");
     assert!(bf.verify().is_ok());
 }

@@ -2834,29 +2834,6 @@ mod tests {
         assert_eq!(observe(&quick), observe(&mega), "error must be identical");
     }
 
-    #[test]
-    fn mega_ablation_env_is_reflected_in_config() {
-        // The ablation flag wires through VmConfig (env read at Default).
-        let cfg = VmConfig {
-            mega: false,
-            ..VmConfig::default()
-        };
-        let mut vm = Vm::boot(
-            Arc::new(mega_workout()),
-            VmConfig {
-                quicken: true,
-                ..cfg
-            },
-            Box::new(FixedTimer::new(10_000)),
-            Box::new(CycleClock::new(0, 100)),
-        )
-        .unwrap();
-        let mut h = Passthrough;
-        run(&mut vm, &mut h, 10_000_000);
-        assert_eq!(vm.mega.stats.tier_ups, 0, "disabled => no tier-ups");
-        assert_eq!(vm.mega.stats.entries, 0);
-    }
-
     /// Like [`boot_mega`] but with coarse fingerprinting — the production
     /// setting, and the one that arms the closed-form fast path (full
     /// per-pc hashing forces the step-by-step loop).

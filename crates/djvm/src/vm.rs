@@ -86,14 +86,13 @@ pub struct VmConfig {
     /// devirtualized calls). Purely an interpreter-speed knob: the
     /// fingerprint, yield-point deltas, logical clock and trace are
     /// bit-identical either way (the cycle-accounting invariant, DESIGN §5).
-    /// Defaults to on; `DJVM_NO_QUICKEN=1` in the environment turns it off.
+    /// Defaults to on.
     pub quicken: bool,
     /// Tier-2 execution: compile hot loop bodies into straight-line guarded
     /// megablocks (DESIGN §10). Like `quicken`, purely a speed knob — the
     /// cycle-accounting invariant makes fingerprints, traces and digests
     /// bit-identical with it on or off. Requires `quicken` (the tier-2
-    /// engine compiles from the quickened stream). Defaults to on;
-    /// `DJVM_NO_MEGA=1` in the environment turns it off.
+    /// engine compiles from the quickened stream). Defaults to on.
     pub mega: bool,
     /// Forced-deopt injection for testing: every `stride`-th megablock
     /// guard evaluation fails even though the guarded condition holds
@@ -112,8 +111,8 @@ impl Default for VmConfig {
             gc: GcKind::MarkSweep,
             initial_stack: 256,
             fingerprint: FingerprintMode::Full,
-            quicken: std::env::var_os("DJVM_NO_QUICKEN").is_none(),
-            mega: std::env::var_os("DJVM_NO_MEGA").is_none(),
+            quicken: true,
+            mega: true,
             mega_deopt_stride: 0,
             mega_deopt_guard: None,
         }

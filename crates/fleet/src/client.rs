@@ -5,6 +5,8 @@
 
 use crate::rpc::{Request, Response};
 use crate::wire::{self, WireError};
+use codec::{FromJson, ToJson};
+use debugger::protocol::{Command, Response as DebugResponse};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -53,8 +55,8 @@ impl FleetClient {
         }
     }
 
-    /// Stream an encoded trace (flat or block format) into a session,
-    /// sealing it with the final chunk.
+    /// Stream a DJVB-encoded trace into a session, sealing it with the
+    /// final chunk.
     pub fn ingest_trace(&mut self, session: u64, bytes: &[u8]) -> Result<u64, WireError> {
         let mut sent = 0u64;
         let chunks: Vec<&[u8]> = if bytes.is_empty() {
@@ -83,6 +85,20 @@ impl FleetClient {
             entry: entry.to_string(),
         })? {
             Response::Opened { session } => Ok(session),
+            other => Err(unexpected(other)),
+        }
+    }
+
+    /// Run one debugger command against a session's resident replay.
+    /// Sessions outlive connections, so a debugging dialogue may span
+    /// any number of short-lived clients.
+    pub fn debug(&mut self, session: u64, cmd: &Command) -> Result<DebugResponse, WireError> {
+        match self.call(&Request::Debug {
+            session,
+            command: cmd.to_json_string(),
+        })? {
+            Response::Debug { json } => DebugResponse::from_json_str(&json)
+                .map_err(|e| WireError::Io(format!("undecodable debug response: {e}"))),
             other => Err(unexpected(other)),
         }
     }

@@ -9,25 +9,24 @@
 //! Layering (nothing below knows about anything above):
 //!
 //! ```text
-//!  clients: FleetClient (binary RPC) · DebugClient (legacy JSON lines)
-//!      │                                  │
-//!  [`server`] thread-pool acceptor    [`compat`] JSON-line adapter
-//!      └──────────────┬─────────────────┘
-//!               [`manager::SessionManager`] — sharded session map,
-//!               dispatch, telemetry (the single semantic core)
-//!                      │
-//!               [`session::Session`] — Recording → Sealed → Replaying
-//!                      │
-//!               debugger::DebugSession → dejavu replay → djvm
+//!  client: [`FleetClient`] (binary RPC; debugger commands ride in
+//!      │   `Debug` frames as one JSON line each)
+//!  [`server`] thread-pool acceptor
+//!      │
+//!  [`manager::SessionManager`] — sharded session map, dispatch,
+//!      │   telemetry (the single semantic core)
+//!  [`session::Session`] — Recording → Sealed → Replaying
+//!      │
+//!  debugger::DebugSession → dejavu replay → djvm
 //! ```
 //!
 //! The wire protocol ([`wire`], [`rpc`]) is a magic+version hello
 //! followed by length-prefixed binary frames; every malformed input is a
-//! typed [`WireError`], fuzzed the same way the DJVB decoder is.
+//! typed [`WireError`], fuzzed the same way the DJVB decoder is. It is
+//! the only way to talk to a resident replay.
 
 pub mod bench;
 pub mod client;
-pub mod compat;
 pub mod manager;
 pub mod rpc;
 pub mod server;

@@ -7,14 +7,21 @@
 //! replay on one session never blocks requests for any other, and two
 //! requests for the same session serialize (the state machine stays
 //! coherent without a global lock).
+//!
+//! Poisoning: a request that panics under a session lock poisons that
+//! session only — it answers [`FleetError::Poisoned`] from then on. The
+//! shard maps and the metrics registry are recovered instead
+//! (`PoisonError::into_inner`): a map insert/remove and a histogram
+//! bucket increment leave their data valid at every step.
 
 use crate::rpc::{Request, Response};
-use crate::session::{FleetError, Session};
-use codec::{Json, ToJson};
+use crate::session::{FleetError, Phase, Session};
+use codec::{FromJson, Json, ToJson};
 use debugger::protocol::Command;
+use dejavu::{encode_trace, TraceFormat, DEFAULT_BLOCK_BUDGET};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 use telemetry::Registry;
 
@@ -71,8 +78,14 @@ impl SessionManager {
         self.store.as_ref()
     }
 
-    fn shard(&self, id: u64) -> &Mutex<HashMap<u64, Arc<Mutex<Session>>>> {
-        &self.shards[(id as usize) % SHARDS]
+    fn shard(&self, id: u64) -> MutexGuard<'_, HashMap<u64, Arc<Mutex<Session>>>> {
+        self.shards[(id as usize) % SHARDS]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn metrics(&self) -> MutexGuard<'_, Registry> {
+        self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn note_opened(&self) {
@@ -83,10 +96,7 @@ impl SessionManager {
 
     /// Live session count (sums shard sizes; exact, not sampled).
     pub fn active(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().map(|m| m.len()).unwrap_or(0) as u64)
-            .sum()
+        (0..SHARDS as u64).map(|i| self.shard(i).len() as u64).sum()
     }
 
     /// Create a session for a registry workload.
@@ -95,18 +105,13 @@ impl SessionManager {
             .into_iter()
             .find(|w| w.name == workload)
             .ok_or_else(|| FleetError::NoSuchWorkload(workload.to_string()))?;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let session = Arc::new(Mutex::new(Session::new(id, w, seed)));
-        self.shard(id).lock().unwrap().insert(id, session);
-        self.note_opened();
-        Ok(id)
+        Ok(self.install(|id| Session::new(id, w, seed)))
     }
 
-    /// Install an already-built session (compat adapter path).
-    pub fn install(&self, build: impl FnOnce(u64) -> Session) -> u64 {
+    fn install(&self, build: impl FnOnce(u64) -> Session) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let session = Arc::new(Mutex::new(build(id)));
-        self.shard(id).lock().unwrap().insert(id, session);
+        self.shard(id).insert(id, session);
         self.note_opened();
         id
     }
@@ -114,19 +119,28 @@ impl SessionManager {
     /// Fetch a session handle (shard lock held only for the lookup).
     pub fn get(&self, id: u64) -> Result<Arc<Mutex<Session>>, FleetError> {
         self.shard(id)
-            .lock()
-            .unwrap()
             .get(&id)
             .cloned()
             .ok_or(FleetError::NoSuchSession(id))
+    }
+
+    /// Run `f` on session `id` under its own lock, refreshing its idle
+    /// clock.
+    fn with_session<T>(
+        &self,
+        id: u64,
+        f: impl FnOnce(&mut Session) -> Result<T, FleetError>,
+    ) -> Result<T, FleetError> {
+        let session = self.get(id)?;
+        let mut session = session.lock().map_err(|_| FleetError::Poisoned(id))?;
+        session.touch();
+        f(&mut session)
     }
 
     /// Remove a session, returning it to the caller.
     pub fn take(&self, id: u64) -> Result<Arc<Mutex<Session>>, FleetError> {
         let s = self
             .shard(id)
-            .lock()
-            .unwrap()
             .remove(&id)
             .ok_or(FleetError::NoSuchSession(id))?;
         self.closed.fetch_add(1, Ordering::Relaxed);
@@ -135,17 +149,22 @@ impl SessionManager {
 
     /// Drop sessions idle past the TTL. `try_lock` on the session keeps
     /// the sweep from stalling behind an in-flight request — a busy
-    /// session is by definition not idle.
+    /// session is by definition not idle. A poisoned session ages out
+    /// like any other.
     pub fn evict_idle(&self) -> usize {
         let now = Instant::now();
         let mut evicted = 0;
-        for shard in &self.shards {
-            let mut map = shard.lock().unwrap();
+        for i in 0..SHARDS as u64 {
+            let mut map = self.shard(i);
             let stale: Vec<u64> = map
                 .iter()
-                .filter_map(|(&id, s)| match s.try_lock() {
-                    Ok(sess) if now.duration_since(sess.last_touched) > self.idle_ttl => Some(id),
-                    _ => None,
+                .filter_map(|(&id, s)| {
+                    let sess = match s.try_lock() {
+                        Ok(sess) => sess,
+                        Err(TryLockError::Poisoned(p)) => p.into_inner(),
+                        Err(TryLockError::WouldBlock) => return None,
+                    };
+                    (now.duration_since(sess.last_touched) > self.idle_ttl).then_some(id)
                 })
                 .collect();
             for id in stale {
@@ -175,7 +194,7 @@ impl SessionManager {
                     ("peak", Json::UInt(self.peak.load(Ordering::Relaxed))),
                 ]),
             ),
-            ("rpc", self.metrics.lock().unwrap().to_json()),
+            ("rpc", self.metrics().to_json()),
         ];
         if let Some(store) = &self.store {
             fields.push(("store", store.counters_json()));
@@ -187,7 +206,7 @@ impl SessionManager {
 
     /// Record one request's latency under `rpc.<name>`.
     pub fn observe_latency(&self, rpc: &'static str, nanos: u64) {
-        self.metrics.lock().unwrap().observe(rpc, nanos);
+        self.metrics().observe(rpc, nanos);
     }
 
     fn latency_key(req: &Request) -> &'static str {
@@ -207,11 +226,11 @@ impl SessionManager {
         }
     }
 
-    /// Execute one RPC. This is the single semantic core: the TCP server,
-    /// the JSON-line compatibility adapter, and in-process tests all
-    /// funnel through here, so the protocol cannot fork. `Shutdown` is
-    /// *not* handled — it is a server-level concern (the manager has no
-    /// stop flag) and dispatching it yields a typed error.
+    /// Execute one RPC. This is the single semantic core: the TCP server
+    /// and in-process callers all funnel through here, so the protocol
+    /// cannot fork. `Shutdown` is *not* handled — it is a server-level
+    /// concern (the manager has no stop flag) and dispatching it yields
+    /// a typed error.
     pub fn dispatch(&self, req: Request) -> Response {
         let key = Self::latency_key(&req);
         let t0 = Instant::now();
@@ -239,122 +258,95 @@ impl SessionManager {
                 session,
                 chunk,
                 done,
-            } => {
-                let s = self.get(session)?;
-                let mut s = s.lock().unwrap();
-                s.touch();
+            } => self.with_session(session, |s| {
                 let (bytes, sealed) = s.ingest(&chunk, done, self.store.is_some())?;
                 // A sealed upload dedups into the store unverified
                 // (fingerprint 0): ingest trusts nothing it has not
                 // replayed. A later verified put upgrades in place.
                 if let (Some(store), Some(data)) = (self.store.as_ref(), sealed) {
-                    store.put_bytes(&s.workload.name, s.seed, &data, 0, "")?;
+                    store.put_bytes(s.workload.name, s.seed, &data, 0, "")?;
                 }
-                Response::Ingested { session, bytes }
-            }
-            Request::Record { session } => {
-                let s = self.get(session)?;
-                let mut s = s.lock().unwrap();
-                s.touch();
+                Ok(Response::Ingested { session, bytes })
+            })?,
+            Request::Record { session } => self.with_session(session, |s| {
                 let out = s.record()?;
                 // The server ran the record itself, so the fingerprint is
-                // first-hand: store the sealed trace as verified.
-                if let Some(store) = self.store.as_ref() {
-                    if let crate::session::Phase::Sealed { trace, .. } = &s.phase {
-                        store.put_bytes(
-                            &s.workload.name,
-                            s.seed,
-                            &trace.encoded(),
-                            out.fingerprint,
-                            "",
-                        )?;
-                    }
+                // first-hand: store the sealed trace as verified, encoded
+                // exactly as a client uploading this run would encode it,
+                // so both land on one catalog entry.
+                if let (Some(store), Phase::Sealed { trace, .. }) = (self.store.as_ref(), &s.phase)
+                {
+                    let djvb = encode_trace(trace, TraceFormat::Block, DEFAULT_BLOCK_BUDGET);
+                    store.put_bytes(s.workload.name, s.seed, &djvb, out.fingerprint, "")?;
                 }
-                Response::Recorded {
+                Ok(Response::Recorded {
                     session,
                     fingerprint: out.fingerprint,
                     state_digest: out.state_digest,
                     events: out.events,
                     trace_bytes: out.trace_bytes,
-                }
-            }
+                })
+            })?,
             Request::OpenStored { entry } => {
                 let store = self.store.as_ref().ok_or(FleetError::NoStore)?;
                 let stored = store.open_trace(&entry)?;
                 let w = workloads::registry()
                     .into_iter()
                     .find(|w| w.name == stored.entry.workload)
-                    .ok_or_else(|| {
-                        FleetError::NoSuchWorkload(stored.entry.workload.clone())
-                    })?;
+                    .ok_or_else(|| FleetError::NoSuchWorkload(stored.entry.workload.clone()))?;
                 let seed = stored.entry.seed;
                 let (trace, boundaries) = (stored.trace, stored.boundaries);
                 let session =
                     self.install(|id| Session::from_sealed(id, w, seed, trace, boundaries));
                 Response::Opened { session }
             }
-            Request::Replay { session } => {
-                let s = self.get(session)?;
-                let mut s = s.lock().unwrap();
-                s.touch();
+            Request::Replay { session } => self.with_session(session, |s| {
                 let out = s.replay()?;
-                Response::Replayed {
+                Ok(Response::Replayed {
                     session,
                     fingerprint: out.fingerprint,
                     state_digest: out.state_digest,
                     clean: out.clean,
-                }
-            }
-            Request::SeekLogical { session, logical } => {
-                let s = self.get(session)?;
-                let mut s = s.lock().unwrap();
-                s.touch();
+                })
+            })?,
+            Request::SeekLogical { session, logical } => self.with_session(session, |s| {
                 let st = s.debugger()?.seek_time(logical);
-                Response::Sought {
+                Ok(Response::Sought {
                     session,
                     target_logical: st.target_logical,
                     final_step: st.final_step,
                     final_logical: st.final_logical,
                     steps_replayed: st.steps_replayed,
-                }
-            }
-            Request::DivergenceCheck { session } => {
-                let s = self.get(session)?;
-                let mut s = s.lock().unwrap();
-                s.touch();
+                })
+            })?,
+            Request::DivergenceCheck { session } => self.with_session(session, |s| {
                 let dbg = s.debugger()?;
-                Response::Divergence {
+                Ok(Response::Divergence {
                     session,
                     clean: dbg.desyncs().is_empty(),
                     json: dbg.divergence_json(),
-                }
-            }
-            Request::Profile { session, top } => {
-                let s = self.get(session)?;
-                let mut s = s.lock().unwrap();
-                s.touch();
+                })
+            })?,
+            Request::Profile { session, top } => self.with_session(session, |s| {
                 let json = s
                     .debugger()?
                     .profile_json(top)
                     .map_err(FleetError::Profile)?;
-                Response::Profiled { session, json }
-            }
+                Ok(Response::Profiled { session, json })
+            })?,
             Request::Close { session } => {
                 self.take(session)?;
                 Response::Closed { session }
             }
             Request::Debug { session, command } => {
-                use codec::FromJson;
                 let cmd = Command::from_json_str(&command)
                     .map_err(|e| FleetError::BadDebugCommand(e.to_string()))?;
-                let s = self.get(session)?;
-                let mut s = s.lock().unwrap();
-                s.touch();
-                let dbg = s.debugger()?;
-                let resp = debugger::server::handle(dbg, cmd);
-                Response::Debug {
-                    json: resp.to_json_string(),
-                }
+                self.with_session(session, |s| {
+                    let resp = debugger::server::handle(s.debugger()?, cmd);
+                    Ok(Response::Debug {
+                        json: resp.to_json_string(),
+                    })
+                })?
             }
             Request::Stats => Response::Stats {
                 json: self.stats_json(),
@@ -367,5 +359,70 @@ impl SessionManager {
 impl Default for SessionManager {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::spec_for;
+    use dejavu::{record_run, SymmetryConfig};
+
+    #[test]
+    fn a_poisoned_session_and_poisoned_metrics_leave_the_neighbours_serving() {
+        let m = SessionManager::new();
+        let victim = m.open("fig1_ab", 1).unwrap();
+        let neighbour = m.open("fig1_ab", 2).unwrap();
+
+        // Panic while holding the victim's lock and the metrics lock.
+        let session = m.get(victim).unwrap();
+        std::thread::scope(|scope| {
+            let panicked = scope
+                .spawn(|| {
+                    let _session = session.lock().unwrap();
+                    let _metrics = m.metrics.lock().unwrap();
+                    panic!("planted");
+                })
+                .join();
+            assert!(panicked.is_err());
+        });
+        assert!(session.is_poisoned() && m.metrics.is_poisoned());
+
+        match m.dispatch(Request::Record { session: victim }) {
+            Response::Error { code: 1, message } => assert!(message.contains("poisoned")),
+            other => panic!("expected the typed poison error, got {other:?}"),
+        }
+
+        let w = workloads::registry()
+            .into_iter()
+            .find(|w| w.name == "fig1_ab")
+            .unwrap();
+        let (truth, _) = record_run(&spec_for(&w, 2), w.natives, SymmetryConfig::full(), true);
+        let Response::Recorded { fingerprint, .. } =
+            m.dispatch(Request::Record { session: neighbour })
+        else {
+            panic!("neighbour did not record");
+        };
+        assert_eq!(fingerprint, truth.fingerprint);
+        match m.dispatch(Request::Replay { session: neighbour }) {
+            Response::Replayed {
+                fingerprint, clean, ..
+            } => assert!(clean && fingerprint == truth.fingerprint),
+            other => panic!("neighbour did not replay: {other:?}"),
+        }
+
+        let Response::Stats { json } = m.dispatch(Request::Stats) else {
+            panic!("stats did not answer");
+        };
+        let doc = Json::parse(&json).unwrap();
+        assert_eq!(
+            doc.field("sessions").unwrap().field("active").unwrap().as_u64().unwrap(),
+            2
+        );
+        // The victim is still closable.
+        assert!(matches!(
+            m.dispatch(Request::Close { session: victim }),
+            Response::Closed { .. }
+        ));
     }
 }

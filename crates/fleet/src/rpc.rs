@@ -11,8 +11,8 @@ use codec::put_varint;
 pub enum Request {
     /// Create a session for `workload` (registry name) at `seed`.
     Open { workload: String, seed: u64 },
-    /// Stream a chunk of an externally recorded trace (flat or DJVB
-    /// block format) into a `Recording` session; `done` seals it.
+    /// Stream a chunk of an externally recorded DJVB trace into a
+    /// `Recording` session; `done` seals it.
     IngestBlocks {
         session: u64,
         chunk: Vec<u8>,
@@ -30,8 +30,8 @@ pub enum Request {
     Profile { session: u64, top: u64 },
     /// Discard the session.
     Close { session: u64 },
-    /// Single-session debugger passthrough: a JSON-line [`Command`]
-    /// from the legacy protocol, dispatched against the resident replay.
+    /// One debugger [`Command`] as a JSON line, dispatched against the
+    /// session's resident replay.
     ///
     /// [`Command`]: debugger::protocol::Command
     Debug { session: u64, command: String },

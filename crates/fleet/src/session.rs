@@ -21,16 +21,14 @@ use dejavu::{record_run, ExecSpec, SymmetryConfig, Trace, TraceError, TraceInges
 use std::time::Instant;
 use workloads::Workload;
 
-/// Checkpoint interval for hosted replays — matches the CLI `serve`
-/// subcommand so a fleet-hosted session seeks like a local one.
+/// Step-cadence checkpoint interval for hosted replays.
 pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 5_000;
 
-/// Build the execution spec the fleet uses for a hosted workload. This
-/// MUST mirror `dejavu_repro::corpus::corpus_spec` (timer base 211,
-/// jitter 60): a fleet-hosted recording and a corpus recording of the
-/// same workload/seed must have identical fingerprints, or the fleet
-/// would disagree with the CLI and the corpus gate. Guarded by a parity
-/// test in the root crate (`tests/fleet_rpc.rs`).
+/// The platform's one execution environment for a registry workload
+/// (timer base 211, jitter 60). The fleet, the CLI and the corpus all
+/// build their specs here, so a fleet-hosted recording, a CLI recording
+/// and a corpus recording of the same workload/seed have identical
+/// fingerprints by construction.
 pub fn spec_for(w: &Workload, seed: u64) -> ExecSpec {
     let mut s = ExecSpec::new((w.build)()).with_seed(seed);
     s.timer_base = 211;
@@ -52,6 +50,9 @@ pub enum FleetError {
     Trace(TraceError),
     Profile(String),
     BadDebugCommand(String),
+    /// A request panicked while holding this session's lock; its state
+    /// is not trusted again. `Close` still removes it.
+    Poisoned(u64),
     ShutdownDenied,
     /// A trace-store operation failed (corrupt store, missing entry,
     /// conflicting verified fingerprints).
@@ -83,6 +84,9 @@ impl std::fmt::Display for FleetError {
             FleetError::Trace(e) => write!(f, "trace: {e}"),
             FleetError::Profile(e) => write!(f, "profile: {e}"),
             FleetError::BadDebugCommand(e) => write!(f, "bad debug command: {e}"),
+            FleetError::Poisoned(id) => {
+                write!(f, "session {id} is poisoned: an earlier request panicked")
+            }
             FleetError::ShutdownDenied => write!(f, "shutdown denied: bad ctrl token"),
             FleetError::Store(e) => write!(f, "store: {e}"),
             FleetError::NoStore => write!(f, "server has no trace store configured"),
@@ -294,15 +298,6 @@ impl Session {
         self.make_resident()
     }
 
-    /// Tear the session apart into its resident debugger, if any (used by
-    /// the compatibility adapter to hand the session back to the caller).
-    pub fn into_debugger(self) -> Option<DebugSession> {
-        match self.phase {
-            Phase::Replaying { dbg } => Some(dbg),
-            _ => None,
-        }
-    }
-
     /// Install an already-sealed trace (the `OpenStored` path: the store
     /// hands over a decoded trace plus its block-boundary checkpoint
     /// keys, no upload or server-side record needed).
@@ -318,17 +313,6 @@ impl Session {
             workload,
             seed,
             phase: Phase::Sealed { trace, boundaries },
-            last_touched: Instant::now(),
-        }
-    }
-
-    /// Install an already-built debugger session (compat adapter path).
-    pub fn from_debugger(id: u64, workload: Workload, seed: u64, dbg: DebugSession) -> Self {
-        Session {
-            id,
-            workload,
-            seed,
-            phase: Phase::Replaying { dbg },
             last_touched: Instant::now(),
         }
     }

@@ -1,10 +1,9 @@
 //! Integration tests for the fleet service: concurrent sessions over the
-//! framed RPC, the legacy JSON-line adapter with simultaneous clients,
-//! the streaming ingest path, and token-gated graceful shutdown.
+//! framed RPC, the three-tier debugger dialogue with simultaneous
+//! clients, the streaming ingest path, and token-gated graceful shutdown.
 
-use codec::ToJson;
 use debugger::protocol::{Command, Response as DbgResponse};
-use debugger::{DebugClient, DebugSession};
+use debugger::StopReason;
 use dejavu::{encode_trace, record_run, SymmetryConfig, TraceFormat, DEFAULT_BLOCK_BUDGET};
 use fleet::{spec_for, FleetClient, FleetConfig, FleetServer, Request, Response};
 use std::time::Duration;
@@ -310,89 +309,69 @@ fn dropped_peer_mid_frame_does_not_kill_the_server() {
     server.join();
 }
 
+/// E9's three tiers over the one wire: application VM (replayed inside
+/// the server) / fleet server / `FleetClient` standing in for the GUI.
 #[test]
-fn two_simultaneous_jsonline_clients_make_progress() {
-    // Satellite regression: the old serve_one accepted one connection; a
-    // second client hung until the first quit. The compat adapter must
-    // interleave both.
-    let w = workload("fig1_ab");
-    let spec = spec_for(&w, 3);
-    let (_rec, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
-    let session = DebugSession::new(spec.program.clone(), spec.vm.clone(), trace, 5_000);
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
+fn three_tier_debug_over_fleet() {
+    let server = start_server(2);
+    let addr = server.addr().to_string();
+    let w = workload("racy_counter");
+    let spec = spec_for(&w, 9);
+    let (truth, _) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
+    let method = spec.program.method_id_by_name("worker").unwrap();
 
-    let server = std::thread::spawn(move || fleet::compat::serve_debug(session, listener, 2));
+    let mut a = FleetClient::connect(&addr).expect("client A");
+    let mut b = FleetClient::connect(&addr).expect("client B");
+    let id = a.open("racy_counter", 9).expect("open");
+    let recorded = a.call(&Request::Record { session: id }).expect("record");
+    assert!(matches!(recorded, Response::Recorded { .. }), "{recorded:?}");
 
-    let mut a = DebugClient::connect(&addr).expect("client A");
-    let mut b = DebugClient::connect(&addr).expect("client B");
-    // Interleave requests while BOTH connections are open: with the old
-    // accept-once loop, B's first request would block forever here.
-    for _ in 0..3 {
-        assert!(matches!(
-            a.threads().expect("A threads"),
-            DbgResponse::Threads { .. }
-        ));
-        assert!(matches!(
-            b.metrics().expect("B metrics"),
-            DbgResponse::Metrics { .. }
-        ));
-    }
-    assert!(matches!(
-        b.step().expect("B step"),
-        DbgResponse::Stopped { .. }
-    ));
-    assert!(matches!(
-        a.output().expect("A output"),
-        DbgResponse::Output { .. }
-    ));
-
-    drop(b); // dropped peer must not take the server down
-    assert!(matches!(a.quit().expect("A quit"), DbgResponse::Bye));
-    let session = server.join().expect("no panic").expect("serve_debug ok");
-    // The returned session reflects work done over the wire.
-    assert!(session.step_index() >= 1);
-}
-
-#[test]
-fn jsonline_adapter_speaks_the_exact_legacy_wire_format() {
-    // Raw-socket check (no DebugClient): bytes on the wire are the same
-    // JSON-line protocol serve_one spoke, including error replies.
-    use std::io::{BufRead, BufReader, Write};
-    let w = workload("fig1_ab");
-    let spec = spec_for(&w, 3);
-    let (_rec, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
-    let session = DebugSession::new(spec.program.clone(), spec.vm.clone(), trace, 5_000);
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-
-    let server = std::thread::spawn(move || fleet::compat::serve_debug(session, listener, 1));
-
-    let stream = std::net::TcpStream::connect(addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut stream = stream;
-    let mut line = String::new();
-
-    stream.write_all(b"this is not json\n").unwrap();
-    reader.read_line(&mut line).unwrap();
-    assert!(
-        line.contains("\"error\""),
-        "bad command → error line: {line}"
+    let stop_reason = |r: DbgResponse| match r {
+        DbgResponse::Stopped { reason, .. } => reason,
+        other => panic!("expected stopped, got {other:?}"),
+    };
+    assert_eq!(
+        a.debug(id, &Command::Break { method, pc: 0 }).unwrap(),
+        DbgResponse::Ok
     );
+    let reason = stop_reason(a.debug(id, &Command::Continue).unwrap());
+    assert!(matches!(reason, StopReason::Breakpoint { .. }), "{reason:?}");
+    // The second client sees the same stopped session and drives it too:
+    // both connections make progress, serialized by the session lock.
+    let DbgResponse::Threads { threads } = b.debug(id, &Command::Threads).unwrap() else {
+        panic!("expected threads");
+    };
+    let tid = threads.iter().find(|t| t.status == "running").unwrap().tid;
+    let DbgResponse::Stack { frames } = a.debug(id, &Command::Stack { tid }).unwrap() else {
+        panic!("expected stack");
+    };
+    assert_eq!(frames[0].method_name, "worker");
+    for cmd in [Command::Step, Command::StepBack] {
+        stop_reason(b.debug(id, &cmd).unwrap());
+    }
 
-    line.clear();
-    let mut cmd = Command::Threads.to_json_string();
-    cmd.push('\n');
-    stream.write_all(cmd.as_bytes()).unwrap();
-    reader.read_line(&mut line).unwrap();
-    assert!(line.contains("\"threads\""), "got: {line}");
+    // A malformed command string is a typed error; the session survives.
+    let garbled = Request::Debug {
+        session: id,
+        command: "this is not json".to_string(),
+    };
+    match b.call(&garbled).expect("call") {
+        Response::Error { code: 1, message } => assert!(message.contains("bad debug command")),
+        other => panic!("expected error, got {other:?}"),
+    }
 
-    line.clear();
-    let mut cmd = Command::Quit.to_json_string();
-    cmd.push('\n');
-    stream.write_all(cmd.as_bytes()).unwrap();
-    reader.read_line(&mut line).unwrap();
-    assert!(line.contains("\"bye\""), "got: {line}");
+    assert_eq!(
+        b.debug(id, &Command::ClearBreak { method, pc: 0 }).unwrap(),
+        DbgResponse::Ok
+    );
+    let reason = stop_reason(a.debug(id, &Command::Continue).unwrap());
+    assert_eq!(reason, StopReason::Halted);
+    drop(a); // sessions outlive connections
+    let DbgResponse::Output { text } = b.debug(id, &Command::Output).unwrap() else {
+        panic!("expected output");
+    };
+    assert_eq!(text, truth.output, "debugging must not perturb the replay");
 
-    server.join().expect("no panic").expect("serve_debug ok");
+    server.trigger_shutdown();
+    server.join();
 }

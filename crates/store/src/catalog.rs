@@ -20,6 +20,11 @@ use crate::error::StoreError;
 use codec::{digest128, Digest128, Json};
 use dejavu::BlockMethod;
 
+/// The `format` field of every entry: DJVB is the only file format.
+/// The field is hashed into the identity digest, so existing entry ids
+/// depend on it; any other value is corruption.
+const FORMAT: &str = "block";
+
 /// One block reference inside a catalog entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockRef {
@@ -39,11 +44,8 @@ pub struct BlockRef {
 pub struct CatalogEntry {
     pub workload: String,
     pub seed: u64,
-    /// `"block"` or `"flat"` — the format of the originally put file.
-    pub format: String,
     pub paranoid: bool,
-    /// Block budget of the stored blocks (for flat sources, the budget
-    /// the store blockified them at).
+    /// Block budget of the put file.
     pub budget: u32,
     /// Length of the originally put file — `get` validates its
     /// reconstruction against this.
@@ -72,7 +74,7 @@ impl CatalogEntry {
         let id_obj = Json::obj(vec![
             ("blocks", blocks),
             ("budget", Json::UInt(self.budget as u64)),
-            ("format", Json::Str(self.format.clone())),
+            ("format", Json::Str(FORMAT.into())),
             ("paranoid", Json::Bool(self.paranoid)),
             ("seed", Json::UInt(self.seed)),
             ("workload", Json::Str(self.workload.clone())),
@@ -104,7 +106,7 @@ impl CatalogEntry {
             ("budget", Json::UInt(self.budget as u64)),
             ("file_bytes", Json::UInt(self.file_bytes)),
             ("fingerprint", Json::UInt(self.fingerprint)),
-            ("format", Json::Str(self.format.clone())),
+            ("format", Json::Str(FORMAT.into())),
             ("id", Json::Str(self.identity())),
             ("paranoid", Json::Bool(self.paranoid)),
             ("policy", Json::Str(self.policy.clone())),
@@ -130,8 +132,7 @@ impl CatalogEntry {
                 .map(|s| s.to_owned())
                 .map_err(|_| corrupt(&format!("missing/invalid field {key:?}")))
         };
-        let format = field_str("format")?;
-        if format != "block" && format != "flat" {
+        if field_str("format")? != FORMAT {
             return Err(corrupt("unknown format"));
         }
         let budget = field_u64("budget")?;
@@ -195,7 +196,6 @@ impl CatalogEntry {
         let entry = CatalogEntry {
             workload: field_str("workload")?,
             seed: field_u64("seed")?,
-            format,
             paranoid,
             budget: budget as u32,
             file_bytes: field_u64("file_bytes")?,
@@ -230,7 +230,6 @@ mod tests {
         CatalogEntry {
             workload: "fig1_ab".into(),
             seed: 7,
-            format: "block".into(),
             paranoid: true,
             budget: 4096,
             file_bytes: 12345,
@@ -289,11 +288,15 @@ mod tests {
         let mut text = e.to_json().to_string();
         // Change the seed without re-deriving the id.
         text = text.replace("\"seed\":7", "\"seed\":8");
-        let parsed = Json::parse(&text).unwrap();
-        assert!(matches!(
-            CatalogEntry::from_json(&parsed),
-            Err(StoreError::Corrupt(_))
-        ));
+        // Same for a format other than DJVB.
+        let flat = e.to_json().to_string().replace("\"block\"", "\"flat\"");
+        for tampered in [text, flat] {
+            let parsed = Json::parse(&tampered).unwrap();
+            assert!(matches!(
+                CatalogEntry::from_json(&parsed),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

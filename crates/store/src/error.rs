@@ -14,7 +14,7 @@ pub enum StoreError {
     /// The store's own structures are damaged (catalog JSON, block
     /// record framing, digest mismatch, reconstruction disagreement).
     Corrupt(String),
-    /// The DJVB/flat payload inside a block or entry failed trace-level
+    /// The DJVB payload inside a block or entry failed trace-level
     /// decode.
     Trace(TraceError),
     /// No entry / block under the requested identity.

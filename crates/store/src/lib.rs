@@ -50,11 +50,7 @@ pub use error::StoreError;
 pub use snapshot::{BlockCache, BlockKey, StoredTrace, DEFAULT_CACHE_BLOCKS};
 
 use codec::{digest128, Digest128, Json};
-use dejavu::blocktrace::encode_block;
-use dejavu::{
-    assemble_block_file, decode_block_events, BlockFile, RawBlock, TraceFormat,
-    DEFAULT_BLOCK_BUDGET,
-};
+use dejavu::{assemble_block_file, decode_block_events, BlockFile, RawBlock};
 use snapshot::DecodedBlock;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -129,8 +125,8 @@ impl Store {
         self.backend.root()
     }
 
-    /// Ingest one serialized trace file (either format). Blocks dedup
-    /// against everything already stored; the catalog entry converges
+    /// Ingest one serialized DJVB trace file. Blocks dedup against
+    /// everything already stored; the catalog entry converges
     /// across repeated puts of the same run, with `fingerprint`
     /// upgrading 0 → verified in place. Two *verified* puts that
     /// disagree are a [`StoreError::FingerprintMismatch`].
@@ -142,22 +138,8 @@ impl Store {
         fingerprint: u64,
         policy: &str,
     ) -> Result<PutOutcome, StoreError> {
-        let format = dejavu::sniff_format(bytes)?;
-        let (paranoid, budget, raw_blocks) = match format {
-            TraceFormat::Block => {
-                let bf = BlockFile::parse(bytes.to_vec())?;
-                (bf.paranoid, bf.budget, bf.raw_blocks()?)
-            }
-            TraceFormat::Flat => {
-                // Flat sources are blockified for storage at the default
-                // budget; `get` reconstructs the flat bytes through the
-                // decoded trace (`Trace::encoded` is a pure function).
-                let ingested = dejavu::ingest_bytes(bytes.to_vec())?;
-                let enc = encode_block(&ingested.trace, DEFAULT_BLOCK_BUDGET);
-                let bf = BlockFile::parse(enc)?;
-                (bf.paranoid, bf.budget, bf.raw_blocks()?)
-            }
-        };
+        let bf = BlockFile::parse(bytes.to_vec())?;
+        let raw_blocks = bf.raw_blocks()?;
 
         let mut blocks = Vec::with_capacity(raw_blocks.len());
         let mut blocks_new = 0u64;
@@ -182,9 +164,8 @@ impl Store {
         let mut entry = CatalogEntry {
             workload: workload.to_owned(),
             seed,
-            format: format.name().to_owned(),
-            paranoid,
-            budget,
+            paranoid: bf.paranoid,
+            budget: bf.budget,
             file_bytes: bytes.len() as u64,
             fingerprint,
             policy: policy.to_owned(),
@@ -258,19 +239,7 @@ impl Store {
                 raw,
             });
         }
-        let bytes = match entry.format.as_str() {
-            "block" => assemble_block_file(entry.paranoid, entry.budget, &raw_blocks),
-            _ => {
-                let decoded = raw_blocks
-                    .iter()
-                    .map(|rb| {
-                        decode_block_events(&rb.raw, rb.event_count, rb.switch_count, entry.paranoid)
-                            .map(Arc::new)
-                    })
-                    .collect::<Result<Vec<DecodedBlock>, _>>()?;
-                snapshot::splice_blocks(entry.paranoid, decoded)?.encoded()
-            }
-        };
+        let bytes = assemble_block_file(entry.paranoid, entry.budget, &raw_blocks);
         if bytes.len() as u64 != entry.file_bytes {
             return Err(StoreError::Corrupt(format!(
                 "entry {id}: reconstruction is {} bytes, catalog says {}",
@@ -560,7 +529,7 @@ fn load_heat(backend: &Backend) -> Result<BTreeMap<Digest128, u64>, StoreError> 
 mod tests {
     use super::*;
     use dejavu::trace::{DataRec, SwitchRec, Trace};
-    use dejavu::encode_trace;
+    use dejavu::{encode_trace, TraceFormat};
 
     fn scratch(tag: &str) -> std::path::PathBuf {
         // CARGO_TARGET_TMPDIR is only set for integration tests, so unit
@@ -589,17 +558,16 @@ mod tests {
     }
 
     #[test]
-    fn put_get_roundtrip_both_formats() {
+    fn put_get_roundtrip() {
         let root = scratch("roundtrip");
         let store = Store::open(&root).unwrap();
-        for (i, format) in [TraceFormat::Block, TraceFormat::Flat].iter().enumerate() {
-            let t = sample(true, 400, i as u64);
-            let bytes = encode_trace(&t, *format, 64);
-            let put = store.put_bytes("w", i as u64, &bytes, 0, "").unwrap();
+        for paranoid in [false, true] {
+            let bytes = encode_trace(&sample(paranoid, 400, 0), TraceFormat::Block, 64);
+            let put = store.put_bytes("w", paranoid as u64, &bytes, 0, "").unwrap();
             assert!(put.new_entry);
             assert!(put.blocks_total > 0);
             let back = store.get_bytes(&put.entry).unwrap();
-            assert_eq!(back, bytes, "byte-identical reconstruction ({format:?})");
+            assert_eq!(back, bytes, "byte-identical reconstruction");
         }
     }
 

@@ -1,44 +1,48 @@
 //! A full perturbation-free debugging session (paper §4 / Fig. 4): record
 //! a racy execution, then debug the *recording* — breakpoints, stepping
 //! (forward and backward), stack traces with reflective line numbers, the
-//! thread viewer — through the three-tier TCP architecture.
+//! thread viewer — through the three-tier TCP architecture (application
+//! VM / fleet server / fleet client).
 //!
 //! ```sh
 //! cargo run --example debug_session
 //! ```
 
-use debugger::{Command, DebugClient, DebugSession, Response};
-use dejavu::{record_run, ExecSpec, SymmetryConfig};
+use debugger::{Command, Response};
+use dejavu::{record_run, SymmetryConfig};
+use fleet::{spec_for, FleetClient, FleetConfig, FleetServer, Request};
 
 fn main() {
-    // Tier 0: record the application.
+    // Tier 0: the application, recorded locally as the ground truth.
     let w = workloads::registry()
         .into_iter()
         .find(|w| w.name == "producer_consumer")
         .unwrap();
-    let mut spec = ExecSpec::new((w.build)()).with_seed(6);
-    spec.timer_base = 53;
-    spec.timer_jitter = 19;
-    let (rec, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
+    let spec = spec_for(&w, 6);
+    let (rec, _) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
     println!("recorded execution: output {:?}\n", rec.output.trim());
-
-    // Tier 1: the debugger tier hosts a replaying session over TCP.
     let consumer = spec.program.method_id_by_name("consumer").unwrap();
-    let session = DebugSession::new(spec.program.clone(), spec.vm.clone(), trace, 5_000);
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server =
-        std::thread::spawn(move || debugger::server::serve_one(session, listener).unwrap());
 
-    // Tier 2: the "GUI" (CLI client) connects over TCP.
-    let mut client = DebugClient::connect(&addr.to_string()).unwrap();
+    // Tier 1: the fleet server hosts the replaying debugger session.
+    let server = FleetServer::start("127.0.0.1:0", FleetConfig::default()).unwrap();
+
+    // Tier 2: the "GUI" (a fleet client) connects over TCP, has the
+    // server record the same run, and debugs the recording.
+    let mut client = FleetClient::connect(&server.addr().to_string()).unwrap();
+    let id = client.open("producer_consumer", 6).unwrap();
+    client.call(&Request::Record { session: id }).unwrap();
+    let mut ask = |cmd: Command| client.debug(id, &cmd).unwrap();
+
     println!("== set a breakpoint at consumer:0 and continue ==");
-    client.brk(consumer, 0).unwrap();
-    let r = client.cont().unwrap();
+    ask(Command::Break {
+        method: consumer,
+        pc: 0,
+    });
+    let r = ask(Command::Continue);
     println!("  {r:?}");
 
     println!("\n== thread viewer ==");
-    if let Response::Threads { threads } = client.threads().unwrap() {
+    if let Response::Threads { threads } = ask(Command::Threads) {
         for t in &threads {
             println!(
                 "  t{} {:12} {:18} pc={} yp={}",
@@ -47,7 +51,7 @@ fn main() {
         }
         let running = threads.iter().find(|t| t.status == "running").unwrap().tid;
         println!("\n== stack trace of the running thread (lines via remote reflection) ==");
-        if let Response::Stack { frames } = client.stack(running).unwrap() {
+        if let Response::Stack { frames } = ask(Command::Stack { tid: running }) {
             for f in &frames {
                 println!("  {}:{} (pc {}) {}", f.method_name, f.line, f.pc, f.op);
             }
@@ -56,13 +60,13 @@ fn main() {
 
     println!("\n== step forward 3, then step BACK 2 (checkpoint time travel) ==");
     for _ in 0..3 {
-        let r = client.step().unwrap();
+        let r = ask(Command::Step);
         if let Response::Stopped { step, .. } = r {
             print!(" -> {step}");
         }
     }
     for _ in 0..2 {
-        let r = client.step_back().unwrap();
+        let r = ask(Command::StepBack);
         if let Response::Stopped { step, .. } = r {
             print!(" <- {step}");
         }
@@ -70,19 +74,17 @@ fn main() {
     println!();
 
     println!("\n== clear the breakpoint, run to completion ==");
-    client
-        .request(&Command::ClearBreak {
-            method: consumer,
-            pc: 0,
-        })
-        .unwrap();
-    let r = client.cont().unwrap();
+    ask(Command::ClearBreak {
+        method: consumer,
+        pc: 0,
+    });
+    let r = ask(Command::Continue);
     println!("  {r:?}");
-    if let Response::Output { text } = client.output().unwrap() {
+    if let Response::Output { text } = ask(Command::Output) {
         println!("  replayed output: {:?}", text.trim());
         assert_eq!(text, rec.output, "debugging did not perturb the replay");
         println!("  identical to the recorded output ✓");
     }
-    client.quit().unwrap();
-    server.join().unwrap();
+    server.trigger_shutdown();
+    server.join();
 }

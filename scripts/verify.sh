@@ -56,35 +56,25 @@ echo "== telemetry: neutrality (fingerprints on == off) =="
 "$CLI" neutrality producer_consumer 1
 "$CLI" neutrality gc_churn 1
 
-echo "== trace: block format is a pure observer (fig1 family, both formats) =="
+echo "== trace: DJVB files replay accurately and inspect canonically (fig1 family) =="
 TRDIR="$BENCH_DIR/trace-verify"
 mkdir -p "$TRDIR"
 for wl in fig1_ab fig1_hot fig1_cd; do
-    "$CLI" record "$wl" 5 "$TRDIR/$wl.flat"  --trace-format flat \
-        --metrics-out "$TRDIR/$wl.rec-flat.json"  > /dev/null
-    "$CLI" record "$wl" 5 "$TRDIR/$wl.block" --trace-format block \
-        --metrics-out "$TRDIR/$wl.rec-block.json" > /dev/null
-    # The record metrics (fingerprint included) must be byte-identical
-    # whichever on-disk format the trace took.
-    require "$TRDIR/$wl.rec-flat.json" "$TRDIR/$wl.rec-block.json"
-    cmp "$TRDIR/$wl.rec-flat.json" "$TRDIR/$wl.rec-block.json"
-    grep -o '"fingerprint":[0-9]*' "$TRDIR/$wl.rec-flat.json" | head -1
-    # Replay from each format: both must verify ACCURATE (exit 0) and
-    # produce byte-identical replay metrics.
-    "$CLI" replay "$wl" 5 "$TRDIR/$wl.flat"  --metrics-out "$TRDIR/$wl.rep-flat.json"  > /dev/null
-    "$CLI" replay "$wl" 5 "$TRDIR/$wl.block" --metrics-out "$TRDIR/$wl.rep-block.json" > /dev/null
-    require "$TRDIR/$wl.rep-flat.json" "$TRDIR/$wl.rep-block.json"
-    cmp "$TRDIR/$wl.rep-flat.json" "$TRDIR/$wl.rep-block.json"
+    "$CLI" record "$wl" 5 "$TRDIR/$wl.djvb" --metrics-out "$TRDIR/$wl.rec.json" > /dev/null
+    require "$TRDIR/$wl.djvb" "$TRDIR/$wl.rec.json"
+    grep -o '"fingerprint":[0-9]*' "$TRDIR/$wl.rec.json" | head -1
+    # Replay must verify ACCURATE (exit 0).
+    "$CLI" replay "$wl" 5 "$TRDIR/$wl.djvb" > /dev/null
     # The block index prints as canonical JSON.
-    "$CLI" trace inspect "$TRDIR/$wl.block" > "$TRDIR/$wl.inspect.json"
+    "$CLI" trace inspect "$TRDIR/$wl.djvb" > "$TRDIR/$wl.inspect.json"
     "$CLI" checkjson "$TRDIR/$wl.inspect.json"
 done
 
 echo "== trace: corruption and divergence exit codes =="
 # A truncated block trace is an I/O-grade error: exit 1, never a replay.
-head -c 40 "$TRDIR/fig1_hot.block" > "$TRDIR/truncated.block"
+head -c 40 "$TRDIR/fig1_hot.djvb" > "$TRDIR/truncated.djvb"
 rc=0
-"$CLI" replay fig1_hot 5 "$TRDIR/truncated.block" > /dev/null 2>&1 || rc=$?
+"$CLI" replay fig1_hot 5 "$TRDIR/truncated.djvb" > /dev/null 2>&1 || rc=$?
 if [ "$rc" -ne 1 ]; then
     echo "verify: truncated trace replay exited $rc, want 1" >&2
     exit 1
@@ -92,7 +82,7 @@ fi
 # Replaying under the wrong seed diverges from the fresh verification
 # record: exit 2, distinct from I/O failures.
 rc=0
-"$CLI" replay fig1_hot 6 "$TRDIR/fig1_hot.block" > /dev/null 2>&1 || rc=$?
+"$CLI" replay fig1_hot 6 "$TRDIR/fig1_hot.djvb" > /dev/null 2>&1 || rc=$?
 if [ "$rc" -ne 2 ]; then
     echo "verify: wrong-seed replay exited $rc, want 2" >&2
     exit 1
@@ -103,7 +93,7 @@ PDIR="$BENCH_DIR/profile-verify"
 rm -rf "$PDIR"; mkdir -p "$PDIR"
 # Replay the same corpus-family trace twice with the flight recorder on:
 # both artifact sets must be byte-identical, and the summaries canonical.
-"$CLI" record fig1_hot 5 "$PDIR/trace.djvb" --trace-format block > /dev/null
+"$CLI" record fig1_hot 5 "$PDIR/trace.djvb" > /dev/null
 "$CLI" profile fig1_hot 5 "$PDIR/trace.djvb" --out "$PDIR/run1" \
     > "$PDIR/summary1.json" 2> /dev/null
 "$CLI" profile fig1_hot 5 "$PDIR/trace.djvb" --out "$PDIR/run2" \
@@ -167,51 +157,36 @@ for f in tests/corpus/*; do
     cmp "$f" "$CDIR/rerecord/$(basename "$f")"
 done
 
-echo "== quickening: interp bench runs in both dispatch modes =="
-# The interp bench itself asserts quickened and generic step counts match
-# and its TELEMETRY sidecar is produced by an env-default-mode record —
-# so running it with and without DJVM_NO_QUICKEN=1 and byte-comparing the
-# sidecars proves the ablation is invisible to every recorded observable.
-QDIR="$(pwd)/target/bench-quicken"
-UDIR="$(pwd)/target/bench-noquicken"
-BENCH_SMOKE=1 BENCH_DIR="$QDIR" cargo bench --offline -p bench --bench interp
-BENCH_SMOKE=1 BENCH_DIR="$UDIR" DJVM_NO_QUICKEN=1 \
-    cargo bench --offline -p bench --bench interp
-require "$QDIR/BENCH_interp.json" "$UDIR/BENCH_interp.json"
-require "$QDIR/TELEMETRY_interp.json" "$UDIR/TELEMETRY_interp.json"
-"$CLI" checkjson "$QDIR/TELEMETRY_interp.json"
-cmp "$QDIR/TELEMETRY_interp.json" "$UDIR/TELEMETRY_interp.json"
-
-echo "== tier2: megablock ablation is invisible end to end =="
-MDIR="$BENCH_DIR/mega-verify"
+echo "== tier2: the --no-quicken and --no-mega ablations are invisible end to end =="
+MDIR="$BENCH_DIR/tier-verify"
 rm -rf "$MDIR"; mkdir -p "$MDIR"
-# The committed corpus replays accurately under its policies with tier-2
-# at its default (on) and ablated via the environment.
-"$CLI" check tests/corpus
-DJVM_NO_MEGA=1 "$CLI" check tests/corpus
-# Recording fig1_hot in both modes yields byte-identical traces, and
-# every guest-observable metric matches. (The full metrics documents are
-# NOT cmp'd whole: the telemetry ring legitimately differs across the
-# ablation — tier-up emits observer-side compile.mega events that shift
-# ring sequence numbers, just like the interp bench's telemetry comment
-# explains.)
-"$CLI" record fig1_hot 5 "$MDIR/mega.djvb" \
-    --metrics-out "$MDIR/rec-mega.json" > /dev/null
-DJVM_NO_MEGA=1 "$CLI" record fig1_hot 5 "$MDIR/nomega.djvb" \
-    --metrics-out "$MDIR/rec-nomega.json" > /dev/null
-require "$MDIR/mega.djvb" "$MDIR/nomega.djvb" \
-        "$MDIR/rec-mega.json" "$MDIR/rec-nomega.json"
-cmp "$MDIR/mega.djvb" "$MDIR/nomega.djvb"
-for f in rec-mega rec-nomega; do
-    grep -o '"fingerprint":[0-9]*\|"state_digest":[0-9]*\|"steps":[0-9]*\|"cycles":[0-9]*\|"yield_points":[0-9]*\|"thread_switches":[0-9]*' \
-        "$MDIR/$f.json" > "$MDIR/$f.fields"
+fields() {
+    grep -o '"fingerprint":[0-9]*\|"state_digest":[0-9]*\|"steps":[0-9]*\|"cycles":[0-9]*\|"yield_points":[0-9]*\|"thread_switches":[0-9]*' "$1"
+}
+"$CLI" record fig1_hot 5 "$MDIR/default.djvb" --metrics-out "$MDIR/default.json" > /dev/null
+require "$MDIR/default.djvb" "$MDIR/default.json"
+fields "$MDIR/default.json" > "$MDIR/default.fields"
+for flag in --no-quicken --no-mega; do
+    # The committed corpus replays accurately under its policies with
+    # every tier at its default (checked in the corpus stage) and ablated.
+    "$CLI" check tests/corpus "$flag"
+    # Recording fig1_hot in both modes yields byte-identical traces, and
+    # every guest-observable metric matches. (The full metrics documents
+    # are NOT cmp'd whole: the telemetry ring legitimately differs across
+    # the ablation — tier-up emits observer-side compile.mega events that
+    # shift ring sequence numbers.)
+    "$CLI" record fig1_hot 5 "$MDIR/ablated$flag.djvb" "$flag" \
+        --metrics-out "$MDIR/ablated$flag.json" > /dev/null
+    require "$MDIR/ablated$flag.djvb" "$MDIR/ablated$flag.json"
+    cmp "$MDIR/default.djvb" "$MDIR/ablated$flag.djvb"
+    fields "$MDIR/ablated$flag.json" > "$MDIR/ablated$flag.fields"
+    require "$MDIR/default.fields" "$MDIR/ablated$flag.fields"
+    cmp "$MDIR/default.fields" "$MDIR/ablated$flag.fields"
+    # Cross-tier replay: the default trace drives an ablated replay and
+    # the ablated trace drives a default replay, both ACCURATE (exit 0).
+    "$CLI" replay fig1_hot 5 "$MDIR/default.djvb" "$flag" > /dev/null
+    "$CLI" replay fig1_hot 5 "$MDIR/ablated$flag.djvb" > /dev/null
 done
-require "$MDIR/rec-mega.fields" "$MDIR/rec-nomega.fields"
-cmp "$MDIR/rec-mega.fields" "$MDIR/rec-nomega.fields"
-# Cross-tier replay: the tier-2 trace drives an ablated replay and the
-# ablated trace drives a tier-2 replay, both verifying ACCURATE (exit 0).
-DJVM_NO_MEGA=1 "$CLI" replay fig1_hot 5 "$MDIR/mega.djvb" > /dev/null
-"$CLI" replay fig1_hot 5 "$MDIR/nomega.djvb" > /dev/null
 # The tier-up itself is observable where it belongs — the observer-side
 # stats channel: nonzero tier_ups on fig1_hot, and the compile.mega ring
 # event present exactly when tier-2 is on. (The ring retains the last 64
@@ -229,19 +204,11 @@ grep -q '"compile.mega"' "$MDIR/stats-convoy.json" || {
     echo "verify: no compile.mega event in tier-2 record telemetry" >&2
     exit 1
 }
-DJVM_NO_MEGA=1 "$CLI" stats lock_convoy 5 > "$MDIR/stats-ablated.json" 2> /dev/null
+"$CLI" stats lock_convoy 5 --no-mega > "$MDIR/stats-ablated.json" 2> /dev/null
 if grep -q '"compile.mega"' "$MDIR/stats-ablated.json"; then
-    echo "verify: compile.mega event emitted under DJVM_NO_MEGA=1" >&2
+    echo "verify: compile.mega event emitted under --no-mega" >&2
     exit 1
 fi
-# The interp bench's TELEMETRY sidecar must also be byte-stable under the
-# tier-2 ablation (its document pins mega off, so the ablation is a no-op
-# by construction — this catches any leak of tier-2 state into it).
-NMDIR="$(pwd)/target/bench-nomega"
-BENCH_SMOKE=1 BENCH_DIR="$NMDIR" DJVM_NO_MEGA=1 \
-    cargo bench --offline -p bench --bench interp
-require "$NMDIR/TELEMETRY_interp.json"
-cmp "$QDIR/TELEMETRY_interp.json" "$NMDIR/TELEMETRY_interp.json"
 
 echo "== fleet: 64 concurrent sessions, fingerprint parity, clean shutdown =="
 FDIR="$BENCH_DIR/fleet-verify"
@@ -281,6 +248,17 @@ grep -q '"resident_peak":64' "$BENCH_DIR/BENCH_FLEET.json" || {
 "$CLI" stats --fleet "$FLEET_ADDR" > "$FDIR/stats.json" 2> /dev/null
 "$CLI" checkjson "$FDIR/stats.json"
 grep -q '"peak":' "$FDIR/stats.json"
+# The debugger front end: one-shot `debug` calls against one session
+# compose into a dialogue (sessions outlive connections).
+DBG=$("$CLI" debug "$FLEET_ADDR" open racy_counter 7)
+"$CLI" debug "$FLEET_ADDR" "$DBG" '{"cmd":"step"}' | grep -q '"step":1'
+"$CLI" debug "$FLEET_ADDR" "$DBG" '{"cmd":"continue"}' | grep -q '"halted"'
+rc=0
+"$CLI" debug "$FLEET_ADDR" "$DBG" 'not json' > /dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 1 ]; then
+    echo "verify: malformed debug command exited $rc, want 1" >&2
+    exit 1
+fi
 # Shutdown is token-gated: the wrong token is refused (exit 1)...
 rc=0
 "$CLI" fleet-shutdown "$FLEET_ADDR" wrong-token > /dev/null 2>&1 || rc=$?
@@ -314,7 +292,7 @@ STORE="$SDIR/store"
 for wl in fig1_ab fig1_cd fig1_hot; do
     for seed in $(seq 1 17); do
         t="$SDIR/traces/$wl-$seed.djvb"
-        "$CLI" record "$wl" "$seed" "$t" --trace-format block > /dev/null
+        "$CLI" record "$wl" "$seed" "$t" > /dev/null
         "$CLI" store put "$STORE" "$wl" "$seed" "$t" > /dev/null 2> /dev/null
         "$CLI" store put "$STORE" "$wl" "$seed" "$t" --no-verify > /dev/null 2> /dev/null
         "$CLI" store put "$STORE" "$wl" "$seed" "$t" --no-verify > /dev/null 2> /dev/null
@@ -380,5 +358,25 @@ if [ "$rc" -ne 2 ]; then
     echo "verify: wrong-seed store put exited $rc, want 2" >&2
     exit 1
 fi
+
+echo "== surface: one trace format, one server, one exit type, no env knobs =="
+fail=0
+if grep -rn 'env::var' crates/{djvm,dejavu,codec,telemetry,store,fleet,debugger,reflect,baselines,workloads}/src; then
+    echo "verify: a library crate reads the process environment" >&2
+    fail=1
+fi
+if grep -rnE 'sniff_format|decode_any|serve_lines|DebugClient' crates src --include=*.rs; then
+    echo "verify: a deleted half of a fork is back" >&2
+    fail=1
+fi
+# Exit codes are chosen in one conversion and returned from `main`.
+if awk '/^(impl From<CliError> for ExitCode|fn main)/ { ok = 1 } /^}/ { ok = 0 }
+        /ExitCode::/ && !ok { print FILENAME ":" FNR ": " $0; bad = 1 } END { exit !bad }' \
+        src/bin/dejavu-cli.rs; then
+    echo "verify: ExitCode chosen outside CliError's conversion and main" >&2
+    fail=1
+fi
+[ "$fail" -eq 0 ]
+echo "surface: $(git ls-files '*.rs' '*.sh' ':!benchmark' | xargs cat | wc -l) lines of .rs/.sh outside benchmark/"
 
 echo "verify: OK"

@@ -3,13 +3,13 @@
 //! ```text
 //! dejavu-cli list
 //! dejavu-cli run <workload> [seed]
-//! dejavu-cli record <workload> <seed> <trace-file> [--trace-format flat|block]
-//!                                                  [--metrics-out <file>]
+//! dejavu-cli record <workload> <seed> <trace-file> [--metrics-out <file>]
 //! dejavu-cli replay <workload> <seed> <trace-file> [--metrics-out <file>]
 //! dejavu-cli profile <workload> <seed> <trace-file> [--out <dir>]
 //!                    [--format chrome|folded|both] [--top <n>]
 //! dejavu-cli trace inspect <trace-file>... [--dedup]  # block index, canonical JSON
 //! dejavu-cli stats <workload> [seed]             # record+replay metrics JSON
+//! dejavu-cli stats --fleet <addr>                # live fleet metrics JSON
 //! dejavu-cli store put <dir> <workload> <seed> <trace-file>
 //!                   [--policy <p>] [--no-verify] # ingest (verified by default)
 //! dejavu-cli store get <dir> <entry-id> <out>    # byte-exact reconstruction
@@ -21,45 +21,49 @@
 //! dejavu-cli checkjson <file>                    # validate via crates/codec
 //! dejavu-cli check <corpus-dir>                  # replay corpus vs policies
 //! dejavu-cli corpus record <corpus-dir>          # (re)record the corpus
-//! dejavu-cli dis <workload> [method-name]
-//! dejavu-cli serve <workload> <seed> <port>      # debugger tier over TCP
-//!                   [--workers <n>]              # concurrent JSON-line clients
+//! dejavu-cli dis <workload> [method-name] [--quick|--mega]
 //! dejavu-cli fleet-serve <port> [--workers <n>]  # multi-session fleet server
 //!                   [--fleet-token <t>] [--port-file <f>] [--store <dir>]
 //! dejavu-cli fleet-bench <addr> [workload]       # drive N concurrent sessions
 //!                   [--sessions <n>] [--workers <n>]
 //! dejavu-cli fleet-shutdown <addr> <token>       # token-gated graceful stop
-//! dejavu-cli stats --fleet <addr>                # live fleet metrics JSON
+//! dejavu-cli debug <addr> open <workload> <seed> # host + record a session, print its id
+//! dejavu-cli debug <addr> <session> '<json command>'  # one debugger command
 //! ```
 //!
-//! `fleet-serve` hosts ≥64 concurrent record/replay sessions behind one
-//! framed binary RPC endpoint (`crates/fleet`, DESIGN.md §9); `serve` now
-//! accepts any number of simultaneous JSON-line clients via the fleet
-//! compatibility adapter (same wire format as before). `fleet-bench`
-//! exits 2 if any concurrently-hosted fingerprint differs from its
-//! single-session ground truth.
+//! Flags follow the subcommand name; each subcommand takes the ones
+//! listed for it.
 //!
-//! Traces written by `record` are [`dejavu::Trace::encoded`] (flat, the
-//! default) or the block-structured compressed format of
-//! [`dejavu::encode_trace`] (`--trace-format block`); `replay` sniffs the
-//! format from the magic and accepts either, then verifies accuracy
+//! `fleet-serve` hosts ≥64 concurrent record/replay sessions behind one
+//! framed binary RPC endpoint (`crates/fleet`, DESIGN.md §9) — the one
+//! server. `debug` is its debugger front end: sessions outlive
+//! connections, so one-shot calls compose into a dialogue
+//! (`{"cmd":"break",…}`, `{"cmd":"continue"}`, `{"cmd":"stack","tid":0}`
+//! …, the `debugger::protocol` command language); each prints the
+//! response as one JSON line. `fleet-bench` exits 2 if any
+//! concurrently-hosted fingerprint differs from its single-session
+//! ground truth.
+//!
+//! Trace files are DJVB, the block-structured compressed format of
+//! [`dejavu::encode_trace`] — the only format `record` writes and the
+//! only one any subcommand reads back. `replay` verifies accuracy
 //! against a fresh record of the same seed. `--metrics-out` writes the
 //! run's canonical (sorted-key, timestamp-free, byte-deterministic)
-//! metrics JSON — identical bytes whichever trace format was used, which
-//! is how the verify script proves the writer is a pure observer.
+//! metrics JSON.
 //!
-//! `--no-quicken` (any run-like subcommand) disables the quickened
-//! dispatch engine — runs are bit-identical, only slower. `--no-mega`
-//! keeps quickening but disables tier-2 megablock execution of hot loops
-//! (the `DJVM_NO_MEGA` env var is the same ablation). `dis --quick`
-//! prints the quickened `QOp` stream with fusion pc ranges; `dis --mega`
-//! prints each loop's compiled megablock — entry guards, constituent ops
-//! with original pc ranges, and the side-exit (deopt) table.
+//! `--no-quicken` (any run-like subcommand, `check` included) disables
+//! the quickened dispatch engine — runs are bit-identical, only slower.
+//! `--no-mega` keeps quickening but disables tier-2 megablock execution
+//! of hot loops. These two flags are the only ablation switches.
+//! `dis --quick` prints the quickened `QOp` stream with fusion pc ranges;
+//! `dis --mega` prints each loop's compiled megablock — entry guards,
+//! constituent ops with original pc ranges, and the side-exit (deopt)
+//! table.
 //!
-//! Exit codes (uniform across every subcommand): `0` success / accurate
-//! replay / corpus pass, `1` usage, I/O, or corrupt-input error, `2`
-//! replay divergence (desync), corpus policy violation, or neutrality
-//! violation.
+//! Exit codes (uniform across every subcommand, carried by [`CliError`]):
+//! `0` success / accurate replay / corpus pass, `1` usage, I/O, or
+//! corrupt-input error, `2` replay divergence (desync), corpus policy
+//! violation, or neutrality violation.
 //!
 //! `check` replays every `<stem>.djvb` + `<stem>.policy.json` pair in the
 //! corpus directory ([`dejavu_repro::corpus`]); on a divergence it
@@ -75,1113 +79,839 @@
 //! pre-compression payload — so its unique-block accounting predicts
 //! store dedup byte-for-byte.
 
+use codec::{FromJson, Json, ToJson};
 use dejavu::{
-    decode_any, encode_trace, passthrough_run, record_replay_forensic, record_run, replay_run,
-    run_metrics_json, sniff_format, BlockFile, ExecSpec, SymmetryConfig, Trace, TraceFormat,
+    encode_trace, ingest_bytes, passthrough_run, record_replay_forensic, record_run, replay_run,
+    run_metrics_json, BlockFile, ExecSpec, SymmetryConfig, Trace, TraceFormat,
     DEFAULT_BLOCK_BUDGET,
 };
+use dejavu_repro::corpus;
 use std::process::ExitCode;
+use workloads::Workload;
 
-/// Exit code distinguishing "the replay diverged" from ordinary failures.
-const EXIT_DIVERGED: u8 = 2;
-
-fn find(name: &str) -> Option<workloads::Workload> {
-    workloads::registry().into_iter().find(|w| w.name == name)
+/// Why a subcommand failed. The 0/1/2 exit contract is this type: a
+/// subcommand can only fail by returning one of these, and the one
+/// conversion below is the only place an exit code is chosen.
+enum CliError {
+    /// Malformed command line; `main` prints the usage summary. Exit 1.
+    Usage,
+    /// I/O failure, corrupt input, or a refused request. Exit 1.
+    Input(String),
+    /// Replay divergence, policy violation, or neutrality violation.
+    /// Exit 2.
+    Diverged(String),
 }
 
-/// The CLI's execution environment is the corpus's: a trace recorded by
-/// `record` and one recorded by `corpus record` must have identical
-/// fingerprints, or the corpus gate would disagree with ad-hoc use.
-fn spec_of(w: &workloads::Workload, seed: u64) -> ExecSpec {
-    dejavu_repro::corpus::corpus_spec(w, seed)
-}
-
-/// Extract a boolean flag from the arg list (removing it if present).
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        args.remove(i);
-        true
-    } else {
-        false
+impl From<CliError> for ExitCode {
+    fn from(e: CliError) -> ExitCode {
+        ExitCode::from(match e {
+            CliError::Usage | CliError::Input(_) => 1,
+            CliError::Diverged(_) => 2,
+        })
     }
 }
 
-/// Extract `<opt> <value>` from the arg list (removing both tokens).
-fn take_value(args: &mut Vec<String>, opt: &str) -> Result<Option<String>, ()> {
-    let Some(i) = args.iter().position(|a| a == opt) else {
-        return Ok(None);
-    };
-    if i + 1 >= args.len() {
-        eprintln!("{opt} requires a value argument");
-        return Err(());
+impl From<dejavu::TraceError> for CliError {
+    fn from(e: dejavu::TraceError) -> Self {
+        CliError::Input(e.to_string())
     }
-    let value = args.remove(i + 1);
-    args.remove(i);
-    Ok(Some(value))
 }
 
-/// Write canonical metrics JSON (newline-terminated) to `path`.
-fn write_metrics(path: &str, json: &codec::Json) -> Result<(), ExitCode> {
-    let mut s = json.to_string();
-    s.push('\n');
-    std::fs::write(path, s).map_err(|e| {
-        eprintln!("write {path}: {e}");
-        ExitCode::FAILURE
-    })
+impl From<fleet::WireError> for CliError {
+    fn from(e: fleet::WireError) -> Self {
+        CliError::Input(format!("fleet rpc: {e}"))
+    }
+}
+
+impl From<store::StoreError> for CliError {
+    fn from(e: store::StoreError) -> Self {
+        // A fingerprint conflict is the divergence class, like `replay`.
+        match e.code() {
+            2 => CliError::Diverged(format!("store: {e}")),
+            _ => CliError::Input(format!("store: {e}")),
+        }
+    }
+}
+
+/// The corpus functions report directory-level problems as plain text.
+impl From<String> for CliError {
+    fn from(e: String) -> Self {
+        CliError::Input(e)
+    }
+}
+
+type Cmd = Result<(), CliError>;
+
+/// The arguments after the subcommand name. A subcommand first takes
+/// the flags it uses, then reads what is left by position.
+struct Args(Vec<String>);
+
+impl Args {
+    /// Remove a boolean flag; true if it was present.
+    fn flag(&mut self, flag: &str) -> bool {
+        let at = self.0.iter().position(|a| a == flag);
+        at.map(|i| self.0.remove(i)).is_some()
+    }
+
+    /// Remove `<opt> <value>`, returning the value.
+    fn value(&mut self, opt: &str) -> Result<Option<String>, CliError> {
+        let Some(i) = self.0.iter().position(|a| a == opt) else {
+            return Ok(None);
+        };
+        if i + 1 >= self.0.len() {
+            return Err(CliError::Input(format!("{opt} requires a value argument")));
+        }
+        let value = self.0.remove(i + 1);
+        self.0.remove(i);
+        Ok(Some(value))
+    }
+
+    /// Remove `<opt> <integer>`, or return `default`.
+    fn number<T: std::str::FromStr>(&mut self, opt: &str, default: T) -> Result<T, CliError> {
+        match self.value(opt)? {
+            None => Ok(default),
+            Some(s) => s
+                .parse()
+                .map_err(|_| CliError::Input(format!("{opt} requires an integer, got \"{s}\""))),
+        }
+    }
+
+    /// [`Args::number`] for counts that must be at least 1.
+    fn positive(&mut self, opt: &str, default: usize) -> Result<usize, CliError> {
+        match self.number(opt, default)? {
+            0 => Err(CliError::Input(format!(
+                "{opt} requires a positive integer"
+            ))),
+            n => Ok(n),
+        }
+    }
+
+    /// Positional argument `i`; a usage error when absent.
+    fn pos(&self, i: usize) -> Result<&str, CliError> {
+        self.0.get(i).map(String::as_str).ok_or(CliError::Usage)
+    }
+
+    /// Positional `i` as a registry workload.
+    fn workload(&self, i: usize) -> Result<Workload, CliError> {
+        let name = self.pos(i)?;
+        let found = workloads::registry().into_iter().find(|w| w.name == name);
+        found.ok_or(CliError::Usage)
+    }
+
+    /// Positional `i` as a required integer (a seed, a session id).
+    fn int(&self, i: usize) -> Result<u64, CliError> {
+        self.pos(i)?.parse().map_err(|_| CliError::Usage)
+    }
+
+    /// Positional `i` as an optional seed (default 1).
+    fn seed_or_1(&self, i: usize) -> u64 {
+        self.int(i).unwrap_or(1)
+    }
+}
+
+/// `--no-quicken` / `--no-mega` as `(quicken, mega)`: the dispatch-tier
+/// ablations every run-like subcommand takes. Bit-identical observables,
+/// only slower.
+fn tiers(args: &mut Args) -> (bool, bool) {
+    (!args.flag("--no-quicken"), !args.flag("--no-mega"))
+}
+
+/// The spec builder of a run-like subcommand: the platform's one
+/// execution environment ([`fleet::spec_for`], shared with the corpus and
+/// the fleet) under the tier flags given on the command line.
+fn spec_builder(args: &mut Args) -> impl Fn(&Workload, u64) -> ExecSpec {
+    let (quicken, mega) = tiers(args);
+    move |w, seed| {
+        fleet::spec_for(w, seed)
+            .with_quicken(quicken)
+            .with_mega(mega)
+    }
+}
+
+fn read(path: &str) -> Result<Vec<u8>, CliError> {
+    std::fs::read(path).map_err(|e| CliError::Input(format!("read {path}: {e}")))
+}
+
+fn write(path: &str, bytes: impl AsRef<[u8]>) -> Cmd {
+    std::fs::write(path, bytes).map_err(|e| CliError::Input(format!("write {path}: {e}")))
+}
+
+/// Decode the DJVB bytes read from `path`.
+fn decode_trace(path: &str, bytes: Vec<u8>) -> Result<Trace, CliError> {
+    match ingest_bytes(bytes) {
+        Ok(ingested) => Ok(ingested.trace),
+        Err(e) => Err(CliError::Input(format!("{path}: {e}"))),
+    }
+}
+
+fn load_trace(path: &str) -> Result<Trace, CliError> {
+    decode_trace(path, read(path)?)
+}
+
+/// Write a JSON document, newline-terminated, to `path`.
+fn write_json(path: &str, json: &Json) -> Cmd {
+    write(path, format!("{json}\n"))
+}
+
+/// Print a document in canonical (sorted-key) form on stdout.
+fn print_canonical(mut doc: Json) {
+    doc.canonicalize();
+    println!("{doc}");
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = || {
-        eprintln!(
-            "usage: dejavu-cli <list|run|record|replay|profile|trace|stats|neutrality|checkjson|check|corpus|store|dis|serve|fleet-serve|fleet-bench|fleet-shutdown> [args...]\n\
+    let mut argv = std::env::args().skip(1);
+    let cmd: fn(&mut Args) -> Cmd = match argv.next().as_deref() {
+        Some("list") => list,
+        Some("run") => run,
+        Some("record") => record,
+        Some("replay") => replay,
+        Some("profile") => profile,
+        Some("trace") => trace_inspect,
+        Some("stats") => stats,
+        Some("neutrality") => neutrality,
+        Some("checkjson") => checkjson,
+        Some("check") => check,
+        Some("corpus") => corpus_record,
+        Some("dis") => dis,
+        Some("store") => store_cmd,
+        Some("fleet-serve") => fleet_serve,
+        Some("fleet-bench") => fleet_bench,
+        Some("fleet-shutdown") => fleet_shutdown,
+        Some("debug") => debug,
+        _ => |_| Err(CliError::Usage),
+    };
+    let Err(e) = cmd(&mut Args(argv.collect())) else {
+        return ExitCode::SUCCESS;
+    };
+    match &e {
+        CliError::Usage => eprintln!(
+            "usage: dejavu-cli <list|run|record|replay|profile|trace|stats|neutrality|checkjson|\
+             check|corpus|store|dis|fleet-serve|fleet-bench|fleet-shutdown|debug> [args...]\n\
              see the module docs for details"
+        ),
+        CliError::Input(msg) | CliError::Diverged(msg) => eprintln!("{msg}"),
+    }
+    e.into()
+}
+
+fn list(_: &mut Args) -> Cmd {
+    for w in workloads::registry() {
+        println!("{:22} {}", w.name, w.description);
+    }
+    Ok(())
+}
+
+fn run(args: &mut Args) -> Cmd {
+    let spec_of = spec_builder(args);
+    let w = args.workload(0)?;
+    let r = passthrough_run(&spec_of(&w, args.seed_or_1(1)), w.natives);
+    print!("{}", r.output);
+    eprintln!(
+        "[{} steps, {} switches, status {:?}]",
+        r.counters.steps, r.counters.thread_switches, r.status
+    );
+    Ok(())
+}
+
+fn record(args: &mut Args) -> Cmd {
+    let spec_of = spec_builder(args);
+    let metrics_out = args.value("--metrics-out")?;
+    let (w, seed, path) = (args.workload(0)?, args.int(1)?, args.pos(2)?);
+    let mut spec = spec_of(&w, seed);
+    if metrics_out.is_some() {
+        spec = spec.with_telemetry();
+    }
+    let (rec, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
+    let bytes = encode_trace(&trace, TraceFormat::Block, DEFAULT_BLOCK_BUDGET);
+    write(path, &bytes)?;
+    print!("{}", rec.output);
+    let st = trace.stats();
+    if let Some(out) = metrics_out {
+        write_json(&out, &run_metrics_json(&rec, Some(&st)))?;
+    }
+    let bst = BlockFile::parse(bytes)?.stats();
+    eprintln!(
+        "[trace {path}: {} bytes ({} flat), {} blocks, compression {}‰, {} events]",
+        bst.file_bytes,
+        st.total_bytes,
+        bst.blocks,
+        bst.compression_permille(),
+        bst.events
+    );
+    Ok(())
+}
+
+fn replay(args: &mut Args) -> Cmd {
+    let spec_of = spec_builder(args);
+    let metrics_out = args.value("--metrics-out")?;
+    let (w, seed, path) = (args.workload(0)?, args.int(1)?, args.pos(2)?);
+    let trace = load_trace(path)?;
+    // Telemetry is always on here: it is proven perturbation-free,
+    // and the rings let a divergence be localized to an event.
+    let spec = spec_of(&w, seed).with_telemetry();
+    let (rep, desyncs) = replay_run(&spec, trace, SymmetryConfig::full());
+    print!("{}", rep.output);
+    if let Some(out) = metrics_out {
+        write_json(&out, &run_metrics_json(&rep, None))?;
+    }
+    // verify against a fresh record of the same seed
+    let (rec, _) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
+    let accurate = rec.matches(&rep) && desyncs.is_empty();
+    for d in &desyncs {
+        eprintln!("desync: {}", d.describe());
+    }
+    let verdict = |word| format!("[replay {word}: {} desyncs]", desyncs.len());
+    if !accurate {
+        let report = dejavu::DivergenceReport::build(&rec, &rep, desyncs.clone());
+        eprintln!("{}", report.describe());
+        return Err(CliError::Diverged(verdict("DIVERGED")));
+    }
+    eprintln!("{}", verdict("ACCURATE"));
+    Ok(())
+}
+
+/// Replay the trace with the flight recorder armed, emit the
+/// Chrome-trace / folded-stacks artifacts, and print the canonical-JSON
+/// summary. The profiler is a pure observer, so the profiled replay is
+/// also checked for neutrality against an unprofiled replay of the same
+/// trace (exit 2 on any fingerprint drift, same class as a divergence).
+fn profile(args: &mut Args) -> Cmd {
+    let spec_of = spec_builder(args);
+    let out_dir = args.value("--out")?;
+    let format = args.value("--format")?.unwrap_or_else(|| "both".into());
+    let top: usize = args.number("--top", 10)?;
+    let (w, seed, path) = (args.workload(0)?, args.int(1)?, args.pos(2)?);
+    if !["chrome", "folded", "both"].contains(&format.as_str()) {
+        return Err(CliError::Input(format!(
+            "--format must be \"chrome\", \"folded\" or \"both\", got \"{format}\""
+        )));
+    }
+    let trace = load_trace(path)?;
+    let spec = spec_of(&w, seed);
+    let (prof, report, desyncs) =
+        dejavu::profile_replay(&spec, trace.clone(), SymmetryConfig::full());
+    for d in &desyncs {
+        eprintln!("desync: {}", d.describe());
+    }
+    let (plain, _) = replay_run(&spec, trace, SymmetryConfig::full());
+    let neutral =
+        report.fingerprint == plain.fingerprint && report.state_digest == plain.state_digest;
+    if let Some(dir) = out_dir {
+        std::fs::create_dir_all(&dir).map_err(|e| CliError::Input(format!("mkdir {dir}: {e}")))?;
+        if format != "folded" {
+            let p = format!("{dir}/profile.chrome.json");
+            write_json(&p, &prof.chrome_json())?;
+            eprintln!("[wrote {p}]");
+        }
+        if format != "chrome" {
+            let p = format!("{dir}/profile.folded");
+            write(&p, prof.folded())?;
+            eprintln!("[wrote {p}]");
+        }
+    }
+    println!("{}", prof.summary_json(top));
+    if let Some(hot) = prof.hottest_method() {
+        eprintln!("[hottest method: {hot}]");
+    }
+    if !neutral {
+        return Err(CliError::Diverged(format!(
+            "profiler neutrality VIOLATED: profiled fingerprint {:016x} vs unprofiled {:016x}",
+            report.fingerprint, plain.fingerprint
+        )));
+    }
+    if !desyncs.is_empty() {
+        return Err(CliError::Diverged(format!(
+            "[profiled replay DIVERGED: {} desyncs]",
+            desyncs.len()
+        )));
+    }
+    Ok(())
+}
+
+/// `trace inspect <file>...`: the block index as canonical JSON —
+/// diffable, and a deterministic function of the file bytes. Each block
+/// carries its content digest (digest128 of the raw pre-compression
+/// payload — the store's dedup key, computed over the same bytes), and
+/// `--dedup` appends a summary of unique vs total blocks across all the
+/// named files: what a `store put` of this set would share.
+fn trace_inspect(args: &mut Args) -> Cmd {
+    let dedup = args.flag("--dedup");
+    if args.pos(0)? != "inspect" {
+        return Err(CliError::Usage);
+    }
+    let paths = &args.0[1..];
+    if paths.is_empty() {
+        return Err(CliError::Usage);
+    }
+    // digest hex → raw payload length, across all files.
+    let mut seen = std::collections::BTreeMap::new();
+    let mut total_blocks = 0u64;
+    let mut total_raw = 0u64;
+    for path in paths {
+        let bf =
+            BlockFile::parse(read(path)?).map_err(|e| CliError::Input(format!("{path}: {e}")))?;
+        let crc_ok = bf.crc_status();
+        let blocks = bf
+            .index
+            .iter()
+            .enumerate()
+            .zip(&crc_ok)
+            .map(|((i, b), &ok)| {
+                // Corrupt payloads and method bytes keep the inspection
+                // total, like `crc_ok: false` does.
+                let digest = match bf.block_raw(i) {
+                    Ok(raw) => {
+                        let hex = codec::digest128(&raw).hex();
+                        if dedup && ok {
+                            total_blocks += 1;
+                            total_raw += raw.len() as u64;
+                            seen.insert(hex.clone(), raw.len() as u64);
+                        }
+                        hex
+                    }
+                    Err(_) => "corrupt".into(),
+                };
+                let permille = match b.raw_len {
+                    0 => 1000,
+                    raw => b.comp_len as u64 * 1000 / raw as u64,
+                };
+                let compressor = bf.block_compressor(i).unwrap_or("corrupt");
+                Json::obj(vec![
+                    ("comp_len", Json::UInt(b.comp_len as u64)),
+                    ("compression_permille", Json::UInt(permille)),
+                    ("compressor", Json::Str(compressor.into())),
+                    ("crc_ok", Json::Bool(ok)),
+                    ("digest", Json::Str(digest)),
+                    ("event_count", Json::UInt(b.event_count as u64)),
+                    ("first_logical_time", Json::UInt(b.first_logical_time)),
+                    ("first_seq", Json::UInt(b.first_seq)),
+                    ("offset", Json::UInt(b.offset)),
+                    ("raw_len", Json::UInt(b.raw_len as u64)),
+                    ("switch_count", Json::UInt(b.switch_count as u64)),
+                ])
+            });
+        let blocks = Json::Arr(blocks.collect());
+        print_canonical(Json::obj(vec![
+            ("format", Json::Str("block".into())),
+            ("budget", Json::UInt(bf.budget as u64)),
+            ("paranoid", Json::Bool(bf.paranoid)),
+            ("blocks", blocks),
+            ("stats", bf.stats().to_json()),
+        ]));
+    }
+    if dedup {
+        let unique_raw: u64 = seen.values().sum();
+        let ratio = (total_raw * 1000).checked_div(unique_raw).unwrap_or(0);
+        print_canonical(Json::obj(vec![
+            ("blocks", Json::UInt(total_blocks)),
+            ("dedup_ratio_milli", Json::UInt(ratio)),
+            ("files", Json::UInt(paths.len() as u64)),
+            ("raw_bytes", Json::UInt(total_raw)),
+            ("unique_blocks", Json::UInt(seen.len() as u64)),
+            ("unique_raw_bytes", Json::UInt(unique_raw)),
+        ]));
+    }
+    Ok(())
+}
+
+fn stats(args: &mut Args) -> Cmd {
+    if let Some(addr) = args.value("--fleet")? {
+        return fleet_stats(&addr);
+    }
+    let spec_of = spec_builder(args);
+    let w = args.workload(0)?;
+    let spec = spec_of(&w, args.seed_or_1(1)).with_telemetry();
+    let out = record_replay_forensic(&spec, w.natives, SymmetryConfig::full());
+    // Tier-2 stats are observer-side (excluded from the byte-compared
+    // run metrics) but worth surfacing here: tier_ups is deterministic
+    // across record/replay, the entry/iteration split is not required
+    // to be (it depends on each side's quiet-yield horizon).
+    let mega = Json::obj(vec![
+        ("record", out.record.mega.to_json()),
+        ("replay", out.replay.mega.to_json()),
+    ]);
+    print_canonical(Json::obj(vec![
+        ("accurate", Json::Bool(out.accurate)),
+        ("mega", mega),
+        (
+            "record",
+            run_metrics_json(&out.record, Some(&out.trace_stats)),
+        ),
+        ("replay", run_metrics_json(&out.replay, None)),
+    ]));
+    // Human-readable latency digest of the record-side histograms:
+    // the log2-bucket quantile estimates (exact min/max, p50/p95/p99
+    // interpolated within a bucket).
+    if let Some(t) = &out.record.telemetry {
+        for (name, h) in [
+            ("alloc_words", &t.alloc_words),
+            ("compile_words", &t.compile_words),
+            ("timer_intervals", &t.timer_intervals),
+        ] {
+            if h.count() == 0 {
+                continue;
+            }
+            eprintln!(
+                "[{name}: n={} min={} p50={} p95={} p99={} max={}]",
+                h.count(),
+                h.min().unwrap_or(0),
+                h.quantile(500).unwrap_or(0),
+                h.quantile(950).unwrap_or(0),
+                h.quantile(990).unwrap_or(0),
+                h.max().unwrap_or(0),
+            );
+        }
+    }
+    match &out.report {
+        Some(report) => Err(CliError::Diverged(report.describe())),
+        None => Ok(()),
+    }
+}
+
+/// `stats --fleet <addr>`: live fleet-server metrics. Stdout is the
+/// canonical (sorted-key, byte-deterministic) JSON snapshot; the human
+/// latency digest goes to stderr like workload stats.
+fn fleet_stats(addr: &str) -> Cmd {
+    let json = fleet::FleetClient::connect(addr)?.stats()?;
+    let doc = Json::parse(&json)
+        .map_err(|_| CliError::Input("stats rpc returned unparseable json".into()))?;
+    println!("{doc}");
+    let num = |obj: &Json, k: &str| obj.get(k).and_then(|v| v.as_u64().ok()).unwrap_or(0);
+    if let Some(sessions) = doc.get("sessions") {
+        eprintln!(
+            "[sessions: active={} peak={} opened={} closed={} evicted={}]",
+            num(sessions, "active"),
+            num(sessions, "peak"),
+            num(sessions, "opened"),
+            num(sessions, "closed"),
+            num(sessions, "evicted"),
         );
-        ExitCode::FAILURE
-    };
-    let metrics_out = match take_value(&mut args, "--metrics-out") {
-        Ok(m) => m,
-        Err(()) => return usage(),
-    };
-    let out_dir = match take_value(&mut args, "--out") {
-        Ok(m) => m,
-        Err(()) => return usage(),
-    };
-    let prof_format = match take_value(&mut args, "--format") {
-        Ok(m) => m,
-        Err(()) => return usage(),
-    };
-    let top: usize = match take_value(&mut args, "--top") {
-        Ok(None) => 10,
-        Ok(Some(s)) => match s.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--top requires an integer, got \"{s}\"");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(()) => return usage(),
-    };
-    let trace_format = match take_value(&mut args, "--trace-format") {
-        Ok(None) => TraceFormat::Flat,
-        Ok(Some(name)) => match TraceFormat::from_name(&name) {
-            Some(f) => f,
-            None => {
-                eprintln!("--trace-format must be \"flat\" or \"block\", got \"{name}\"");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(()) => return usage(),
-    };
-    let workers: usize = match take_value(&mut args, "--workers") {
-        Ok(None) => 8,
-        Ok(Some(s)) => match s.parse() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("--workers requires a positive integer, got \"{s}\"");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(()) => return usage(),
-    };
-    let sessions: usize = match take_value(&mut args, "--sessions") {
-        Ok(None) => 64,
-        Ok(Some(s)) => match s.parse() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("--sessions requires a positive integer, got \"{s}\"");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(()) => return usage(),
-    };
-    let fleet_addr = match take_value(&mut args, "--fleet") {
-        Ok(m) => m,
-        Err(()) => return usage(),
-    };
-    let fleet_token = match take_value(&mut args, "--fleet-token") {
-        Ok(m) => m.unwrap_or_else(|| "dejavu".to_string()),
-        Err(()) => return usage(),
-    };
-    let port_file = match take_value(&mut args, "--port-file") {
-        Ok(m) => m,
-        Err(()) => return usage(),
-    };
-    let store_root = match take_value(&mut args, "--store") {
-        Ok(m) => m,
-        Err(()) => return usage(),
-    };
-    // `--no-quicken` runs the generic dispatch loop instead of the
-    // quickened QOp stream — a speed ablation, observationally identical.
-    // `--no-mega` keeps quickening but disables tier-2 megablock execution
-    // of hot loops (same contract: bit-identical observables, only slower).
-    let quicken = !take_flag(&mut args, "--no-quicken");
-    let mega = !take_flag(&mut args, "--no-mega");
-    let quick_dis = take_flag(&mut args, "--quick");
-    let mega_dis = take_flag(&mut args, "--mega");
-    let dedup = take_flag(&mut args, "--dedup");
-    let no_verify = take_flag(&mut args, "--no-verify");
-    let policy = match take_value(&mut args, "--policy") {
-        Ok(m) => m.unwrap_or_default(),
-        Err(()) => return usage(),
-    };
-    let cold: u64 = match take_value(&mut args, "--cold") {
-        Ok(None) => store::DEFAULT_COLD_THRESHOLD,
-        Ok(Some(s)) => match s.parse() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--cold requires an integer, got \"{s}\"");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(()) => return usage(),
-    };
-    // Only force the knobs when a flag was given: the defaults must stay
-    // env-driven so `DJVM_NO_QUICKEN=1` / `DJVM_NO_MEGA=1` work through
-    // the CLI too.
-    let spec_of = move |w: &workloads::Workload, seed: u64| {
-        let mut s = spec_of(w, seed);
-        if !quicken {
-            s = s.with_quicken(false);
-        }
-        if !mega {
-            s = s.with_mega(false);
-        }
-        s
-    };
-    match args.first().map(String::as_str) {
-        Some("list") => {
-            for w in workloads::registry() {
-                println!("{:22} {}", w.name, w.description);
-            }
-            ExitCode::SUCCESS
-        }
-        Some("run") => {
-            let Some(w) = args.get(1).and_then(|n| find(n)) else {
-                return usage();
-            };
-            let seed = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1);
-            let r = passthrough_run(&spec_of(&w, seed), w.natives);
-            print!("{}", r.output);
+    }
+    if let Some(Json::Obj(hists)) = doc.get("rpc").and_then(|r| r.get("histograms")) {
+        for (name, h) in hists.iter().filter(|(_, h)| num(h, "count") > 0) {
             eprintln!(
-                "[{} steps, {} switches, status {:?}]",
-                r.counters.steps, r.counters.thread_switches, r.status
+                "[{name}: n={} p50={}ns p95={}ns p99={}ns max={}ns]",
+                num(h, "count"),
+                num(h, "p50"),
+                num(h, "p95"),
+                num(h, "p99"),
+                num(h, "max"),
             );
-            ExitCode::SUCCESS
         }
-        Some("record") => {
-            let (Some(w), Some(seed), Some(path)) = (
-                args.get(1).and_then(|n| find(n)),
-                args.get(2).and_then(|s| s.parse::<u64>().ok()),
-                args.get(3),
-            ) else {
-                return usage();
-            };
-            let mut spec = spec_of(&w, seed);
-            if metrics_out.is_some() {
-                spec = spec.with_telemetry();
-            }
-            let (rec, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
-            let bytes = encode_trace(&trace, trace_format, DEFAULT_BLOCK_BUDGET);
-            if let Err(e) = std::fs::write(path, &bytes) {
-                eprintln!("write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            print!("{}", rec.output);
-            let st = trace.stats();
-            // The metrics JSON is deliberately format-independent: the
-            // same record must produce byte-identical metrics whether it
-            // was stored flat or block (the writer is a pure observer).
-            if let Some(out) = metrics_out {
-                if let Err(code) = write_metrics(&out, &run_metrics_json(&rec, Some(&st))) {
-                    return code;
-                }
-            }
-            match trace_format {
-                TraceFormat::Flat => eprintln!(
-                    "[trace {path}: flat, {} bytes, {} switches, {} clock reads, {} native outcomes]",
-                    st.total_bytes, st.switch_count, st.clock_count, st.native_count
-                ),
-                TraceFormat::Block => {
-                    // Even the just-encoded case goes through the typed
-                    // error path: a panic here would break the exit-code
-                    // contract if the encoder ever regressed.
-                    let bst = match BlockFile::parse(bytes) {
-                        Ok(bf) => bf.stats(),
-                        Err(e) => {
-                            eprintln!("{path}: encoder produced unparseable block trace: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    eprintln!(
-                        "[trace {path}: block, {} bytes ({} flat), {} blocks, compression {}‰, {} events]",
-                        bst.file_bytes, st.total_bytes, bst.blocks,
-                        bst.compression_permille(), bst.events
-                    );
-                }
-            }
-            ExitCode::SUCCESS
+    }
+    Ok(())
+}
+
+/// Prove perturbation-freedom for this workload+seed: the fingerprint,
+/// state digest and output of record and replay must be bit-identical
+/// with the telemetry sink on vs. off.
+fn neutrality(args: &mut Args) -> Cmd {
+    let spec_of = spec_builder(args);
+    let w = args.workload(0)?;
+    let spec_off = spec_of(&w, args.seed_or_1(1));
+    let spec_on = spec_off.clone().with_telemetry();
+    let off = record_replay_forensic(&spec_off, w.natives, SymmetryConfig::full());
+    let on = record_replay_forensic(&spec_on, w.natives, SymmetryConfig::full());
+    let neutral = off.record.matches(&on.record) && off.replay.matches(&on.replay);
+    println!(
+        "record fingerprint off={:016x} on={:016x}\n\
+         replay fingerprint off={:016x} on={:016x}\n\
+         neutrality: {}",
+        off.record.fingerprint,
+        on.record.fingerprint,
+        off.replay.fingerprint,
+        on.replay.fingerprint,
+        if neutral { "HOLDS" } else { "VIOLATED" }
+    );
+    if !neutral {
+        return Err(CliError::Diverged(
+            "telemetry perturbed the execution".into(),
+        ));
+    }
+    Ok(())
+}
+
+fn checkjson(args: &mut Args) -> Cmd {
+    let path = args.pos(0)?;
+    let text =
+        std::fs::read_to_string(path).map_err(|e| CliError::Input(format!("read {path}: {e}")))?;
+    let json = Json::parse(text.trim())
+        .map_err(|e| CliError::Input(format!("{path}: invalid JSON: {e}")))?;
+    if json.to_canonical_string() != text.trim() {
+        return Err(CliError::Input(format!(
+            "{path}: valid JSON but not in canonical (sorted-key) form"
+        )));
+    }
+    println!("{path}: canonical JSON OK");
+    Ok(())
+}
+
+fn check(args: &mut Args) -> Cmd {
+    let (quicken, mega) = tiers(args);
+    let dir = args.pos(0)?;
+    let report = corpus::check_corpus(std::path::Path::new(dir), quicken, mega)
+        .map_err(|e| format!("check {dir}: {e}"))?;
+    for c in &report.checks {
+        let verdict = if let Some(msg) = &c.corrupt {
+            format!("CORRUPT  {msg}")
+        } else if !c.violations.is_empty() {
+            format!("VIOLATED {}", c.violations.join("; "))
+        } else {
+            format!(
+                "ok       {} events, {} bytes{}, {} ms",
+                c.events,
+                c.bytes,
+                c.seek_events
+                    .map(|e| format!(", seek {e} ev"))
+                    .unwrap_or_default(),
+                c.check_ms
+            )
+        };
+        println!("{:28} {verdict}", c.name);
+        for w in &c.warnings {
+            println!("{:28}   lenient: {w}", "");
         }
-        Some("replay") => {
-            let (Some(w), Some(seed), Some(path)) = (
-                args.get(1).and_then(|n| find(n)),
-                args.get(2).and_then(|s| s.parse::<u64>().ok()),
-                args.get(3),
-            ) else {
-                return usage();
-            };
-            let bytes = match std::fs::read(path) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let (trace, format) = match decode_any(&bytes) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            eprintln!("[{path}: {} format]", format.name());
-            // Telemetry is always on here: it is proven perturbation-free,
-            // and the rings let a divergence be localized to an event.
-            let spec = spec_of(&w, seed).with_telemetry();
-            let (rep, desyncs) = replay_run(&spec, trace, SymmetryConfig::full());
-            print!("{}", rep.output);
-            if let Some(out) = metrics_out {
-                if let Err(code) = write_metrics(&out, &run_metrics_json(&rep, None)) {
-                    return code;
-                }
+    }
+    // Divergences get the full treatment: minimize the failing
+    // workload spec and print a replayable repro blob.
+    for c in report.checks.iter().filter(|c| c.diverged) {
+        let policy = std::fs::read_to_string(format!("{dir}/{}.policy.json", c.name))
+            .map_err(|e| e.to_string())
+            .and_then(|text| corpus::Policy::parse(&text));
+        let Ok(policy) = policy else {
+            continue;
+        };
+        let start = corpus::ReproSpec {
+            workload: policy.workload,
+            seed: policy.seed,
+            timer_base: 211,
+            timer_jitter: 60,
+            clock_noise: 3,
+        };
+        match corpus::shrink_divergence(&start, SymmetryConfig::full()) {
+            Some(repro) => eprintln!("repro[{}]: {}", c.name, repro.to_blob()),
+            None => eprintln!(
+                "repro[{}]: divergence did not reproduce from a fresh record \
+                 (trace/policy drift, not a platform bug)",
+                c.name
+            ),
+        }
+    }
+    let summary = format!(
+        "[corpus {dir}: {}/{} passed]",
+        report.passed(),
+        report.checks.len()
+    );
+    match report.exit_class() {
+        0 => {
+            println!("{summary}");
+            Ok(())
+        }
+        1 => Err(CliError::Input(summary)),
+        _ => Err(CliError::Diverged(summary)),
+    }
+}
+
+fn corpus_record(args: &mut Args) -> Cmd {
+    let ("record", dir) = (args.pos(0)?, args.pos(1)?) else {
+        return Err(CliError::Usage);
+    };
+    let stems = corpus::record_corpus(std::path::Path::new(dir))
+        .map_err(|e| format!("corpus record {dir}: {e}"))?;
+    for s in &stems {
+        println!("recorded {dir}/{s}.djvb");
+    }
+    eprintln!("[corpus {dir}: {} traces recorded]", stems.len());
+    Ok(())
+}
+
+fn dis(args: &mut Args) -> Cmd {
+    use djvm::dis;
+    let (quick, mega) = (args.flag("--quick"), args.flag("--mega"));
+    let p = (args.workload(0)?.build)();
+    let text = match args.pos(1) {
+        Ok(mname) => {
+            let m = p
+                .method_id_by_name(mname)
+                .ok_or_else(|| CliError::Input(format!("no method {mname}")))?;
+            match (mega, quick) {
+                (true, _) => dis::disassemble_mega(&p, m),
+                (_, true) => dis::disassemble_quickened(&p, m),
+                _ => dis::disassemble(&p, m),
             }
-            // verify against a fresh record of the same seed
-            let (rec, _) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
-            let accurate = rec.matches(&rep) && desyncs.is_empty();
-            // Every desync, named with all its fields.
-            for d in &desyncs {
-                eprintln!("desync: {}", d.describe());
+        }
+        Err(_) if mega => dis::disassemble_mega_all(&p),
+        Err(_) if quick => dis::disassemble_quickened_all(&p),
+        Err(_) => dis::disassemble_all(&p),
+    };
+    println!("{text}");
+    Ok(())
+}
+
+/// Content-addressed trace store (crates/store).
+fn store_cmd(args: &mut Args) -> Cmd {
+    let spec_of = spec_builder(args);
+    let no_verify = args.flag("--no-verify");
+    let policy = args.value("--policy")?.unwrap_or_default();
+    let cold: u64 = args.number("--cold", store::DEFAULT_COLD_THRESHOLD)?;
+    let (op, dir) = (args.pos(0)?, args.pos(1)?);
+    let st = store::Store::open(std::path::Path::new(dir))?;
+    match op {
+        "put" => {
+            let (w, seed, path) = (args.workload(2)?, args.int(3)?, args.pos(4)?);
+            let bytes = read(path)?;
+            // Verified by default: the fingerprint cataloged with a
+            // run is one an actual replay produced, cross-checked
+            // against a fresh record — never taken on faith.
+            let mut fingerprint = 0u64;
+            if !no_verify {
+                let trace = decode_trace(path, bytes.clone())?;
+                let spec = spec_of(&w, seed);
+                let (rep, desyncs) = replay_run(&spec, trace, SymmetryConfig::full());
+                let (rec, _) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
+                if !(rec.matches(&rep) && desyncs.is_empty()) {
+                    return Err(CliError::Diverged(format!(
+                        "store put: {path} does not replay accurately as {}/{seed} \
+                         ({} desyncs) — refusing to catalog a verified fingerprint",
+                        w.name,
+                        desyncs.len()
+                    )));
+                }
+                fingerprint = rep.fingerprint;
             }
-            if !accurate {
-                let report = dejavu::DivergenceReport::build(&rec, &rep, desyncs.clone());
-                eprintln!("{}", report.describe());
-            }
+            let out = st.put_bytes(w.name, seed, &bytes, fingerprint, &policy)?;
+            print_canonical(out.to_json());
             eprintln!(
-                "[replay {}: {} desyncs]",
-                if accurate { "ACCURATE" } else { "DIVERGED" },
-                desyncs.len()
+                "[store put {}: {} blocks ({} new), {}]",
+                out.entry,
+                out.blocks_total,
+                out.blocks_new,
+                if no_verify { "unverified" } else { "verified" }
             );
-            if accurate {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(EXIT_DIVERGED)
+        }
+        "get" => {
+            let (id, out) = (args.pos(2)?, args.pos(3)?);
+            let bytes = st.get_bytes(id)?;
+            write(out, &bytes)?;
+            eprintln!("[store get {id}: {} bytes]", bytes.len());
+        }
+        "ls" => {
+            for e in st.entries()? {
+                print_canonical(Json::obj(vec![
+                    ("blocks", Json::UInt(e.blocks.len() as u64)),
+                    ("file_bytes", Json::UInt(e.file_bytes)),
+                    ("fingerprint", Json::UInt(e.fingerprint)),
+                    ("id", Json::Str(e.identity())),
+                    ("puts", Json::UInt(e.puts)),
+                    ("seed", Json::UInt(e.seed)),
+                    ("workload", Json::Str(e.workload)),
+                ]));
             }
         }
-        Some("profile") => {
-            // Replay the trace with the flight recorder armed, emit the
-            // Chrome-trace / folded-stacks artifacts, and print the
-            // canonical-JSON summary. The profiler is a pure observer, so
-            // the profiled replay is also checked for neutrality against
-            // an unprofiled replay of the same trace (exit 2 on any
-            // fingerprint drift, same class as a divergence).
-            let (Some(w), Some(seed), Some(path)) = (
-                args.get(1).and_then(|n| find(n)),
-                args.get(2).and_then(|s| s.parse::<u64>().ok()),
-                args.get(3),
-            ) else {
-                return usage();
-            };
-            let format = match prof_format.as_deref() {
-                None | Some("both") => "both",
-                Some(f @ ("chrome" | "folded")) => f,
-                Some(f) => {
-                    eprintln!("--format must be \"chrome\", \"folded\" or \"both\", got \"{f}\"");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let bytes = match std::fs::read(path) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let (trace, fmt) = match decode_any(&bytes) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            eprintln!("[{path}: {} format]", fmt.name());
-            let spec = spec_of(&w, seed);
-            let (prof, report, desyncs) =
-                dejavu::profile_replay(&spec, trace.clone(), SymmetryConfig::full());
-            for d in &desyncs {
-                eprintln!("desync: {}", d.describe());
-            }
-            let (plain, _) = replay_run(&spec, trace, SymmetryConfig::full());
-            let neutral = report.fingerprint == plain.fingerprint
-                && report.state_digest == plain.state_digest;
-            if !neutral {
-                eprintln!(
-                    "profiler neutrality VIOLATED: profiled fingerprint {:016x} vs \
-                     unprofiled {:016x}",
-                    report.fingerprint, plain.fingerprint
-                );
-            }
-            if let Some(dir) = out_dir {
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    eprintln!("mkdir {dir}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                if format != "folded" {
-                    let p = format!("{dir}/profile.chrome.json");
-                    let mut s = prof.chrome_json().to_string();
-                    s.push('\n');
-                    if let Err(e) = std::fs::write(&p, s) {
-                        eprintln!("write {p}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    eprintln!("[wrote {p}]");
-                }
-                if format != "chrome" {
-                    let p = format!("{dir}/profile.folded");
-                    if let Err(e) = std::fs::write(&p, prof.folded()) {
-                        eprintln!("write {p}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    eprintln!("[wrote {p}]");
-                }
-            }
-            println!("{}", prof.summary_json(top));
-            if let Some(hot) = prof.hottest_method() {
-                eprintln!("[hottest method: {hot}]");
-            }
-            if neutral && desyncs.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(EXIT_DIVERGED)
-            }
+        "gc" => print_canonical(st.gc()?.to_json()),
+        "compact" => print_canonical(st.compact(cold)?.to_json()),
+        "stats" => print_canonical(st.disk_stats()?),
+        _ => return Err(CliError::Usage),
+    }
+    Ok(())
+}
+
+fn fleet_serve(args: &mut Args) -> Cmd {
+    let workers = args.positive("--workers", 8)?;
+    let shutdown_token = args
+        .value("--fleet-token")?
+        .unwrap_or_else(|| "dejavu".into());
+    let port_file = args.value("--port-file")?;
+    let store_root = args.value("--store")?.map(std::path::PathBuf::from);
+    let port: u16 = args.pos(0)?.parse().map_err(|_| CliError::Usage)?;
+    let config = fleet::FleetConfig {
+        workers,
+        shutdown_token,
+        store_root,
+        ..fleet::FleetConfig::default()
+    };
+    let server = fleet::FleetServer::start(&format!("127.0.0.1:{port}"), config)
+        .map_err(|e| CliError::Input(format!("bind port {port}: {e}")))?;
+    let addr = server.addr();
+    // `--port-file` lets scripts bind port 0 and learn the pick.
+    if let Some(path) = port_file {
+        write(&path, format!("{}\n", addr.port()))?;
+    }
+    eprintln!("fleet server listening on {addr} ({workers} workers, framed RPC)");
+    server.join(); // returns when a Shutdown RPC is accepted
+    eprintln!("fleet server: clean shutdown");
+    Ok(())
+}
+
+fn fleet_bench(args: &mut Args) -> Cmd {
+    let workers = args.positive("--workers", 8)?;
+    let sessions = args.positive("--sessions", 64)?;
+    let addr = args.pos(0)?;
+    let workload = args.pos(1).unwrap_or("fig1_ab");
+    let report = fleet::bench::drive(addr, sessions, workload, workers.min(sessions))
+        .map_err(|e| CliError::Input(format!("fleet-bench: {e}")))?;
+    let secs = report.elapsed.as_secs_f64();
+    let quantile = |q| Json::UInt(report.latency.quantile(q).unwrap_or(0));
+    print_canonical(Json::obj(vec![
+        ("sessions", Json::UInt(report.sessions as u64)),
+        ("requests", Json::UInt(report.requests)),
+        ("elapsed_ns", Json::UInt(report.elapsed.as_nanos() as u64)),
+        (
+            "sessions_per_sec",
+            Json::UInt((report.sessions as f64 / secs.max(1e-9)) as u64),
+        ),
+        ("p50_request_ns", quantile(500)),
+        ("p99_request_ns", quantile(990)),
+        ("fingerprints_match", Json::Bool(report.fingerprints_match)),
+        ("resident_peak", Json::UInt(report.resident_peak)),
+    ]));
+    if !report.fingerprints_match {
+        return Err(CliError::Diverged(
+            report
+                .mismatches
+                .iter()
+                .map(|m| format!("MISMATCH: {m}"))
+                .collect::<Vec<_>>()
+                .join("\n"),
+        ));
+    }
+    Ok(())
+}
+
+fn fleet_shutdown(args: &mut Args) -> Cmd {
+    let (addr, token) = (args.pos(0)?, args.pos(1)?);
+    if !fleet::FleetClient::connect(addr)?.shutdown(token)? {
+        return Err(CliError::Input(format!(
+            "fleet server at {addr}: shutdown denied (bad ctrl token)"
+        )));
+    }
+    eprintln!("fleet server at {addr}: shutting down");
+    Ok(())
+}
+
+/// The debugger front end of a running `fleet-serve`. `open` hosts a
+/// session and records the workload server-side, printing the session id;
+/// every other call runs one `debugger::protocol` command against a
+/// session and prints the response as one JSON line (a debugger-level
+/// `error` response is exit 1).
+fn debug(args: &mut Args) -> Cmd {
+    let mut client = fleet::FleetClient::connect(args.pos(0)?)?;
+    if args.pos(1)? == "open" {
+        let (workload, seed) = (args.pos(2)?, args.int(3)?);
+        let session = client.open(workload, seed)?;
+        match client.call(&fleet::Request::Record { session })? {
+            fleet::Response::Recorded { .. } => println!("{session}"),
+            other => return Err(CliError::Input(format!("record: {other:?}"))),
         }
-        Some("trace") => {
-            // trace inspect <file>...: the block index as canonical JSON —
-            // diffable, and a deterministic function of the file bytes.
-            // Each block carries its content digest (digest128 of the raw
-            // pre-compression payload — the store's dedup key, computed
-            // over the same bytes), and `--dedup` appends a summary of
-            // unique vs total blocks across all the named files: what a
-            // `store put` of this set would share.
-            let Some("inspect") = args.get(1).map(String::as_str) else {
-                return usage();
-            };
-            let paths: Vec<String> = args.iter().skip(2).cloned().collect();
-            if paths.is_empty() {
-                return usage();
-            }
-            use codec::Json;
-            use std::collections::BTreeMap;
-            // digest hex → raw payload length, across all files.
-            let mut seen: BTreeMap<String, u64> = BTreeMap::new();
-            let mut total_blocks = 0u64;
-            let mut total_raw = 0u64;
-            for path in &paths {
-                let bytes = match std::fs::read(path) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("read {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let mut doc = match sniff_format(&bytes) {
-                    Ok(TraceFormat::Flat) => {
-                        let Some(trace) = Trace::decode(&bytes) else {
-                            eprintln!("{path}: corrupt trace: flat trace rejected by decoder");
-                            return ExitCode::FAILURE;
-                        };
-                        if dedup {
-                            // Key flat sources exactly as the store does:
-                            // blockified at the default budget first.
-                            let enc = dejavu::blocktrace::encode_block(
-                                &trace,
-                                DEFAULT_BLOCK_BUDGET,
-                            );
-                            let raws = match BlockFile::parse(enc).and_then(|bf| bf.raw_blocks())
-                            {
-                                Ok(r) => r,
-                                Err(e) => {
-                                    eprintln!("{path}: blockify for dedup: {e}");
-                                    return ExitCode::FAILURE;
-                                }
-                            };
-                            for rb in &raws {
-                                total_blocks += 1;
-                                total_raw += rb.raw.len() as u64;
-                                seen.insert(
-                                    codec::digest128(&rb.raw).hex(),
-                                    rb.raw.len() as u64,
-                                );
-                            }
-                        }
-                        Json::obj(vec![
-                            ("format", Json::Str("flat".into())),
-                            ("stats", trace.stats().to_json()),
-                        ])
-                    }
-                    Ok(TraceFormat::Block) => {
-                        let bf = match BlockFile::parse(bytes) {
-                            Ok(bf) => bf,
-                            Err(e) => {
-                                eprintln!("{path}: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        };
-                        let crc_ok = bf.crc_status();
-                        let blocks: Vec<Json> = bf
-                            .index
-                            .iter()
-                            .enumerate()
-                            .zip(&crc_ok)
-                            .map(|((i, b), &ok)| {
-                                // Per-block compression accounting: how well the
-                                // block squeezed and which compressor won its
-                                // encode-time race (corrupt method bytes keep the
-                                // inspection total, like `crc_ok: false` does).
-                                let permille = if b.raw_len == 0 {
-                                    1000
-                                } else {
-                                    b.comp_len as u64 * 1000 / b.raw_len as u64
-                                };
-                                let compressor = bf.block_compressor(i).unwrap_or("corrupt");
-                                // The store's content key; corrupt payloads
-                                // keep the inspection total like crc_ok does.
-                                let digest = match bf.block_raw(i) {
-                                    Ok(raw) => {
-                                        if dedup && ok {
-                                            total_blocks += 1;
-                                            total_raw += raw.len() as u64;
-                                            seen.insert(
-                                                codec::digest128(&raw).hex(),
-                                                raw.len() as u64,
-                                            );
-                                        }
-                                        codec::digest128(&raw).hex()
-                                    }
-                                    Err(_) => "corrupt".into(),
-                                };
-                                Json::obj(vec![
-                                    ("comp_len", Json::UInt(b.comp_len as u64)),
-                                    ("compression_permille", Json::UInt(permille)),
-                                    ("compressor", Json::Str(compressor.into())),
-                                    ("crc_ok", Json::Bool(ok)),
-                                    ("digest", Json::Str(digest)),
-                                    ("event_count", Json::UInt(b.event_count as u64)),
-                                    ("first_logical_time", Json::UInt(b.first_logical_time)),
-                                    ("first_seq", Json::UInt(b.first_seq)),
-                                    ("offset", Json::UInt(b.offset)),
-                                    ("raw_len", Json::UInt(b.raw_len as u64)),
-                                    ("switch_count", Json::UInt(b.switch_count as u64)),
-                                ])
-                            })
-                            .collect();
-                        Json::obj(vec![
-                            ("format", Json::Str("block".into())),
-                            ("budget", Json::UInt(bf.budget as u64)),
-                            ("paranoid", Json::Bool(bf.paranoid)),
-                            ("blocks", Json::Arr(blocks)),
-                            ("stats", bf.stats().to_json()),
-                        ])
-                    }
-                    Err(e) => {
-                        eprintln!("{path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                doc.canonicalize();
-                println!("{doc}");
-            }
-            if dedup {
-                let unique_raw: u64 = seen.values().sum();
-                let ratio = if unique_raw == 0 {
-                    0
-                } else {
-                    total_raw * 1000 / unique_raw
-                };
-                let mut summary = Json::obj(vec![
-                    ("blocks", Json::UInt(total_blocks)),
-                    ("dedup_ratio_milli", Json::UInt(ratio)),
-                    ("files", Json::UInt(paths.len() as u64)),
-                    ("raw_bytes", Json::UInt(total_raw)),
-                    ("unique_blocks", Json::UInt(seen.len() as u64)),
-                    ("unique_raw_bytes", Json::UInt(unique_raw)),
-                ]);
-                summary.canonicalize();
-                println!("{summary}");
-            }
-            ExitCode::SUCCESS
-        }
-        Some("stats") if fleet_addr.is_some() => {
-            // `stats --fleet <addr>`: live fleet-server metrics. Stdout is
-            // the canonical (sorted-key, byte-deterministic) JSON snapshot;
-            // the human latency digest goes to stderr like workload stats.
-            let addr = fleet_addr.unwrap();
-            let mut client = match fleet::FleetClient::connect(&addr) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("connect {addr}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let json = match client.stats() {
-                Ok(j) => j,
-                Err(e) => {
-                    eprintln!("stats rpc: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let Ok(doc) = codec::Json::parse(&json) else {
-                eprintln!("stats rpc returned unparseable json");
-                return ExitCode::FAILURE;
-            };
-            println!("{doc}");
-            if let Some(codec::Json::Obj(sessions)) = doc.get("sessions") {
-                let field = |k: &str| {
-                    sessions
-                        .iter()
-                        .find(|(n, _)| n == k)
-                        .and_then(|(_, v)| v.as_u64().ok())
-                        .unwrap_or(0)
-                };
-                eprintln!(
-                    "[sessions: active={} peak={} opened={} closed={} evicted={}]",
-                    field("active"),
-                    field("peak"),
-                    field("opened"),
-                    field("closed"),
-                    field("evicted"),
-                );
-            }
-            if let Some(codec::Json::Obj(hists)) = doc.get("rpc").and_then(|r| r.get("histograms"))
-            {
-                for (name, h) in hists {
-                    let q = |k: &str| h.get(k).and_then(|v| v.as_u64().ok()).unwrap_or(0);
-                    if q("count") == 0 {
-                        continue;
-                    }
-                    eprintln!(
-                        "[{name}: n={} p50={}ns p95={}ns p99={}ns max={}ns]",
-                        q("count"),
-                        q("p50"),
-                        q("p95"),
-                        q("p99"),
-                        q("max"),
-                    );
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        Some("stats") => {
-            let Some(w) = args.get(1).and_then(|n| find(n)) else {
-                return usage();
-            };
-            let seed = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1);
-            let spec = spec_of(&w, seed).with_telemetry();
-            let out = record_replay_forensic(&spec, w.natives, SymmetryConfig::full());
-            // Tier-2 stats are observer-side (excluded from the byte-compared
-            // run metrics) but worth surfacing here: tier_ups is deterministic
-            // across record/replay, the entry/iteration split is not required
-            // to be (it depends on each side's quiet-yield horizon).
-            let mut doc = codec::Json::obj(vec![
-                ("accurate", codec::Json::Bool(out.accurate)),
-                (
-                    "mega",
-                    codec::Json::obj(vec![
-                        ("record", out.record.mega.to_json()),
-                        ("replay", out.replay.mega.to_json()),
-                    ]),
-                ),
-                (
-                    "record",
-                    run_metrics_json(&out.record, Some(&out.trace_stats)),
-                ),
-                ("replay", run_metrics_json(&out.replay, None)),
-            ]);
-            doc.canonicalize();
-            println!("{doc}");
-            // Human-readable latency digest of the record-side histograms:
-            // the log2-bucket quantile estimates (exact min/max, p50/p95/p99
-            // interpolated within a bucket).
-            if let Some(t) = &out.record.telemetry {
-                for (name, h) in [
-                    ("alloc_words", &t.alloc_words),
-                    ("compile_words", &t.compile_words),
-                    ("timer_intervals", &t.timer_intervals),
-                ] {
-                    if h.count() == 0 {
-                        continue;
-                    }
-                    eprintln!(
-                        "[{name}: n={} min={} p50={} p95={} p99={} max={}]",
-                        h.count(),
-                        h.min().unwrap_or(0),
-                        h.quantile(500).unwrap_or(0),
-                        h.quantile(950).unwrap_or(0),
-                        h.quantile(990).unwrap_or(0),
-                        h.max().unwrap_or(0),
-                    );
-                }
-            }
-            if let Some(report) = &out.report {
-                eprintln!("{}", report.describe());
-                return ExitCode::from(EXIT_DIVERGED);
-            }
-            ExitCode::SUCCESS
-        }
-        Some("neutrality") => {
-            // Prove perturbation-freedom for this workload+seed: the
-            // fingerprint, state digest and output of record and replay
-            // must be bit-identical with the telemetry sink on vs. off.
-            let Some(w) = args.get(1).and_then(|n| find(n)) else {
-                return usage();
-            };
-            let seed = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1);
-            let spec_off = spec_of(&w, seed);
-            let spec_on = spec_of(&w, seed).with_telemetry();
-            let off = record_replay_forensic(&spec_off, w.natives, SymmetryConfig::full());
-            let on = record_replay_forensic(&spec_on, w.natives, SymmetryConfig::full());
-            let neutral = off.record.matches(&on.record) && off.replay.matches(&on.replay);
-            println!(
-                "record fingerprint off={:016x} on={:016x}\n\
-                 replay fingerprint off={:016x} on={:016x}\n\
-                 neutrality: {}",
-                off.record.fingerprint,
-                on.record.fingerprint,
-                off.replay.fingerprint,
-                on.replay.fingerprint,
-                if neutral { "HOLDS" } else { "VIOLATED" }
-            );
-            if neutral {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(EXIT_DIVERGED)
-            }
-        }
-        Some("checkjson") => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match codec::Json::parse(text.trim()) {
-                Ok(j) => {
-                    let canon = j.to_canonical_string();
-                    if canon != text.trim() {
-                        eprintln!("{path}: valid JSON but not in canonical (sorted-key) form");
-                        return ExitCode::FAILURE;
-                    }
-                    println!("{path}: canonical JSON OK");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{path}: invalid JSON: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("check") => {
-            let Some(dir) = args.get(1) else {
-                return usage();
-            };
-            let report = match dejavu_repro::corpus::check_corpus(std::path::Path::new(dir)) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("check {dir}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            for c in &report.checks {
-                let verdict = if let Some(msg) = &c.corrupt {
-                    format!("CORRUPT  {msg}")
-                } else if !c.violations.is_empty() {
-                    format!("VIOLATED {}", c.violations.join("; "))
-                } else {
-                    format!(
-                        "ok       {} events, {} bytes{}, {} ms",
-                        c.events,
-                        c.bytes,
-                        c.seek_events
-                            .map(|e| format!(", seek {e} ev"))
-                            .unwrap_or_default(),
-                        c.check_ms
-                    )
-                };
-                println!("{:28} {verdict}", c.name);
-                for w in &c.warnings {
-                    println!("{:28}   lenient: {w}", "");
-                }
-            }
-            // Divergences get the full treatment: minimize the failing
-            // workload spec and print a replayable repro blob.
-            for c in report.checks.iter().filter(|c| c.diverged) {
-                let Ok(policy_text) =
-                    std::fs::read_to_string(format!("{dir}/{}.policy.json", c.name))
-                else {
-                    continue;
-                };
-                let Ok(policy) = dejavu_repro::corpus::Policy::parse(&policy_text) else {
-                    continue;
-                };
-                let start = dejavu_repro::corpus::ReproSpec {
-                    workload: policy.workload,
-                    seed: policy.seed,
-                    timer_base: 211,
-                    timer_jitter: 60,
-                    clock_noise: 3,
-                };
-                match dejavu_repro::corpus::shrink_divergence(&start, SymmetryConfig::full()) {
-                    Some(repro) => eprintln!("repro[{}]: {}", c.name, repro.to_blob()),
-                    None => eprintln!(
-                        "repro[{}]: divergence did not reproduce from a fresh record \
-                         (trace/policy drift, not a platform bug)",
-                        c.name
-                    ),
-                }
-            }
-            println!(
-                "[corpus {}: {}/{} passed]",
-                dir,
-                report.passed(),
-                report.checks.len()
-            );
-            ExitCode::from(report.exit_class())
-        }
-        Some("corpus") => {
-            let (Some("record"), Some(dir)) = (args.get(1).map(String::as_str), args.get(2)) else {
-                return usage();
-            };
-            match dejavu_repro::corpus::record_corpus(std::path::Path::new(dir)) {
-                Ok(stems) => {
-                    for s in &stems {
-                        println!("recorded {dir}/{s}.djvb");
-                    }
-                    eprintln!("[corpus {dir}: {} traces recorded]", stems.len());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("corpus record {dir}: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("dis") => {
-            let Some(w) = args.get(1).and_then(|n| find(n)) else {
-                return usage();
-            };
-            let p = (w.build)();
-            match args.get(2) {
-                Some(mname) => match p.method_id_by_name(mname) {
-                    Some(m) if mega_dis => {
-                        println!("{}", djvm::dis::disassemble_mega(&p, m))
-                    }
-                    Some(m) if quick_dis => {
-                        println!("{}", djvm::dis::disassemble_quickened(&p, m))
-                    }
-                    Some(m) => println!("{}", djvm::dis::disassemble(&p, m)),
-                    None => {
-                        eprintln!("no method {mname}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None if mega_dis => println!("{}", djvm::dis::disassemble_mega_all(&p)),
-                None if quick_dis => println!("{}", djvm::dis::disassemble_quickened_all(&p)),
-                None => println!("{}", djvm::dis::disassemble_all(&p)),
-            }
-            ExitCode::SUCCESS
-        }
-        Some("store") => {
-            // Content-addressed trace store (crates/store). Uniform exit
-            // codes: StoreError::code() maps corruption/IO to 1 and
-            // fingerprint divergence to 2, same classes as `replay`.
-            let fail = |e: store::StoreError| {
-                eprintln!("store: {e}");
-                ExitCode::from(e.code())
-            };
-            let Some(dir) = args.get(2) else {
-                return usage();
-            };
-            let st = match store::Store::open(std::path::Path::new(dir)) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("store open {dir}: {e}");
-                    return ExitCode::from(e.code());
-                }
-            };
-            match args.get(1).map(String::as_str) {
-                Some("put") => {
-                    let (Some(w), Some(seed), Some(path)) = (
-                        args.get(3).and_then(|n| find(n)),
-                        args.get(4).and_then(|s| s.parse::<u64>().ok()),
-                        args.get(5),
-                    ) else {
-                        return usage();
-                    };
-                    let bytes = match std::fs::read(path) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            eprintln!("read {path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    // Verified by default: the fingerprint cataloged with a
-                    // run is one an actual replay produced, cross-checked
-                    // against a fresh record — never taken on faith.
-                    let mut fingerprint = 0u64;
-                    if !no_verify {
-                        let trace = match decode_any(&bytes) {
-                            Ok((t, _)) => t,
-                            Err(e) => {
-                                eprintln!("{path}: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        };
-                        let spec = spec_of(&w, seed);
-                        let (rep, desyncs) = replay_run(&spec, trace, SymmetryConfig::full());
-                        let (rec, _) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
-                        if !(rec.matches(&rep) && desyncs.is_empty()) {
-                            eprintln!(
-                                "store put: {path} does not replay accurately as {}/{seed} \
-                                 ({} desyncs) — refusing to catalog a verified fingerprint",
-                                w.name,
-                                desyncs.len()
-                            );
-                            return ExitCode::from(EXIT_DIVERGED);
-                        }
-                        fingerprint = rep.fingerprint;
-                    }
-                    match st.put_bytes(&w.name, seed, &bytes, fingerprint, &policy) {
-                        Ok(out) => {
-                            let mut doc = out.to_json();
-                            doc.canonicalize();
-                            println!("{doc}");
-                            eprintln!(
-                                "[store put {}: {} blocks ({} new), {}]",
-                                out.entry,
-                                out.blocks_total,
-                                out.blocks_new,
-                                if no_verify { "unverified" } else { "verified" }
-                            );
-                            ExitCode::SUCCESS
-                        }
-                        Err(e) => fail(e),
-                    }
-                }
-                Some("get") => {
-                    let (Some(id), Some(out)) = (args.get(3), args.get(4)) else {
-                        return usage();
-                    };
-                    match st.get_bytes(id) {
-                        Ok(bytes) => {
-                            if let Err(e) = std::fs::write(out, &bytes) {
-                                eprintln!("write {out}: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                            eprintln!("[store get {id}: {} bytes]", bytes.len());
-                            ExitCode::SUCCESS
-                        }
-                        Err(e) => fail(e),
-                    }
-                }
-                Some("ls") => match st.entries() {
-                    Ok(entries) => {
-                        for e in entries {
-                            let mut line = codec::Json::obj(vec![
-                                ("blocks", codec::Json::UInt(e.blocks.len() as u64)),
-                                ("file_bytes", codec::Json::UInt(e.file_bytes)),
-                                ("fingerprint", codec::Json::UInt(e.fingerprint)),
-                                ("id", codec::Json::Str(e.identity())),
-                                ("puts", codec::Json::UInt(e.puts)),
-                                ("seed", codec::Json::UInt(e.seed)),
-                                ("workload", codec::Json::Str(e.workload)),
-                            ]);
-                            line.canonicalize();
-                            println!("{line}");
-                        }
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => fail(e),
-                },
-                Some("gc") => match st.gc() {
-                    Ok(report) => {
-                        let mut doc = report.to_json();
-                        doc.canonicalize();
-                        println!("{doc}");
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => fail(e),
-                },
-                Some("compact") => match st.compact(cold) {
-                    Ok(report) => {
-                        let mut doc = report.to_json();
-                        doc.canonicalize();
-                        println!("{doc}");
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => fail(e),
-                },
-                Some("stats") => match st.disk_stats() {
-                    Ok(stats) => {
-                        let mut doc = stats;
-                        doc.canonicalize();
-                        println!("{doc}");
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => fail(e),
-                },
-                _ => usage(),
-            }
-        }
-        Some("serve") => {
-            let (Some(w), Some(seed), Some(port)) = (
-                args.get(1).and_then(|n| find(n)),
-                args.get(2).and_then(|s| s.parse::<u64>().ok()),
-                args.get(3).and_then(|s| s.parse::<u16>().ok()),
-            ) else {
-                return usage();
-            };
-            let spec = spec_of(&w, seed);
-            let (_rec, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
-            let session =
-                debugger::DebugSession::new(spec.program.clone(), spec.vm.clone(), trace, 5_000);
-            let listener = match std::net::TcpListener::bind(("127.0.0.1", port)) {
-                Ok(l) => l,
-                Err(e) => {
-                    eprintln!("bind port {port}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            eprintln!(
-                "debugger tier listening on 127.0.0.1:{port} \
-                 (JSON-line protocol, {workers} workers, concurrent clients ok)"
-            );
-            match fleet::compat::serve_debug(session, listener, workers) {
-                Ok(_) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("serve: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("fleet-serve") => {
-            let Some(port) = args.get(1).and_then(|s| s.parse::<u16>().ok()) else {
-                return usage();
-            };
-            let config = fleet::FleetConfig {
-                workers,
-                shutdown_token: fleet_token,
-                store_root: store_root.map(std::path::PathBuf::from),
-                ..fleet::FleetConfig::default()
-            };
-            let server = match fleet::FleetServer::start(&format!("127.0.0.1:{port}"), config) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("bind port {port}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let addr = server.addr();
-            // `--port-file` lets scripts bind port 0 and learn the pick.
-            if let Some(path) = port_file {
-                if let Err(e) = std::fs::write(&path, format!("{}\n", addr.port())) {
-                    eprintln!("write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            eprintln!("fleet server listening on {addr} ({workers} workers, framed RPC)");
-            server.join(); // returns when a Shutdown RPC is accepted
-            eprintln!("fleet server: clean shutdown");
-            ExitCode::SUCCESS
-        }
-        Some("fleet-bench") => {
-            let Some(addr) = args.get(1) else {
-                return usage();
-            };
-            let workload = args.get(2).map(String::as_str).unwrap_or("fig1_ab");
-            let threads = workers.min(sessions);
-            let report = match fleet::bench::drive(addr, sessions, workload, threads) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("fleet-bench: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let secs = report.elapsed.as_secs_f64();
-            let mut doc = codec::Json::obj(vec![
-                ("sessions", codec::Json::UInt(report.sessions as u64)),
-                ("requests", codec::Json::UInt(report.requests)),
-                (
-                    "elapsed_ns",
-                    codec::Json::UInt(report.elapsed.as_nanos() as u64),
-                ),
-                (
-                    "sessions_per_sec",
-                    codec::Json::UInt((report.sessions as f64 / secs.max(1e-9)) as u64),
-                ),
-                (
-                    "p50_request_ns",
-                    codec::Json::UInt(report.latency.quantile(500).unwrap_or(0)),
-                ),
-                (
-                    "p99_request_ns",
-                    codec::Json::UInt(report.latency.quantile(990).unwrap_or(0)),
-                ),
-                (
-                    "fingerprints_match",
-                    codec::Json::Bool(report.fingerprints_match),
-                ),
-                ("resident_peak", codec::Json::UInt(report.resident_peak)),
-            ]);
-            doc.canonicalize();
-            println!("{doc}");
-            for m in &report.mismatches {
-                eprintln!("MISMATCH: {m}");
-            }
-            if report.fingerprints_match {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(EXIT_DIVERGED)
-            }
-        }
-        Some("fleet-shutdown") => {
-            let (Some(addr), Some(token)) = (args.get(1), args.get(2)) else {
-                return usage();
-            };
-            let mut client = match fleet::FleetClient::connect(addr) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("connect {addr}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match client.shutdown(token) {
-                Ok(true) => {
-                    eprintln!("fleet server at {addr}: shutting down");
-                    ExitCode::SUCCESS
-                }
-                Ok(false) => {
-                    eprintln!("fleet server at {addr}: shutdown denied (bad ctrl token)");
-                    ExitCode::FAILURE
-                }
-                Err(e) => {
-                    eprintln!("shutdown rpc: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        _ => usage(),
+        return Ok(());
+    }
+    let cmd = debugger::Command::from_json_str(args.pos(2)?)
+        .map_err(|e| CliError::Input(format!("bad debug command: {e}")))?;
+    let resp = client.debug(args.int(1)?, &cmd)?;
+    println!("{}", resp.to_json_string());
+    match resp {
+        debugger::Response::Error { message } => Err(CliError::Input(message)),
+        _ => Ok(()),
     }
 }

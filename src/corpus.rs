@@ -25,8 +25,8 @@
 use baselines::TimeTravel;
 use codec::Json;
 use dejavu::{
-    decode_any, encode_trace, record_run, replay_run, BlockFile, DataRec, ExecSpec, SymmetryConfig,
-    Trace, TraceFormat,
+    encode_trace, record_run, replay_run, BlockFile, DataRec, ExecSpec, SymmetryConfig, Trace,
+    TraceFormat,
 };
 use std::path::Path;
 
@@ -37,15 +37,10 @@ use crate::qc::{shrink_tape, Gen};
 /// policy is exercised on real multi-block files.
 pub const CORPUS_BLOCK_BUDGET: u32 = 96;
 
-/// The canonical execution environment for corpus traces — shared with
-/// `dejavu-cli`'s run-like subcommands so a trace recorded by the CLI and
-/// one recorded by [`record_corpus`] have identical fingerprints.
-pub fn corpus_spec(w: &workloads::Workload, seed: u64) -> ExecSpec {
-    let mut s = ExecSpec::new((w.build)()).with_seed(seed);
-    s.timer_base = 211;
-    s.timer_jitter = 60;
-    s
-}
+/// The execution environment for corpus traces: the platform's one spec
+/// function, shared with the fleet and `dejavu-cli`'s run-like
+/// subcommands.
+pub use fleet::spec_for as corpus_spec;
 
 /// Sidecar policy for one corpus trace (`<stem>.policy.json`, canonical
 /// JSON, keys sorted).
@@ -241,8 +236,16 @@ impl CorpusReport {
 }
 
 /// Check one trace's bytes against its policy. Pure in-memory core of
-/// [`check_corpus`], shared with the injection tests.
-pub fn check_trace(name: &str, bytes: &[u8], policy: &Policy) -> TraceCheck {
+/// [`check_corpus`], shared with the injection tests. `quicken` / `mega`
+/// select the dispatch tier the replays run under (the CLI's
+/// `--no-quicken` / `--no-mega`); the verdict must not depend on them.
+pub fn check_trace(
+    name: &str,
+    bytes: &[u8],
+    policy: &Policy,
+    quicken: bool,
+    mega: bool,
+) -> TraceCheck {
     let t0 = std::time::Instant::now();
     let mut check = TraceCheck {
         name: name.to_owned(),
@@ -257,8 +260,12 @@ pub fn check_trace(name: &str, bytes: &[u8], policy: &Policy) -> TraceCheck {
     };
     // Decode failures are corruption, not policy violations: the artifact
     // itself is damaged.
-    let (trace, format) = match decode_any(bytes) {
-        Ok(x) => x,
+    let bf = match BlockFile::parse(bytes.to_vec()) {
+        Ok(bf) => bf,
+        Err(e) => return TraceCheck::corrupt(name, e.to_string()),
+    };
+    let trace = match bf.to_trace() {
+        Ok(t) => t,
         Err(e) => return TraceCheck::corrupt(name, e.to_string()),
     };
     check.events = (trace.switches.len() + trace.data.len()) as u64;
@@ -300,7 +307,9 @@ pub fn check_trace(name: &str, bytes: &[u8], policy: &Policy) -> TraceCheck {
     }
     // 3. Replay the recorded trace; it must be accurate and reproduce the
     //    policy's fingerprint and state digest.
-    let spec = corpus_spec(&w, policy.seed);
+    let spec = corpus_spec(&w, policy.seed)
+        .with_quicken(quicken)
+        .with_mega(mega);
     let (rep, desyncs) = replay_run(&spec, trace.clone(), SymmetryConfig::full());
     if !desyncs.is_empty() {
         check.diverged = true;
@@ -346,20 +355,16 @@ pub fn check_trace(name: &str, bytes: &[u8], policy: &Policy) -> TraceCheck {
     // 5. Seek-latency bound, multi-block traces only: after running to
     //    the end (populating boundary checkpoints), a backward seek into
     //    the middle must consume at most `max_seek_events` trace events.
-    if format == TraceFormat::Block {
-        if let Ok(bf) = BlockFile::parse(bytes.to_vec()) {
-            if let Some(events) = seek_probe(&spec, &bf, &trace) {
-                check.seek_events = Some(events);
-                if events > policy.max_seek_events {
-                    violation(
-                        &mut check,
-                        format!(
-                            "seek_logical replayed {events} events, policy ceiling {}",
-                            policy.max_seek_events
-                        ),
-                    );
-                }
-            }
+    if let Some(events) = seek_probe(&spec, &bf, &trace) {
+        check.seek_events = Some(events);
+        if events > policy.max_seek_events {
+            violation(
+                &mut check,
+                format!(
+                    "seek_logical replayed {events} events, policy ceiling {}",
+                    policy.max_seek_events
+                ),
+            );
         }
     }
     check.check_ms = t0.elapsed().as_millis();
@@ -408,7 +413,7 @@ fn seek_probe(spec: &ExecSpec, bf: &BlockFile, trace: &Trace) -> Option<u64> {
 /// Check every `<stem>.djvb` + `<stem>.policy.json` pair under `dir`
 /// (sorted by name). `Err` only for directory-level I/O problems or an
 /// empty corpus — both exit class 1 at the CLI.
-pub fn check_corpus(dir: &Path) -> Result<CorpusReport, String> {
+pub fn check_corpus(dir: &Path, quicken: bool, mega: bool) -> Result<CorpusReport, String> {
     let entries = std::fs::read_dir(dir).map_err(|e| format!("read corpus dir {dir:?}: {e}"))?;
     let mut stems: Vec<String> = Vec::new();
     for entry in entries {
@@ -451,7 +456,9 @@ pub fn check_corpus(dir: &Path) -> Result<CorpusReport, String> {
                 continue;
             }
         };
-        report.checks.push(check_trace(&stem, &bytes, &policy));
+        report
+            .checks
+            .push(check_trace(&stem, &bytes, &policy, quicken, mega));
     }
     Ok(report)
 }

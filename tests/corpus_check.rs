@@ -33,7 +33,7 @@ fn copy_corpus(tag: &str) -> PathBuf {
 
 #[test]
 fn committed_corpus_passes() {
-    let report = check_corpus(&corpus_dir()).unwrap();
+    let report = check_corpus(&corpus_dir(), true, true).unwrap();
     assert_eq!(
         report.exit_class(),
         0,
@@ -71,7 +71,7 @@ fn injected_fingerprint_mismatch_is_a_violation() {
     let mut policy = Policy::parse(&text).unwrap();
     policy.expected_fingerprint ^= 1;
     std::fs::write(&policy_path, policy.to_canonical_string()).unwrap();
-    let report = check_corpus(&dir).unwrap();
+    let report = check_corpus(&dir, true, true).unwrap();
     assert_eq!(report.exit_class(), 2);
     let bad = report
         .checks
@@ -92,7 +92,7 @@ fn injected_corruption_is_corrupt_class() {
     let trace_path = dir.join("lock_convoy_s1.djvb");
     let bytes = std::fs::read(&trace_path).unwrap();
     std::fs::write(&trace_path, &bytes[..bytes.len() / 2]).unwrap();
-    let report = check_corpus(&dir).unwrap();
+    let report = check_corpus(&dir, true, true).unwrap();
     assert_eq!(report.exit_class(), 1);
     assert!(report
         .checks
@@ -100,7 +100,7 @@ fn injected_corruption_is_corrupt_class() {
         .any(|c| c.name == "lock_convoy_s1" && c.corrupt.is_some()));
     // A missing policy is also corruption, not a silent skip.
     std::fs::remove_file(dir.join("gc_pressure_s1.policy.json")).unwrap();
-    let report = check_corpus(&dir).unwrap();
+    let report = check_corpus(&dir, true, true).unwrap();
     assert!(report.checks.iter().any(|c| c.name == "gc_pressure_s1"
         && c.corrupt.as_deref().is_some_and(|m| m.contains("policy"))));
     let _ = std::fs::remove_dir_all(dir);
@@ -116,7 +116,7 @@ fn lenient_trace_warns_instead_of_failing() {
     assert!(!policy.strict, "racy_counter_s3 should ride lenient");
     policy.max_trace_bytes = 1;
     std::fs::write(&policy_path, policy.to_canonical_string()).unwrap();
-    let report = check_corpus(&dir).unwrap();
+    let report = check_corpus(&dir, true, true).unwrap();
     assert_eq!(report.exit_class(), 0);
     let c = report
         .checks
@@ -135,13 +135,13 @@ fn forbidden_sequence_policy_fires() {
     let text = std::fs::read_to_string(corpus_dir().join("clock_spin_s1.policy.json")).unwrap();
     let mut policy = Policy::parse(&text).unwrap();
     policy.forbid = vec!["CC".into()];
-    let check = check_trace("clock_spin_s1", &bytes, &policy);
+    let check = check_trace("clock_spin_s1", &bytes, &policy, true, true);
     assert!(check
         .violations
         .iter()
         .any(|v| v.contains("forbidden event sequence")));
     // Sanity: the committed policy's own patterns are absent.
-    let (trace, _) = dejavu_repro::dejavu::decode_any(&bytes).unwrap();
+    let trace = dejavu_repro::dejavu::ingest_bytes(bytes).unwrap().trace;
     assert!(!kind_string(&trace).contains('N'));
 }
 

@@ -8,7 +8,7 @@
 //! abort (SIGABRT / exit 101).
 
 use dejavu_repro::dejavu::{
-    decode_any, encode_trace, sniff_format, BlockFile, DataRec, SwitchRec, Trace, TraceFormat,
+    encode_trace, ingest_bytes, BlockFile, DataRec, SwitchRec, Trace, TraceFormat,
 };
 use dejavu_repro::qc::{check, Gen};
 use dejavu_repro::qc_assert;
@@ -77,9 +77,8 @@ fn mutate(g: &mut Gen, bytes: &mut Vec<u8>) {
 /// Run every decoder entry point over the bytes; the closure's only job
 /// is to not panic.
 fn exercise_decoders(bytes: &[u8]) {
-    let _ = sniff_format(bytes);
-    if let Ok((t, _)) = decode_any(bytes) {
-        let _ = t.stats();
+    if let Ok(got) = ingest_bytes(bytes.to_vec()) {
+        let _ = got.trace.stats();
     }
     let _ = Trace::decode(bytes);
     if let Ok(bf) = BlockFile::parse(bytes.to_vec()) {
@@ -124,8 +123,7 @@ fn unmutated_bytes_round_trip() {
         let trace = gen_trace(g);
         let budget = [24, 48, 96, 4096][g.usize_in(0, 3)];
         let bytes = encode_trace(&trace, TraceFormat::Block, budget);
-        let (decoded, format) = decode_any(&bytes).map_err(|e| e.to_string())?;
-        qc_assert!(format == TraceFormat::Block);
+        let decoded = ingest_bytes(bytes).map_err(|e| e.to_string())?.trace;
         qc_assert!(decoded == trace, "block round-trip changed the trace");
         Ok(())
     });

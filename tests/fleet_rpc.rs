@@ -1,12 +1,8 @@
 //! Property tests and fuzz loops for the fleet RPC layer (satellite:
 //! "frame-codec round-trip property test in the qc harness, plus a
-//! malformed-header fuzz loop mirroring djvb_fuzz.rs"), and the
-//! fingerprint-parity guard that keeps `fleet::spec_for` in lock-step
-//! with the corpus execution environment.
+//! malformed-header fuzz loop mirroring djvb_fuzz.rs").
 
-use dejavu_repro::corpus::corpus_spec;
-use dejavu_repro::dejavu::{record_run, SymmetryConfig};
-use dejavu_repro::fleet::{self, spec_for, Request, Response, WireError};
+use dejavu_repro::fleet::{self, Request, Response, WireError};
 use dejavu_repro::qc::{check, Gen};
 use dejavu_repro::qc_assert;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -264,36 +260,5 @@ fn oversize_frames_are_refused_without_allocation() {
     match fleet::wire::read_frame(&mut stream) {
         Err(WireError::Truncated) => {} // accepted the length, hit EOF
         other => panic!("expected Truncated, got {other:?}"),
-    }
-}
-
-#[test]
-fn fleet_spec_matches_the_corpus_execution_environment() {
-    // The fleet re-derives the corpus ExecSpec instead of depending on
-    // the root crate (that would be a dependency cycle). This is the
-    // guard: a fleet-hosted record and a corpus record of the same
-    // workload/seed must produce bit-identical fingerprints.
-    for name in ["fig1_ab", "racy_counter", "bank_transfer"] {
-        let w = workloads::registry()
-            .into_iter()
-            .find(|w| w.name == name)
-            .unwrap();
-        for seed in [1u64, 77, 4242] {
-            let (a, _) = record_run(&spec_for(&w, seed), w.natives, SymmetryConfig::full(), true);
-            let (b, _) = record_run(
-                &corpus_spec(&w, seed),
-                w.natives,
-                SymmetryConfig::full(),
-                true,
-            );
-            assert_eq!(
-                a.fingerprint, b.fingerprint,
-                "{name}/{seed}: fleet spec fingerprint drifted from corpus spec"
-            );
-            assert_eq!(
-                a.state_digest, b.state_digest,
-                "{name}/{seed}: state digest"
-            );
-        }
     }
 }

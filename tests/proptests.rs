@@ -683,19 +683,16 @@ fn block_trace_roundtrips_and_detects_truncation() {
             .map_err(|e| format!("own encoding rejected: {e}"))?;
         let back = bf.to_trace().map_err(|e| format!("decode failed: {e}"))?;
         qc_assert_eq!(back, t.clone(), "budget {budget}");
-        let (t2, fmt) = dejavu::decode_any(&enc).map_err(|e| format!("decode_any: {e}"))?;
-        qc_assert_eq!(fmt, dejavu::TraceFormat::Block, "sniffed format");
-        qc_assert_eq!(t2, t.clone(), "decode_any roundtrip");
+        let t2 = dejavu::ingest_bytes(enc.clone()).map_err(|e| format!("ingest_bytes: {e}"))?;
+        qc_assert_eq!(t2.trace, t.clone(), "ingest_bytes roundtrip");
 
         // Any truncation of the tail must surface as a typed error —
         // between the footer checks and the per-block CRC there is no
         // cut point that yields a silently different trace.
         let cut = g.usize_in(1, enc.len());
-        let short = &enc[..enc.len() - cut];
-        if dejavu::sniff_format(short) == Ok(dejavu::TraceFormat::Block) {
-            let r = dejavu::BlockFile::parse(short.to_vec()).and_then(|bf| bf.to_trace());
-            qc_assert!(r.is_err(), "accepted a {cut}-byte truncation");
-        }
+        let short = enc[..enc.len() - cut].to_vec();
+        let r = dejavu::BlockFile::parse(short).and_then(|bf| bf.to_trace());
+        qc_assert!(r.is_err(), "accepted a {cut}-byte truncation");
         Ok(())
     });
 }

@@ -1,0 +1,150 @@
+//! DJVB is the only trace anyone reads back. Flat `Trace::encoded()`
+//! bytes — the in-memory encoding — are refused at every door that takes
+//! serialized trace bytes, with the same typed error and never a second
+//! decoder; and what the fleet stores for a run it recorded itself is
+//! the same DJVB file, under the same catalog identity, as a client
+//! uploading that run.
+
+use dejavu_repro::debugger::DebugSession;
+use dejavu_repro::dejavu::{
+    encode_trace, ingest_bytes, record_run, SymmetryConfig, TraceError, TraceFormat,
+    DEFAULT_BLOCK_BUDGET,
+};
+use dejavu_repro::fleet::{spec_for, Request, Response, SessionManager};
+use dejavu_repro::store::{Store, StoreError};
+use std::path::{Path, PathBuf};
+use std::process::Command;
+use std::sync::Arc;
+
+fn scratch(tag: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("target")
+        .join(format!("read-doors-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Exit code and stderr of one `dejavu-cli` invocation.
+fn cli(args: &[&str]) -> (i32, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_dejavu-cli"))
+        .args(args)
+        .output()
+        .expect("spawn dejavu-cli");
+    (
+        out.status.code().expect("no exit code"),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+fn workload(name: &str) -> workloads::Workload {
+    let found = workloads::registry().into_iter().find(|w| w.name == name);
+    found.expect("workload in registry")
+}
+
+fn ingest(session: u64, bytes: &[u8]) -> Request {
+    Request::IngestBlocks {
+        session,
+        chunk: bytes.to_vec(),
+        done: true,
+    }
+}
+
+#[test]
+fn flat_bytes_are_one_typed_error_at_every_read_door() {
+    let dir = scratch("flat");
+    let w = workload("racy_counter");
+    let spec = spec_for(&w, 3);
+    let (rec, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
+    let flat = trace.encoded();
+    let djvb = encode_trace(&trace, TraceFormat::Block, DEFAULT_BLOCK_BUDGET);
+    let refused = TraceError::NotATrace;
+
+    // The library doors.
+    assert_eq!(ingest_bytes(flat.clone()).unwrap_err(), refused);
+    let dbg = DebugSession::from_trace_bytes(spec.program.clone(), spec.vm.clone(), &flat, 5_000);
+    assert_eq!(dbg.err(), Some(refused.clone()));
+    let store = Store::open(&dir.join("store")).unwrap();
+    let err = store.put_bytes("racy_counter", 3, &flat, 0, "").unwrap_err();
+    assert_eq!(err, StoreError::Trace(refused.clone()));
+    assert_eq!(err.code(), 1);
+
+    // The fleet door: error code 1, the session back in `Recording`
+    // and accepting a DJVB retry that replays to the recorded run.
+    let fleet = SessionManager::new();
+    let id = fleet.open("racy_counter", 3).unwrap();
+    match fleet.dispatch(ingest(id, &flat)) {
+        Response::Error { code: 1, message } => {
+            assert!(message.contains(&refused.to_string()), "{message}")
+        }
+        other => panic!("flat upload: {other:?}"),
+    }
+    assert_eq!(fleet.get(id).unwrap().lock().unwrap().phase.name(), "Recording");
+    let retried = fleet.dispatch(ingest(id, &djvb));
+    assert!(matches!(retried, Response::Ingested { .. }), "{retried:?}");
+    match fleet.dispatch(Request::Replay { session: id }) {
+        Response::Replayed {
+            fingerprint, clean, ..
+        } => assert!(clean && fingerprint == rec.fingerprint),
+        other => panic!("replay after retry: {other:?}"),
+    }
+
+    // The CLI doors: exit 1, same message.
+    let file = dir.join("flat.djv1");
+    std::fs::write(&file, &flat).unwrap();
+    let (file, root) = (file.to_str().unwrap(), dir.join("cli-store"));
+    let doors: [&[&str]; 4] = [
+        &["replay", "racy_counter", "3", file],
+        &["profile", "racy_counter", "3", file],
+        &["store", "put", root.to_str().unwrap(), "racy_counter", "3", file],
+        &["trace", "inspect", file],
+    ];
+    for door in doors {
+        let (code, err) = cli(door);
+        assert_eq!(code, 1, "{door:?}: {err}");
+        assert!(err.contains(&refused.to_string()), "{door:?}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_fleet_record_and_an_upload_of_the_same_run_share_one_store_entry() {
+    let dir = scratch("identity");
+    let root = dir.join("store");
+    let store = Arc::new(Store::open(&root).unwrap());
+    let mut fleet = SessionManager::new();
+    fleet.set_store(Arc::clone(&store));
+
+    let recorded = fleet.open("fig1_cd", 3).unwrap();
+    let Response::Recorded { fingerprint, .. } =
+        fleet.dispatch(Request::Record { session: recorded })
+    else {
+        panic!("record failed");
+    };
+    let entries = store.entries().unwrap();
+    assert_eq!(entries.len(), 1);
+    let id = entries[0].identity();
+
+    // What the server stored is a DJVB file the CLI reads back.
+    let back = dir.join("back.djvb");
+    let (root, back) = (root.to_str().unwrap(), back.to_str().unwrap());
+    assert_eq!(cli(&["store", "get", root, &id, back]).0, 0);
+    let (code, err) = cli(&["replay", "fig1_cd", "3", back]);
+    assert_eq!(code, 0, "{err}");
+
+    // A client recording the same run and uploading it converges on the
+    // same entry; the first-hand fingerprint survives the unverified put.
+    let w = workload("fig1_cd");
+    let (_, trace) = record_run(&spec_for(&w, 3), w.natives, SymmetryConfig::full(), true);
+    let djvb = encode_trace(&trace, TraceFormat::Block, DEFAULT_BLOCK_BUDGET);
+    assert_eq!(std::fs::read(back).unwrap(), djvb);
+    let uploaded = fleet.open("fig1_cd", 3).unwrap();
+    let sealed = fleet.dispatch(ingest(uploaded, &djvb));
+    assert!(matches!(sealed, Response::Ingested { .. }), "{sealed:?}");
+    let entries = store.entries().unwrap();
+    assert_eq!(entries.len(), 1, "upload landed on a second entry");
+    assert_eq!(entries[0].identity(), id);
+    assert_eq!(entries[0].puts, 2);
+    assert_eq!(entries[0].fingerprint, fingerprint);
+    let _ = std::fs::remove_dir_all(dir);
+}
