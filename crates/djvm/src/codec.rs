@@ -495,6 +495,7 @@ impl FromJson for Program {
 mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
+    use crate::compile::{Pure, QOp};
 
     /// All ops round-trip through JSON, including every payload shape.
     #[test]
@@ -667,6 +668,6 @@ mod tests {
         assert!(main
             .qops
             .iter()
-            .any(|q| matches!(q, crate::compile::QOp::ConstStore { .. })));
+            .any(|q| matches!(q, QOp::Pure(Pure::ConstStore { .. }))));
     }
 }

@@ -27,6 +27,7 @@
 //! instrumentation helper methods (the boot-image analogue).
 
 use crate::bytecode::{ClassId, MethodId, Op, Ty};
+use crate::heap::Word;
 use crate::program::{Class, FieldDecl, Method, Program};
 use std::collections::{HashMap, VecDeque};
 
@@ -119,7 +120,7 @@ impl BitSet {
     }
 }
 
-/// Pre-decoded integer ALU function for the *fusible* binary ops. `Div`
+/// Pre-decoded integer ALU function for the *total* binary ops. `Div`
 /// and `Rem` are deliberately absent: they can fail (divide by zero), and
 /// superinstruction constituents must be total so the quickened loop can
 /// batch its cycle accounting ahead of the effects.
@@ -150,7 +151,7 @@ impl AluFn {
         })
     }
 
-    /// Must agree exactly with the generic interpreter's arithmetic.
+    /// The guest's integer arithmetic, in every tier (via [`Pure::exec`]).
     #[inline]
     pub fn apply(self, a: i64, b: i64) -> i64 {
         match self {
@@ -203,22 +204,15 @@ impl CmpFn {
     }
 }
 
-/// A quickened instruction. The quickened stream is a *parallel* array
-/// with exactly one entry per source pc: a fused superinstruction lives at
-/// its head pc, while every interior pc keeps its own single-op quickened
-/// form. Jumps into the middle of a fusion therefore need no pc remapping,
-/// and the interpreter can resume mid-pattern after a timer split, an
-/// access-gate retry, or a thread switch.
-///
-/// Only ops that cannot fail, block, allocate, emit telemetry, or consult
-/// the hook are given fast quickened forms — everything else is `Gen` and
-/// runs through the generic one-instruction path, which keeps the error /
-/// gate / instrumentation semantics in exactly one place.
+/// A *total* micro-op: it cannot fail, block, allocate, emit telemetry or
+/// consult the hook, so its whole meaning is a function of the frame's
+/// words. [`Pure::exec`] is the one definition of that meaning — the
+/// generic tier reaches it through [`Pure::of`], the quickened tier
+/// through [`QOp::Pure`], tier 2 through [`MegaOp::Pure`]. A tier decides
+/// only *when* an op runs and how its cycles are accounted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QOp {
-    /// Not quickened: execute via the generic interpreter path.
-    Gen(Op),
-    // ---- pre-decoded singles (width 1) ----
+pub enum Pure {
+    // ---- single source instructions (width 1) ----
     Const(i64),
     Load(u16),
     Store(u16),
@@ -229,29 +223,7 @@ pub enum QOp {
     RefEq,
     Alu(AluFn),
     Cmp(CmpFn),
-    /// Branches carry their backedge bit so the dispatch loop needs no
-    /// side-table probe.
-    Goto {
-        target: u32,
-        backedge: bool,
-    },
-    If {
-        target: u32,
-        backedge: bool,
-    },
-    IfZ {
-        target: u32,
-        backedge: bool,
-    },
-    /// `CallVirtual` whose receiver class is statically unique (no loaded
-    /// subclass overrides the slot): dispatches directly to `callee` after
-    /// the same null / subclass checks, skipping both vtable probes.
-    CallMono {
-        class: ClassId,
-        callee: MethodId,
-        nargs: u16,
-    },
-    // ---- superinstructions ----
+    // ---- superinstructions (emitted by the quickener only) ----
     /// `Const v; Store local` (width 2).
     ConstStore {
         v: i64,
@@ -269,23 +241,186 @@ pub enum QOp {
         v: i64,
         f: AluFn,
     },
-    /// `<cmp>; If/IfZ target` (width 2). `jump_if` is the comparison
-    /// result that takes the branch (`true` for `If`, `false` for `IfZ`).
-    CmpIf {
-        f: CmpFn,
+}
+
+impl Pure {
+    /// The micro-op of one source instruction, if that instruction is
+    /// total. `Div`/`Rem` (divide by zero) and everything that touches the
+    /// heap, the scheduler or the hook are not.
+    pub fn of(op: Op) -> Option<Pure> {
+        if let Some(f) = AluFn::of(op) {
+            return Some(Pure::Alu(f));
+        }
+        if let Some(f) = CmpFn::of(op) {
+            return Some(Pure::Cmp(f));
+        }
+        Some(match op {
+            Op::Const(v) => Pure::Const(v),
+            Op::Load(i) => Pure::Load(i),
+            Op::Store(i) => Pure::Store(i),
+            Op::Dup => Pure::Dup,
+            Op::Pop => Pure::Pop,
+            Op::Swap => Pure::Swap,
+            Op::Neg => Pure::Neg,
+            Op::RefEq => Pure::RefEq,
+            _ => return None,
+        })
+    }
+
+    /// Number of source instructions (= cycles) this micro-op retires.
+    #[inline]
+    pub fn width(self) -> u32 {
+        match self {
+            Pure::ConstStore { .. } => 2,
+            Pure::LoadLoadAlu { .. } | Pure::LoadConstAlu { .. } => 3,
+            _ => 1,
+        }
+    }
+
+    /// Apply the op to a frame whose locals start at `mem[base]` and whose
+    /// operand stack top is `sp`; returns the new `sp`. A superinstruction
+    /// leaves the same locals and live stack as its constituents run in
+    /// order (only dead words above `sp` may differ).
+    #[inline(always)]
+    pub fn exec(self, mem: &mut [Word], sp: u64, base: u64) -> u64 {
+        let s = sp as usize;
+        let local = |i: u16| (base + i as u64) as usize;
+        match self {
+            Pure::Const(v) => {
+                mem[s] = v as Word;
+                sp + 1
+            }
+            Pure::Load(i) => {
+                mem[s] = mem[local(i)];
+                sp + 1
+            }
+            Pure::Store(i) => {
+                mem[local(i)] = mem[s - 1];
+                sp - 1
+            }
+            Pure::Dup => {
+                mem[s] = mem[s - 1];
+                sp + 1
+            }
+            Pure::Pop => sp - 1,
+            Pure::Swap => {
+                mem.swap(s - 1, s - 2);
+                sp
+            }
+            Pure::Neg => {
+                mem[s - 1] = (mem[s - 1] as i64).wrapping_neg() as Word;
+                sp
+            }
+            Pure::RefEq => {
+                mem[s - 2] = (mem[s - 2] == mem[s - 1]) as Word;
+                sp - 1
+            }
+            Pure::Alu(f) => {
+                mem[s - 2] = f.apply(mem[s - 2] as i64, mem[s - 1] as i64) as Word;
+                sp - 1
+            }
+            Pure::Cmp(f) => {
+                mem[s - 2] = f.apply(mem[s - 2] as i64, mem[s - 1] as i64) as Word;
+                sp - 1
+            }
+            Pure::ConstStore { v, local: l } => {
+                mem[local(l)] = v as Word;
+                sp
+            }
+            Pure::LoadLoadAlu { a, b, f } => {
+                mem[s] = f.apply(mem[local(a)] as i64, mem[local(b)] as i64) as Word;
+                sp + 1
+            }
+            Pure::LoadConstAlu { a, v, f } => {
+                mem[s] = f.apply(mem[local(a)] as i64, v) as Word;
+                sp + 1
+            }
+        }
+    }
+}
+
+/// The condition of a conditional branch. Like [`Pure`] it is total, and
+/// [`Test::eval`] is its one definition: `If`/`IfZ` in the generic tier,
+/// [`QOp::Branch`] in the quickened tier and the [`MegaOp::Guard`] /
+/// [`MegaOp::Back`] side exits of tier 2 all ask it the same question.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Test {
+    /// The word on top of the operand stack is non-zero (width 1: the
+    /// `If`/`IfZ` itself).
+    Top,
+    /// `<cmp>; If/IfZ` over the two top words (width 2).
+    Cmp(CmpFn),
+    /// `Load a; Const v; <cmp>; If/IfZ` (width 4) — the canonical loop
+    /// test; touches no operand-stack word.
+    LoadConstCmp { a: u16, v: i64, f: CmpFn },
+}
+
+impl Test {
+    /// Number of source instructions (= cycles) the test plus its branch
+    /// retire.
+    #[inline]
+    pub fn width(self) -> u32 {
+        match self {
+            Test::Top => 1,
+            Test::Cmp(_) => 2,
+            Test::LoadConstCmp { .. } => 4,
+        }
+    }
+
+    /// Evaluate against a frame (see [`Pure::exec`]): returns the
+    /// condition's sense and how many operand-stack words the test
+    /// consumes whichever way the branch goes. A branch with `jump_if`
+    /// (`If` => true, `IfZ` => false) is taken iff `sense == jump_if`.
+    #[inline(always)]
+    pub fn eval(self, mem: &[Word], sp: u64, base: u64) -> (bool, u64) {
+        let s = sp as usize;
+        match self {
+            Test::Top => (mem[s - 1] != 0, 1),
+            Test::Cmp(f) => (f.apply(mem[s - 2] as i64, mem[s - 1] as i64), 2),
+            Test::LoadConstCmp { a, v, f } => {
+                (f.apply(mem[(base + a as u64) as usize] as i64, v), 0)
+            }
+        }
+    }
+}
+
+/// A quickened instruction. The quickened stream is a *parallel* array
+/// with exactly one entry per source pc: a fused superinstruction lives at
+/// its head pc, while every interior pc keeps its own single-op quickened
+/// form. Jumps into the middle of a fusion therefore need no pc remapping,
+/// and the interpreter can resume mid-pattern after a timer split, an
+/// access-gate retry, or a thread switch.
+///
+/// Only [`Pure`] ops, branches over a [`Test`] and devirtualized calls get
+/// quickened forms — everything else is `Gen` and runs through the generic
+/// one-instruction path, which keeps the error / gate / instrumentation
+/// semantics in exactly one place.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QOp {
+    /// Not quickened: execute via the generic interpreter path.
+    Gen(Op),
+    Pure(Pure),
+    /// Branches carry their backedge bit so the dispatch loop needs no
+    /// side-table probe.
+    Goto {
         target: u32,
         backedge: bool,
-        jump_if: bool,
     },
-    /// `Load a; Const v; <cmp>; If/IfZ target` (width 4) — the canonical
-    /// loop-exit test.
-    LoadConstCmpIf {
-        a: u16,
-        v: i64,
-        f: CmpFn,
+    /// `If`/`IfZ`, alone (`Test::Top`) or fused with the comparison that
+    /// feeds it. `jump_if` is the test sense that takes the branch.
+    Branch {
+        test: Test,
+        jump_if: bool,
         target: u32,
         backedge: bool,
-        jump_if: bool,
+    },
+    /// `CallVirtual` whose receiver class is statically unique (no loaded
+    /// subclass overrides the slot): dispatches directly to `callee` after
+    /// the same receiver check, skipping both vtable probes.
+    CallMono {
+        class: ClassId,
+        callee: MethodId,
+        nargs: u16,
     },
 }
 
@@ -294,40 +429,43 @@ impl QOp {
     #[inline]
     pub fn width(self) -> u32 {
         match self {
-            QOp::ConstStore { .. } | QOp::CmpIf { .. } => 2,
-            QOp::LoadLoadAlu { .. } | QOp::LoadConstAlu { .. } => 3,
-            QOp::LoadConstCmpIf { .. } => 4,
+            QOp::Pure(p) => p.width(),
+            QOp::Branch { test, .. } => test.width(),
             _ => 1,
         }
     }
 
     /// Index into the profiler's QOp attribution table (parallel to
-    /// [`QOP_KIND_NAMES`]). One slot per variant: the profiler's per-QOp
-    /// cycle counters are keyed by the *kind* of quickened op, not its
-    /// operands.
+    /// [`QOP_KIND_NAMES`], whose order predates [`Pure`]/[`Test`] and is
+    /// pinned: profile exports are compared byte for byte). The counters
+    /// are keyed by the *kind* of quickened op, not its operands.
     #[inline]
     pub fn kind_index(self) -> usize {
         match self {
             QOp::Gen(_) => 0,
-            QOp::Const(_) => 1,
-            QOp::Load(_) => 2,
-            QOp::Store(_) => 3,
-            QOp::Dup => 4,
-            QOp::Pop => 5,
-            QOp::Swap => 6,
-            QOp::Neg => 7,
-            QOp::RefEq => 8,
-            QOp::Alu(_) => 9,
-            QOp::Cmp(_) => 10,
+            QOp::Pure(p) => match p {
+                Pure::Const(_) => 1,
+                Pure::Load(_) => 2,
+                Pure::Store(_) => 3,
+                Pure::Dup => 4,
+                Pure::Pop => 5,
+                Pure::Swap => 6,
+                Pure::Neg => 7,
+                Pure::RefEq => 8,
+                Pure::Alu(_) => 9,
+                Pure::Cmp(_) => 10,
+                Pure::ConstStore { .. } => 15,
+                Pure::LoadLoadAlu { .. } => 16,
+                Pure::LoadConstAlu { .. } => 17,
+            },
             QOp::Goto { .. } => 11,
-            QOp::If { .. } => 12,
-            QOp::IfZ { .. } => 13,
+            QOp::Branch { test, jump_if, .. } => match test {
+                Test::Top if jump_if => 12,
+                Test::Top => 13,
+                Test::Cmp(_) => 18,
+                Test::LoadConstCmp { .. } => 19,
+            },
             QOp::CallMono { .. } => 14,
-            QOp::ConstStore { .. } => 15,
-            QOp::LoadLoadAlu { .. } => 16,
-            QOp::LoadConstAlu { .. } => 17,
-            QOp::CmpIf { .. } => 18,
-            QOp::LoadConstCmpIf { .. } => 19,
         }
     }
 }
@@ -1257,33 +1395,34 @@ fn monomorphic_target(program: &Program, class: ClassId, slot: u16) -> Option<Me
     target
 }
 
+/// `If`/`IfZ` at a pc with the given backedge bit, as a quickened branch
+/// over `test` (`Test::Top` for the bare instruction, a fused test when
+/// the comparison feeding it was folded in).
+fn branch(op: Op, backedge: bool, test: Test) -> Option<QOp> {
+    let (target, jump_if) = match op {
+        Op::If(t) => (t, true),
+        Op::IfZ(t) => (t, false),
+        _ => return None,
+    };
+    Some(QOp::Branch {
+        test,
+        jump_if,
+        target,
+        backedge,
+    })
+}
+
 /// The single-op quickened form of one source instruction.
 fn quicken_single(program: &Program, op: Op, pc: usize, backedge: &[bool]) -> QOp {
-    if let Some(f) = AluFn::of(op) {
-        return QOp::Alu(f);
+    if let Some(p) = Pure::of(op) {
+        return QOp::Pure(p);
     }
-    if let Some(f) = CmpFn::of(op) {
-        return QOp::Cmp(f);
+    if let Some(b) = branch(op, backedge[pc], Test::Top) {
+        return b;
     }
     match op {
-        Op::Const(v) => QOp::Const(v),
-        Op::Load(i) => QOp::Load(i),
-        Op::Store(i) => QOp::Store(i),
-        Op::Dup => QOp::Dup,
-        Op::Pop => QOp::Pop,
-        Op::Swap => QOp::Swap,
-        Op::Neg => QOp::Neg,
-        Op::RefEq => QOp::RefEq,
-        Op::Goto(t) => QOp::Goto {
-            target: t,
-            backedge: backedge[pc],
-        },
-        Op::If(t) => QOp::If {
-            target: t,
-            backedge: backedge[pc],
-        },
-        Op::IfZ(t) => QOp::IfZ {
-            target: t,
+        Op::Goto(target) => QOp::Goto {
+            target,
             backedge: backedge[pc],
         },
         Op::CallVirtual { class, slot } => match monomorphic_target(program, class, slot) {
@@ -1304,56 +1443,32 @@ fn quicken_single(program: &Program, op: Op, pc: usize, backedge: &[bool]) -> QO
 /// effect — and the loop splits the fusion at run time whenever the timer
 /// would expire mid-pattern, so tick boundaries stay cycle-exact.
 fn try_fuse(ops: &[Op], pc: usize, backedge: &[bool]) -> Option<QOp> {
-    let branch = |pc: usize| -> Option<(u32, bool, bool)> {
-        match ops[pc] {
-            Op::If(t) => Some((t, backedge[pc], true)),
-            Op::IfZ(t) => Some((t, backedge[pc], false)),
-            _ => None,
-        }
-    };
+    let rest = &ops[pc..];
     // Load a; Const v; <cmp>; If/IfZ  (width 4)
-    if pc + 3 < ops.len() {
-        if let (Op::Load(a), Op::Const(v), Some(f), Some((target, backedge, jump_if))) =
-            (ops[pc], ops[pc + 1], CmpFn::of(ops[pc + 2]), branch(pc + 3))
-        {
-            return Some(QOp::LoadConstCmpIf {
-                a,
-                v,
-                f,
-                target,
-                backedge,
-                jump_if,
-            });
+    if let [Op::Load(a), Op::Const(v), cmp, br, ..] = *rest {
+        if let Some(f) = CmpFn::of(cmp) {
+            if let Some(q) = branch(br, backedge[pc + 3], Test::LoadConstCmp { a, v, f }) {
+                return Some(q);
+            }
         }
     }
-    if pc + 2 < ops.len() {
-        // Load a; Load b; <alu>  (width 3)
-        if let (Op::Load(a), Op::Load(b), Some(f)) = (ops[pc], ops[pc + 1], AluFn::of(ops[pc + 2]))
-        {
-            return Some(QOp::LoadLoadAlu { a, b, f });
-        }
-        // Load a; Const v; <alu>  (width 3)
-        if let (Op::Load(a), Op::Const(v), Some(f)) = (ops[pc], ops[pc + 1], AluFn::of(ops[pc + 2]))
-        {
-            return Some(QOp::LoadConstAlu { a, v, f });
+    // Load a; Load b; <alu>  and  Load a; Const v; <alu>  (width 3)
+    if let [Op::Load(a), second, alu, ..] = *rest {
+        if let Some(f) = AluFn::of(alu) {
+            match second {
+                Op::Load(b) => return Some(QOp::Pure(Pure::LoadLoadAlu { a, b, f })),
+                Op::Const(v) => return Some(QOp::Pure(Pure::LoadConstAlu { a, v, f })),
+                _ => {}
+            }
         }
     }
-    if pc + 1 < ops.len() {
+    match *rest {
         // Const v; Store local  (width 2)
-        if let (Op::Const(v), Op::Store(local)) = (ops[pc], ops[pc + 1]) {
-            return Some(QOp::ConstStore { v, local });
-        }
+        [Op::Const(v), Op::Store(local), ..] => Some(QOp::Pure(Pure::ConstStore { v, local })),
         // <cmp>; If/IfZ  (width 2)
-        if let (Some(f), Some((target, backedge, jump_if))) = (CmpFn::of(ops[pc]), branch(pc + 1)) {
-            return Some(QOp::CmpIf {
-                f,
-                target,
-                backedge,
-                jump_if,
-            });
-        }
+        [cmp, br, ..] => branch(br, backedge[pc + 1], Test::Cmp(CmpFn::of(cmp)?)),
+        _ => None,
     }
-    None
 }
 
 /// The quickening pass: one [`QOp`] per source pc. Pure function of the
@@ -1399,31 +1514,8 @@ const MEGA_MAX_INLINE_OPS: usize = 16;
 /// consults) in exactly one place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MegaOp {
-    // ---- total micro-ops (cannot fail, block, allocate, or consult) ----
-    Const(i64),
-    Load(u16),
-    Store(u16),
-    Dup,
-    Pop,
-    Swap,
-    Neg,
-    RefEq,
-    Alu(AluFn),
-    Cmp(CmpFn),
-    ConstStore {
-        v: i64,
-        local: u16,
-    },
-    LoadLoadAlu {
-        a: u16,
-        b: u16,
-        f: AluFn,
-    },
-    LoadConstAlu {
-        a: u16,
-        v: i64,
-        f: AluFn,
-    },
+    /// A total micro-op, exactly as the quickened tier would run it.
+    Pure(Pure),
     /// A forward `Goto` interior to the trace: control transfer is implicit
     /// in step order, so this is pure accounting (one cycle, one pc mix).
     Jump,
@@ -1431,29 +1523,17 @@ pub enum MegaOp {
     /// `Div`/`Rem` with the zero-divisor check as the guard.
     Div,
     Rem,
-    /// Interior conditional branch traced as *fallthrough*: peeks the
-    /// condition and side-exits if the branch would be taken (`jump_if` is
-    /// the condition sense that takes it: `If` => true, `IfZ` => false).
-    GuardIf {
+    /// Interior conditional branch traced as *fallthrough*: evaluates the
+    /// test without consuming its operands and side-exits if the branch
+    /// would be taken (`jump_if` is the test sense that takes it).
+    Guard {
+        test: Test,
         jump_if: bool,
     },
-    /// Interior fused `<cmp>; If/IfZ` traced as fallthrough.
-    GuardCmpIf {
-        f: CmpFn,
-        jump_if: bool,
-    },
-    /// Interior fused `Load a; Const v; <cmp>; If/IfZ` traced as
-    /// fallthrough.
-    GuardLoadConstCmpIf {
-        a: u16,
-        v: i64,
-        f: CmpFn,
-        jump_if: bool,
-    },
-    /// Devirtualized call: the hoisted null + dispatch check is the guard;
-    /// on the traced path a *real* frame is pushed (inlining here means
-    /// tracing through the call, never eliding the frame — physical writes
-    /// stay identical to the quickened tier).
+    /// Devirtualized call: the hoisted receiver check is the guard; on the
+    /// traced path a *real* frame is pushed (inlining here means tracing
+    /// through the call, never eliding the frame — physical writes stay
+    /// identical to the quickened tier).
     Call {
         class: ClassId,
         callee: MethodId,
@@ -1467,17 +1547,8 @@ pub enum MegaOp {
     /// Unconditional backedge to the loop head: iteration complete.
     BackGoto,
     /// Conditional backedge traced as *taken*: side-exits on fallthrough.
-    BackIf {
-        jump_if: bool,
-    },
-    BackCmpIf {
-        f: CmpFn,
-        jump_if: bool,
-    },
-    BackLoadConstCmpIf {
-        a: u16,
-        v: i64,
-        f: CmpFn,
+    Back {
+        test: Test,
         jump_if: bool,
     },
 }
@@ -1490,14 +1561,21 @@ impl MegaOp {
             self,
             MegaOp::Div
                 | MegaOp::Rem
-                | MegaOp::GuardIf { .. }
-                | MegaOp::GuardCmpIf { .. }
-                | MegaOp::GuardLoadConstCmpIf { .. }
+                | MegaOp::Guard { .. }
                 | MegaOp::Call { .. }
-                | MegaOp::BackIf { .. }
-                | MegaOp::BackCmpIf { .. }
-                | MegaOp::BackLoadConstCmpIf { .. }
+                | MegaOp::Back { .. }
         )
+    }
+
+    /// The micro-op of a quickened op that needs no control-flow decision:
+    /// a total op, or `Div`/`Rem` behind its zero-divisor guard.
+    fn straight_line(q: QOp) -> Option<MegaOp> {
+        match q {
+            QOp::Pure(p) => Some(MegaOp::Pure(p)),
+            QOp::Gen(Op::Div) => Some(MegaOp::Div),
+            QOp::Gen(Op::Rem) => Some(MegaOp::Rem),
+            _ => None,
+        }
     }
 }
 
@@ -1538,8 +1616,11 @@ pub struct MegaBlock {
     /// inside a batched iteration impossible.
     pub width: u64,
     /// Yield points consumed per full iteration: the taken backedge plus
-    /// one method-prologue yield per inlined call.
+    /// one method-prologue yield per inlined call. Never zero.
     pub yields: u64,
+    /// The taken backedge's own share of `yields`; the rest is credited at
+    /// each `Call` step as it runs.
+    pub back_yield: u64,
     /// Number of guard steps (side exits) per iteration.
     pub guards: u32,
     pub steps: Vec<MegaStep>,
@@ -1587,20 +1668,7 @@ pub fn loop_heads(c: &CompiledMethod) -> Vec<u32> {
                 target,
                 backedge: true,
             }
-            | QOp::If {
-                target,
-                backedge: true,
-            }
-            | QOp::IfZ {
-                target,
-                backedge: true,
-            }
-            | QOp::CmpIf {
-                target,
-                backedge: true,
-                ..
-            }
-            | QOp::LoadConstCmpIf {
+            | QOp::Branch {
                 target,
                 backedge: true,
                 ..
@@ -1628,7 +1696,8 @@ pub fn compile_loop(program: &Program, method: MethodId, head: u32) -> Option<Me
         |c: &CompiledMethod, pc: usize| c.ref_maps.get(pc)?.as_ref().map(|m| m.stack_depth);
 
     let mut steps: Vec<MegaStep> = Vec::new();
-    let mut yields = 1u64; // the taken backedge ending each iteration
+    let back_yield = 1u64; // the taken backedge ending each iteration
+    let mut yields = back_yield;
     let mut pc = head as usize;
 
     macro_rules! step {
@@ -1656,75 +1725,10 @@ pub fn compile_loop(program: &Program, method: MethodId, head: u32) -> Option<Me
                 step!($op, pc, method, width, depth, kind)
             };
         }
-        // Conditional-branch triage: backedge-to-head terminates the
-        // trace (expected taken), any other backward branch aborts, and a
-        // forward branch becomes a fallthrough guard.
-        macro_rules! branch {
-            ($target:expr, $backedge:expr, $guard:expr, $back:expr) => {{
-                if $backedge {
-                    if $target != head {
-                        return None;
-                    }
-                    emit!($back);
-                    break;
-                }
-                emit!($guard);
-                pc += width as usize;
-            }};
-        }
+        // Branch triage: a backedge to `head` terminates the trace
+        // (expected taken), any other backward branch aborts, and a forward
+        // branch is traced along its expected path.
         match q {
-            QOp::Const(v) => {
-                emit!(MegaOp::Const(v));
-                pc += 1;
-            }
-            QOp::Load(i) => {
-                emit!(MegaOp::Load(i));
-                pc += 1;
-            }
-            QOp::Store(i) => {
-                emit!(MegaOp::Store(i));
-                pc += 1;
-            }
-            QOp::Dup => {
-                emit!(MegaOp::Dup);
-                pc += 1;
-            }
-            QOp::Pop => {
-                emit!(MegaOp::Pop);
-                pc += 1;
-            }
-            QOp::Swap => {
-                emit!(MegaOp::Swap);
-                pc += 1;
-            }
-            QOp::Neg => {
-                emit!(MegaOp::Neg);
-                pc += 1;
-            }
-            QOp::RefEq => {
-                emit!(MegaOp::RefEq);
-                pc += 1;
-            }
-            QOp::Alu(f) => {
-                emit!(MegaOp::Alu(f));
-                pc += 1;
-            }
-            QOp::Cmp(f) => {
-                emit!(MegaOp::Cmp(f));
-                pc += 1;
-            }
-            QOp::ConstStore { v, local } => {
-                emit!(MegaOp::ConstStore { v, local });
-                pc += 2;
-            }
-            QOp::LoadLoadAlu { a, b, f } => {
-                emit!(MegaOp::LoadLoadAlu { a, b, f });
-                pc += 3;
-            }
-            QOp::LoadConstAlu { a, v, f } => {
-                emit!(MegaOp::LoadConstAlu { a, v, f });
-                pc += 3;
-            }
             QOp::Goto { target, backedge } => {
                 if backedge {
                     if target != head {
@@ -1736,42 +1740,22 @@ pub fn compile_loop(program: &Program, method: MethodId, head: u32) -> Option<Me
                 emit!(MegaOp::Jump);
                 pc = target as usize;
             }
-            QOp::If { target, backedge } => branch!(
-                target,
-                backedge,
-                MegaOp::GuardIf { jump_if: true },
-                MegaOp::BackIf { jump_if: true }
-            ),
-            QOp::IfZ { target, backedge } => branch!(
-                target,
-                backedge,
-                MegaOp::GuardIf { jump_if: false },
-                MegaOp::BackIf { jump_if: false }
-            ),
-            QOp::CmpIf {
-                f,
-                target,
-                backedge,
+            QOp::Branch {
+                test,
                 jump_if,
-            } => branch!(
                 target,
                 backedge,
-                MegaOp::GuardCmpIf { f, jump_if },
-                MegaOp::BackCmpIf { f, jump_if }
-            ),
-            QOp::LoadConstCmpIf {
-                a,
-                v,
-                f,
-                target,
-                backedge,
-                jump_if,
-            } => branch!(
-                target,
-                backedge,
-                MegaOp::GuardLoadConstCmpIf { a, v, f, jump_if },
-                MegaOp::BackLoadConstCmpIf { a, v, f, jump_if }
-            ),
+            } => {
+                if backedge {
+                    if target != head {
+                        return None;
+                    }
+                    emit!(MegaOp::Back { test, jump_if });
+                    break;
+                }
+                emit!(MegaOp::Guard { test, jump_if });
+                pc += width as usize;
+            }
             QOp::CallMono {
                 class,
                 callee,
@@ -1796,24 +1780,9 @@ pub fn compile_loop(program: &Program, method: MethodId, head: u32) -> Option<Me
                     let cdepth = depth_at(cc, cpc)?;
                     let (cw, ck) = (cq.width(), cq.kind_index());
                     let op = match cq {
-                        QOp::Const(v) => MegaOp::Const(v),
-                        QOp::Load(i) => MegaOp::Load(i),
-                        QOp::Store(i) => MegaOp::Store(i),
-                        QOp::Dup => MegaOp::Dup,
-                        QOp::Pop => MegaOp::Pop,
-                        QOp::Swap => MegaOp::Swap,
-                        QOp::Neg => MegaOp::Neg,
-                        QOp::RefEq => MegaOp::RefEq,
-                        QOp::Alu(f) => MegaOp::Alu(f),
-                        QOp::Cmp(f) => MegaOp::Cmp(f),
-                        QOp::ConstStore { v, local } => MegaOp::ConstStore { v, local },
-                        QOp::LoadLoadAlu { a, b, f } => MegaOp::LoadLoadAlu { a, b, f },
-                        QOp::LoadConstAlu { a, v, f } => MegaOp::LoadConstAlu { a, v, f },
-                        QOp::Gen(Op::Div) => MegaOp::Div,
-                        QOp::Gen(Op::Rem) => MegaOp::Rem,
                         QOp::Gen(Op::Ret) => MegaOp::Ret { has_val: false },
                         QOp::Gen(Op::RetVal) => MegaOp::Ret { has_val: true },
-                        _ => return None,
+                        _ => MegaOp::straight_line(cq)?,
                     };
                     step!(op, cpc, callee, cw, cdepth, ck);
                     if matches!(op, MegaOp::Ret { .. }) {
@@ -1824,15 +1793,10 @@ pub fn compile_loop(program: &Program, method: MethodId, head: u32) -> Option<Me
                 yields += 1; // the callee's method-prologue yield point
                 pc += 1;
             }
-            QOp::Gen(Op::Div) => {
-                emit!(MegaOp::Div);
-                pc += 1;
+            _ => {
+                emit!(MegaOp::straight_line(q)?);
+                pc += width as usize;
             }
-            QOp::Gen(Op::Rem) => {
-                emit!(MegaOp::Rem);
-                pc += 1;
-            }
-            QOp::Gen(_) => return None,
         }
     }
 
@@ -1844,6 +1808,7 @@ pub fn compile_loop(program: &Program, method: MethodId, head: u32) -> Option<Me
         head,
         width,
         yields,
+        back_yield,
         guards,
         steps,
         closed,
@@ -1870,10 +1835,10 @@ impl CmpFn {
 impl ClosedLoop {
     /// Recognize the two canonical counting-loop shapes:
     ///
-    /// * head-guarded: `[GuardLoadConstCmpIf, LoadConstAlu(Add), Store,
+    /// * head-guarded: `[Guard(LoadConstCmp), LoadConstAlu(Add), Store,
     ///   BackGoto]` over a single induction local (fig. 1's delay loops);
     /// * tail-guarded (do-while): `[LoadConstAlu(Add), Store,
-    ///   BackLoadConstCmpIf]` over a single induction local.
+    ///   Back(LoadConstCmp)]` over a single induction local.
     ///
     /// Only order comparisons qualify: with a monotone trajectory they
     /// make the per-iteration pass predicate prefix-monotone, which is
@@ -1881,60 +1846,39 @@ impl ClosedLoop {
     /// (`Eq`/`Ne` guards can pass again *after* failing once, so they stay
     /// on the step-by-step path.)
     fn detect(steps: &[MegaStep]) -> Option<ClosedLoop> {
-        let order = |f: CmpFn| matches!(f, CmpFn::Lt | CmpFn::Le | CmpFn::Gt | CmpFn::Ge);
-        match steps {
-            [g, inc, st, term] => {
-                let (
-                    MegaOp::GuardLoadConstCmpIf { a, v, f, jump_if },
-                    MegaOp::LoadConstAlu {
-                        a: a2,
-                        v: step,
-                        f: AluFn::Add,
-                    },
-                    MegaOp::Store(a3),
-                    MegaOp::BackGoto,
-                ) = (g.op, inc.op, st.op, term.op)
-                else {
-                    return None;
-                };
-                (a == a2 && a2 == a3 && order(f)).then_some(ClosedLoop {
-                    local: a,
-                    step,
-                    bound: v,
-                    f,
-                    exit_if: jump_if,
-                    eval_offset: 0,
-                })
-            }
-            [inc, st, term] => {
-                let (
-                    MegaOp::LoadConstAlu {
-                        a,
-                        v: step,
-                        f: AluFn::Add,
-                    },
-                    MegaOp::Store(a2),
-                    MegaOp::BackLoadConstCmpIf {
-                        a: a3,
-                        v,
-                        f,
-                        jump_if,
-                    },
-                ) = (inc.op, st.op, term.op)
-                else {
-                    return None;
-                };
-                (a == a2 && a2 == a3 && order(f)).then_some(ClosedLoop {
-                    local: a,
-                    step,
-                    bound: v,
-                    f,
-                    exit_if: !jump_if,
-                    eval_offset: 1,
-                })
-            }
-            _ => None,
-        }
+        // The two shapes differ only in where the test sits.
+        let (test, inc, st, exit_if, eval_offset) = match steps {
+            [g, inc, st, term] => match (g.op, term.op) {
+                (MegaOp::Guard { test, jump_if }, MegaOp::BackGoto) => (test, inc, st, jump_if, 0),
+                _ => return None,
+            },
+            [inc, st, term] => match term.op {
+                MegaOp::Back { test, jump_if } => (test, inc, st, !jump_if, 1),
+                _ => return None,
+            },
+            _ => return None,
+        };
+        let (
+            Test::LoadConstCmp { a, v: bound, f },
+            MegaOp::Pure(Pure::LoadConstAlu {
+                a: a2,
+                v: step,
+                f: AluFn::Add,
+            }),
+            MegaOp::Pure(Pure::Store(a3)),
+        ) = (test, inc.op, st.op)
+        else {
+            return None;
+        };
+        let order = matches!(f, CmpFn::Lt | CmpFn::Le | CmpFn::Gt | CmpFn::Ge);
+        (a == a2 && a2 == a3 && order).then_some(ClosedLoop {
+            local: a,
+            step,
+            bound,
+            f,
+            exit_if,
+            eval_offset,
+        })
     }
 
     /// How many consecutive iterations pass their guard starting from
@@ -2217,7 +2161,7 @@ mod tests {
             a.iconst(0).store(0); // ConstStore head at pc 0
             a.iconst(0).store(1); // ConstStore head at pc 2
             a.label("top");
-            a.load(0).iconst(10).ge().if_nz("done"); // LoadConstCmpIf head at pc 4
+            a.load(0).iconst(10).ge().if_nz("done"); // Branch(LoadConstCmp) head at pc 4
             a.load(1).load(0).add().store(1); // LoadLoadAlu head at pc 8
             a.load(0).iconst(1).add().store(0); // LoadConstAlu head at pc 12
             a.goto("top");
@@ -2228,34 +2172,39 @@ mod tests {
         let c = p.compiled(m);
         let n = p.method(m).ops.len();
         assert_eq!(c.qops.len(), n, "one QOp per source pc");
-        assert!(matches!(c.qops[0], QOp::ConstStore { v: 0, local: 0 }));
+        assert!(matches!(
+            c.qops[0],
+            QOp::Pure(Pure::ConstStore { v: 0, local: 0 })
+        ));
         // Interior pc of the fusion keeps its own single-op form.
-        assert!(matches!(c.qops[1], QOp::Store(0)));
+        assert!(matches!(c.qops[1], QOp::Pure(Pure::Store(0))));
         assert!(matches!(
             c.qops[4],
-            QOp::LoadConstCmpIf {
-                a: 0,
-                v: 10,
-                f: CmpFn::Ge,
+            QOp::Branch {
+                test: Test::LoadConstCmp {
+                    a: 0,
+                    v: 10,
+                    f: CmpFn::Ge
+                },
                 jump_if: true,
                 ..
             }
         ));
         assert!(matches!(
             c.qops[8],
-            QOp::LoadLoadAlu {
+            QOp::Pure(Pure::LoadLoadAlu {
                 a: 1,
                 b: 0,
                 f: AluFn::Add
-            }
+            })
         ));
         assert!(matches!(
             c.qops[12],
-            QOp::LoadConstAlu {
+            QOp::Pure(Pure::LoadConstAlu {
                 a: 0,
                 v: 1,
                 f: AluFn::Add
-            }
+            })
         ));
         // The goto back to "top" bakes its backedge bit.
         let goto_pc = (0..n)
@@ -2272,6 +2221,208 @@ mod tests {
         assert!(seen <= 2, "entry block is fused into at most 2 dispatches");
     }
 
+    /// The profiler's attribution table is an export format (Chrome trace,
+    /// flamegraph, JSON — all compared byte for byte): one `QOp` per name,
+    /// in table order, pins both the names and the index each kind maps to.
+    #[test]
+    fn profiler_kinds_are_pinned() {
+        let (f, c) = (AluFn::Add, CmpFn::Lt);
+        let branch = |test, jump_if| QOp::Branch {
+            test,
+            jump_if,
+            target: 0,
+            backedge: false,
+        };
+        let table = [
+            (QOp::Gen(Op::Halt), "gen"),
+            (QOp::Pure(Pure::Const(0)), "const"),
+            (QOp::Pure(Pure::Load(0)), "load"),
+            (QOp::Pure(Pure::Store(0)), "store"),
+            (QOp::Pure(Pure::Dup), "dup"),
+            (QOp::Pure(Pure::Pop), "pop"),
+            (QOp::Pure(Pure::Swap), "swap"),
+            (QOp::Pure(Pure::Neg), "neg"),
+            (QOp::Pure(Pure::RefEq), "ref_eq"),
+            (QOp::Pure(Pure::Alu(f)), "alu"),
+            (QOp::Pure(Pure::Cmp(c)), "cmp"),
+            (
+                QOp::Goto {
+                    target: 0,
+                    backedge: true,
+                },
+                "goto",
+            ),
+            (branch(Test::Top, true), "if"),
+            (branch(Test::Top, false), "if_z"),
+            (
+                QOp::CallMono {
+                    class: 0,
+                    callee: 0,
+                    nargs: 1,
+                },
+                "call_mono",
+            ),
+            (
+                QOp::Pure(Pure::ConstStore { v: 0, local: 0 }),
+                "const_store",
+            ),
+            (
+                QOp::Pure(Pure::LoadLoadAlu { a: 0, b: 0, f }),
+                "load_load_alu",
+            ),
+            (
+                QOp::Pure(Pure::LoadConstAlu { a: 0, v: 0, f }),
+                "load_const_alu",
+            ),
+            (branch(Test::Cmp(c), true), "cmp_if"),
+            (
+                branch(Test::LoadConstCmp { a: 0, v: 0, f: c }, false),
+                "load_const_cmp_if",
+            ),
+        ];
+        assert_eq!(QOP_KIND_COUNT, 20);
+        assert_eq!(table.len(), QOP_KIND_COUNT);
+        for (i, (q, name)) in table.iter().enumerate() {
+            assert_eq!(q.kind_index(), i, "{q:?}");
+            assert_eq!(QOP_KIND_NAMES[i], *name);
+        }
+    }
+
+    /// `Pure::of` (with `AluFn::of` / `CmpFn::of` behind it) claims exactly
+    /// the ops the quickener keeps inline as `QOp::Pure`; every other op
+    /// becomes `Goto`, a `Test::Top` branch, `CallMono` or `Gen` — and so
+    /// has its own arm in the generic interpreter. One sample per `Op`
+    /// variant; keep in step with `bytecode::Op`.
+    #[test]
+    fn pure_of_claims_exactly_the_ops_quickening_keeps_inline() {
+        let total = [
+            Op::Const(7),
+            Op::Load(0),
+            Op::Store(0),
+            Op::Dup,
+            Op::Pop,
+            Op::Swap,
+            Op::Neg,
+            Op::RefEq,
+            Op::Add,
+            Op::Sub,
+            Op::Mul,
+            Op::BitAnd,
+            Op::BitOr,
+            Op::BitXor,
+            Op::Shl,
+            Op::Shr,
+            Op::Eq,
+            Op::Ne,
+            Op::Lt,
+            Op::Le,
+            Op::Gt,
+            Op::Ge,
+        ];
+        let mut pb = ProgramBuilder::new();
+        let cls = pb.class("C").build();
+        pb.virtual_method(cls, "f", vec![], 1, None).code(|a| {
+            a.ret();
+        });
+        let slot = pb.vslot(cls, "f");
+        let m = pb.method("main", 0, 0).code(|a| {
+            a.halt();
+        });
+        let p = pb.finish(m).unwrap();
+        let partial = [
+            Op::Null,
+            Op::Str(0),
+            Op::Div,
+            Op::Rem,
+            Op::Goto(0),
+            Op::If(0),
+            Op::IfZ(0),
+            Op::New(cls),
+            Op::GetField {
+                idx: 0,
+                ty: Ty::Int,
+            },
+            Op::PutField {
+                idx: 0,
+                ty: Ty::Int,
+            },
+            Op::GetStatic(cls, 0),
+            Op::PutStatic(cls, 0),
+            Op::NewArray(Ty::Int),
+            Op::ALoad(Ty::Int),
+            Op::AStore(Ty::Int),
+            Op::ArrayLen,
+            Op::IdentityHash,
+            Op::InstanceOf(cls),
+            Op::Call(m),
+            Op::CallVirtual { class: cls, slot },
+            Op::Ret,
+            Op::RetVal,
+            Op::MonitorEnter,
+            Op::MonitorExit,
+            Op::Wait,
+            Op::TimedWait,
+            Op::Notify,
+            Op::NotifyAll,
+            Op::Spawn {
+                method: m,
+                nargs: 0,
+            },
+            Op::Join,
+            Op::Interrupt,
+            Op::YieldNow,
+            Op::Sleep,
+            Op::CurrentThread,
+            Op::Now,
+            Op::NativeCall {
+                native: 0,
+                nargs: 0,
+            },
+            Op::Print,
+            Op::PrintStr(0),
+            Op::Halt,
+        ];
+        for op in total {
+            let pure = Pure::of(op).unwrap_or_else(|| panic!("{op:?} is total"));
+            assert_eq!(pure.width(), 1);
+            assert_eq!(quicken_single(&p, op, 0, &[false]), QOp::Pure(pure));
+            // ALU and compare ops arrive through their pre-decoded fns.
+            let via_fn = AluFn::of(op)
+                .map(Pure::Alu)
+                .or(CmpFn::of(op).map(Pure::Cmp));
+            assert!(via_fn.is_none() || via_fn == Some(pure), "{op:?}");
+        }
+        assert_eq!(total.iter().filter(|&&o| AluFn::of(o).is_some()).count(), 8);
+        assert_eq!(total.iter().filter(|&&o| CmpFn::of(o).is_some()).count(), 6);
+        for op in partial {
+            assert_eq!(Pure::of(op), None, "{op:?}");
+            assert!(AluFn::of(op).is_none() && CmpFn::of(op).is_none(), "{op:?}");
+            let q = quicken_single(&p, op, 0, &[false]);
+            let expected = match op {
+                Op::Goto(_) => matches!(q, QOp::Goto { .. }),
+                Op::If(_) => matches!(
+                    q,
+                    QOp::Branch {
+                        test: Test::Top,
+                        jump_if: true,
+                        ..
+                    }
+                ),
+                Op::IfZ(_) => matches!(
+                    q,
+                    QOp::Branch {
+                        test: Test::Top,
+                        jump_if: false,
+                        ..
+                    }
+                ),
+                Op::CallVirtual { .. } => matches!(q, QOp::CallMono { .. }),
+                _ => q == QOp::Gen(op),
+            };
+            assert!(expected, "{op:?} quickened to {q:?}");
+        }
+    }
+
     #[test]
     fn div_and_rem_are_never_fused() {
         let mut pb = ProgramBuilder::new();
@@ -2283,10 +2434,10 @@ mod tests {
         });
         let p = pb.finish(m).unwrap();
         let c = p.compiled(m);
-        assert!(c
-            .qops
-            .iter()
-            .all(|q| !matches!(q, QOp::LoadLoadAlu { .. } | QOp::LoadConstAlu { .. })));
+        assert!(c.qops.iter().all(|q| !matches!(
+            q,
+            QOp::Pure(Pure::LoadLoadAlu { .. } | Pure::LoadConstAlu { .. })
+        )));
         assert!(c
             .qops
             .iter()
@@ -2379,7 +2530,7 @@ mod tests {
     #[test]
     fn megablock_traces_fig1_style_counting_loop() {
         // Same loop shape as the fig1_hot workload's inner loop:
-        //   top: load l0; const; ge; ifnz done   => GuardLoadConstCmpIf (4)
+        //   top: load l0; const; ge; ifnz done   => Guard(LoadConstCmp)   (4)
         //        load l0; const; add             => LoadConstAlu        (3)
         //        store l0                        => Store               (1)
         //        goto top                        => BackGoto            (1)
@@ -2405,22 +2556,24 @@ mod tests {
         assert_eq!(b.steps.len(), 4);
         assert!(matches!(
             b.steps[0].op,
-            MegaOp::GuardLoadConstCmpIf {
-                a: 0,
-                v: 100,
-                f: CmpFn::Ge,
+            MegaOp::Guard {
+                test: Test::LoadConstCmp {
+                    a: 0,
+                    v: 100,
+                    f: CmpFn::Ge
+                },
                 jump_if: true
             }
         ));
         assert!(matches!(
             b.steps[1].op,
-            MegaOp::LoadConstAlu {
+            MegaOp::Pure(Pure::LoadConstAlu {
                 a: 0,
                 v: 1,
                 f: AluFn::Add
-            }
+            })
         ));
-        assert!(matches!(b.steps[2].op, MegaOp::Store(0)));
+        assert!(matches!(b.steps[2].op, MegaOp::Pure(Pure::Store(0))));
         assert!(matches!(b.steps[3].op, MegaOp::BackGoto));
         // Deopt metadata: pcs are the constituent heads, depths pre-step.
         assert_eq!(b.steps[0].pc, 2);

@@ -4,7 +4,7 @@
 //! view of the executing method's Java source and machine instructions").
 
 use crate::bytecode::{Op, Ty};
-use crate::compile::{MegaOp, QOp};
+use crate::compile::{MegaOp, Pure, QOp, Test};
 use crate::program::Program;
 use crate::MethodId;
 use std::fmt::Write;
@@ -143,40 +143,57 @@ pub fn disassemble_all(program: &Program) -> String {
         .join("\n")
 }
 
+/// Render a total micro-op behind its tier prefix (`q.` / `m.`): the
+/// quickened and tier-2 listings spell the shared ops identically.
+fn render_pure(tier: &str, p: Pure) -> String {
+    match p {
+        Pure::Const(v) => format!("{tier}const {v}"),
+        Pure::Load(i) => format!("{tier}load l{i}"),
+        Pure::Store(i) => format!("{tier}store l{i}"),
+        Pure::Dup => format!("{tier}dup"),
+        Pure::Pop => format!("{tier}pop"),
+        Pure::Swap => format!("{tier}swap"),
+        Pure::Neg => format!("{tier}neg"),
+        Pure::RefEq => format!("{tier}refeq"),
+        Pure::Alu(f) => format!("{tier}alu {f:?}"),
+        Pure::Cmp(f) => format!("{tier}cmp {f:?}"),
+        Pure::ConstStore { v, local } => format!("{tier}const+store {v} -> l{local}"),
+        Pure::LoadLoadAlu { a, b, f } => format!("{tier}load+load+alu l{a}, l{b}, {f:?}"),
+        Pure::LoadConstAlu { a, v, f } => format!("{tier}load+const+alu l{a}, {v}, {f:?}"),
+    }
+}
+
+/// Render a branch test with the direction of the branch it feeds. A bare
+/// `Test::Top` is padded to `pad` columns so the tier-2 guard annotations
+/// line up.
+fn render_test(test: Test, jump_if: bool, pad: usize) -> String {
+    let dir = if jump_if { "ifnz" } else { "ifz" };
+    match test {
+        Test::Top => format!("{dir:pad$}"),
+        Test::Cmp(f) => format!("cmp+{dir} {f:?}"),
+        Test::LoadConstCmp { a, v, f } => format!("load+const+cmp+{dir} l{a}, {v}, {f:?}"),
+    }
+}
+
 /// Render one quickened op. Superinstructions show their mnemonic and the
 /// constituent source ops they replace come from the caller (see
 /// [`disassemble_quickened`]).
 pub fn render_qop(program: &Program, q: QOp) -> String {
+    let be = |backedge: bool| if backedge { " [backedge]" } else { "" };
     match q {
         QOp::Gen(op) => render_op(program, op),
-        QOp::Const(v) => format!("q.const {v}"),
-        QOp::Load(i) => format!("q.load l{i}"),
-        QOp::Store(i) => format!("q.store l{i}"),
-        QOp::Dup => "q.dup".into(),
-        QOp::Pop => "q.pop".into(),
-        QOp::Swap => "q.swap".into(),
-        QOp::Neg => "q.neg".into(),
-        QOp::RefEq => "q.refeq".into(),
-        QOp::Alu(f) => format!("q.alu {f:?}"),
-        QOp::Cmp(f) => format!("q.cmp {f:?}"),
-        QOp::Goto { target, backedge } => {
-            format!(
-                "q.goto @{target}{}",
-                if backedge { " [backedge]" } else { "" }
-            )
-        }
-        QOp::If { target, backedge } => {
-            format!(
-                "q.ifnz @{target}{}",
-                if backedge { " [backedge]" } else { "" }
-            )
-        }
-        QOp::IfZ { target, backedge } => {
-            format!(
-                "q.ifz @{target}{}",
-                if backedge { " [backedge]" } else { "" }
-            )
-        }
+        QOp::Pure(p) => render_pure("q.", p),
+        QOp::Goto { target, backedge } => format!("q.goto @{target}{}", be(backedge)),
+        QOp::Branch {
+            test,
+            jump_if,
+            target,
+            backedge,
+        } => format!(
+            "q.{} @{target}{}",
+            render_test(test, jump_if, 0),
+            be(backedge)
+        ),
         QOp::CallMono {
             class,
             callee,
@@ -185,31 +202,6 @@ pub fn render_qop(program: &Program, q: QOp) -> String {
             "q.callmono {}.{} ({nargs} args)",
             program.class(class).name,
             program.method(callee).name
-        ),
-        QOp::ConstStore { v, local } => format!("q.const+store {v} -> l{local}"),
-        QOp::LoadLoadAlu { a, b, f } => format!("q.load+load+alu l{a}, l{b}, {f:?}"),
-        QOp::LoadConstAlu { a, v, f } => format!("q.load+const+alu l{a}, {v}, {f:?}"),
-        QOp::CmpIf {
-            f,
-            target,
-            backedge,
-            jump_if,
-        } => format!(
-            "q.cmp+{} {f:?} @{target}{}",
-            if jump_if { "ifnz" } else { "ifz" },
-            if backedge { " [backedge]" } else { "" }
-        ),
-        QOp::LoadConstCmpIf {
-            a,
-            v,
-            f,
-            target,
-            backedge,
-            jump_if,
-        } => format!(
-            "q.load+const+cmp+{} l{a}, {v}, {f:?} @{target}{}",
-            if jump_if { "ifnz" } else { "ifz" },
-            if backedge { " [backedge]" } else { "" }
         ),
     }
 }
@@ -266,43 +258,14 @@ pub fn disassemble_quickened_all(program: &Program) -> String {
 /// side-exits to the quickened tier; the `^` marks how far the call
 /// inliner descended.
 pub fn render_mega_op(program: &Program, op: MegaOp) -> String {
-    fn dir(jump_if: bool) -> &'static str {
-        if jump_if {
-            "ifnz"
-        } else {
-            "ifz"
-        }
-    }
     match op {
-        MegaOp::Const(v) => format!("m.const {v}"),
-        MegaOp::Load(i) => format!("m.load l{i}"),
-        MegaOp::Store(i) => format!("m.store l{i}"),
-        MegaOp::Dup => "m.dup".into(),
-        MegaOp::Pop => "m.pop".into(),
-        MegaOp::Swap => "m.swap".into(),
-        MegaOp::Neg => "m.neg".into(),
-        MegaOp::RefEq => "m.refeq".into(),
-        MegaOp::Alu(f) => format!("m.alu {f:?}"),
-        MegaOp::Cmp(f) => format!("m.cmp {f:?}"),
-        MegaOp::ConstStore { v, local } => format!("m.const+store {v} -> l{local}"),
-        MegaOp::LoadLoadAlu { a, b, f } => format!("m.load+load+alu l{a}, l{b}, {f:?}"),
-        MegaOp::LoadConstAlu { a, v, f } => format!("m.load+const+alu l{a}, {v}, {f:?}"),
+        MegaOp::Pure(p) => render_pure("m.", p),
         MegaOp::Jump => "m.jump (forward goto, folded into step order)".into(),
         MegaOp::Div => "m.div                      [guard: divisor != 0]".into(),
         MegaOp::Rem => "m.rem                      [guard: divisor != 0]".into(),
-        MegaOp::GuardIf { jump_if } => {
-            format!(
-                "m.fallthrough.{:18} [guard: branch not taken]",
-                dir(jump_if)
-            )
-        }
-        MegaOp::GuardCmpIf { f, jump_if } => format!(
-            "m.fallthrough.cmp+{} {f:?} [guard: branch not taken]",
-            dir(jump_if)
-        ),
-        MegaOp::GuardLoadConstCmpIf { a, v, f, jump_if } => format!(
-            "m.fallthrough.load+const+cmp+{} l{a}, {v}, {f:?} [guard: branch not taken]",
-            dir(jump_if)
+        MegaOp::Guard { test, jump_if } => format!(
+            "m.fallthrough.{} [guard: branch not taken]",
+            render_test(test, jump_if, 18)
         ),
         MegaOp::Call {
             class,
@@ -318,16 +281,9 @@ pub fn render_mega_op(program: &Program, op: MegaOp) -> String {
             format!("m.ret{} (inlined return)", if has_val { "val" } else { "" })
         }
         MegaOp::BackGoto => "m.backedge goto -> head".into(),
-        MegaOp::BackIf { jump_if } => {
-            format!("m.backedge.{:21} [guard: branch taken]", dir(jump_if))
-        }
-        MegaOp::BackCmpIf { f, jump_if } => format!(
-            "m.backedge.cmp+{} {f:?} [guard: branch taken]",
-            dir(jump_if)
-        ),
-        MegaOp::BackLoadConstCmpIf { a, v, f, jump_if } => format!(
-            "m.backedge.load+const+cmp+{} l{a}, {v}, {f:?} [guard: branch taken]",
-            dir(jump_if)
+        MegaOp::Back { test, jump_if } => format!(
+            "m.backedge.{} [guard: branch taken]",
+            render_test(test, jump_if, 21)
         ),
     }
 }
@@ -580,6 +536,74 @@ mod tests {
                 let s = render_op(&p, op);
                 assert!(!s.is_empty());
             }
+        }
+        // Every shared micro-op renders, identically behind either tier
+        // prefix, and no two of them render alike.
+        let (f, c) = (crate::compile::AluFn::Add, crate::compile::CmpFn::Lt);
+        let pures = [
+            Pure::Const(1),
+            Pure::Load(1),
+            Pure::Store(1),
+            Pure::Dup,
+            Pure::Pop,
+            Pure::Swap,
+            Pure::Neg,
+            Pure::RefEq,
+            Pure::Alu(f),
+            Pure::Cmp(c),
+            Pure::ConstStore { v: 1, local: 1 },
+            Pure::LoadLoadAlu { a: 1, b: 2, f },
+            Pure::LoadConstAlu { a: 1, v: 2, f },
+        ];
+        let mut seen = std::collections::BTreeSet::new();
+        for pure in pures {
+            let (q, m) = (
+                render_qop(&p, QOp::Pure(pure)),
+                render_mega_op(&p, MegaOp::Pure(pure)),
+            );
+            assert!(q.starts_with("q.") && m.starts_with("m.") && q.len() > 2);
+            assert_eq!(q[2..], m[2..]);
+            assert!(seen.insert(q), "{pure:?} renders like another op");
+        }
+        // Every test renders in all three positions, spelled as before the
+        // tiers shared one `Test` (bare tests pad to the guard column).
+        let lcc = Test::LoadConstCmp { a: 0, v: 5, f: c };
+        let guard = |test, jump_if| render_mega_op(&p, MegaOp::Guard { test, jump_if });
+        let back = |test, jump_if| render_mega_op(&p, MegaOp::Back { test, jump_if });
+        let branch = |test, jump_if, backedge| {
+            let q = QOp::Branch {
+                test,
+                jump_if,
+                target: 7,
+                backedge,
+            };
+            render_qop(&p, q)
+        };
+        for (got, want) in [
+            (
+                guard(Test::Top, true),
+                "m.fallthrough.ifnz               [guard: branch not taken]",
+            ),
+            (
+                back(Test::Top, false),
+                "m.backedge.ifz                   [guard: branch taken]",
+            ),
+            (
+                guard(Test::Cmp(c), true),
+                "m.fallthrough.cmp+ifnz Lt [guard: branch not taken]",
+            ),
+            (
+                back(lcc, false),
+                "m.backedge.load+const+cmp+ifz l0, 5, Lt [guard: branch taken]",
+            ),
+            (branch(Test::Top, true, true), "q.ifnz @7 [backedge]"),
+            (branch(Test::Cmp(c), false, false), "q.cmp+ifz Lt @7"),
+            (
+                branch(lcc, true, true),
+                "q.load+const+cmp+ifnz l0, 5, Lt @7 [backedge]",
+            ),
+        ] {
+            assert_eq!(got, want);
         }
     }
 }

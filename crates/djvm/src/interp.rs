@@ -11,9 +11,21 @@
 //!   the hook decides (Fig. 2): passthrough switches iff the hardware
 //!   preempt bit is set; record logs the yield-point delta; replay forces
 //!   the switch when the recorded delta expires.
+//!
+//! # One semantics, three tiers
+//!
+//! What an instruction *does* is written once: total ops in
+//! [`Pure::exec`], branch conditions in [`Test::eval`], the virtual
+//! receiver check in [`virtual_receiver`], everything else in [`exec_op`].
+//! How its cycle is *accounted* is written once too, in
+//! [`Cursor::retire`]. The three dispatch tiers — [`step`] (generic),
+//! [`run_quick`] (quickened) and [`run_mega`] (tier 2) — are sequencing
+//! policies over those definitions: they differ in how many instructions
+//! they retire between write-backs, never in what an instruction means.
 
-use crate::bytecode::{MethodId, Op, Ty};
-use crate::compile::QOp;
+use crate::bytecode::{ClassId, MethodId, Op, Ty};
+use crate::compile::{MegaBlock, MegaOp, Pure, QOp, Test};
+use crate::fingerprint::{Fingerprint, FingerprintMode};
 use crate::heap::{Addr, Word, NULL};
 use crate::hook::{AccessDecision, ExecHook};
 use crate::sched::{EntryWaiter, Sleeper, WaitEntry};
@@ -24,15 +36,17 @@ use crate::vm::{ArgSource, ErrKind, Vm, VmError, VmStatus};
 enum Flow {
     /// Fall through to pc+1.
     Next,
-    /// Jump to an absolute pc; `backedge` says the branch was a taken
-    /// backward branch (a yield point).
-    Jump(u32, bool),
+    /// Taken branch to an absolute pc (a yield point if the instruction
+    /// is a backedge).
+    Jump(u32),
     /// The handler updated thread state itself (call, return, block, halt).
     Managed,
 }
 
 /// Execute instructions until the VM stops or `max_steps` elapse.
-/// Returns the final (or current) status.
+/// Returns the final (or current) status. `u64::MAX` means no budget:
+/// guest programs that do not terminate will spin forever, as real ones
+/// do.
 ///
 /// Dispatches through the quickened `QOp` stream when
 /// `vm.config.quicken` is set; a fused superinstruction counts as its
@@ -40,61 +54,139 @@ enum Flow {
 /// pauses at exactly the same instruction boundary either way (the
 /// debugger's checkpoint seek depends on this).
 pub fn run(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> VmStatus {
+    let limit = vm.counters.steps.saturating_add(max_steps);
     if vm.config.quicken {
-        return run_quick(vm, hook, max_steps);
+        return run_quick(vm, hook, limit);
     }
-    let mut n = 0;
-    while vm.status.is_running() && n < max_steps {
+    while vm.status.is_running() && vm.counters.steps < limit {
         step(vm, hook);
-        n += 1;
     }
     vm.status
 }
 
-/// Execute until the VM stops (no budget). Guest programs that do not
-/// terminate will spin forever, as real ones do; tests use [`run`].
+/// Execute until the VM stops (no budget).
 pub fn run_to_completion(vm: &mut Vm, hook: &mut dyn ExecHook) -> VmStatus {
-    if vm.config.quicken {
-        return run_quick(vm, hook, u64::MAX);
-    }
-    while vm.status.is_running() {
-        step(vm, hook);
-    }
-    vm.status
+    run(vm, hook, u64::MAX)
 }
 
-/// The quickened dispatch core: executes the `QOp` stream with a cached
-/// frame cursor (`pc`, `sp`, frame base held in locals, flushed to the
-/// thread only at switches, calls, yield points, and generic fallbacks).
+/// The accounting state every tier advances per retired instruction,
+/// held in locals by the batching tiers and written back at flush points.
 ///
 /// # The cycle-accounting invariant (DESIGN §5)
 ///
-/// Every constituent instruction of a fused superinstruction advances
-/// `counters.steps`, `cycles`, the fingerprint, and `cycles_to_tick`
-/// exactly as the generic [`step`] loop would. Fused execution batches
-/// that accounting *only* when it is provably equivalent:
+/// Retiring `k` source instructions starting at `pc` advances
+/// `counters.steps` and `cycles` by `k`, mixes each `(tid, method, pc+i)`
+/// into the `Full` fingerprint in order, and moves the timer `k` cycles
+/// closer to its tick — in every tier, because [`Cursor::retire`] is the
+/// only code that does any of it. A tier may batch (`k > 1`, or
+/// [`Cursor::mix`] now and [`Cursor::count`] later) only where no tick can
+/// fire inside the batch and only over total ops, for which "account for
+/// k, then run k" is observationally identical to interleaving.
+struct Cursor {
+    cycles: u64,
+    steps: u64,
+    to_tick: u64,
+    fph: u64,
+    fpsteps: u64,
+    /// `Full` fingerprinting, outside instrumentation frames. Constant
+    /// between loads: `instr_depth` only moves at calls, returns and
+    /// yield points, all of which store the cursor first.
+    fp_on: bool,
+}
+
+impl Cursor {
+    #[inline(always)]
+    fn load(vm: &Vm) -> Cursor {
+        let (fph, fpsteps) = vm.fingerprint.step_state();
+        Cursor {
+            cycles: vm.cycles,
+            steps: vm.counters.steps,
+            to_tick: vm.cycles_to_tick,
+            fph,
+            fpsteps,
+            fp_on: vm.fingerprint.mode() == FingerprintMode::Full && vm.instr_depth == 0,
+        }
+    }
+
+    /// Write back. Required before anything that can switch threads,
+    /// push/pop frames, fail, allocate, consult the hook, or mix a
+    /// fingerprint event (events must mix in program order).
+    #[inline(always)]
+    fn store(&self, vm: &mut Vm) {
+        vm.cycles = self.cycles;
+        vm.counters.steps = self.steps;
+        vm.cycles_to_tick = self.to_tick;
+        vm.fingerprint.set_step_state(self.fph, self.fpsteps);
+    }
+
+    /// The `Full`-mode pc mixes of `k` instructions starting at `pc`. The
+    /// hash chain is serially dependent, so no tier can defer it.
+    #[inline(always)]
+    fn mix(&mut self, tid: Tid, method: MethodId, pc: u32, k: u32) {
+        if self.fp_on {
+            for i in 0..k {
+                self.fph = Fingerprint::mix_step(self.fph, tid, method, pc + i);
+            }
+        }
+    }
+
+    /// The counters and the timer for `k` retired instructions. Batching
+    /// callers (`k > 1`) gate on `to_tick > k`, so only a single
+    /// instruction ever lands on the tick (the asynchronous,
+    /// non-deterministic event of §2.3; it touches VM-global state only).
+    #[inline(always)]
+    fn count(&mut self, vm: &mut Vm, k: u64) {
+        self.steps += k;
+        self.cycles += k;
+        if self.fp_on {
+            self.fpsteps += k;
+        }
+        self.to_tick -= k;
+        if self.to_tick == 0 {
+            debug_assert_eq!(k, 1, "a batch crossed a timer tick");
+            vm.preempt_bit = true;
+            self.to_tick = vm.timer.next_interval();
+            vm.telem.timer_interval(self.to_tick);
+        }
+    }
+
+    #[inline(always)]
+    fn retire(&mut self, vm: &mut Vm, tid: Tid, method: MethodId, pc: u32, k: u32) {
+        self.mix(tid, method, pc, k);
+        self.count(vm, k as u64);
+    }
+}
+
+/// Attribute `k` cycles to a quickened-op kind. Keyed by the quickened
+/// stream, so only the tiers that dispatch through it call this (the
+/// generic path has no QOps to key by).
+#[inline(always)]
+fn profile_qop(vm: &mut Vm, kind: usize, k: u32) {
+    if let Some(p) = vm.telem.profile.as_deref_mut() {
+        p.qop(kind, k as u64);
+    }
+}
+
+/// Tier 1: dispatch the `QOp` stream with a cached frame cursor (`pc`,
+/// `sp`, frame base and the accounting [`Cursor`] held in locals, flushed
+/// only at switches, calls, yield points, and generic fallbacks).
 ///
-/// * a width-`k` superinstruction runs fused only if `cycles_to_tick > k`,
-///   so no timer tick can fire inside the batch — otherwise we fall back
-///   to the generic single-instruction path, which splits the fusion at
-///   the tick (executing just the first constituent with full semantics;
-///   the interior pcs keep their single-op `QOp` forms, so execution
-///   resumes mid-pattern with no pc remapping);
-/// * a fused op runs only if `n + k <= max_steps`, so budget-limited runs
-///   pause on identical instruction boundaries;
-/// * only *total* constituents are fused (no allocation, no failure, no
-///   hook consultation), so "accounting for k, then effects of k" is
-///   observationally identical to the interleaved generic order.
-fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> VmStatus {
-    let mut n: u64 = 0;
+/// A width-`k` superinstruction retires as one batch only if
+/// `to_tick > k` (no tick inside the batch) and `steps + k <= limit`
+/// (budget-limited runs pause on identical instruction boundaries).
+/// Otherwise the generic path executes just its first constituent with
+/// full semantics; the interior pcs keep their single-op `QOp` forms, so
+/// execution resumes mid-pattern with no pc remapping.
+// Kept its own function: folded into `run` it shares a register allocation
+// with the generic loop and dispatches slower (E21).
+#[inline(never)]
+fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64) -> VmStatus {
     // The program Arc never changes identity during a run; clone it once
     // so per-method qops slices can be borrowed while `vm` is mutated.
     let program = vm.program.clone();
-    // Per-QOp cycle attribution is keyed by the quickened stream, so it
-    // lives here and only here (the generic path has no QOps to key by).
     // One hoisted bool keeps the profiler-off cost to a predicted branch.
     let prof_on = vm.telem.profile.is_some();
-    'outer: while vm.status.is_running() && n < max_steps {
+    'outer: while vm.status.is_running() && vm.counters.steps < limit {
         // ---- refresh the cached frame cursor ----
         let tid = vm.sched.current;
         let cur = tid as usize;
@@ -105,9 +197,9 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> VmStatus {
         // ---- tier-2: megablocks execute at compiled loop heads ----
         if vm.mega.enabled && vm.instr_depth == 0 {
             if let Some(block) = vm.mega_block(method, pc) {
-                let before = n;
-                run_mega(vm, hook, &block, &mut n, max_steps, prof_on);
-                if n != before {
+                let before = vm.counters.steps;
+                run_mega(vm, hook, &block, limit, prof_on);
+                if vm.counters.steps != before {
                     continue 'outer;
                 }
                 // Zero progress (entry-gate miss, or a deopt at the very
@@ -118,103 +210,66 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> VmStatus {
             }
         }
         let qops = &program.compiled(method).qops;
-        // Cached accounting state: the hot loop advances these in
-        // registers and writes them back only at flush points.
-        let mut cycles = vm.cycles;
-        let mut steps = vm.counters.steps;
-        let mut to_tick = vm.cycles_to_tick;
-        let fp_full = vm.fingerprint.mode() == crate::fingerprint::FingerprintMode::Full;
-        let (mut fph, mut fpsteps) = vm.fingerprint.step_state();
+        let mut c = Cursor::load(vm);
 
-        // Write the cursor and accounting state back. Required before
-        // anything that can switch threads, push/pop frames, fail (error
-        // pcs come from the thread), allocate (GC walks frames; the
-        // copying collector moves the stack), consult the hook, or touch
-        // the fingerprint (events must mix in program order).
         macro_rules! flush {
             () => {{
                 let t = &mut vm.threads[cur];
                 t.pc = pc;
                 t.sp = sp;
-                vm.cycles = cycles;
-                vm.counters.steps = steps;
-                vm.cycles_to_tick = to_tick;
-                vm.fingerprint.set_step_state(fph, fpsteps);
+                c.store(vm);
             }};
         }
-        // Per-instruction accounting, bit-identical to [`step`]'s prelude
-        // (including the timer tick, which only touches VM-global state).
-        macro_rules! account1 {
-            () => {{
-                steps += 1;
-                cycles += 1;
-                if fp_full && vm.instr_depth == 0 {
-                    fpsteps += 1;
-                    fph = crate::fingerprint::Fingerprint::mix_step(fph, tid, method, pc);
-                }
-                to_tick -= 1;
-                if to_tick == 0 {
-                    vm.preempt_bit = true;
-                    to_tick = vm.timer.next_interval();
-                    vm.telem.timer_interval(to_tick);
-                }
-                n += 1;
-                if prof_on {
-                    if let Some(p) = vm.telem.profile.as_deref_mut() {
-                        p.qop(qops[pc as usize].kind_index(), 1);
-                    }
-                }
-            }};
-        }
-        // Batched accounting for a width-`k` fusion. Caller must have
-        // checked `fusible!(k)`: no tick fires inside the batch, so the
-        // tick block is statically absent here.
-        macro_rules! account_fused {
+        macro_rules! retire {
             ($k:expr) => {{
-                let k: u64 = $k;
-                steps += k;
-                cycles += k;
-                if fp_full && vm.instr_depth == 0 {
-                    fpsteps += k;
-                    for i in 0..k as u32 {
-                        fph = crate::fingerprint::Fingerprint::mix_step(fph, tid, method, pc + i);
-                    }
-                }
-                to_tick -= k;
-                n += k;
+                c.retire(vm, tid, method, pc, $k);
                 if prof_on {
-                    if let Some(p) = vm.telem.profile.as_deref_mut() {
-                        p.qop(qops[pc as usize].kind_index(), k);
-                    }
+                    profile_qop(vm, qops[pc as usize].kind_index(), $k);
                 }
             }};
-        }
-        macro_rules! fusible {
-            ($k:expr) => {
-                to_tick > $k && n + $k <= max_steps
-            };
         }
         // Fall back to the generic interpreter for one instruction: the
         // timer may expire here, the op may fail, switch, or allocate.
         macro_rules! generic {
             () => {{
                 if prof_on {
-                    if let Some(p) = vm.telem.profile.as_deref_mut() {
-                        // One source instruction executes (a split fusion
-                        // runs only its first constituent); attribute its
-                        // cycle to the quickened kind that dispatched it.
-                        p.qop(qops[pc as usize].kind_index(), 1);
-                    }
+                    // One source instruction executes (a split fusion runs
+                    // only its first constituent); attribute its cycle to
+                    // the quickened kind that dispatched it.
+                    profile_qop(vm, qops[pc as usize].kind_index(), 1);
                 }
                 flush!();
                 step(vm, hook);
-                n += 1;
                 continue 'outer;
+            }};
+        }
+        // Retire a width-`k` op as one batch, or split it at a tick or
+        // budget edge.
+        macro_rules! retire_fused {
+            ($k:expr) => {{
+                let k: u32 = $k;
+                if k > 1 && !(c.to_tick > k as u64 && c.steps + k as u64 <= limit) {
+                    generic!();
+                }
+                retire!(k);
+                k
+            }};
+        }
+        // A taken branch; a taken backedge is a yield point.
+        macro_rules! jump {
+            ($target:expr, $backedge:expr) => {{
+                pc = $target;
+                if $backedge && vm.status.is_running() {
+                    vm.mega_note_backedge(method, pc);
+                    flush!();
+                    yield_point(vm, hook);
+                    continue 'outer;
+                }
             }};
         }
 
         loop {
-            if n >= max_steps {
+            if c.steps >= limit {
                 flush!();
                 break 'outer;
             }
@@ -223,231 +278,49 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> VmStatus {
                 "pc {pc} out of range in method {method}"
             );
             match qops[pc as usize] {
-                // ---- pure single ops: inline, cursor stays cached ----
-                QOp::Const(v) => {
-                    account1!();
-                    vm.heap.mem[sp as usize] = v as Word;
-                    sp += 1;
-                    pc += 1;
+                QOp::Pure(p) => {
+                    let k = retire_fused!(p.width());
+                    sp = p.exec(&mut vm.heap.mem, sp, base);
+                    pc += k;
                 }
-                QOp::Load(i) => {
-                    account1!();
-                    vm.heap.mem[sp as usize] = vm.heap.mem[(base + i as u64) as usize];
-                    sp += 1;
-                    pc += 1;
-                }
-                QOp::Store(i) => {
-                    account1!();
-                    sp -= 1;
-                    vm.heap.mem[(base + i as u64) as usize] = vm.heap.mem[sp as usize];
-                    pc += 1;
-                }
-                QOp::Dup => {
-                    account1!();
-                    vm.heap.mem[sp as usize] = vm.heap.mem[sp as usize - 1];
-                    sp += 1;
-                    pc += 1;
-                }
-                QOp::Pop => {
-                    account1!();
-                    sp -= 1;
-                    pc += 1;
-                }
-                QOp::Swap => {
-                    account1!();
-                    vm.heap.mem.swap(sp as usize - 1, sp as usize - 2);
-                    pc += 1;
-                }
-                QOp::Neg => {
-                    account1!();
-                    let i = sp as usize - 1;
-                    vm.heap.mem[i] = (vm.heap.mem[i] as i64).wrapping_neg() as Word;
-                    pc += 1;
-                }
-                QOp::RefEq => {
-                    account1!();
-                    sp -= 1;
-                    let b = vm.heap.mem[sp as usize];
-                    let i = sp as usize - 1;
-                    vm.heap.mem[i] = (vm.heap.mem[i] == b) as Word;
-                    pc += 1;
-                }
-                QOp::Alu(f) => {
-                    account1!();
-                    sp -= 1;
-                    let b = vm.heap.mem[sp as usize] as i64;
-                    let i = sp as usize - 1;
-                    let a = vm.heap.mem[i] as i64;
-                    vm.heap.mem[i] = f.apply(a, b) as Word;
-                    pc += 1;
-                }
-                QOp::Cmp(f) => {
-                    account1!();
-                    sp -= 1;
-                    let b = vm.heap.mem[sp as usize] as i64;
-                    let i = sp as usize - 1;
-                    let a = vm.heap.mem[i] as i64;
-                    vm.heap.mem[i] = f.apply(a, b) as Word;
-                    pc += 1;
-                }
-
-                // ---- branches: pre-decoded target + backedge flag ----
                 QOp::Goto { target, backedge } => {
-                    account1!();
-                    pc = target;
-                    if backedge && vm.status.is_running() {
-                        vm.mega_note_backedge(method, target);
-                        flush!();
-                        yield_point(vm, hook);
-                        continue 'outer;
-                    }
+                    retire!(1);
+                    jump!(target, backedge);
                 }
-                QOp::If { target, backedge } => {
-                    account1!();
-                    sp -= 1;
-                    let c = vm.heap.mem[sp as usize] as i64;
-                    if c != 0 {
-                        pc = target;
-                        if backedge && vm.status.is_running() {
-                            vm.mega_note_backedge(method, target);
-                            flush!();
-                            yield_point(vm, hook);
-                            continue 'outer;
-                        }
+                QOp::Branch {
+                    test,
+                    jump_if,
+                    target,
+                    backedge,
+                } => {
+                    let k = retire_fused!(test.width());
+                    let (sense, pops) = test.eval(&vm.heap.mem, sp, base);
+                    sp -= pops;
+                    if sense == jump_if {
+                        jump!(target, backedge);
                     } else {
-                        pc += 1;
+                        pc += k;
                     }
                 }
-                QOp::IfZ { target, backedge } => {
-                    account1!();
-                    sp -= 1;
-                    let c = vm.heap.mem[sp as usize] as i64;
-                    if c == 0 {
-                        pc = target;
-                        if backedge && vm.status.is_running() {
-                            vm.mega_note_backedge(method, target);
-                            flush!();
-                            yield_point(vm, hook);
-                            continue 'outer;
-                        }
-                    } else {
-                        pc += 1;
-                    }
-                }
-
-                // ---- devirtualized call: both vtable probes pre-resolved ----
+                // Devirtualized call: both vtable probes pre-resolved.
                 QOp::CallMono {
                     class,
                     callee,
                     nargs,
                 } => {
-                    account1!();
+                    retire!(1);
                     let recv = vm.heap.mem[(sp - nargs as u64) as usize];
                     flush!();
-                    if recv == NULL {
-                        let e = vm.fail(ErrKind::NullDeref);
+                    let called = match virtual_receiver(vm, recv, class) {
+                        Ok(_) => invoke(vm, hook, callee),
+                        Err(kind) => Err(vm.fail(kind)),
+                    };
+                    if let Err(e) = called {
                         raise_err(vm, hook, e);
-                        continue 'outer;
-                    }
-                    let h = vm.heap.header(recv);
-                    if h.is_array || h.is_classobj || !program.is_subclass(h.class_id, class) {
-                        let e = vm.fail(ErrKind::BadVirtualDispatch);
-                        raise_err(vm, hook, e);
-                        continue 'outer;
-                    }
-                    match vm.push_frame(callee, true, &[], false, false) {
-                        Ok(()) => {
-                            if vm.status.is_running() {
-                                yield_point(vm, hook);
-                            }
-                        }
-                        Err(e) => raise_err(vm, hook, e),
                     }
                     continue 'outer;
                 }
-
-                // ---- superinstructions: split at ticks and budget edges ----
-                QOp::ConstStore { v, local } => {
-                    if !fusible!(2) {
-                        generic!();
-                    }
-                    account_fused!(2);
-                    vm.heap.mem[(base + local as u64) as usize] = v as Word;
-                    pc += 2;
-                }
-                QOp::LoadLoadAlu { a, b, f } => {
-                    if !fusible!(3) {
-                        generic!();
-                    }
-                    account_fused!(3);
-                    let x = vm.heap.mem[(base + a as u64) as usize] as i64;
-                    let y = vm.heap.mem[(base + b as u64) as usize] as i64;
-                    vm.heap.mem[sp as usize] = f.apply(x, y) as Word;
-                    sp += 1;
-                    pc += 3;
-                }
-                QOp::LoadConstAlu { a, v, f } => {
-                    if !fusible!(3) {
-                        generic!();
-                    }
-                    account_fused!(3);
-                    let x = vm.heap.mem[(base + a as u64) as usize] as i64;
-                    vm.heap.mem[sp as usize] = f.apply(x, v) as Word;
-                    sp += 1;
-                    pc += 3;
-                }
-                QOp::CmpIf {
-                    f,
-                    target,
-                    backedge,
-                    jump_if,
-                } => {
-                    if !fusible!(2) {
-                        generic!();
-                    }
-                    account_fused!(2);
-                    sp -= 2;
-                    let a = vm.heap.mem[sp as usize] as i64;
-                    let b = vm.heap.mem[sp as usize + 1] as i64;
-                    if f.apply(a, b) == jump_if {
-                        pc = target;
-                        if backedge && vm.status.is_running() {
-                            vm.mega_note_backedge(method, target);
-                            flush!();
-                            yield_point(vm, hook);
-                            continue 'outer;
-                        }
-                    } else {
-                        pc += 2;
-                    }
-                }
-                QOp::LoadConstCmpIf {
-                    a,
-                    v,
-                    f,
-                    target,
-                    backedge,
-                    jump_if,
-                } => {
-                    if !fusible!(4) {
-                        generic!();
-                    }
-                    account_fused!(4);
-                    let x = vm.heap.mem[(base + a as u64) as usize] as i64;
-                    if f.apply(x, v) == jump_if {
-                        pc = target;
-                        if backedge && vm.status.is_running() {
-                            vm.mega_note_backedge(method, target);
-                            flush!();
-                            yield_point(vm, hook);
-                            continue 'outer;
-                        }
-                    } else {
-                        pc += 4;
-                    }
-                }
-
-                // ---- everything else: full-semantics generic step ----
+                // Everything else: full-semantics generic step.
                 QOp::Gen(_) => generic!(),
             }
         }
@@ -455,17 +328,53 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> VmStatus {
     vm.status
 }
 
-/// Tier-2 dispatch: execute whole iterations of a compiled megablock.
+/// Tier 2's sequencing state: work the megablock has run but not yet
+/// settled into the [`Cursor`]. Completed clean iterations only bump
+/// `full_iters`, the current iteration accumulates retired widths in
+/// `done_w`, and [`Lazy::settle`] pays for everything in one multiply at
+/// the next batch boundary or flush. This is where tier 2 beats tier 1 —
+/// the quickened loop pays the full per-op accounting (plus a tick check
+/// and a hook consult per yield point) that the megablock amortizes over
+/// a whole batch of iterations.
+struct Lazy {
+    full_iters: u64,
+    done_w: u64,
+    /// The prefix of `done_w` a mid-iteration flush (Call/Ret) already
+    /// settled; carried across the iteration boundary so the completed
+    /// iteration is not paid for twice.
+    settled_w: u64,
+    /// Upcoming yield-point consults the hook has guaranteed quiet.
+    h: u64,
+    /// Yield points batched away so far; credited (to the counters and
+    /// the hook) on exit, before any real hook consult can happen.
+    skipped: u64,
+}
+
+impl Lazy {
+    #[inline(always)]
+    fn settle(&mut self, c: &mut Cursor, vm: &mut Vm, block: &MegaBlock) {
+        c.count(
+            vm,
+            self.full_iters * block.width + self.done_w - self.settled_w,
+        );
+        self.settled_w = self.done_w;
+        self.h = self.h.saturating_sub(self.full_iters * block.yields);
+        self.skipped += self.full_iters * block.back_yield;
+        vm.mega.stats.iters += self.full_iters;
+        self.full_iters = 0;
+    }
+}
+
+/// Tier 2: execute whole iterations of a compiled megablock.
 ///
 /// # Extending the cycle-accounting invariant (DESIGN §10)
 ///
 /// A full iteration (`width` source instructions, `yields` yield points)
 /// runs batched only when three gates all pass at the head:
 ///
-/// * `cycles_to_tick > width` — no timer tick can fire inside the batch,
-///   so the preempt bit cannot newly set and per-step accounting needs no
-///   tick check (the fused-superinstruction gate, applied per iteration);
-/// * `n + width <= max_steps` — budget-limited runs pause on identical
+/// * `to_tick > width` — no timer tick can fire inside the batch (the
+///   fused-superinstruction gate, applied per iteration);
+/// * `steps + width <= limit` — budget-limited runs pause on identical
 ///   instruction boundaries in every tier;
 /// * `h >= yields` — the hook has guaranteed that many upcoming
 ///   yield-point consults are *quiet* (no switch, no helper), so skipping
@@ -481,28 +390,19 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> VmStatus {
 /// tier then re-executes the step with full semantics (error events, hook
 /// consults), so a deopt is never observable. Inlined calls push and pop
 /// *real* frames (`push_frame`/`do_return`), keeping physical stack writes
-/// identical to the quickened tier; fingerprint state is synced around
-/// them so their events (stack growth, profiler spans) interleave in
-/// program order.
+/// identical to the quickened tier; the cursor is stored and reloaded
+/// around them so their events (stack growth, profiler spans) interleave
+/// in program order.
 // Kept out of the tier-1 dispatch loop: inlining this large body bloats
 // `run_quick`'s icache footprint for a call taken only at hot loop heads.
 #[inline(never)]
-fn run_mega(
-    vm: &mut Vm,
-    hook: &mut dyn ExecHook,
-    block: &crate::compile::MegaBlock,
-    n: &mut u64,
-    max_steps: u64,
-    prof_on: bool,
-) {
-    use crate::compile::MegaOp;
-    let width = block.width;
-    let yields = block.yields;
+fn run_mega(vm: &mut Vm, hook: &mut dyn ExecHook, block: &MegaBlock, limit: u64, prof_on: bool) {
+    let (width, yields) = (block.width, block.yields);
     let stride = vm.config.mega_deopt_stride;
     let forced_guard = vm.config.mega_deopt_guard;
-
-    // One horizon consult covers the whole entry (see above).
-    let mut h = hook.quiet_yield_horizon(vm);
+    // Deopt injection is config-gated; keep the per-guard bookkeeping off
+    // the fast path entirely when both knobs are cold.
+    let inject = stride != 0 || forced_guard.is_some();
 
     let tid = vm.sched.current;
     let cur = tid as usize;
@@ -510,116 +410,65 @@ fn run_mega(
         let t = &vm.threads[cur];
         (t.sp, t.fp + 3)
     };
-    let mut cycles = vm.cycles;
-    let mut steps = vm.counters.steps;
-    let mut to_tick = vm.cycles_to_tick;
-    let fp_full = vm.fingerprint.mode() == crate::fingerprint::FingerprintMode::Full;
-    let (mut fph, mut fpsteps) = vm.fingerprint.step_state();
-    // Yield points batched away so far; credited (to the counters and the
-    // hook) on every exit path, before any real hook consult can happen.
-    let mut skipped: u64 = 0;
+    let mut c = Cursor::load(vm);
+    let mut lazy = Lazy {
+        full_iters: 0,
+        done_w: 0,
+        settled_w: 0,
+        // One horizon consult covers the whole entry (see above).
+        h: hook.quiet_yield_horizon(vm),
+        skipped: 0,
+    };
     let mut entered = false;
-    // Deopt injection is config-gated; keep the per-guard bookkeeping off
-    // the fast path entirely when both knobs are cold.
-    let inject = stride != 0 || forced_guard.is_some();
-    // Accounting is *lazy*: completed clean iterations only bump
-    // `full_iters`, the current (partial) iteration accumulates retired
-    // widths in `done_w`, and everything is settled in one multiply at the
-    // next batch boundary (or any flush). This is where tier 2 beats
-    // tier 1 — the quickened loop pays the full per-step accounting (plus
-    // a tick check and a hook consult per yield point) that the megablock
-    // amortizes over a whole batch of iterations.
-    let mut full_iters: u64 = 0;
-    let mut done_w: u64 = 0;
-    // An iteration is "dirty" once a mid-iteration flush (Call/Ret) has
-    // already committed its prefix; its completion is then credited
-    // individually instead of through `full_iters`. (Assigned at each
-    // iteration start and by every flush, before any read.)
-    let mut dirty;
-    // The backedge's own yield-point share of `block.yields` (the rest
-    // belongs to inlined call prologues, credited at each Call step).
-    let call_yields = block
-        .steps
-        .iter()
-        .filter(|s| matches!(s.op, crate::compile::MegaOp::Call { .. }))
-        .count() as u64;
-    let back_yield = yields.saturating_sub(call_yields);
 
-    // Settle the lazily-batched work into the cached counters.
-    macro_rules! commit {
-        () => {{
-            let dw = full_iters * width + done_w;
-            if dw != 0 {
-                steps += dw;
-                cycles += dw;
-                to_tick -= dw;
-                *n += dw;
-                if fp_full {
-                    fpsteps += dw;
-                }
-            }
-            if full_iters != 0 {
-                h = h.saturating_sub(full_iters * yields);
-                skipped += full_iters * back_yield;
-                vm.mega.stats.iters += full_iters;
-                full_iters = 0;
-            }
-            done_w = 0;
-        }};
-    }
     // Write the cursor and accounting back at an exact step boundary.
     macro_rules! flush_at {
         ($method:expr, $pc:expr) => {{
-            commit!();
-            dirty = true;
+            lazy.settle(&mut c, vm, block);
             let t = &mut vm.threads[cur];
             debug_assert_eq!(t.method, $method);
             t.pc = $pc;
             t.sp = sp;
-            vm.cycles = cycles;
-            vm.counters.steps = steps;
-            vm.cycles_to_tick = to_tick;
-            vm.fingerprint.set_step_state(fph, fpsteps);
+            c.store(vm);
         }};
     }
-    // Batched accounting for one micro-op of `width` source instructions —
-    // bit-identical to `account_fused!` once committed, with the tick block
-    // statically absent (the entry gate guarantees no tick fires in the
-    // iteration). The fingerprint chain cannot be deferred (each mix feeds
-    // the next), so in `Full` mode it stays per-pc.
-    macro_rules! account {
+    // Pick the frame and cursor back up after a real frame push/pop: the
+    // stack may have grown (and moved), and fingerprint events may have
+    // mixed.
+    macro_rules! reload {
+        () => {{
+            let t = &vm.threads[cur];
+            sp = t.sp;
+            base = t.fp + 3;
+            c = Cursor::load(vm);
+        }};
+    }
+    // One micro-op's accounting: the pc mixes now, the counts lazily.
+    macro_rules! retire {
         ($s:expr) => {{
-            if fp_full {
-                for i in 0..$s.width {
-                    fph = crate::fingerprint::Fingerprint::mix_step(fph, tid, $s.method, $s.pc + i);
-                }
-            }
+            c.mix(tid, $s.method, $s.pc, $s.width);
             if prof_on {
-                if let Some(p) = vm.telem.profile.as_deref_mut() {
-                    // Unfold into the same per-QOp counters the quickened
-                    // tier feeds (ProfileModel completeness holds tier-up).
-                    p.qop($s.kind, $s.width as u64);
-                }
+                // Unfold into the same per-QOp counters the quickened
+                // tier feeds (ProfileModel completeness holds tier-up).
+                profile_qop(vm, $s.kind, $s.width);
             }
-            done_w += $s.width as u64;
+            lazy.done_w += $s.width as u64;
         }};
     }
 
-    'outer: loop {
-        commit!();
+    let failed = 'outer: loop {
+        lazy.settle(&mut c, vm, block);
         // How many whole iterations fit before the next tick, the step
         // budget, or the hook's quiet-yield horizon could interrupt. Each
-        // bound reproduces the per-iteration gate it replaces (`to_tick >
-        // width`, `*n + width <= max_steps`, `h >= yields`) exactly, so
+        // bound reproduces the per-iteration gate it replaces exactly, so
         // ticks/preemptions/pauses land on identical step boundaries.
-        let by_tick = to_tick.saturating_sub(1) / width;
-        let by_budget = max_steps.saturating_sub(*n) / width;
-        let by_horizon = if yields == 0 { u64::MAX } else { h / yields };
-        let avail = by_tick.min(by_budget).min(by_horizon);
+        let by_tick = c.to_tick.saturating_sub(1) / width;
+        let by_budget = limit.saturating_sub(c.steps) / width;
+        let avail = by_tick.min(by_budget).min(lazy.h / yields);
         if avail == 0 {
             vm.mega.stats.gate_misses += 1;
             flush_at!(block.method, block.head);
-            break 'outer;
+            break 'outer None;
         }
         if !entered {
             entered = true;
@@ -635,23 +484,20 @@ fn run_mega(
         // restored sp, which nothing live can observe. When the next
         // iteration would fail its guard (`kk == 0`), fall through to the
         // step loop so the deopt happens at the exact guard pc.
-        if !fp_full && !prof_on && !inject {
+        if !c.fp_on && !prof_on && !inject {
             if let Some(cl) = block.closed {
                 let slot = (base + cl.local as u64) as usize;
                 let x0 = vm.heap.mem[slot] as i64;
                 let kk = cl.passes(x0, avail);
                 if kk > 0 {
                     vm.heap.mem[slot] = (x0 as i128 + kk as i128 * cl.step as i128) as i64 as Word;
-                    full_iters += kk;
+                    lazy.full_iters += kk;
                     vm.mega.stats.closed_iters += kk;
                     continue 'outer;
                 }
             }
         }
-        let mut k = avail;
-        'batch: while k > 0 {
-            k -= 1;
-            dirty = false;
+        'batch: for _ in 0..avail {
             let mut guard_ix: u32 = 0;
             for s in &block.steps {
                 let s = *s;
@@ -678,116 +524,27 @@ fn run_mega(
                         if $forced {
                             vm.mega.stats.forced_deopts += 1;
                         }
-                        break 'outer;
+                        break 'outer None;
                     }};
                 }
-                // A taken backedge terminator: iteration complete. Clean
-                // iterations fold into `full_iters` (settled in one multiply
-                // at the batch boundary); an iteration whose prefix a
-                // mid-iteration flush already committed is credited here.
+                // A taken backedge terminator: iteration complete.
                 macro_rules! iter_done {
                     () => {{
                         let _ = guard_ix; // terminators end the per-iteration count
-                        if dirty {
-                            steps += done_w;
-                            cycles += done_w;
-                            to_tick -= done_w;
-                            *n += done_w;
-                            if fp_full {
-                                fpsteps += done_w;
-                            }
-                            done_w = 0;
-                            h = h.saturating_sub(yields);
-                            skipped += back_yield; // the backedge's yield point
-                            vm.mega.stats.iters += 1;
-                        } else {
-                            debug_assert_eq!(done_w, width);
-                            full_iters += 1;
-                            done_w = 0;
-                        }
+                        debug_assert_eq!(lazy.done_w, width);
+                        lazy.full_iters += 1;
+                        lazy.done_w = 0;
                         continue 'batch;
                     }};
                 }
                 match s.op {
-                    // ---- totals: same bodies as the quickened inline arms ----
-                    MegaOp::Const(v) => {
-                        account!(s);
-                        vm.heap.mem[sp as usize] = v as Word;
-                        sp += 1;
+                    MegaOp::Pure(p) => {
+                        retire!(s);
+                        sp = p.exec(&mut vm.heap.mem, sp, base);
                     }
-                    MegaOp::Load(i) => {
-                        account!(s);
-                        vm.heap.mem[sp as usize] = vm.heap.mem[(base + i as u64) as usize];
-                        sp += 1;
-                    }
-                    MegaOp::Store(i) => {
-                        account!(s);
-                        sp -= 1;
-                        vm.heap.mem[(base + i as u64) as usize] = vm.heap.mem[sp as usize];
-                    }
-                    MegaOp::Dup => {
-                        account!(s);
-                        vm.heap.mem[sp as usize] = vm.heap.mem[sp as usize - 1];
-                        sp += 1;
-                    }
-                    MegaOp::Pop => {
-                        account!(s);
-                        sp -= 1;
-                    }
-                    MegaOp::Swap => {
-                        account!(s);
-                        vm.heap.mem.swap(sp as usize - 1, sp as usize - 2);
-                    }
-                    MegaOp::Neg => {
-                        account!(s);
-                        let i = sp as usize - 1;
-                        vm.heap.mem[i] = (vm.heap.mem[i] as i64).wrapping_neg() as Word;
-                    }
-                    MegaOp::RefEq => {
-                        account!(s);
-                        sp -= 1;
-                        let b = vm.heap.mem[sp as usize];
-                        let i = sp as usize - 1;
-                        vm.heap.mem[i] = (vm.heap.mem[i] == b) as Word;
-                    }
-                    MegaOp::Alu(f) => {
-                        account!(s);
-                        sp -= 1;
-                        let b = vm.heap.mem[sp as usize] as i64;
-                        let i = sp as usize - 1;
-                        let a = vm.heap.mem[i] as i64;
-                        vm.heap.mem[i] = f.apply(a, b) as Word;
-                    }
-                    MegaOp::Cmp(f) => {
-                        account!(s);
-                        sp -= 1;
-                        let b = vm.heap.mem[sp as usize] as i64;
-                        let i = sp as usize - 1;
-                        let a = vm.heap.mem[i] as i64;
-                        vm.heap.mem[i] = f.apply(a, b) as Word;
-                    }
-                    MegaOp::ConstStore { v, local } => {
-                        account!(s);
-                        vm.heap.mem[(base + local as u64) as usize] = v as Word;
-                    }
-                    MegaOp::LoadLoadAlu { a, b, f } => {
-                        account!(s);
-                        let x = vm.heap.mem[(base + a as u64) as usize] as i64;
-                        let y = vm.heap.mem[(base + b as u64) as usize] as i64;
-                        vm.heap.mem[sp as usize] = f.apply(x, y) as Word;
-                        sp += 1;
-                    }
-                    MegaOp::LoadConstAlu { a, v, f } => {
-                        account!(s);
-                        let x = vm.heap.mem[(base + a as u64) as usize] as i64;
-                        vm.heap.mem[sp as usize] = f.apply(x, v) as Word;
-                        sp += 1;
-                    }
-                    MegaOp::Jump => {
-                        // Interior forward Goto: transfer is implicit in step
-                        // order; only the accounting remains.
-                        account!(s);
-                    }
+                    // Interior forward Goto: transfer is implicit in step
+                    // order; only the accounting remains.
+                    MegaOp::Jump => retire!(s),
 
                     // ---- guarded micro-ops ----
                     MegaOp::Div | MegaOp::Rem => {
@@ -796,7 +553,7 @@ fn run_mega(
                         if forced || b == 0 {
                             deopt!(forced);
                         }
-                        account!(s);
+                        retire!(s);
                         sp -= 1;
                         let i = sp as usize - 1;
                         let a = vm.heap.mem[i] as i64;
@@ -807,32 +564,14 @@ fn run_mega(
                         };
                         vm.heap.mem[i] = r as Word;
                     }
-                    MegaOp::GuardIf { jump_if } => {
+                    MegaOp::Guard { test, jump_if } => {
                         let forced = guard_forced!();
-                        let c = vm.heap.mem[sp as usize - 1] as i64;
-                        if forced || (c != 0) == jump_if {
+                        let (sense, pops) = test.eval(&vm.heap.mem, sp, base);
+                        if forced || sense == jump_if {
                             deopt!(forced);
                         }
-                        account!(s);
-                        sp -= 1;
-                    }
-                    MegaOp::GuardCmpIf { f, jump_if } => {
-                        let forced = guard_forced!();
-                        let a = vm.heap.mem[sp as usize - 2] as i64;
-                        let b = vm.heap.mem[sp as usize - 1] as i64;
-                        if forced || f.apply(a, b) == jump_if {
-                            deopt!(forced);
-                        }
-                        account!(s);
-                        sp -= 2;
-                    }
-                    MegaOp::GuardLoadConstCmpIf { a, v, f, jump_if } => {
-                        let forced = guard_forced!();
-                        let x = vm.heap.mem[(base + a as u64) as usize] as i64;
-                        if forced || f.apply(x, v) == jump_if {
-                            deopt!(forced);
-                        }
-                        account!(s);
+                        retire!(s);
+                        sp -= pops;
                     }
                     MegaOp::Call {
                         class,
@@ -840,148 +579,85 @@ fn run_mega(
                         nargs,
                     } => {
                         let forced = guard_forced!();
-                        let bad = {
-                            let recv = vm.heap.mem[(sp - nargs as u64) as usize];
-                            recv == NULL || {
-                                let hd = vm.heap.header(recv);
-                                hd.is_array
-                                    || hd.is_classobj
-                                    || !vm.program.is_subclass(hd.class_id, class)
-                            }
-                        };
-                        if forced || bad {
+                        let recv = vm.heap.mem[(sp - nargs as u64) as usize];
+                        if forced || virtual_receiver(vm, recv, class).is_err() {
                             deopt!(forced);
                         }
-                        account!(s);
+                        retire!(s);
                         flush_at!(s.method, s.pc); // push_frame reads t.pc/t.sp
                         if let Err(e) = vm.push_frame(callee, true, &[], false, false) {
-                            if skipped > 0 {
-                                vm.counters.yield_points += skipped;
-                                vm.threads[cur].yield_points += skipped;
-                                hook.on_yield_points_skipped(skipped);
-                            }
-                            raise_err(vm, hook, e);
-                            return;
+                            break 'outer Some(e);
                         }
-                        // New frame; the stack may have grown (and moved), and
-                        // push_frame may have mixed fingerprint events.
-                        {
-                            let t = &vm.threads[cur];
-                            sp = t.sp;
-                            base = t.fp + 3;
-                        }
-                        let st = vm.fingerprint.step_state();
-                        fph = st.0;
-                        fpsteps = st.1;
-                        skipped += 1; // the callee's prologue yield point, batched
+                        reload!();
+                        lazy.skipped += 1; // the callee's prologue yield point, batched
                     }
                     MegaOp::Ret { has_val } => {
-                        account!(s);
+                        retire!(s);
                         flush_at!(s.method, s.pc);
                         let retv = if has_val { Some(vm.pop_word()) } else { None };
                         do_return(vm, hook, retv);
-                        {
-                            let t = &vm.threads[cur];
-                            sp = t.sp;
-                            base = t.fp + 3;
-                        }
-                        let st = vm.fingerprint.step_state();
-                        fph = st.0;
-                        fpsteps = st.1;
+                        reload!();
                     }
 
                     // ---- backedge terminators ----
                     MegaOp::BackGoto => {
-                        account!(s);
+                        retire!(s);
                         iter_done!();
                     }
-                    MegaOp::BackIf { jump_if } => {
+                    MegaOp::Back { test, jump_if } => {
                         let forced = guard_forced!();
-                        let c = vm.heap.mem[sp as usize - 1] as i64;
-                        if forced || (c != 0) != jump_if {
+                        let (sense, pops) = test.eval(&vm.heap.mem, sp, base);
+                        if forced || sense != jump_if {
                             deopt!(forced);
                         }
-                        account!(s);
-                        sp -= 1;
-                        iter_done!();
-                    }
-                    MegaOp::BackCmpIf { f, jump_if } => {
-                        let forced = guard_forced!();
-                        let a = vm.heap.mem[sp as usize - 2] as i64;
-                        let b = vm.heap.mem[sp as usize - 1] as i64;
-                        if forced || f.apply(a, b) != jump_if {
-                            deopt!(forced);
-                        }
-                        account!(s);
-                        sp -= 2;
-                        iter_done!();
-                    }
-                    MegaOp::BackLoadConstCmpIf { a, v, f, jump_if } => {
-                        let forced = guard_forced!();
-                        let x = vm.heap.mem[(base + a as u64) as usize] as i64;
-                        if forced || f.apply(x, v) != jump_if {
-                            deopt!(forced);
-                        }
-                        account!(s);
+                        retire!(s);
+                        sp -= pops;
                         iter_done!();
                     }
                 }
             }
             unreachable!("megablock has no backedge terminator");
         }
-    }
-    // The batching state is dead on every exit path (each flushes first).
-    let _ = (dirty, done_w, full_iters, h);
+    };
 
-    if skipped > 0 {
-        vm.counters.yield_points += skipped;
-        vm.threads[cur].yield_points += skipped;
-        hook.on_yield_points_skipped(skipped);
+    if lazy.skipped > 0 {
+        vm.counters.yield_points += lazy.skipped;
+        vm.threads[cur].yield_points += lazy.skipped;
+        hook.on_yield_points_skipped(lazy.skipped);
+    }
+    if let Some(e) = failed {
+        raise_err(vm, hook, e);
     }
 }
 
-/// Execute one instruction of the current thread (plus any switch /
-/// instrumentation processing it triggers).
+/// The generic tier: execute one instruction of the current thread (plus
+/// any switch / instrumentation processing it triggers), writing the
+/// cursor straight back.
 pub fn step(vm: &mut Vm, hook: &mut dyn ExecHook) {
     if !vm.status.is_running() {
         return;
     }
-    let cur = vm.sched.current as usize;
+    let tid = vm.sched.current;
+    let cur = tid as usize;
     let (method, pc) = {
         let t = &vm.threads[cur];
         (t.method, t.pc)
     };
     let op = vm.program.method(method).ops[pc as usize];
 
-    vm.counters.steps += 1;
-    vm.cycles += 1;
-    if vm.instr_depth == 0 {
-        vm.fingerprint.step(vm.sched.current, method, pc);
-    }
+    let mut c = Cursor::load(vm);
+    c.retire(vm, tid, method, pc, 1);
+    c.store(vm);
 
-    // Timer interrupt (the asynchronous, non-deterministic event of §2.3).
-    vm.cycles_to_tick -= 1;
-    if vm.cycles_to_tick == 0 {
-        vm.preempt_bit = true;
-        vm.cycles_to_tick = vm.timer.next_interval();
-        let interval = vm.cycles_to_tick;
-        vm.telem.timer_interval(interval);
-    }
-
-    let compiled = vm.program.compiled(method);
-    debug_assert!(
-        (pc as usize) < vm.program.method(method).ops.len(),
-        "pc {pc} out of range in method {method}"
-    );
-    let was_backedge = compiled.backedge.get(pc as usize);
+    let was_backedge = vm.program.compiled(method).backedge.get(pc as usize);
 
     match exec_op(vm, hook, op, pc) {
         Ok(Flow::Next) => {
             vm.threads[cur].pc = pc + 1;
         }
-        Ok(Flow::Jump(target, taken_back)) => {
+        Ok(Flow::Jump(target)) => {
             vm.threads[cur].pc = target;
-            if taken_back && was_backedge && vm.status.is_running() {
+            if was_backedge && vm.status.is_running() {
                 yield_point(vm, hook);
             }
         }
@@ -1004,11 +680,7 @@ fn raise_err(vm: &mut Vm, hook: &mut dyn ExecHook, e: VmError) {
 
 fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow, VmError> {
     match op {
-        // ---- constants / locals / shuffling ----
-        Op::Const(v) => {
-            vm.push_word(v as Word);
-            Ok(Flow::Next)
-        }
+        // ---- constants the heap backs ----
         Op::Null => {
             vm.push_word(NULL);
             Ok(Flow::Next)
@@ -1018,122 +690,34 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
             vm.push_word(a);
             Ok(Flow::Next)
         }
-        Op::Load(i) => {
-            let cur = vm.sched.current as usize;
-            let base = vm.threads[cur].fp + 3;
-            let v = vm.heap.mem[(base + i as u64) as usize];
-            vm.push_word(v);
-            Ok(Flow::Next)
-        }
-        Op::Store(i) => {
-            let v = vm.pop_word();
-            let cur = vm.sched.current as usize;
-            let base = vm.threads[cur].fp + 3;
-            vm.heap.mem[(base + i as u64) as usize] = v;
-            Ok(Flow::Next)
-        }
-        Op::Dup => {
-            let v = vm.peek_word(0);
-            vm.push_word(v);
-            Ok(Flow::Next)
-        }
-        Op::Pop => {
-            vm.pop_word();
-            Ok(Flow::Next)
-        }
-        Op::Swap => {
-            let a = vm.pop_word();
-            let b = vm.pop_word();
-            vm.push_word(a);
-            vm.push_word(b);
-            Ok(Flow::Next)
-        }
 
-        // ---- arithmetic ----
-        Op::Add
-        | Op::Sub
-        | Op::Mul
-        | Op::Div
-        | Op::Rem
-        | Op::BitAnd
-        | Op::BitOr
-        | Op::BitXor
-        | Op::Shl
-        | Op::Shr => {
+        // ---- the two partial arithmetic ops ----
+        Op::Div | Op::Rem => {
             let b = vm.pop_word() as i64;
             let a = vm.pop_word() as i64;
-            let r = match op {
-                Op::Add => a.wrapping_add(b),
-                Op::Sub => a.wrapping_sub(b),
-                Op::Mul => a.wrapping_mul(b),
-                Op::Div => {
-                    if b == 0 {
-                        return Err(vm.fail(ErrKind::DivideByZero));
-                    }
-                    a.wrapping_div(b)
-                }
-                Op::Rem => {
-                    if b == 0 {
-                        return Err(vm.fail(ErrKind::DivideByZero));
-                    }
-                    a.wrapping_rem(b)
-                }
-                Op::BitAnd => a & b,
-                Op::BitOr => a | b,
-                Op::BitXor => a ^ b,
-                Op::Shl => a.wrapping_shl(b as u32 & 63),
-                Op::Shr => a.wrapping_shr(b as u32 & 63),
-                _ => unreachable!(),
+            if b == 0 {
+                return Err(vm.fail(ErrKind::DivideByZero));
+            }
+            let r = if op == Op::Div {
+                a.wrapping_div(b)
+            } else {
+                a.wrapping_rem(b)
             };
             vm.push_word(r as Word);
-            Ok(Flow::Next)
-        }
-        Op::Neg => {
-            let a = vm.pop_word() as i64;
-            vm.push_word(a.wrapping_neg() as Word);
-            Ok(Flow::Next)
-        }
-
-        // ---- comparisons ----
-        Op::Eq | Op::Ne | Op::Lt | Op::Le | Op::Gt | Op::Ge => {
-            let b = vm.pop_word() as i64;
-            let a = vm.pop_word() as i64;
-            let r = match op {
-                Op::Eq => a == b,
-                Op::Ne => a != b,
-                Op::Lt => a < b,
-                Op::Le => a <= b,
-                Op::Gt => a > b,
-                Op::Ge => a >= b,
-                _ => unreachable!(),
-            };
-            vm.push_word(r as Word);
-            Ok(Flow::Next)
-        }
-        Op::RefEq => {
-            let b = vm.pop_word();
-            let a = vm.pop_word();
-            vm.push_word((a == b) as Word);
             Ok(Flow::Next)
         }
 
         // ---- control flow ----
-        Op::Goto(t) => Ok(Flow::Jump(t, true)),
-        Op::If(t) => {
-            let c = vm.pop_word() as i64;
-            if c != 0 {
-                Ok(Flow::Jump(t, true))
+        Op::Goto(t) => Ok(Flow::Jump(t)),
+        Op::If(target) | Op::IfZ(target) => {
+            let t = &mut vm.threads[vm.sched.current as usize];
+            let (sense, pops) = Test::Top.eval(&vm.heap.mem, t.sp, t.fp + 3);
+            t.sp -= pops;
+            Ok(if sense == matches!(op, Op::If(_)) {
+                Flow::Jump(target)
             } else {
-                Ok(Flow::Next)
-            }
-        }
-        Op::IfZ(t) => {
-            let c = vm.pop_word() as i64;
-            if c == 0 {
-                Ok(Flow::Jump(t, true))
-            } else {
-                Ok(Flow::Next)
-            }
+                Flow::Next
+            })
         }
 
         // ---- objects / arrays ----
@@ -1247,41 +831,23 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
         }
         Op::InstanceOf(class) => {
             let obj = vm.pop_word();
-            let r = if obj == NULL {
-                false
-            } else {
-                let h = vm.heap.header(obj);
-                !h.is_array && !h.is_classobj && vm.program.is_subclass(h.class_id, class)
-            };
+            let r = virtual_receiver(vm, obj, class).is_ok();
             vm.push_word(r as Word);
             Ok(Flow::Next)
         }
 
         // ---- calls ----
         Op::Call(callee) => {
-            vm.push_frame(callee, true, &[], false, false)?;
-            // Method-prologue yield point.
-            if vm.status.is_running() {
-                yield_point(vm, hook);
-            }
+            invoke(vm, hook, callee)?;
             Ok(Flow::Managed)
         }
         Op::CallVirtual { class, slot } => {
             let static_callee = vm.program.class(class).vtable[slot as usize];
             let nargs = vm.program.method(static_callee).nargs;
             let recv = vm.peek_word(nargs as u64 - 1);
-            if recv == NULL {
-                return Err(vm.fail(ErrKind::NullDeref));
-            }
-            let h = vm.heap.header(recv);
-            if h.is_array || h.is_classobj || !vm.program.is_subclass(h.class_id, class) {
-                return Err(vm.fail(ErrKind::BadVirtualDispatch));
-            }
-            let callee = vm.program.class(h.class_id).vtable[slot as usize];
-            vm.push_frame(callee, true, &[], false, false)?;
-            if vm.status.is_running() {
-                yield_point(vm, hook);
-            }
+            let dynamic = virtual_receiver(vm, recv, class).map_err(|kind| vm.fail(kind))?;
+            let callee = vm.program.class(dynamic).vtable[slot as usize];
+            invoke(vm, hook, callee)?;
             Ok(Flow::Managed)
         }
         Op::Ret | Op::RetVal => {
@@ -1325,7 +891,7 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
                     });
                     vm.threads[cur as usize].pc = pc + 1;
                     vm.threads[cur as usize].status = ThreadStatus::BlockedMonitor(obj);
-                    schedule_next(vm, hook, false);
+                    schedule_next(vm, hook);
                     Ok(Flow::Managed)
                 }
             }
@@ -1414,7 +980,7 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
             }
             vm.threads[cur as usize].pc = pc + 1;
             try_handoff(vm, obj);
-            schedule_next(vm, hook, false);
+            schedule_next(vm, hook);
             Ok(Flow::Managed)
         }
         Op::Notify | Op::NotifyAll => {
@@ -1473,7 +1039,7 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
             vm.sched.join_waiters.entry(target).or_default().push(cur);
             vm.threads[cur as usize].status = ThreadStatus::JoinWaiting(target);
             vm.threads[cur as usize].pc = pc + 1;
-            schedule_next(vm, hook, false);
+            schedule_next(vm, hook);
             Ok(Flow::Managed)
         }
         Op::Interrupt => {
@@ -1508,7 +1074,7 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
             });
             vm.threads[cur as usize].status = ThreadStatus::Sleeping;
             vm.threads[cur as usize].pc = pc + 1;
-            schedule_next(vm, hook, false);
+            schedule_next(vm, hook);
             Ok(Flow::Managed)
         }
         Op::CurrentThread => {
@@ -1580,7 +1146,41 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
             hook.on_halt(vm);
             Ok(Flow::Managed)
         }
+
+        // ---- total ops: constants, locals, shuffles, ALU, compares ----
+        _ => {
+            let p = Pure::of(op).expect("every op without an arm above is total");
+            let t = &mut vm.threads[vm.sched.current as usize];
+            t.sp = p.exec(&mut vm.heap.mem, t.sp, t.fp + 3);
+            Ok(Flow::Next)
+        }
     }
+}
+
+/// The receiver check behind every virtual dispatch (`CallVirtual`,
+/// `CallMono`, tier 2's inlined `Call` guard) and `instanceof`: a non-null
+/// scalar object whose class is `class` or a subclass. Returns the
+/// receiver's dynamic class.
+#[inline]
+fn virtual_receiver(vm: &Vm, recv: Addr, class: ClassId) -> Result<ClassId, ErrKind> {
+    if recv == NULL {
+        return Err(ErrKind::NullDeref);
+    }
+    let h = vm.heap.header(recv);
+    if h.is_array || h.is_classobj || !vm.program.is_subclass(h.class_id, class) {
+        return Err(ErrKind::BadVirtualDispatch);
+    }
+    Ok(h.class_id)
+}
+
+/// Push `callee`'s frame (arguments from the operand stack) and take its
+/// method-prologue yield point.
+fn invoke(vm: &mut Vm, hook: &mut dyn ExecHook, callee: MethodId) -> Result<(), VmError> {
+    vm.push_frame(callee, true, &[], false, false)?;
+    if vm.status.is_running() {
+        yield_point(vm, hook);
+    }
+    Ok(())
 }
 
 /// One hook-mediated wall-clock read: every clock read in the interpreter
@@ -1719,7 +1319,7 @@ fn terminate_current(vm: &mut Vm, hook: &mut dyn ExecHook) {
             vm.sched.ready.push_back(w);
         }
     }
-    schedule_next(vm, hook, false);
+    schedule_next(vm, hook);
 }
 
 /// Voluntary or preemptive thread switch: requeue the current thread and
@@ -1728,7 +1328,7 @@ pub(crate) fn perform_switch(vm: &mut Vm, hook: &mut dyn ExecHook) {
     let cur = vm.sched.current;
     vm.threads[cur as usize].status = ThreadStatus::Ready;
     vm.sched.ready.push_back(cur);
-    schedule_next(vm, hook, false);
+    schedule_next(vm, hook);
 }
 
 /// Hand an un-owned monitor to the head of its entry queue, if any.
@@ -1822,12 +1422,7 @@ fn wake_due(vm: &mut Vm, now: i64) {
 
 /// Dispatch the next ready thread; wake sleepers (reading the — recorded —
 /// wall clock) or declare deadlock/halt if nothing can run.
-fn schedule_next(vm: &mut Vm, hook: &mut dyn ExecHook, requeue_current: bool) {
-    if requeue_current {
-        let cur = vm.sched.current;
-        vm.threads[cur as usize].status = ThreadStatus::Ready;
-        vm.sched.ready.push_back(cur);
-    }
+fn schedule_next(vm: &mut Vm, hook: &mut dyn ExecHook) {
     loop {
         if let Some(tid) = vm.sched.ready.pop_front() {
             vm.sched.current = tid;
@@ -1887,6 +1482,8 @@ fn schedule_next(vm: &mut Vm, hook: &mut dyn ExecHook, requeue_current: bool) {
 }
 
 /// Process a yield point: consult the hook (Fig. 2) and act.
+// On every taken backedge and call: keep it inside the dispatch loops.
+#[inline]
 fn yield_point(vm: &mut Vm, hook: &mut dyn ExecHook) {
     if vm.instr_depth > 0 {
         // Instrumentation-internal yield point: invisible to the logical

@@ -359,7 +359,7 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 
-echo "== surface: one trace format, one server, one exit type, no env knobs =="
+echo "== surface: one trace format, one server, one exit type, one semantics, no env knobs =="
 fail=0
 if grep -rn 'env::var' crates/{djvm,dejavu,codec,telemetry,store,fleet,debugger,reflect,baselines,workloads}/src; then
     echo "verify: a library crate reads the process environment" >&2
@@ -376,7 +376,25 @@ if awk '/^(impl From<CliError> for ExitCode|fn main)/ { ok = 1 } /^}/ { ok = 0 }
     echo "verify: ExitCode chosen outside CliError's conversion and main" >&2
     fail=1
 fi
+# One semantics, three tiers: the per-tier copies of the shared micro-ops,
+# branch tests and accounting prelude stay deleted, and the two effects
+# that are easiest to re-spell per tier are written exactly once.
+if grep -rnE 'MegaOp::(GuardCmpIf|BackCmpIf|GuardLoadConstCmpIf|BackLoadConstCmpIf)|QOp::(LoadLoadAlu|CmpIf|IfZ)\b|account_fused!' crates src --include=*.rs; then
+    echo "verify: a per-tier copy of a shared micro-op or branch test is back" >&2
+    fail=1
+fi
+for pat in 'wrapping_neg' 'mem.swap('; do
+    n=$(grep -rnF "$pat" crates/djvm/src --include=*.rs | grep -v '/rng\.rs:' | wc -l)
+    if [ "$n" -gt 1 ]; then
+        echo "verify: '$pat' is spelled $n times under crates/djvm/src, want 1 (Pure::exec)" >&2
+        fail=1
+    fi
+done
 [ "$fail" -eq 0 ]
 echo "surface: $(git ls-files '*.rs' '*.sh' ':!benchmark' | xargs cat | wc -l) lines of .rs/.sh outside benchmark/"
+tiers=$(for f in interp compile dis; do
+    awk '/^#\[cfg\(test\)\]/{print NR-1; exit}' "crates/djvm/src/$f.rs"
+done | awk '{s+=$1} END{print s}')
+echo "surface: $tiers non-test lines in djvm's interp.rs + compile.rs + dis.rs"
 
 echo "verify: OK"

@@ -595,6 +595,115 @@ fn quickening_is_neutral_for_random_programs() {
 }
 
 // ---------------------------------------------------------------------
+// 6b. The fusion law: a superinstruction is its constituents in order.
+// ---------------------------------------------------------------------
+
+/// A fused form the quickener can emit.
+#[derive(Debug)]
+enum Fused {
+    Op(djvm::compile::Pure),
+    Branch(djvm::compile::Test),
+}
+
+/// Directly on `Pure::exec` / `Test::eval` (no program, no VM): for a
+/// random frame and every fused micro-op, the fused form leaves the same
+/// locals, live operand stack, `sp` and branch sense as its constituents'
+/// single forms run in order. Whole-program fingerprints check this only
+/// indirectly.
+#[test]
+fn fused_micro_ops_equal_their_constituents_in_order() {
+    use djvm::compile::{Pure, Test};
+    use djvm::{AluFn, CmpFn, Op};
+    const NLOCALS: u64 = 4;
+    let alus = [
+        Op::Add,
+        Op::Sub,
+        Op::Mul,
+        Op::BitAnd,
+        Op::BitOr,
+        Op::BitXor,
+        Op::Shl,
+        Op::Shr,
+    ];
+    let cmps = [Op::Eq, Op::Ne, Op::Lt, Op::Le, Op::Gt, Op::Ge];
+    qc::check(
+        "fused_micro_ops_equal_their_constituents_in_order",
+        512,
+        |g| {
+            // Small values half the time, so comparisons tie and shifts
+            // stay in range often enough to matter.
+            let word = |g: &mut Gen| {
+                if g.bool() {
+                    g.any_i64()
+                } else {
+                    g.i64_in(-3, 66)
+                }
+            };
+            // The frame: four locals, then an operand stack with 2..=4
+            // live words and dead words above them.
+            let frame: Vec<u64> = (0..NLOCALS + 8).map(|_| word(g) as u64).collect();
+            let sp = NLOCALS + g.u64_in(2, 4);
+            let (a, b) = (g.u64_in(0, 3) as u16, g.u64_in(0, 3) as u16);
+            let v = word(g);
+            let alu = alus[g.usize_in(0, alus.len() - 1)];
+            let cmp = cmps[g.usize_in(0, cmps.len() - 1)];
+            let (fa, fc) = (AluFn::of(alu).unwrap(), CmpFn::of(cmp).unwrap());
+            // Each pattern of `try_fuse`, with the source ops it replaces
+            // (a fused test also replaces the If/IfZ that follows them).
+            let (fused, parts) = match g.u64_in(0, 4) {
+                0 => (
+                    Fused::Op(Pure::ConstStore { v, local: a }),
+                    vec![Op::Const(v), Op::Store(a)],
+                ),
+                1 => (
+                    Fused::Op(Pure::LoadLoadAlu { a, b, f: fa }),
+                    vec![Op::Load(a), Op::Load(b), alu],
+                ),
+                2 => (
+                    Fused::Op(Pure::LoadConstAlu { a, v, f: fa }),
+                    vec![Op::Load(a), Op::Const(v), alu],
+                ),
+                3 => (Fused::Branch(Test::Cmp(fc)), vec![cmp]),
+                _ => (
+                    Fused::Branch(Test::LoadConstCmp { a, v, f: fc }),
+                    vec![Op::Load(a), Op::Const(v), cmp],
+                ),
+            };
+
+            let mut singles = frame.clone();
+            let mut sp1 = sp;
+            for &op in &parts {
+                let p = Pure::of(op).expect("constituents are total");
+                qc_assert_eq!(p.width(), 1);
+                sp1 = p.exec(&mut singles, sp1, 0);
+            }
+            let mut batched = frame.clone();
+            let sp2 = match fused {
+                Fused::Op(p) => {
+                    qc_assert_eq!(p.width() as usize, parts.len());
+                    p.exec(&mut batched, sp, 0)
+                }
+                Fused::Branch(t) => {
+                    qc_assert_eq!(t.width() as usize, parts.len() + 1);
+                    let (sense1, pops1) = Test::Top.eval(&singles, sp1, 0);
+                    sp1 -= pops1;
+                    let (sense2, pops2) = t.eval(&batched, sp, 0);
+                    qc_assert_eq!(sense1, sense2, "branch sense of {fused:?}");
+                    sp - pops2
+                }
+            };
+            qc_assert_eq!(sp1, sp2, "sp after {fused:?}");
+            qc_assert_eq!(
+                &singles[..sp1 as usize],
+                &batched[..sp2 as usize],
+                "locals and live stack after {fused:?}"
+            );
+            Ok(())
+        },
+    );
+}
+
+// ---------------------------------------------------------------------
 // 7. Clock implementations are monotone for arbitrary cycle inputs.
 // ---------------------------------------------------------------------
 
