@@ -41,43 +41,6 @@ pub struct BaselineReport {
     pub wall_time: Duration,
 }
 
-fn build_live(spec: &ExecSpec, natives: impl FnOnce(&mut Vm)) -> Vm {
-    // Reuse dejavu's construction path via a passthrough record (cheap):
-    // ExecSpec holds everything needed; we just boot the same way.
-    let mut vm = djvm::Vm::boot(
-        std::sync::Arc::clone(&spec.program),
-        spec.vm.clone(),
-        Box::new(djvm::JitteredTimer::new(
-            spec.seed,
-            spec.timer_base,
-            spec.timer_jitter,
-        )),
-        Box::new(djvm::JitteredClock::new(
-            spec.seed,
-            spec.clock_origin,
-            spec.cycles_per_ms,
-            spec.clock_noise,
-        )),
-    )
-    .expect("boot");
-    natives(&mut vm);
-    vm
-}
-
-fn build_replay(spec: &ExecSpec) -> Vm {
-    djvm::Vm::boot(
-        std::sync::Arc::clone(&spec.program),
-        spec.vm.clone(),
-        Box::new(djvm::JitteredTimer::new(
-            spec.seed,
-            spec.timer_base,
-            spec.timer_jitter,
-        )),
-        Box::new(djvm::CycleClock::new(spec.clock_origin, spec.cycles_per_ms)),
-    )
-    .expect("boot")
-}
-
 fn drive(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> BaselineReport {
     hook.on_init(vm);
     let t0 = Instant::now();
@@ -92,7 +55,8 @@ fn drive(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> BaselineReport
 
 /// Record with the Russinovich–Cogswell scheme.
 pub fn rc_record(spec: &ExecSpec, natives: impl FnOnce(&mut Vm)) -> (BaselineReport, RcTrace) {
-    let mut vm = build_live(spec, natives);
+    let mut vm = spec.live_vm();
+    natives(&mut vm);
     let mut hook = RcRecorder::new();
     let rep = drive(&mut vm, &mut hook, spec.max_steps);
     (rep, hook.into_trace())
@@ -101,7 +65,7 @@ pub fn rc_record(spec: &ExecSpec, natives: impl FnOnce(&mut Vm)) -> (BaselineRep
 /// Replay a Russinovich–Cogswell trace; returns the report plus the
 /// mapping-lookup count (the per-dispatch cost DejaVu avoids).
 pub fn rc_replay(spec: &ExecSpec, trace: RcTrace) -> (BaselineReport, u64, u64) {
-    let mut vm = build_replay(spec);
+    let mut vm = spec.replay_vm();
     let mut hook = RcReplayer::new(trace);
     let rep = drive(&mut vm, &mut hook, spec.max_steps);
     (rep, hook.lookups, hook.mismatches)
@@ -109,7 +73,8 @@ pub fn rc_replay(spec: &ExecSpec, trace: RcTrace) -> (BaselineReport, u64, u64) 
 
 /// Record with Instant Replay (CREW access logging).
 pub fn ir_record(spec: &ExecSpec, natives: impl FnOnce(&mut Vm)) -> (BaselineReport, IrTrace) {
-    let mut vm = build_live(spec, natives);
+    let mut vm = spec.live_vm();
+    natives(&mut vm);
     let mut hook = IrRecorder::new();
     let rep = drive(&mut vm, &mut hook, spec.max_steps);
     (rep, hook.into_trace())
@@ -117,7 +82,7 @@ pub fn ir_record(spec: &ExecSpec, natives: impl FnOnce(&mut Vm)) -> (BaselineRep
 
 /// Replay an Instant Replay trace (access-order enforcement).
 pub fn ir_replay(spec: &ExecSpec, trace: IrTrace) -> (BaselineReport, u64, u64) {
-    let mut vm = build_replay(spec);
+    let mut vm = spec.replay_vm();
     let mut hook = IrReplayer::new(trace);
     let rep = drive(&mut vm, &mut hook, spec.max_steps);
     (rep, hook.delays, hook.order_violations)
@@ -128,7 +93,8 @@ pub fn readlog_record(
     spec: &ExecSpec,
     natives: impl FnOnce(&mut Vm),
 ) -> (BaselineReport, ReadTrace) {
-    let mut vm = build_live(spec, natives);
+    let mut vm = spec.live_vm();
+    natives(&mut vm);
     let mut hook = ReadLogRecorder::new();
     let rep = drive(&mut vm, &mut hook, spec.max_steps);
     (rep, hook.into_trace())
@@ -136,7 +102,7 @@ pub fn readlog_record(
 
 /// Replay with read-value substitution.
 pub fn readlog_replay(spec: &ExecSpec, trace: ReadTrace) -> (BaselineReport, u64, u64) {
-    let mut vm = build_replay(spec);
+    let mut vm = spec.replay_vm();
     let mut hook = ReadLogReplayer::new(trace);
     let rep = drive(&mut vm, &mut hook, spec.max_steps);
     (rep, hook.substituted, hook.underruns)

@@ -146,14 +146,7 @@ fn e14_time_travel_seeks_backward_and_forward() {
     let (s, natives) = spec("racy_counter", 11);
     let (rec, trace) = dejavu::record_run(&s, natives, SymmetryConfig::full(), true);
 
-    let vm = djvm::Vm::boot(
-        std::sync::Arc::clone(&s.program),
-        s.vm.clone(),
-        Box::new(djvm::FixedTimer::new(1_000_000)),
-        Box::new(djvm::CycleClock::new(s.clock_origin, s.cycles_per_ms)),
-    )
-    .unwrap();
-    let mut tt = TimeTravel::new(vm, trace, SymmetryConfig::full(), 2_000);
+    let mut tt = TimeTravel::new(s.replay_vm(), trace, SymmetryConfig::full(), 2_000);
 
     // Forward to the middle.
     tt.seek(10_000);
@@ -188,23 +181,14 @@ fn e14_time_travel_seeks_backward_and_forward() {
 fn e14_checkpoint_interval_tradeoff() {
     let (s, natives) = spec("racy_counter", 13);
     let (_rec, trace) = dejavu::record_run(&s, natives, SymmetryConfig::full(), false);
-    let boot = || {
-        djvm::Vm::boot(
-            std::sync::Arc::clone(&s.program),
-            s.vm.clone(),
-            Box::new(djvm::FixedTimer::new(1_000_000)),
-            Box::new(djvm::CycleClock::new(s.clock_origin, s.cycles_per_ms)),
-        )
-        .unwrap()
-    };
     // Denser checkpoints => more storage, less re-execution on seek.
-    let mut dense = TimeTravel::new(boot(), trace.clone(), SymmetryConfig::full(), 1_000);
+    let mut dense = TimeTravel::new(s.replay_vm(), trace.clone(), SymmetryConfig::full(), 1_000);
     dense.seek(20_000);
     dense.seek(10_500);
     let dense_storage = dense.storage_bytes();
     let dense_reexec = dense.reexecuted;
 
-    let mut sparse = TimeTravel::new(boot(), trace, SymmetryConfig::full(), 10_000);
+    let mut sparse = TimeTravel::new(s.replay_vm(), trace, SymmetryConfig::full(), 10_000);
     sparse.seek(20_000);
     sparse.seek(10_500);
     assert!(dense_storage > sparse.storage_bytes());

@@ -21,30 +21,15 @@ use bench::bench_spec;
 use bench::harness::Group;
 use codec::Json;
 use dejavu::{
-    encode_trace, record_run, replay_run, BlockFile, ExecSpec, SymmetryConfig, TraceFormat,
+    encode_trace, record_run, replay_run, BlockFile, SymmetryConfig, TraceFormat,
     DEFAULT_BLOCK_BUDGET,
 };
-use std::sync::Arc;
 use store::{Store, DEFAULT_COLD_THRESHOLD};
 
 const FAMILY: &[&str] = &["fig1_ab", "fig1_cd", "fig1_hot"];
 const SEEDS: u64 = 17;
 /// Puts per distinct run — the repeated-ingest pattern the store dedups.
 const PUTS_PER_RUN: u64 = 3;
-
-fn replay_vm(spec: &ExecSpec) -> djvm::Vm {
-    djvm::Vm::boot(
-        Arc::clone(&spec.program),
-        spec.vm.clone(),
-        Box::new(djvm::JitteredTimer::new(
-            spec.seed,
-            spec.timer_base,
-            spec.timer_jitter,
-        )),
-        Box::new(djvm::CycleClock::new(spec.clock_origin, spec.cycles_per_ms)),
-    )
-    .expect("workload boots")
-}
 
 fn main() {
     let root = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("bench-store");
@@ -118,7 +103,7 @@ fn main() {
     let last = *stored.boundaries.last().expect("multi-block trace");
     let mid = stored.boundaries[stored.boundaries.len() / 2];
     let mut tt_store = TimeTravel::new_indexed(
-        replay_vm(&sample_spec),
+        sample_spec.replay_vm(),
         stored.trace.clone(),
         SymmetryConfig::full(),
         u64::MAX, // boundary checkpoints only
@@ -131,7 +116,7 @@ fn main() {
     let bf = BlockFile::parse(sample_bytes.clone()).expect("parse sample");
     let bounds = bf.boundaries();
     let mut tt_file = TimeTravel::new_indexed(
-        replay_vm(&sample_spec),
+        sample_spec.replay_vm(),
         bf.to_trace().expect("decode sample"),
         SymmetryConfig::full(),
         u64::MAX,

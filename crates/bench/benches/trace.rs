@@ -146,27 +146,23 @@ fn main() {
     let t_back = end_logical.saturating_sub(8);
 
     // Replay regenerates native outcomes from the trace, so the replay
-    // VMs need no native bindings; timer and clock are never consulted.
-    let boot = || {
-        djvm::Vm::boot(
-            spec.program.clone(),
-            spec.vm.clone(),
-            Box::new(djvm::FixedTimer::new(1 << 30)),
-            Box::new(djvm::CycleClock::new(0, 100)),
-        )
-        .expect("boot")
-    };
+    // VMs need no native bindings.
     // Indexed: interval effectively off so block boundaries are the only
     // checkpoint keys; legacy: neither interval nor boundaries, i.e. the
     // single step-0 checkpoint of a flat, unindexed trace.
     let mut indexed = TimeTravel::new_indexed(
-        boot(),
+        spec.replay_vm(),
         bf.to_trace().expect("all blocks decode"),
         SymmetryConfig::full(),
         u64::MAX,
         boundaries.clone(),
     );
-    let mut full = TimeTravel::new(boot(), trace.clone(), SymmetryConfig::full(), u64::MAX);
+    let mut full = TimeTravel::new(
+        spec.replay_vm(),
+        trace.clone(),
+        SymmetryConfig::full(),
+        u64::MAX,
+    );
     indexed.advance(u64::MAX);
     full.advance(u64::MAX);
 

@@ -9,7 +9,7 @@ use bench::{bench_spec, sized_spec};
 use dejavu::{
     passthrough_run, record_replay, record_run, replay_run, Ablation, ExecSpec, SymmetryConfig,
 };
-use djvm::{Program, ProgramBuilder, Ty, Vm};
+use djvm::{Program, ProgramBuilder, Ty};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -190,13 +190,7 @@ fn e8_reflection() {
     let (s, natives) = bench_spec("racy_counter", 5);
     let (rec, trace) = record_run(&s, natives, SymmetryConfig::full(), true);
     let program = std::sync::Arc::clone(&s.program);
-    let mut vm = Vm::boot(
-        program.clone(),
-        s.vm.clone(),
-        Box::new(djvm::FixedTimer::new(1 << 30)),
-        Box::new(djvm::CycleClock::new(0, 100)),
-    )
-    .unwrap();
+    let mut vm = s.replay_vm();
     let mut replayer = dejavu::DejaVuReplayer::new(trace, SymmetryConfig::full());
     {
         use djvm::hook::ExecHook;
@@ -441,14 +435,12 @@ fn e14_checkpoints() {
     println!("| checkpoint interval (steps) | checkpoints | storage bytes | reverse-seek re-exec steps |");
     println!("|---|---|---|---|");
     for interval in [1_000u64, 5_000, 20_000] {
-        let vm = Vm::boot(
-            std::sync::Arc::clone(&s.program),
-            s.vm.clone(),
-            Box::new(djvm::FixedTimer::new(1 << 30)),
-            Box::new(djvm::CycleClock::new(0, 100)),
-        )
-        .unwrap();
-        let mut tt = TimeTravel::new(vm, trace.clone(), SymmetryConfig::full(), interval);
+        let mut tt = TimeTravel::new(
+            s.replay_vm(),
+            trace.clone(),
+            SymmetryConfig::full(),
+            interval,
+        );
         tt.seek(30_000);
         tt.seek(15_500); // one reverse seek
         println!(

@@ -1,8 +1,8 @@
 //! A small JSON value model with a strict parser and a deterministic writer.
 //!
 //! This is the wire layer of the debugger's tool↔GUI protocol (paper §4:
-//! "transmitting small packets of data rather than large images") and the
-//! format of `djvm` program dumps. It is deliberately minimal:
+//! "transmitting small packets of data rather than large images") and of
+//! every canonical metrics/policy document. It is deliberately minimal:
 //!
 //! * integers are kept exact ([`Json::Int`] / [`Json::UInt`] — a `u64`
 //!   step index or address never goes through an `f64`),

@@ -13,8 +13,7 @@
 //!   layer under the block-structured trace format.
 //! * [`json`] — a small JSON value model ([`json::Json`]) with a strict
 //!   recursive-descent parser and a writer, plus the [`json::FromJson`] /
-//!   [`json::ToJson`] traits the debugger protocol and the `djvm` program
-//!   dump implement by hand.
+//!   [`json::ToJson`] traits the debugger protocol implements by hand.
 //! * [`digest`] — 128-bit content digests (double-keyed SipHash-2-4), the
 //!   keying under the content-addressed trace store and the digest column
 //!   `trace inspect` prints.

@@ -9,10 +9,10 @@
 //! breakpoints."
 
 use baselines::{SeekStats, TimeTravel};
-use dejavu::{SymmetryConfig, Trace, TraceError};
+use dejavu::{ExecSpec, SymmetryConfig, Trace, TraceError};
 use djvm::heap::Addr;
 use djvm::thread::ThreadStatus;
-use djvm::{CycleClock, FixedTimer, MethodId, Program, Tid, Vm, VmConfig, VmStatus};
+use djvm::{MethodId, Program, Tid, Vm, VmStatus};
 use reflect::{mirror, LocalVmMemory, RemoteReflector};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -54,50 +54,38 @@ pub struct ThreadInfo {
 /// A perturbation-free debug session over a recorded execution.
 pub struct DebugSession {
     tt: TimeTravel,
-    program: Arc<Program>,
+    /// The recorded run's environment, with the observer-only telemetry
+    /// sink switched on: the `Metrics`/`Divergence` protocol commands read
+    /// it, and since it lives outside the guest state it cannot perturb
+    /// the replay.
+    spec: ExecSpec,
     breakpoints: BTreeSet<(MethodId, u32)>,
     /// The loaded trace, retained for whole-run analyses (profiling) that
     /// replay it in a scratch VM without disturbing the session's own
     /// time-travel position.
     trace: Trace,
-    vm_config: VmConfig,
 }
 
 impl DebugSession {
-    /// Start a session replaying `trace` of `program` (checkpoints every
-    /// `checkpoint_interval` steps enable reverse execution).
-    pub fn new(
-        program: Arc<Program>,
-        vm_config: VmConfig,
-        trace: Trace,
-        checkpoint_interval: u64,
-    ) -> Self {
-        Self::new_indexed(program, vm_config, trace, checkpoint_interval, Vec::new())
+    /// Start a session replaying `trace`, recorded under `spec`
+    /// (checkpoints every `checkpoint_interval` steps enable reverse
+    /// execution).
+    pub fn new(spec: &ExecSpec, trace: Trace, checkpoint_interval: u64) -> Self {
+        Self::new_indexed(spec, trace, checkpoint_interval, Vec::new())
     }
 
     /// Like [`DebugSession::new`], additionally checkpointing at the given
     /// logical-time boundaries (a block trace's footer index), which makes
     /// [`DebugSession::seek_time`] O(block) instead of O(run).
     pub fn new_indexed(
-        program: Arc<Program>,
-        vm_config: VmConfig,
+        spec: &ExecSpec,
         trace: Trace,
         checkpoint_interval: u64,
         boundaries: Vec<u64>,
     ) -> Self {
-        let mut vm = Vm::boot(
-            Arc::clone(&program),
-            vm_config.clone(),
-            Box::new(FixedTimer::new(1 << 30)), // replay ignores the timer
-            Box::new(CycleClock::new(0, 100)),  // and never reads the clock
-        )
-        .expect("boot");
-        // The debugged VM always carries the observer-only telemetry sink:
-        // the `Metrics`/`Divergence` protocol commands read it, and since
-        // it lives outside the guest state it cannot perturb the replay.
-        vm.enable_telemetry(telemetry::DEFAULT_RING_CAP);
+        let spec = spec.clone().with_telemetry();
         let tt = TimeTravel::new_indexed(
-            vm,
+            spec.replay_vm(),
             trace.clone(),
             SymmetryConfig::full(),
             checkpoint_interval,
@@ -105,10 +93,9 @@ impl DebugSession {
         );
         Self {
             tt,
-            program,
+            spec,
             breakpoints: BTreeSet::new(),
             trace,
-            vm_config,
         }
     }
 
@@ -117,15 +104,13 @@ impl DebugSession {
     /// streaming upload. The footer index becomes the checkpoint keying.
     /// Corrupt bytes produce a typed [`TraceError`], never a panic.
     pub fn from_trace_bytes(
-        program: Arc<Program>,
-        vm_config: VmConfig,
+        spec: &ExecSpec,
         bytes: &[u8],
         checkpoint_interval: u64,
     ) -> Result<Self, TraceError> {
         let ingested = dejavu::ingest_bytes(bytes.to_vec())?;
         Ok(Self::new_indexed(
-            program,
-            vm_config,
+            spec,
             ingested.trace,
             checkpoint_interval,
             ingested.boundaries,
@@ -137,7 +122,7 @@ impl DebugSession {
     }
 
     pub fn program(&self) -> &Arc<Program> {
-        &self.program
+        &self.spec.program
     }
 
     pub fn step_index(&self) -> u64 {
@@ -158,13 +143,9 @@ impl DebugSession {
 
     /// Find a breakpoint location by method name + source line.
     pub fn resolve_line(&self, method_name: &str, line: u32) -> Option<(MethodId, u32)> {
-        let mid = self.program.method_id_by_name(method_name)?;
-        let pc = self
-            .program
-            .method(mid)
-            .lines
-            .iter()
-            .position(|&l| l == line)? as u32;
+        let mid = self.spec.program.method_id_by_name(method_name)?;
+        let lines = &self.spec.program.method(mid).lines;
+        let pc = lines.iter().position(|&l| l == line)? as u32;
         Some((mid, pc))
     }
 
@@ -251,16 +232,16 @@ impl DebugSession {
         let frames = self.vm().frames(tid);
         let vm = self.tt.vm();
         let mem = LocalVmMemory::new(vm);
-        let mut refl = RemoteReflector::new(Arc::clone(&self.program), &mem);
+        let mut refl = RemoteReflector::new(Arc::clone(&self.spec.program), &mem);
         refl.map_boot_method_table(vm.boot_image.method_table);
         frames
             .iter()
             .map(|f| {
                 let line = refl.line_number_of(f.method, f.pc).unwrap_or(-1);
-                let m = self.program.method(f.method);
+                let m = self.spec.program.method(f.method);
                 FrameInfo {
                     method: f.method,
-                    method_name: m.qualified_name(&self.program),
+                    method_name: m.qualified_name(&self.spec.program),
                     pc: f.pc,
                     line,
                     op: format!("{:?}", m.ops[f.pc as usize]),
@@ -271,6 +252,7 @@ impl DebugSession {
 
     /// The thread viewer.
     pub fn threads(&self) -> Vec<ThreadInfo> {
+        let program = &self.spec.program;
         self.vm()
             .threads
             .iter()
@@ -287,7 +269,7 @@ impl DebugSession {
                     ThreadStatus::JoinWaiting(x) => format!("joining(t{x})"),
                     ThreadStatus::Terminated => "terminated".into(),
                 },
-                method_name: self.program.method(t.method).qualified_name(&self.program),
+                method_name: program.method(t.method).qualified_name(program),
                 pc: t.pc,
                 yield_points: t.yield_points,
             })
@@ -297,7 +279,7 @@ impl DebugSession {
     /// Inspect an object via remote reflection mirrors.
     pub fn inspect(&self, addr: Addr) -> String {
         let mem = LocalVmMemory::new(self.vm());
-        mirror::describe(&mem, &self.program, addr)
+        mirror::describe(&mem, &self.spec.program, addr)
     }
 
     /// Console output so far.
@@ -308,7 +290,7 @@ impl DebugSession {
     /// Instruction listing of a method (paper §4: the machine-instruction
     /// view), with yield points marked and source lines inline.
     pub fn disassemble(&self, method: MethodId) -> String {
-        djvm::dis::disassemble(&self.program, method)
+        djvm::dis::disassemble(&self.spec.program, method)
     }
 
     /// Canonical-JSON metrics snapshot: the replayed VM's event counters,
@@ -371,38 +353,8 @@ impl DebugSession {
         if self.trace.switches.is_empty() && self.trace.data.is_empty() {
             return Err("no trace loaded: profiling needs a recorded run".into());
         }
-        let mut vm = Vm::boot(
-            Arc::clone(&self.program),
-            self.vm_config.clone(),
-            Box::new(FixedTimer::new(1 << 30)),
-            Box::new(CycleClock::new(0, 100)),
-        )
-        .map_err(|e| format!("profile replay boot failed: {e:?}"))?;
-        vm.enable_telemetry(telemetry::DEFAULT_RING_CAP);
-        vm.enable_profiler();
-        let mut hook = dejavu::DejaVuReplayer::new(self.trace.clone(), SymmetryConfig::full());
-        hook.on_init_public(&mut vm);
-        djvm::interp::run(&mut vm, &mut hook, u64::MAX);
-        let profiler = vm
-            .telem
-            .profile
-            .take()
-            .ok_or_else(|| "profiler produced no log".to_string())?;
-        let report = dejavu::RunReport {
-            status: vm.status,
-            output: vm.output.clone(),
-            fingerprint: vm.fingerprint.digest(),
-            state_digest: vm.state_digest(),
-            counters: vm.counters,
-            gc_collections: vm.heap.stats.collections,
-            cycles: vm.cycles,
-            wall_time: std::time::Duration::ZERO,
-            telemetry: None,
-            profile: Some(profiler),
-            mega: vm.mega.stats,
-        };
-        let prof =
-            dejavu::ProfileReport::from_run(&report, &self.program).expect("profile log present");
+        let (prof, _, _) =
+            dejavu::profile_replay(&self.spec, self.trace.clone(), SymmetryConfig::full());
         Ok(prof.summary_json(top as usize).to_string())
     }
 }

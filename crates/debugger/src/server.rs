@@ -67,6 +67,9 @@ pub fn handle(session: &mut DebugSession, cmd: Command) -> Response {
                 final_logical: st.final_logical,
             }
         }
+        Command::Stack { tid } if tid as usize >= session.vm().threads.len() => Response::Error {
+            message: format!("no such thread {tid}"),
+        },
         Command::Stack { tid } => Response::Stack {
             frames: session.stack_trace(tid),
         },
@@ -76,6 +79,11 @@ pub fn handle(session: &mut DebugSession, cmd: Command) -> Response {
         Command::Inspect { addr } => Response::Object {
             description: session.inspect(addr),
         },
+        Command::Disassemble { method } if method as usize >= session.program().methods.len() => {
+            Response::Error {
+                message: format!("no such method {method}"),
+            }
+        }
         Command::Disassemble { method } => Response::Listing {
             text: session.disassemble(method),
         },

@@ -6,10 +6,9 @@
 use debugger::server::handle;
 use debugger::{Command, DebugSession, Response, StopReason};
 use dejavu::{record_run, ExecSpec, SymmetryConfig};
-use djvm::{Program, VmStatus};
-use std::sync::Arc;
+use djvm::VmStatus;
 
-fn recorded(name: &str, seed: u64) -> (Arc<Program>, djvm::VmConfig, dejavu::Trace, String) {
+fn recorded(name: &str, seed: u64) -> (ExecSpec, dejavu::Trace, String) {
     let w = workloads::registry()
         .into_iter()
         .find(|w| w.name == name)
@@ -18,12 +17,12 @@ fn recorded(name: &str, seed: u64) -> (Arc<Program>, djvm::VmConfig, dejavu::Tra
     s.timer_base = 53;
     s.timer_jitter = 19;
     let (rec, trace) = record_run(&s, w.natives, SymmetryConfig::full(), true);
-    (s.program, s.vm, trace, rec.output)
+    (s, trace, rec.output)
 }
 
 fn session(name: &str, seed: u64) -> (DebugSession, String) {
-    let (program, vmc, trace, output) = recorded(name, seed);
-    (DebugSession::new(program, vmc, trace, 5_000), output)
+    let (spec, trace, output) = recorded(name, seed);
+    (DebugSession::new(&spec, trace, 5_000), output)
 }
 
 #[test]
@@ -115,9 +114,9 @@ fn breakpoints_by_source_line() {
 
 #[test]
 fn e9_protocol_session() {
-    let (program, vmc, trace, rec_output) = recorded("racy_counter", 9);
-    let worker = program.method_id_by_name("worker").unwrap();
-    let mut s = DebugSession::new(program, vmc, trace, 5_000);
+    let (spec, trace, rec_output) = recorded("racy_counter", 9);
+    let worker = spec.program.method_id_by_name("worker").unwrap();
+    let mut s = DebugSession::new(&spec, trace, 5_000);
     let (method, pc) = (worker, 0);
 
     assert!(matches!(
@@ -143,6 +142,14 @@ fn e9_protocol_session() {
         panic!("expected stack");
     };
     assert_eq!(frames[0].method_name, "worker");
+    // A thread or method the run never had is an error, not an index panic.
+    for wild in [
+        Command::Stack { tid: 4_000_000 },
+        Command::Disassemble { method: 4_000_000 },
+    ] {
+        let r = handle(&mut s, wild);
+        assert!(matches!(r, Response::Error { .. }), "{r:?}");
+    }
     let r = handle(&mut s, Command::Step);
     assert!(matches!(r, Response::Stopped { .. }));
     let r = handle(&mut s, Command::StepBack);
@@ -176,8 +183,8 @@ fn e9_protocol_session() {
 
 #[test]
 fn metrics_and_divergence_commands() {
-    let (program, vmc, trace, rec_output) = recorded("racy_counter", 11);
-    let mut s = DebugSession::new(program, vmc, trace, 5_000);
+    let (spec, trace, rec_output) = recorded("racy_counter", 11);
+    let mut s = DebugSession::new(&spec, trace, 5_000);
 
     // Advance a little, then read metrics mid-replay.
     for _ in 0..50 {
@@ -243,8 +250,8 @@ fn metrics_and_divergence_commands() {
 
 #[test]
 fn profile_command_and_no_trace_error() {
-    let (program, vmc, trace, rec_output) = recorded("fig1_ab", 5);
-    let mut s = DebugSession::new(Arc::clone(&program), vmc.clone(), trace, 5_000);
+    let (spec, trace, rec_output) = recorded("fig1_ab", 5);
+    let mut s = DebugSession::new(&spec, trace, 5_000);
 
     // Profile before stepping at all: the command replays the whole run in
     // a scratch VM, so it works from any session position.
@@ -287,7 +294,7 @@ fn profile_command_and_no_trace_error() {
         switches: Vec::new(),
         data: Vec::new(),
     };
-    let mut s = DebugSession::new(program, vmc, empty, 5_000);
+    let mut s = DebugSession::new(&spec, empty, 5_000);
     let Response::Error { message } = handle(&mut s, Command::Profile { top: 5 }) else {
         panic!("expected error for profile with no trace");
     };
@@ -301,7 +308,7 @@ fn profile_command_and_no_trace_error() {
 
 #[test]
 fn seek_time_replays_only_the_target_block_span() {
-    let (program, vmc, trace, _) = recorded("racy_counter", 6);
+    let (spec, trace, _) = recorded("racy_counter", 6);
     let budget = 64u32;
     let bytes = dejavu::encode_trace(&trace, dejavu::TraceFormat::Block, budget);
     let bf = dejavu::BlockFile::parse(bytes.clone()).expect("own encoding parses");
@@ -315,8 +322,7 @@ fn seek_time_replays_only_the_target_block_span() {
     // Interval checkpoints off: block boundaries are the only keys, so
     // the measured replay span is attributable to the index alone.
     let mut indexed =
-        DebugSession::from_trace_bytes(Arc::clone(&program), vmc.clone(), &bytes, u64::MAX)
-            .expect("block bytes accepted");
+        DebugSession::from_trace_bytes(&spec, &bytes, u64::MAX).expect("block bytes accepted");
     assert_eq!(indexed.cont(), StopReason::Halted);
     let end = indexed.logical_time();
     let target = end / 2;
@@ -344,7 +350,7 @@ fn seek_time_replays_only_the_target_block_span() {
     // The same seek on an unindexed session (single step-0 checkpoint)
     // replays the whole prefix — the block index is what makes the seek
     // O(block) instead of O(run).
-    let mut full = DebugSession::new(program, vmc, trace, u64::MAX);
+    let mut full = DebugSession::new(&spec, trace, u64::MAX);
     assert_eq!(full.cont(), StopReason::Halted);
     let full_stats = full.seek_time(target);
     assert_eq!(
@@ -371,9 +377,9 @@ fn seek_time_replays_only_the_target_block_span() {
 
 #[test]
 fn seek_time_command() {
-    let (program, vmc, trace, _) = recorded("racy_counter", 13);
+    let (spec, trace, _) = recorded("racy_counter", 13);
     let bytes = dejavu::encode_trace(&trace, dejavu::TraceFormat::Block, 64);
-    let mut s = DebugSession::from_trace_bytes(program, vmc, &bytes, 5_000).unwrap();
+    let mut s = DebugSession::from_trace_bytes(&spec, &bytes, 5_000).unwrap();
 
     let r = handle(&mut s, Command::Continue);
     assert!(

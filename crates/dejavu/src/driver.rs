@@ -8,8 +8,8 @@ use crate::record::DejaVuRecorder;
 use crate::replay::{DejaVuReplayer, Desync};
 use crate::symmetry::SymmetryConfig;
 use crate::trace::{Trace, TraceStats};
-use djvm::clock::{CycleClock, JitteredClock, JitteredTimer};
-use djvm::hook::Passthrough;
+use djvm::clock::{CycleClock, JitteredClock, JitteredTimer, WallClock};
+use djvm::hook::{ExecHook, Passthrough};
 use djvm::vm::VmCounters;
 use djvm::{interp, FingerprintMode, Program, Vm, VmConfig, VmStatus};
 use std::sync::Arc;
@@ -124,7 +124,15 @@ impl ExecSpec {
         self
     }
 
-    fn finish_vm(&self, mut vm: Vm) -> Vm {
+    fn boot(&self, clock: Box<dyn WallClock>) -> Vm {
+        let timer = JitteredTimer::new(self.seed, self.timer_base, self.timer_jitter);
+        let mut vm = Vm::boot(
+            Arc::clone(&self.program),
+            self.vm.clone(),
+            Box::new(timer),
+            clock,
+        )
+        .expect("boot failed");
         if self.telemetry {
             vm.enable_telemetry(self.telemetry_ring);
         }
@@ -135,42 +143,25 @@ impl ExecSpec {
         vm
     }
 
-    fn build_live_vm(&self) -> Vm {
-        self.finish_vm(
-            Vm::boot(
-                Arc::clone(&self.program),
-                self.vm.clone(),
-                Box::new(JitteredTimer::new(
-                    self.seed,
-                    self.timer_base,
-                    self.timer_jitter,
-                )),
-                Box::new(JitteredClock::new(
-                    self.seed,
-                    self.clock_origin,
-                    self.cycles_per_ms,
-                    self.clock_noise,
-                )),
-            )
-            .expect("boot failed"),
-        )
+    /// The machine a live (passthrough or record) run boots on: this
+    /// spec's jittered preemption timer and noisy wall clock.
+    pub fn live_vm(&self) -> Vm {
+        self.boot(Box::new(JitteredClock::new(
+            self.seed,
+            self.clock_origin,
+            self.cycles_per_ms,
+            self.clock_noise,
+        )))
     }
 
-    fn build_replay_vm(&self) -> Vm {
-        // Replay ignores both sources; deterministic stand-ins are used.
-        self.finish_vm(
-            Vm::boot(
-                Arc::clone(&self.program),
-                self.vm.clone(),
-                Box::new(JitteredTimer::new(
-                    self.seed,
-                    self.timer_base,
-                    self.timer_jitter,
-                )),
-                Box::new(CycleClock::new(self.clock_origin, self.cycles_per_ms)),
-            )
-            .expect("boot failed"),
-        )
+    /// The machine every replay of a run recorded under this spec boots
+    /// on. Replay takes switches and clock values from the trace, so the
+    /// clock is a deterministic stand-in; everything else is `live_vm`'s.
+    pub fn replay_vm(&self) -> Vm {
+        self.boot(Box::new(CycleClock::new(
+            self.clock_origin,
+            self.cycles_per_ms,
+        )))
     }
 }
 
@@ -241,7 +232,7 @@ impl RunReport {
 
 /// Run uninstrumented (the precision baseline).
 pub fn passthrough_run(spec: &ExecSpec, natives: impl FnOnce(&mut Vm)) -> RunReport {
-    let mut vm = spec.build_live_vm();
+    let mut vm = spec.live_vm();
     let boot = PhaseSpan::mark("boot", &vm);
     natives(&mut vm);
     let mut hook = Passthrough;
@@ -264,11 +255,11 @@ pub fn record_run(
     sym: SymmetryConfig,
     paranoid: bool,
 ) -> (RunReport, Trace) {
-    let mut vm = spec.build_live_vm();
+    let mut vm = spec.live_vm();
     let boot = PhaseSpan::mark("boot", &vm);
     natives(&mut vm);
     let mut hook = DejaVuRecorder::new(sym, paranoid);
-    hook.on_init_public(&mut vm);
+    hook.on_init(&mut vm);
     let warmup = PhaseSpan::mark("warmup", &vm);
     let t0 = Instant::now();
     interp::run(&mut vm, &mut hook, spec.max_steps);
@@ -280,10 +271,10 @@ pub fn record_run(
 /// Replay a trace: natives are *not* registered — replay never calls them,
 /// which is itself part of the determinism story (§2.5).
 pub fn replay_run(spec: &ExecSpec, trace: Trace, sym: SymmetryConfig) -> (RunReport, Vec<Desync>) {
-    let mut vm = spec.build_replay_vm();
+    let mut vm = spec.replay_vm();
     let boot = PhaseSpan::mark("boot", &vm);
     let mut hook = DejaVuReplayer::new(trace, sym);
-    hook.on_init_public(&mut vm);
+    hook.on_init(&mut vm);
     let warmup = PhaseSpan::mark("warmup", &vm);
     let t0 = Instant::now();
     interp::run(&mut vm, &mut hook, spec.max_steps);
@@ -340,26 +331,5 @@ pub fn record_replay_forensic(
         desyncs,
         trace_stats,
         report,
-    }
-}
-
-/// Convenience used in assertions: full-fidelity fingerprinting.
-pub fn full_fidelity(mut spec: ExecSpec) -> ExecSpec {
-    spec.vm.fingerprint = FingerprintMode::Full;
-    spec
-}
-
-// Allow the driver to call on_init without exposing ExecHook publicly odd.
-impl DejaVuRecorder {
-    pub fn on_init_public(&mut self, vm: &mut Vm) {
-        use djvm::hook::ExecHook;
-        self.on_init(vm);
-    }
-}
-
-impl DejaVuReplayer {
-    pub fn on_init_public(&mut self, vm: &mut Vm) {
-        use djvm::hook::ExecHook;
-        self.on_init(vm);
     }
 }

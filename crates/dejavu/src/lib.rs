@@ -56,7 +56,7 @@ pub use blocktrace::{
     TraceFormat, TraceIngest, DEFAULT_BLOCK_BUDGET, DEFAULT_INGEST_LIMIT,
 };
 pub use driver::{
-    full_fidelity, passthrough_run, record_replay, record_replay_forensic, record_run, replay_run,
+    passthrough_run, record_replay, record_replay_forensic, record_run, replay_run,
     ExecSpec, ForensicOutcome, RunReport,
 };
 pub use observe::{

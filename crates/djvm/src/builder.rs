@@ -25,7 +25,7 @@
 
 use crate::bytecode::{ClassId, MethodId, NativeId, Op, StrId, Ty};
 use crate::compile::{compile_program, CompileError};
-use crate::program::{Class, FieldDecl, Method, NativeDecl, Program};
+use crate::program::{Builtins, Class, FieldDecl, Method, NativeDecl, Program};
 use std::collections::HashMap;
 
 /// Builds a [`Program`], verifying and baseline-compiling it in
@@ -180,18 +180,117 @@ impl ProgramBuilder {
             .unwrap_or_else(|| panic!("no virtual method {name}"))
     }
 
-    /// Verify and baseline-compile the program with entry method `entry`.
-    pub fn finish(self, entry: MethodId) -> Result<Program, CompileError> {
+    /// Add the builtins, then verify and baseline-compile the program with
+    /// entry method `entry`. This is the only way to a [`Program`] that
+    /// can run.
+    pub fn finish(mut self, entry: MethodId) -> Result<Program, CompileError> {
+        let builtins = self.inject_builtins();
         let mut program = Program {
             classes: self.classes,
             methods: self.methods,
             strings: self.strings,
             natives: self.natives,
             entry,
+            builtins,
             ..Default::default()
         };
         compile_program(&mut program)?;
         Ok(program)
+    }
+
+    /// The boot-image analogue: the VM's builtin classes and interpreted
+    /// instrumentation helpers, appended after everything the user
+    /// defined, in a fixed order (their ids are pinned by a `compile` test).
+    fn inject_builtins(&mut self) -> Builtins {
+        let thread_class = self.class("Thread").field("tid", Ty::Int).build();
+        let string_class = self.class("String").field("chars", Ty::Ref).build();
+        let vm_method = self
+            .class("VM_Method")
+            .field("methodId", Ty::Int)
+            .field("name", Ty::Ref)
+            .field("lineTable", Ty::Ref);
+        let line_table = vm_method.field_index("lineTable");
+        let vm_method_class = vm_method.build();
+
+        // VM_Method.getLineNumberAt(offset): the reflective query of Fig. 3.
+        //   if (offset >= lineTable.length) return 0; return lineTable[offset];
+        let get_line_number_at = self
+            .virtual_method(
+                vm_method_class,
+                "getLineNumberAt",
+                vec![Ty::Int],
+                3,
+                Some(Ty::Int),
+            )
+            .code(|a| {
+                a.load(0).get_field_ref(line_table).store(2);
+                a.load(1).load(2).array_len().lt().if_nz("in_range");
+                a.iconst(0).ret_val();
+                a.label("in_range");
+                a.load(2).load(1).aload().ret_val();
+            });
+
+        // Interpreted instrumentation helpers. Both loop (so they execute yield
+        // points), but with *different* trip counts, frame sizes and call
+        // depth: record's flush is deliberately heavier than replay's fill.
+        // These asymmetries are what §2.4's symmetry machinery must hide — the
+        // logical clock (liveClock) hides the differing yield-point counts,
+        // pre-compilation hides the differing lazy-compilation footprints, and
+        // eager stack growth hides the differing frame sizes.
+        let mut helper = |name, iters, body_pad, nlocals, nested: Option<MethodId>| {
+            self.func(name, 1, nlocals).code(|a| {
+                a.iconst(0).store(1);
+                if let Some(callee) = nested {
+                    a.iconst(2).call(callee).pop();
+                }
+                a.label("top");
+                a.load(1).iconst(iters).ge().if_nz("done");
+                for _ in 0..body_pad {
+                    a.load(0).iconst(3).add().store(0);
+                }
+                a.load(1).iconst(1).add().store(1);
+                a.goto("top");
+                a.label("done");
+                a.load(0).ret_val();
+            })
+        };
+        // Leaf helper used only by the record-side flush: lazily compiling it
+        // is an extra allocation that replay would never perform.
+        let flush_low = helper("sys$flushLow", 2, 0, 2, None);
+        let flush_method = helper("sys$flushTrace", 8, 3, 10, Some(flush_low));
+        let fill_method = helper("sys$fillTrace", 5, 1, 2, None);
+
+        // sys$getMethods: the VM_Dictionary.getMethods() analogue. Stub body —
+        // a tool JVM *maps* this method (intercepting its invocation to return
+        // a remote object); it is never meant to execute.
+        let get_methods = self
+            .method_typed("sys$getMethods", vec![], 0, Some(Ty::Ref))
+            .code(|a| {
+                a.null().ret_val();
+            });
+
+        // sys$lineNumberOf(methodNumber, offset): the paper's Figure 3 query:
+        //   VM_Method[] mtable = VM_Dictionary.getMethods();
+        //   VM_Method candidate = mtable[methodNumber];
+        //   return candidate.getLineNumberAt(offset);
+        let slot = self.vslot(vm_method_class, "getLineNumberAt");
+        let line_number_of = self.func("sys$lineNumberOf", 2, 3).code(|a| {
+            a.line(2).call(get_methods);
+            a.line(3).load(0).aload_ref().store(2);
+            a.line(4).load(2).load(1);
+            a.call_virtual(vm_method_class, slot).ret_val();
+        });
+
+        Builtins {
+            thread_class,
+            string_class,
+            vm_method_class,
+            flush_method,
+            fill_method,
+            get_methods,
+            line_number_of,
+            get_line_number_at,
+        }
     }
 }
 

@@ -19,17 +19,17 @@
 //!    stream with pre-decoded operands (jump targets carry their backedge
 //!    bit, monomorphic virtual calls are devirtualized) and fused
 //!    superinstructions for common pairs/triples. The quickened stream is
-//!    *derived* metadata: it is recomputed on every compile (the codec
-//!    never serializes it) and the interpreter's quickened dispatch loop
+//!    *derived* metadata and the interpreter's quickened dispatch loop
 //!    is proven bit-identical to the unfused one (see `interp`).
 //!
-//! The pass also injects the VM's builtin classes and the interpreted
-//! instrumentation helper methods (the boot-image analogue).
+//! The VM's builtin classes and interpreted instrumentation helpers (the
+//! boot-image analogue) are guest code like any other: the builder adds
+//! them in [`crate::builder::ProgramBuilder::finish`] before this pass.
 
 use crate::bytecode::{ClassId, MethodId, Op, Ty};
 use crate::heap::Word;
-use crate::program::{Class, FieldDecl, Method, Program};
-use std::collections::{HashMap, VecDeque};
+use crate::program::{Method, Program};
+use std::collections::VecDeque;
 
 /// Verifier slot type: `Dead` slots are unusable (uninitialized or merge of
 /// incompatible types); they are treated as non-references by the GC, which
@@ -646,9 +646,10 @@ impl std::error::Error for CompileError {}
 /// Hard cap on operand-stack depth per frame (catches runaway codegen).
 const MAX_OPERAND_STACK: usize = 4096;
 
-/// Inject builtins, compute layouts, verify and compile every method.
-pub fn compile_program(program: &mut Program) -> Result<(), CompileError> {
-    inject_builtins(program);
+/// Compute layouts, verify and compile every method. The one caller is
+/// [`crate::builder::ProgramBuilder::finish`], which has already added
+/// the builtins.
+pub(crate) fn compile_program(program: &mut Program) -> Result<(), CompileError> {
     program.field_layouts = (0..program.classes.len())
         .map(|c| {
             program
@@ -669,232 +670,6 @@ pub fn compile_program(program: &mut Program) -> Result<(), CompileError> {
         program.methods[id].compiled = Some(compiled);
     }
     Ok(())
-}
-
-fn inject_builtins(program: &mut Program) {
-    let mut class_by_name: HashMap<String, ClassId> = program
-        .classes
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.name.clone(), i as ClassId))
-        .collect();
-    let mut ensure_class = |program: &mut Program, name: &str, fields: Vec<(&str, Ty)>| {
-        if let Some(&id) = class_by_name.get(name) {
-            return id;
-        }
-        program.classes.push(Class {
-            name: name.to_string(),
-            super_class: None,
-            fields: fields
-                .into_iter()
-                .map(|(n, ty)| FieldDecl { name: n.into(), ty })
-                .collect(),
-            statics: vec![],
-            vtable: vec![],
-            vslots: HashMap::new(),
-        });
-        let id = (program.classes.len() - 1) as ClassId;
-        class_by_name.insert(name.to_string(), id);
-        id
-    };
-
-    let thread_class = ensure_class(program, "Thread", vec![("tid", Ty::Int)]);
-    let string_class = ensure_class(program, "String", vec![("chars", Ty::Ref)]);
-    let vm_method_class = ensure_class(
-        program,
-        "VM_Method",
-        vec![
-            ("methodId", Ty::Int),
-            ("name", Ty::Ref),
-            ("lineTable", Ty::Ref),
-        ],
-    );
-
-    // VM_Method.getLineNumberAt(offset): the reflective query of Fig. 3.
-    //   if (offset >= lineTable.length) return 0; return lineTable[offset];
-    // Injection must be idempotent — a program that already carries the
-    // builtins (e.g. one decoded from the JSON codec and recompiled) is
-    // re-resolved, never extended twice.
-    let existing_glna = {
-        let c = &program.classes[vm_method_class as usize];
-        c.vslots
-            .get("getLineNumberAt")
-            .map(|&slot| c.vtable[slot as usize])
-    };
-    let get_line_number_at = if let Some(id) = existing_glna {
-        id
-    } else {
-        let line_table_idx = 2u16; // third field of VM_Method
-        let ops = vec![
-            Op::Load(0), // this
-            Op::GetField {
-                idx: line_table_idx,
-                ty: Ty::Ref,
-            }, // lineTable
-            Op::Store(2),
-            Op::Load(1), // offset
-            Op::Load(2),
-            Op::ArrayLen,
-            Op::Lt,
-            Op::If(10),
-            Op::Const(0),
-            Op::RetVal,
-            Op::Load(2), // pc 10
-            Op::Load(1),
-            Op::ALoad(Ty::Int),
-            Op::RetVal,
-        ];
-        let lines = vec![1; ops.len()];
-        program.methods.push(Method {
-            name: "getLineNumberAt".into(),
-            owner: Some(vm_method_class),
-            nargs: 2,
-            nlocals: 3,
-            arg_types: vec![Ty::Ref, Ty::Int],
-            ret: Some(Ty::Int),
-            ops,
-            lines,
-            compiled: None,
-        });
-        let id = (program.methods.len() - 1) as MethodId;
-        let c = &mut program.classes[vm_method_class as usize];
-        let slot = c.vtable.len() as u16;
-        c.vtable.push(id);
-        c.vslots.insert("getLineNumberAt".into(), slot);
-        id
-    };
-
-    // Interpreted instrumentation helpers. Both loop (so they execute yield
-    // points), but with *different* trip counts, frame sizes and call
-    // depth: record's flush is deliberately heavier than replay's fill.
-    // These asymmetries are what §2.4's symmetry machinery must hide — the
-    // logical clock (liveClock) hides the differing yield-point counts,
-    // pre-compilation hides the differing lazy-compilation footprints, and
-    // eager stack growth hides the differing frame sizes.
-    let make_helper = |program: &mut Program,
-                       name: &str,
-                       iters: i64,
-                       body_pad: usize,
-                       nlocals: u16,
-                       nested: Option<MethodId>| {
-        let mut ops = vec![Op::Const(0), Op::Store(1)];
-        if let Some(callee) = nested {
-            ops.push(Op::Const(2));
-            ops.push(Op::Call(callee));
-            ops.push(Op::Pop);
-        }
-        let loop_top = ops.len() as u32;
-        ops.push(Op::Load(1)); // pc loop_top
-        ops.push(Op::Const(iters));
-        ops.push(Op::Ge);
-        let exit_fix = ops.len();
-        ops.push(Op::If(u32::MAX)); // patched below
-        for _ in 0..body_pad {
-            ops.push(Op::Load(0));
-            ops.push(Op::Const(3));
-            ops.push(Op::Add);
-            ops.push(Op::Store(0));
-        }
-        ops.push(Op::Load(1));
-        ops.push(Op::Const(1));
-        ops.push(Op::Add);
-        ops.push(Op::Store(1));
-        ops.push(Op::Goto(loop_top));
-        let exit = ops.len() as u32;
-        ops[exit_fix] = Op::If(exit);
-        ops.push(Op::Load(0));
-        ops.push(Op::RetVal);
-        let lines = vec![1; ops.len()];
-        program.methods.push(Method {
-            name: name.to_string(),
-            owner: None,
-            nargs: 1,
-            nlocals,
-            arg_types: vec![Ty::Int],
-            ret: Some(Ty::Int),
-            ops,
-            lines,
-            compiled: None,
-        });
-        (program.methods.len() - 1) as MethodId
-    };
-
-    // Leaf helper used only by the record-side flush: lazily compiling it
-    // is an extra allocation that replay would never perform.
-    let flush_low = program
-        .method_id_by_name("sys$flushLow")
-        .unwrap_or_else(|| make_helper(program, "sys$flushLow", 2, 0, 2, None));
-    let flush_method = program
-        .method_id_by_name("sys$flushTrace")
-        .unwrap_or_else(|| make_helper(program, "sys$flushTrace", 8, 3, 10, Some(flush_low)));
-    let fill_method = program
-        .method_id_by_name("sys$fillTrace")
-        .unwrap_or_else(|| make_helper(program, "sys$fillTrace", 5, 1, 2, None));
-
-    // sys$getMethods: the VM_Dictionary.getMethods() analogue. Stub body —
-    // a tool JVM *maps* this method (intercepting its invocation to return
-    // a remote object); it is never meant to execute.
-    let get_methods = program
-        .method_id_by_name("sys$getMethods")
-        .unwrap_or_else(|| {
-            program.methods.push(Method {
-                name: "sys$getMethods".into(),
-                owner: None,
-                nargs: 0,
-                nlocals: 0,
-                arg_types: vec![],
-                ret: Some(Ty::Ref),
-                ops: vec![Op::Null, Op::RetVal],
-                lines: vec![1, 1],
-                compiled: None,
-            });
-            (program.methods.len() - 1) as MethodId
-        });
-
-    // sys$lineNumberOf(methodNumber, offset): the paper's Figure 3 query:
-    //   VM_Method[] mtable = VM_Dictionary.getMethods();
-    //   VM_Method candidate = mtable[methodNumber];
-    //   return candidate.getLineNumberAt(offset);
-    let line_number_of = program
-        .method_id_by_name("sys$lineNumberOf")
-        .unwrap_or_else(|| {
-            let slot = program.classes[vm_method_class as usize].vslots["getLineNumberAt"];
-            program.methods.push(Method {
-                name: "sys$lineNumberOf".into(),
-                owner: None,
-                nargs: 2,
-                nlocals: 3,
-                arg_types: vec![Ty::Int, Ty::Int],
-                ret: Some(Ty::Int),
-                ops: vec![
-                    Op::Call(get_methods), // mtable
-                    Op::Load(0),           // methodNumber
-                    Op::ALoad(Ty::Ref),    // candidate
-                    Op::Store(2),
-                    Op::Load(2),
-                    Op::Load(1), // offset
-                    Op::CallVirtual {
-                        class: vm_method_class,
-                        slot,
-                    },
-                    Op::RetVal,
-                ],
-                lines: vec![2, 3, 3, 3, 4, 4, 4, 4],
-                compiled: None,
-            });
-            (program.methods.len() - 1) as MethodId
-        });
-
-    program.builtins = crate::program::Builtins {
-        thread_class,
-        string_class,
-        vm_method_class,
-        flush_method,
-        fill_method,
-        get_methods,
-        line_number_of,
-        get_line_number_at,
-    };
 }
 
 struct Verifier<'p> {
@@ -1473,7 +1248,7 @@ fn try_fuse(ops: &[Op], pc: usize, backedge: &[bool]) -> Option<QOp> {
 
 /// The quickening pass: one [`QOp`] per source pc. Pure function of the
 /// (verified) method body and the program's class hierarchy — re-running
-/// it (e.g. after a codec round trip) reproduces the same stream.
+/// it reproduces the same stream.
 fn quicken(program: &Program, ops: &[Op], backedge: &[bool]) -> Vec<QOp> {
     let mut q: Vec<QOp> = ops
         .iter()
@@ -2137,6 +1912,67 @@ mod tests {
                 [p.class(b.vm_method_class).vslots["getLineNumberAt"] as usize],
             b.get_line_number_at
         );
+
+        // Classes and methods follow the last user-defined one (`main`, no
+        // classes) in a fixed order with fixed bodies.
+        assert_eq!(
+            [b.thread_class, b.string_class, b.vm_method_class],
+            [0, 1, 2]
+        );
+        let pinned: [(MethodId, &str, &str, Vec<u32>); 6] = [
+            (
+                b.get_line_number_at,
+                "getLineNumberAt",
+                "load l0; getfield #2:ref; store l2; load l1; load l2; arraylen; cmplt; \
+                 ifnz @10; const 0; retval; load l2; load l1; aload int; retval",
+                vec![1; 14],
+            ),
+            (
+                m + 2,
+                "sys$flushLow",
+                "const 0; store l1; load l1; const 2; cmpge; ifnz @11; \
+                 load l1; const 1; add; store l1; goto @2; load l0; retval",
+                vec![1; 13],
+            ),
+            (
+                b.flush_method,
+                "sys$flushTrace",
+                "const 0; store l1; const 2; call sys$flushLow; pop; \
+                 load l1; const 8; cmpge; ifnz @26; \
+                 load l0; const 3; add; store l0; load l0; const 3; add; store l0; \
+                 load l0; const 3; add; store l0; \
+                 load l1; const 1; add; store l1; goto @5; load l0; retval",
+                vec![1; 28],
+            ),
+            (
+                b.fill_method,
+                "sys$fillTrace",
+                "const 0; store l1; load l1; const 5; cmpge; ifnz @15; \
+                 load l0; const 3; add; store l0; \
+                 load l1; const 1; add; store l1; goto @2; load l0; retval",
+                vec![1; 17],
+            ),
+            (b.get_methods, "sys$getMethods", "null; retval", vec![1; 2]),
+            (
+                b.line_number_of,
+                "sys$lineNumberOf",
+                "call sys$getMethods; load l0; aload ref; store l2; load l2; load l1; \
+                 callvirtual VM_Method.getLineNumberAt [slot 0]; retval",
+                vec![2, 3, 3, 3, 4, 4, 4, 4],
+            ),
+        ];
+        for (i, (id, name, text, lines)) in pinned.into_iter().enumerate() {
+            assert_eq!(id, m + 1 + i as MethodId, "{name}");
+            let method = p.method(id);
+            assert_eq!(method.name, name);
+            let ops: Vec<String> = method
+                .ops
+                .iter()
+                .map(|&op| crate::dis::render_op(&p, op))
+                .collect();
+            assert_eq!(ops.join("; "), text, "{name}");
+            assert_eq!(method.lines, lines, "{name}");
+        }
     }
 
     #[test]

@@ -30,7 +30,6 @@
 pub mod builder;
 pub mod bytecode;
 pub mod clock;
-pub mod codec;
 pub mod compile;
 pub mod dis;
 pub mod fingerprint;

@@ -59,8 +59,6 @@ pub struct Method {
     /// remote-reflection line-number example (paper Fig. 3) and debugger.
     pub lines: Vec<u32>,
     /// Output of the baseline compiler; populated by [`crate::compile`].
-    /// Not part of the serialized form (the codec skips it; a decoded
-    /// program must be re-compiled).
     pub compiled: Option<CompiledMethod>,
 }
 
@@ -193,8 +191,9 @@ impl Program {
         &self.classes[id as usize]
     }
 
-    /// The compiled form of a method; panics if the program has not been
-    /// passed through [`crate::compile::compile_program`].
+    /// The compiled form of a method. Every `Program` that came out of
+    /// [`crate::builder::ProgramBuilder::finish`] — the only producer —
+    /// has one per method; panics on a hand-assembled `Program`.
     pub fn compiled(&self, id: MethodId) -> &CompiledMethod {
         self.methods[id as usize]
             .compiled

@@ -261,10 +261,8 @@ impl Session {
             let Phase::Sealed { trace, boundaries } = taken else {
                 unreachable!()
             };
-            let spec = self.spec();
             let dbg = DebugSession::new_indexed(
-                spec.program.clone(),
-                spec.vm.clone(),
+                &self.spec(),
                 trace,
                 DEFAULT_CHECKPOINT_INTERVAL,
                 boundaries,

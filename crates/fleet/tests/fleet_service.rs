@@ -359,6 +359,15 @@ fn three_tier_debug_over_fleet() {
         Response::Error { code: 1, message } => assert!(message.contains("bad debug command")),
         other => panic!("expected error, got {other:?}"),
     }
+    // So is a well-formed command naming a thread or method the run never
+    // had: a debugger-level error, not a panicked worker.
+    for wild in [
+        Command::Stack { tid: 4_000_000 },
+        Command::Disassemble { method: 4_000_000 },
+    ] {
+        let r = b.debug(id, &wild).unwrap();
+        assert!(matches!(r, DbgResponse::Error { .. }), "{r:?}");
+    }
 
     assert_eq!(
         b.debug(id, &Command::ClearBreak { method, pc: 0 }).unwrap(),

@@ -39,20 +39,6 @@ fn record(name: &str, seed: u64) -> (u64, Trace, Vec<u8>) {
     (rec.fingerprint, trace, bytes)
 }
 
-fn replay_vm(spec: &ExecSpec) -> djvm::Vm {
-    djvm::Vm::boot(
-        Arc::clone(&spec.program),
-        spec.vm.clone(),
-        Box::new(djvm::JitteredTimer::new(
-            spec.seed,
-            spec.timer_base,
-            spec.timer_jitter,
-        )),
-        Box::new(djvm::CycleClock::new(spec.clock_origin, spec.cycles_per_ms)),
-    )
-    .expect("workload boots")
-}
-
 #[test]
 fn fig1_family_dedups_and_replays_bit_identical() {
     let root = scratch("family");
@@ -108,7 +94,7 @@ fn store_served_seek_is_one_block_span_and_matches_file_backed() {
     let (spec, _) = spec_for("fig1_hot", 5);
     let run = |t: Trace, bounds: Vec<u64>| {
         let mut tt = TimeTravel::new_indexed(
-            replay_vm(&spec),
+            spec.replay_vm(),
             t,
             SymmetryConfig::full(),
             u64::MAX, // boundary checkpoints only

@@ -359,7 +359,7 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 
-echo "== surface: one trace format, one server, one exit type, one semantics, no env knobs =="
+echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, no env knobs =="
 fail=0
 if grep -rn 'env::var' crates/{djvm,dejavu,codec,telemetry,store,fleet,debugger,reflect,baselines,workloads}/src; then
     echo "verify: a library crate reads the process environment" >&2
@@ -390,11 +390,27 @@ for pat in 'wrapping_neg' 'mem.swap('; do
         fail=1
     fi
 done
+# One producer each: `ExecSpec::{live_vm, replay_vm}` is the only way to a
+# Vm (the spec-less reflection demos boot a bare one), `ProgramBuilder` the
+# only way to a Program.
+if grep -rnE 'Vm::boot\(|(Jittered|Fixed)Timer::new|CycleClock::new' crates src tests examples --include=*.rs |
+    grep -vE '^(crates/djvm/[^:]*|crates/dejavu/src/driver\.rs|crates/reflect/tests/remote_reflection\.rs|examples/remote_reflection\.rs|crates/bench/benches/reflection_latency\.rs):'; then
+    echo "verify: an execution environment is spelled outside ExecSpec" >&2
+    fail=1
+fi
+if grep -rnE 'on_init_public|full_fidelity' crates src tests examples --include=*.rs ||
+    grep -n 'mod codec' crates/djvm/src/lib.rs; then
+    echo "verify: a deleted wrapper or the Program JSON codec is back" >&2
+    fail=1
+fi
 [ "$fail" -eq 0 ]
 echo "surface: $(git ls-files '*.rs' '*.sh' ':!benchmark' | xargs cat | wc -l) lines of .rs/.sh outside benchmark/"
 tiers=$(for f in interp compile dis; do
     awk '/^#\[cfg\(test\)\]/{print NR-1; exit}' "crates/djvm/src/$f.rs"
 done | awk '{s+=$1} END{print s}')
-echo "surface: $tiers non-test lines in djvm's interp.rs + compile.rs + dis.rs"
+djvm=$(for f in crates/djvm/src/*.rs; do
+    awk '/^#\[cfg\(test\)\]/{print NR-1; t=1; exit} END{if(!t) print NR}' "$f"
+done | awk '{s+=$1} END{print s}')
+echo "surface: $tiers non-test lines in djvm's interp.rs + compile.rs + dis.rs, $djvm in all of crates/djvm/src"
 
 echo "verify: OK"

@@ -371,22 +371,6 @@ pub fn check_trace(
     check
 }
 
-/// Boot a replay VM for the seek probe (mirrors the driver's replay
-/// environment: seeded timer, deterministic cycle clock).
-fn replay_vm(spec: &ExecSpec) -> djvm::Vm {
-    djvm::Vm::boot(
-        std::sync::Arc::clone(&spec.program),
-        spec.vm.clone(),
-        Box::new(djvm::JitteredTimer::new(
-            spec.seed,
-            spec.timer_base,
-            spec.timer_jitter,
-        )),
-        Box::new(djvm::CycleClock::new(spec.clock_origin, spec.cycles_per_ms)),
-    )
-    .expect("corpus workload boots")
-}
-
 /// Run to the last block boundary (taking boundary checkpoints), then
 /// seek backward to just past the middle boundary; the returned number is
 /// the trace events consumed catching up — bounded by one block span when
@@ -397,7 +381,7 @@ fn seek_probe(spec: &ExecSpec, bf: &BlockFile, trace: &Trace) -> Option<u64> {
         return None;
     }
     let mut tt = TimeTravel::new_indexed(
-        replay_vm(spec),
+        spec.replay_vm(),
         trace.clone(),
         SymmetryConfig::full(),
         // Step-cadence checkpoints off: only boundary checkpoints, so the

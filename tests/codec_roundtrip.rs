@@ -1,7 +1,6 @@
 //! Round-trip coverage for the hermetic codec layer, through the public
-//! API: binary `Trace` edge cases, JSON round-trips for *every*
-//! `Command`/`Response` variant on the debugger wire protocol, and a full
-//! `Program` JSON round-trip that re-compiles and re-runs identically.
+//! API: binary `Trace` edge cases and JSON round-trips for *every*
+//! `Command`/`Response` variant on the debugger wire protocol.
 
 use codec::{FromJson, ToJson};
 use debugger::protocol::{Command, Response};
@@ -229,26 +228,4 @@ fn protocol_rejects_malformed_lines() {
         assert!(Command::from_json_str(junk).is_err(), "accepted {junk:?}");
     }
     assert!(Response::from_json_str(r#"{"resp":"nope"}"#).is_err());
-}
-
-// ---------------------------------------------------------------------
-// Program JSON codec: encode → decode → recompile → identical run.
-// ---------------------------------------------------------------------
-
-#[test]
-fn program_json_roundtrip_runs_identically() {
-    let program = workloads::suite::racy_counter(40);
-    let json = program.to_json_string();
-    let mut decoded = djvm::Program::from_json_str(&json).expect("decode");
-    // The codec intentionally skips compiled method bodies; re-derive them.
-    djvm::compile::compile_program(&mut decoded).expect("recompile");
-    assert_eq!(decoded.to_json_string(), json, "re-encode not canonical");
-
-    let spec_a = dejavu::ExecSpec::new(program).with_seed(5);
-    let spec_b = dejavu::ExecSpec::new(decoded).with_seed(5);
-    let a = dejavu::passthrough_run(&spec_a, |_| {});
-    let b = dejavu::passthrough_run(&spec_b, |_| {});
-    assert_eq!(a.output, b.output);
-    assert_eq!(a.fingerprint, b.fingerprint);
-    assert_eq!(a.state_digest, b.state_digest);
 }

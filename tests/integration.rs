@@ -34,7 +34,7 @@ fn full_platform_flow() {
     assert!(row.dejavu_bytes < row.readlog_bytes);
 
     // --- debug the recording ---------------------------------------------
-    let mut session = DebugSession::new(spec.program.clone(), spec.vm.clone(), trace, 4_000);
+    let mut session = DebugSession::new(&spec, trace, 4_000);
     let worker = spec.program.method_id_by_name("worker").unwrap();
     session.add_breakpoint(worker, 0);
     let stop = session.cont();
@@ -80,14 +80,7 @@ fn time_travel_composes_with_reflection() {
     spec.timer_jitter = 19;
     let (rec, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
 
-    let vm = djvm::Vm::boot(
-        Arc::clone(&spec.program),
-        spec.vm.clone(),
-        Box::new(djvm::FixedTimer::new(1 << 30)),
-        Box::new(djvm::CycleClock::new(0, 100)),
-    )
-    .unwrap();
-    let mut tt = TimeTravel::new(vm, trace, SymmetryConfig::full(), 3_000);
+    let mut tt = TimeTravel::new(spec.replay_vm(), trace, SymmetryConfig::full(), 3_000);
 
     // Sample the same moment twice (before/after a round trip through the
     // future) and reflectively compare: identical remote answers.
@@ -116,6 +109,40 @@ fn time_travel_composes_with_reflection() {
         tt.advance(10_000);
     }
     assert_eq!(tt.vm().output, rec.output);
+}
+
+/// One environment, one oracle: every way of replaying a trace boots the
+/// machine its `ExecSpec` describes, so each lands on the record's
+/// fingerprint, state digest, output and status with no desyncs.
+#[test]
+fn every_replay_door_agrees_with_the_record() {
+    let sym = SymmetryConfig::full();
+    for w in workloads::registry() {
+        let spec = ExecSpec::new((w.build)()).with_seed(7);
+        let (rec, trace) = record_run(&spec, w.natives, sym, true);
+
+        let (rep, desyncs) = replay_run(&spec, trace.clone(), sym);
+        assert!(desyncs.is_empty(), "{}: replay_run desynced", w.name);
+        assert!(rec.matches(&rep), "{}: replay_run", w.name);
+
+        let agrees = |door: &str, vm: &djvm::Vm, desyncs: &[dejavu::Desync]| {
+            assert!(desyncs.is_empty(), "{}: {door} desynced", w.name);
+            assert_eq!(
+                (vm.fingerprint.digest(), vm.state_digest()),
+                (rec.fingerprint, rec.state_digest),
+                "{}: {door}",
+                w.name
+            );
+            assert_eq!((&vm.output, vm.status), (&rec.output, rec.status));
+        };
+        let mut tt = TimeTravel::new(spec.replay_vm(), trace.clone(), sym, u64::MAX);
+        tt.advance(u64::MAX);
+        agrees("TimeTravel", tt.vm(), tt.desyncs());
+
+        let mut session = DebugSession::new(&spec, trace, u64::MAX);
+        session.cont();
+        agrees("DebugSession", session.vm(), session.desyncs());
+    }
 }
 
 #[test]

@@ -62,7 +62,7 @@ fn flat_bytes_are_one_typed_error_at_every_read_door() {
 
     // The library doors.
     assert_eq!(ingest_bytes(flat.clone()).unwrap_err(), refused);
-    let dbg = DebugSession::from_trace_bytes(spec.program.clone(), spec.vm.clone(), &flat, 5_000);
+    let dbg = DebugSession::from_trace_bytes(&spec, &flat, 5_000);
     assert_eq!(dbg.err(), Some(refused.clone()));
     let store = Store::open(&dir.join("store")).unwrap();
     let err = store.put_bytes("racy_counter", 3, &flat, 0, "").unwrap_err();
