@@ -11,6 +11,7 @@ use dejavu::{DejaVuReplayer, SymmetryConfig, Trace};
 use djvm::hook::ExecHook;
 use djvm::vm::VmSnapshot;
 use djvm::{interp, Vm, VmStatus};
+use std::sync::Arc;
 
 /// One checkpoint: guest state plus the replay cursor that goes with it.
 pub struct Checkpoint {
@@ -71,7 +72,7 @@ pub struct TimeTravel {
 impl TimeTravel {
     /// Wrap a freshly booted replay VM. `interval` = steps between
     /// checkpoints (the space/time knob the paper discusses).
-    pub fn new(vm: Vm, trace: Trace, sym: SymmetryConfig, interval: u64) -> Self {
+    pub fn new(vm: Vm, trace: impl Into<Arc<Trace>>, sym: SymmetryConfig, interval: u64) -> Self {
         Self::new_indexed(vm, trace, sym, interval, Vec::new())
     }
 
@@ -80,7 +81,7 @@ impl TimeTravel {
     /// from a block-structured trace are).
     pub fn new_indexed(
         mut vm: Vm,
-        trace: Trace,
+        trace: impl Into<Arc<Trace>>,
         sym: SymmetryConfig,
         interval: u64,
         boundaries: Vec<u64>,

@@ -93,11 +93,6 @@ impl Group {
         self
     }
 
-    pub fn warm_up_time(&mut self, d: Duration) -> &mut Self {
-        self.warm_up = d;
-        self
-    }
-
     /// Measure `f`: warm up for the configured duration, then time
     /// `sample_size` individual calls. In smoke mode: one call, no warmup.
     pub fn bench<F: FnMut()>(&mut self, name: &str, f: F) -> &mut Self {

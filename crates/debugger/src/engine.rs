@@ -60,10 +60,10 @@ pub struct DebugSession {
     /// the replay.
     spec: ExecSpec,
     breakpoints: BTreeSet<(MethodId, u32)>,
-    /// The loaded trace, retained for whole-run analyses (profiling) that
-    /// replay it in a scratch VM without disturbing the session's own
-    /// time-travel position.
-    trace: Trace,
+    /// The loaded trace, shared with `tt`'s replay cursor and with the
+    /// whole-run analyses (profiling) that replay it in a scratch VM
+    /// without disturbing the session's own time-travel position.
+    trace: Arc<Trace>,
 }
 
 impl DebugSession {
@@ -84,9 +84,10 @@ impl DebugSession {
         boundaries: Vec<u64>,
     ) -> Self {
         let spec = spec.clone().with_telemetry();
+        let trace = Arc::new(trace);
         let tt = TimeTravel::new_indexed(
             spec.replay_vm(),
-            trace.clone(),
+            Arc::clone(&trace),
             SymmetryConfig::full(),
             checkpoint_interval,
             boundaries,
@@ -354,7 +355,7 @@ impl DebugSession {
             return Err("no trace loaded: profiling needs a recorded run".into());
         }
         let (prof, _, _) =
-            dejavu::profile_replay(&self.spec, self.trace.clone(), SymmetryConfig::full());
+            dejavu::profile_replay(&self.spec, Arc::clone(&self.trace), SymmetryConfig::full());
         Ok(prof.summary_json(top as usize).to_string())
     }
 }

@@ -402,10 +402,8 @@ fn decode_block_payload(
     raw: &[u8],
     info: &BlockInfo,
     paranoid: bool,
-    block: usize,
 ) -> Result<(Vec<SwitchRec>, Vec<DataRec>), TraceError> {
     let corrupt = |what| TraceError::Corrupt(what);
-    let _ = block;
     let mut pos = 0usize;
     // The in-payload counts are validated against the header (itself
     // sanity-checked in `BlockInfo::get`, where `switch_count <=
@@ -606,7 +604,7 @@ pub fn decode_block_events(
         comp_len: raw.len() as u32,
         crc: 0, // payload integrity is the caller's contract here
     };
-    decode_block_payload(raw, &info, paranoid, 0)
+    decode_block_payload(raw, &info, paranoid)
 }
 
 /// One block's identity: the fields the store's catalog records per
@@ -823,7 +821,7 @@ impl BlockFile {
             .get(i)
             .ok_or(TraceError::Corrupt("block index out of range"))?;
         let raw = self.block_raw(i)?;
-        decode_block_payload(&raw, &info, self.paranoid, i)
+        decode_block_payload(&raw, &info, self.paranoid)
     }
 
     /// Validate every block's CRC; `Ok` only if all pass.

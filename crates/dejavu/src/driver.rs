@@ -270,7 +270,11 @@ pub fn record_run(
 
 /// Replay a trace: natives are *not* registered — replay never calls them,
 /// which is itself part of the determinism story (§2.5).
-pub fn replay_run(spec: &ExecSpec, trace: Trace, sym: SymmetryConfig) -> (RunReport, Vec<Desync>) {
+pub fn replay_run(
+    spec: &ExecSpec,
+    trace: impl Into<Arc<Trace>>,
+    sym: SymmetryConfig,
+) -> (RunReport, Vec<Desync>) {
     let mut vm = spec.replay_vm();
     let boot = PhaseSpan::mark("boot", &vm);
     let mut hook = DejaVuReplayer::new(trace, sym);

@@ -17,6 +17,7 @@ use crate::trace::Trace;
 use codec::Json;
 use djvm::compile::QOP_KIND_NAMES;
 use djvm::Program;
+use std::sync::Arc;
 use telemetry::profile::{chrome_trace, folded_stacks, summary_json, ProfileModel, Profiler};
 
 /// A fully resolved profile of one run.
@@ -101,7 +102,7 @@ impl ProfileReport {
 /// so the returned report's fingerprint equals an unprofiled replay's.
 pub fn profile_replay(
     spec: &ExecSpec,
-    trace: Trace,
+    trace: impl Into<Arc<Trace>>,
     sym: SymmetryConfig,
 ) -> (ProfileReport, RunReport, Vec<Desync>) {
     let spec = spec.clone().with_profile(true);

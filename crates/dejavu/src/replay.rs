@@ -14,7 +14,7 @@ use crate::trace::{DataRec, SwitchRec, Trace};
 use djvm::hook::{ExecHook, YieldAction};
 use djvm::vm::Vm;
 use djvm::{CallbackReq, NativeId, NativeOutcome};
-use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// A detected record/replay desynchronization (diagnostics; an accurate
 /// replay produces none).
@@ -88,36 +88,42 @@ struct Pending {
     check_tid: u32,
 }
 
-/// The replay-mode hook (Fig. 2-B).
+impl Pending {
+    fn of(s: &SwitchRec) -> Pending {
+        Pending {
+            remaining: s.nyp,
+            check_tid: s.check_tid,
+        }
+    }
+}
+
+/// The replay-mode hook (Fig. 2-B): a cursor into a shared, immutable
+/// trace, so cloning it (a time-travel checkpoint) copies no events.
 #[derive(Clone)]
 pub struct DejaVuReplayer {
     common: InstrCommon,
-    switches: VecDeque<SwitchRec>,
-    data: VecDeque<DataRec>,
-    paranoid: bool,
+    trace: Arc<Trace>,
     /// Countdown to the next forced switch (`None` = switch stream done).
     pending: Option<Pending>,
+    /// Switch records consumed, `pending` excluded: it is
+    /// `trace.switches[switch_index]`.
     switch_index: u64,
+    /// Data records consumed: the next one is `trace.data[data_index]`.
+    data_index: usize,
     clock_reads: u64,
     native_calls: u64,
     desyncs: Vec<Desync>,
 }
 
 impl DejaVuReplayer {
-    pub fn new(trace: Trace, sym: SymmetryConfig) -> Self {
-        let paranoid = trace.paranoid;
-        let mut switches: VecDeque<SwitchRec> = trace.switches.into();
-        let pending = switches.pop_front().map(|s| Pending {
-            remaining: s.nyp,
-            check_tid: s.check_tid,
-        });
+    pub fn new(trace: impl Into<Arc<Trace>>, sym: SymmetryConfig) -> Self {
+        let trace = trace.into();
         Self {
             common: InstrCommon::new(sym),
-            switches,
-            data: trace.data.into(),
-            paranoid,
-            pending,
+            pending: trace.switches.first().map(Pending::of),
+            trace,
             switch_index: 0,
+            data_index: 0,
             clock_reads: 0,
             native_calls: 0,
             desyncs: Vec::new(),
@@ -158,7 +164,7 @@ impl ExecHook for DejaVuReplayer {
         }
         // The recorded delta expired: this is the yield point at which the
         // recorded execution performed its preemptive switch.
-        if self.paranoid && p.check_tid != u32::MAX && p.check_tid != vm.sched.current {
+        if self.trace.paranoid && p.check_tid != u32::MAX && p.check_tid != vm.sched.current {
             self.desyncs.push(Desync::SwitchTidMismatch {
                 switch_index: self.switch_index,
                 recorded: p.check_tid,
@@ -167,10 +173,8 @@ impl ExecHook for DejaVuReplayer {
         }
         self.common.touch_buffer(vm, self.switch_index, 0, false);
         self.switch_index += 1;
-        self.pending = self.switches.pop_front().map(|s: SwitchRec| Pending {
-            remaining: s.nyp,
-            check_tid: s.check_tid,
-        });
+        let next = self.trace.switches.get(self.switch_index as usize);
+        self.pending = next.map(Pending::of);
         let run_helper = self.common.helper_due(vm, false);
         YieldAction {
             switch_now: true,
@@ -211,12 +215,13 @@ impl ExecHook for DejaVuReplayer {
 
     fn on_clock_read(&mut self, _vm: &mut Vm) -> i64 {
         self.clock_reads += 1;
-        match self.data.pop_front() {
-            Some(DataRec::Clock(v)) => v,
-            other => {
-                if let Some(rec) = other {
-                    self.data.push_front(rec);
-                }
+        // A record of the other kind is left for the call it belongs to.
+        match self.trace.data.get(self.data_index) {
+            Some(&DataRec::Clock(v)) => {
+                self.data_index += 1;
+                v
+            }
+            _ => {
                 self.desyncs.push(Desync::ClockStream {
                     reads_so_far: self.clock_reads,
                 });
@@ -229,18 +234,16 @@ impl ExecHook for DejaVuReplayer {
         // The native is NOT executed: its recorded out-state is
         // regenerated (§2.5).
         self.native_calls += 1;
-        match self.data.pop_front() {
-            Some(DataRec::Native { ret, callbacks }) => NativeOutcome {
-                ret,
-                callbacks: callbacks
-                    .into_iter()
-                    .map(|(method, args)| CallbackReq { method, args })
-                    .collect(),
-            },
-            other => {
-                if let Some(rec) = other {
-                    self.data.push_front(rec);
+        match self.trace.data.get(self.data_index) {
+            Some(DataRec::Native { ret, callbacks }) => {
+                self.data_index += 1;
+                let request = |(method, args)| CallbackReq { method, args };
+                NativeOutcome {
+                    ret: *ret,
+                    callbacks: callbacks.iter().cloned().map(request).collect(),
                 }
+            }
+            _ => {
                 self.desyncs.push(Desync::NativeStream {
                     calls_so_far: self.native_calls,
                 });

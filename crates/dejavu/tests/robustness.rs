@@ -2,7 +2,7 @@
 //! *detectably* (desyncs or report mismatch), never silently claim
 //! accuracy — the flip side of the paper's absolute-accuracy requirement.
 
-use dejavu::{record_run, replay_run, ExecSpec, SymmetryConfig, Trace};
+use dejavu::{record_run, replay_run, DataRec, Desync, ExecSpec, SymmetryConfig, Trace};
 use djvm::{Program, ProgramBuilder, Ty};
 
 fn racy(iters: i64) -> Program {
@@ -81,6 +81,28 @@ fn exhausted_data_stream_reports_desyncs() {
         !desyncs.is_empty(),
         "missing clock records must surface as desyncs"
     );
+
+    // A clock read that finds a native record reports the desync and
+    // leaves the record for the native call that follows it.
+    let mut pb = ProgramBuilder::new();
+    let n = pb.native("n", 0, true);
+    let m = pb.method("main", 0, 0).code(|a| {
+        a.now().pop();
+        a.native_call(n, 0).print();
+        a.halt();
+    });
+    let s = ExecSpec::new(pb.finish(m).unwrap());
+    let native = DataRec::Native {
+        ret: 7,
+        callbacks: Vec::new(),
+    };
+    let trace = Trace {
+        data: vec![native],
+        ..Trace::default()
+    };
+    let (rep, desyncs) = replay_run(&s, trace, SymmetryConfig::full());
+    assert_eq!(desyncs, [Desync::ClockStream { reads_so_far: 1 }]);
+    assert_eq!(rep.output, "7\n");
 }
 
 #[test]

@@ -368,17 +368,6 @@ impl MethodBuilder<'_> {
         self.id
     }
 
-    /// Like [`MethodBuilder::code`] but gives the closure access to the
-    /// program builder too (for interning strings mid-body).
-    pub fn code_with(mut self, f: impl FnOnce(&mut Asm, &mut ProgramBuilder)) -> MethodId {
-        f(&mut self.asm, self.pb);
-        let (ops, lines) = self.asm.finish();
-        let m = &mut self.pb.methods[self.id as usize];
-        m.ops = ops;
-        m.lines = lines;
-        self.id
-    }
-
     pub fn id(&self) -> MethodId {
         self.id
     }

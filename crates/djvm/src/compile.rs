@@ -5,7 +5,11 @@
 //!
 //! 1. **Verification** — an abstract interpretation over slot types
 //!    (`Int` / `Ref` / dead) that rejects stack underflow, type confusion,
-//!    bad branch targets and signature mismatches.
+//!    bad branch targets, signature mismatches and any operand that
+//!    indexes a program table (locals, classes, static fields, methods,
+//!    vtable slots, natives, strings) out of range — the interpreter
+//!    indexes those tables unchecked. Ops typed by the op alone are rows
+//!    of `stack_effect`; every rejection is a [`CompileError`].
 //! 2. **Reference maps** (paper §1: "Jalapeño reference maps specify these
 //!    locations for predefined safe-points") — for *every* pc, which locals
 //!    and operand-stack slots hold references. The type-accurate GC walks
@@ -531,112 +535,62 @@ impl CompiledMethod {
 /// Words of frame header: saved fp, method id, saved pc/flags.
 pub const FRAME_HEADER_WORDS: u32 = 3;
 
-/// Verification / compilation failure.
+/// Verification / compilation failure: which method, at which pc (absent
+/// for whole-method faults), and what was wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CompileError {
-    StackUnderflow {
-        method: String,
-        pc: usize,
-    },
-    StackOverflowStatic {
-        method: String,
-        pc: usize,
-    },
+pub struct CompileError {
+    pub method: String,
+    pub pc: Option<usize>,
+    pub fault: Fault,
+}
+
+/// What the verifier found wrong.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Fault {
+    StackUnderflow,
+    StackOverflowStatic,
     TypeMismatch {
-        method: String,
-        pc: usize,
         expected: &'static str,
         found: &'static str,
     },
-    BadLocal {
-        method: String,
-        pc: usize,
-        local: u16,
-    },
-    DeadSlotUse {
-        method: String,
-        pc: usize,
-        local: u16,
-    },
-    BadBranchTarget {
-        method: String,
-        pc: usize,
-        target: u32,
-    },
-    FallsOffEnd {
-        method: String,
-    },
-    BadCallee {
-        method: String,
-        pc: usize,
-    },
-    SignatureMismatch {
-        method: String,
-        pc: usize,
-        detail: String,
-    },
-    InconsistentStackDepth {
-        method: String,
-        pc: usize,
-    },
-    BadStaticField {
-        method: String,
-        pc: usize,
-    },
-    ReturnMismatch {
-        method: String,
-        pc: usize,
-    },
-    EmptyMethod {
-        method: String,
-    },
+    BadLocal(u16),
+    DeadSlotUse(u16),
+    BadBranchTarget(u32),
+    FallsOffEnd,
+    /// A class, method, vtable slot or native that does not exist.
+    BadCallee,
+    BadString,
+    SignatureMismatch(String),
+    InconsistentStackDepth,
+    BadStaticField,
+    ReturnMismatch,
+    EmptyMethod,
 }
 
 impl std::fmt::Display for CompileError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CompileError::StackUnderflow { method, pc } => {
-                write!(f, "{method}@{pc}: operand stack underflow")
+        f.write_str(&self.method)?;
+        if let Some(pc) = self.pc {
+            write!(f, "@{pc}")?;
+        }
+        f.write_str(": ")?;
+        match &self.fault {
+            Fault::StackUnderflow => f.write_str("operand stack underflow"),
+            Fault::StackOverflowStatic => f.write_str("operand stack exceeds limit"),
+            Fault::TypeMismatch { expected, found } => {
+                write!(f, "expected {expected}, found {found}")
             }
-            CompileError::StackOverflowStatic { method, pc } => {
-                write!(f, "{method}@{pc}: operand stack exceeds limit")
-            }
-            CompileError::TypeMismatch {
-                method,
-                pc,
-                expected,
-                found,
-            } => {
-                write!(f, "{method}@{pc}: expected {expected}, found {found}")
-            }
-            CompileError::BadLocal { method, pc, local } => {
-                write!(f, "{method}@{pc}: local {local} out of range")
-            }
-            CompileError::DeadSlotUse { method, pc, local } => {
-                write!(f, "{method}@{pc}: use of dead/uninitialized local {local}")
-            }
-            CompileError::BadBranchTarget { method, pc, target } => {
-                write!(f, "{method}@{pc}: branch target {target} out of range")
-            }
-            CompileError::FallsOffEnd { method } => {
-                write!(f, "{method}: control falls off the end of the method")
-            }
-            CompileError::BadCallee { method, pc } => {
-                write!(f, "{method}@{pc}: callee does not exist")
-            }
-            CompileError::SignatureMismatch { method, pc, detail } => {
-                write!(f, "{method}@{pc}: signature mismatch: {detail}")
-            }
-            CompileError::InconsistentStackDepth { method, pc } => {
-                write!(f, "{method}@{pc}: inconsistent stack depth at merge point")
-            }
-            CompileError::BadStaticField { method, pc } => {
-                write!(f, "{method}@{pc}: static field out of range")
-            }
-            CompileError::ReturnMismatch { method, pc } => {
-                write!(f, "{method}@{pc}: return does not match method signature")
-            }
-            CompileError::EmptyMethod { method } => write!(f, "{method}: empty body"),
+            Fault::BadLocal(local) => write!(f, "local {local} out of range"),
+            Fault::DeadSlotUse(local) => write!(f, "use of dead/uninitialized local {local}"),
+            Fault::BadBranchTarget(target) => write!(f, "branch target {target} out of range"),
+            Fault::FallsOffEnd => f.write_str("control falls off the end of the method"),
+            Fault::BadCallee => f.write_str("callee does not exist"),
+            Fault::BadString => f.write_str("string id out of range"),
+            Fault::SignatureMismatch(detail) => write!(f, "signature mismatch: {detail}"),
+            Fault::InconsistentStackDepth => f.write_str("inconsistent stack depth at merge point"),
+            Fault::BadStaticField => f.write_str("static field out of range"),
+            Fault::ReturnMismatch => f.write_str("return does not match method signature"),
+            Fault::EmptyMethod => f.write_str("empty body"),
         }
     }
 }
@@ -666,10 +620,87 @@ pub(crate) fn compile_program(program: &mut Program) -> Result<(), CompileError>
         .collect();
 
     for id in 0..program.methods.len() {
-        let compiled = compile_method(program, id as MethodId)?;
-        program.methods[id].compiled = Some(compiled);
+        let method = &program.methods[id];
+        let name = method.qualified_name(program);
+        let verifier = Verifier {
+            program,
+            method,
+            name,
+        };
+        program.methods[id].compiled = Some(verifier.run()?);
     }
     Ok(())
+}
+
+/// A popped operand: the type it must have and the name a mismatch reports.
+type Pop = (AbsTy, &'static str);
+
+/// The operand-stack signature of every op whose effect depends on nothing
+/// but the op itself: what it pops (top of stack first) and what it pushes.
+/// `None` for the ops that need the locals, a program table or the method
+/// signature to type — those have an arm in [`Verifier::run`].
+fn stack_effect(op: Op) -> Option<(&'static [Pop], Option<AbsTy>)> {
+    use AbsTy::{Int, Ref};
+    const INT: Pop = (Int, "int");
+    const REF: Pop = (Ref, "ref");
+    const MONITOR: Pop = (Ref, "monitor ref");
+    const MILLIS: Pop = (Int, "millis");
+    const INDEX: Pop = (Int, "int index");
+    const ARRAY: Pop = (Ref, "array ref");
+    Some(match op {
+        Op::Const(_) | Op::Now => (&[], Some(Int)),
+        Op::Null | Op::CurrentThread => (&[], Some(Ref)),
+        Op::Add
+        | Op::Sub
+        | Op::Mul
+        | Op::Div
+        | Op::Rem
+        | Op::BitAnd
+        | Op::BitOr
+        | Op::BitXor
+        | Op::Shl
+        | Op::Shr
+        | Op::Eq
+        | Op::Ne
+        | Op::Lt
+        | Op::Le
+        | Op::Gt
+        | Op::Ge => (&[INT, INT], Some(Int)),
+        Op::Neg => (&[INT], Some(Int)),
+        Op::RefEq => (&[REF, REF], Some(Int)),
+        Op::Goto(_) | Op::YieldNow | Op::Halt => (&[], None),
+        Op::If(_) | Op::IfZ(_) | Op::Print => (&[INT], None),
+        Op::GetField { ty, .. } => (&[REF], Some(AbsTy::of(ty))),
+        Op::PutField { ty: Ty::Int, .. } => (&[(Int, "field value"), REF], None),
+        Op::PutField { ty: Ty::Ref, .. } => (&[(Ref, "field value"), REF], None),
+        Op::NewArray(_) => (&[(Int, "int length")], Some(Ref)),
+        Op::ALoad(ty) => (&[INDEX, ARRAY], Some(AbsTy::of(ty))),
+        Op::AStore(Ty::Int) => (&[(Int, "element value"), INDEX, ARRAY], None),
+        Op::AStore(Ty::Ref) => (&[(Ref, "element value"), INDEX, ARRAY], None),
+        Op::ArrayLen | Op::IdentityHash => (&[REF], Some(Int)),
+        Op::MonitorEnter | Op::MonitorExit | Op::Notify | Op::NotifyAll => (&[MONITOR], None),
+        Op::Wait => (&[MONITOR], Some(Int)), // status
+        Op::TimedWait => (&[MILLIS, MONITOR], Some(Int)),
+        Op::Join | Op::Interrupt => (&[(Ref, "thread ref")], None),
+        Op::Sleep => (&[MILLIS], Some(Int)), // status
+        Op::Str(_)
+        | Op::Load(_)
+        | Op::Store(_)
+        | Op::Dup
+        | Op::Pop
+        | Op::Swap
+        | Op::New(_)
+        | Op::GetStatic(..)
+        | Op::PutStatic(..)
+        | Op::InstanceOf(_)
+        | Op::Call(_)
+        | Op::CallVirtual { .. }
+        | Op::Ret
+        | Op::RetVal
+        | Op::Spawn { .. }
+        | Op::NativeCall { .. }
+        | Op::PrintStr(_) => return None,
+    })
 }
 
 struct Verifier<'p> {
@@ -681,32 +712,34 @@ struct Verifier<'p> {
 type State = (Vec<AbsTy>, Vec<AbsTy>); // (locals, stack)
 
 impl<'p> Verifier<'p> {
-    fn err_ty(&self, pc: usize, expected: &'static str, found: AbsTy) -> CompileError {
-        CompileError::TypeMismatch {
+    fn fail(&self, pc: impl Into<Option<usize>>, fault: Fault) -> CompileError {
+        CompileError {
             method: self.name.clone(),
-            pc,
-            expected,
-            found: match found {
-                AbsTy::Dead => "dead",
-                AbsTy::Int => "int",
-                AbsTy::Ref => "ref",
-            },
+            pc: pc.into(),
+            fault,
         }
     }
 
+    fn err_ty(&self, pc: usize, expected: &'static str, found: AbsTy) -> CompileError {
+        let found = match found {
+            AbsTy::Dead => "dead",
+            AbsTy::Int => "int",
+            AbsTy::Ref => "ref",
+        };
+        self.fail(pc, Fault::TypeMismatch { expected, found })
+    }
+
     fn pop(&self, pc: usize, stack: &mut Vec<AbsTy>) -> Result<AbsTy, CompileError> {
-        stack.pop().ok_or(CompileError::StackUnderflow {
-            method: self.name.clone(),
-            pc,
-        })
+        stack
+            .pop()
+            .ok_or_else(|| self.fail(pc, Fault::StackUnderflow))
     }
 
     fn pop_expect(
         &self,
         pc: usize,
         stack: &mut Vec<AbsTy>,
-        want: AbsTy,
-        what: &'static str,
+        (want, what): Pop,
     ) -> Result<(), CompileError> {
         let got = self.pop(pc, stack)?;
         if got != want {
@@ -715,24 +748,45 @@ impl<'p> Verifier<'p> {
         Ok(())
     }
 
-    fn check_args(
+    /// The declared type of static field `i` of `class`.
+    fn static_ty(&self, pc: usize, class: ClassId, i: u16) -> Result<AbsTy, CompileError> {
+        let class = self.program.classes.get(class as usize);
+        class
+            .and_then(|c| c.statics.get(i as usize))
+            .map(|decl| AbsTy::of(decl.ty))
+            .ok_or_else(|| self.fail(pc, Fault::BadStaticField))
+    }
+
+    /// Pop the callee's arguments and push what the instruction leaves
+    /// behind: the callee's result for a call, the new Thread object for a
+    /// `Spawn` (`spawn` is its `nargs` operand, which must agree with the
+    /// callee).
+    fn call(
         &self,
         pc: usize,
         stack: &mut Vec<AbsTy>,
-        callee: &Method,
+        callee: MethodId,
+        spawn: Option<u8>,
     ) -> Result<(), CompileError> {
+        let methods = &self.program.methods;
+        let callee = methods
+            .get(callee as usize)
+            .ok_or_else(|| self.fail(pc, Fault::BadCallee))?;
+        if let Some(nargs) = spawn.filter(|&n| n as u16 != callee.nargs) {
+            let detail = format!("Spawn nargs {} != {}", nargs, callee.nargs);
+            return Err(self.fail(pc, Fault::SignatureMismatch(detail)));
+        }
         // Args were pushed left to right: rightmost on top.
-        for i in (0..callee.nargs as usize).rev() {
-            let got = self.pop(pc, stack)?;
-            let want = AbsTy::of(callee.arg_types[i]);
-            if got != want {
-                return Err(CompileError::SignatureMismatch {
-                    method: self.name.clone(),
-                    pc,
-                    detail: format!("argument {i} of {}", callee.name),
-                });
+        for (i, &want) in callee.arg_types.iter().enumerate().rev() {
+            if self.pop(pc, stack)? != AbsTy::of(want) {
+                let detail = format!("argument {i} of {}", callee.name);
+                return Err(self.fail(pc, Fault::SignatureMismatch(detail)));
             }
         }
+        stack.extend(match spawn {
+            Some(_) => Some(AbsTy::Ref),
+            None => callee.ret.map(AbsTy::of),
+        });
         Ok(())
     }
 
@@ -740,15 +794,11 @@ impl<'p> Verifier<'p> {
         let m = self.method;
         let n = m.ops.len();
         if n == 0 {
-            return Err(CompileError::EmptyMethod {
-                method: self.name.clone(),
-            });
+            return Err(self.fail(None, Fault::EmptyMethod));
         }
         // Entry state: args in locals 0..nargs, rest dead, empty stack.
-        let mut entry_locals = vec![AbsTy::Dead; m.nlocals as usize];
-        for (i, &t) in m.arg_types.iter().enumerate() {
-            entry_locals[i] = AbsTy::of(t);
-        }
+        let mut entry_locals: Vec<AbsTy> = m.arg_types.iter().map(|&t| AbsTy::of(t)).collect();
+        entry_locals.resize(m.nlocals as usize, AbsTy::Dead);
         let mut states: Vec<Option<State>> = vec![None; n];
         states[0] = Some((entry_locals, Vec::new()));
         let mut work: VecDeque<usize> = VecDeque::from([0]);
@@ -760,43 +810,25 @@ impl<'p> Verifier<'p> {
                        st: &State|
          -> Result<(), CompileError> {
             if to >= n {
-                return Err(CompileError::BadBranchTarget {
-                    method: self.name.clone(),
-                    pc,
-                    target: to as u32,
-                });
+                return Err(self.fail(pc, Fault::BadBranchTarget(to as u32)));
             }
-            match &mut states[to] {
-                None => {
-                    states[to] = Some(st.clone());
-                    work.push_back(to);
-                }
-                Some(existing) => {
-                    if existing.1.len() != st.1.len() {
-                        return Err(CompileError::InconsistentStackDepth {
-                            method: self.name.clone(),
-                            pc: to,
-                        });
-                    }
-                    let mut changed = false;
-                    for (e, &v) in existing.0.iter_mut().zip(st.0.iter()) {
-                        let merged = e.merge(v);
-                        if merged != *e {
-                            *e = merged;
-                            changed = true;
-                        }
-                    }
-                    for (e, &v) in existing.1.iter_mut().zip(st.1.iter()) {
-                        let merged = e.merge(v);
-                        if merged != *e {
-                            *e = merged;
-                            changed = true;
-                        }
-                    }
-                    if changed {
-                        work.push_back(to);
-                    }
-                }
+            let Some((locals, stack)) = &mut states[to] else {
+                states[to] = Some(st.clone());
+                work.push_back(to);
+                return Ok(());
+            };
+            if stack.len() != st.1.len() {
+                return Err(self.fail(to, Fault::InconsistentStackDepth));
+            }
+            let mut changed = false;
+            let incoming = st.0.iter().chain(&st.1);
+            for (e, &v) in locals.iter_mut().chain(stack).zip(incoming) {
+                let merged = e.merge(v);
+                changed |= merged != *e;
+                *e = merged;
+            }
+            if changed {
+                work.push_back(to);
             }
             Ok(())
         };
@@ -804,57 +836,29 @@ impl<'p> Verifier<'p> {
         while let Some(pc) = work.pop_front() {
             let (mut locals, mut stack) = states[pc].clone().expect("state present");
             let op = m.ops[pc];
-            let mut next: Vec<usize> = Vec::with_capacity(2);
-            let mut terminal = false;
 
-            macro_rules! bin_int {
-                () => {{
-                    self.pop_expect(pc, &mut stack, AbsTy::Int, "int")?;
-                    self.pop_expect(pc, &mut stack, AbsTy::Int, "int")?;
-                    stack.push(AbsTy::Int);
-                }};
-            }
-
+            // Each arm range-checks its operand where it resolves it.
             match op {
-                Op::Const(_) => stack.push(AbsTy::Int),
-                Op::Null | Op::Str(_) => stack.push(AbsTy::Ref),
-                Op::Load(i) => {
-                    let i = i as usize;
-                    if i >= locals.len() {
-                        return Err(CompileError::BadLocal {
-                            method: self.name.clone(),
-                            pc,
-                            local: i as u16,
-                        });
+                Op::Load(i) | Op::Store(i) => {
+                    let slot = locals
+                        .get_mut(i as usize)
+                        .ok_or_else(|| self.fail(pc, Fault::BadLocal(i)))?;
+                    if op == Op::Load(i) {
+                        if *slot == AbsTy::Dead {
+                            return Err(self.fail(pc, Fault::DeadSlotUse(i)));
+                        }
+                        stack.push(*slot);
+                    } else {
+                        let v = self.pop(pc, &mut stack)?;
+                        if v == AbsTy::Dead {
+                            return Err(self.err_ty(pc, "live value", v));
+                        }
+                        *slot = v;
                     }
-                    if locals[i] == AbsTy::Dead {
-                        return Err(CompileError::DeadSlotUse {
-                            method: self.name.clone(),
-                            pc,
-                            local: i as u16,
-                        });
-                    }
-                    stack.push(locals[i]);
-                }
-                Op::Store(i) => {
-                    let i = i as usize;
-                    if i >= locals.len() {
-                        return Err(CompileError::BadLocal {
-                            method: self.name.clone(),
-                            pc,
-                            local: i as u16,
-                        });
-                    }
-                    let v = self.pop(pc, &mut stack)?;
-                    if v == AbsTy::Dead {
-                        return Err(self.err_ty(pc, "live value", v));
-                    }
-                    locals[i] = v;
                 }
                 Op::Dup => {
                     let v = self.pop(pc, &mut stack)?;
-                    stack.push(v);
-                    stack.push(v);
+                    stack.extend([v, v]);
                 }
                 Op::Pop => {
                     self.pop(pc, &mut stack)?;
@@ -862,272 +866,102 @@ impl<'p> Verifier<'p> {
                 Op::Swap => {
                     let a = self.pop(pc, &mut stack)?;
                     let b = self.pop(pc, &mut stack)?;
-                    stack.push(a);
-                    stack.push(b);
+                    stack.extend([a, b]);
                 }
-                Op::Add
-                | Op::Sub
-                | Op::Mul
-                | Op::Div
-                | Op::Rem
-                | Op::BitAnd
-                | Op::BitOr
-                | Op::BitXor
-                | Op::Shl
-                | Op::Shr => bin_int!(),
-                Op::Neg => {
-                    self.pop_expect(pc, &mut stack, AbsTy::Int, "int")?;
-                    stack.push(AbsTy::Int);
+                Op::Str(id) | Op::PrintStr(id) => {
+                    if id as usize >= self.program.strings.len() {
+                        return Err(self.fail(pc, Fault::BadString));
+                    }
+                    if op == Op::Str(id) {
+                        stack.push(AbsTy::Ref);
+                    }
                 }
-                Op::Eq | Op::Ne | Op::Lt | Op::Le | Op::Gt | Op::Ge => bin_int!(),
-                Op::RefEq => {
-                    self.pop_expect(pc, &mut stack, AbsTy::Ref, "ref")?;
-                    self.pop_expect(pc, &mut stack, AbsTy::Ref, "ref")?;
-                    stack.push(AbsTy::Int);
-                }
-                Op::Goto(t) => {
-                    next.push(t as usize);
-                    terminal = true;
-                }
-                Op::If(t) | Op::IfZ(t) => {
-                    self.pop_expect(pc, &mut stack, AbsTy::Int, "int")?;
-                    next.push(t as usize);
-                }
-                Op::New(c) => {
+                Op::New(c) | Op::InstanceOf(c) => {
                     if c as usize >= self.program.classes.len() {
-                        return Err(CompileError::BadCallee {
-                            method: self.name.clone(),
-                            pc,
-                        });
+                        return Err(self.fail(pc, Fault::BadCallee));
                     }
-                    stack.push(AbsTy::Ref);
-                }
-                Op::GetField { ty, .. } => {
-                    self.pop_expect(pc, &mut stack, AbsTy::Ref, "ref")?;
-                    stack.push(AbsTy::of(ty));
-                }
-                Op::PutField { ty, .. } => {
-                    self.pop_expect(pc, &mut stack, AbsTy::of(ty), "field value")?;
-                    self.pop_expect(pc, &mut stack, AbsTy::Ref, "ref")?;
-                }
-                Op::GetStatic(c, i) => {
-                    let layout = self.program.classes.get(c as usize).ok_or(
-                        CompileError::BadStaticField {
-                            method: self.name.clone(),
-                            pc,
-                        },
-                    )?;
-                    let decl =
-                        layout
-                            .statics
-                            .get(i as usize)
-                            .ok_or(CompileError::BadStaticField {
-                                method: self.name.clone(),
-                                pc,
-                            })?;
-                    stack.push(AbsTy::of(decl.ty));
-                }
-                Op::PutStatic(c, i) => {
-                    let layout = self.program.classes.get(c as usize).ok_or(
-                        CompileError::BadStaticField {
-                            method: self.name.clone(),
-                            pc,
-                        },
-                    )?;
-                    let decl =
-                        layout
-                            .statics
-                            .get(i as usize)
-                            .ok_or(CompileError::BadStaticField {
-                                method: self.name.clone(),
-                                pc,
-                            })?;
-                    self.pop_expect(pc, &mut stack, AbsTy::of(decl.ty), "static value")?;
-                }
-                Op::NewArray(_) => {
-                    self.pop_expect(pc, &mut stack, AbsTy::Int, "int length")?;
-                    stack.push(AbsTy::Ref);
-                }
-                Op::ALoad(ty) => {
-                    self.pop_expect(pc, &mut stack, AbsTy::Int, "int index")?;
-                    self.pop_expect(pc, &mut stack, AbsTy::Ref, "array ref")?;
-                    stack.push(AbsTy::of(ty));
-                }
-                Op::AStore(ty) => {
-                    self.pop_expect(pc, &mut stack, AbsTy::of(ty), "element value")?;
-                    self.pop_expect(pc, &mut stack, AbsTy::Int, "int index")?;
-                    self.pop_expect(pc, &mut stack, AbsTy::Ref, "array ref")?;
-                }
-                Op::ArrayLen | Op::IdentityHash => {
-                    self.pop_expect(pc, &mut stack, AbsTy::Ref, "ref")?;
-                    stack.push(AbsTy::Int);
-                }
-                Op::InstanceOf(_) => {
-                    self.pop_expect(pc, &mut stack, AbsTy::Ref, "ref")?;
-                    stack.push(AbsTy::Int);
-                }
-                Op::Call(callee) => {
-                    let callee = self.program.methods.get(callee as usize).ok_or(
-                        CompileError::BadCallee {
-                            method: self.name.clone(),
-                            pc,
-                        },
-                    )?;
-                    self.check_args(pc, &mut stack, callee)?;
-                    if let Some(r) = callee.ret {
-                        stack.push(AbsTy::of(r));
-                    }
-                }
-                Op::CallVirtual { class, slot } => {
-                    let c = self.program.classes.get(class as usize).ok_or(
-                        CompileError::BadCallee {
-                            method: self.name.clone(),
-                            pc,
-                        },
-                    )?;
-                    let &mid = c.vtable.get(slot as usize).ok_or(CompileError::BadCallee {
-                        method: self.name.clone(),
-                        pc,
-                    })?;
-                    let callee = &self.program.methods[mid as usize];
-                    self.check_args(pc, &mut stack, callee)?;
-                    if let Some(r) = callee.ret {
-                        stack.push(AbsTy::of(r));
-                    }
-                }
-                Op::Ret => {
-                    if m.ret.is_some() {
-                        return Err(CompileError::ReturnMismatch {
-                            method: self.name.clone(),
-                            pc,
-                        });
-                    }
-                    terminal = true;
-                }
-                Op::RetVal => {
-                    let want = m.ret.ok_or(CompileError::ReturnMismatch {
-                        method: self.name.clone(),
-                        pc,
-                    })?;
-                    self.pop_expect(pc, &mut stack, AbsTy::of(want), "return value")?;
-                    terminal = true;
-                }
-                Op::MonitorEnter | Op::MonitorExit | Op::Notify | Op::NotifyAll => {
-                    self.pop_expect(pc, &mut stack, AbsTy::Ref, "monitor ref")?;
-                }
-                Op::Wait => {
-                    self.pop_expect(pc, &mut stack, AbsTy::Ref, "monitor ref")?;
-                    stack.push(AbsTy::Int); // status
-                }
-                Op::TimedWait => {
-                    self.pop_expect(pc, &mut stack, AbsTy::Int, "millis")?;
-                    self.pop_expect(pc, &mut stack, AbsTy::Ref, "monitor ref")?;
-                    stack.push(AbsTy::Int);
-                }
-                Op::Spawn { method, nargs } => {
-                    let callee = self.program.methods.get(method as usize).ok_or(
-                        CompileError::BadCallee {
-                            method: self.name.clone(),
-                            pc,
-                        },
-                    )?;
-                    if callee.nargs != nargs as u16 {
-                        return Err(CompileError::SignatureMismatch {
-                            method: self.name.clone(),
-                            pc,
-                            detail: format!("Spawn nargs {} != {}", nargs, callee.nargs),
-                        });
-                    }
-                    self.check_args(pc, &mut stack, callee)?;
-                    stack.push(AbsTy::Ref); // Thread object
-                }
-                Op::Join | Op::Interrupt => {
-                    self.pop_expect(pc, &mut stack, AbsTy::Ref, "thread ref")?;
-                }
-                Op::YieldNow => {}
-                Op::Sleep => {
-                    self.pop_expect(pc, &mut stack, AbsTy::Int, "millis")?;
-                    stack.push(AbsTy::Int); // status
-                }
-                Op::CurrentThread => stack.push(AbsTy::Ref),
-                Op::Now => stack.push(AbsTy::Int),
-                Op::NativeCall { native, nargs } => {
-                    let decl = self.program.natives.get(native as usize).ok_or(
-                        CompileError::BadCallee {
-                            method: self.name.clone(),
-                            pc,
-                        },
-                    )?;
-                    if decl.nargs != nargs {
-                        return Err(CompileError::SignatureMismatch {
-                            method: self.name.clone(),
-                            pc,
-                            detail: format!("native {} expects {} args", decl.name, decl.nargs),
-                        });
-                    }
-                    for _ in 0..nargs {
-                        self.pop_expect(pc, &mut stack, AbsTy::Int, "native arg")?;
-                    }
-                    if decl.returns {
+                    if op == Op::New(c) {
+                        stack.push(AbsTy::Ref);
+                    } else {
+                        self.pop_expect(pc, &mut stack, (AbsTy::Ref, "ref"))?;
                         stack.push(AbsTy::Int);
                     }
                 }
-                Op::Print => {
-                    self.pop_expect(pc, &mut stack, AbsTy::Int, "int")?;
+                Op::GetStatic(c, i) => stack.push(self.static_ty(pc, c, i)?),
+                Op::PutStatic(c, i) => {
+                    let want = self.static_ty(pc, c, i)?;
+                    self.pop_expect(pc, &mut stack, (want, "static value"))?;
                 }
-                Op::PrintStr(_) => {}
-                Op::Halt => terminal = true,
+                Op::Call(callee) => self.call(pc, &mut stack, callee, None)?,
+                Op::CallVirtual { class, slot } => {
+                    let class = self.program.classes.get(class as usize);
+                    let &callee = class
+                        .and_then(|c| c.vtable.get(slot as usize))
+                        .ok_or_else(|| self.fail(pc, Fault::BadCallee))?;
+                    self.call(pc, &mut stack, callee, None)?;
+                }
+                Op::Spawn { method, nargs } => self.call(pc, &mut stack, method, Some(nargs))?,
+                Op::Ret | Op::RetVal => match (op, m.ret) {
+                    (Op::Ret, None) => {}
+                    (Op::RetVal, Some(want)) => {
+                        self.pop_expect(pc, &mut stack, (AbsTy::of(want), "return value"))?
+                    }
+                    _ => return Err(self.fail(pc, Fault::ReturnMismatch)),
+                },
+                Op::NativeCall { native, nargs } => {
+                    let natives = &self.program.natives;
+                    let decl = natives
+                        .get(native as usize)
+                        .ok_or_else(|| self.fail(pc, Fault::BadCallee))?;
+                    if decl.nargs != nargs {
+                        let detail = format!("native {} expects {} args", decl.name, decl.nargs);
+                        return Err(self.fail(pc, Fault::SignatureMismatch(detail)));
+                    }
+                    for _ in 0..nargs {
+                        self.pop_expect(pc, &mut stack, (AbsTy::Int, "native arg"))?;
+                    }
+                    stack.extend(decl.returns.then_some(AbsTy::Int));
+                }
+                _ => {
+                    let (pops, push) = stack_effect(op).expect("every other op has a fixed effect");
+                    for &pop in pops {
+                        self.pop_expect(pc, &mut stack, pop)?;
+                    }
+                    stack.extend(push);
+                }
             }
 
             if stack.len() > MAX_OPERAND_STACK {
-                return Err(CompileError::StackOverflowStatic {
-                    method: self.name.clone(),
-                    pc,
-                });
+                return Err(self.fail(pc, Fault::StackOverflowStatic));
             }
 
-            if !terminal {
-                if pc + 1 >= n {
-                    return Err(CompileError::FallsOffEnd {
-                        method: self.name.clone(),
-                    });
-                }
-                next.push(pc + 1);
+            let falls_through = !matches!(op, Op::Goto(_) | Op::Ret | Op::RetVal | Op::Halt);
+            if falls_through && pc + 1 >= n {
+                return Err(self.fail(None, Fault::FallsOffEnd));
             }
             let st = (locals, stack);
-            for to in next {
+            let target = op.branch_target().map(|t| t as usize);
+            for to in target.into_iter().chain(falls_through.then_some(pc + 1)) {
                 flow_to(&mut states, &mut work, pc, to, &st)?;
             }
         }
 
         // Build the compiled artifact from the fixed point.
-        let mut max_stack = 0u16;
-        let mut ref_maps = Vec::with_capacity(n);
-        for st in &states {
-            match st {
-                None => ref_maps.push(None),
-                Some((locals, stack)) => {
-                    max_stack = max_stack.max(stack.len() as u16);
-                    let mut lm = BitSet::with_capacity(locals.len());
-                    for (i, &t) in locals.iter().enumerate() {
-                        if t == AbsTy::Ref {
-                            lm.set(i, true);
-                        }
-                    }
-                    let mut sm = BitSet::with_capacity(stack.len());
-                    for (i, &t) in stack.iter().enumerate() {
-                        if t == AbsTy::Ref {
-                            sm.set(i, true);
-                        }
-                    }
-                    ref_maps.push(Some(RefMap {
-                        stack_depth: stack.len() as u16,
-                        locals: lm,
-                        stack: sm,
-                    }));
-                }
-            }
-        }
+        let refs = |slots: &[AbsTy]| {
+            BitSet::from_bools(&slots.iter().map(|&t| t == AbsTy::Ref).collect::<Vec<_>>())
+        };
+        let ref_maps: Vec<Option<RefMap>> = states
+            .iter()
+            .map(|st| {
+                st.as_ref().map(|(locals, stack)| RefMap {
+                    stack_depth: stack.len() as u16,
+                    locals: refs(locals),
+                    stack: refs(stack),
+                })
+            })
+            .collect();
+        let max_stack = ref_maps.iter().flatten().map(|r| r.stack_depth).max();
+        let max_stack = max_stack.unwrap_or(0);
 
         let backedge_bools: Vec<bool> = m
             .ops
@@ -1699,20 +1533,10 @@ impl ClosedLoop {
     }
 }
 
-fn compile_method(program: &Program, id: MethodId) -> Result<CompiledMethod, CompileError> {
-    let method = &program.methods[id as usize];
-    let v = Verifier {
-        program,
-        method,
-        name: method.qualified_name(program),
-    };
-    v.run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::ProgramBuilder;
+    use crate::builder::{Asm, ProgramBuilder};
 
     #[test]
     fn bitset_roundtrip() {
@@ -1799,7 +1623,7 @@ mod tests {
             a.halt();
         });
         let err = pb.finish(m).unwrap_err();
-        assert!(matches!(err, CompileError::DeadSlotUse { .. }));
+        assert!(matches!(err.fault, Fault::DeadSlotUse(_)));
     }
 
     #[test]
@@ -1822,70 +1646,153 @@ mod tests {
         assert!(!rm.locals.get(1), "dead merged slot must not be marked ref");
     }
 
-    #[test]
-    fn stack_underflow_rejected() {
+    /// `finish` rejects `body` — the code of `m(int)`, two locals, no
+    /// result, beside class 0 (one static int), method 0 (`f(int) -> int`),
+    /// native 0 (`n`, one argument) and no strings — with exactly this
+    /// error and this text.
+    fn rejects(text: &str, pc: Option<usize>, fault: Fault, body: fn(&mut Asm) -> &mut Asm) {
         let mut pb = ProgramBuilder::new();
-        let m = pb.method("m", 0, 0).code(|a| {
-            a.add().halt();
+        let class = pb.class("C").static_field("s", Ty::Int).build();
+        let f = pb.func("f", 1, 1).code(|a| {
+            a.load(0).ret_val();
         });
-        assert!(matches!(
-            pb.finish(m).unwrap_err(),
-            CompileError::StackUnderflow { .. }
-        ));
+        let native = pb.native("n", 1, true);
+        assert_eq!((class, f, native), (0, 0, 0));
+        let m = pb.method("m", 1, 2).code(|a| {
+            body(a);
+        });
+        let err = pb.finish(m).expect_err(text);
+        assert_eq!(err.to_string(), text);
+        let method = "m".to_string();
+        assert_eq!(err, CompileError { method, pc, fault });
     }
 
+    /// One minimal rejected program per fault, several for the faults more
+    /// than one kind of operand can raise.
     #[test]
-    fn type_confusion_rejected() {
-        let mut pb = ProgramBuilder::new();
-        let m = pb.method("m", 0, 0).code(|a| {
-            a.null().iconst(1).add().pop().halt();
+    fn rejections_are_typed_and_their_text_is_pinned() {
+        use Fault::*;
+        let sig = |detail: &str| SignatureMismatch(detail.to_string());
+        rejects(
+            "m@0: operand stack underflow",
+            Some(0),
+            StackUnderflow,
+            |a| a.add().halt(),
+        );
+        rejects(
+            "m@4096: operand stack exceeds limit",
+            Some(4096),
+            StackOverflowStatic,
+            |a| {
+                for _ in 0..=MAX_OPERAND_STACK {
+                    a.iconst(0);
+                }
+                a.halt()
+            },
+        );
+        let int_for_ref = TypeMismatch {
+            expected: "int",
+            found: "ref",
+        };
+        rejects("m@2: expected int, found ref", Some(2), int_for_ref, |a| {
+            a.null().iconst(1).add().pop().halt()
         });
-        assert!(matches!(
-            pb.finish(m).unwrap_err(),
-            CompileError::TypeMismatch { .. }
-        ));
-    }
-
-    #[test]
-    fn falls_off_end_rejected() {
-        let mut pb = ProgramBuilder::new();
-        let m = pb.method("m", 0, 0).code(|a| {
-            a.iconst(1).pop();
+        rejects("m@0: local 2 out of range", Some(0), BadLocal(2), |a| {
+            a.load(2).pop().halt()
         });
-        assert!(matches!(
-            pb.finish(m).unwrap_err(),
-            CompileError::FallsOffEnd { .. }
-        ));
-    }
-
-    #[test]
-    fn inconsistent_merge_depth_rejected() {
-        let mut pb = ProgramBuilder::new();
-        let m = pb.method("m", 1, 1).code(|a| {
-            a.load(0).if_nz("push2");
-            a.iconst(1);
-            a.goto("merge");
-            a.label("push2");
-            a.iconst(1).iconst(2);
-            a.label("merge");
-            a.pop().halt();
+        rejects("m@1: local 2 out of range", Some(1), BadLocal(2), |a| {
+            a.iconst(1).store(2).halt()
         });
-        assert!(matches!(
-            pb.finish(m).unwrap_err(),
-            CompileError::InconsistentStackDepth { .. }
-        ));
-    }
-
-    #[test]
-    fn return_type_checked() {
-        let mut pb = ProgramBuilder::new();
-        let m = pb.method("m", 0, 0).code(|a| {
-            a.iconst(1).ret_val(); // method declared with no return
+        rejects(
+            "m@0: use of dead/uninitialized local 1",
+            Some(0),
+            DeadSlotUse(1),
+            |a| a.load(1).pop().halt(),
+        );
+        rejects(
+            "m@0: branch target 1 out of range",
+            Some(0),
+            BadBranchTarget(1),
+            |a| a.goto("end").label("end"),
+        );
+        rejects(
+            "m: control falls off the end of the method",
+            None,
+            FallsOffEnd,
+            |a| a.iconst(1).pop(),
+        );
+        rejects("m@0: callee does not exist", Some(0), BadCallee, |a| {
+            a.call(9).halt()
         });
-        assert!(matches!(
-            pb.finish(m).unwrap_err(),
-            CompileError::ReturnMismatch { .. }
-        ));
+        rejects("m@0: callee does not exist", Some(0), BadCallee, |a| {
+            a.new(9).pop().halt()
+        });
+        rejects("m@0: callee does not exist", Some(0), BadCallee, |a| {
+            a.native_call(9, 0).halt()
+        });
+        rejects("m@1: callee does not exist", Some(1), BadCallee, |a| {
+            a.null().call_virtual(0, 3).halt()
+        });
+        rejects("m@1: callee does not exist", Some(1), BadCallee, |a| {
+            a.null().instance_of(9).pop().halt()
+        });
+        rejects("m@0: string id out of range", Some(0), BadString, |a| {
+            a.strref(999).pop().halt()
+        });
+        rejects("m@0: string id out of range", Some(0), BadString, |a| {
+            a.print_str(999).halt()
+        });
+        rejects(
+            "m@1: signature mismatch: argument 0 of f",
+            Some(1),
+            sig("argument 0 of f"),
+            |a| a.null().call(0).pop().halt(), // a ref where `f` takes an int
+        );
+        rejects(
+            "m@0: signature mismatch: Spawn nargs 0 != 1",
+            Some(0),
+            sig("Spawn nargs 0 != 1"),
+            |a| a.spawn(0, 0).pop().halt(),
+        );
+        rejects(
+            "m@0: signature mismatch: native n expects 1 args",
+            Some(0),
+            sig("native n expects 1 args"),
+            |a| a.native_call(0, 0).pop().halt(),
+        );
+        rejects(
+            "m@6: inconsistent stack depth at merge point",
+            Some(6),
+            InconsistentStackDepth,
+            |a| {
+                a.load(0).if_nz("push2");
+                a.iconst(1);
+                a.goto("merge");
+                a.label("push2");
+                a.iconst(1).iconst(2);
+                a.label("merge");
+                a.pop().halt()
+            },
+        );
+        rejects(
+            "m@0: static field out of range",
+            Some(0),
+            BadStaticField,
+            |a| a.get_static(0, 1).pop().halt(),
+        );
+        rejects(
+            "m@1: static field out of range",
+            Some(1),
+            BadStaticField,
+            |a| a.iconst(0).put_static(9, 0).halt(),
+        );
+        rejects(
+            "m@1: return does not match method signature",
+            Some(1),
+            ReturnMismatch,
+            |a| a.iconst(1).ret_val(), // `m` declares no result
+        );
+        rejects("m: empty body", None, EmptyMethod, |a| a);
     }
 
     #[test]
@@ -1973,21 +1880,6 @@ mod tests {
             assert_eq!(ops.join("; "), text, "{name}");
             assert_eq!(method.lines, lines, "{name}");
         }
-    }
-
-    #[test]
-    fn call_signature_checked() {
-        let mut pb = ProgramBuilder::new();
-        let callee = pb.func("f", 1, 1).code(|a| {
-            a.load(0).ret_val();
-        });
-        let m = pb.method("m", 0, 0).code(|a| {
-            a.null().call(callee).pop().halt(); // ref where int expected
-        });
-        assert!(matches!(
-            pb.finish(m).unwrap_err(),
-            CompileError::SignatureMismatch { .. }
-        ));
     }
 
     #[test]

@@ -401,12 +401,6 @@ impl Heap {
         }
     }
 
-    /// Is `addr` plausibly an object start? (bounds only; used in debug
-    /// assertions and by the remote-memory server for sanity checks.)
-    pub fn in_bounds(&self, addr: Addr) -> bool {
-        (RESERVED..self.mem.len()).contains(&(addr as usize))
-    }
-
     /// Copy of the raw word image (snapshot-based remote reflection).
     pub fn mem_snapshot(&self) -> Vec<Word> {
         self.mem.clone()

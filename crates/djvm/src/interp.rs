@@ -64,11 +64,6 @@ pub fn run(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> VmStatus {
     vm.status
 }
 
-/// Execute until the VM stops (no budget).
-pub fn run_to_completion(vm: &mut Vm, hook: &mut dyn ExecHook) -> VmStatus {
-    run(vm, hook, u64::MAX)
-}
-
 /// The accounting state every tier advances per retired instruction,
 /// held in locals by the batching tiers and written back at flush points.
 ///
@@ -678,6 +673,21 @@ fn raise_err(vm: &mut Vm, hook: &mut dyn ExecHook, e: VmError) {
     hook.on_halt(vm);
 }
 
+/// Pop the monitor object of a synchronization op: `NullDeref` if it is
+/// null, `IllegalMonitorState` if `must_own` and the current thread does
+/// not hold its monitor.
+fn monitor_operand(vm: &mut Vm, must_own: bool) -> Result<Addr, VmError> {
+    let obj = vm.pop_word();
+    if obj == NULL {
+        return Err(vm.fail(ErrKind::NullDeref));
+    }
+    let owner = |vm: &Vm| vm.sched.monitors.get(&obj).and_then(|m| m.owner);
+    if must_own && owner(vm) != Some(vm.sched.current) {
+        return Err(vm.fail(ErrKind::IllegalMonitorState));
+    }
+    Ok(obj)
+}
+
 fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow, VmError> {
     match op {
         // ---- constants the heap backs ----
@@ -866,10 +876,7 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
             if obj != NULL && access_gate(vm, hook, obj, true)? {
                 return Ok(Flow::Managed); // CREW-ordered lock acquisition
             }
-            let obj = vm.pop_word();
-            if obj == NULL {
-                return Err(vm.fail(ErrKind::NullDeref));
-            }
+            let obj = monitor_operand(vm, false)?;
             let cur = vm.sched.current;
             let mon = vm.sched.monitor_mut(obj);
             match mon.owner {
@@ -901,19 +908,7 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
             if obj != NULL && access_gate(vm, hook, obj, true)? {
                 return Ok(Flow::Managed);
             }
-            let obj = vm.pop_word();
-            if obj == NULL {
-                return Err(vm.fail(ErrKind::NullDeref));
-            }
-            let cur = vm.sched.current;
-            let owned = vm
-                .sched
-                .monitors
-                .get(&obj)
-                .is_some_and(|m| m.owner == Some(cur));
-            if !owned {
-                return Err(vm.fail(ErrKind::IllegalMonitorState));
-            }
+            let obj = monitor_operand(vm, true)?;
             let mon = vm.sched.monitor_mut(obj);
             mon.recursion -= 1;
             if mon.recursion == 0 {
@@ -933,19 +928,8 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
             } else {
                 0
             };
-            let obj = vm.pop_word();
-            if obj == NULL {
-                return Err(vm.fail(ErrKind::NullDeref));
-            }
+            let obj = monitor_operand(vm, true)?;
             let cur = vm.sched.current;
-            let owned = vm
-                .sched
-                .monitors
-                .get(&obj)
-                .is_some_and(|m| m.owner == Some(cur));
-            if !owned {
-                return Err(vm.fail(ErrKind::IllegalMonitorState));
-            }
             if vm.threads[cur as usize].interrupted {
                 vm.threads[cur as usize].interrupted = false;
                 vm.push_word(1); // interrupted status
@@ -988,19 +972,7 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
             if obj != NULL && access_gate(vm, hook, obj, true)? {
                 return Ok(Flow::Managed);
             }
-            let obj = vm.pop_word();
-            if obj == NULL {
-                return Err(vm.fail(ErrKind::NullDeref));
-            }
-            let cur = vm.sched.current;
-            let owned = vm
-                .sched
-                .monitors
-                .get(&obj)
-                .is_some_and(|m| m.owner == Some(cur));
-            if !owned {
-                return Err(vm.fail(ErrKind::IllegalMonitorState));
-            }
+            let obj = monitor_operand(vm, true)?;
             let count = if op == Op::Notify { 1 } else { usize::MAX };
             let mut moved = 0;
             while moved < count {

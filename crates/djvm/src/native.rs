@@ -78,10 +78,6 @@ impl NativeRegistry {
             .unwrap_or_else(|| panic!("native {id} not registered"));
         f(ctx)
     }
-
-    pub fn is_registered(&self, id: NativeId) -> bool {
-        self.fns.get(id as usize).is_some_and(|o| o.is_some())
-    }
 }
 
 impl std::fmt::Debug for NativeRegistry {

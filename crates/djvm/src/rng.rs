@@ -58,10 +58,6 @@ impl SplitMix64 {
         }
         lo.wrapping_add(self.gen_range_u64(0, span) as i64)
     }
-
-    pub fn gen_bool(&mut self) -> bool {
-        self.next_u64() & 1 == 1
-    }
 }
 
 #[cfg(test)]

@@ -686,10 +686,6 @@ impl Vm {
         self.extra_roots[h.0]
     }
 
-    pub fn set_root(&mut self, h: RootHandle, addr: Addr) {
-        self.extra_roots[h.0] = addr;
-    }
-
     // ------------------------------------------------------------------
     // Live non-determinism sources
     // ------------------------------------------------------------------
@@ -721,10 +717,6 @@ impl Vm {
 
     pub fn current_thread(&self) -> &ThreadState {
         &self.threads[self.sched.current as usize]
-    }
-
-    pub fn current_thread_mut(&mut self) -> &mut ThreadState {
-        &mut self.threads[self.sched.current as usize]
     }
 
     /// Create a thread running `method`; returns its tid. The new thread is
@@ -1215,19 +1207,6 @@ pub struct VmSnapshot {
     io_read_buf: Option<Addr>,
     io_read_scratch: Option<Addr>,
     extra_roots: Vec<Addr>,
-}
-
-impl VmSnapshot {
-    /// Approximate serialized size in bytes (dominated by the heap image).
-    pub fn approx_bytes(&self) -> usize {
-        // heap image + thread table + queues
-        self.threads.len() * 96 + self.output.len() + self.heap_bytes()
-    }
-
-    fn heap_bytes(&self) -> usize {
-        // HeapSnapshot is private-field; measure via a temporary accessor.
-        std::mem::size_of_val(self) + self.output.len()
-    }
 }
 
 impl Vm {
