@@ -150,6 +150,16 @@ fn e9_protocol_session() {
         let r = handle(&mut s, wild);
         assert!(matches!(r, Response::Error { .. }), "{r:?}");
     }
+    // Likewise an address that is no object: 17 is the length word inside
+    // a boot-image array, u64::MAX is outside the space.
+    for addr in [17, u64::MAX] {
+        let r = handle(&mut s, Command::Inspect { addr });
+        let want = format!("<bad address {addr}>");
+        assert!(
+            matches!(&r, Response::Object { description } if *description == want),
+            "{r:?}"
+        );
+    }
     let r = handle(&mut s, Command::Step);
     assert!(matches!(r, Response::Stopped { .. }));
     let r = handle(&mut s, Command::StepBack);

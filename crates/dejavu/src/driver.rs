@@ -93,8 +93,8 @@ impl ExecSpec {
 
     /// Select the fingerprint mode (default [`FingerprintMode::Full`],
     /// the strongest accuracy check; `Coarse` hashes scheduling and
-    /// output only and is the cheap production setting the dispatch
-    /// benches measure under).
+    /// output only and is the cheap production setting the benchmark's
+    /// tier-over-tier ratios are measured under).
     pub fn with_fingerprint(mut self, mode: FingerprintMode) -> Self {
         self.vm.fingerprint = mode;
         self

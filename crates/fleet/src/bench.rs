@@ -3,8 +3,8 @@
 //! server, with per-request latency capture and fingerprint verification
 //! against local single-session ground truth.
 //!
-//! Used by `benches/fleet.rs` (sessions/sec + p99 into `BENCH_FLEET.json`),
-//! by `dejavu-cli fleet-bench`, and by the verify.sh `fleet` stage. The
+//! Used by `dejavu-cli fleet-bench` (sessions/sec + p99 as canonical JSON),
+//! which the verify.sh `fleet` stage runs against a spawned server. The
 //! drive is deliberately three *waves* of short-lived connections: fleet
 //! sessions outlive connections, so wave B reconnects and finds every
 //! session from wave A still resident.

@@ -33,7 +33,7 @@ fn concurrent_sessions_record_replay_seek_with_identical_fingerprints() {
     let addr = server.addr().to_string();
 
     // 16 sessions driven by 4 client threads keeps the tier-1 suite
-    // quick; the 64-session version runs in benches/fleet.rs + verify.sh.
+    // quick; the 64-session version is verify.sh's `fleet` stage.
     let report = fleet::bench::drive(&addr, 16, "fig1_ab", 4).expect("drive");
     assert_eq!(report.sessions, 16);
     assert!(
@@ -367,6 +367,16 @@ fn three_tier_debug_over_fleet() {
     ] {
         let r = b.debug(id, &wild).unwrap();
         assert!(matches!(r, DbgResponse::Error { .. }), "{r:?}");
+    }
+    // And `inspect` of an address that is no object (17 is the length
+    // word inside a boot-image array, u64::MAX is outside the space).
+    for addr in [17, u64::MAX] {
+        assert_eq!(
+            b.debug(id, &Command::Inspect { addr }).unwrap(),
+            DbgResponse::Object {
+                description: format!("<bad address {addr}>")
+            }
+        );
     }
 
     assert_eq!(

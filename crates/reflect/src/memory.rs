@@ -49,10 +49,6 @@ impl SnapshotMemory {
             words: vm.heap.mem_snapshot(),
         }
     }
-
-    pub fn from_words(words: Vec<Word>) -> Self {
-        Self { words }
-    }
 }
 
 impl ProcessMemory for SnapshotMemory {

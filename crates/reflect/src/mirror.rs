@@ -4,19 +4,33 @@
 //! remote objects and the remote arrays of primitives." These helpers do
 //! exactly that — materialize tool-local copies of remote strings, arrays,
 //! and object field maps for display.
+//!
+//! A remote reflector reads untrusted memory: any `addr` may be handed in
+//! (the debugger's `inspect` takes one off the wire), and the word there
+//! need not be a header at all. Every function here answers "not an
+//! object" for such a word — `None`, or `<bad address N>` from
+//! [`describe`] — and never indexes a program table with what it decoded.
 
 use crate::memory::ProcessMemory;
-use djvm::heap::{Addr, Header};
+use djvm::heap::{is_forwarded, Addr, Header};
 use djvm::{Program, Ty};
 
-/// Read the remote object's decoded header.
+/// Read the remote object's decoded header; `None` if `addr` is outside
+/// the space or holds a forwarding pointer.
 pub fn header_of(mem: &dyn ProcessMemory, addr: Addr) -> Option<Header> {
-    mem.read_word(addr).map(Header::decode)
+    let w = mem.read_word(addr)?;
+    (!is_forwarded(w)).then(|| Header::decode(w))
+}
+
+/// [`header_of`], and the class id it names is one `program` defines — the
+/// precondition of `Program::class` / `flattened_fields`, which index.
+fn object_header(mem: &dyn ProcessMemory, program: &Program, addr: Addr) -> Option<Header> {
+    header_of(mem, addr).filter(|h| (h.class_id as usize) < program.classes.len())
 }
 
 /// Class name of a remote object (arrays and class objects included).
 pub fn class_name(mem: &dyn ProcessMemory, program: &Program, addr: Addr) -> Option<String> {
-    let h = header_of(mem, addr)?;
+    let h = object_header(mem, program, addr)?;
     if h.is_stack {
         return Some("[stack]".into());
     }
@@ -63,7 +77,7 @@ pub fn read_fields(
     program: &Program,
     addr: Addr,
 ) -> Option<Vec<(String, String)>> {
-    let h = header_of(mem, addr)?;
+    let h = object_header(mem, program, addr)?;
     if h.is_array || h.is_stack {
         return None;
     }
@@ -96,7 +110,7 @@ pub fn describe(mem: &dyn ProcessMemory, program: &Program, addr: Addr) -> Strin
     if addr == 0 {
         return "null".into();
     }
-    let Some(h) = header_of(mem, addr) else {
+    let Some(h) = object_header(mem, program, addr) else {
         return format!("<bad address {addr}>");
     };
     let name = class_name(mem, program, addr).unwrap_or_else(|| "?".into());

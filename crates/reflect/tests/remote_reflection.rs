@@ -27,7 +27,7 @@ fn app_vm() -> (Vm, Program) {
         a.load(0).iconst(42).put_field(0);
         a.line(101);
         a.new(boxc).store(1);
-        a.load(1).iconst(7).put_field(0);
+        a.load(1).iconst(-7).put_field(0); // a word with the forwarding bit set
         a.load(0).load(1).put_field_ref(1); // box.next = second
         a.load(0).put_static(g, 0);
         a.line(102);
@@ -238,6 +238,46 @@ fn e8_queries_do_not_perturb_a_replay() {
     assert_eq!(vm.fingerprint.digest(), rec.fingerprint);
     assert_eq!(vm.state_digest(), rec.state_digest);
     assert!(replayer.desyncs().is_empty());
+}
+
+#[test]
+fn mirrors_answer_not_an_object_for_every_address() {
+    // `inspect` hands the mirrors an address off the wire, so the word
+    // there is untrusted: mid-object, a stack slot, a string's characters,
+    // a negative int (the forwarding bit), free space, nothing at all.
+    // Walk the whole space of a paused VM; returns how many addresses
+    // mirrored as (object, int array, string, bad address).
+    fn walk(vm: &Vm, program: &Program) -> [u32; 4] {
+        let mem = LocalVmMemory::new(vm);
+        let mut seen = [0; 4];
+        for addr in (0..vm.heap.total_words() as u64).chain([u64::MAX]) {
+            let text = mirror::describe(&mem, program, addr);
+            seen[0] += mirror::read_fields(&mem, program, addr).is_some() as u32;
+            seen[1] += mirror::read_int_array(&mem, addr).is_some() as u32;
+            seen[2] += mirror::read_string(&mem, program, addr).is_some() as u32;
+            seen[3] += text.starts_with("<bad address") as u32;
+        }
+        seen
+    }
+
+    // A guest with live objects, arrays, strings and several thread
+    // stacks, stopped part-way.
+    let w = workloads::registry()
+        .into_iter()
+        .find(|w| w.name == "producer_consumer")
+        .unwrap();
+    let spec = ExecSpec::new((w.build)()).with_seed(3);
+    let mut vm = spec.live_vm();
+    (w.natives)(&mut vm);
+    interp::run(&mut vm, &mut djvm::Passthrough, 2_000);
+    assert!(vm.status.is_running() && vm.threads.len() > 1);
+    let seen = walk(&vm, &spec.program);
+    assert!(seen.iter().all(|&n| n > 1), "met every kind: {seen:?}");
+
+    // `app_vm`'s second box holds a negative int.
+    let (mut vm, p) = app_vm();
+    run_to_halt(&mut vm);
+    walk(&vm, &p);
 }
 
 #[test]

@@ -174,10 +174,6 @@ impl Backend {
         self.root.join("meta").join("heat.json")
     }
 
-    pub fn has_block(&self, digest: Digest128) -> bool {
-        self.block_path(digest).exists()
-    }
-
     /// Atomic write: unique temp file in the target's directory, then
     /// rename over the destination. Concurrent writers of the same path
     /// race benignly — for content-addressed paths both bodies are

@@ -180,13 +180,16 @@ fn compaction_under_concurrent_ingest_preserves_fingerprints() {
     // Every run: byte-identical get, fingerprint-identical replay —
     // with compaction racing the whole time and one more pass after.
     store.compact(DEFAULT_COLD_THRESHOLD).unwrap();
-    for (name, seed, fp, bytes, id) in ingested {
-        assert_eq!(store.get_bytes(&id).unwrap(), bytes, "{name}/{seed}");
-        let stored = store.open_trace(&id).unwrap();
-        let (spec, _) = spec_for(&name, seed);
+    let replays_as_recorded = |name: &str, seed: u64, fp: u64, id: &str| {
+        let stored = store.open_trace(id).unwrap();
+        let (spec, _) = spec_for(name, seed);
         let (rep, desyncs) = replay_run(&spec, stored.trace, SymmetryConfig::full());
         assert!(desyncs.is_empty());
         assert_eq!(rep.fingerprint, fp, "{name}/{seed}: fingerprint under compaction");
+    };
+    for (name, seed, fp, bytes, id) in &ingested {
+        assert_eq!(&store.get_bytes(id).unwrap(), bytes, "{name}/{seed}");
+        replays_as_recorded(name, *seed, *fp, id);
     }
 
     // gc after everything: nothing is unreferenced. The verification
@@ -197,6 +200,10 @@ fn compaction_under_concurrent_ingest_preserves_fingerprints() {
     store.compact(DEFAULT_COLD_THRESHOLD).unwrap();
     let c = store.compact(DEFAULT_COLD_THRESHOLD).unwrap();
     assert_eq!(c.migrated, 0, "consecutive compacts converge");
+    // A replay served after the full maintenance cycle (gc + compact)
+    // still reproduces the record.
+    let (name, seed, fp, _, id) = &ingested[0];
+    replays_as_recorded(name, *seed, *fp, id);
 }
 
 #[test]

@@ -62,8 +62,8 @@ pub fn fig1_ab() -> Program {
 
 /// Figure 1 (A)/(B) scaled up: the same two-thread shared-static shape,
 /// with the delay loops' trip count raised from 2 to `delay` so the
-/// interpreter hot loop dominates. This is the steps/sec benchmark body
-/// for the quickened-dispatch comparison (`BENCH_interp.json`): the loop
+/// interpreter hot loop dominates. This is the steps/sec body of the
+/// dispatch-tier comparisons (the benchmark's `compute_hot`): the loop
 /// is exactly the fusible pattern mix (`Load+Const+Cmp+If`,
 /// `Load+Const+Alu`, `Const+Store`, `Goto`) the quickening pass targets.
 pub fn fig1_ab_scaled(delay: i64) -> Program {

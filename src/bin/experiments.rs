@@ -1,22 +1,64 @@
-//! Regenerates every quantitative table of EXPERIMENTS.md.
+//! Regenerates the paper's tables of EXPERIMENTS.md (E1–E14).
 //!
-//! Run with `cargo run -p bench --bin experiments --release`.
+//! Run with `cargo run --release --bin experiments`.
 //! Wall-clock numbers are machine-dependent; shapes (who wins, by what
-//! factor) are the reproduction target.
+//! factor) are the reproduction target. Every timed cell is the best of
+//! three `Instant` readings; the product's layers are measured by
+//! `benchmark/`, not here.
 
 use baselines::{ir_record, ir_replay, rc_record, rc_replay, trace_size_comparison, TimeTravel};
-use bench::{bench_spec, sized_spec};
 use dejavu::{
     passthrough_run, record_replay, record_run, replay_run, Ablation, ExecSpec, SymmetryConfig,
 };
-use djvm::{Program, ProgramBuilder, Ty};
+use djvm::{Program, ProgramBuilder, Ty, Vm};
+use reflect::ProcessMemory;
 use std::collections::BTreeMap;
-use std::time::Instant;
+use std::hint::black_box;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// The workloads of the timing tables (bounded runtimes).
+const BENCH_WORKLOADS: &[&str] = &[
+    "racy_counter",
+    "producer_consumer",
+    "gc_churn",
+    "bank_transfer",
+    "server_loop",
+];
+
+/// The platform's standard spec for a registry workload, plus its natives.
+fn bench_spec(name: &str, seed: u64) -> (ExecSpec, fn(&mut Vm)) {
+    let w = workloads::registry()
+        .into_iter()
+        .find(|w| w.name == name)
+        .unwrap_or_else(|| panic!("no workload {name}"));
+    (fleet::spec_for(&w, seed), w.natives)
+}
+
+/// Realistic (long) preemption quantum for trace-size comparisons.
+fn sized_spec(name: &str, seed: u64) -> (ExecSpec, fn(&mut Vm)) {
+    let (mut s, n) = bench_spec(name, seed);
+    s.timer_base = 2001;
+    s.timer_jitter = 500;
+    (s, n)
+}
+
+fn best_of_3(mut f: impl FnMut()) -> Duration {
+    (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed()
+        })
+        .min()
+        .unwrap()
+}
 
 fn main() {
     println!("# DejaVu reproduction — experiment tables\n");
     e1_fig1_ab();
     e2_fig1_cd();
+    e3_yieldpoint_cost();
     e4_record_overhead();
     e5_trace_sizes();
     e6_accuracy_matrix();
@@ -73,36 +115,70 @@ fn e2_fig1_cd() {
     );
 }
 
+fn e3_yieldpoint_cost() {
+    println!("## E3 — per-yield-point instrumentation cost (Figure 2)\n");
+    // Every iteration takes the backedge: one yield point per 6 instructions.
+    let mut pb = ProgramBuilder::new();
+    let m = pb.method("main", 0, 1).code(|a| {
+        a.iconst(0).store(0);
+        a.label("top");
+        a.load(0).iconst(50_000).ge().if_nz("done");
+        a.load(0).iconst(1).add().store(0);
+        a.goto("top");
+        a.label("done");
+        a.halt();
+    });
+    let mut s = ExecSpec::new(pb.finish(m).unwrap());
+    s.timer_base = 997;
+    s.timer_jitter = 100;
+    let (rec, trace) = record_run(&s, |_| {}, SymmetryConfig::full(), false);
+    let trace = Arc::new(trace);
+    let yps = rec.counters.yield_points;
+    println!("| mode | {yps} yield points | per yield point | over passthrough |");
+    println!("|---|---|---|---|");
+    let base = best_of_3(|| {
+        black_box(passthrough_run(&s, |_| {}));
+    });
+    let record = best_of_3(|| {
+        black_box(record_run(&s, |_| {}, SymmetryConfig::full(), false));
+    });
+    let replay = best_of_3(|| {
+        black_box(replay_run(&s, Arc::clone(&trace), SymmetryConfig::full()));
+    });
+    let per_yp = |t: Duration| t.as_secs_f64() * 1e9 / yps as f64;
+    for (mode, t) in [
+        ("passthrough", base),
+        ("record", record),
+        ("replay", replay),
+    ] {
+        println!(
+            "| {mode} | {t:.2?} | {:.1}ns | {:+.1}ns |",
+            per_yp(t),
+            per_yp(t) - per_yp(base)
+        );
+    }
+    println!();
+}
+
 fn e4_record_overhead() {
     println!("## E4 — record-mode overhead (precision)\n");
     println!("| workload | passthrough | dejavu record | overhead | RC record | IR record | read-log record |");
     println!("|---|---|---|---|---|---|---|");
-    for name in bench::BENCH_WORKLOADS {
+    for name in BENCH_WORKLOADS {
         let (s, natives) = bench_spec(name, 1);
-        let time = |f: &mut dyn FnMut()| {
-            // best of 3
-            (0..3)
-                .map(|_| {
-                    let t = Instant::now();
-                    f();
-                    t.elapsed()
-                })
-                .min()
-                .unwrap()
-        };
-        let base = time(&mut || {
+        let base = best_of_3(|| {
             passthrough_run(&s, natives);
         });
-        let rec = time(&mut || {
+        let rec = best_of_3(|| {
             record_run(&s, natives, SymmetryConfig::full(), false);
         });
-        let rc = time(&mut || {
+        let rc = best_of_3(|| {
             rc_record(&s, natives);
         });
-        let ir = time(&mut || {
+        let ir = best_of_3(|| {
             ir_record(&s, natives);
         });
-        let rl = time(&mut || {
+        let rl = best_of_3(|| {
             baselines::readlog_record(&s, natives);
         });
         println!(
@@ -117,7 +193,7 @@ fn e5_trace_sizes() {
     println!("## E5 — trace size per scheme (same execution, realistic quantum)\n");
     println!("| workload | steps | DejaVu bytes (switch recs) | RC bytes (dispatches) | InstantReplay bytes (accesses) | read-log bytes (reads) |");
     println!("|---|---|---|---|---|---|");
-    for name in bench::BENCH_WORKLOADS {
+    for name in BENCH_WORKLOADS {
         let (s, natives) = sized_spec(name, 5);
         let r = trace_size_comparison(name, &s, natives);
         println!(
@@ -182,6 +258,23 @@ fn e7_replay_costs() {
         let ir = t0.elapsed();
         println!("| {name} | {dj:.2?} | {rc:.2?} | {lookups} | {ir:.2?} | {delays} |");
     }
+    println!("\n| workload | replay, profiler off | profiler on | on/off |");
+    println!("|---|---|---|---|");
+    for name in ["fig1_hot", "racy_counter", "producer_consumer"] {
+        let (s, natives) = bench_spec(name, 2);
+        let (_, trace) = record_run(&s, natives, SymmetryConfig::full(), false);
+        let trace = Arc::new(trace);
+        let profiled = s.clone().with_profile(true);
+        let [off, on] = [&s, &profiled].map(|spec| {
+            best_of_3(|| {
+                black_box(replay_run(spec, Arc::clone(&trace), SymmetryConfig::full()));
+            })
+        });
+        println!(
+            "| {name} | {off:.2?} | {on:.2?} | {:.2}x |",
+            on.as_secs_f64() / off.as_secs_f64()
+        );
+    }
     println!();
 }
 
@@ -189,7 +282,7 @@ fn e8_reflection() {
     println!("## E8 — remote reflection (Figure 3)\n");
     let (s, natives) = bench_spec("racy_counter", 5);
     let (rec, trace) = record_run(&s, natives, SymmetryConfig::full(), true);
-    let program = std::sync::Arc::clone(&s.program);
+    let program = Arc::clone(&s.program);
     let mut vm = s.replay_vm();
     let mut replayer = dejavu::DejaVuReplayer::new(trace, SymmetryConfig::full());
     {
@@ -198,10 +291,11 @@ fn e8_reflection() {
     }
     djvm::interp::run(&mut vm, &mut replayer, 15_000);
     let before = vm.state_digest();
+    let table = vm.boot_image.method_table;
     let (reads, interp_steps, queries) = {
         let mem = reflect::CountingMemory::new(reflect::LocalVmMemory::new(&vm));
         let mut refl = reflect::RemoteReflector::new(program.clone(), &mem);
-        refl.map_boot_method_table(vm.boot_image.method_table);
+        refl.map_boot_method_table(table);
         let mut q = 0;
         for mid in 0..program.methods.len() as u32 {
             for off in 0..4 {
@@ -211,6 +305,25 @@ fn e8_reflection() {
         }
         (mem.reads(), refl.steps, q)
     };
+    // Latency of the Figure-3 query through ptrace-style reads of the
+    // paused VM vs a snapshot image, and of one raw remote word read.
+    fn ns_per_call(mut f: impl FnMut()) -> f64 {
+        const CALLS: u32 = 1_000;
+        best_of_3(|| (0..CALLS).for_each(|_| f())).as_secs_f64() * 1e9 / CALLS as f64
+    }
+    let entry = program.entry;
+    let local = reflect::LocalVmMemory::new(&vm);
+    let snapshot = reflect::SnapshotMemory::from_vm(&vm);
+    let [query_local, query_snapshot] = [&local as &dyn ProcessMemory, &snapshot].map(|mem| {
+        let mut refl = reflect::RemoteReflector::new(program.clone(), mem);
+        refl.map_boot_method_table(table);
+        ns_per_call(|| {
+            black_box(refl.line_number_of(entry, 3).unwrap());
+        })
+    });
+    let word_read = ns_per_call(|| {
+        black_box(local.read_word(black_box(table)));
+    });
     let unperturbed = vm.state_digest() == before;
     djvm::interp::run(&mut vm, &mut replayer, u64::MAX >> 1);
     let resumed_ok = vm.fingerprint.digest() == rec.fingerprint;
@@ -220,6 +333,9 @@ fn e8_reflection() {
         reads as f64 / queries as f64
     );
     println!("tool-side interpreted bytecodes: {interp_steps}");
+    println!("Figure-3 query latency, local memory: {query_local:.0}ns");
+    println!("Figure-3 query latency, snapshot memory: {query_snapshot:.0}ns");
+    println!("raw remote word read: {word_read:.2}ns");
     println!(
         "application VM perturbed: {}",
         if unperturbed { "no" } else { "YES" }

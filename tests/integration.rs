@@ -152,3 +152,54 @@ fn umbrella_crate_reexports_work() {
     let regs = dejavu_repro::workloads::registry();
     assert!(!regs.is_empty());
 }
+
+/// The paper's tables (`cargo run --release --bin experiments`): every
+/// section prints, and every count column reads the reproduced verdict.
+/// Timing cells are machine-dependent and not looked at.
+#[test]
+fn experiments_prints_every_paper_table() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .output()
+        .expect("spawn experiments");
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).unwrap();
+    let section = |tag: &str| -> Vec<&str> {
+        let heading = format!("## {tag} ");
+        text.lines()
+            .skip_while(|l| !l.starts_with(&heading))
+            .skip(1)
+            .take_while(|l| !l.starts_with("## "))
+            .collect()
+    };
+    // The data rows of a section's tables (header and rule skipped), as cells.
+    let rows = |tag: &str| -> Vec<Vec<&str>> {
+        section(tag)
+            .windows(2)
+            .filter(|w| w[0].starts_with('|') && w[1].starts_with('|'))
+            .filter(|w| !w[1].starts_with("|---"))
+            .map(|w| w[1].trim_matches('|').split('|').map(str::trim).collect())
+            .collect()
+    };
+    for tag in [
+        "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E10", "E13", "E14",
+    ] {
+        assert!(!section(tag).is_empty(), "no {tag} section in:\n{text}");
+    }
+
+    assert!(rows("E1").iter().all(|r| r[2] == "yes"), "{text}");
+    assert!(section("E2").contains(&"replay accurate on all: yes"));
+    let e6 = rows("E6");
+    assert_eq!(e6.len(), workloads::registry().len());
+    for r in &e6 {
+        let (ok, of) = r[2].split_once('/').unwrap();
+        assert_eq!(ok, of, "E6 {r:?}");
+    }
+    let e8 = section("E8");
+    assert!(e8.contains(&"application VM perturbed: no"), "{e8:?}");
+    assert!(e8.contains(&"replay resumed accurately after inspection: yes"));
+    let e10: Vec<&str> = rows("E10").iter().map(|r| r[1]).collect();
+    assert_eq!(e10, ["yes", "yes", "yes", "yes", "yes", "no"]);
+    let by_threads: Vec<_> = rows("E13").into_iter().filter(|r| r.len() == 5).collect();
+    assert_eq!(by_threads.len(), 4);
+    assert!(by_threads.iter().all(|r| r[4] == "yes"), "{by_threads:?}");
+}
