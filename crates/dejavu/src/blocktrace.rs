@@ -47,6 +47,20 @@
 //! tail:    u32le(footer_len) "DJVI"
 //! ```
 //!
+//! ## One packed payload, one writer, one spelling
+//!
+//! A block's payload is packed once, into a [`Packed`] — the value under
+//! this file's block frame *and* under the store's block records, and the
+//! only code outside `codec` that runs a compressor, maps a method byte
+//! or decides stored-vs-compressed. [`write_block_file`] is the only
+//! code that writes the framing above, for a fresh [`encode_trace`] and a
+//! store reconstruction alike, and [`BlockFile::parse`] accepts a file
+//! only if that writer, handed what was parsed with every payload
+//! verbatim, would emit the same bytes back — checked in place, one
+//! piece of framing at a time, in work bounded by the file's length. So
+//! a file has one spelling, and whatever re-frames parsed blocks returns
+//! the bytes it was handed.
+//!
 //! The canonical unified event order is *switches first, then data
 //! records* — the two streams of [`Trace`] back to back. Replay consumes
 //! the streams independently, so the unified order is a storage choice;
@@ -83,9 +97,7 @@ pub enum TraceFormat {
 }
 
 /// Which compressor a block's on-disk payload went through — `Stored`
-/// when neither compressor paid for itself. The store's catalog records
-/// this per block so [`assemble_block_file`] can re-emit the exact
-/// original payload bytes (both compressors are deterministic).
+/// when neither compressor paid for itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockMethod {
     Stored,
@@ -119,6 +131,75 @@ impl BlockMethod {
             2 => Some(BlockMethod::Range),
             _ => None,
         }
+    }
+
+    /// The method's compressor and decompressor (`None` for `Stored`).
+    fn codec(self) -> Option<(fn(&[u8]) -> Vec<u8>, fn(&[u8], usize) -> Option<Vec<u8>>)> {
+        match self {
+            BlockMethod::Stored => None,
+            BlockMethod::Lz77 => Some((codec::compress, codec::decompress)),
+            BlockMethod::Range => Some((codec::entropy_compress, codec::entropy_decompress)),
+        }
+    }
+
+    /// [`Packed::unpack`] over a stream still in its file's buffer.
+    fn unpack(self, stream: &[u8], raw_len: u32, crc: u32) -> Option<Vec<u8>> {
+        let raw = match self.codec() {
+            None => stream.to_vec(),
+            Some((_, decompress)) => decompress(stream, raw_len as usize)?,
+        };
+        (raw.len() == raw_len as usize && codec::crc32(&raw) == crc).then_some(raw)
+    }
+}
+
+/// One block's payload as it is stored, in a DJVB block frame or a store
+/// block record. Packing happens once, where the raw bytes are first
+/// seen; everything downstream moves the stream it was handed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Packed {
+    pub method: BlockMethod,
+    /// The raw bytes themselves under `Stored`, otherwise `method`'s
+    /// compressed stream (without DJVB's method byte).
+    pub stream: Vec<u8>,
+    pub raw_len: u32,
+    /// CRC-32 of the raw (uncompressed) bytes.
+    pub crc: u32,
+}
+
+impl Packed {
+    /// Pack `raw` with `method`, degrading to `Stored` unless the stream
+    /// plus DJVB's method byte is smaller than the raw bytes. This is the
+    /// one stored-vs-compressed rule: file bytes depend on it, so the
+    /// store's tiers follow it too.
+    pub fn pack(raw: &[u8], method: BlockMethod) -> Packed {
+        let stream = method
+            .codec()
+            .map(|(compress, _)| compress(raw))
+            .filter(|s| s.len() + 1 < raw.len());
+        Packed {
+            method: if stream.is_some() { method } else { BlockMethod::Stored },
+            stream: stream.unwrap_or_else(|| raw.to_vec()),
+            raw_len: raw.len() as u32,
+            crc: codec::crc32(raw),
+        }
+    }
+
+    /// Race both compressors and keep the smaller stream (LZ77 on a tie)
+    /// — what a fresh encode does per block.
+    pub fn race(raw: &[u8]) -> Packed {
+        let lz = Packed::pack(raw, BlockMethod::Lz77);
+        let rc = Packed::pack(raw, BlockMethod::Range);
+        if rc.stream.len() < lz.stream.len() {
+            rc
+        } else {
+            lz
+        }
+    }
+
+    /// The raw bytes: decompress, then check the length and the CRC —
+    /// `None` when the stream is damaged or is not this header's.
+    pub fn unpack(&self) -> Option<Vec<u8>> {
+        self.method.unpack(&self.stream, self.raw_len, self.crc)
     }
 }
 
@@ -398,19 +479,28 @@ fn encode_block_payload(switches: &[SwitchRec], data: &[DataRec], paranoid: bool
     out
 }
 
-fn decode_block_payload(
+/// Decode one block's **raw payload bytes** into events — the inverse of
+/// [`encode_block_payload`], shared by the in-file path
+/// ([`BlockFile::block`], counts from the index) and the store's read
+/// path (counts from its catalog). The in-payload counts are validated
+/// against the ones handed in *before* any cast or addition, so the
+/// arithmetic below cannot overflow even on crafted inputs.
+pub fn decode_block_events(
     raw: &[u8],
-    info: &BlockInfo,
+    event_count: u32,
+    switch_count: u32,
     paranoid: bool,
 ) -> Result<(Vec<SwitchRec>, Vec<DataRec>), TraceError> {
     let corrupt = |what| TraceError::Corrupt(what);
+    if switch_count > event_count {
+        return Err(corrupt("implausible block event counts"));
+    }
+    if raw.len() as u64 > MAX_RAW_LEN {
+        return Err(corrupt("implausible block payload length"));
+    }
     let mut pos = 0usize;
-    // The in-payload counts are validated against the header (itself
-    // sanity-checked in `BlockInfo::get`, where `switch_count <=
-    // event_count <= u32::MAX`) *before* any cast or addition, so the
-    // arithmetic below cannot overflow even on crafted inputs.
     let nswitch = get_varint(raw, &mut pos).ok_or(corrupt("short switch count"))?;
-    if nswitch != info.switch_count as u64 {
+    if nswitch != switch_count as u64 {
         return Err(corrupt("switch count disagrees with index"));
     }
     let nswitch = nswitch as usize;
@@ -433,7 +523,7 @@ fn decode_block_payload(
         })
         .collect();
     let ndata = get_varint(raw, &mut pos).ok_or(corrupt("short data count"))?;
-    if ndata != (info.event_count - info.switch_count) as u64 {
+    if ndata != (event_count - switch_count) as u64 {
         return Err(corrupt("event count disagrees with index"));
     }
     let ndata = ndata as usize;
@@ -493,80 +583,91 @@ fn decode_block_payload(
     Ok((switches, data))
 }
 
-/// Encode `trace` in the block format with `budget` events per block.
-pub fn encode_block(trace: &Trace, budget: u32) -> Vec<u8> {
-    let budget = budget.max(1) as usize;
-    let mut out = Vec::new();
+/// The file header, as [`write_block_file`] emits it and
+/// [`BlockFile::parse`] requires it.
+fn put_file_header(out: &mut Vec<u8>, paranoid: bool, budget: u32) {
     out.extend_from_slice(BLOCK_MAGIC);
     out.push(VERSION);
-    out.push(trace.paranoid as u8);
-    put_varint(&mut out, budget as u64);
+    out.push(paranoid as u8);
+    put_varint(out, budget.max(1) as u64);
+}
 
-    let nswitch = trace.switches.len();
-    let total = nswitch + trace.data.len();
+/// The footer index and the fixed tail, likewise shared.
+fn put_footer(out: &mut Vec<u8>, index: &[BlockInfo]) {
+    let footer_start = out.len();
+    put_varint(out, index.len() as u64);
+    for info in index {
+        info.put(out, true);
+    }
+    let footer_len = (out.len() - footer_start) as u32;
+    out.extend_from_slice(&footer_len.to_le_bytes());
+    out.extend_from_slice(INDEX_MAGIC);
+}
+
+/// The one DJVB writer: file header, each block's in-line header and
+/// payload, footer index, tail. Per block the caller supplies what only
+/// a producer knows — `(first_logical_time, event_count, switch_count)`
+/// — and the packed payload; offsets, sequence numbers, lengths and the
+/// CRC are derived here, and [`BlockFile::parse`] accepts only the result.
+pub fn write_block_file(
+    paranoid: bool,
+    budget: u32,
+    blocks: impl IntoIterator<Item = (u64, u32, u32, Packed)>,
+) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_file_header(&mut out, paranoid, budget);
+
     let mut index: Vec<BlockInfo> = Vec::new();
-    let mut logical = 0u64; // cumulative nyp before the next block
-    let mut seq = 0usize;
-    while seq < total {
-        let count = budget.min(total - seq);
-        let sw_lo = seq.min(nswitch);
-        let sw_hi = (seq + count).min(nswitch);
-        let da_lo = seq.saturating_sub(nswitch);
-        let da_hi = (seq + count).saturating_sub(nswitch);
-        let switches = &trace.switches[sw_lo..sw_hi];
-        let data = &trace.data[da_lo..da_hi];
-        let raw = encode_block_payload(switches, data, trace.paranoid);
-        let raw_len = raw.len();
-        let crc = codec::crc32(&raw);
-        // Race the two compressors and store the winner behind a method
-        // byte; `comp_len == raw_len` marks "stored raw" (no method byte).
-        let lz = codec::compress(&raw);
-        let rc = codec::entropy_compress(&raw);
-        let (method, stream) = if rc.len() < lz.len() {
-            (2u8, rc)
-        } else {
-            (1u8, lz)
-        };
-        let payload = if stream.len() + 1 < raw.len() {
-            let mut p = Vec::with_capacity(stream.len() + 1);
-            p.push(method);
-            p.extend_from_slice(&stream);
-            p
-        } else {
-            raw
-        };
-        let comp_len = payload.len();
+    let mut seq = 0u64;
+    for (first_logical_time, event_count, switch_count, packed) in blocks {
+        // `comp_len == raw_len` marks "stored raw"; a compressed payload
+        // is its method byte followed by the stream.
+        let method_byte = (packed.method != BlockMethod::Stored).then(|| packed.method.code());
         let info = BlockInfo {
             offset: out.len() as u64,
-            first_seq: seq as u64,
-            first_logical_time: logical,
-            event_count: count as u32,
-            switch_count: switches.len() as u32,
-            raw_len: raw_len as u32,
-            comp_len: comp_len as u32,
-            crc,
+            first_seq: seq,
+            first_logical_time,
+            event_count,
+            switch_count,
+            raw_len: packed.raw_len,
+            comp_len: (packed.stream.len() + method_byte.is_some() as usize) as u32,
+            crc: packed.crc,
         };
         info.put(&mut out, false);
-        out.extend_from_slice(&payload);
+        out.extend(method_byte);
+        out.extend_from_slice(&packed.stream);
+        index.push(info);
+        seq += event_count as u64;
+    }
+    put_footer(&mut out, &index);
+    out
+}
+
+/// Encode `trace` in the block format with `budget` events per block.
+pub fn encode_block(trace: &Trace, budget: u32) -> Vec<u8> {
+    let per_block = budget.max(1) as usize;
+    let nswitch = trace.switches.len();
+    let total = nswitch + trace.data.len();
+    let mut blocks = Vec::new();
+    let mut logical = 0u64; // cumulative nyp before the next block
+    for seq in (0..total).step_by(per_block) {
+        let end = (seq + per_block).min(total);
+        let switches = &trace.switches[seq.min(nswitch)..end.min(nswitch)];
+        let data = &trace.data[seq.saturating_sub(nswitch)..end.saturating_sub(nswitch)];
+        let raw = encode_block_payload(switches, data, trace.paranoid);
+        blocks.push((
+            logical,
+            (end - seq) as u32,
+            switches.len() as u32,
+            Packed::race(&raw),
+        ));
         // Saturating: keeps the index monotone even for adversarial nyp
         // values near u64::MAX (seek just lands in the last such block).
         logical = switches
             .iter()
             .fold(logical, |acc, s| acc.saturating_add(s.nyp));
-        index.push(info);
-        seq += count;
     }
-
-    // Footer index + fixed tail.
-    let footer_start = out.len();
-    put_varint(&mut out, index.len() as u64);
-    for info in &index {
-        info.put(&mut out, true);
-    }
-    let footer_len = (out.len() - footer_start) as u32;
-    out.extend_from_slice(&footer_len.to_le_bytes());
-    out.extend_from_slice(INDEX_MAGIC);
-    out
+    write_block_file(trace.paranoid, budget, blocks)
 }
 
 /// Encode `trace` in the chosen format (`budget` applies to `Block`).
@@ -577,107 +678,24 @@ pub fn encode_trace(trace: &Trace, format: TraceFormat, budget: u32) -> Vec<u8> 
     }
 }
 
-/// Decode one block's **raw payload bytes** into events without a
-/// surrounding file — the store's read path, where a block arrives from
-/// the shared database rather than a DJVB file. The counts come from the
-/// store's catalog and are validated against the payload exactly as the
-/// in-file path does.
-pub fn decode_block_events(
-    raw: &[u8],
-    event_count: u32,
-    switch_count: u32,
-    paranoid: bool,
-) -> Result<(Vec<SwitchRec>, Vec<DataRec>), TraceError> {
-    if switch_count > event_count {
-        return Err(TraceError::Corrupt("implausible block event counts"));
+impl Trace {
+    /// Append one decoded block — the one splice, under a DJVB file
+    /// ([`BlockFile::to_trace`]) and a store-served run alike. The
+    /// canonical unified order is switches-first, so switch records that
+    /// resume after data records are malformed.
+    pub fn append_block(
+        &mut self,
+        switches: impl IntoIterator<Item = SwitchRec>,
+        data: impl IntoIterator<Item = DataRec>,
+    ) -> Result<(), TraceError> {
+        let before = self.switches.len();
+        self.switches.extend(switches);
+        if self.switches.len() > before && !self.data.is_empty() {
+            return Err(TraceError::Corrupt("switch events after data events"));
+        }
+        self.data.extend(data);
+        Ok(())
     }
-    if raw.len() as u64 > MAX_RAW_LEN {
-        return Err(TraceError::Corrupt("implausible block payload length"));
-    }
-    let info = BlockInfo {
-        offset: 0,
-        first_seq: 0,
-        first_logical_time: 0,
-        event_count,
-        switch_count,
-        raw_len: raw.len() as u32,
-        comp_len: raw.len() as u32,
-        crc: 0, // payload integrity is the caller's contract here
-    };
-    decode_block_payload(raw, &info, paranoid)
-}
-
-/// One block's identity: the fields the store's catalog records per
-/// block reference, plus the raw payload. [`assemble_block_file`] turns
-/// a sequence of these back into the exact original DJVB bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawBlock {
-    /// Cumulative logical clock before the block's first event.
-    pub first_logical_time: u64,
-    pub event_count: u32,
-    pub switch_count: u32,
-    /// The compressor that won this block's encode-time race.
-    pub method: BlockMethod,
-    /// Raw (pre-compression) payload bytes — the dedup identity.
-    pub raw: Vec<u8>,
-}
-
-/// Reassemble a DJVB file from raw blocks, re-running each block's
-/// original compressor. Because both compressors are deterministic pure
-/// functions and every header field is recomputed exactly as
-/// [`encode_block`] computes it, the output is byte-identical to the
-/// file the blocks were deconstructed from ([`BlockFile::raw_blocks`]) —
-/// the property that lets `store get` satisfy a binary `cmp` against the
-/// originally ingested file.
-pub fn assemble_block_file(paranoid: bool, budget: u32, blocks: &[RawBlock]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(BLOCK_MAGIC);
-    out.push(VERSION);
-    out.push(paranoid as u8);
-    put_varint(&mut out, budget.max(1) as u64);
-
-    let mut index: Vec<BlockInfo> = Vec::new();
-    let mut seq = 0u64;
-    for b in blocks {
-        let crc = codec::crc32(&b.raw);
-        let payload = match b.method {
-            BlockMethod::Stored => b.raw.clone(),
-            BlockMethod::Lz77 | BlockMethod::Range => {
-                let stream = match b.method {
-                    BlockMethod::Lz77 => codec::compress(&b.raw),
-                    _ => codec::entropy_compress(&b.raw),
-                };
-                let mut p = Vec::with_capacity(stream.len() + 1);
-                p.push(b.method.code());
-                p.extend_from_slice(&stream);
-                p
-            }
-        };
-        let info = BlockInfo {
-            offset: out.len() as u64,
-            first_seq: seq,
-            first_logical_time: b.first_logical_time,
-            event_count: b.event_count,
-            switch_count: b.switch_count,
-            raw_len: b.raw.len() as u32,
-            comp_len: payload.len() as u32,
-            crc,
-        };
-        info.put(&mut out, false);
-        out.extend_from_slice(&payload);
-        index.push(info);
-        seq += b.event_count as u64;
-    }
-
-    let footer_start = out.len();
-    put_varint(&mut out, index.len() as u64);
-    for info in &index {
-        info.put(&mut out, true);
-    }
-    let footer_len = (out.len() - footer_start) as u32;
-    out.extend_from_slice(&footer_len.to_le_bytes());
-    out.extend_from_slice(INDEX_MAGIC);
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -692,11 +710,15 @@ pub struct BlockFile {
     pub budget: u32,
     pub index: Vec<BlockInfo>,
     buf: Vec<u8>,
+    /// Where the last block ends and the footer index begins.
+    footer_start: usize,
 }
 
 impl BlockFile {
-    /// Parse the header and footer index. Block payloads are *not*
-    /// validated here — use [`BlockFile::block`] / [`BlockFile::verify`].
+    /// Parse the header and footer index, and accept the file only in
+    /// its one spelling: the bytes [`write_block_file`] emits for what
+    /// was parsed. Block payloads are *not* decoded here — use
+    /// [`BlockFile::block`] / [`BlockFile::verify`].
     pub fn parse(buf: Vec<u8>) -> Result<Self, TraceError> {
         if buf.len() < 6 || &buf[..4] != BLOCK_MAGIC {
             return Err(TraceError::NotATrace);
@@ -733,95 +755,117 @@ impl BlockFile {
         if count > (footer_end - footer_start).max(1) {
             return Err(TraceError::Corrupt("implausible index count"));
         }
-        let mut index = Vec::with_capacity(count.min(1 << 20));
-        let mut expect_seq = 0u64;
-        let mut prev_logical = 0u64;
-        for i in 0..count {
+        // What the writer takes on trust is checked here; what it derives
+        // (offsets, sequence numbers) and how it spells it, below.
+        let mut index: Vec<BlockInfo> = Vec::with_capacity(count.min(1 << 20));
+        for _ in 0..count {
             let info = BlockInfo::get(footer, &mut fpos, None)?;
-            if info.first_seq != expect_seq {
-                return Err(TraceError::Corrupt("index seq discontinuity"));
-            }
-            if info.first_logical_time < prev_logical {
+            if index.last().is_some_and(|p| info.first_logical_time < p.first_logical_time) {
                 return Err(TraceError::Corrupt("index logical time not monotone"));
             }
             if info.event_count == 0 && count > 1 {
                 return Err(TraceError::Corrupt("empty block in multi-block file"));
             }
-            let off = info.offset as usize;
-            if off < blocks_start || off >= footer_start {
-                return Err(TraceError::Corrupt("block offset outside payload region"));
-            }
-            let _ = i;
-            expect_seq += info.event_count as u64;
-            prev_logical = info.first_logical_time;
             index.push(info);
         }
-        if fpos != footer_end {
-            return Err(TraceError::Corrupt("trailing bytes in index"));
+        // One spelling: walk the file as the writer lays it out and
+        // require, in place, each piece of framing it would emit. A
+        // paranoid byte that is not 0 or 1, a padded varint, an in-line
+        // header unlike its index entry, a gap or an overlap between
+        // blocks: each is a different file with the same content, and
+        // refused. No payload byte is read or copied, so the work is
+        // bounded by the file's size however the index is crafted.
+        let respelled = TraceError::Corrupt(
+            "not in canonical form (the DJVB writer spells this file differently)",
+        );
+        let mut expect = Vec::new();
+        put_file_header(&mut expect, paranoid, budget as u32);
+        if buf[..blocks_start] != expect {
+            return Err(respelled);
+        }
+        let (mut pos, mut seq) = (blocks_start, 0u64);
+        for info in &index {
+            expect.clear();
+            info.put(&mut expect, false);
+            // (`get`: the block before may have claimed to run past the footer.)
+            let here = buf.get(pos..footer_start).is_some_and(|b| b.starts_with(&expect));
+            if !here || (info.offset, info.first_seq) != (pos as u64, seq) {
+                return Err(respelled);
+            }
+            pos += expect.len() + info.comp_len as usize;
+            seq += info.event_count as u64;
+        }
+        expect.clear();
+        put_footer(&mut expect, &index);
+        if pos != footer_start || buf[footer_start..] != expect {
+            return Err(respelled);
         }
         Ok(BlockFile {
             paranoid,
             budget: budget as u32,
             index,
             buf,
+            footer_start,
         })
     }
 
-    /// Total events across all blocks.
-    pub fn event_count(&self) -> u64 {
-        self.index.iter().map(|b| b.event_count as u64).sum()
-    }
-
-    /// Decode block `i`'s **raw (pre-compression) payload bytes**:
-    /// locate via the index, revalidate the in-line header, decompress,
-    /// and CRC-check. These bytes are the block's content-addressed
-    /// identity — the store keys dedup on their digest.
-    pub fn block_raw(&self, i: usize) -> Result<Vec<u8>, TraceError> {
-        let info = *self
+    /// Block `i`'s index entry, method and stream as they sit in the
+    /// file. Blocks are contiguous (checked at parse), so a payload ends
+    /// where the next block — or the footer — begins.
+    fn stream(&self, i: usize) -> Result<(&BlockInfo, BlockMethod, &[u8]), TraceError> {
+        let info = self
             .index
             .get(i)
             .ok_or(TraceError::Corrupt("block index out of range"))?;
-        // Re-read the in-line header so a block is self-validating even
-        // when reached through the index.
-        let mut pos = info.offset as usize;
-        let inline = BlockInfo::get(&self.buf, &mut pos, Some(info.offset))?;
-        if inline != info {
-            return Err(TraceError::Corrupt(
-                "index and in-line block header disagree",
-            ));
-        }
-        let end = pos
-            .checked_add(info.comp_len as usize)
-            .filter(|&e| e <= self.buf.len())
+        let end = self
+            .index
+            .get(i + 1)
+            .map_or(self.footer_start, |next| next.offset as usize);
+        let payload = end
+            .checked_sub(info.comp_len as usize)
+            .and_then(|start| self.buf.get(start..end))
             .ok_or(TraceError::Corrupt("block payload out of range"))?;
-        let payload = &self.buf[pos..end];
-        let raw = if info.comp_len == info.raw_len {
-            payload.to_vec()
-        } else {
-            let (&method, stream) = payload
-                .split_first()
-                .ok_or(TraceError::Corrupt("empty compressed payload"))?;
-            match method {
-                1 => codec::decompress(stream, info.raw_len as usize),
-                2 => codec::entropy_decompress(stream, info.raw_len as usize),
-                _ => return Err(TraceError::Corrupt("unknown compression method")),
-            }
-            .ok_or(TraceError::BadCrc { block: i })?
-        };
-        if codec::crc32(&raw) != info.crc {
-            return Err(TraceError::BadCrc { block: i });
+        if info.comp_len == info.raw_len {
+            return Ok((info, BlockMethod::Stored, payload));
         }
-        Ok(raw)
+        let (&code, stream) = payload
+            .split_first()
+            .ok_or(TraceError::Corrupt("empty compressed payload"))?;
+        let method = BlockMethod::from_code(code)
+            .filter(|&m| m != BlockMethod::Stored)
+            .ok_or(TraceError::Corrupt("unknown compression method"))?;
+        Ok((info, method, stream))
+    }
+
+    /// Block `i`'s packed payload, as the file holds it — not unpacked,
+    /// not validated beyond its method byte. This is what the store
+    /// keeps.
+    pub fn packed(&self, i: usize) -> Result<Packed, TraceError> {
+        let (info, method, stream) = self.stream(i)?;
+        Ok(Packed {
+            method,
+            stream: stream.to_vec(),
+            raw_len: info.raw_len,
+            crc: info.crc,
+        })
+    }
+
+    /// Decode block `i`'s **raw (pre-compression) payload bytes**:
+    /// locate via the index, decompress, and CRC-check. These bytes are
+    /// the block's content-addressed identity — the store keys dedup on
+    /// their digest.
+    pub fn block_raw(&self, i: usize) -> Result<Vec<u8>, TraceError> {
+        let (info, method, stream) = self.stream(i)?;
+        method
+            .unpack(stream, info.raw_len, info.crc)
+            .ok_or(TraceError::BadCrc { block: i })
     }
 
     /// Decode block `i`: decompress, CRC-check, and expand the columns.
     pub fn block(&self, i: usize) -> Result<(Vec<SwitchRec>, Vec<DataRec>), TraceError> {
-        let info = *self
-            .index
-            .get(i)
-            .ok_or(TraceError::Corrupt("block index out of range"))?;
         let raw = self.block_raw(i)?;
-        decode_block_payload(&raw, &info, self.paranoid)
+        let info = &self.index[i];
+        decode_block_events(&raw, info.event_count, info.switch_count, self.paranoid)
     }
 
     /// Validate every block's CRC; `Ok` only if all pass.
@@ -843,43 +887,13 @@ impl BlockFile {
     /// Which compressor won block `i`'s encode-time race. Errors on an
     /// out-of-range index or an unknown method byte (corrupt file).
     pub fn block_method(&self, i: usize) -> Result<BlockMethod, TraceError> {
-        let info = *self
-            .index
-            .get(i)
-            .ok_or(TraceError::Corrupt("block index out of range"))?;
-        if info.comp_len == info.raw_len {
-            return Ok(BlockMethod::Stored);
-        }
-        let mut pos = info.offset as usize;
-        BlockInfo::get(&self.buf, &mut pos, Some(info.offset))?;
-        match self.buf.get(pos) {
-            Some(1) => Ok(BlockMethod::Lz77),
-            Some(2) => Ok(BlockMethod::Range),
-            _ => Err(TraceError::Corrupt("unknown compression method")),
-        }
+        self.stream(i).map(|(_, method, _)| method)
     }
 
     /// [`BlockFile::block_method`] as the display name `trace inspect`
     /// prints: `"stored"`, `"lz77"`, or `"range"`.
     pub fn block_compressor(&self, i: usize) -> Result<&'static str, TraceError> {
         self.block_method(i).map(|m| m.name())
-    }
-
-    /// Deconstruct the file into its [`RawBlock`]s — everything the
-    /// store's catalog needs to reassemble the exact original bytes via
-    /// [`assemble_block_file`].
-    pub fn raw_blocks(&self) -> Result<Vec<RawBlock>, TraceError> {
-        (0..self.index.len())
-            .map(|i| {
-                Ok(RawBlock {
-                    first_logical_time: self.index[i].first_logical_time,
-                    event_count: self.index[i].event_count,
-                    switch_count: self.index[i].switch_count,
-                    method: self.block_method(i)?,
-                    raw: self.block_raw(i)?,
-                })
-            })
-            .collect()
     }
 
     /// Reassemble the full in-memory [`Trace`].
@@ -889,14 +903,8 @@ impl BlockFile {
             ..Trace::default()
         };
         for i in 0..self.index.len() {
-            let (mut sw, mut da) = self.block(i)?;
-            // Canonical unified order is switches-first; a file whose
-            // switch records resume after data records is malformed.
-            if !sw.is_empty() && !trace.data.is_empty() {
-                return Err(TraceError::Corrupt("switch events after data events"));
-            }
-            trace.switches.append(&mut sw);
-            trace.data.append(&mut da);
+            let (switches, data) = self.block(i)?;
+            trace.append_block(switches, data)?;
         }
         Ok(trace)
     }
@@ -1297,6 +1305,17 @@ mod tests {
         assert!(bf.block_compressor(bf.index.len()).is_err(), "out of range");
     }
 
+    /// Every block of a parsed file, as the writer takes it.
+    fn blocks_of(bf: &BlockFile) -> Vec<(u64, u32, u32, Packed)> {
+        (0..bf.index.len())
+            .map(|i| {
+                let b = &bf.index[i];
+                let packed = bf.packed(i).unwrap();
+                (b.first_logical_time, b.event_count, b.switch_count, packed)
+            })
+            .collect()
+    }
+
     #[test]
     fn deconstruct_assemble_is_byte_identical() {
         for paranoid in [false, true] {
@@ -1304,18 +1323,138 @@ mod tests {
             for budget in [1u32, 7, 64, DEFAULT_BLOCK_BUDGET] {
                 let enc = encode_block(&t, budget);
                 let bf = BlockFile::parse(enc.clone()).unwrap();
-                let blocks = bf.raw_blocks().unwrap();
-                let back = assemble_block_file(bf.paranoid, bf.budget, &blocks);
+                let back = write_block_file(bf.paranoid, bf.budget, blocks_of(&bf));
                 assert_eq!(back, enc, "paranoid={paranoid} budget={budget}");
+                // Packing is a pure function of the raw bytes: unpacking
+                // a block and racing it again lands on the same value.
+                for i in 0..bf.index.len() {
+                    let packed = bf.packed(i).unwrap();
+                    assert_eq!(Packed::race(&packed.unpack().unwrap()), packed);
+                }
             }
         }
         // Empty trace: zero blocks still reassembles exactly.
         let enc = encode_block(&Trace::default(), 512);
         let bf = BlockFile::parse(enc.clone()).unwrap();
-        assert_eq!(
-            assemble_block_file(bf.paranoid, bf.budget, &bf.raw_blocks().unwrap()),
-            enc
-        );
+        assert_eq!(write_block_file(bf.paranoid, bf.budget, blocks_of(&bf)), enc);
+    }
+
+    #[test]
+    fn pack_keeps_one_stored_vs_compressed_rule() {
+        // Compressible: each named method lands, and unpacks to the input.
+        let raw: Vec<u8> = (0..4000u32).map(|i| (i % 7) as u8).collect();
+        for method in [BlockMethod::Stored, BlockMethod::Lz77, BlockMethod::Range] {
+            let p = Packed::pack(&raw, method);
+            assert_eq!(p.method, method);
+            assert_eq!((p.raw_len, p.crc), (4000, codec::crc32(&raw)));
+            assert_eq!(p.unpack().as_deref(), Some(&raw[..]));
+        }
+        // Incompressible: every method degrades to the raw bytes.
+        let noise: Vec<u8> = (0..64u32)
+            .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
+            .collect();
+        for method in [BlockMethod::Lz77, BlockMethod::Range] {
+            let p = Packed::pack(&noise, method);
+            assert_eq!((p.method, &p.stream), (BlockMethod::Stored, &noise));
+        }
+        assert_eq!(Packed::race(&noise).method, BlockMethod::Stored);
+        // A stream that does not belong to its header is not unpacked.
+        let good = Packed::pack(&raw, BlockMethod::Lz77);
+        for bad in [
+            Packed { crc: good.crc ^ 1, ..good.clone() },
+            Packed { raw_len: good.raw_len - 1, ..good.clone() },
+            Packed { method: BlockMethod::Stored, ..good.clone() },
+            Packed { stream: good.stream[1..].to_vec(), ..good.clone() },
+        ] {
+            assert_eq!(bad.unpack(), None);
+        }
+    }
+
+    /// A DJVB file has one spelling: every way of framing the same
+    /// content that the writer would not emit is refused at parse. Each
+    /// variant below is self-consistent — the index points at the block
+    /// headers, the footer length is right — so only the canonical-form
+    /// check stands between it and the caller.
+    #[test]
+    fn parse_refuses_every_other_spelling() {
+        let enc = encode_block(&sample(true, 40), 16);
+        let bf = BlockFile::parse(enc.clone()).unwrap();
+        let last = bf.index.len() - 1;
+        assert!(last >= 2);
+        let off = |i: usize| bf.index[i].offset as usize;
+        // Insert `byte` at `at`, tell the index that blocks `moved..` start
+        // one byte later, and write the footer and tail around the result.
+        let respell = |at: usize, byte: u8, moved: usize| {
+            let mut out = enc[..bf.footer_start].to_vec();
+            out.insert(at, byte);
+            let footer_start = out.len();
+            put_varint(&mut out, bf.index.len() as u64);
+            for (i, b) in bf.index.iter().enumerate() {
+                let offset = b.offset + (i >= moved) as u64;
+                BlockInfo { offset, ..*b }.put(&mut out, true);
+            }
+            let footer_len = (out.len() - footer_start) as u32;
+            out.extend_from_slice(&footer_len.to_le_bytes());
+            out.extend_from_slice(INDEX_MAGIC);
+            out
+        };
+        // `v` (one byte, < 0x80) re-spelled as the two bytes `v|0x80 00`.
+        let pad = |at: usize, moved: usize| {
+            assert!(enc[at] < 0x80);
+            let mut out = respell(at + 1, 0x00, moved);
+            out[at] |= 0x80;
+            out
+        };
+
+        let mut paranoid2 = enc.clone();
+        paranoid2[5] = 2; // reads as "paranoid", is not what was written
+        let mut footer_pad = enc.clone();
+        let tail = footer_pad.split_off(bf.footer_start);
+        footer_pad.extend_from_slice(&[tail[0] | 0x80, 0x00]); // block count
+        footer_pad.extend_from_slice(&tail[1..tail.len() - 8]);
+        footer_pad.extend_from_slice(&(tail.len() as u32 - 7).to_le_bytes());
+        footer_pad.extend_from_slice(INDEX_MAGIC);
+        let mut disagree = enc.clone();
+        let mut pos = off(1);
+        get_varint(&enc, &mut pos).unwrap(); // past first_seq …
+        assert!(disagree[pos] & 0x7F > 0);
+        disagree[pos] -= 1; // … to first_logical_time, in line only
+
+        for (bytes, why) in [
+            (paranoid2, "paranoid byte 2"),
+            (pad(6, 0), "padded budget varint"),
+            (pad(off(0), 1), "padded in-line header varint (first_seq 0)"),
+            (footer_pad, "padded footer varint"),
+            (disagree, "in-line header disagrees with its index entry"),
+            (respell(off(last), 0x00, last), "gap before the last block"),
+        ] {
+            assert!(
+                matches!(BlockFile::parse(bytes), Err(TraceError::Corrupt(_))),
+                "accepted: {why}"
+            );
+        }
+    }
+
+    /// The canonical-form check must cost no more than the file is long,
+    /// whatever the index claims. Here 2 000 index entries all name the
+    /// one 128 KiB block: each entry is plausible on its own, and a check
+    /// that gathered every entry's payload would copy 250 MiB for a
+    /// 170 KiB upload (and grow with the square of the upload's size).
+    /// Parse refuses at the second entry without reading a payload.
+    #[test]
+    fn parse_refuses_an_overlapping_index_in_linear_work() {
+        let payload: Vec<u8> = (0..128u32 << 10).map(|i| (i * 31 >> 3) as u8).collect();
+        let honest = handcrafted_block_file(&payload, 1, 0);
+        let bf = BlockFile::parse(honest.clone()).unwrap();
+        for first_seq in [0, 1] {
+            let mut bytes = honest[..bf.footer_start].to_vec();
+            let index: Vec<BlockInfo> = (0..2_000)
+                .map(|i| BlockInfo { first_seq: i * first_seq, ..bf.index[0] })
+                .collect();
+            put_footer(&mut bytes, &index);
+            assert!(bytes.len() < 2 * honest.len());
+            assert!(matches!(BlockFile::parse(bytes), Err(TraceError::Corrupt(_))));
+        }
     }
 
     #[test]

@@ -52,8 +52,9 @@ pub mod symmetry;
 pub mod trace;
 
 pub use blocktrace::{
-    assemble_block_file, decode_block_events, encode_trace, ingest_bytes, BlockFile, BlockInfo, BlockMethod, BlockStats, IngestedTrace, RawBlock, TraceError,
-    TraceFormat, TraceIngest, DEFAULT_BLOCK_BUDGET, DEFAULT_INGEST_LIMIT,
+    decode_block_events, encode_trace, ingest_bytes, write_block_file, BlockFile, BlockInfo,
+    BlockMethod, BlockStats, IngestedTrace, Packed, TraceError, TraceFormat, TraceIngest,
+    DEFAULT_BLOCK_BUDGET, DEFAULT_INGEST_LIMIT,
 };
 pub use driver::{
     passthrough_run, record_replay, record_replay_forensic, record_run, replay_run,

@@ -116,38 +116,72 @@ impl Trace {
     /// encoding — size accounting and byte-equality checks — not a file
     /// format: files are DJVB ([`crate::blocktrace`]).
     pub fn encoded(&self) -> Vec<u8> {
+        self.measured().0
+    }
+
+    /// Size breakdown of the encoded trace, per event kind.
+    pub fn stats(&self) -> TraceStats {
+        self.measured().1
+    }
+
+    /// The one walk over the records: the flat bytes, and where they
+    /// went. Sizes are read off the output as it grows, so the layout is
+    /// written once and `total_bytes == encoded().len()` by construction.
+    fn measured(&self) -> (Vec<u8>, TraceStats) {
+        // Fixed-width equivalent: every switch is 8 bytes of nyp (+4 of
+        // check tid in paranoid mode); every data record is a tag byte
+        // plus 8-byte integers and 4-byte ids/counts.
+        let mut st = TraceStats {
+            switch_count: self.switches.len(),
+            raw_bytes: self.switches.len() * if self.paranoid { 12 } else { 8 },
+            ..TraceStats::default()
+        };
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
         out.push(self.paranoid as u8);
         put_varint(&mut out, self.switches.len() as u64);
+        let switches_at = out.len();
         for s in &self.switches {
             put_varint(&mut out, s.nyp);
             if self.paranoid {
                 put_varint(&mut out, s.check_tid as u64);
             }
         }
+        st.switch_bytes = out.len() - switches_at;
         put_varint(&mut out, self.data.len() as u64);
         for d in &self.data {
+            let record_at = out.len();
             match d {
                 DataRec::Clock(v) => {
                     out.push(0);
                     put_varint(&mut out, zigzag(*v));
+                    st.clock_count += 1;
+                    st.clock_bytes += out.len() - record_at;
+                    st.raw_bytes += 1 + 8;
                 }
                 DataRec::Native { ret, callbacks } => {
                     out.push(1);
                     put_varint(&mut out, zigzag(*ret));
                     put_varint(&mut out, callbacks.len() as u64);
+                    st.raw_bytes += 1 + 8 + 4;
                     for (m, args) in callbacks {
                         put_varint(&mut out, *m as u64);
                         put_varint(&mut out, args.len() as u64);
+                        st.raw_bytes += 4 + 4 + 8 * args.len();
                         for &a in args {
                             put_varint(&mut out, zigzag(a));
                         }
                     }
+                    st.native_count += 1;
+                    st.native_bytes += out.len() - record_at;
                 }
             }
         }
-        out
+        // Everything past the 5-byte header and the switch payload: the
+        // two stream-length varints plus the data records.
+        st.data_bytes = out.len() - st.switch_bytes - 5;
+        st.total_bytes = out.len();
+        (out, st)
     }
 
     /// Decode the flat byte form; `None` on corruption.
@@ -201,63 +235,6 @@ impl Trace {
             switches,
             data,
         })
-    }
-
-    /// Size breakdown of the encoded trace, per event kind.
-    pub fn stats(&self) -> TraceStats {
-        let mut sw = Vec::new();
-        for s in &self.switches {
-            put_varint(&mut sw, s.nyp);
-            if self.paranoid {
-                put_varint(&mut sw, s.check_tid as u64);
-            }
-        }
-        let mut clock_count = 0;
-        let mut clock_bytes = 0;
-        let mut native_bytes = 0;
-        // Fixed-width equivalent: every switch is 8 bytes of nyp (+4 of
-        // check tid in paranoid mode); every data record is a tag byte
-        // plus 8-byte integers and 4-byte ids/counts.
-        let mut raw_bytes = self.switches.len() * if self.paranoid { 12 } else { 8 };
-        let mut scratch = Vec::new();
-        for d in &self.data {
-            scratch.clear();
-            match d {
-                DataRec::Clock(v) => {
-                    put_varint(&mut scratch, zigzag(*v));
-                    clock_count += 1;
-                    clock_bytes += 1 + scratch.len();
-                    raw_bytes += 1 + 8;
-                }
-                DataRec::Native { ret, callbacks } => {
-                    put_varint(&mut scratch, zigzag(*ret));
-                    put_varint(&mut scratch, callbacks.len() as u64);
-                    raw_bytes += 1 + 8 + 4;
-                    for (m, args) in callbacks {
-                        put_varint(&mut scratch, *m as u64);
-                        put_varint(&mut scratch, args.len() as u64);
-                        raw_bytes += 4 + 4;
-                        for &a in args {
-                            put_varint(&mut scratch, zigzag(a));
-                            raw_bytes += 8;
-                        }
-                    }
-                    native_bytes += 1 + scratch.len();
-                }
-            }
-        }
-        let total = self.encoded().len();
-        TraceStats {
-            switch_count: self.switches.len(),
-            clock_count,
-            native_count: self.data.len() - clock_count,
-            switch_bytes: sw.len(),
-            clock_bytes,
-            native_bytes,
-            data_bytes: total - sw.len() - 5,
-            total_bytes: total,
-            raw_bytes,
-        }
     }
 }
 

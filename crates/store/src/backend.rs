@@ -20,14 +20,16 @@
 //! payload[comp_len]                         (raw, or the tier's stream)
 //! ```
 //!
-//! A record is self-validating: decode re-derives the raw bytes, checks
-//! the CRC, **and recomputes the content digest against the echo** — so
-//! even a digest collision or a renamed file surfaces as a typed
-//! [`StoreError::Corrupt`], never as silently wrong replay data.
+//! A record is a header around a [`dejavu::Packed`] — the value a DJVB
+//! block frame wraps — written from it and read back into it, stream
+//! verbatim. It is self-validating: decode unpacks the payload
+//! (decompress, length, CRC) **and recomputes the content digest against
+//! the echo** — so even a digest collision or a renamed file surfaces as
+//! a typed [`StoreError::Corrupt`], never as silently wrong replay data.
 
 use crate::error::StoreError;
 use codec::{digest128, get_varint, put_varint, Digest128};
-use dejavu::BlockMethod;
+use dejavu::{BlockMethod, Packed};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,47 +43,24 @@ const MAX_RAW_LEN: u64 = 1 << 26;
 /// with many store threads in one process).
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Encode one block record at the given storage tier. The tier degrades
-/// to `Stored` when its compressor does not shrink the payload, so the
-/// returned tier is what actually landed in the bytes.
-pub fn encode_record(digest: Digest128, raw: &[u8], tier: BlockMethod) -> (Vec<u8>, BlockMethod) {
-    let (tier, payload) = match tier {
-        BlockMethod::Stored => (BlockMethod::Stored, raw.to_vec()),
-        BlockMethod::Lz77 => {
-            let s = codec::compress(raw);
-            if s.len() < raw.len() {
-                (BlockMethod::Lz77, s)
-            } else {
-                (BlockMethod::Stored, raw.to_vec())
-            }
-        }
-        BlockMethod::Range => {
-            let s = codec::entropy_compress(raw);
-            if s.len() < raw.len() {
-                (BlockMethod::Range, s)
-            } else {
-                (BlockMethod::Stored, raw.to_vec())
-            }
-        }
-    };
-    let mut out = Vec::with_capacity(payload.len() + 40);
+/// Encode one block record around `packed`, stream verbatim.
+pub fn encode_record(digest: Digest128, packed: &Packed) -> Vec<u8> {
+    let mut out = Vec::with_capacity(packed.stream.len() + 40);
     out.extend_from_slice(RECORD_MAGIC);
     out.push(RECORD_VERSION);
-    out.push(tier.code());
-    put_varint(&mut out, raw.len() as u64);
-    put_varint(&mut out, payload.len() as u64);
-    put_varint(&mut out, codec::crc32(raw) as u64);
+    out.push(packed.method.code());
+    put_varint(&mut out, packed.raw_len as u64);
+    put_varint(&mut out, packed.stream.len() as u64);
+    put_varint(&mut out, packed.crc as u64);
     out.extend_from_slice(&digest.0);
-    out.extend_from_slice(&payload);
-    (out, tier)
+    out.extend_from_slice(&packed.stream);
+    out
 }
 
 /// Decode and fully validate one block record: framing, tier, CRC, and
-/// the content digest against `expect`.
-pub fn decode_record(
-    expect: Digest128,
-    buf: &[u8],
-) -> Result<(BlockMethod, Vec<u8>), StoreError> {
+/// the content digest against `expect`. Returns the payload as the
+/// record holds it and the raw bytes it unpacks to.
+pub fn decode_record(expect: Digest128, buf: &[u8]) -> Result<(Packed, Vec<u8>), StoreError> {
     let corrupt = |what: &str| StoreError::Corrupt(format!("block {expect}: {what}"));
     if buf.len() < 6 || &buf[..4] != RECORD_MAGIC {
         return Err(corrupt("bad record magic"));
@@ -89,7 +68,7 @@ pub fn decode_record(
     if buf[4] != RECORD_VERSION {
         return Err(corrupt("unsupported record version"));
     }
-    let tier = BlockMethod::from_code(buf[5]).ok_or_else(|| corrupt("unknown storage tier"))?;
+    let method = BlockMethod::from_code(buf[5]).ok_or_else(|| corrupt("unknown storage tier"))?;
     let mut pos = 6usize;
     let raw_len = get_varint(buf, &mut pos).ok_or_else(|| corrupt("short record header"))?;
     let comp_len = get_varint(buf, &mut pos).ok_or_else(|| corrupt("short record header"))?;
@@ -97,7 +76,7 @@ pub fn decode_record(
     if raw_len > MAX_RAW_LEN || crc > u32::MAX as u64 {
         return Err(corrupt("implausible record header"));
     }
-    if tier == BlockMethod::Stored && comp_len != raw_len {
+    if method == BlockMethod::Stored && comp_len != raw_len {
         return Err(corrupt("stored tier with mismatched lengths"));
     }
     if comp_len > raw_len.max(1) {
@@ -119,24 +98,19 @@ pub fn decode_record(
     if end != buf.len() {
         return Err(corrupt("trailing bytes after payload"));
     }
-    let payload = &buf[pos..end];
-    let raw = match tier {
-        BlockMethod::Stored => payload.to_vec(),
-        BlockMethod::Lz77 => codec::decompress(payload, raw_len as usize)
-            .ok_or_else(|| corrupt("lz77 payload rejected"))?,
-        BlockMethod::Range => codec::entropy_decompress(payload, raw_len as usize)
-            .ok_or_else(|| corrupt("range payload rejected"))?,
+    let packed = Packed {
+        method,
+        stream: buf[pos..end].to_vec(),
+        raw_len: raw_len as u32,
+        crc: crc as u32,
     };
-    if raw.len() as u64 != raw_len {
-        return Err(corrupt("payload decodes to the wrong length"));
-    }
-    if codec::crc32(&raw) as u64 != crc {
-        return Err(corrupt("payload CRC mismatch"));
-    }
+    let raw = packed
+        .unpack()
+        .ok_or_else(|| corrupt("payload does not unpack to its length and CRC"))?;
     if digest128(&raw) != expect {
         return Err(corrupt("content does not match its digest"));
     }
-    Ok((tier, raw))
+    Ok((packed, raw))
 }
 
 /// Filesystem operations under one store root.
@@ -195,25 +169,21 @@ impl Backend {
         })
     }
 
-    /// Write one block record if absent. Returns `(actual_tier,
-    /// bytes_written, was_new)` — `bytes_written == 0` on a dedup hit.
-    pub fn write_block(
-        &self,
-        digest: Digest128,
-        raw: &[u8],
-        tier: BlockMethod,
-    ) -> Result<(BlockMethod, u64, bool), StoreError> {
+    /// Write one block record if absent. Returns `(bytes_written,
+    /// was_new)` — `bytes_written == 0` on a dedup hit, which keeps the
+    /// record (and so the stream) the store already has.
+    pub fn write_block(&self, digest: Digest128, packed: &Packed) -> Result<(u64, bool), StoreError> {
         let path = self.block_path(digest);
         if path.exists() {
-            return Ok((tier, 0, false));
+            return Ok((0, false));
         }
-        let (bytes, actual) = encode_record(digest, raw, tier);
+        let bytes = encode_record(digest, packed);
         self.write_atomic(&path, &bytes)?;
-        Ok((actual, bytes.len() as u64, true))
+        Ok((bytes.len() as u64, true))
     }
 
     /// Read + fully validate one block record.
-    pub fn read_block(&self, digest: Digest128) -> Result<(BlockMethod, Vec<u8>), StoreError> {
+    pub fn read_block(&self, digest: Digest128) -> Result<(Packed, Vec<u8>), StoreError> {
         let path = self.block_path(digest);
         let buf = fs::read(&path).map_err(|e| {
             if e.kind() == std::io::ErrorKind::NotFound {
@@ -320,14 +290,14 @@ mod tests {
     #[test]
     fn record_roundtrip_all_tiers() {
         // Compressible payload: every tier should survive a round trip
-        // and come back with the raw bytes.
+        // and come back with the stream it was handed and the raw bytes.
         let raw: Vec<u8> = (0..4000u32).map(|i| (i % 7) as u8).collect();
         let digest = digest128(&raw);
         for tier in [BlockMethod::Stored, BlockMethod::Lz77, BlockMethod::Range] {
-            let (bytes, actual) = encode_record(digest, &raw, tier);
-            let (t2, raw2) = decode_record(digest, &bytes).unwrap();
-            assert_eq!(t2, actual);
-            assert_eq!(raw2, raw);
+            let packed = Packed::pack(&raw, tier);
+            assert_eq!(packed.method, tier);
+            let bytes = encode_record(digest, &packed);
+            assert_eq!(decode_record(digest, &bytes).unwrap(), (packed, raw.clone()));
         }
     }
 
@@ -338,19 +308,17 @@ mod tests {
             .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
             .collect();
         let digest = digest128(&raw);
-        let (_, actual) = encode_record(digest, &raw, BlockMethod::Lz77);
-        // Whatever tier landed, decode returns the same raw.
-        let (bytes, tier) = encode_record(digest, &raw, actual);
-        let (t2, raw2) = decode_record(digest, &bytes).unwrap();
-        assert_eq!(t2, tier);
-        assert_eq!(raw2, raw);
+        let packed = Packed::pack(&raw, BlockMethod::Lz77);
+        assert_eq!(packed.method, BlockMethod::Stored);
+        let bytes = encode_record(digest, &packed);
+        assert_eq!(decode_record(digest, &bytes).unwrap(), (packed, raw));
     }
 
     #[test]
     fn record_rejects_wrong_digest_and_damage() {
         let raw = b"payload payload payload payload".to_vec();
         let digest = digest128(&raw);
-        let (bytes, _) = encode_record(digest, &raw, BlockMethod::Stored);
+        let bytes = encode_record(digest, &Packed::pack(&raw, BlockMethod::Stored));
         // Wrong expected digest: echo check fires.
         let other = digest128(b"other");
         assert!(matches!(
@@ -369,5 +337,33 @@ mod tests {
         let last = bad.len() - 1;
         bad[last] ^= 0x01;
         assert!(decode_record(digest, &bad).is_err());
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// `DJSB` v1 is frozen: one record per tier, byte for byte as the
+    /// build before the packed-payload value wrote it, still decodes to
+    /// the same raw bytes — and re-encodes to itself.
+    #[test]
+    fn records_written_before_packed_still_read() {
+        let raw = b"abcabcabcabcabcabcabcabcabcabcabcabc".to_vec();
+        let digest = digest128(&raw);
+        let header = "eaad84880fa5b613559dfc3b4f7c253f51d970c5d2"; // crc, digest echo
+        for (tier, lens, stream) in [
+            (BlockMethod::Stored, "2424", "616263".repeat(12)),
+            (BlockMethod::Lz77, "2407", "03616263210300".into()),
+            (BlockMethod::Range, "2411", "0061625b6169c3be18c22267b4ae4c58c1".into()),
+        ] {
+            let record = unhex(&format!("444a534201{:02x}{lens}{header}{stream}", tier.code()));
+            let (packed, got) = decode_record(digest, &record).unwrap();
+            assert_eq!(got, raw, "{tier:?}");
+            assert_eq!((packed.method, &packed.stream), (tier, &unhex(&stream)));
+            assert_eq!(encode_record(digest, &packed), record, "{tier:?}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! The trace catalog: one canonical-JSON manifest per stored run. An
 //! entry is a *view* over shared blocks — it records the block digest
 //! list plus exactly the per-block fields needed to reassemble the
-//! original file bytes ([`dejavu::assemble_block_file`]) and to key
+//! original file bytes ([`dejavu::write_block_file`]) and to key
 //! checkpoints ([`BlockRef::first_logical_time`]).
 //!
 //! ## Identity
@@ -33,8 +33,9 @@ pub struct BlockRef {
     pub switch_count: u32,
     /// Cumulative logical clock before the block — the checkpoint key.
     pub first_logical_time: u64,
-    /// The compressor that won at original encode time (reconstruction
-    /// re-runs exactly this one).
+    /// The method the upload packed this block with (`get` re-packs a
+    /// record that has since moved to another tier with exactly this
+    /// one).
     pub method: BlockMethod,
     pub raw_len: u32,
 }
@@ -215,10 +216,6 @@ impl CatalogEntry {
     /// same contract as [`dejavu::BlockFile::boundaries`].
     pub fn boundaries(&self) -> Vec<u64> {
         self.blocks.iter().map(|b| b.first_logical_time).collect()
-    }
-
-    pub fn event_count(&self) -> u64 {
-        self.blocks.iter().map(|b| b.event_count as u64).sum()
     }
 }
 

@@ -6,10 +6,10 @@
 //! access heat: cold blocks (fewer than `cold_threshold` client reads)
 //! go through the order-1 range coder, hot blocks stay on the cheaper
 //! LZ77 tier, and either degrades to `Stored` when compression does not
-//! pay. A block already on its target tier is **skipped without a
-//! write** — both compressors are deterministic, so the would-be bytes
-//! equal the on-disk bytes — which makes a second compaction pass a
-//! byte-level no-op (the idempotence verify.sh gates on).
+//! pay ([`Packed::pack`], the same call and the same rule a fresh encode
+//! uses). A block already on its target tier is **skipped without a
+//! write** and keeps the stream it has — which makes a second compaction
+//! pass a byte-level no-op (the idempotence verify.sh gates on).
 //!
 //! Both passes read raw block bytes only through the validating decoder
 //! and never touch catalog entries or fingerprints: store maintenance
@@ -19,7 +19,7 @@
 use crate::backend::{encode_record, Backend};
 use crate::error::StoreError;
 use codec::{Digest128, Json};
-use dejavu::BlockMethod;
+use dejavu::{BlockMethod, Packed};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 
@@ -122,16 +122,17 @@ pub fn compact_pass(
         } else {
             BlockMethod::Lz77
         };
-        let (bytes, actual) = encode_record(digest, &raw, desired);
-        if actual == current {
+        let packed = Packed::pack(&raw, desired);
+        if packed.method == current.method {
             report.unchanged += 1;
             report.bytes_after += len;
             continue;
         }
+        let bytes = encode_record(digest, &packed);
         backend.write_atomic(&backend.block_path(digest), &bytes)?;
         report.migrated += 1;
         report.bytes_after += bytes.len() as u64;
-        match actual {
+        match packed.method {
             BlockMethod::Range => report.to_range += 1,
             BlockMethod::Lz77 => report.to_lz77 += 1,
             BlockMethod::Stored => report.to_stored += 1,

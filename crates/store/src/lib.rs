@@ -3,8 +3,7 @@
 //! DJVB files are write-once single-run artifacts; a fleet serving many
 //! runs of the same workload family pays full price in bytes and cold
 //! decode for every run. This crate turns the block layer into a
-//! storage engine (ROADMAP item 1, mirroring the ethrex
-//! store/backend/snapshot split):
+//! storage engine (mirroring the ethrex store/backend/snapshot split):
 //!
 //! * [`backend`] — the persistence layer: self-validating block record
 //!   files keyed by content digest ([`codec::digest128`] of the raw,
@@ -22,12 +21,38 @@
 //!
 //! ## Byte fidelity
 //!
-//! `put` deconstructs a trace file into raw block payloads; `get`
-//! re-runs each block's original compressor and reassembles the exact
-//! original file bytes (validated against the recorded length). Both
-//! compressors are deterministic pure functions, so the store can hand
-//! back a file that passes a binary `cmp` against what was put —
-//! fingerprints are untouched by construction, not by trust.
+//! A block is packed once, by whoever encoded the file, and the store
+//! keeps the stream it was handed. `put` takes each block's
+//! [`dejavu::Packed`] out of the file, unpacks it once — for its CRC and
+//! the content digest that keys dedup — and writes the stream verbatim
+//! into a block record. `get` validates every record it reads and hands
+//! the streams to [`dejavu::write_block_file`], the writer that emitted
+//! the upload; it runs a compressor only for a block whose on-disk tier
+//! is not the method the catalog entry names (compaction moved it, or
+//! another run brought the same bytes under another method), and checks
+//! the result against the recorded file length. A DJVB file has one
+//! spelling ([`dejavu::BlockFile::parse`]), so the framing around the
+//! streams comes back by construction; and a put that lands on an
+//! existing entry is a dedup hit — the entry goes on describing the
+//! first file put under it — so no upload changes what an earlier one
+//! gets back.
+//!
+//! **The limit that remains.** Blocks are keyed by their raw bytes, a
+//! record holds one stream — the first put for those bytes — and an
+//! entry names a method, not a stream. This build packs the same bytes
+//! to the same stream every time, so for files it encoded none of that
+//! shows. A block packed by a *foreign* encoder — a valid stream this
+//! build's compressor would not emit for those bytes — comes back
+//! byte-exact only while the record written for it is the one on disk:
+//! once compaction has re-tiered it, `get` re-packs with this build's
+//! compressor; and a run that shares the block but packed it otherwise
+//! is served the record's stream, not its own. The length check turns a
+//! stream of another size into a typed error; one of the same size goes
+//! unseen, though the content — all that replay reads — is the same
+//! either way. `put` does not refuse the second spelling of a block:
+//! that would let whoever uploads a foreign spelling first block every
+//! honest put that shares the block. Closing the limit takes a
+//! whole-upload digest in the catalog (ROADMAP item 3).
 //!
 //! ## Perturbation-freedom
 //!
@@ -50,7 +75,7 @@ pub use error::StoreError;
 pub use snapshot::{BlockCache, BlockKey, StoredTrace, DEFAULT_CACHE_BLOCKS};
 
 use codec::{digest128, Digest128, Json};
-use dejavu::{assemble_block_file, decode_block_events, BlockFile, RawBlock};
+use dejavu::{decode_block_events, write_block_file, BlockFile, Packed, Trace, TraceError};
 use snapshot::DecodedBlock;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -139,27 +164,29 @@ impl Store {
         policy: &str,
     ) -> Result<PutOutcome, StoreError> {
         let bf = BlockFile::parse(bytes.to_vec())?;
-        let raw_blocks = bf.raw_blocks()?;
 
-        let mut blocks = Vec::with_capacity(raw_blocks.len());
+        let mut blocks = Vec::with_capacity(bf.index.len());
         let mut blocks_new = 0u64;
         let mut bytes_written = 0u64;
-        for rb in &raw_blocks {
-            let digest = digest128(&rb.raw);
-            let (_, written, was_new) = self.backend.write_block(digest, &rb.raw, rb.method)?;
+        for (i, info) in bf.index.iter().enumerate() {
+            let packed = bf.packed(i)?;
+            let raw = packed.unpack().ok_or(TraceError::BadCrc { block: i })?;
+            let digest = digest128(&raw);
+            let (written, was_new) = self.backend.write_block(digest, &packed)?;
             if was_new {
                 blocks_new += 1;
                 bytes_written += written;
             }
             blocks.push(BlockRef {
                 digest,
-                event_count: rb.event_count,
-                switch_count: rb.switch_count,
-                first_logical_time: rb.first_logical_time,
-                method: rb.method,
-                raw_len: rb.raw.len() as u32,
+                event_count: info.event_count,
+                switch_count: info.switch_count,
+                first_logical_time: info.first_logical_time,
+                method: packed.method,
+                raw_len: packed.raw_len,
             });
         }
+        let blocks_total = blocks.len() as u64;
 
         let mut entry = CatalogEntry {
             workload: workload.to_owned(),
@@ -194,6 +221,13 @@ impl Store {
                 entry.policy = existing.policy.clone();
             }
             entry.puts = existing.puts.saturating_add(1);
+            // Same identity, so the same raw blocks in the same order;
+            // how they were packed may still differ. The entry describes
+            // one file, the first put under it — as each block record
+            // holds the first stream put for it — so a later put is a
+            // dedup hit and changes nothing `get` returns.
+            entry.blocks = existing.blocks;
+            entry.file_bytes = existing.file_bytes;
         }
         self.backend
             .write_atomic(&path, entry.to_json().to_string().as_bytes())?;
@@ -206,40 +240,39 @@ impl Store {
         }
         st.metrics.add("store.blocks_stored", blocks_new);
         st.metrics
-            .add("store.blocks_deduped", raw_blocks.len() as u64 - blocks_new);
+            .add("store.blocks_deduped", blocks_total - blocks_new);
         st.metrics.add("store.bytes_written", bytes_written);
         Ok(PutOutcome {
             fingerprint: entry.fingerprint,
             entry: id,
             new_entry,
-            blocks_total: raw_blocks.len() as u64,
+            blocks_total,
             blocks_new,
         })
     }
 
-    /// Reconstruct the exact original file bytes of an entry.
+    /// Reconstruct the exact original file bytes of an entry: every
+    /// record validated, its stream framed as it was handed in, and only
+    /// a block whose on-disk tier is not the method the entry names
+    /// re-packed (the crate docs say what that can and cannot promise).
     pub fn get_bytes(&self, id: &str) -> Result<Vec<u8>, StoreError> {
         let entry = self.read_entry(id)?;
-        let mut raw_blocks = Vec::with_capacity(entry.blocks.len());
+        let mut blocks = Vec::with_capacity(entry.blocks.len());
         let mut bytes_read = 0u64;
         for bref in &entry.blocks {
-            let (_, raw) = self.backend.read_block(bref.digest)?;
-            if raw.len() as u64 != bref.raw_len as u64 {
-                return Err(StoreError::Corrupt(format!(
-                    "block {}: raw length disagrees with catalog",
-                    bref.digest
-                )));
-            }
+            let (mut packed, raw) = self.read_block(bref)?;
             bytes_read += raw.len() as u64;
-            raw_blocks.push(RawBlock {
-                first_logical_time: bref.first_logical_time,
-                event_count: bref.event_count,
-                switch_count: bref.switch_count,
-                method: bref.method,
-                raw,
-            });
+            if packed.method != bref.method {
+                packed = Packed::pack(&raw, bref.method);
+            }
+            blocks.push((
+                bref.first_logical_time,
+                bref.event_count,
+                bref.switch_count,
+                packed,
+            ));
         }
-        let bytes = assemble_block_file(entry.paranoid, entry.budget, &raw_blocks);
+        let bytes = write_block_file(entry.paranoid, entry.budget, blocks);
         if bytes.len() as u64 != entry.file_bytes {
             return Err(StoreError::Corrupt(format!(
                 "entry {id}: reconstruction is {} bytes, catalog says {}",
@@ -282,13 +315,7 @@ impl Store {
             let block = match cached {
                 Some(b) => b,
                 None => {
-                    let (_, raw) = self.backend.read_block(bref.digest)?;
-                    if raw.len() as u64 != bref.raw_len as u64 {
-                        return Err(StoreError::Corrupt(format!(
-                            "block {}: raw length disagrees with catalog",
-                            bref.digest
-                        )));
-                    }
+                    let (_, raw) = self.read_block(bref)?;
                     let events = decode_block_events(
                         &raw,
                         bref.event_count,
@@ -304,7 +331,13 @@ impl Store {
             };
             decoded.push(block);
         }
-        let trace = snapshot::splice_blocks(entry.paranoid, decoded)?;
+        let mut trace = Trace {
+            paranoid: entry.paranoid,
+            ..Trace::default()
+        };
+        for block in &decoded {
+            trace.append_block(block.0.iter().cloned(), block.1.iter().cloned())?;
+        }
         {
             let mut st = self.lock();
             for bref in &entry.blocks {
@@ -390,14 +423,11 @@ impl Store {
             .iter()
             .map(|&(_, len)| len)
             .sum();
-        let (mut tier_stored, mut tier_lz77, mut tier_range) = (0u64, 0u64, 0u64);
+        let mut tiers = [0u64; 3]; // by `BlockMethod::code`
         for &(digest, _) in &blocks {
-            match self.backend.read_block(digest)?.0 {
-                dejavu::BlockMethod::Stored => tier_stored += 1,
-                dejavu::BlockMethod::Lz77 => tier_lz77 += 1,
-                dejavu::BlockMethod::Range => tier_range += 1,
-            }
+            tiers[self.backend.read_block(digest)?.0.method.code() as usize] += 1;
         }
+        let [tier_stored, tier_lz77, tier_range] = tiers;
         let store_bytes = block_bytes + catalog_bytes;
         let dedup_ratio_milli = if store_bytes == 0 {
             0
@@ -451,6 +481,19 @@ impl Store {
             .collect();
         self.backend
             .write_atomic(&self.backend.heat_path(), Json::Obj(pairs).to_string().as_bytes())
+    }
+
+    /// One referenced block, validated against its record and against
+    /// the length the catalog recorded for it.
+    fn read_block(&self, bref: &BlockRef) -> Result<(Packed, Vec<u8>), StoreError> {
+        let (packed, raw) = self.backend.read_block(bref.digest)?;
+        if raw.len() as u64 != bref.raw_len as u64 {
+            return Err(StoreError::Corrupt(format!(
+                "block {}: raw length disagrees with catalog",
+                bref.digest
+            )));
+        }
+        Ok((packed, raw))
     }
 
     fn read_entry(&self, id: &str) -> Result<CatalogEntry, StoreError> {
@@ -528,7 +571,7 @@ fn load_heat(backend: &Backend) -> Result<BTreeMap<Digest128, u64>, StoreError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dejavu::trace::{DataRec, SwitchRec, Trace};
+    use dejavu::trace::{DataRec, SwitchRec};
     use dejavu::{encode_trace, TraceFormat};
 
     fn scratch(tag: &str) -> std::path::PathBuf {
@@ -662,6 +705,67 @@ mod tests {
         let stats = store.disk_stats().unwrap();
         assert_eq!(stats.to_string(), stats.to_canonical_string());
         assert!(stats.field("dedup_ratio_milli").unwrap().as_u64().is_ok());
+    }
+
+    /// The store keeps the stream it was handed: a block packed by a
+    /// foreign encoder — a valid LZ stream `codec::compress` does not
+    /// emit for those bytes — comes back byte-exact, where re-running
+    /// this build's compressor would return a file one byte shorter.
+    #[test]
+    fn a_foreign_stream_is_kept_not_respelled() {
+        let root = scratch("foreign");
+        let store = Store::open(&root).unwrap();
+        // 40 identical switches: the raw payload is `28 07` then 41 zeros.
+        let trace = Trace {
+            paranoid: false,
+            switches: vec![SwitchRec { nyp: 7, check_tid: u32::MAX }; 40],
+            data: Vec::new(),
+        };
+        let honest_file = encode_trace(&trace, TraceFormat::Block, 4096);
+        let honest = BlockFile::parse(honest_file.clone()).unwrap();
+        let raw = honest.block_raw(0).unwrap();
+        // This build: 3 literals, one 40-byte run. The foreign encoder
+        // stops the run a byte early and carries the last zero as a
+        // literal.
+        assert_eq!(codec::compress(&raw), [3, 0x28, 7, 0, 40, 1, 0]);
+        let foreign = Packed {
+            method: dejavu::BlockMethod::Lz77,
+            stream: vec![3, 0x28, 7, 0, 39, 1, 1, 0],
+            ..honest.packed(0).unwrap()
+        };
+        assert_eq!(foreign.unpack().as_ref(), Some(&raw));
+        let file = write_block_file(false, 4096, [(0, 40, 40, foreign)]);
+
+        let put = store.put_bytes("w", 1, &file, 0, "").unwrap();
+        assert_eq!(store.get_bytes(&put.entry).unwrap(), file);
+        assert_eq!(store.open_trace(&put.entry).unwrap().trace, trace);
+        // The honest spelling of the same run has the same identity: a
+        // dedup hit, not a refusal — the fingerprint still upgrades —
+        // and the entry goes on serving the first upload.
+        let again = store.put_bytes("w", 1, &honest_file, 0xabc, "").unwrap();
+        assert_eq!((&again.entry, again.new_entry, again.blocks_new), (&put.entry, false, 0));
+        assert_eq!(store.entry(&put.entry).unwrap().fingerprint, 0xabc);
+        assert_eq!(store.get_bytes(&put.entry).unwrap(), file);
+
+        // The limit that remains (crate docs). An honest run under
+        // another seed shares the block: its put is not refused and it
+        // replays, but `get` finds the foreign stream in the record —
+        // here one byte long, which the length check turns into a typed
+        // error rather than wrong bytes.
+        let shared = store.put_bytes("w", 2, &honest_file, 0, "").unwrap();
+        assert!(shared.new_entry && shared.blocks_new == 0);
+        assert_eq!(store.open_trace(&shared.entry).unwrap().trace, trace);
+        let err = store.get_bytes(&shared.entry).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
+        // Once compaction has moved the record off the tier it was
+        // uploaded under, `get` re-packs with this build's compressor:
+        // the honest file comes back, the foreign one no longer does.
+        let moved = store.compact(u64::MAX).unwrap(); // everything is cold
+        assert_eq!(moved.to_range, 1);
+        assert_eq!(store.get_bytes(&shared.entry).unwrap(), honest_file);
+        let err = store.get_bytes(&put.entry).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
+        assert_eq!(store.open_trace(&put.entry).unwrap().trace, trace);
     }
 
     #[test]

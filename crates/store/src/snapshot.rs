@@ -92,30 +92,6 @@ pub struct StoredTrace {
     pub boundaries: Vec<u64>,
 }
 
-/// Splice per-block decoded events into one [`Trace`], enforcing the
-/// canonical switches-first unified order exactly as
-/// [`dejavu::BlockFile::to_trace`] does.
-pub fn splice_blocks(
-    paranoid: bool,
-    blocks: Vec<DecodedBlock>,
-) -> Result<Trace, crate::error::StoreError> {
-    let mut trace = Trace {
-        paranoid,
-        ..Trace::default()
-    };
-    for b in blocks {
-        let (sw, da) = b.as_ref();
-        if !sw.is_empty() && !trace.data.is_empty() {
-            return Err(crate::error::StoreError::Corrupt(
-                "stored blocks: switch events after data events".into(),
-            ));
-        }
-        trace.switches.extend_from_slice(sw);
-        trace.data.extend_from_slice(da);
-    }
-    Ok(trace)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,9 +124,11 @@ mod tests {
 
     #[test]
     fn splice_enforces_switches_first() {
-        let sw: DecodedBlock = Arc::new((vec![SwitchRec { nyp: 1, check_tid: u32::MAX }], Vec::new()));
-        let da: DecodedBlock = Arc::new((Vec::new(), vec![DataRec::Clock(9)]));
-        assert!(splice_blocks(false, vec![sw.clone(), da.clone()]).is_ok());
-        assert!(splice_blocks(false, vec![da, sw]).is_err());
+        let sw = vec![SwitchRec { nyp: 1, check_tid: u32::MAX }];
+        let da = vec![DataRec::Clock(9)];
+        let mut trace = Trace::default();
+        assert!(trace.append_block(sw.clone(), []).is_ok());
+        assert!(trace.append_block([], da).is_ok());
+        assert!(trace.append_block(sw, []).is_err());
     }
 }

@@ -356,6 +356,41 @@ fi
 require "$SDIR/back.djvb"
 cmp "$SDIR/traces/fig1_hot-5.djvb" "$SDIR/back.djvb"
 "$CLI" replay fig1_hot 5 "$SDIR/back.djvb" > /dev/null
+# A DJVB file has one spelling. Two re-framings of a stored run that used
+# to be cataloged — header byte 5 `01` -> `02` (put + get exited 0, cmp
+# differed at byte 6), and the budget varint padded to `80 a0 00` with the
+# block's footer offset bumped to match (landed on the honest entry,
+# overwrote its file_bytes, broke every later get) — are refused, exit 1,
+# and the honest entry still comes back byte for byte.
+honest="$SDIR/traces/fig1_cd-5.djvb"
+cid=$(grep '"workload":"fig1_cd"' "$SDIR/store-ls.json" | grep '"seed":5,' \
+    | sed 's/.*"id":"\([0-9a-f]*\)".*/\1/')
+len=$(wc -c < "$honest")
+flen=$(od -An -tu1 -j $((len - 8)) -N1 "$honest" | tr -d ' ')
+offset_at=$((len - 8 - flen + 1)) # past the footer's block count
+if [ -z "$cid" ] ||
+    [ "$(od -An -tx1 -j5 -N3 "$honest" | tr -d ' ')" != "018020" ] ||
+    [ "$(od -An -tx1 -j"$offset_at" -N1 "$honest" | tr -d ' ')" != "08" ]; then
+    echo "verify: fig1_cd/5 is no longer a paranoid, budget-4096, one-block trace" >&2
+    exit 1
+fi
+cp "$honest" "$SDIR/paranoid2.djvb"
+printf '\002' | dd of="$SDIR/paranoid2.djvb" bs=1 seek=5 conv=notrunc 2> /dev/null
+{ head -c 6 "$honest"; printf '\200\240\000'; tail -c +9 "$honest"; } > "$SDIR/padded.djvb"
+printf '\011' | dd of="$SDIR/padded.djvb" bs=1 seek=$((offset_at + 1)) conv=notrunc 2> /dev/null
+for crafted in paranoid2 padded; do
+    rc=0
+    "$CLI" store put "$STORE" fig1_cd 5 "$SDIR/$crafted.djvb" --no-verify \
+        > /dev/null 2> /dev/null || rc=$?
+    if [ "$rc" -ne 1 ]; then
+        echo "verify: store put of $crafted.djvb exited $rc, want 1" >&2
+        exit 1
+    fi
+    rm -f "$SDIR/honest-back.djvb"
+    "$CLI" store get "$STORE" "$cid" "$SDIR/honest-back.djvb" 2> /dev/null
+    require "$SDIR/honest-back.djvb"
+    cmp "$honest" "$SDIR/honest-back.djvb"
+done
 # Exit-code contract at the store boundary: claiming the wrong seed is a
 # divergence (2), not an I/O error.
 rc=0
@@ -366,7 +401,7 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 
-echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, no env knobs =="
+echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, no env knobs =="
 fail=0
 # Only the property harness reads the environment (QC_CASES / QC_SEED).
 if grep -rn 'env::var' crates src --include=*.rs | grep -v '^src/qc\.rs:'; then
@@ -430,6 +465,24 @@ if grep -rnE 'CompileError::[A-Z]' crates src tests --include=*.rs ||
     echo "verify: a variant-style CompileError constructor, or the replayer's queue of events, is back" >&2
     fail=1
 fi
+# A block is packed once: the second DJVB writer, the second splicer and
+# the raw-block struct stay deleted, and one non-test function outside
+# crates/codec names the compressors and decompressors.
+if grep -rnE 'assemble_block_file|RawBlock|raw_blocks|splice_blocks' crates src tests --include=*.rs; then
+    echo "verify: a second DJVB writer, splicer or block struct is back" >&2
+    fail=1
+fi
+callers=$(find crates -name '*.rs' -path '*/src/*' ! -path 'crates/codec/*' | sort | xargs awk '
+    FNR == 1 { test = 0; fn = "(top level)" }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    test || /^[[:space:]]*\/\// { next }
+    match($0, /fn [A-Za-z0-9_]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+    /codec::(entropy_)?(de)?compress/ { print FILENAME ": fn " fn }' | sort -u)
+if [ "$(printf '%s\n' "$callers" | grep -c .)" -ne 1 ]; then
+    echo "verify: codec's compressors are named in other than one non-test function:" >&2
+    printf '%s\n' "$callers" >&2
+    fail=1
+fi
 [ "$fail" -eq 0 ]
 echo "surface: $(git ls-files '*.rs' '*.sh' ':!benchmark' | xargs cat | wc -l) lines of .rs/.sh outside benchmark/"
 # Lines before the first `#[cfg(test)]` (all of a file that has none), summed.
@@ -441,5 +494,6 @@ nontest() {
 d=crates/djvm/src
 echo "surface: $(nontest $d/interp.rs $d/compile.rs $d/dis.rs) non-test lines in djvm's interp.rs + compile.rs + dis.rs, $(nontest $d/*.rs) in all of $d"
 echo "surface: $(nontest $d/interp.rs $d/compile.rs) non-test lines in interp.rs + compile.rs"
+echo "surface: $(nontest crates/dejavu/src/blocktrace.rs crates/store/src/*.rs) non-test lines in dejavu's blocktrace.rs + crates/store/src/*.rs"
 
 echo "verify: OK"

@@ -12,7 +12,7 @@
 //! dejavu-cli stats --fleet <addr>                # live fleet metrics JSON
 //! dejavu-cli store put <dir> <workload> <seed> <trace-file>
 //!                   [--policy <p>] [--no-verify] # ingest (verified by default)
-//! dejavu-cli store get <dir> <entry-id> <out>    # byte-exact reconstruction
+//! dejavu-cli store get <dir> <entry-id> <out>    # the put file back, byte for byte
 //! dejavu-cli store ls <dir>                      # catalog summary, one JSON/line
 //! dejavu-cli store gc <dir>                      # drop unreferenced blocks
 //! dejavu-cli store compact <dir> [--cold <n>]    # heat-driven tier migration
@@ -74,7 +74,12 @@
 //! (`crates/store`, DESIGN.md §11). `store put` replays the trace before
 //! cataloging and records the verified fingerprint (exit 2 if it
 //! diverges from a fresh record); `--no-verify` ingests with fingerprint
-//! 0, the fleet-ingest semantics. `trace inspect --dedup` keys blocks
+//! 0, the fleet-ingest semantics. A trace file has one spelling, so a
+//! re-framed copy of a stored run (a padded varint, a paranoid byte of 2)
+//! is refused like any corrupt file, exit 1. `store get` frames the
+//! compressed streams the store was handed — it re-packs only a block
+//! compaction has since moved to another tier — and checks the result
+//! against the put file's length. `trace inspect --dedup` keys blocks
 //! exactly as the store does — [`codec::digest128`] over the raw
 //! pre-compression payload — so its unique-block accounting predicts
 //! store dedup byte-for-byte.

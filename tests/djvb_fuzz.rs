@@ -8,7 +8,8 @@
 //! abort (SIGABRT / exit 101).
 
 use dejavu_repro::dejavu::{
-    encode_trace, ingest_bytes, BlockFile, DataRec, SwitchRec, Trace, TraceFormat,
+    encode_trace, ingest_bytes, write_block_file, BlockFile, DataRec, SwitchRec, Trace,
+    TraceError, TraceFormat,
 };
 use dejavu_repro::qc::{check, Gen};
 use dejavu_repro::qc_assert;
@@ -110,6 +111,38 @@ fn mutated_djvb_bytes_never_panic() {
         }
         let ok = catch_unwind(AssertUnwindSafe(|| exercise_decoders(&bytes))).is_ok();
         qc_assert!(ok, "decoder panicked on mutated {} bytes", bytes.len());
+        Ok(())
+    });
+}
+
+/// A DJVB file has one spelling: whatever survives `parse` is exactly
+/// what the writer emits for the blocks `parse` found, so nothing that
+/// re-frames a parsed file (the store's `get`) can return other bytes
+/// than it was handed.
+#[test]
+fn a_parsed_file_writes_back_to_its_input() {
+    check("a_parsed_file_writes_back_to_its_input", 600, |g| {
+        let trace = gen_trace(g);
+        let budget = [24, 48, 96, 4096][g.usize_in(0, 3)];
+        let mut bytes = encode_trace(&trace, TraceFormat::Block, budget);
+        for _ in 0..g.usize_in(1, 3) {
+            mutate(g, &mut bytes);
+        }
+        let Ok(bf) = BlockFile::parse(bytes.clone()) else {
+            return Ok(());
+        };
+        // A payload whose method byte was hit has no packed form to
+        // write back; the framing claim is about the ones that do.
+        let blocks: Result<Vec<_>, TraceError> = (0..bf.index.len())
+            .map(|i| {
+                let b = &bf.index[i];
+                Ok((b.first_logical_time, b.event_count, b.switch_count, bf.packed(i)?))
+            })
+            .collect();
+        if let Ok(blocks) = blocks {
+            let back = write_block_file(bf.paranoid, bf.budget, blocks);
+            qc_assert!(back == bytes, "parse accepted a second spelling of a file");
+        }
         Ok(())
     });
 }

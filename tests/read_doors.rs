@@ -1,13 +1,14 @@
 //! DJVB is the only trace anyone reads back. Flat `Trace::encoded()`
 //! bytes — the in-memory encoding — are refused at every door that takes
 //! serialized trace bytes, with the same typed error and never a second
-//! decoder; and what the fleet stores for a run it recorded itself is
+//! decoder; so is a DJVB file framed any other way than the one writer
+//! frames it; and what the fleet stores for a run it recorded itself is
 //! the same DJVB file, under the same catalog identity, as a client
 //! uploading that run.
 
 use dejavu_repro::debugger::DebugSession;
 use dejavu_repro::dejavu::{
-    encode_trace, ingest_bytes, record_run, SymmetryConfig, TraceError, TraceFormat,
+    encode_trace, ingest_bytes, record_run, BlockFile, SymmetryConfig, TraceError, TraceFormat,
     DEFAULT_BLOCK_BUDGET,
 };
 use dejavu_repro::fleet::{spec_for, Request, Response, SessionManager};
@@ -104,6 +105,81 @@ fn flat_bytes_are_one_typed_error_at_every_read_door() {
         assert_eq!(code, 1, "{door:?}: {err}");
         assert!(err.contains(&refused.to_string()), "{door:?}: {err}");
     }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A DJVB file has one spelling. The two re-framings of a recorded run
+/// that the store used to catalog — paranoid byte `02`, and the budget
+/// varint padded to `80 a0 00` with the block's footer offset bumped to
+/// match — are one typed error at every door, and change nothing behind
+/// it.
+#[test]
+fn respelled_files_are_one_typed_error_at_every_read_door() {
+    let dir = scratch("respelled");
+    let w = workload("fig1_cd");
+    let spec = spec_for(&w, 5);
+    let (rec, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
+    let djvb = encode_trace(&trace, TraceFormat::Block, DEFAULT_BLOCK_BUDGET);
+    let footer_len = u32::from_le_bytes(djvb[djvb.len() - 8..djvb.len() - 4].try_into().unwrap());
+    let offset_at = djvb.len() - 8 - footer_len as usize + 1; // past the block count
+    assert_eq!(djvb[5..8], [0x01, 0x80, 0x20], "paranoid, budget 4096");
+    assert_eq!(djvb[offset_at], 8, "one block, right after the 8-byte header");
+    let mut paranoid_two = djvb.clone();
+    paranoid_two[5] = 0x02;
+    let mut padded_budget = djvb.clone();
+    padded_budget[offset_at] = 9;
+    padded_budget.splice(6..8, [0x80, 0xa0, 0x00]);
+
+    let store = Arc::new(Store::open(&dir.join("store")).unwrap());
+    let honest = store.put_bytes("fig1_cd", 5, &djvb, rec.fingerprint, "").unwrap();
+    let mut fleet = SessionManager::new();
+    fleet.set_store(Arc::clone(&store));
+    let id = fleet.open("fig1_cd", 5).unwrap();
+    let root = dir.join("store");
+    for (name, bytes) in [("paranoid2", paranoid_two), ("padded", padded_budget)] {
+        // The library doors.
+        let refused = BlockFile::parse(bytes.clone()).unwrap_err();
+        assert!(matches!(refused, TraceError::Corrupt(_)), "{name}: {refused}");
+        assert_eq!(ingest_bytes(bytes.clone()).unwrap_err(), refused, "{name}");
+        let dbg = DebugSession::from_trace_bytes(&spec, &bytes, 5_000);
+        assert_eq!(dbg.err(), Some(refused.clone()), "{name}");
+        let err = store.put_bytes("fig1_cd", 5, &bytes, 0, "").unwrap_err();
+        assert_eq!(err, StoreError::Trace(refused.clone()), "{name}");
+
+        // The fleet door: refused before the session seals, so nothing
+        // reaches the store and the session takes the honest file next.
+        match fleet.dispatch(ingest(id, &bytes)) {
+            Response::Error { code: 1, message } => {
+                assert!(message.contains(&refused.to_string()), "{name}: {message}")
+            }
+            other => panic!("{name} upload: {other:?}"),
+        }
+        assert_eq!(fleet.get(id).unwrap().lock().unwrap().phase.name(), "Recording");
+
+        // The CLI doors: exit 1, same message.
+        let file = dir.join(format!("{name}.djvb"));
+        std::fs::write(&file, &bytes).unwrap();
+        let file = file.to_str().unwrap();
+        let doors: [&[&str]; 4] = [
+            &["replay", "fig1_cd", "5", file],
+            &["store", "put", root.to_str().unwrap(), "fig1_cd", "5", file],
+            &["store", "put", root.to_str().unwrap(), "fig1_cd", "5", file, "--no-verify"],
+            &["trace", "inspect", file],
+        ];
+        for door in doors {
+            let (code, err) = cli(door);
+            assert_eq!(code, 1, "{door:?}: {err}");
+            assert!(err.contains(&refused.to_string()), "{door:?}: {err}");
+        }
+
+        // Nothing behind the doors moved.
+        let entries = store.entries().unwrap();
+        assert_eq!(entries.len(), 1, "{name} was cataloged");
+        assert_eq!((entries[0].puts, entries[0].file_bytes), (1, djvb.len() as u64));
+        assert_eq!(store.get_bytes(&honest.entry).unwrap(), djvb, "{name}");
+    }
+    let sealed = fleet.dispatch(ingest(id, &djvb));
+    assert!(matches!(sealed, Response::Ingested { .. }), "{sealed:?}");
     let _ = std::fs::remove_dir_all(dir);
 }
 

@@ -7,8 +7,16 @@
 //! Same contract the DJVB fuzz gives the corpus gate: a corrupt store
 //! must surface as exit 1 from the CLI, and that only holds if nothing
 //! in `open`/`get_bytes`/`open_trace`/`gc`/`compact` can abort.
+//!
+//! The write path gets the oracle the store documents: whatever
+//! `put_bytes` accepts of this build's packing, `get_bytes` hands back
+//! byte for byte; a foreign packing it may serve as the same content or
+//! a typed error (the limit in the `store` crate docs) — and no upload
+//! changes what an earlier one gets back.
 
-use dejavu_repro::dejavu::{encode_trace, DataRec, SwitchRec, Trace, TraceFormat};
+use dejavu_repro::dejavu::{
+    encode_trace, BlockFile, DataRec, Packed, SwitchRec, Trace, TraceFormat,
+};
 use dejavu_repro::qc::{check, Gen};
 use dejavu_repro::qc_assert;
 use dejavu_repro::store::{Store, DEFAULT_COLD_THRESHOLD};
@@ -199,6 +207,136 @@ fn unmutated_store_round_trips() {
         Ok(())
     });
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// The raw bytes of every block of a DJVB file, and whether each is
+/// packed as this build packs those bytes. `None` if any block does not
+/// parse or unpack.
+fn content(bytes: &[u8]) -> Option<(Vec<Vec<u8>>, bool)> {
+    let bf = BlockFile::parse(bytes.to_vec()).ok()?;
+    let mut native = true;
+    let raws = (0..bf.index.len())
+        .map(|i| {
+            let packed = bf.packed(i).ok()?;
+            let raw = packed.unpack()?;
+            native &= Packed::race(&raw) == packed;
+            Some(raw)
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some((raws, native))
+}
+
+#[test]
+fn a_put_is_refused_or_served_back_byte_exact() {
+    let base = std::env::temp_dir().join(format!("djv-store-put-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let mut iter = 0u64;
+    check("a_put_is_refused_or_served_back_byte_exact", 200, |g| {
+        iter += 1;
+        let root = base.join(format!("it{iter}"));
+        let store = Store::open(&root).map_err(|e| e.to_string())?;
+        // The store already holds the honest run …
+        let bytes = encode_trace(&gen_trace(g), TraceFormat::Block, [24, 48, 4096][g.usize_in(0, 2)]);
+        let honest = store
+            .put_bytes("wa", 3, &bytes, 0, "")
+            .map_err(|e| e.to_string())?
+            .entry;
+        // … when a mutation of it is uploaded under the same name.
+        // Half the time anywhere in the file, half the time in the
+        // paranoid byte and budget varint, where a mutation is most
+        // likely to survive parse.
+        let mut upload = bytes.clone();
+        let at = if g.bool() { 5..8 } else { 0..bytes.len() };
+        let mut window: Vec<u8> = upload.drain(at.clone()).collect();
+        for _ in 0..g.usize_in(1, 3) {
+            mutate(g, &mut window);
+        }
+        upload.splice(at.start..at.start, window);
+        let put = store.put_bytes("wa", 3, &upload, 0, "");
+        let served = |when: &str| -> Result<(), String> {
+            let held = store.get_bytes(&honest).map_err(|e| e.to_string())?;
+            qc_assert!(held == bytes, "a later put changed an earlier one's get ({when})");
+            // A put that lands on the held run's entry is a dedup hit:
+            // what it is promised is the line above.
+            let Some(out) = put.as_ref().ok().filter(|out| out.entry != honest) else {
+                return Ok(());
+            };
+            let (raws, native) = content(&upload).ok_or("put accepted what does not unpack")?;
+            match store.get_bytes(&out.entry) {
+                Ok(got) if got == upload => {}
+                // A block packed as this build would not pack it, deduped
+                // onto the held run's record: the stated limit.
+                Ok(got) if !native => {
+                    let same = content(&got).is_some_and(|(r, _)| r == raws);
+                    qc_assert!(same, "get serves other content than the accepted put ({when})");
+                }
+                Err(_) if !native => {}
+                _ => return Err(format!("get differs from the accepted put ({when})")),
+            }
+            Ok(())
+        };
+        served("after put")?;
+        store.gc().map_err(|e| e.to_string())?;
+        store
+            .compact(DEFAULT_COLD_THRESHOLD)
+            .map_err(|e| e.to_string())?;
+        served("after gc + compact")?;
+        drop(store);
+        let _ = std::fs::remove_dir_all(&root);
+        Ok(())
+    });
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// The two uploads that broke the parent's store, by name. Both frame an
+/// honest run's content in a way the writer would not: `store put` +
+/// `store get` used to exit 0 on the first with `cmp` differing at byte
+/// 6, and the second used to land on the honest run's entry, overwrite
+/// its `file_bytes`, and fail every later `get` of it.
+#[test]
+fn crafted_respellings_are_refused_and_change_nothing() {
+    let root = std::env::temp_dir().join(format!("djv-store-respell-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let trace = Trace {
+        paranoid: true,
+        switches: (0..40)
+            .map(|i| SwitchRec {
+                nyp: 200 + i % 7,
+                check_tid: (i % 3) as u32,
+            })
+            .collect(),
+        data: vec![DataRec::Clock(42)],
+    };
+    let bytes = encode_trace(&trace, TraceFormat::Block, 4096);
+    assert_eq!(bytes[5..8], [0x01, 0x80, 0x20], "paranoid, budget 4096");
+
+    // Header byte 5 `01` → `02`: still reads as "paranoid".
+    let mut paranoid_two = bytes.clone();
+    paranoid_two[5] = 0x02;
+    // Budget 4096 spelled `80 a0 00`, and the one block's offset in the
+    // footer (the byte after the block count) bumped from 8 to 9.
+    let mut padded_budget = bytes.clone();
+    padded_budget.splice(6..8, [0x80, 0xa0, 0x00]);
+    let tail = padded_budget.len() - 8;
+    let footer_len = u32::from_le_bytes(padded_budget[tail..tail + 4].try_into().unwrap());
+    let offset_at = tail - footer_len as usize + 1;
+    assert_eq!(padded_budget[offset_at], 8);
+    padded_budget[offset_at] = 9;
+
+    let store = Store::open(&root).expect("open");
+    let honest = store.put_bytes("wa", 1, &bytes, 9, "").expect("put");
+    let entry_before = store.entry(&honest.entry).expect("entry");
+    for (what, upload) in [("paranoid byte 2", paranoid_two), ("padded budget", padded_budget)] {
+        let err = store
+            .put_bytes("wa", 1, &upload, 0, "")
+            .expect_err(what);
+        assert_eq!(err.code(), 1, "{what}: {err}");
+        assert_eq!(store.entries().expect("entries").len(), 1, "{what} was cataloged");
+        assert_eq!(store.entry(&honest.entry).expect("entry"), entry_before, "{what}");
+        assert_eq!(store.get_bytes(&honest.entry).expect("get"), bytes, "{what}");
+    }
+    drop(store);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// Deterministic extremes beside the random sweep: a block record
