@@ -8,8 +8,7 @@
 //! stopping and continuing, querying objects and program states, setting
 //! breakpoints."
 
-use baselines::{SeekStats, TimeTravel};
-use dejavu::{ExecSpec, SymmetryConfig, Trace, TraceError};
+use dejavu::{ExecSpec, SeekStats, SymmetryConfig, TimeTravel, Trace, TraceError};
 use djvm::heap::Addr;
 use djvm::thread::ThreadStatus;
 use djvm::{MethodId, Program, Tid, Vm, VmStatus};
@@ -174,22 +173,19 @@ impl DebugSession {
     }
 
     /// Continue until a breakpoint (checked before each instruction) or
-    /// termination.
+    /// termination. With no breakpoint set there is nothing to check: the
+    /// run goes to the end of the trace at replay speed.
     pub fn cont(&mut self) -> StopReason {
-        // Always make at least one step of progress so `cont` at a
-        // breakpoint moves past it.
-        if let Some(r) = self.status_reason() {
-            return r;
+        if self.breakpoints.is_empty() {
+            self.tt.advance(u64::MAX);
         }
-        self.tt.step_once();
+        // `step` always makes progress, so `cont` at a breakpoint moves
+        // past it.
         loop {
-            if let Some(r) = self.status_reason() {
-                return r;
+            match self.step() {
+                StopReason::StepDone => {}
+                stop => return stop,
             }
-            if let Some(r) = self.at_breakpoint() {
-                return r;
-            }
-            self.tt.step_once();
         }
     }
 

@@ -77,6 +77,29 @@ fn reverse_step_returns_to_identical_state() {
 }
 
 #[test]
+fn stack_and_digest_answer_inside_injected_frames() {
+    // A helper or callback frame injected while its caller stands on pc 0
+    // saves that pc as "0 - 1" = u32::MAX; the frame walk must hand out
+    // the pc the caller resumes at, which `stack`, the state digest and
+    // the GC's ref maps all index the method's code with.
+    for name in ["deep_recursion", "server_loop"] {
+        let (mut s, _) = session(name, 7);
+        let mut injected_at_prologue = false;
+        while s.step() == StopReason::StepDone && s.step_index() < 6_000 {
+            for tid in 0..s.vm().threads.len() as u32 {
+                let frames = s.stack_trace(tid);
+                injected_at_prologue |= frames.iter().skip(1).any(|f| f.pc == 0);
+            }
+            s.vm().state_digest();
+        }
+        assert!(
+            injected_at_prologue,
+            "{name} never paused under such a frame"
+        );
+    }
+}
+
+#[test]
 fn thread_viewer_shows_states() {
     let (mut s, _) = session("producer_consumer", 2);
     for _ in 0..4_000 {
@@ -256,6 +279,48 @@ fn metrics_and_divergence_commands() {
         panic!("expected divergence");
     };
     assert!(clean, "accurate replay stays clean to the end");
+}
+
+#[test]
+fn continue_without_breakpoints_lands_where_single_stepping_does() {
+    // `cont` picks its motion from the breakpoint set: none set runs the
+    // replay loop to the end, any set single-steps. Both sides must take
+    // the same checkpoints on the way and stop on the same step.
+    let session_block = |s: &DebugSession| {
+        let doc = codec::Json::parse(&s.metrics_json()).unwrap();
+        let counters = doc
+            .field("session")
+            .unwrap()
+            .field("counters")
+            .unwrap()
+            .clone();
+        for key in ["checkpoints", "checkpoint_bytes", "step"] {
+            assert!(counters.field(key).unwrap().as_u64().unwrap() > 0, "{key}");
+        }
+        counters.to_string()
+    };
+    let (spec, trace, rec_output) = recorded("racy_counter", 11);
+    let mut ran = DebugSession::new(&spec, trace.clone(), 1_000);
+    assert_eq!(ran.cont(), StopReason::Halted);
+
+    let mut stepped = DebugSession::new(&spec, trace.clone(), 1_000);
+    while stepped.step() == StopReason::StepDone {}
+
+    // A breakpoint nothing reaches forces `cont` down the single-step side.
+    let mut probed = DebugSession::new(&spec, trace, 1_000);
+    probed.add_breakpoint(probed.program().entry, u32::MAX);
+    assert_eq!(probed.cont(), StopReason::Halted);
+    probed.remove_breakpoint(probed.program().entry, u32::MAX);
+
+    let want = session_block(&ran);
+    assert_eq!(want, session_block(&stepped));
+    assert_eq!(want, session_block(&probed));
+    assert!(ran.step_index() > 1_000, "the run crosses a cadence key");
+    for s in [&ran, &stepped, &probed] {
+        assert_eq!(s.output(), rec_output);
+        assert_eq!(s.vm().state_digest(), ran.vm().state_digest());
+        assert_eq!(s.vm().fingerprint.digest(), ran.vm().fingerprint.digest());
+    }
 }
 
 #[test]

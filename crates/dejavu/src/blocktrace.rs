@@ -32,7 +32,7 @@
 //! recorded `nyp` deltas) before the block's first event — the same
 //! logical clock `vm.counters.yield_points` tracks during replay, which
 //! is what lets the debugger key its checkpoint cache by block boundary
-//! ([`baselines`]' `TimeTravel`).
+//! ([`crate::TimeTravel`]).
 //!
 //! ## File layout
 //!

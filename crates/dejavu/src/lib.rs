@@ -41,6 +41,8 @@
 //! * [`symmetry`] — §2.4's symmetric-instrumentation machinery, each
 //!   mechanism individually defeatable for ablation.
 //! * [`driver`] — run orchestration and the accuracy criterion.
+//! * [`timetravel`] — checkpoints over a replayed run: seek by step or
+//!   logical time, backward as restore + ordinary replay (§5).
 
 pub mod blocktrace;
 pub mod driver;
@@ -49,6 +51,7 @@ pub mod profiler;
 pub mod record;
 pub mod replay;
 pub mod symmetry;
+pub mod timetravel;
 pub mod trace;
 
 pub use blocktrace::{
@@ -67,4 +70,5 @@ pub use profiler::{profile_replay, ProfileReport};
 pub use record::DejaVuRecorder;
 pub use replay::{DejaVuReplayer, Desync};
 pub use symmetry::{Ablation, SymmetryConfig};
+pub use timetravel::{Checkpoint, SeekStats, TimeTravel};
 pub use trace::{DataRec, SwitchRec, Trace, TraceStats};

@@ -46,19 +46,30 @@ enum Flow {
 /// Execute instructions until the VM stops or `max_steps` elapse.
 /// Returns the final (or current) status. `u64::MAX` means no budget:
 /// guest programs that do not terminate will spin forever, as real ones
-/// do.
-///
-/// Dispatches through the quickened `QOp` stream when
-/// `vm.config.quicken` is set; a fused superinstruction counts as its
-/// constituent instructions against the budget, so a budget-limited run
-/// pauses at exactly the same instruction boundary either way (the
-/// debugger's checkpoint seek depends on this).
+/// do. [`run_until`] with no logical-time bound.
 pub fn run(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> VmStatus {
+    run_until(vm, hook, max_steps, u64::MAX)
+}
+
+/// The one forward loop over a VM, with its two pause bounds (`u64::MAX`
+/// switches either off), both honoured identically by every tier:
+///
+/// * **steps** — at most `max_steps` more instructions retire; a fused
+///   superinstruction or a megablock iteration counts as its constituent
+///   instructions and splits at the edge.
+/// * **logical time** — the run pauses right after the instruction that
+///   brings `counters.yield_points` to `until` (at once if it is already
+///   there): tiers 0–1 re-test it after every yield point, tier 2 folds it
+///   into its quiet-yield horizon.
+///
+/// Time travel's checkpoint keys (`dejavu::timetravel`) are these bounds:
+/// a step-cadence key is a step budget, a block boundary a logical time.
+pub fn run_until(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64, until: u64) -> VmStatus {
     let limit = vm.counters.steps.saturating_add(max_steps);
     if vm.config.quicken {
-        return run_quick(vm, hook, limit);
+        return run_quick(vm, hook, limit, until);
     }
-    while vm.status.is_running() && vm.counters.steps < limit {
+    while vm.status.is_running() && vm.counters.steps < limit && vm.counters.yield_points < until {
         step(vm, hook);
     }
     vm.status
@@ -175,13 +186,18 @@ fn profile_qop(vm: &mut Vm, kind: usize, k: u32) {
 // Kept its own function: folded into `run` it shares a register allocation
 // with the generic loop and dispatches slower (E21).
 #[inline(never)]
-fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64) -> VmStatus {
+fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64, until: u64) -> VmStatus {
     // The program Arc never changes identity during a run; clone it once
     // so per-method qops slices can be borrowed while `vm` is mutated.
     let program = vm.program.clone();
     // One hoisted bool keeps the profiler-off cost to a predicted branch.
     let prof_on = vm.telem.profile.is_some();
-    'outer: while vm.status.is_running() && vm.counters.steps < limit {
+    // Every yield point and call re-enters here with the cursor flushed, so
+    // this is where the logical-time bound is tested: once per yield point.
+    'outer: while vm.status.is_running()
+        && vm.counters.steps < limit
+        && vm.counters.yield_points < until
+    {
         // ---- refresh the cached frame cursor ----
         let tid = vm.sched.current;
         let cur = tid as usize;
@@ -193,7 +209,7 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64) -> VmStatus {
         if vm.mega.enabled && vm.instr_depth == 0 {
             if let Some(block) = vm.mega_block(method, pc) {
                 let before = vm.counters.steps;
-                run_mega(vm, hook, &block, limit, prof_on);
+                run_mega(vm, hook, &block, limit, until, prof_on);
                 if vm.counters.steps != before {
                     continue 'outer;
                 }
@@ -391,7 +407,14 @@ impl Lazy {
 // Kept out of the tier-1 dispatch loop: inlining this large body bloats
 // `run_quick`'s icache footprint for a call taken only at hot loop heads.
 #[inline(never)]
-fn run_mega(vm: &mut Vm, hook: &mut dyn ExecHook, block: &MegaBlock, limit: u64, prof_on: bool) {
+fn run_mega(
+    vm: &mut Vm,
+    hook: &mut dyn ExecHook,
+    block: &MegaBlock,
+    limit: u64,
+    until: u64,
+    prof_on: bool,
+) {
     let (width, yields) = (block.width, block.yields);
     let stride = vm.config.mega_deopt_stride;
     let forced_guard = vm.config.mega_deopt_guard;
@@ -410,8 +433,11 @@ fn run_mega(vm: &mut Vm, hook: &mut dyn ExecHook, block: &MegaBlock, limit: u64,
         full_iters: 0,
         done_w: 0,
         settled_w: 0,
-        // One horizon consult covers the whole entry (see above).
-        h: hook.quiet_yield_horizon(vm),
+        // One horizon consult covers the whole entry (see above); the
+        // logical-time bound caps it, so no batch credits a yield past it.
+        h: hook
+            .quiet_yield_horizon(vm)
+            .min(until.saturating_sub(vm.counters.yield_points)),
         skipped: 0,
     };
     let mut entered = false;
@@ -628,7 +654,7 @@ fn run_mega(vm: &mut Vm, hook: &mut dyn ExecHook, block: &MegaBlock, limit: u64,
 /// The generic tier: execute one instruction of the current thread (plus
 /// any switch / instrumentation processing it triggers), writing the
 /// cursor straight back.
-pub fn step(vm: &mut Vm, hook: &mut dyn ExecHook) {
+fn step(vm: &mut Vm, hook: &mut dyn ExecHook) {
     if !vm.status.is_running() {
         return;
     }
@@ -2081,23 +2107,54 @@ mod tests {
         }
     }
 
+    /// Logical-time bounds to cross with the step budgets: early ones, a
+    /// comb over the whole run (so some fall inside every hot loop), the
+    /// run's last yield point (found by running `full` out), and none.
+    fn logical_bounds(mut full: Vm) -> Vec<u64> {
+        run(&mut full, &mut Passthrough, u64::MAX);
+        let last = full.counters.yield_points;
+        let mut bounds = vec![1, 2, 3, 17, 101, last, u64::MAX];
+        bounds.extend((0..last).step_by(37));
+        bounds
+    }
+
+    /// Pause every VM at (`budget`, `until`): all must observe identically,
+    /// none past the logical bound and exactly on it when it is what
+    /// stopped the run.
+    fn assert_pause_agrees(vms: &mut [Vm], budget: u64, until: u64) {
+        for vm in vms.iter_mut() {
+            run_until(vm, &mut Passthrough, budget, until);
+            let (steps, lt) = (vm.counters.steps, vm.counters.yield_points);
+            assert!(
+                steps <= budget && lt <= until,
+                "overshot ({budget}, {until})"
+            );
+            if vm.status.is_running() && steps < budget {
+                assert_eq!(lt, until, "stopped early at ({budget}, {until})");
+            }
+        }
+        for vm in &vms[1..] {
+            assert_eq!(
+                observe(&vms[0]),
+                observe(vm),
+                "paused state must match at budget {budget}, logical bound {until}"
+            );
+        }
+    }
+
     #[test]
     fn quickening_pauses_on_identical_budget_boundaries() {
-        // A budget-limited run must stop at the same instruction count
-        // (fused ops split at the budget edge, never overshoot).
-        for budget in [1u64, 2, 3, 5, 17, 50, 101, 500] {
-            let mut on = boot_q(quicken_workout(), true, 13);
-            let mut off = boot_q(quicken_workout(), false, 13);
-            let mut h1 = Passthrough;
-            let mut h2 = Passthrough;
-            run(&mut on, &mut h1, budget);
-            run(&mut off, &mut h2, budget);
-            assert_eq!(
-                observe(&on),
-                observe(&off),
-                "paused state must match at budget {budget}"
-            );
-            assert_eq!(on.counters.steps, budget.min(on.counters.steps));
+        // A bounded run must stop at the same instruction count (fused ops
+        // split at the budget edge, never overshoot) and on the same yield
+        // point.
+        for until in logical_bounds(boot_q(quicken_workout(), false, 13)) {
+            for budget in [1u64, 2, 3, 5, 17, 50, 101, 500, u64::MAX] {
+                let mut vms = [
+                    boot_q(quicken_workout(), true, 13),
+                    boot_q(quicken_workout(), false, 13),
+                ];
+                assert_pause_agrees(&mut vms, budget, until);
+            }
         }
     }
 
@@ -2303,19 +2360,18 @@ mod tests {
 
     #[test]
     fn megablocks_pause_on_identical_budget_boundaries() {
-        // The n + width <= max_steps gate: budget-limited runs stop at
-        // the same instruction in every tier, even mid-hot-loop.
-        for budget in [1u64, 2, 3, 5, 17, 50, 101, 500, 1_000, 2_317] {
-            let mut quick = boot_mega(mega_workout(), false, 97, 0, None);
-            let mut mega = boot_mega(mega_workout(), true, 97, 0, None);
-            let (mut h1, mut h2) = (Passthrough, Passthrough);
-            run(&mut quick, &mut h1, budget);
-            run(&mut mega, &mut h2, budget);
-            assert_eq!(
-                observe(&quick),
-                observe(&mega),
-                "paused state must match at budget {budget}"
-            );
+        // The n + width <= max_steps gate and the logical-time horizon:
+        // bounded runs stop at the same instruction in every tier, even
+        // mid-hot-loop.
+        for until in logical_bounds(boot_q(mega_workout(), false, 97)) {
+            for budget in [1u64, 2, 3, 5, 17, 50, 101, 500, 1_000, 2_317, u64::MAX] {
+                let mut vms = [
+                    boot_q(mega_workout(), false, 97),
+                    boot_mega(mega_workout(), false, 97, 0, None),
+                    boot_mega(mega_workout(), true, 97, 0, None),
+                ];
+                assert_pause_agrees(&mut vms, budget, until);
+            }
         }
     }
 

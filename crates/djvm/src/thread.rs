@@ -49,7 +49,10 @@ pub enum ThreadStatus {
 pub struct SavedPc {
     /// The pc of the `Call`/`CallVirtual` in the caller (resume at +1).
     pub caller_pc: u32,
-    /// Discard this frame's return value (native-callback frames).
+    /// Discard this frame's return value: set on exactly the *injected*
+    /// frames (helper, native-callback and tool frames). Their caller has
+    /// not executed the instruction it resumes at, so `caller_pc` is that
+    /// pc − 1 — `u32::MAX` under a frame injected at a method prologue.
     pub discard_result: bool,
     /// This frame belongs to interpreted *instrumentation* (a DejaVu helper
     /// method): when it pops, the VM leaves instrumentation mode and a

@@ -994,7 +994,9 @@ impl Vm {
             let saved = SavedPc::decode(self.heap.mem[fp as usize + 2]);
             sp = fp;
             fp = saved_fp;
-            pc = saved.caller_pc;
+            // A real call's caller stands on its call instruction; an
+            // injected frame's caller on the one it resumes at.
+            pc = saved.caller_pc.wrapping_add(saved.discard_result as u32);
             method = self.heap.mem[fp as usize + 1] as MethodId;
         }
         out

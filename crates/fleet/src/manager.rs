@@ -310,7 +310,7 @@ impl SessionManager {
                 })
             })?,
             Request::SeekLogical { session, logical } => self.with_session(session, |s| {
-                let st = s.debugger()?.seek_time(logical);
+                let st = s.make_resident()?.seek_time(logical);
                 Ok(Response::Sought {
                     session,
                     target_logical: st.target_logical,
@@ -320,7 +320,7 @@ impl SessionManager {
                 })
             })?,
             Request::DivergenceCheck { session } => self.with_session(session, |s| {
-                let dbg = s.debugger()?;
+                let dbg = s.make_resident()?;
                 Ok(Response::Divergence {
                     session,
                     clean: dbg.desyncs().is_empty(),
@@ -329,7 +329,7 @@ impl SessionManager {
             })?,
             Request::Profile { session, top } => self.with_session(session, |s| {
                 let json = s
-                    .debugger()?
+                    .make_resident()?
                     .profile_json(top)
                     .map_err(FleetError::Profile)?;
                 Ok(Response::Profiled { session, json })
@@ -342,7 +342,7 @@ impl SessionManager {
                 let cmd = Command::from_json_str(&command)
                     .map_err(|e| FleetError::BadDebugCommand(e.to_string()))?;
                 self.with_session(session, |s| {
-                    let resp = debugger::server::handle(s.debugger()?, cmd);
+                    let resp = debugger::server::handle(s.make_resident()?, cmd);
                     Ok(Response::Debug {
                         json: resp.to_json_string(),
                     })
@@ -367,6 +367,60 @@ mod tests {
     use super::*;
     use crate::session::spec_for;
     use dejavu::{record_run, SymmetryConfig};
+
+    #[test]
+    fn replay_runs_to_the_end_of_the_trace_whatever_breakpoints_are_set() {
+        let m = SessionManager::new();
+        let session = m.open("fig1_ab", 2).unwrap();
+        let Response::Recorded {
+            fingerprint,
+            state_digest,
+            ..
+        } = m.dispatch(Request::Record { session })
+        else {
+            panic!("did not record");
+        };
+        let debug = |command: String| match m.dispatch(Request::Debug { session, command }) {
+            Response::Debug { json } => json,
+            other => panic!("debug command did not answer: {other:?}"),
+        };
+        let entry = workloads::registry()
+            .into_iter()
+            .find(|w| w.name == "fig1_ab")
+            .map(|w| (w.build)().entry)
+            .unwrap();
+        for pc in 0..6 {
+            debug(format!(r#"{{"cmd":"break","method":{entry},"pc":{pc}}}"#));
+        }
+        let replay = || match m.dispatch(Request::Replay { session }) {
+            Response::Replayed {
+                fingerprint,
+                state_digest,
+                clean,
+                ..
+            } => (fingerprint, state_digest, clean),
+            other => panic!("did not replay: {other:?}"),
+        };
+        // Sealed -> resident with breakpoints set: still the whole run.
+        assert_eq!(replay(), (fingerprint, state_digest, true));
+        // Resident, mid-run, breakpoints still set: the same answer.
+        let at = || {
+            let session = m.get(session).unwrap();
+            let mut session = session.lock().unwrap();
+            session.make_resident().unwrap().logical_time()
+        };
+        let end = at();
+        m.dispatch(Request::SeekLogical {
+            session,
+            logical: end / 2,
+        });
+        assert!(0 < at() && at() < end);
+        assert_eq!(replay(), (fingerprint, state_digest, true));
+        // Replay ignored the breakpoints, it did not clear them.
+        debug(r#"{"cmd":"seek","step":0}"#.into());
+        let stopped = debug(r#"{"cmd":"continue"}"#.into());
+        assert!(stopped.contains(r#""breakpoint""#), "{stopped}");
+    }
 
     #[test]
     fn a_poisoned_session_and_poisoned_metrics_leave_the_neighbours_serving() {

@@ -7,10 +7,11 @@
 //!   (`Record`). Both transitions seal the trace.
 //! * **Sealed** — the trace (plus any block-boundary index) is resident
 //!   but no VM exists yet. Cheap to hold by the thousand.
-//! * **Replaying** — a [`DebugSession`] (VM + `TimeTravel` checkpoints)
-//!   is resident, iReplayer-style: re-entering an already-replayed
-//!   session costs a seek, not a re-decode. Seek/divergence/profile/debug
-//!   requests auto-promote a `Sealed` session here.
+//! * **Replaying** — a [`DebugSession`] (VM + `dejavu::TimeTravel`
+//!   checkpoints) is resident, iReplayer-style: re-entering an
+//!   already-replayed session costs a seek, not a re-decode.
+//!   Seek/divergence/profile/debug requests auto-promote a `Sealed`
+//!   session here.
 //!
 //! Each session owns its VM outright — nothing is shared between
 //! sessions but the shard map — so fingerprint determinism is exactly
@@ -242,7 +243,8 @@ impl Session {
         Ok(outcome)
     }
 
-    /// Ensure a resident [`DebugSession`] exists (promote `Sealed`).
+    /// The resident [`DebugSession`] every seek/replay/profile/debug request
+    /// runs on, promoting a `Sealed` session on first use.
     pub fn make_resident(&mut self) -> Result<&mut DebugSession, FleetError> {
         if let Phase::Recording { .. } = self.phase {
             return Err(FleetError::BadState {
@@ -275,25 +277,18 @@ impl Session {
         }
     }
 
-    /// Replay the sealed trace to completion; idempotent on a resident
-    /// session (it seeks back to step 0 and re-runs — deterministically).
+    /// Replay the sealed trace to completion: a seek to the end of the
+    /// trace from wherever a resident session stands (the end state of a
+    /// deterministic replay does not depend on where it resumed), through
+    /// whatever breakpoints `Debug` requests left set.
     pub fn replay(&mut self) -> Result<ReplayOutcome, FleetError> {
-        let already_resident = matches!(self.phase, Phase::Replaying { .. });
         let dbg = self.make_resident()?;
-        if already_resident {
-            dbg.seek(0);
-        }
-        dbg.cont();
+        dbg.seek(u64::MAX);
         Ok(ReplayOutcome {
             fingerprint: dbg.vm().fingerprint.digest(),
             state_digest: dbg.vm().state_digest(),
             clean: dbg.desyncs().is_empty(),
         })
-    }
-
-    /// Expose the resident debugger for seek/profile/debug dispatch.
-    pub fn debugger(&mut self) -> Result<&mut DebugSession, FleetError> {
-        self.make_resident()
     }
 
     /// Install an already-sealed trace (the `OpenStored` path: the store

@@ -88,7 +88,7 @@ pub struct StoredTrace {
     pub entry: CatalogEntry,
     pub trace: Trace,
     /// `first_logical_time` per block — feed to
-    /// `TimeTravel::new_indexed` for boundary checkpointing.
+    /// `dejavu::TimeTravel::new_indexed` for boundary checkpointing.
     pub boundaries: Vec<u64>,
 }
 

@@ -3,10 +3,10 @@
 //! seeks with the ≤-one-block-span guarantee, and fingerprint
 //! neutrality under compaction and concurrent ingest.
 
-use baselines::TimeTravel;
 use dejavu::blocktrace::encode_block;
 use dejavu::{
-    record_run, replay_run, BlockFile, ExecSpec, SymmetryConfig, Trace, DEFAULT_BLOCK_BUDGET,
+    record_run, replay_run, BlockFile, ExecSpec, SymmetryConfig, TimeTravel, Trace,
+    DEFAULT_BLOCK_BUDGET,
 };
 use store::{Store, StoreError, DEFAULT_COLD_THRESHOLD};
 use std::path::PathBuf;

@@ -401,7 +401,7 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 
-echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, no env knobs =="
+echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one replay loop, no env knobs =="
 fail=0
 # Only the property harness reads the environment (QC_CASES / QC_SEED).
 if grep -rn 'env::var' crates src --include=*.rs | grep -v '^src/qc\.rs:'; then
@@ -472,15 +472,45 @@ if grep -rnE 'assemble_block_file|RawBlock|raw_blocks|splice_blocks' crates src 
     echo "verify: a second DJVB writer, splicer or block struct is back" >&2
     fail=1
 fi
-callers=$(find crates -name '*.rs' -path '*/src/*' ! -path 'crates/codec/*' | sort | xargs awk '
-    FNR == 1 { test = 0; fn = "(top level)" }
-    /^#\[cfg\(test\)\]/ { test = 1 }
-    test || /^[[:space:]]*\/\// { next }
-    match($0, /fn [A-Za-z0-9_]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
-    /codec::(entropy_)?(de)?compress/ { print FILENAME ": fn " fn }' | sort -u)
+# "FILE: fn NAME" of every non-test function, in the files named on stdin,
+# with a non-comment line matching the pattern.
+fns_naming() {
+    sort | xargs awk -v pat="$1" '
+        FNR == 1 { test = 0; fn = "(top level)" }
+        /^#\[cfg\(test\)\]/ { test = 1 }
+        test || /^[[:space:]]*\/\// { next }
+        match($0, /fn [A-Za-z0-9_]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+        $0 ~ pat { print FILENAME ": fn " fn }' | sort -u
+}
+callers=$(find crates -name '*.rs' -path '*/src/*' ! -path 'crates/codec/*' |
+    fns_naming 'codec::(entropy_)?(de)?compress')
 if [ "$(printf '%s\n' "$callers" | grep -c .)" -ne 1 ]; then
     echo "verify: codec's compressors are named in other than one non-test function:" >&2
     printf '%s\n' "$callers" >&2
+    fail=1
+fi
+# One replay loop: time travel is the product's (`dejavu::timetravel`, over
+# `interp::run_until`), not the §5 comparison crate's; tier 0's `step` is
+# djvm's own; single-stepping is the debugger's and nobody else's motion.
+if grep -n 'baselines' crates/debugger/Cargo.toml crates/fleet/Cargo.toml crates/store/Cargo.toml ||
+    grep -rn 'use baselines' crates/debugger crates/fleet crates/store src/corpus.rs --include=*.rs; then
+    echo "verify: a product crate depends on the related-work comparison crate" >&2
+    fail=1
+fi
+if grep -rnE 'interp::step\b|interp::\{[^}]*\bstep\b' crates src tests examples --include=*.rs |
+    grep -v '^crates/djvm/'; then
+    echo "verify: interp::step is named outside crates/djvm" >&2
+    fail=1
+fi
+steppers=$(find crates src examples -name '*.rs' ! -path '*/tests/*' | fns_naming 'step_once\\(' |
+    grep -vE '^crates/debugger/src/engine\.rs: fn (cont|step)$|: fn step_once$' || true)
+if [ -n "$steppers" ]; then
+    echo "verify: step_once is called outside DebugSession::{cont, step}:" >&2
+    printf '%s\n' "$steppers" >&2
+    fail=1
+fi
+if grep -vE '^(//!|pub use dejavu::timetravel::\{[A-Za-z, ]*\};$)' crates/baselines/src/checkpoint.rs; then
+    echo "verify: baselines/src/checkpoint.rs holds more than the re-export of dejavu::timetravel" >&2
     fail=1
 fi
 [ "$fail" -eq 0 ]
@@ -495,5 +525,6 @@ d=crates/djvm/src
 echo "surface: $(nontest $d/interp.rs $d/compile.rs $d/dis.rs) non-test lines in djvm's interp.rs + compile.rs + dis.rs, $(nontest $d/*.rs) in all of $d"
 echo "surface: $(nontest $d/interp.rs $d/compile.rs) non-test lines in interp.rs + compile.rs"
 echo "surface: $(nontest crates/dejavu/src/blocktrace.rs crates/store/src/*.rs) non-test lines in dejavu's blocktrace.rs + crates/store/src/*.rs"
+echo "surface: $(nontest $d/interp.rs crates/dejavu/src/timetravel.rs crates/debugger/src/engine.rs crates/fleet/src/session.rs) non-test lines in interp.rs + dejavu's timetravel.rs + debugger's engine.rs + fleet's session.rs"
 
 echo "verify: OK"

@@ -6,9 +6,10 @@
 //! three `Instant` readings; the product's layers are measured by
 //! `benchmark/`, not here.
 
-use baselines::{ir_record, ir_replay, rc_record, rc_replay, trace_size_comparison, TimeTravel};
+use baselines::{ir_record, ir_replay, rc_record, rc_replay, trace_size_comparison};
 use dejavu::{
     passthrough_run, record_replay, record_run, replay_run, Ablation, ExecSpec, SymmetryConfig,
+    TimeTravel,
 };
 use djvm::{Program, ProgramBuilder, Ty, Vm};
 use reflect::ProcessMemory;

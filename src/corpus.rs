@@ -22,11 +22,10 @@
 //! (workload, seed, timer and clock parameters) to a smallest reproducer,
 //! reported as a canonical-JSON repro blob (see [`Repro::to_blob`]).
 
-use baselines::TimeTravel;
 use codec::Json;
 use dejavu::{
-    encode_trace, record_run, replay_run, BlockFile, DataRec, ExecSpec, SymmetryConfig, Trace,
-    TraceFormat,
+    encode_trace, record_run, replay_run, BlockFile, DataRec, ExecSpec, SymmetryConfig,
+    TimeTravel, Trace, TraceFormat,
 };
 use std::path::Path;
 

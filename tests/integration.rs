@@ -3,9 +3,9 @@
 //! with breakpoints and reverse steps, inspect state via remote reflection,
 //! and verify the replay never deviated.
 
-use baselines::{trace_size_comparison, TimeTravel};
+use baselines::trace_size_comparison;
 use debugger::{DebugSession, StopReason};
-use dejavu::{record_run, replay_run, ExecSpec, SymmetryConfig};
+use dejavu::{record_run, replay_run, ExecSpec, SymmetryConfig, TimeTravel};
 use djvm::VmStatus;
 use reflect::{LocalVmMemory, RemoteReflector};
 use std::sync::Arc;

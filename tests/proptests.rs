@@ -805,3 +805,167 @@ fn block_trace_roundtrips_and_detects_truncation() {
         Ok(())
     });
 }
+
+// ---------------------------------------------------------------------
+// 9. Time travel lands on the same state in every dispatch tier: it is
+//    `interp::run_until` paused at checkpoint keys, so the generic,
+//    quickened and megablock loops must take the same checkpoints and
+//    stop every move on the same step — the step a plain budgeted replay
+//    stops on.
+// ---------------------------------------------------------------------
+
+/// One drawn motion of a [`dejavu::TimeTravel`], targets already concrete.
+#[derive(Debug, Clone, Copy)]
+enum Move {
+    Seek(u64),
+    SeekLogical(u64),
+    Advance(u64),
+    StepOnce,
+}
+
+/// A target from {0, mid, end, past the end, one before / on / after a
+/// checkpoint key, anywhere}.
+fn gen_target(g: &mut Gen, end: u64, keys: &[u64]) -> u64 {
+    let key = |g: &mut Gen| match keys.len() {
+        0 => end / 3,
+        n => keys[g.usize_in(0, n - 1)],
+    };
+    match g.u64_in(0, 9) {
+        0 => 0,
+        1 => end / 2,
+        2 => end,
+        3 => end + g.u64_in(1, 5),
+        4 => key(g).saturating_sub(1),
+        5 => key(g),
+        6 => key(g).saturating_add(1),
+        _ => g.u64_in(0, end),
+    }
+}
+
+#[test]
+fn time_travel_lands_on_the_same_state_in_every_tier() {
+    use dejavu::{DejaVuReplayer, TimeTravel};
+    use djvm::hook::ExecHook;
+    use std::sync::Arc;
+    let registry = workloads::registry();
+    let sym = SymmetryConfig::full();
+    qc::check(
+        "time_travel_lands_on_the_same_state_in_every_tier",
+        64,
+        |g| {
+            let w = &registry[g.usize_in(0, registry.len() - 1)];
+            let spec = ExecSpec::new((w.build)()).with_seed(g.u64_in(0, 99));
+            let (rec, trace) = record_run(&spec, w.natives, sym, true);
+            let trace = Arc::new(trace);
+            let (end, end_logical) = (rec.counters.steps, rec.counters.yield_points);
+
+            // Checkpoint keys: a step cadence (possibly none) and a subset of
+            // the run's block boundaries.
+            let cadence = match g.u64_in(0, 3) {
+                0 => u64::MAX,
+                1 => end / 2 + 1,
+                2 => end / 4 + 1,
+                _ => g.u64_in(end / 6 + 1, end + 1),
+            };
+            let all_bounds =
+                dejavu::ingest_bytes(dejavu::encode_trace(&trace, dejavu::TraceFormat::Block, 96))
+                    .map_err(|e| format!("own encoding rejected: {e}"))?
+                    .boundaries;
+            // (An event-free run has no blocks to draw from.)
+            let most = all_bounds.len().min(4);
+            let mut bounds = g.vec_of(0, most, |g| all_bounds[g.usize_in(0, all_bounds.len() - 1)]);
+            bounds.sort_unstable();
+            let cadence_keys: Vec<u64> = (1..=6).map(|k| cadence.saturating_mul(k)).collect();
+
+            let moves = g.vec_of(1, 8, |g| match g.u64_in(0, 3) {
+                0 => Move::Seek(gen_target(g, end, &cadence_keys)),
+                1 => Move::SeekLogical(gen_target(g, end_logical, &bounds)),
+                2 => Move::Advance(match g.u64_in(0, 3) {
+                    0 => 0,
+                    1 => g.u64_in(1, 40),
+                    2 => g.u64_in(0, end / 2),
+                    _ => u64::MAX,
+                }),
+                _ => Move::StepOnce,
+            });
+
+            // Everything a client can see after each move, one tier at a time
+            // (a checkpoint is an 8 MiB image; three tiers' worth at once is
+            // not needed to compare them).
+            let drive = |spec: &ExecSpec| {
+                let mut tt = TimeTravel::new_indexed(
+                    spec.replay_vm(),
+                    Arc::clone(&trace),
+                    sym,
+                    cadence,
+                    bounds.clone(),
+                );
+                let mut seen = Vec::new();
+                for &m in &moves {
+                    let stats = match m {
+                        Move::Seek(s) => {
+                            tt.seek(s);
+                            None
+                        }
+                        Move::SeekLogical(t) => Some(tt.seek_logical(t)),
+                        Move::Advance(n) => {
+                            tt.advance(n);
+                            None
+                        }
+                        Move::StepOnce => {
+                            tt.step_once();
+                            None
+                        }
+                    };
+                    let keys: Vec<(u64, u64)> = tt
+                        .checkpoints
+                        .iter()
+                        .map(|c| (c.at_step, c.at_logical))
+                        .collect();
+                    seen.push((
+                        (tt.step, tt.logical_time(), tt.status()),
+                        (tt.vm().state_digest(), tt.vm().fingerprint.digest()),
+                        (tt.desyncs().len(), tt.restores, tt.reexecuted),
+                        stats,
+                        keys,
+                    ));
+                }
+                seen
+            };
+            let seen = drive(&spec);
+            qc_assert_eq!(
+                drive(&spec.clone().with_mega(false)),
+                seen.clone(),
+                "{} without megablocks, cadence {cadence}, bounds {bounds:?}, {moves:?}",
+                w.name
+            );
+            qc_assert_eq!(
+                drive(&spec.clone().with_quicken(false)),
+                seen.clone(),
+                "{} unquickened, cadence {cadence}, bounds {bounds:?}, {moves:?}",
+                w.name
+            );
+
+            // ...and each landing is where a plain replay with that step
+            // budget stands.
+            for (m, ((step, logical, status), (state, fp), ..)) in moves.iter().zip(&seen) {
+                let mut vm = spec.replay_vm();
+                let mut hook = DejaVuReplayer::new(Arc::clone(&trace), sym);
+                hook.on_init(&mut vm);
+                djvm::interp::run(&mut vm, &mut hook, *step);
+                qc_assert_eq!(
+                    (
+                        vm.counters.yield_points,
+                        vm.status,
+                        vm.state_digest(),
+                        vm.fingerprint.digest()
+                    ),
+                    (*logical, *status, *state, *fp),
+                    "{} after {m:?} at step {step}",
+                    w.name
+                );
+            }
+            Ok(())
+        },
+    );
+}
