@@ -4,7 +4,7 @@
 //! states, output); across seeds, executions genuinely differ.
 
 use dejavu::{passthrough_run, record_replay, record_run, replay_run, ExecSpec, SymmetryConfig};
-use djvm::{GcKind, NativeOutcome, Program, ProgramBuilder, Ty};
+use djvm::{GcKind, NativeOutcome, Program, ProgramBuilder, Ty, VmStatus};
 
 /// Two threads race unsynchronized increments on a shared static; the
 /// final value depends on preemption timing.
@@ -257,6 +257,184 @@ fn replay_works_under_mark_sweep_pressure() {
     let (rec, _rep, ok) = record_replay(&s, |_| {}, SymmetryConfig::full());
     assert!(ok);
     assert!(rec.gc_collections > 0);
+}
+
+/// Every registry workload under both collectors at three heap sizes, the
+/// copying collector at twice the words so both have the same allocatable
+/// space. Replay is accurate in every cell, an `OutOfMemory` exit
+/// included; and where both collectors halt they agree on everything a
+/// guest can observe, the state digest included.
+#[test]
+fn both_collectors_replay_the_whole_registry() {
+    let mut collected = Vec::new();
+    for w in workloads::registry() {
+        for h in [8192, 4096, 2048] {
+            let [ms, cp] = [(GcKind::MarkSweep, h), (GcKind::Copying, 2 * h)].map(|(gc, words)| {
+                let mut s = ExecSpec::new((w.build)()).with_seed(7);
+                s.timer_base = 53;
+                s.timer_jitter = 19;
+                s.vm.gc = gc;
+                s.vm.heap_words = words;
+                let (rec, rep, ok) = record_replay(&s, w.natives, SymmetryConfig::full());
+                assert!(
+                    ok,
+                    "{} {gc:?} at {words} words diverged: rec {:?} rep {:?}",
+                    w.name, rec.status, rep.status
+                );
+                assert_eq!(rec.gc_collections, rep.gc_collections, "{} {gc:?}", w.name);
+                if rec.gc_collections > 0 {
+                    collected.push((w.name, gc));
+                }
+                rec
+            });
+            if ms.status == VmStatus::Halted && cp.status == VmStatus::Halted {
+                assert_eq!(ms.output, cp.output, "{} at {h}", w.name);
+                assert_eq!(ms.state_digest, cp.state_digest, "{} at {h}", w.name);
+            }
+        }
+    }
+    for name in [
+        "gc_churn",
+        "gc_pressure",
+        "deep_recursion",
+        "recursion_storm",
+    ] {
+        for gc in [GcKind::MarkSweep, GcKind::Copying] {
+            assert!(
+                collected.contains(&(name, gc)),
+                "{name} never collected under {gc:?}"
+            );
+        }
+    }
+}
+
+/// The heap a collector leaves behind, pinned bit for bit: goldens taken
+/// from the three hand-written reference walks (PR 22's `gc.rs`) before
+/// they became one. The image is every word for mark-sweep (mark bits,
+/// free blocks and first-fit reuse all show) and the live semispace for
+/// copying (to-space order; the idle half is scrubbed in debug builds
+/// only). `OutOfMemory` exits are pinned like halts.
+#[test]
+fn collectors_leave_the_golden_heap() {
+    use djvm::heap::RESERVED;
+    use GcKind::{Copying, MarkSweep};
+    let golden = [
+        (
+            "gc_churn",
+            MarkSweep,
+            4096,
+            "f27add6c49ac218447176f4fe3d66067",
+            [1043, 9673, 2, 5726, 4080],
+            9047144449720787623,
+        ),
+        (
+            "gc_churn",
+            Copying,
+            8192,
+            "a3fb168b27bc959a808e7364b25e1440",
+            [1043, 9673, 2, 2433, 4083],
+            9047144449720787623,
+        ),
+        (
+            "gc_churn",
+            MarkSweep,
+            2048,
+            "d11739cff43460bb17816ea57e9744de",
+            [1043, 9673, 10, 7902, 2026],
+            9047144449720787623,
+        ),
+        (
+            "gc_churn",
+            Copying,
+            4096,
+            "042568c8d5cefa62700b24993cd5444e",
+            [1043, 9673, 10, 12189, 2040],
+            9047144449720787623,
+        ),
+        (
+            "recursion_storm",
+            MarkSweep,
+            4096,
+            "fc64f99ded75da9e093fe784c8ee0fae",
+            [525, 5075, 2, 3342, 4079],
+            4443126505938597312,
+        ),
+        (
+            "recursion_storm",
+            Copying,
+            8192,
+            "d4ed09d036489765212316c4663fb6b9",
+            [656, 7901, 2, 3978, 4085],
+            6934686044888699353,
+        ),
+        (
+            "recursion_storm",
+            MarkSweep,
+            2048,
+            "678323f79a96ad490fd38d8509eb62df",
+            [192, 2569, 2, 1092, 1965],
+            13653217901295136818,
+        ),
+        (
+            "recursion_storm",
+            Copying,
+            4096,
+            "b32dbc20cd638f1a62af8a2d776660e9",
+            [525, 5075, 10, 16562, 2039],
+            4443126505938597312,
+        ),
+    ];
+    let mut got = Vec::new();
+    for name in ["gc_churn", "recursion_storm"] {
+        for (gc, words) in [
+            (MarkSweep, 4096),
+            (Copying, 8192),
+            (MarkSweep, 2048),
+            (Copying, 4096),
+        ] {
+            let w = workloads::registry().into_iter().find(|w| w.name == name);
+            let mut s = ExecSpec::new((w.unwrap().build)()).with_seed(7);
+            s.timer_base = 53;
+            s.timer_jitter = 19;
+            s.vm.gc = gc;
+            s.vm.heap_words = words;
+            let mut vm = s.live_vm();
+            djvm::interp::run(&mut vm, &mut djvm::Passthrough, s.max_steps);
+            let mem = vm.heap.mem_snapshot();
+            let st = vm.heap.stats;
+            let live = match gc {
+                MarkSweep => &mem[..],
+                Copying => {
+                    // Every collection flips to the other half.
+                    let half = (mem.len() - RESERVED) / 2;
+                    let base = RESERVED + (st.collections % 2) as usize * half;
+                    &mem[base..base + vm.heap.words_in_use()]
+                }
+            };
+            let bytes: Vec<u8> = live.iter().flat_map(|w| w.to_le_bytes()).collect();
+            got.push((
+                name,
+                gc,
+                words,
+                codec::digest128(&bytes).hex(),
+                [
+                    st.allocations,
+                    st.words_allocated,
+                    st.collections,
+                    st.words_copied_or_swept,
+                    st.peak_words_in_use,
+                ],
+                vm.state_digest(),
+            ));
+        }
+    }
+    for (g, want) in got.iter().zip(golden) {
+        assert_eq!(
+            *g,
+            (want.0, want.1, want.2, want.3.to_string(), want.4, want.5)
+        );
+    }
+    assert_eq!(got.len(), golden.len());
 }
 
 #[test]
