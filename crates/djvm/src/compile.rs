@@ -604,20 +604,13 @@ const MAX_OPERAND_STACK: usize = 4096;
 /// [`crate::builder::ProgramBuilder::finish`], which has already added
 /// the builtins.
 pub(crate) fn compile_program(program: &mut Program) -> Result<(), CompileError> {
-    program.field_layouts = (0..program.classes.len())
-        .map(|c| {
-            program
-                .flattened_fields(c as ClassId)
-                .iter()
-                .map(|f| f.ty)
-                .collect()
-        })
-        .collect();
-    program.static_layouts = program
-        .classes
-        .iter()
-        .map(|c| c.statics.iter().map(|f| f.ty).collect())
-        .collect();
+    let types = |p: &Program, is_classobj| {
+        let decls = |c| p.slot_decls(c as ClassId, is_classobj);
+        let tys = |c| decls(c).iter().map(|f| f.ty).collect();
+        (0..p.classes.len()).map(tys).collect()
+    };
+    program.field_layouts = types(program, false);
+    program.static_layouts = types(program, true);
 
     for id in 0..program.methods.len() {
         let method = &program.methods[id];

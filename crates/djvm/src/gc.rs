@@ -23,9 +23,13 @@
 //! paper's replay strategy: "the archetypical Java runtime service —
 //! automatic memory management — is completely deterministic in Jalapeño."
 
-use crate::heap::{forward_target, forward_word, is_forwarded, Addr, GcKind, Header, RESERVED};
-use crate::thread::ThreadStatus;
-use crate::vm::Vm;
+use crate::heap::{
+    forward_target, forward_word, is_forwarded, Addr, GcKind, Header, Heap, NULL, RESERVED,
+};
+use crate::program::Program;
+use crate::thread::Tid;
+use crate::vm::{frame_slots, Vm};
+use std::sync::Arc;
 
 /// Collect garbage. Called by the VM when an allocation fails.
 pub fn collect(vm: &mut Vm) {
@@ -65,92 +69,29 @@ pub fn collect(vm: &mut Vm) {
     }
 }
 
-/// Every root *slot address-independent value* in the VM. Used by mark;
-/// the copying collector instead updates slots in place.
-fn root_values(vm: &Vm) -> Vec<Addr> {
-    let mut roots = Vec::new();
-    for t in &vm.threads {
-        if t.thread_obj != 0 {
-            roots.push(t.thread_obj);
-        }
-        if t.stack_obj != 0 {
-            roots.push(t.stack_obj);
-        }
-        match t.status {
-            ThreadStatus::BlockedMonitor(a)
-            | ThreadStatus::Waiting(a)
-            | ThreadStatus::TimedWaiting(a) => roots.push(a),
-            _ => {}
-        }
-    }
-    for slot in vm.class_objects.iter().flatten() {
-        roots.push(*slot);
-    }
-    roots.extend(vm.string_objects.iter().copied());
-    for slot in vm.code_objects.iter().flatten() {
-        roots.push(*slot);
-    }
-    if let Some(a) = vm.io_write_buf {
-        roots.push(a);
-    }
-    if let Some(a) = vm.io_read_buf {
-        roots.push(a);
-    }
-    if let Some(a) = vm.io_read_scratch {
-        roots.push(a);
-    }
-    if vm.boot_image.method_table != 0 {
-        roots.push(vm.boot_image.method_table);
-    }
-    for &a in vm.sched.monitors.keys() {
-        roots.push(a);
-    }
-    for s in &vm.sched.sleepers {
-        if let Some(a) = s.monitor {
-            roots.push(a);
-        }
-    }
-    roots.extend(vm.extra_roots.iter().copied().filter(|&a| a != 0));
-    roots.extend(vm.temp_roots.iter().copied().filter(|&a| a != 0));
-    roots
-}
-
-/// Push every reference held in the frames of every thread.
-fn frame_refs(vm: &Vm, out: &mut Vec<Addr>) {
-    for tid in 0..vm.threads.len() {
-        for f in vm.frames(tid as u32) {
-            let Some(rm) = vm.program.compiled(f.method).ref_maps[f.pc as usize].as_ref() else {
-                continue;
-            };
-            let locals_base = f.fp + 3;
-            for i in rm.locals.iter_ones() {
-                if i < f.nlocals as usize {
-                    let v = vm.heap.mem[locals_base as usize + i];
-                    if v != 0 {
-                        out.push(v);
-                    }
-                }
-            }
-            let stack_base = locals_base + f.nlocals as u64;
-            for i in rm.stack.iter_ones() {
-                if i < f.depth {
-                    let v = vm.heap.mem[stack_base as usize + i];
-                    if v != 0 {
-                        out.push(v);
-                    }
-                }
-            }
-        }
-    }
+/// Address of every reference slot in every frame of every thread.
+fn frame_ref_slots(vm: &Vm) -> Vec<Addr> {
+    (0..vm.threads.len() as Tid)
+        .flat_map(|tid| vm.frames(tid))
+        .flat_map(|f| frame_slots(&vm.program, &f))
+        .filter_map(|(slot, is_ref)| is_ref.then_some(slot))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
 // Mark-sweep
 // ---------------------------------------------------------------------
 
+/// Push the non-null reference held in each of `slots`.
+fn push_targets(heap: &Heap, slots: impl IntoIterator<Item = Addr>, out: &mut Vec<Addr>) {
+    let targets = slots.into_iter().map(|slot| heap.mem[slot as usize]);
+    out.extend(targets.filter(|&a| a != NULL));
+}
+
 fn mark_sweep(vm: &mut Vm) {
-    let mut worklist = root_values(vm);
-    frame_refs(vm, &mut worklist);
+    let mut worklist = Vec::new();
+    vm.each_root(|_, slot| worklist.push(*slot));
+    push_targets(&vm.heap, frame_ref_slots(vm), &mut worklist);
 
     // Mark.
     while let Some(a) = worklist.pop() {
@@ -162,7 +103,8 @@ fn mark_sweep(vm: &mut Vm) {
         }
         vm.heap
             .set_raw_header(a, Header { marked: true, ..h }.encode());
-        push_children(vm, a, &h, &mut worklist);
+        let children = vm.heap.payload(a, &vm.program).ref_slots();
+        push_targets(&vm.heap, children, &mut worklist);
     }
 
     // Sweep: linear heap parse, skipping known-free blocks.
@@ -190,11 +132,7 @@ fn mark_sweep(vm: &mut Vm) {
         }
         let raw = vm.heap.raw_header(pos as Addr);
         let h = Header::decode(raw);
-        let words = vm.heap.object_words(
-            pos as Addr,
-            &vm.program.field_layouts,
-            &vm.program.static_layouts,
-        );
+        let words = vm.heap.object_words(pos as Addr, &vm.program);
         if h.marked {
             vm.heap
                 .set_raw_header(pos as Addr, Header { marked: false, ..h }.encode());
@@ -208,42 +146,39 @@ fn mark_sweep(vm: &mut Vm) {
     vm.heap.stats.words_copied_or_swept += swept;
 }
 
-fn push_children(vm: &Vm, a: Addr, h: &Header, out: &mut Vec<Addr>) {
-    if h.is_stack {
-        return; // scanned precisely via frames
-    }
-    if h.is_array {
-        if h.ref_elems {
-            let len = vm.heap.array_len(a);
-            for i in 0..len {
-                let v = vm.heap.get_elem(a, i);
-                if v != 0 {
-                    out.push(v);
-                }
-            }
-        }
-        return;
-    }
-    let layout = if h.is_classobj {
-        &vm.program.static_layouts[h.class_id as usize]
-    } else {
-        &vm.program.field_layouts[h.class_id as usize]
-    };
-    for (i, ty) in layout.iter().enumerate() {
-        if *ty == crate::bytecode::Ty::Ref {
-            let v = vm.heap.get_field(a, i);
-            if v != 0 {
-                out.push(v);
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Semispace copying
 // ---------------------------------------------------------------------
 
+/// Forward the reference in heap word `slot`: copy its target to to-space
+/// (at the heap's bump pointer, which is to-space's for the length of a
+/// collection) unless it already was, and rewrite the slot.
+fn forward_slot(heap: &mut Heap, program: &Program, slot: Addr) {
+    let mut a = heap.mem[slot as usize];
+    forward(heap, program, &mut a);
+    heap.mem[slot as usize] = a;
+}
+
+fn forward(heap: &mut Heap, program: &Program, slot: &mut Addr) {
+    let a = *slot;
+    if a == NULL {
+        return;
+    }
+    let raw = heap.raw_header(a);
+    if is_forwarded(raw) {
+        *slot = forward_target(raw);
+        return;
+    }
+    let words = heap.object_words(a, program);
+    *slot = heap.bump as Addr;
+    heap.mem.copy_within(a as usize..a as usize + words, heap.bump);
+    heap.bump += words;
+    heap.set_raw_header(a, forward_word(*slot));
+    heap.stats.words_copied_or_swept += words as u64;
+}
+
 fn copying(vm: &mut Vm) {
+    let program = Arc::clone(&vm.program);
     let half = vm.heap.half;
     let from_base = vm.heap.active_base;
     let to_base = if from_base == RESERVED {
@@ -251,208 +186,37 @@ fn copying(vm: &mut Vm) {
     } else {
         RESERVED
     };
-    let mut to_bump = to_base;
+    vm.heap.bump = to_base;
 
-    // Forward one object: copy to to-space if not already, return new addr.
-    fn forward(vm: &mut Vm, to_bump: &mut usize, a: Addr) -> Addr {
-        if a == 0 {
-            return 0;
-        }
-        let raw = vm.heap.raw_header(a);
-        if is_forwarded(raw) {
-            return forward_target(raw);
-        }
-        let words = vm
-            .heap
-            .object_words(a, &vm.program.field_layouts, &vm.program.static_layouts);
-        let new = *to_bump as Addr;
-        for i in 0..words {
-            vm.heap.mem[*to_bump + i] = vm.heap.mem[a as usize + i];
-        }
-        *to_bump += words;
-        vm.heap.set_raw_header(a, forward_word(new));
-        vm.heap.stats.words_copied_or_swept += words as u64;
-        new
-    }
-
-    // Phase 1: forward every root slot, updating the slots in place.
-    for ti in 0..vm.threads.len() {
-        let tobj = vm.threads[ti].thread_obj;
-        let new_tobj = forward(vm, &mut to_bump, tobj);
-        vm.threads[ti].thread_obj = new_tobj;
-        let sobj = vm.threads[ti].stack_obj;
-        if sobj != 0 {
-            let new_sobj = forward(vm, &mut to_bump, sobj);
-            let delta = new_sobj.wrapping_sub(sobj);
-            let t = &mut vm.threads[ti];
-            t.stack_obj = new_sobj;
-            t.fp = t.fp.wrapping_add(delta);
-            t.sp = t.sp.wrapping_add(delta);
-            // Rebase the saved-fp chain inside the *new* copy.
-            let mut fp = t.fp;
-            loop {
-                let sfp = vm.heap.mem[fp as usize];
-                if sfp == 0 {
-                    break;
-                }
-                let moved = sfp.wrapping_add(delta);
-                vm.heap.mem[fp as usize] = moved;
-                fp = moved;
-            }
-        }
-        let st = vm.threads[ti].status;
-        vm.threads[ti].status = match st {
-            ThreadStatus::BlockedMonitor(a) => {
-                ThreadStatus::BlockedMonitor(forward(vm, &mut to_bump, a))
-            }
-            ThreadStatus::Waiting(a) => ThreadStatus::Waiting(forward(vm, &mut to_bump, a)),
-            ThreadStatus::TimedWaiting(a) => {
-                ThreadStatus::TimedWaiting(forward(vm, &mut to_bump, a))
-            }
-            other => other,
-        };
-    }
-    for ci in 0..vm.class_objects.len() {
-        if let Some(a) = vm.class_objects[ci] {
-            let new = forward(vm, &mut to_bump, a);
-            vm.class_objects[ci] = Some(new);
-        }
-    }
-    for si in 0..vm.string_objects.len() {
-        let a = vm.string_objects[si];
-        vm.string_objects[si] = forward(vm, &mut to_bump, a);
-    }
-    for mi in 0..vm.code_objects.len() {
-        if let Some(a) = vm.code_objects[mi] {
-            let new = forward(vm, &mut to_bump, a);
-            vm.code_objects[mi] = Some(new);
-        }
-    }
-    if let Some(a) = vm.io_write_buf {
-        vm.io_write_buf = Some(forward(vm, &mut to_bump, a));
-    }
-    if let Some(a) = vm.io_read_buf {
-        vm.io_read_buf = Some(forward(vm, &mut to_bump, a));
-    }
-    if let Some(a) = vm.io_read_scratch {
-        vm.io_read_scratch = Some(forward(vm, &mut to_bump, a));
-    }
-    if vm.boot_image.method_table != 0 {
-        let a = vm.boot_image.method_table;
-        vm.boot_image.method_table = forward(vm, &mut to_bump, a);
-    }
-    for ri in 0..vm.extra_roots.len() {
-        let a = vm.extra_roots[ri];
-        if a != 0 {
-            vm.extra_roots[ri] = forward(vm, &mut to_bump, a);
-        }
-    }
-    for ri in 0..vm.temp_roots.len() {
-        let a = vm.temp_roots[ri];
-        if a != 0 {
-            vm.temp_roots[ri] = forward(vm, &mut to_bump, a);
-        }
-    }
-    // Monitors: rebuild the map with forwarded keys; sleeper monitors too.
-    let monitors = std::mem::take(&mut vm.sched.monitors);
-    let mut new_monitors = std::collections::BTreeMap::new();
-    for (a, m) in monitors {
-        let new = forward(vm, &mut to_bump, a);
-        new_monitors.insert(new, m);
-    }
-    vm.sched.monitors = new_monitors;
-    for si in 0..vm.sched.sleepers.len() {
-        if let Some(a) = vm.sched.sleepers[si].monitor {
-            let new = forward(vm, &mut to_bump, a);
-            vm.sched.sleepers[si].monitor = Some(new);
+    // Roots, rewritten in place. Only this collector moves an activation
+    // stack, so the rebase of each thread's registers is its own.
+    let old_stacks: Vec<Addr> = vm.threads.iter().map(|t| t.stack_obj).collect();
+    vm.each_root(|heap, slot| forward(heap, &program, slot));
+    for (t, old) in vm.threads.iter_mut().zip(old_stacks) {
+        if old != NULL {
+            t.rebase_stack(&mut vm.heap, t.stack_obj.wrapping_sub(old));
         }
     }
 
-    // Phase 2: forward every reference slot in every frame (the stacks
-    // themselves have been copied; their payload still holds from-space
-    // references).
-    for tid in 0..vm.threads.len() as u32 {
-        let frames = vm.frames(tid);
-        for f in frames {
-            let rm = vm.program.compiled(f.method).ref_maps[f.pc as usize]
-                .clone()
-                .expect("paused frame at unreachable pc");
-            let locals_base = f.fp + 3;
-            for i in rm.locals.iter_ones() {
-                if i < f.nlocals as usize {
-                    let v = vm.heap.mem[locals_base as usize + i];
-                    if v != 0 {
-                        let new = forward(vm, &mut to_bump, v);
-                        vm.heap.mem[locals_base as usize + i] = new;
-                    }
-                }
-            }
-            let stack_base = locals_base + f.nlocals as u64;
-            for i in rm.stack.iter_ones() {
-                if i < f.depth {
-                    let v = vm.heap.mem[stack_base as usize + i];
-                    if v != 0 {
-                        let new = forward(vm, &mut to_bump, v);
-                        vm.heap.mem[stack_base as usize + i] = new;
-                    }
-                }
-            }
-        }
+    // Frames (the stacks themselves have been copied; their payload still
+    // holds from-space references), then the Cheney scan of to-space.
+    for slot in frame_ref_slots(vm) {
+        forward_slot(&mut vm.heap, &program, slot);
     }
-
-    // Phase 3: Cheney scan of to-space.
     let mut scan = to_base;
-    while scan < to_bump {
-        let a = scan as Addr;
-        let h = vm.heap.header(a);
-        let words = vm
-            .heap
-            .object_words(a, &vm.program.field_layouts, &vm.program.static_layouts);
-        if !h.is_stack {
-            if h.is_array {
-                if h.ref_elems {
-                    let len = vm.heap.array_len(a);
-                    for i in 0..len {
-                        let v = vm.heap.get_elem(a, i);
-                        if v != 0 {
-                            let new = forward(vm, &mut to_bump, v);
-                            vm.heap.set_elem(a, i, new);
-                        }
-                    }
-                }
-            } else {
-                let layout: Vec<crate::bytecode::Ty> = if h.is_classobj {
-                    vm.program.static_layouts[h.class_id as usize].clone()
-                } else {
-                    vm.program.field_layouts[h.class_id as usize].clone()
-                };
-                for (i, ty) in layout.iter().enumerate() {
-                    if *ty == crate::bytecode::Ty::Ref {
-                        let v = vm.heap.get_field(a, i);
-                        if v != 0 {
-                            let new = forward(vm, &mut to_bump, v);
-                            vm.heap.set_field(a, i, new);
-                        }
-                    }
-                }
-            }
+    while scan < vm.heap.bump {
+        let p = vm.heap.payload(scan as Addr, &program);
+        for slot in p.ref_slots() {
+            forward_slot(&mut vm.heap, &program, slot);
         }
-        scan += words;
+        scan = p.first as usize + p.count;
     }
 
     // Flip.
     vm.heap.active_base = to_base;
-    vm.heap.bump = to_bump;
     // Scrub the old semispace in debug builds to catch stale pointers.
-    #[cfg(debug_assertions)]
-    {
-        for w in &mut vm.heap.mem[from_base..from_base + half] {
-            *w = 0xDEAD_DEAD_DEAD_DEAD;
-        }
-    }
-    #[cfg(not(debug_assertions))]
-    {
-        let _ = from_base;
+    if cfg!(debug_assertions) {
+        vm.heap.mem[from_base..from_base + half].fill(0xDEAD_DEAD_DEAD_DEAD);
     }
 }
 

@@ -35,7 +35,8 @@
 //! bits 0..21   class id
 //! ```
 
-use crate::bytecode::ClassId;
+use crate::bytecode::{ClassId, Ty};
+use crate::program::Program;
 
 /// A raw 64-bit guest word.
 pub type Word = u64;
@@ -116,6 +117,48 @@ pub fn forward_word(to: Addr) -> Word {
 
 pub fn forward_target(w: Word) -> Addr {
     w & !FORWARD_BIT
+}
+
+/// The slots of one object ([`Heap::payload`]): `count` words from `first`,
+/// each a reference or not. It borrows the program, not the heap, so a
+/// collector can rewrite the slots it enumerates.
+#[derive(Debug, Clone, Copy)]
+pub struct Payload<'p> {
+    pub first: Addr,
+    pub count: usize,
+    refs: Refs<'p>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Refs<'p> {
+    /// An array: every element is a reference, or none is.
+    Uniform(bool),
+    Typed(&'p [Ty]),
+}
+
+impl<'p> Payload<'p> {
+    pub fn is_ref(&self, i: usize) -> bool {
+        match self.refs {
+            Refs::Uniform(all) => all,
+            Refs::Typed(layout) => layout[i] == Ty::Ref,
+        }
+    }
+
+    /// `(slot address, is_ref)` of every slot, in address order.
+    pub fn slots(self) -> impl Iterator<Item = (Addr, bool)> + 'p {
+        (0..self.count).map(move |i| (self.first + i as Addr, self.is_ref(i)))
+    }
+
+    /// Addresses of the reference slots, in address order.
+    pub fn ref_slots(self) -> impl Iterator<Item = Addr> + 'p {
+        let scanned = match self.refs {
+            Refs::Uniform(false) => 0,
+            _ => self.count,
+        };
+        self.slots()
+            .take(scanned)
+            .filter_map(|(slot, is_ref)| is_ref.then_some(slot))
+    }
 }
 
 /// Which collector manages the heap.
@@ -384,21 +427,33 @@ impl Heap {
         self.mem.get(addr as usize).copied()
     }
 
-    /// Total size in words of the object at `addr`, given per-class layouts.
-    pub fn object_words(
-        &self,
-        addr: Addr,
-        field_layouts: &[Vec<crate::bytecode::Ty>],
-        static_layouts: &[Vec<crate::bytecode::Ty>],
-    ) -> usize {
+    /// The payload of the object at `addr`: the one place that knows an
+    /// array keeps its length word ahead of uniformly typed elements and a
+    /// scalar or class object lays its slots out by [`Program::layout_of`].
+    /// An activation stack is an array of non-references here; its
+    /// references are found through its frames ([`crate::vm::frame_slots`]).
+    pub fn payload<'p>(&self, addr: Addr, program: &'p Program) -> Payload<'p> {
         let h = self.header(addr);
         if h.is_array {
-            2 + self.array_len(addr)
-        } else if h.is_classobj {
-            1 + static_layouts[h.class_id as usize].len()
+            Payload {
+                first: addr + 2,
+                count: self.array_len(addr),
+                refs: Refs::Uniform(h.ref_elems),
+            }
         } else {
-            1 + field_layouts[h.class_id as usize].len()
+            let layout = program.layout_of(&h);
+            Payload {
+                first: addr + 1,
+                count: layout.len(),
+                refs: Refs::Typed(layout),
+            }
         }
+    }
+
+    /// Total size in words of the object at `addr`, header included.
+    pub fn object_words(&self, addr: Addr, program: &Program) -> usize {
+        let p = self.payload(addr, program);
+        (p.first - addr) as usize + p.count
     }
 
     /// Copy of the raw word image (snapshot-based remote reflection).

@@ -7,6 +7,7 @@
 
 use crate::bytecode::{ClassId, MethodId, NativeId, Op, Ty};
 use crate::compile::CompiledMethod;
+use crate::heap::Header;
 use std::collections::HashMap;
 
 /// A guest class: a named record type with single inheritance and a vtable.
@@ -148,6 +149,28 @@ impl Program {
             .map_or_else(Vec::new, |s| self.flattened_fields(s));
         out.extend(c.fields.iter().cloned());
         out
+    }
+
+    /// Declarations behind the payload slots of a non-array object, in slot
+    /// order: a class object holds its class's statics, an instance the
+    /// flattened fields. `field_layouts` / `static_layouts` cache the type
+    /// column of this, and [`Program::layout_of`] picks between the caches.
+    pub fn slot_decls(&self, class: ClassId, is_classobj: bool) -> Vec<FieldDecl> {
+        if is_classobj {
+            self.class(class).statics.clone()
+        } else {
+            self.flattened_fields(class)
+        }
+    }
+
+    /// Slot types of the non-array object behind header `h`.
+    pub fn layout_of(&self, h: &Header) -> &[Ty] {
+        let layouts = if h.is_classobj {
+            &self.static_layouts
+        } else {
+            &self.field_layouts
+        };
+        &layouts[h.class_id as usize]
     }
 
     /// True if `class` is `ancestor` or a subclass of it.

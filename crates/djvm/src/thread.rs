@@ -17,7 +17,7 @@
 //! ```
 
 use crate::bytecode::MethodId;
-use crate::heap::Addr;
+use crate::heap::{Addr, Heap};
 
 /// Thread identifier (index into the VM's thread table).
 pub type Tid = u32;
@@ -118,6 +118,25 @@ impl ThreadState {
     /// Operand-stack depth of the current frame, given its locals count.
     pub fn stack_depth(&self, nlocals: u16) -> usize {
         (self.sp - (self.fp + 3 + nlocals as u64)) as usize
+    }
+
+    /// The activation stack now lives `delta` words further on (grown into
+    /// a larger array, or copied by the collector): move the registers and
+    /// the saved-fp chain, which hold absolute addresses, inside the new
+    /// copy.
+    pub(crate) fn rebase_stack(&mut self, heap: &mut Heap, delta: u64) {
+        self.fp = self.fp.wrapping_add(delta);
+        self.sp = self.sp.wrapping_add(delta);
+        let mut fp = self.fp;
+        loop {
+            let sfp = heap.mem[fp as usize];
+            if sfp == 0 {
+                break;
+            }
+            let moved = sfp.wrapping_add(delta);
+            heap.mem[fp as usize] = moved;
+            fp = moved;
+        }
     }
 
     pub fn is_blocked(&self) -> bool {

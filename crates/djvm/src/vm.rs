@@ -8,7 +8,7 @@
 //! the non-deterministic inputs, and the whole runtime (including the
 //! thread package) replays itself (paper §2.2).
 
-use crate::bytecode::{ClassId, MethodId, NativeId, Ty};
+use crate::bytecode::{ClassId, MethodId, NativeId};
 use crate::clock::{TimerSource, WallClock};
 use crate::fingerprint::{Digest, Fingerprint, FingerprintMode};
 use crate::heap::{Addr, ArrKind, GcKind, Heap, Word, NULL};
@@ -686,6 +686,55 @@ impl Vm {
         self.extra_roots[h.0]
     }
 
+    /// The root set: every non-null reference the VM holds outside the
+    /// heap, visited in place, in the order the copying collector forwards
+    /// them — which is to-space order, so it is part of bit-identical
+    /// replay; a new root kind goes at the end. Mark reads through the
+    /// slots, copy rewrites them; `f` is handed the heap because a root's
+    /// home is never in it, so the two borrows split. (References *inside*
+    /// the heap are [`frame_slots`] and [`Heap::payload`].)
+    pub(crate) fn each_root(&mut self, mut f: impl FnMut(&mut Heap, &mut Addr)) {
+        let heap = &mut self.heap;
+        let mut visit = |slot: &mut Addr| {
+            if *slot != NULL {
+                f(heap, slot)
+            }
+        };
+        for t in &mut self.threads {
+            visit(&mut t.thread_obj);
+            visit(&mut t.stack_obj);
+            if let ThreadStatus::BlockedMonitor(a)
+            | ThreadStatus::Waiting(a)
+            | ThreadStatus::TimedWaiting(a) = &mut t.status
+            {
+                visit(a);
+            }
+        }
+        (self.class_objects.iter_mut().flatten())
+            .chain(&mut self.string_objects)
+            .chain(self.code_objects.iter_mut().flatten())
+            .chain(&mut self.io_write_buf)
+            .chain(&mut self.io_read_buf)
+            .chain(&mut self.io_read_scratch)
+            .chain([&mut self.boot_image.method_table])
+            .chain(&mut self.extra_roots)
+            .chain(&mut self.temp_roots)
+            .for_each(&mut visit);
+        // A monitor is keyed by its object's address: re-key the map.
+        self.sched.monitors = std::mem::take(&mut self.sched.monitors)
+            .into_iter()
+            .map(|(mut a, m)| {
+                visit(&mut a);
+                (a, m)
+            })
+            .collect();
+        self.sched
+            .sleepers
+            .iter_mut()
+            .filter_map(|s| s.monitor.as_mut())
+            .for_each(visit);
+    }
+
     // ------------------------------------------------------------------
     // Live non-determinism sources
     // ------------------------------------------------------------------
@@ -810,22 +859,9 @@ impl Vm {
         for i in 0..used {
             self.heap.mem[(new_obj + 2) as usize + i] = self.heap.mem[(old_obj + 2) as usize + i];
         }
-        let delta = new_obj.wrapping_sub(old_obj);
         let t = &mut self.threads[cur];
         t.stack_obj = new_obj;
-        t.fp = t.fp.wrapping_add(delta);
-        t.sp = t.sp.wrapping_add(delta);
-        // Rebase the saved-fp chain (absolute addresses into the old array).
-        let mut fp = t.fp;
-        loop {
-            let sfp = self.heap.mem[fp as usize];
-            if sfp == 0 {
-                break;
-            }
-            let moved = sfp.wrapping_add(delta);
-            self.heap.mem[fp as usize] = moved;
-            fp = moved;
-        }
+        t.rebase_stack(&mut self.heap, new_obj.wrapping_sub(old_obj));
         self.counters.stack_growths += 1;
         self.fingerprint.event(0x57AC, new_len as u64, 0);
         let tid = self.sched.current;
@@ -1012,6 +1048,11 @@ impl Vm {
     /// sleeper state, console output, and VM status. Instrumentation
     /// buffers (registered extra roots) are deliberately excluded: DejaVu's
     /// own state differs between record and replay by definition (§2.4).
+    ///
+    /// It is the collectors' walk under a third policy — [`frame_slots`]
+    /// and [`Heap::payload`] with every object named by its serial instead
+    /// of its address — and its visit order is frozen: recorded digests
+    /// (`tests/corpus/*.policy.json`) are compared for equality.
     pub fn state_digest(&self) -> u64 {
         let mut d = Digest::new();
         let mut worklist: Vec<Addr> = Vec::new();
@@ -1034,34 +1075,10 @@ impl Vm {
             d.add(t.pending_push.map(|v| v as u64 ^ 0xFFFF).unwrap_or(0));
             for f in self.frames(t.tid) {
                 d.add(f.method as u64).add(f.pc as u64).add(f.depth as u64);
-                let cm = self.program.compiled(f.method);
-                let Some(rm) = cm.ref_maps[f.pc as usize].as_ref() else {
-                    continue;
-                };
-                let locals_base = f.fp + 3;
-                for i in 0..f.nlocals as usize {
-                    let v = self.heap.mem[locals_base as usize + i];
-                    if rm.locals.get(i) {
-                        d.add(0xF0 ^ self.obj_serial(v));
-                        if v != NULL {
-                            worklist.push(v);
-                        }
-                    } else {
-                        d.add(v);
-                    }
-                }
-                let stack_base = locals_base + f.nlocals as u64;
-                for i in 0..f.depth {
-                    let v = self.heap.mem[stack_base as usize + i];
-                    if i < rm.stack_depth as usize && rm.stack.get(i) {
-                        d.add(0xF1 ^ self.obj_serial(v));
-                        if v != NULL {
-                            worklist.push(v);
-                        }
-                    } else {
-                        d.add(v);
-                    }
-                }
+                let mut slots = frame_slots(&self.program, &f);
+                let locals = slots.by_ref().take(f.nlocals as usize);
+                self.digest_slots(&mut d, &mut worklist, 0xF0, locals);
+                self.digest_slots(&mut d, &mut worklist, 0xF1, slots);
             }
         }
 
@@ -1069,21 +1086,8 @@ impl Vm {
         for (c, slot) in self.class_objects.iter().enumerate() {
             if let Some(a) = slot {
                 d.add(0xC0 ^ c as u64);
-                let layout = &self.program.static_layouts[c];
-                for (i, ty) in layout.iter().enumerate() {
-                    let v = self.heap.get_field(*a, i);
-                    match ty {
-                        Ty::Ref => {
-                            d.add(0xF2 ^ self.obj_serial(v));
-                            if v != NULL {
-                                worklist.push(v);
-                            }
-                        }
-                        Ty::Int => {
-                            d.add(v);
-                        }
-                    }
-                }
+                let statics = self.heap.payload(*a, &self.program).slots();
+                self.digest_slots(&mut d, &mut worklist, 0xF2, statics);
             }
         }
 
@@ -1098,41 +1102,14 @@ impl Vm {
             if h.is_stack {
                 continue; // activation stacks digested via frames above
             }
-            if h.is_array {
-                let len = self.heap.array_len(a);
-                d.add(len as u64);
-                for i in 0..len {
-                    let v = self.heap.get_elem(a, i);
-                    if h.ref_elems {
-                        d.add(0xF3 ^ self.obj_serial(v));
-                        if v != NULL {
-                            worklist.push(v);
-                        }
-                    } else {
-                        d.add(v);
-                    }
-                }
+            let p = self.heap.payload(a, &self.program);
+            let tag = if h.is_array {
+                d.add(p.count as u64);
+                0xF3
             } else {
-                let layout: &[Ty] = if h.is_classobj {
-                    &self.program.static_layouts[h.class_id as usize]
-                } else {
-                    &self.program.field_layouts[h.class_id as usize]
-                };
-                for (i, ty) in layout.iter().enumerate() {
-                    let v = self.heap.get_field(a, i);
-                    match ty {
-                        Ty::Ref => {
-                            d.add(0xF4 ^ self.obj_serial(v));
-                            if v != NULL {
-                                worklist.push(v);
-                            }
-                        }
-                        Ty::Int => {
-                            d.add(v);
-                        }
-                    }
-                }
-            }
+                0xF4
+            };
+            self.digest_slots(&mut d, &mut worklist, tag, p.slots());
         }
 
         // Scheduler: monitors, sleepers, queues.
@@ -1172,6 +1149,28 @@ impl Vm {
         d.value()
     }
 
+    /// Digest a run of slots: an integer by value; a reference by `tag` and
+    /// its target's serial, and the target joins the walk.
+    fn digest_slots(
+        &self,
+        d: &mut Digest,
+        worklist: &mut Vec<Addr>,
+        tag: u64,
+        slots: impl Iterator<Item = (Addr, bool)>,
+    ) {
+        for (slot, is_ref) in slots {
+            let v = self.heap.mem[slot as usize];
+            if !is_ref {
+                d.add(v);
+                continue;
+            }
+            d.add(tag ^ self.obj_serial(v));
+            if v != NULL {
+                worklist.push(v);
+            }
+        }
+    }
+
     /// Allocation serial of an object (0 for null) — the address-stable
     /// identity used in digests.
     fn obj_serial(&self, addr: Addr) -> u64 {
@@ -1181,6 +1180,34 @@ impl Vm {
             self.heap.header(addr).serial
         }
     }
+}
+
+/// `(slot address, is_ref)` of every local, then every operand-stack word,
+/// of one frame — the only reader of the per-pc reference maps (paper §1)
+/// outside the compiler and disassembler. Mark and copy take the `is_ref`
+/// slots, the state digest all of them. The operand-stack bound is the
+/// frame's own depth, not the map's: a caller paused on its call has
+/// already handed the argument words to the callee's frame.
+///
+/// A frame only ever pauses at a pc the verifier reached, so a missing map
+/// is a VM bug; outside debug builds the frame is skipped rather than
+/// taking down a process that hosts other sessions.
+pub(crate) fn frame_slots<'p>(
+    program: &'p Program,
+    f: &FrameView,
+) -> impl Iterator<Item = (Addr, bool)> + 'p {
+    let map = program.compiled(f.method).ref_maps[f.pc as usize].as_ref();
+    debug_assert!(map.is_some(), "frame paused at an unreachable pc");
+    let (base, nlocals, words) = (f.fp + 3, f.nlocals as usize, f.nlocals as usize + f.depth);
+    map.into_iter().flat_map(move |map| {
+        (0..words).map(move |i| {
+            let is_ref = match i.checked_sub(nlocals) {
+                None => map.locals.get(i),
+                Some(s) => map.stack.get(s),
+            };
+            (base + i as Addr, is_ref)
+        })
+    })
 }
 
 /// A complete copy of guest-visible VM state: everything needed to resume

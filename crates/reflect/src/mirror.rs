@@ -81,11 +81,7 @@ pub fn read_fields(
     if h.is_array || h.is_stack {
         return None;
     }
-    let decls = if h.is_classobj {
-        program.class(h.class_id).statics.clone()
-    } else {
-        program.flattened_fields(h.class_id)
-    };
+    let decls = program.slot_decls(h.class_id, h.is_classobj);
     let mut out = Vec::with_capacity(decls.len());
     for (i, d) in decls.iter().enumerate() {
         let raw = mem.read_word(addr + 1 + i as u64)?;
