@@ -84,14 +84,12 @@ pub const DEFAULT_BLOCK_BUDGET: u32 = 4096;
 /// Upper bound on a single block's raw payload (decoder allocation cap).
 const MAX_RAW_LEN: u64 = 1 << 26;
 
-/// Trace encodings [`encode_trace`] can produce. Only `Block` is a file
-/// format; every read door ([`BlockFile::parse`], [`ingest_bytes`])
-/// rejects `Flat` bytes as [`TraceError::NotATrace`].
+/// Trace encodings [`encode_trace`] can produce: DJVB, the one file
+/// format. (Flat `DJV1` bytes — [`Trace::encoded`] — are size accounting,
+/// have no reader, and every read door refuses them as
+/// [`TraceError::NotATrace`].)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFormat {
-    /// The in-memory single-stream varint encoding (`DJV1`,
-    /// [`Trace::encoded`]).
-    Flat,
     /// The block-structured compressed file format (`DJVB`).
     Block,
 }
@@ -505,6 +503,12 @@ pub fn decode_block_events(
     }
     let nswitch = nswitch as usize;
     let nyps = get_for_column(raw, &mut pos, nswitch)?;
+    // A preemptive switch is taken *at* a counted yield point (Fig. 2), so
+    // every delta is at least 1; a replayer counting down from 0 would
+    // never take another recorded switch.
+    if nyps.contains(&0) {
+        return Err(corrupt("switch record with a zero yield-point delta"));
+    }
     let tids: Vec<u32> = if paranoid {
         let vals = get_for_column(raw, &mut pos, nswitch)?;
         if vals.iter().any(|&v| v > u32::MAX as u64) {
@@ -673,7 +677,6 @@ pub fn encode_block(trace: &Trace, budget: u32) -> Vec<u8> {
 /// Encode `trace` in the chosen format (`budget` applies to `Block`).
 pub fn encode_trace(trace: &Trace, format: TraceFormat, budget: u32) -> Vec<u8> {
     match format {
-        TraceFormat::Flat => trace.encoded(),
         TraceFormat::Block => encode_block(trace, budget),
     }
 }

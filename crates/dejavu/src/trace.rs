@@ -11,16 +11,17 @@
 //!   in execution order: wall-clock reads (§2.2) and native-call outcomes
 //!   including callback parameters (§2.5).
 //!
-//! The binary encoding is varint-based (the shared [`codec::bin`]
-//! primitives); [`Trace::encoded`] / [`Trace::decode`] round-trip it, and
-//! [`TraceStats`] reports the sizes the trace-size experiment (E5)
-//! compares against the baselines.
+//! The flat binary encoding is varint-based (the shared [`codec::bin`]
+//! primitives) and write-only: [`Trace::encoded`] exists for
+//! byte-equality checks and for [`TraceStats`], the sizes the trace-size
+//! experiment (E5) compares against the baselines. What is read back is
+//! DJVB ([`crate::blocktrace`]).
 //!
 //! In *paranoid* mode each switch record additionally carries the thread
 //! id observed during record, used purely as a replay-desync detector —
 //! the paper's minimal trace does not need it.
 
-use codec::{get_varint, put_varint, unzigzag, zigzag};
+use codec::{put_varint, zigzag};
 use djvm::MethodId;
 
 /// One preemptive thread switch.
@@ -183,59 +184,6 @@ impl Trace {
         st.total_bytes = out.len();
         (out, st)
     }
-
-    /// Decode the flat byte form; `None` on corruption.
-    pub fn decode(buf: &[u8]) -> Option<Trace> {
-        if buf.len() < 5 || &buf[..4] != MAGIC {
-            return None;
-        }
-        let paranoid = buf[4] != 0;
-        let mut pos = 5;
-        let nswitch = get_varint(buf, &mut pos)? as usize;
-        let mut switches = Vec::with_capacity(nswitch.min(1 << 20));
-        for _ in 0..nswitch {
-            let nyp = get_varint(buf, &mut pos)?;
-            let check_tid = if paranoid {
-                get_varint(buf, &mut pos)? as u32
-            } else {
-                u32::MAX
-            };
-            switches.push(SwitchRec { nyp, check_tid });
-        }
-        let ndata = get_varint(buf, &mut pos)? as usize;
-        let mut data = Vec::with_capacity(ndata.min(1 << 20));
-        for _ in 0..ndata {
-            let tag = *buf.get(pos)?;
-            pos += 1;
-            match tag {
-                0 => data.push(DataRec::Clock(unzigzag(get_varint(buf, &mut pos)?))),
-                1 => {
-                    let ret = unzigzag(get_varint(buf, &mut pos)?);
-                    let ncb = get_varint(buf, &mut pos)? as usize;
-                    let mut callbacks = Vec::with_capacity(ncb.min(1 << 16));
-                    for _ in 0..ncb {
-                        let m = get_varint(buf, &mut pos)? as MethodId;
-                        let nargs = get_varint(buf, &mut pos)? as usize;
-                        let mut args = Vec::with_capacity(nargs.min(1 << 16));
-                        for _ in 0..nargs {
-                            args.push(unzigzag(get_varint(buf, &mut pos)?));
-                        }
-                        callbacks.push((m, args));
-                    }
-                    data.push(DataRec::Native { ret, callbacks });
-                }
-                _ => return None,
-            }
-        }
-        if pos != buf.len() {
-            return None;
-        }
-        Some(Trace {
-            paranoid,
-            switches,
-            data,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -268,71 +216,9 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_plain() {
-        let t = sample(false);
-        assert_eq!(Trace::decode(&t.encoded()).unwrap(), t);
-    }
-
-    #[test]
-    fn roundtrip_paranoid() {
-        let t = sample(true);
-        assert_eq!(Trace::decode(&t.encoded()).unwrap(), t);
-    }
-
-    #[test]
-    fn corrupt_rejected() {
-        let t = sample(false);
-        let mut buf = t.encoded();
-        buf[0] = b'X';
-        assert!(Trace::decode(&buf).is_none());
-        let mut buf2 = t.encoded();
-        buf2.truncate(buf2.len() - 1);
-        assert!(Trace::decode(&buf2).is_none());
-        let mut buf3 = t.encoded();
-        buf3.push(0);
-        assert!(Trace::decode(&buf3).is_none());
-    }
-
-    #[test]
-    fn roundtrip_empty_trace() {
-        let t = Trace::default();
-        assert_eq!(Trace::decode(&t.encoded()).unwrap(), t);
-        // Header + two zero-length stream counts.
-        assert_eq!(t.encoded().len(), 7);
-    }
-
-    #[test]
-    fn roundtrip_max_nyp_delta() {
-        // A replay that never preempts until the very end of a long run:
-        // the nyp delta can be any u64.
-        let t = Trace {
-            paranoid: false,
-            switches: vec![
-                SwitchRec {
-                    nyp: u64::MAX,
-                    check_tid: u32::MAX,
-                },
-                SwitchRec {
-                    nyp: 1,
-                    check_tid: u32::MAX,
-                },
-            ],
-            data: vec![DataRec::Clock(i64::MIN)],
-        };
-        assert_eq!(Trace::decode(&t.encoded()).unwrap(), t);
-    }
-
-    #[test]
-    fn roundtrip_paranoid_max_tid() {
-        let t = Trace {
-            paranoid: true,
-            switches: vec![SwitchRec {
-                nyp: u64::MAX,
-                check_tid: u32::MAX,
-            }],
-            data: vec![],
-        };
-        assert_eq!(Trace::decode(&t.encoded()).unwrap(), t);
+    fn empty_trace_is_its_header() {
+        // Magic, flags byte and two zero-length stream counts.
+        assert_eq!(Trace::default().encoded().len(), 7);
     }
 
     #[test]

@@ -544,8 +544,8 @@ fn timed_waits_multi_seed() {
 fn trace_roundtrips_through_binary_encoding() {
     let s = spec(racy_counter(200), 5);
     let (rec, trace) = record_run(&s, |_| {}, SymmetryConfig::full(), false);
-    let bytes = trace.encoded();
-    let decoded = dejavu::Trace::decode(&bytes).unwrap();
+    let bytes = dejavu::encode_trace(&trace, dejavu::TraceFormat::Block, 64);
+    let decoded = dejavu::ingest_bytes(bytes).unwrap().trace;
     assert_eq!(decoded, trace);
     let (rep, desyncs) = replay_run(&s, decoded, SymmetryConfig::full());
     assert!(desyncs.is_empty());

@@ -150,13 +150,6 @@ fn a_program_with_no_preemption_needs_no_switch_records() {
 }
 
 #[test]
-fn trace_decode_rejects_garbage() {
-    assert!(Trace::decode(b"").is_none());
-    assert!(Trace::decode(b"nope").is_none());
-    assert!(Trace::decode(&[0xFF; 64]).is_none());
-}
-
-#[test]
 fn empty_trace_replays_an_unpreempted_prefix() {
     // Replaying an empty trace = "no preemptions, no data": fine for a
     // program that needs neither.

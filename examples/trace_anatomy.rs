@@ -50,11 +50,7 @@ fn main() {
         }
     }
 
-    // The binary encoding round-trips.
-    let bytes = trace.encoded();
-    let decoded = dejavu::Trace::decode(&bytes).unwrap();
-    assert_eq!(decoded, trace);
-    println!("\nbinary encoding: {} bytes, round-trips ✓", bytes.len());
+    println!("\nflat binary encoding: {} bytes", trace.encoded().len());
 
     println!("\n== the same execution under every scheme (paper §5) ==");
     let row = trace_size_comparison("producer_consumer", &spec, w.natives);

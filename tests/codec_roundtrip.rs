@@ -5,15 +5,15 @@
 use codec::{FromJson, ToJson};
 use debugger::protocol::{Command, Response};
 use debugger::{FrameInfo, StopReason, ThreadInfo};
-use dejavu::{DataRec, SwitchRec, Trace};
+use dejavu::{encode_trace, ingest_bytes, DataRec, SwitchRec, Trace, TraceFormat};
 
 // ---------------------------------------------------------------------
 // Binary trace format
 // ---------------------------------------------------------------------
 
 fn bin_roundtrip(t: &Trace) {
-    let bytes = t.encoded();
-    let back = Trace::decode(&bytes).expect("decode");
+    let bytes = encode_trace(t, TraceFormat::Block, 2);
+    let back = ingest_bytes(bytes).expect("decode").trace;
     assert_eq!(&back, t);
 }
 
@@ -30,11 +30,11 @@ fn paranoid_trace_roundtrips() {
         paranoid: true,
         switches: vec![
             SwitchRec {
-                nyp: 0,
+                nyp: 1,
                 check_tid: 0,
             },
             SwitchRec {
-                nyp: 1,
+                nyp: 2,
                 check_tid: 3,
             },
             SwitchRec {
@@ -75,22 +75,22 @@ fn extreme_values_roundtrip() {
 
 #[test]
 fn truncated_trace_rejected() {
-    let full = Trace {
+    let trace = Trace {
         paranoid: true,
         switches: vec![SwitchRec {
             nyp: 500_000,
             check_tid: 2,
         }],
         data: vec![DataRec::Clock(123_456_789)],
-    }
-    .encoded();
+    };
+    let full = encode_trace(&trace, TraceFormat::Block, 2);
     for cut in 0..full.len() {
         assert!(
-            Trace::decode(&full[..cut]).is_none(),
+            ingest_bytes(full[..cut].to_vec()).is_err(),
             "prefix of {cut} bytes decoded"
         );
     }
-    assert!(Trace::decode(b"NOPE").is_none());
+    assert!(ingest_bytes(b"NOPE".to_vec()).is_err());
 }
 
 // ---------------------------------------------------------------------

@@ -19,7 +19,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 fn gen_trace(g: &mut Gen) -> Trace {
     let paranoid = g.bool();
     let switches = g.vec_of(0, 40, |g| SwitchRec {
-        nyp: g.u64_in(0, 50_000),
+        nyp: g.u64_in(1, 50_000),
         check_tid: if paranoid {
             g.u64_in(0, 5) as u32
         } else {
@@ -81,7 +81,6 @@ fn exercise_decoders(bytes: &[u8]) {
     if let Ok(got) = ingest_bytes(bytes.to_vec()) {
         let _ = got.trace.stats();
     }
-    let _ = Trace::decode(bytes);
     if let Ok(bf) = BlockFile::parse(bytes.to_vec()) {
         let _ = bf.verify();
         let _ = bf.crc_status();
@@ -97,14 +96,26 @@ fn exercise_decoders(bytes: &[u8]) {
 #[test]
 fn mutated_djvb_bytes_never_panic() {
     check("mutated_djvb_bytes_never_panic", 600, |g| {
-        let trace = gen_trace(g);
-        let format = if g.bool() {
-            TraceFormat::Block
-        } else {
-            TraceFormat::Flat
-        };
+        let mut trace = gen_trace(g);
+        // One mutation the writer spells faithfully: a switch taken zero
+        // yield points after the last. No recorder logs one (Fig. 2), a
+        // replayer counting it down would never switch again, and every
+        // door refuses it.
+        let zeroed = !trace.switches.is_empty() && g.usize_in(0, 3) == 0;
+        if zeroed {
+            let i = g.usize_in(0, trace.switches.len() - 1);
+            trace.switches[i].nyp = 0;
+        }
         let budget = [24, 48, 96, 4096][g.usize_in(0, 3)];
-        let mut bytes = encode_trace(&trace, format, budget);
+        let mut bytes = if g.bool() {
+            encode_trace(&trace, TraceFormat::Block, budget)
+        } else {
+            trace.encoded()
+        };
+        if zeroed {
+            let refused = ingest_bytes(bytes.clone()).is_err();
+            qc_assert!(refused, "a zero yield-point delta was ingested");
+        }
         let mutations = g.usize_in(1, 8);
         for _ in 0..mutations {
             mutate(g, &mut bytes);

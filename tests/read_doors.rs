@@ -183,6 +183,75 @@ fn respelled_files_are_one_typed_error_at_every_read_door() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A switch record zero yield points after the last one is not a trace:
+/// a preemptive switch is taken *at* a counted yield point (Fig. 2), so a
+/// recorder never logs one, and a replayer would count it down past zero
+/// (a dead fleet worker in a debug build; in a release build a "clean"
+/// replay to some other run's state). The writer frames such a file
+/// faithfully, so it is refused where events are decoded — every door
+/// that leads to a replay. The two doors that move bytes without decoding
+/// them (`trace inspect`, an unverified store put) treat it like any
+/// other payload, and the store's read side refuses it.
+#[test]
+fn a_zero_yield_point_delta_is_refused_at_every_door_that_decodes_events() {
+    let dir = scratch("zero-delta");
+    let w = workload("racy_counter");
+    let spec = spec_for(&w, 7);
+    let (rec, mut trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
+    let djvb = encode_trace(&trace, TraceFormat::Block, DEFAULT_BLOCK_BUDGET);
+    trace.switches[1].nyp = 0;
+    let crafted = encode_trace(&trace, TraceFormat::Block, DEFAULT_BLOCK_BUDGET);
+
+    // The library doors.
+    let refused = ingest_bytes(crafted.clone()).unwrap_err();
+    assert!(matches!(refused, TraceError::Corrupt(_)), "{refused}");
+    let bf = BlockFile::parse(crafted.clone()).expect("the framing is the writer's own");
+    assert_eq!(bf.verify().unwrap_err(), refused);
+    let dbg = DebugSession::from_trace_bytes(&spec, &crafted, 5_000);
+    assert_eq!(dbg.err(), Some(refused.clone()));
+    let store = Store::open(&dir.join("store")).unwrap();
+    let unread = store.put_bytes("racy_counter", 7, &crafted, 0, "").unwrap();
+    let err = store.open_trace(&unread.entry).unwrap_err();
+    assert_eq!(err, StoreError::Trace(refused.clone()));
+    assert_eq!(err.code(), 1);
+
+    // The fleet door: error code 1, the session back in `Recording`
+    // and accepting the honest file, which replays to the recorded run.
+    let fleet = SessionManager::new();
+    let id = fleet.open("racy_counter", 7).unwrap();
+    match fleet.dispatch(ingest(id, &crafted)) {
+        Response::Error { code: 1, message } => {
+            assert!(message.contains(&refused.to_string()), "{message}")
+        }
+        other => panic!("crafted upload: {other:?}"),
+    }
+    assert_eq!(fleet.get(id).unwrap().lock().unwrap().phase.name(), "Recording");
+    let retried = fleet.dispatch(ingest(id, &djvb));
+    assert!(matches!(retried, Response::Ingested { .. }), "{retried:?}");
+    match fleet.dispatch(Request::Replay { session: id }) {
+        Response::Replayed {
+            fingerprint, clean, ..
+        } => assert!(clean && fingerprint == rec.fingerprint),
+        other => panic!("replay after retry: {other:?}"),
+    }
+
+    // The CLI doors: exit 1, same message.
+    let file = dir.join("zero-delta.djvb");
+    std::fs::write(&file, &crafted).unwrap();
+    let (file, root) = (file.to_str().unwrap(), dir.join("cli-store"));
+    let doors: [&[&str]; 3] = [
+        &["replay", "racy_counter", "7", file],
+        &["profile", "racy_counter", "7", file],
+        &["store", "put", root.to_str().unwrap(), "racy_counter", "7", file],
+    ];
+    for door in doors {
+        let (code, err) = cli(door);
+        assert_eq!(code, 1, "{door:?}: {err}");
+        assert!(err.contains(&refused.to_string()), "{door:?}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn a_fleet_record_and_an_upload_of_the_same_run_share_one_store_entry() {
     let dir = scratch("identity");

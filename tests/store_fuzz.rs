@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 fn gen_trace(g: &mut Gen) -> Trace {
     let paranoid = g.bool();
     let switches = g.vec_of(1, 30, |g| SwitchRec {
-        nyp: g.u64_in(0, 50_000),
+        nyp: g.u64_in(1, 50_000),
         check_tid: if paranoid {
             g.u64_in(0, 5) as u32
         } else {
@@ -351,7 +351,7 @@ fn crafted_store_damage_is_typed() {
         paranoid: false,
         switches: (0..40)
             .map(|i| SwitchRec {
-                nyp: i * 17,
+                nyp: 1 + i * 17,
                 check_tid: u32::MAX,
             })
             .collect(),
