@@ -238,6 +238,59 @@ fn store_backed_fleet_dedups_ingests_and_serves_open_stored() {
     server.join();
 }
 
+/// ROADMAP item 8's fleet spelling of the store's four-writer case: one
+/// connection `Record`s a run while three upload the same run, all sealing
+/// at once. The catalog counts four puts and keeps the fingerprint only
+/// the `Record` knew.
+#[test]
+fn four_connections_sealing_one_run_merge_into_one_store_entry() {
+    let root = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("fleet-four-writers");
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).unwrap();
+    let server = FleetServer::start(
+        "127.0.0.1:0",
+        FleetConfig {
+            workers: 4,
+            shutdown_token: "test-token".to_string(),
+            store_root: Some(root),
+            ..FleetConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let addr = server.addr().to_string();
+    let store = server.manager().store().expect("store attached").clone();
+
+    let w = workload("fig1_cd");
+    for seed in 40u64..48 {
+        let (rec, trace) = record_run(&spec_for(&w, seed), w.natives, SymmetryConfig::full(), true);
+        let bytes = encode_trace(&trace, TraceFormat::Block, DEFAULT_BLOCK_BUDGET);
+        let gate = std::sync::Arc::new(std::sync::Barrier::new(4));
+        let sealers: Vec<_> = (0..4)
+            .map(|i| {
+                let (addr, gate, bytes) = (addr.clone(), gate.clone(), bytes.clone());
+                std::thread::spawn(move || {
+                    let mut client = FleetClient::connect(&addr).expect("connect");
+                    let id = client.open("fig1_cd", seed).expect("open");
+                    gate.wait();
+                    if i == 0 {
+                        let sealed = client.call(&Request::Record { session: id });
+                        assert!(matches!(sealed, Ok(Response::Recorded { .. })), "{sealed:?}");
+                    } else {
+                        client.ingest_trace(id, &bytes).expect("ingest");
+                    }
+                })
+            })
+            .collect();
+        sealers.into_iter().for_each(|s| s.join().expect("sealer"));
+        let entries = store.entries().expect("catalog");
+        let e = entries.iter().find(|e| e.seed == seed).expect("entry for seed");
+        assert_eq!((e.puts, e.fingerprint), (4, rec.fingerprint), "seed {seed}");
+    }
+
+    server.trigger_shutdown();
+    server.join();
+}
+
 #[test]
 fn unknown_session_and_bad_workload_are_typed_errors() {
     let server = start_server(2);

@@ -128,6 +128,12 @@ struct State {
 pub struct Store {
     backend: Backend,
     state: Mutex<State>,
+    /// Held across a catalog manifest's read-modify-write, so two puts of
+    /// one run in this process merge (`puts` counts both, a verified
+    /// fingerprint survives an unverified put) instead of the later write
+    /// winning. Block writes stay outside it. A second *process* on the
+    /// same root is still unserialised (ROADMAP item 8).
+    manifests: Mutex<()>,
 }
 
 impl Store {
@@ -143,6 +149,7 @@ impl Store {
                 cache: BlockCache::new(DEFAULT_CACHE_BLOCKS),
                 metrics: Registry::new(),
             }),
+            manifests: Mutex::new(()),
         })
     }
 
@@ -203,6 +210,9 @@ impl Store {
 
         let path = self.backend.catalog_path(&id);
         let mut new_entry = true;
+        // (Poison: a put that panicked here wrote its manifest atomically
+        // or not at all.)
+        let merging = self.manifests.lock().unwrap_or_else(|p| p.into_inner());
         if path.exists() {
             let existing = self.read_entry(&id)?;
             if existing.fingerprint != 0 && fingerprint != 0 && existing.fingerprint != fingerprint
@@ -231,6 +241,7 @@ impl Store {
         }
         self.backend
             .write_atomic(&path, entry.to_json().to_string().as_bytes())?;
+        drop(merging);
 
         let mut st = self.lock();
         if new_entry {

@@ -206,6 +206,33 @@ fn compaction_under_concurrent_ingest_preserves_fingerprints() {
     replays_as_recorded(name, *seed, *fp, id);
 }
 
+/// Four sessions sealing one run at once — one that recorded it and knows
+/// its fingerprint, three uploads that do not — merge into one entry: no
+/// put is lost, and the verified fingerprint is never overwritten by 0.
+#[test]
+fn four_writers_of_one_run_merge_into_one_entry() {
+    let (fingerprint, _, bytes) = record("fig1_cd", 3);
+    let bytes = Arc::new(bytes);
+    for round in 0..40 {
+        let store = Arc::new(Store::open(&scratch("four-writers")).unwrap());
+        let gate = Arc::new(std::sync::Barrier::new(4));
+        let writers: Vec<_> = [fingerprint, 0, 0, 0]
+            .into_iter()
+            .map(|fp| {
+                let (store, gate, bytes) = (store.clone(), gate.clone(), bytes.clone());
+                std::thread::spawn(move || {
+                    gate.wait();
+                    store.put_bytes("fig1_cd", 3, &bytes, fp, "").unwrap();
+                })
+            })
+            .collect();
+        writers.into_iter().for_each(|w| w.join().unwrap());
+        let entries = store.entries().unwrap();
+        assert_eq!(entries.len(), 1, "round {round}");
+        assert_eq!((entries[0].puts, entries[0].fingerprint), (4, fingerprint), "round {round}");
+    }
+}
+
 #[test]
 fn corrupt_block_file_is_typed_not_panic() {
     let root = scratch("corrupt");
