@@ -184,21 +184,27 @@ fn status_name(s: &VmStatus) -> &'static str {
     }
 }
 
+/// Every [`VmCounters`] field by name, alphabetically.
+fn counter_pairs(c: &VmCounters) -> [(&'static str, u64); 11] {
+    [
+        ("class_loads", c.class_loads),
+        ("clock_reads", c.clock_reads),
+        ("io_reads", c.io_reads),
+        ("io_writes", c.io_writes),
+        ("methods_compiled", c.methods_compiled),
+        ("native_calls", c.native_calls),
+        ("preemptive_switches", c.preemptive_switches),
+        ("stack_growths", c.stack_growths),
+        ("steps", c.steps),
+        ("thread_switches", c.thread_switches),
+        ("yield_points", c.yield_points),
+    ]
+}
+
 /// Deterministic JSON view of the VM's event counters (alphabetical keys).
 pub fn counters_json(c: &VmCounters) -> Json {
-    Json::obj(vec![
-        ("class_loads", Json::UInt(c.class_loads)),
-        ("clock_reads", Json::UInt(c.clock_reads)),
-        ("io_reads", Json::UInt(c.io_reads)),
-        ("io_writes", Json::UInt(c.io_writes)),
-        ("methods_compiled", Json::UInt(c.methods_compiled)),
-        ("native_calls", Json::UInt(c.native_calls)),
-        ("preemptive_switches", Json::UInt(c.preemptive_switches)),
-        ("stack_growths", Json::UInt(c.stack_growths)),
-        ("steps", Json::UInt(c.steps)),
-        ("thread_switches", Json::UInt(c.thread_switches)),
-        ("yield_points", Json::UInt(c.yield_points)),
-    ])
+    let pairs = counter_pairs(c).map(|(name, v)| (name, Json::UInt(v)));
+    Json::obj(pairs.to_vec())
 }
 
 /// The canonical metrics document for one run. Byte-deterministic: no
@@ -263,22 +269,6 @@ pub struct DivergenceReport {
     pub record_ring_dropped: u64,
     /// Same, for the replay side.
     pub replay_ring_dropped: u64,
-}
-
-fn counter_pairs(c: &VmCounters) -> [(&'static str, u64); 11] {
-    [
-        ("class_loads", c.class_loads),
-        ("clock_reads", c.clock_reads),
-        ("io_reads", c.io_reads),
-        ("io_writes", c.io_writes),
-        ("methods_compiled", c.methods_compiled),
-        ("native_calls", c.native_calls),
-        ("preemptive_switches", c.preemptive_switches),
-        ("stack_growths", c.stack_growths),
-        ("steps", c.steps),
-        ("thread_switches", c.thread_switches),
-        ("yield_points", c.yield_points),
-    ]
 }
 
 impl DivergenceReport {

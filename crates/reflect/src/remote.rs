@@ -25,7 +25,7 @@
 
 use crate::memory::ProcessMemory;
 use djvm::heap::{Addr, Header};
-use djvm::{MethodId, Op, Program, Ty};
+use djvm::{AluFn, CmpFn, MethodId, Op, Program, Ty};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -203,34 +203,17 @@ impl<'m> RemoteReflector<'m> {
                 | Op::Ge => {
                     let b = pop_int!();
                     let a = pop_int!();
-                    let r = match op {
-                        Op::Add => a.wrapping_add(b),
-                        Op::Sub => a.wrapping_sub(b),
-                        Op::Mul => a.wrapping_mul(b),
-                        Op::Div => {
-                            if b == 0 {
-                                return Err(ReflectError::Internal("div0"));
-                            }
-                            a.wrapping_div(b)
+                    // The application VM's own arithmetic; only the
+                    // two ops that can fail are spelled here.
+                    let r = match (AluFn::of(op), CmpFn::of(op)) {
+                        (Some(f), _) => f.apply(a, b),
+                        (_, Some(f)) => f.apply(a, b) as i64,
+                        _ if b == 0 && op == Op::Div => {
+                            return Err(ReflectError::Internal("div0"))
                         }
-                        Op::Rem => {
-                            if b == 0 {
-                                return Err(ReflectError::Internal("rem0"));
-                            }
-                            a.wrapping_rem(b)
-                        }
-                        Op::BitAnd => a & b,
-                        Op::BitOr => a | b,
-                        Op::BitXor => a ^ b,
-                        Op::Shl => a.wrapping_shl(b as u32 & 63),
-                        Op::Shr => a.wrapping_shr(b as u32 & 63),
-                        Op::Eq => (a == b) as i64,
-                        Op::Ne => (a != b) as i64,
-                        Op::Lt => (a < b) as i64,
-                        Op::Le => (a <= b) as i64,
-                        Op::Gt => (a > b) as i64,
-                        Op::Ge => (a >= b) as i64,
-                        _ => unreachable!(),
+                        _ if b == 0 => return Err(ReflectError::Internal("rem0")),
+                        _ if op == Op::Div => a.wrapping_div(b),
+                        _ => a.wrapping_rem(b),
                     };
                     stack.push(TVal::Int(r));
                 }
