@@ -604,8 +604,8 @@ const MAX_OPERAND_STACK: usize = 4096;
 /// [`crate::builder::ProgramBuilder::finish`], which has already added
 /// the builtins.
 pub(crate) fn compile_program(program: &mut Program) -> Result<(), CompileError> {
-    let types = |p: &Program, is_classobj| {
-        let decls = |c| p.slot_decls(c as ClassId, is_classobj);
+    let types = |p: &Program, statics| {
+        let decls = |c| p.slot_decls(c as ClassId, statics);
         let tys = |c| decls(c).iter().map(|f| f.ty).collect();
         (0..p.classes.len()).map(tys).collect()
     };

@@ -401,7 +401,7 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 
-echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one replay loop, no env knobs =="
+echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one replay loop, one reference map, no env knobs =="
 fail=0
 # Only the property harness reads the environment (QC_CASES / QC_SEED).
 if grep -rn 'env::var' crates src --include=*.rs | grep -v '^src/qc\.rs:'; then
@@ -513,6 +513,34 @@ if grep -vE '^(//!|pub use dejavu::timetravel::\{[A-Za-z, ]*\};$)' crates/baseli
     echo "verify: baselines/src/checkpoint.rs holds more than the re-export of dejavu::timetravel" >&2
     fail=1
 fi
+# One reference map: the root set, the frame-slot walk over the per-pc
+# reference maps and the statics-or-fields layout choice are each written in
+# one function; mark, copy and the state digest are policies over them.
+both() { # functions of djvm + reflect naming both patterns
+    comm -12 <(find crates/djvm/src crates/reflect/src -name '*.rs' | fns_naming "$1") \
+        <(find crates/djvm/src crates/reflect/src -name '*.rs' | fns_naming "$2")
+}
+one_fn() { # what, the functions found, the one expected
+    if [ "$2" != "$3" ]; then
+        echo "verify: $1 in other than '$3':" >&2
+        printf '%s\n' "$2" >&2
+        fail=1
+    fi
+}
+one_fn "the root set (.code_objects beside .io_read_scratch) is walked" \
+    "$(both '\.code_objects' '\.io_read_scratch' | grep -vE ': fn (snapshot|restore)$' || true)" \
+    "crates/djvm/src/vm.rs: fn each_root"
+one_fn "a per-pc reference map is indexed" \
+    "$(both 'ref_maps\[' 'ref_maps\[' | grep -vE '/(compile|dis)\.rs:' || true)" \
+    "crates/djvm/src/vm.rs: fn frame_slots"
+one_fn "statics-or-fields (is_classobj beside static_layouts) is chosen" \
+    "$(both 'is_classobj' 'static_layouts')" \
+    "crates/djvm/src/program.rs: fn layout_of"
+if grep -rnE 'TraceFormat::Flat|Trace::decode|fn (root_values|frame_refs|push_children)\b' \
+    crates src tests examples --include=*.rs; then
+    echo "verify: the flat trace reader, or a per-collector copy of the reference walk, is back" >&2
+    fail=1
+fi
 [ "$fail" -eq 0 ]
 echo "surface: $(git ls-files '*.rs' '*.sh' ':!benchmark' | xargs cat | wc -l) lines of .rs/.sh outside benchmark/"
 # Lines before the first `#[cfg(test)]` (all of a file that has none), summed.
@@ -524,6 +552,7 @@ nontest() {
 d=crates/djvm/src
 echo "surface: $(nontest $d/interp.rs $d/compile.rs $d/dis.rs) non-test lines in djvm's interp.rs + compile.rs + dis.rs, $(nontest $d/*.rs) in all of $d"
 echo "surface: $(nontest $d/interp.rs $d/compile.rs) non-test lines in interp.rs + compile.rs"
+echo "surface: $(nontest $d/gc.rs $d/vm.rs $d/heap.rs) non-test lines in gc.rs + vm.rs + heap.rs"
 echo "surface: $(nontest crates/dejavu/src/blocktrace.rs crates/store/src/*.rs) non-test lines in dejavu's blocktrace.rs + crates/store/src/*.rs"
 echo "surface: $(nontest $d/interp.rs crates/dejavu/src/timetravel.rs crates/debugger/src/engine.rs crates/fleet/src/session.rs) non-test lines in interp.rs + dejavu's timetravel.rs + debugger's engine.rs + fleet's session.rs"
 
