@@ -259,6 +259,16 @@ fn replay_works_under_mark_sweep_pressure() {
     assert!(rec.gc_collections > 0);
 }
 
+/// A registry workload on a heap small enough that it collects.
+fn small_heap_spec(w: &workloads::Workload, gc: GcKind, heap_words: usize) -> ExecSpec {
+    let mut s = ExecSpec::new((w.build)()).with_seed(7);
+    s.timer_base = 53;
+    s.timer_jitter = 19;
+    s.vm.gc = gc;
+    s.vm.heap_words = heap_words;
+    s
+}
+
 /// Every registry workload under both collectors at three heap sizes, the
 /// copying collector at twice the words so both have the same allocatable
 /// space. Replay is accurate in every cell, an `OutOfMemory` exit
@@ -270,11 +280,7 @@ fn both_collectors_replay_the_whole_registry() {
     for w in workloads::registry() {
         for h in [8192, 4096, 2048] {
             let [ms, cp] = [(GcKind::MarkSweep, h), (GcKind::Copying, 2 * h)].map(|(gc, words)| {
-                let mut s = ExecSpec::new((w.build)()).with_seed(7);
-                s.timer_base = 53;
-                s.timer_jitter = 19;
-                s.vm.gc = gc;
-                s.vm.heap_words = words;
+                let s = small_heap_spec(&w, gc, words);
                 let (rec, rep, ok) = record_replay(&s, w.natives, SymmetryConfig::full());
                 assert!(
                     ok,
@@ -393,11 +399,7 @@ fn collectors_leave_the_golden_heap() {
             (Copying, 4096),
         ] {
             let w = workloads::registry().into_iter().find(|w| w.name == name);
-            let mut s = ExecSpec::new((w.unwrap().build)()).with_seed(7);
-            s.timer_base = 53;
-            s.timer_jitter = 19;
-            s.vm.gc = gc;
-            s.vm.heap_words = words;
+            let s = small_heap_spec(&w.unwrap(), gc, words);
             let mut vm = s.live_vm();
             djvm::interp::run(&mut vm, &mut djvm::Passthrough, s.max_steps);
             let mem = vm.heap.mem_snapshot();

@@ -604,13 +604,13 @@ const MAX_OPERAND_STACK: usize = 4096;
 /// [`crate::builder::ProgramBuilder::finish`], which has already added
 /// the builtins.
 pub(crate) fn compile_program(program: &mut Program) -> Result<(), CompileError> {
-    let types = |p: &Program, statics| {
-        let decls = |c| p.slot_decls(c as ClassId, statics);
-        let tys = |c| decls(c).iter().map(|f| f.ty).collect();
-        (0..p.classes.len()).map(tys).collect()
+    let layouts = |p: &Program, statics: bool| -> Vec<Vec<Ty>> {
+        (0..p.classes.len() as ClassId)
+            .map(|c| p.slot_decls(c, statics).iter().map(|f| f.ty).collect())
+            .collect()
     };
-    program.field_layouts = types(program, false);
-    program.static_layouts = types(program, true);
+    program.field_layouts = layouts(program, false);
+    program.static_layouts = layouts(program, true);
 
     for id in 0..program.methods.len() {
         let method = &program.methods[id];

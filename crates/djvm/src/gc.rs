@@ -150,31 +150,30 @@ fn mark_sweep(vm: &mut Vm) {
 // Semispace copying
 // ---------------------------------------------------------------------
 
-/// Forward the reference in heap word `slot`: copy its target to to-space
-/// (at the heap's bump pointer, which is to-space's for the length of a
-/// collection) unless it already was, and rewrite the slot.
-fn forward_slot(heap: &mut Heap, program: &Program, slot: Addr) {
-    let mut a = heap.mem[slot as usize];
-    forward(heap, program, &mut a);
-    heap.mem[slot as usize] = a;
-}
-
-fn forward(heap: &mut Heap, program: &Program, slot: &mut Addr) {
-    let a = *slot;
+/// Forward one reference: copy its target to to-space (at the heap's bump
+/// pointer, which is to-space's for the length of a collection) unless it
+/// already was, and return where it lives now.
+fn forward(heap: &mut Heap, program: &Program, a: Addr) -> Addr {
     if a == NULL {
-        return;
+        return NULL;
     }
     let raw = heap.raw_header(a);
     if is_forwarded(raw) {
-        *slot = forward_target(raw);
-        return;
+        return forward_target(raw);
     }
     let words = heap.object_words(a, program);
-    *slot = heap.bump as Addr;
-    heap.mem.copy_within(a as usize..a as usize + words, heap.bump);
+    let new = heap.bump as Addr;
+    heap.mem
+        .copy_within(a as usize..a as usize + words, heap.bump);
     heap.bump += words;
-    heap.set_raw_header(a, forward_word(*slot));
+    heap.set_raw_header(a, forward_word(new));
     heap.stats.words_copied_or_swept += words as u64;
+    new
+}
+
+/// [`forward`] the reference held in heap word `slot`.
+fn forward_slot(heap: &mut Heap, program: &Program, slot: Addr) {
+    heap.mem[slot as usize] = forward(heap, program, heap.mem[slot as usize]);
 }
 
 fn copying(vm: &mut Vm) {
@@ -191,7 +190,7 @@ fn copying(vm: &mut Vm) {
     // Roots, rewritten in place. Only this collector moves an activation
     // stack, so the rebase of each thread's registers is its own.
     let old_stacks: Vec<Addr> = vm.threads.iter().map(|t| t.stack_obj).collect();
-    vm.each_root(|heap, slot| forward(heap, &program, slot));
+    vm.each_root(|heap, slot| *slot = forward(heap, &program, *slot));
     for (t, old) in vm.threads.iter_mut().zip(old_stacks) {
         if old != NULL {
             t.rebase_stack(&mut vm.heap, t.stack_obj.wrapping_sub(old));

@@ -208,9 +208,7 @@ impl<'m> RemoteReflector<'m> {
                     let r = match (AluFn::of(op), CmpFn::of(op)) {
                         (Some(f), _) => f.apply(a, b),
                         (_, Some(f)) => f.apply(a, b) as i64,
-                        _ if b == 0 && op == Op::Div => {
-                            return Err(ReflectError::Internal("div0"))
-                        }
+                        _ if b == 0 && op == Op::Div => return Err(ReflectError::Internal("div0")),
                         _ if b == 0 => return Err(ReflectError::Internal("rem0")),
                         _ if op == Op::Div => a.wrapping_div(b),
                         _ => a.wrapping_rem(b),

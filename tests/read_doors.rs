@@ -43,6 +43,38 @@ fn workload(name: &str) -> workloads::Workload {
     found.expect("workload in registry")
 }
 
+/// The CLI doors: exit 1, the library's message.
+fn cli_refuses(doors: &[&[&str]], refused: &TraceError) {
+    for door in doors {
+        let (code, err) = cli(door);
+        assert_eq!(code, 1, "{door:?}: {err}");
+        assert!(err.contains(&refused.to_string()), "{door:?}: {err}");
+    }
+}
+
+/// The fleet door, on a `racy_counter` session: `bad` is error code 1 with
+/// the library's message and leaves the session in `Recording`, where it
+/// takes the honest file and replays it to the recorded run.
+fn fleet_refuses_then_replays(seed: u64, bad: &[u8], refused: &TraceError, djvb: &[u8], want: u64) {
+    let fleet = SessionManager::new();
+    let id = fleet.open("racy_counter", seed).unwrap();
+    match fleet.dispatch(ingest(id, bad)) {
+        Response::Error { code: 1, message } => {
+            assert!(message.contains(&refused.to_string()), "{message}")
+        }
+        other => panic!("refused upload: {other:?}"),
+    }
+    assert_eq!(fleet.get(id).unwrap().lock().unwrap().phase.name(), "Recording");
+    let retried = fleet.dispatch(ingest(id, djvb));
+    assert!(matches!(retried, Response::Ingested { .. }), "{retried:?}");
+    match fleet.dispatch(Request::Replay { session: id }) {
+        Response::Replayed {
+            fingerprint, clean, ..
+        } => assert!(clean && fingerprint == want),
+        other => panic!("replay after retry: {other:?}"),
+    }
+}
+
 fn ingest(session: u64, bytes: &[u8]) -> Request {
     Request::IngestBlocks {
         session,
@@ -70,25 +102,7 @@ fn flat_bytes_are_one_typed_error_at_every_read_door() {
     assert_eq!(err, StoreError::Trace(refused.clone()));
     assert_eq!(err.code(), 1);
 
-    // The fleet door: error code 1, the session back in `Recording`
-    // and accepting a DJVB retry that replays to the recorded run.
-    let fleet = SessionManager::new();
-    let id = fleet.open("racy_counter", 3).unwrap();
-    match fleet.dispatch(ingest(id, &flat)) {
-        Response::Error { code: 1, message } => {
-            assert!(message.contains(&refused.to_string()), "{message}")
-        }
-        other => panic!("flat upload: {other:?}"),
-    }
-    assert_eq!(fleet.get(id).unwrap().lock().unwrap().phase.name(), "Recording");
-    let retried = fleet.dispatch(ingest(id, &djvb));
-    assert!(matches!(retried, Response::Ingested { .. }), "{retried:?}");
-    match fleet.dispatch(Request::Replay { session: id }) {
-        Response::Replayed {
-            fingerprint, clean, ..
-        } => assert!(clean && fingerprint == rec.fingerprint),
-        other => panic!("replay after retry: {other:?}"),
-    }
+    fleet_refuses_then_replays(3, &flat, &refused, &djvb, rec.fingerprint);
 
     // The CLI doors: exit 1, same message.
     let file = dir.join("flat.djv1");
@@ -100,11 +114,7 @@ fn flat_bytes_are_one_typed_error_at_every_read_door() {
         &["store", "put", root.to_str().unwrap(), "racy_counter", "3", file],
         &["trace", "inspect", file],
     ];
-    for door in doors {
-        let (code, err) = cli(door);
-        assert_eq!(code, 1, "{door:?}: {err}");
-        assert!(err.contains(&refused.to_string()), "{door:?}: {err}");
-    }
+    cli_refuses(&doors, &refused);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -166,11 +176,7 @@ fn respelled_files_are_one_typed_error_at_every_read_door() {
             &["store", "put", root.to_str().unwrap(), "fig1_cd", "5", file, "--no-verify"],
             &["trace", "inspect", file],
         ];
-        for door in doors {
-            let (code, err) = cli(door);
-            assert_eq!(code, 1, "{door:?}: {err}");
-            assert!(err.contains(&refused.to_string()), "{door:?}: {err}");
-        }
+        cli_refuses(&doors, &refused);
 
         // Nothing behind the doors moved.
         let entries = store.entries().unwrap();
@@ -215,25 +221,7 @@ fn a_zero_yield_point_delta_is_refused_at_every_door_that_decodes_events() {
     assert_eq!(err, StoreError::Trace(refused.clone()));
     assert_eq!(err.code(), 1);
 
-    // The fleet door: error code 1, the session back in `Recording`
-    // and accepting the honest file, which replays to the recorded run.
-    let fleet = SessionManager::new();
-    let id = fleet.open("racy_counter", 7).unwrap();
-    match fleet.dispatch(ingest(id, &crafted)) {
-        Response::Error { code: 1, message } => {
-            assert!(message.contains(&refused.to_string()), "{message}")
-        }
-        other => panic!("crafted upload: {other:?}"),
-    }
-    assert_eq!(fleet.get(id).unwrap().lock().unwrap().phase.name(), "Recording");
-    let retried = fleet.dispatch(ingest(id, &djvb));
-    assert!(matches!(retried, Response::Ingested { .. }), "{retried:?}");
-    match fleet.dispatch(Request::Replay { session: id }) {
-        Response::Replayed {
-            fingerprint, clean, ..
-        } => assert!(clean && fingerprint == rec.fingerprint),
-        other => panic!("replay after retry: {other:?}"),
-    }
+    fleet_refuses_then_replays(7, &crafted, &refused, &djvb, rec.fingerprint);
 
     // The CLI doors: exit 1, same message.
     let file = dir.join("zero-delta.djvb");
@@ -244,11 +232,7 @@ fn a_zero_yield_point_delta_is_refused_at_every_door_that_decodes_events() {
         &["profile", "racy_counter", "7", file],
         &["store", "put", root.to_str().unwrap(), "racy_counter", "7", file],
     ];
-    for door in doors {
-        let (code, err) = cli(door);
-        assert_eq!(code, 1, "{door:?}: {err}");
-        assert!(err.contains(&refused.to_string()), "{door:?}: {err}");
-    }
+    cli_refuses(&doors, &refused);
     let _ = std::fs::remove_dir_all(dir);
 }
 
