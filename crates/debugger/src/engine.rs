@@ -8,7 +8,7 @@
 //! stopping and continuing, querying objects and program states, setting
 //! breakpoints."
 
-use dejavu::{ExecSpec, SeekStats, SymmetryConfig, TimeTravel, Trace, TraceError};
+use dejavu::{ExecSpec, SeekStats, SymmetryConfig, TimeTravel, Trace};
 use djvm::heap::Addr;
 use djvm::thread::ThreadStatus;
 use djvm::{MethodId, Program, Tid, Vm, VmStatus};
@@ -66,17 +66,13 @@ pub struct DebugSession {
 }
 
 impl DebugSession {
-    /// Start a session replaying `trace`, recorded under `spec`
-    /// (checkpoints every `checkpoint_interval` steps enable reverse
-    /// execution).
-    pub fn new(spec: &ExecSpec, trace: Trace, checkpoint_interval: u64) -> Self {
-        Self::new_indexed(spec, trace, checkpoint_interval, Vec::new())
-    }
-
-    /// Like [`DebugSession::new`], additionally checkpointing at the given
-    /// logical-time boundaries (a block trace's footer index), which makes
-    /// [`DebugSession::seek_time`] O(block) instead of O(run).
-    pub fn new_indexed(
+    /// Start a session replaying `trace`, recorded under `spec`.
+    /// Checkpoints every `checkpoint_interval` steps enable reverse
+    /// execution; checkpoints at the logical-time `boundaries` (a block
+    /// trace's footer index, as [`dejavu::ingest_bytes`] returns it; empty
+    /// for none) make [`DebugSession::seek_time`] O(block) instead of
+    /// O(run).
+    pub fn new(
         spec: &ExecSpec,
         trace: Trace,
         checkpoint_interval: u64,
@@ -97,24 +93,6 @@ impl DebugSession {
             breakpoints: BTreeSet::new(),
             trace,
         }
-    }
-
-    /// Start a session from a serialized DJVB trace, via the session-safe
-    /// [`dejavu::ingest_bytes`] path shared with the fleet tier's
-    /// streaming upload. The footer index becomes the checkpoint keying.
-    /// Corrupt bytes produce a typed [`TraceError`], never a panic.
-    pub fn from_trace_bytes(
-        spec: &ExecSpec,
-        bytes: &[u8],
-        checkpoint_interval: u64,
-    ) -> Result<Self, TraceError> {
-        let ingested = dejavu::ingest_bytes(bytes.to_vec())?;
-        Ok(Self::new_indexed(
-            spec,
-            ingested.trace,
-            checkpoint_interval,
-            ingested.boundaries,
-        ))
     }
 
     pub fn vm(&self) -> &Vm {

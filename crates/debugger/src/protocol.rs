@@ -66,7 +66,14 @@ pub enum Command {
     Profile {
         top: u64,
     },
-    Quit,
+    /// Read up to `n` words of the paused replay's address space starting
+    /// at `addr` — the `ptrace` word read of §3.2: the server copies words
+    /// out and runs no guest code. `n` is capped at
+    /// [`MAX_READ_WORDS`](crate::server::MAX_READ_WORDS).
+    Read {
+        addr: u64,
+        n: u64,
+    },
 }
 
 /// Responses the debugger tier returns.
@@ -128,10 +135,14 @@ pub enum Response {
     Profile {
         json: String,
     },
+    /// The words a `Read` found. Fewer than asked for means the range ran
+    /// off the end of the address space.
+    Words {
+        words: Vec<u64>,
+    },
     Error {
         message: String,
     },
-    Bye,
 }
 
 /// `{"<tag>": "<name>", ...fields}`.
@@ -177,7 +188,11 @@ impl ToJson for Command {
             Command::Metrics => tagged("cmd", "metrics", vec![]),
             Command::Divergence => tagged("cmd", "divergence", vec![]),
             Command::Profile { top } => tagged("cmd", "profile", vec![("top", top.to_json())]),
-            Command::Quit => tagged("cmd", "quit", vec![]),
+            Command::Read { addr, n } => tagged(
+                "cmd",
+                "read",
+                vec![("addr", addr.to_json()), ("n", n.to_json())],
+            ),
         }
     }
 }
@@ -223,7 +238,10 @@ impl FromJson for Command {
             "profile" => Command::Profile {
                 top: u64::from_json(j.field("top")?)?,
             },
-            "quit" => Command::Quit,
+            "read" => Command::Read {
+                addr: u64::from_json(j.field("addr")?)?,
+                n: u64::from_json(j.field("n")?)?,
+            },
             other => return Err(JsonError::new(format!("unknown command \"{other}\""))),
         };
         Ok(cmd)
@@ -398,10 +416,10 @@ impl ToJson for Response {
                 ],
             ),
             Response::Profile { json } => tagged("resp", "profile", vec![("json", json.to_json())]),
+            Response::Words { words } => tagged("resp", "words", vec![("words", words.to_json())]),
             Response::Error { message } => {
                 tagged("resp", "error", vec![("message", message.to_json())])
             }
-            Response::Bye => tagged("resp", "bye", vec![]),
         }
     }
 }
@@ -459,7 +477,9 @@ impl FromJson for Response {
             "error" => Response::Error {
                 message: String::from_json(j.field("message")?)?,
             },
-            "bye" => Response::Bye,
+            "words" => Response::Words {
+                words: Vec::from_json(j.field("words")?)?,
+            },
             other => return Err(JsonError::new(format!("unknown response \"{other}\""))),
         };
         Ok(resp)
@@ -497,7 +517,11 @@ mod tests {
             Command::Divergence,
             Command::Profile { top: 10 },
             Command::Profile { top: u64::MAX },
-            Command::Quit,
+            Command::Read { addr: 0, n: 1 },
+            Command::Read {
+                addr: u64::MAX,
+                n: u64::MAX,
+            },
         ]
     }
 
@@ -606,7 +630,10 @@ mod tests {
             Response::Error {
                 message: "no such location".into(),
             },
-            Response::Bye,
+            Response::Words {
+                words: vec![0, 1, u64::MAX],
+            },
+            Response::Words { words: vec![] },
         ]
     }
 
@@ -667,6 +694,9 @@ mod tests {
             "{\"resp\":\"stopped\",\"reason\":\"bogus\",\"step\":1}",
             "{\"cmd\":\"seek\",\"step\":-1}",
             "{\"cmd\":\"profile\"}",
+            "{\"cmd\":\"read\",\"addr\":0}",
+            "{\"cmd\":\"quit\"}",
+            "{\"resp\":\"bye\"}",
             "[1,2,3]",
         ] {
             assert!(Command::from_json_str(bad).is_err(), "accepted {bad:?}");

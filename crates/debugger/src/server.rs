@@ -6,6 +6,10 @@
 use crate::engine::DebugSession;
 use crate::protocol::{Command, Response};
 
+/// The most words one [`Command::Read`] may ask for: bounds the response
+/// packet (§4, "small packets of data rather than large images").
+pub const MAX_READ_WORDS: u64 = 4096;
+
 /// Execute one command against the session.
 pub fn handle(session: &mut DebugSession, cmd: Command) -> Response {
     match cmd {
@@ -122,6 +126,16 @@ pub fn handle(session: &mut DebugSession, cmd: Command) -> Response {
                 json: session.divergence_json(),
             }
         }
-        Command::Quit => Response::Bye,
+        Command::Read { n, .. } if n > MAX_READ_WORDS => Response::Error {
+            message: format!("read of {n} words is past the cap of {MAX_READ_WORDS}"),
+        },
+        Command::Read { addr, n } => {
+            let heap = &session.vm().heap;
+            Response::Words {
+                words: (0..n)
+                    .map_while(|i| heap.read_word(addr.checked_add(i)?))
+                    .collect(),
+            }
+        }
     }
 }

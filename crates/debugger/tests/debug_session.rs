@@ -22,7 +22,7 @@ fn recorded(name: &str, seed: u64) -> (ExecSpec, dejavu::Trace, String) {
 
 fn session(name: &str, seed: u64) -> (DebugSession, String) {
     let (spec, trace, output) = recorded(name, seed);
-    (DebugSession::new(&spec, trace, 5_000), output)
+    (DebugSession::new(&spec, trace, 5_000, Vec::new()), output)
 }
 
 #[test]
@@ -139,7 +139,7 @@ fn breakpoints_by_source_line() {
 fn e9_protocol_session() {
     let (spec, trace, rec_output) = recorded("racy_counter", 9);
     let worker = spec.program.method_id_by_name("worker").unwrap();
-    let mut s = DebugSession::new(&spec, trace, 5_000);
+    let mut s = DebugSession::new(&spec, trace, 5_000, Vec::new());
     let (method, pc) = (worker, 0);
 
     assert!(matches!(
@@ -210,14 +210,13 @@ fn e9_protocol_session() {
         text, rec_output,
         "replayed-through-debugger output matches record"
     );
-    assert!(matches!(handle(&mut s, Command::Quit), Response::Bye));
     assert_eq!(s.vm().status, VmStatus::Halted);
 }
 
 #[test]
 fn metrics_and_divergence_commands() {
     let (spec, trace, rec_output) = recorded("racy_counter", 11);
-    let mut s = DebugSession::new(&spec, trace, 5_000);
+    let mut s = DebugSession::new(&spec, trace, 5_000, Vec::new());
 
     // Advance a little, then read metrics mid-replay.
     for _ in 0..50 {
@@ -300,14 +299,14 @@ fn continue_without_breakpoints_lands_where_single_stepping_does() {
         counters.to_string()
     };
     let (spec, trace, rec_output) = recorded("racy_counter", 11);
-    let mut ran = DebugSession::new(&spec, trace.clone(), 1_000);
+    let mut ran = DebugSession::new(&spec, trace.clone(), 1_000, Vec::new());
     assert_eq!(ran.cont(), StopReason::Halted);
 
-    let mut stepped = DebugSession::new(&spec, trace.clone(), 1_000);
+    let mut stepped = DebugSession::new(&spec, trace.clone(), 1_000, Vec::new());
     while stepped.step() == StopReason::StepDone {}
 
     // A breakpoint nothing reaches forces `cont` down the single-step side.
-    let mut probed = DebugSession::new(&spec, trace, 1_000);
+    let mut probed = DebugSession::new(&spec, trace, 1_000, Vec::new());
     probed.add_breakpoint(probed.program().entry, u32::MAX);
     assert_eq!(probed.cont(), StopReason::Halted);
     probed.remove_breakpoint(probed.program().entry, u32::MAX);
@@ -326,7 +325,7 @@ fn continue_without_breakpoints_lands_where_single_stepping_does() {
 #[test]
 fn profile_command_and_no_trace_error() {
     let (spec, trace, rec_output) = recorded("fig1_ab", 5);
-    let mut s = DebugSession::new(&spec, trace, 5_000);
+    let mut s = DebugSession::new(&spec, trace, 5_000, Vec::new());
 
     // Profile before stepping at all: the command replays the whole run in
     // a scratch VM, so it works from any session position.
@@ -369,7 +368,7 @@ fn profile_command_and_no_trace_error() {
         switches: Vec::new(),
         data: Vec::new(),
     };
-    let mut s = DebugSession::new(&spec, empty, 5_000);
+    let mut s = DebugSession::new(&spec, empty, 5_000, Vec::new());
     let Response::Error { message } = handle(&mut s, Command::Profile { top: 5 }) else {
         panic!("expected error for profile with no trace");
     };
@@ -396,8 +395,8 @@ fn seek_time_replays_only_the_target_block_span() {
 
     // Interval checkpoints off: block boundaries are the only keys, so
     // the measured replay span is attributable to the index alone.
-    let mut indexed =
-        DebugSession::from_trace_bytes(&spec, &bytes, u64::MAX).expect("block bytes accepted");
+    let t = dejavu::ingest_bytes(bytes).expect("block bytes accepted");
+    let mut indexed = DebugSession::new(&spec, t.trace, u64::MAX, t.boundaries);
     assert_eq!(indexed.cont(), StopReason::Halted);
     let end = indexed.logical_time();
     let target = end / 2;
@@ -425,7 +424,7 @@ fn seek_time_replays_only_the_target_block_span() {
     // The same seek on an unindexed session (single step-0 checkpoint)
     // replays the whole prefix — the block index is what makes the seek
     // O(block) instead of O(run).
-    let mut full = DebugSession::new(&spec, trace, u64::MAX);
+    let mut full = DebugSession::new(&spec, trace, u64::MAX, Vec::new());
     assert_eq!(full.cont(), StopReason::Halted);
     let full_stats = full.seek_time(target);
     assert_eq!(
@@ -454,7 +453,8 @@ fn seek_time_replays_only_the_target_block_span() {
 fn seek_time_command() {
     let (spec, trace, _) = recorded("racy_counter", 13);
     let bytes = dejavu::encode_trace(&trace, dejavu::TraceFormat::Block, 64);
-    let mut s = DebugSession::from_trace_bytes(&spec, &bytes, 5_000).unwrap();
+    let t = dejavu::ingest_bytes(bytes).unwrap();
+    let mut s = DebugSession::new(&spec, t.trace, 5_000, t.boundaries);
 
     let r = handle(&mut s, Command::Continue);
     assert!(

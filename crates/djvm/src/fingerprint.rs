@@ -13,13 +13,11 @@
 //! mirroring the fact that DejaVu "cannot replay its own instrumentation,
 //! which behaves differently by definition" (§2.4).
 
-/// How much of the execution to hash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How much of the execution to hash. `VmConfig::default()` picks `Full`;
+/// there is no other default.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FingerprintMode {
-    /// Hash nothing (fastest; benchmarking the raw VM).
-    Off,
     /// Hash scheduling decisions and output only.
-    #[default]
     Coarse,
     /// Hash every executed instruction's (tid, method, pc). The strongest
     /// accuracy check; used by the test suite.
@@ -104,28 +102,22 @@ impl Fingerprint {
     /// thread.
     #[inline]
     pub fn thread_switch(&mut self, to: u32, yp: u64) {
-        if self.mode != FingerprintMode::Off {
-            self.switches += 1;
-            self.h = mix(self.h, 0xD15B_A7C4 ^ ((to as u64) << 32) ^ yp);
-        }
+        self.switches += 1;
+        self.h = mix(self.h, 0xD15B_A7C4 ^ ((to as u64) << 32) ^ yp);
     }
 
     /// Console output bytes.
     pub fn output(&mut self, bytes: &[u8]) {
-        if self.mode != FingerprintMode::Off {
-            for chunk in bytes.chunks(8) {
-                let mut w = [0u8; 8];
-                w[..chunk.len()].copy_from_slice(chunk);
-                self.h = mix(self.h, u64::from_le_bytes(w) ^ 0x0007_fa11);
-            }
+        for chunk in bytes.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.h = mix(self.h, u64::from_le_bytes(w) ^ 0x0007_fa11);
         }
     }
 
     /// An arbitrary tagged event (used for VM errors, halts, spawns).
     pub fn event(&mut self, tag: u64, a: u64, b: u64) {
-        if self.mode != FingerprintMode::Off {
-            self.h = mix(mix(self.h, tag), a ^ b.rotate_left(32));
-        }
+        self.h = mix(mix(self.h, tag), a ^ b.rotate_left(32));
     }
 
     /// Current digest.
@@ -195,16 +187,6 @@ mod tests {
         a.thread_switch(1, 10);
         b.thread_switch(2, 10);
         assert_ne!(a.digest(), b.digest());
-    }
-
-    #[test]
-    fn off_mode_ignores_everything() {
-        let mut a = Fingerprint::new(FingerprintMode::Off);
-        let base = a.digest();
-        a.step(1, 2, 3);
-        a.thread_switch(4, 5);
-        a.output(b"hello");
-        assert_eq!(a.digest(), base);
     }
 
     #[test]

@@ -7,6 +7,8 @@ use crate::rpc::{Request, Response};
 use crate::wire::{self, WireError};
 use codec::{FromJson, ToJson};
 use debugger::protocol::{Command, Response as DebugResponse};
+use reflect::ProcessMemory;
+use std::cell::RefCell;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -118,6 +120,38 @@ impl FleetClient {
             Response::ShuttingDown => Ok(true),
             Response::Error { .. } => Ok(false),
             other => Err(unexpected(other)),
+        }
+    }
+}
+
+/// A fleet-hosted replay's address space, read from the *client* process:
+/// the paper's tool JVM reading the paused application JVM through the
+/// debug interface (§3.2). Each word is one `read` command on the fleet
+/// frame, answered by copying a word out — the server runs no guest code
+/// for it — so a `reflect::RemoteReflector` over this runs the reflection
+/// methods here, against data there. The boot-image addresses it needs a
+/// priori come from booting the same [`spec_for`](crate::spec_for) locally
+/// (§3.3).
+pub struct FleetMemory {
+    client: RefCell<FleetClient>,
+    session: u64,
+}
+
+impl FleetMemory {
+    pub fn new(client: FleetClient, session: u64) -> Self {
+        FleetMemory {
+            client: RefCell::new(client),
+            session,
+        }
+    }
+}
+
+impl ProcessMemory for FleetMemory {
+    fn read_word(&self, addr: u64) -> Option<u64> {
+        let read = Command::Read { addr, n: 1 };
+        match self.client.borrow_mut().debug(self.session, &read) {
+            Ok(DebugResponse::Words { words }) => words.first().copied(),
+            _ => None,
         }
     }
 }

@@ -10,11 +10,13 @@
 //!
 //! ```text
 //!  client: [`FleetClient`] (binary RPC; debugger commands ride in
-//!      │   `Debug` frames as one JSON line each)
-//!  [`server`] thread-pool acceptor
+//!      │   `Debug` frames as one JSON line each) and
+//!      │   [`client::FleetMemory`], the hosted replay's address space as
+//!      │   a tool in the client process reads it
+//!  [`server`] thread-pool acceptor — moves bytes
 //!      │
-//!  [`manager::SessionManager`] — sharded session map, dispatch,
-//!      │   telemetry (the single semantic core)
+//!  [`manager::SessionManager`] — answers a frame: session map,
+//!      │   dispatch, telemetry (the single semantic core)
 //!  [`session::Session`] — Recording → Sealed → Replaying
 //!      │
 //!  debugger::DebugSession → dejavu replay → djvm
@@ -33,8 +35,8 @@ pub mod server;
 pub mod session;
 pub mod wire;
 
-pub use client::FleetClient;
-pub use manager::{SessionManager, DEFAULT_IDLE_TTL, SHARDS};
+pub use client::{FleetClient, FleetMemory};
+pub use manager::{SessionManager, DEFAULT_IDLE_TTL};
 pub use rpc::{Request, Response};
 pub use server::{FleetConfig, FleetServer};
 pub use session::{spec_for, FleetError, Phase, Session, DEFAULT_CHECKPOINT_INTERVAL};

@@ -1,16 +1,19 @@
-//! The session manager: a sharded `Mutex<HashMap>` of live sessions plus
-//! the fleet-wide telemetry registry.
+//! The session manager: one `Mutex<HashMap>` of live sessions, the
+//! fleet-wide telemetry registry, and the one function that answers a
+//! request frame.
 //!
-//! Lock discipline: a shard lock is held only long enough to fetch (or
-//! insert/remove) the `Arc<Mutex<Session>>`; the actual work — recording,
-//! replaying, seeking — happens under the *session* lock, so a slow
-//! replay on one session never blocks requests for any other, and two
-//! requests for the same session serialize (the state machine stays
-//! coherent without a global lock).
+//! Lock discipline: the map lock is held only long enough to fetch (or
+//! insert/remove) the `Arc<Mutex<Session>>` — nanoseconds against
+//! millisecond requests; the actual work — recording, replaying, seeking
+//! — happens under the *session* lock, so a slow replay on one session
+//! never blocks requests for any other, and two requests for the same
+//! session serialize (the state machine stays coherent without a global
+//! lock). The session counters live under the map lock, so `active` and
+//! `peak` are exact.
 //!
 //! Poisoning: a request that panics under a session lock poisons that
 //! session only — it answers [`FleetError::Poisoned`] from then on. The
-//! shard maps and the metrics registry are recovered instead
+//! session map and the metrics registry are recovered instead
 //! (`PoisonError::into_inner`): a map insert/remove and a histogram
 //! bucket increment leave their data valid at every step.
 
@@ -20,25 +23,27 @@ use codec::{FromJson, Json, ToJson};
 use debugger::protocol::Command;
 use dejavu::{encode_trace, TraceFormat, DEFAULT_BLOCK_BUDGET};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 use telemetry::Registry;
 
-/// Shard count for the session map. Power of two; sized so ≥64 live
-/// sessions rarely contend on the same shard lock.
-pub const SHARDS: usize = 16;
-
 /// A session untouched this long is evicted by the housekeeper.
 pub const DEFAULT_IDLE_TTL: Duration = Duration::from_secs(300);
 
+/// The live sessions and their counters, behind one lock.
+#[derive(Default)]
+struct Sessions {
+    map: HashMap<u64, Arc<Mutex<Session>>>,
+    /// Sessions ever opened; ids are handed out `1..=opened`.
+    opened: u64,
+    closed: u64,
+    evicted: u64,
+    peak: u64,
+}
+
 pub struct SessionManager {
-    shards: Vec<Mutex<HashMap<u64, Arc<Mutex<Session>>>>>,
-    next_id: AtomicU64,
-    opened: AtomicU64,
-    closed: AtomicU64,
-    evicted: AtomicU64,
-    peak: AtomicU64,
+    sessions: Mutex<Sessions>,
     /// Request-latency histograms (`rpc.<name>`, nanoseconds) live in one
     /// registry behind a mutex: observations are O(1) bucket increments,
     /// so the critical section is tiny compared to any request body.
@@ -57,13 +62,8 @@ impl SessionManager {
 
     pub fn with_idle_ttl(idle_ttl: Duration) -> Self {
         SessionManager {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            next_id: AtomicU64::new(1),
-            opened: AtomicU64::new(0),
-            closed: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-            peak: AtomicU64::new(0),
-            metrics: Mutex::new(Registry::new()),
+            sessions: Mutex::default(),
+            metrics: Mutex::default(),
             idle_ttl,
             store: None,
         }
@@ -78,50 +78,32 @@ impl SessionManager {
         self.store.as_ref()
     }
 
-    fn shard(&self, id: u64) -> MutexGuard<'_, HashMap<u64, Arc<Mutex<Session>>>> {
-        self.shards[(id as usize) % SHARDS]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    fn sessions(&self) -> MutexGuard<'_, Sessions> {
+        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn metrics(&self) -> MutexGuard<'_, Registry> {
         self.metrics.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn note_opened(&self) {
-        self.opened.fetch_add(1, Ordering::Relaxed);
-        let active = self.active();
-        self.peak.fetch_max(active, Ordering::Relaxed);
-    }
-
-    /// Live session count (sums shard sizes; exact, not sampled).
-    pub fn active(&self) -> u64 {
-        (0..SHARDS as u64).map(|i| self.shard(i).len() as u64).sum()
-    }
-
     /// Create a session for a registry workload.
     pub fn open(&self, workload: &str, seed: u64) -> Result<u64, FleetError> {
-        let w = workloads::registry()
-            .into_iter()
-            .find(|w| w.name == workload)
-            .ok_or_else(|| FleetError::NoSuchWorkload(workload.to_string()))?;
-        Ok(self.install(|id| Session::new(id, w, seed)))
+        Ok(self.install(Session::new(workload_named(workload)?, seed)))
     }
 
-    fn install(&self, build: impl FnOnce(u64) -> Session) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let session = Arc::new(Mutex::new(build(id)));
-        self.shard(id).insert(id, session);
-        self.note_opened();
+    pub(crate) fn install(&self, session: Session) -> u64 {
+        let mut sessions = self.sessions();
+        sessions.opened += 1;
+        let id = sessions.opened;
+        sessions.map.insert(id, Arc::new(Mutex::new(session)));
+        sessions.peak = sessions.peak.max(sessions.map.len() as u64);
         id
     }
 
-    /// Fetch a session handle (shard lock held only for the lookup).
+    /// Fetch a session handle (map lock held only for the lookup).
     pub fn get(&self, id: u64) -> Result<Arc<Mutex<Session>>, FleetError> {
-        self.shard(id)
-            .get(&id)
-            .cloned()
-            .ok_or(FleetError::NoSuchSession(id))
+        let session = self.sessions().map.get(&id).cloned();
+        session.ok_or(FleetError::NoSuchSession(id))
     }
 
     /// Run `f` on session `id` under its own lock, refreshing its idle
@@ -133,18 +115,8 @@ impl SessionManager {
     ) -> Result<T, FleetError> {
         let session = self.get(id)?;
         let mut session = session.lock().map_err(|_| FleetError::Poisoned(id))?;
-        session.touch();
+        session.last_touched = Instant::now();
         f(&mut session)
-    }
-
-    /// Remove a session, returning it to the caller.
-    pub fn take(&self, id: u64) -> Result<Arc<Mutex<Session>>, FleetError> {
-        let s = self
-            .shard(id)
-            .remove(&id)
-            .ok_or(FleetError::NoSuchSession(id))?;
-        self.closed.fetch_add(1, Ordering::Relaxed);
-        Ok(s)
     }
 
     /// Drop sessions idle past the TTL. `try_lock` on the session keeps
@@ -153,29 +125,23 @@ impl SessionManager {
     /// like any other.
     pub fn evict_idle(&self) -> usize {
         let now = Instant::now();
-        let mut evicted = 0;
-        for i in 0..SHARDS as u64 {
-            let mut map = self.shard(i);
-            let stale: Vec<u64> = map
-                .iter()
-                .filter_map(|(&id, s)| {
-                    let sess = match s.try_lock() {
-                        Ok(sess) => sess,
-                        Err(TryLockError::Poisoned(p)) => p.into_inner(),
-                        Err(TryLockError::WouldBlock) => return None,
-                    };
-                    (now.duration_since(sess.last_touched) > self.idle_ttl).then_some(id)
-                })
-                .collect();
-            for id in stale {
-                map.remove(&id);
-                evicted += 1;
-            }
-        }
-        if evicted > 0 {
-            self.evicted.fetch_add(evicted as u64, Ordering::Relaxed);
-        }
-        evicted
+        let mut sessions = self.sessions();
+        let stale: Vec<u64> = sessions
+            .map
+            .iter()
+            .filter_map(|(&id, s)| {
+                let sess = match s.try_lock() {
+                    Ok(sess) => sess,
+                    Err(TryLockError::Poisoned(p)) => p.into_inner(),
+                    Err(TryLockError::WouldBlock) => return None,
+                };
+                (now.duration_since(sess.last_touched) > self.idle_ttl).then_some(id)
+            })
+            .collect();
+        let evicted: Vec<_> = stale.iter().filter_map(|id| sessions.map.remove(id)).collect();
+        sessions.evicted += evicted.len() as u64;
+        drop(sessions); // a VM and its checkpoints are freed outside the map lock
+        evicted.len()
     }
 
     /// Canonical (sorted-key, byte-deterministic) fleet metrics snapshot.
@@ -183,19 +149,17 @@ impl SessionManager {
     /// stored/deduped/compacted, checkpoint hits/misses) ride along
     /// under `"store"`.
     pub fn stats_json(&self) -> String {
-        let mut fields = vec![
-            (
-                "sessions",
-                Json::obj(vec![
-                    ("opened", Json::UInt(self.opened.load(Ordering::Relaxed))),
-                    ("closed", Json::UInt(self.closed.load(Ordering::Relaxed))),
-                    ("evicted", Json::UInt(self.evicted.load(Ordering::Relaxed))),
-                    ("active", Json::UInt(self.active())),
-                    ("peak", Json::UInt(self.peak.load(Ordering::Relaxed))),
-                ]),
-            ),
-            ("rpc", self.metrics().to_json()),
-        ];
+        let sessions = {
+            let s = self.sessions();
+            Json::obj(vec![
+                ("opened", Json::UInt(s.opened)),
+                ("closed", Json::UInt(s.closed)),
+                ("evicted", Json::UInt(s.evicted)),
+                ("active", Json::UInt(s.map.len() as u64)),
+                ("peak", Json::UInt(s.peak)),
+            ])
+        };
+        let mut fields = vec![("sessions", sessions), ("rpc", self.metrics().to_json())];
         if let Some(store) = &self.store {
             fields.push(("store", store.counters_json()));
         }
@@ -204,156 +168,152 @@ impl SessionManager {
         doc.to_string()
     }
 
-    /// Record one request's latency under `rpc.<name>`.
-    pub fn observe_latency(&self, rpc: &'static str, nanos: u64) {
-        self.metrics().observe(rpc, nanos);
+    /// Answer one request frame — the only way bytes from a peer reach a
+    /// session: decode, the shutdown gate, [`dispatch`], encode. Returns
+    /// the response frame and whether it grants a `Shutdown` carrying
+    /// `token` (any other `Shutdown` is dispatched, which refuses it).
+    ///
+    /// A request that panics is answered like any other failure, so the
+    /// worker that ran it serves the next frame; the panic has poisoned
+    /// the one session lock it was under, which is the quarantine.
+    ///
+    /// [`dispatch`]: SessionManager::dispatch
+    pub fn answer(&self, frame: &[u8], token: &str) -> (Vec<u8>, bool) {
+        let error = |message| Response::Error { code: 1, message };
+        let (resp, stop) = match Request::decode(frame) {
+            Err(e) => (error(e.to_string()), false),
+            Ok(Request::Shutdown { token: t }) if t == token => (Response::ShuttingDown, true),
+            Ok(req) => {
+                let name = req.name();
+                let resp = catch_unwind(AssertUnwindSafe(|| self.dispatch(req)))
+                    .unwrap_or_else(|_| error(format!("internal: {name} request panicked")));
+                (resp, false)
+            }
+        };
+        (resp.encode(), stop)
     }
 
-    fn latency_key(req: &Request) -> &'static str {
-        match req.name() {
-            "open" => "rpc.open",
-            "ingest" => "rpc.ingest",
-            "record" => "rpc.record",
-            "replay" => "rpc.replay",
-            "seek" => "rpc.seek",
-            "divergence" => "rpc.divergence",
-            "profile" => "rpc.profile",
-            "close" => "rpc.close",
-            "debug" => "rpc.debug",
-            "stats" => "rpc.stats",
-            "open_stored" => "rpc.open_stored",
-            _ => "rpc.other",
-        }
-    }
-
-    /// Execute one RPC. This is the single semantic core: the TCP server
-    /// and in-process callers all funnel through here, so the protocol
-    /// cannot fork. `Shutdown` is *not* handled — it is a server-level
-    /// concern (the manager has no stop flag) and dispatching it yields
-    /// a typed error.
+    /// Execute one RPC and record its latency under `rpc.<name>`. This is
+    /// the single semantic core: the TCP server (through [`answer`]) and
+    /// in-process callers all funnel through here, so the protocol cannot
+    /// fork. `Shutdown` is *not* granted here — it is a server-level
+    /// concern (the manager has no stop flag) — and yields a typed error.
+    ///
+    /// [`answer`]: SessionManager::answer
     pub fn dispatch(&self, req: Request) -> Response {
-        let key = Self::latency_key(&req);
+        let key = req.latency_key();
         let t0 = Instant::now();
-        let resp = self.dispatch_inner(req);
-        self.observe_latency(key, t0.elapsed().as_nanos() as u64);
+        let run = || -> Result<Response, FleetError> {
+            Ok(match req {
+                Request::Open { workload, seed } => Response::Opened {
+                    session: self.open(&workload, seed)?,
+                },
+                Request::IngestBlocks {
+                    session,
+                    chunk,
+                    done,
+                } => self.with_session(session, |s| {
+                    let (bytes, sealed) = s.ingest(&chunk, done, self.store.is_some())?;
+                    // A sealed upload dedups into the store unverified
+                    // (fingerprint 0): ingest trusts nothing it has not
+                    // replayed. A later verified put upgrades in place.
+                    if let (Some(store), Some(data)) = (self.store.as_ref(), sealed) {
+                        store.put_bytes(s.workload.name, s.seed, &data, 0, "")?;
+                    }
+                    Ok(Response::Ingested { session, bytes })
+                })?,
+                Request::Record { session } => self.with_session(session, |s| {
+                    let recorded = s.record(session)?;
+                    // The server ran the record itself, so the fingerprint
+                    // is first-hand: store the sealed trace as verified,
+                    // encoded exactly as a client uploading this run would
+                    // encode it, so both land on one catalog entry.
+                    if let (
+                        Some(store),
+                        Phase::Sealed { trace, .. },
+                        Response::Recorded { fingerprint, .. },
+                    ) = (self.store.as_ref(), &s.phase, &recorded)
+                    {
+                        let djvb = encode_trace(trace, TraceFormat::Block, DEFAULT_BLOCK_BUDGET);
+                        store.put_bytes(s.workload.name, s.seed, &djvb, *fingerprint, "")?;
+                    }
+                    Ok(recorded)
+                })?,
+                Request::OpenStored { entry } => {
+                    let store = self.store.as_ref().ok_or(FleetError::NoStore)?;
+                    let stored = store.open_trace(&entry)?;
+                    let w = workload_named(&stored.entry.workload)?;
+                    let phase = Phase::Sealed {
+                        trace: stored.trace,
+                        boundaries: stored.boundaries,
+                    };
+                    let session = Session {
+                        phase,
+                        ..Session::new(w, stored.entry.seed)
+                    };
+                    Response::Opened {
+                        session: self.install(session),
+                    }
+                }
+                Request::Replay { session } => {
+                    self.with_session(session, |s| s.replay(session))?
+                }
+                Request::SeekLogical { session, logical } => self.with_session(session, |s| {
+                    let st = s.make_resident()?.seek_time(logical);
+                    Ok(Response::Sought {
+                        session,
+                        target_logical: st.target_logical,
+                        final_step: st.final_step,
+                        final_logical: st.final_logical,
+                        steps_replayed: st.steps_replayed,
+                    })
+                })?,
+                Request::DivergenceCheck { session } => self.with_session(session, |s| {
+                    let dbg = s.make_resident()?;
+                    Ok(Response::Divergence {
+                        session,
+                        clean: dbg.desyncs().is_empty(),
+                        json: dbg.divergence_json(),
+                    })
+                })?,
+                Request::Close { session } => {
+                    let mut sessions = self.sessions();
+                    let closed = sessions.map.remove(&session);
+                    sessions.closed += closed.is_some() as u64;
+                    drop(sessions); // a VM and its checkpoints are freed outside the map lock
+                    closed.ok_or(FleetError::NoSuchSession(session))?;
+                    Response::Closed { session }
+                }
+                Request::Debug { session, command } => {
+                    let cmd = Command::from_json_str(&command)
+                        .map_err(|e| FleetError::BadDebugCommand(e.to_string()))?;
+                    self.with_session(session, |s| {
+                        let resp = debugger::server::handle(s.make_resident()?, cmd);
+                        Ok(Response::Debug {
+                            json: resp.to_json_string(),
+                        })
+                    })?
+                }
+                Request::Stats => Response::Stats {
+                    json: self.stats_json(),
+                },
+                Request::Shutdown { .. } => return Err(FleetError::ShutdownDenied),
+            })
+        };
+        let resp = run().unwrap_or_else(|e| Response::Error {
+            code: e.code(),
+            message: e.to_string(),
+        });
+        self.metrics().observe(key, t0.elapsed().as_nanos() as u64);
         resp
     }
+}
 
-    fn dispatch_inner(&self, req: Request) -> Response {
-        match self.try_dispatch(req) {
-            Ok(resp) => resp,
-            Err(e) => Response::Error {
-                code: e.code(),
-                message: e.to_string(),
-            },
-        }
-    }
-
-    fn try_dispatch(&self, req: Request) -> Result<Response, FleetError> {
-        Ok(match req {
-            Request::Open { workload, seed } => Response::Opened {
-                session: self.open(&workload, seed)?,
-            },
-            Request::IngestBlocks {
-                session,
-                chunk,
-                done,
-            } => self.with_session(session, |s| {
-                let (bytes, sealed) = s.ingest(&chunk, done, self.store.is_some())?;
-                // A sealed upload dedups into the store unverified
-                // (fingerprint 0): ingest trusts nothing it has not
-                // replayed. A later verified put upgrades in place.
-                if let (Some(store), Some(data)) = (self.store.as_ref(), sealed) {
-                    store.put_bytes(s.workload.name, s.seed, &data, 0, "")?;
-                }
-                Ok(Response::Ingested { session, bytes })
-            })?,
-            Request::Record { session } => self.with_session(session, |s| {
-                let out = s.record()?;
-                // The server ran the record itself, so the fingerprint is
-                // first-hand: store the sealed trace as verified, encoded
-                // exactly as a client uploading this run would encode it,
-                // so both land on one catalog entry.
-                if let (Some(store), Phase::Sealed { trace, .. }) = (self.store.as_ref(), &s.phase)
-                {
-                    let djvb = encode_trace(trace, TraceFormat::Block, DEFAULT_BLOCK_BUDGET);
-                    store.put_bytes(s.workload.name, s.seed, &djvb, out.fingerprint, "")?;
-                }
-                Ok(Response::Recorded {
-                    session,
-                    fingerprint: out.fingerprint,
-                    state_digest: out.state_digest,
-                    events: out.events,
-                    trace_bytes: out.trace_bytes,
-                })
-            })?,
-            Request::OpenStored { entry } => {
-                let store = self.store.as_ref().ok_or(FleetError::NoStore)?;
-                let stored = store.open_trace(&entry)?;
-                let w = workloads::registry()
-                    .into_iter()
-                    .find(|w| w.name == stored.entry.workload)
-                    .ok_or_else(|| FleetError::NoSuchWorkload(stored.entry.workload.clone()))?;
-                let seed = stored.entry.seed;
-                let (trace, boundaries) = (stored.trace, stored.boundaries);
-                let session =
-                    self.install(|id| Session::from_sealed(id, w, seed, trace, boundaries));
-                Response::Opened { session }
-            }
-            Request::Replay { session } => self.with_session(session, |s| {
-                let out = s.replay()?;
-                Ok(Response::Replayed {
-                    session,
-                    fingerprint: out.fingerprint,
-                    state_digest: out.state_digest,
-                    clean: out.clean,
-                })
-            })?,
-            Request::SeekLogical { session, logical } => self.with_session(session, |s| {
-                let st = s.make_resident()?.seek_time(logical);
-                Ok(Response::Sought {
-                    session,
-                    target_logical: st.target_logical,
-                    final_step: st.final_step,
-                    final_logical: st.final_logical,
-                    steps_replayed: st.steps_replayed,
-                })
-            })?,
-            Request::DivergenceCheck { session } => self.with_session(session, |s| {
-                let dbg = s.make_resident()?;
-                Ok(Response::Divergence {
-                    session,
-                    clean: dbg.desyncs().is_empty(),
-                    json: dbg.divergence_json(),
-                })
-            })?,
-            Request::Profile { session, top } => self.with_session(session, |s| {
-                let json = s
-                    .make_resident()?
-                    .profile_json(top)
-                    .map_err(FleetError::Profile)?;
-                Ok(Response::Profiled { session, json })
-            })?,
-            Request::Close { session } => {
-                self.take(session)?;
-                Response::Closed { session }
-            }
-            Request::Debug { session, command } => {
-                let cmd = Command::from_json_str(&command)
-                    .map_err(|e| FleetError::BadDebugCommand(e.to_string()))?;
-                self.with_session(session, |s| {
-                    let resp = debugger::server::handle(s.make_resident()?, cmd);
-                    Ok(Response::Debug {
-                        json: resp.to_json_string(),
-                    })
-                })?
-            }
-            Request::Stats => Response::Stats {
-                json: self.stats_json(),
-            },
-            Request::Shutdown { .. } => return Err(FleetError::ShutdownDenied),
-        })
-    }
+pub(crate) fn workload_named(name: &str) -> Result<workloads::Workload, FleetError> {
+    workloads::registry()
+        .into_iter()
+        .find(|w| w.name == name)
+        .ok_or_else(|| FleetError::NoSuchWorkload(name.to_string()))
 }
 
 impl Default for SessionManager {
@@ -420,6 +380,21 @@ mod tests {
         debug(r#"{"cmd":"seek","step":0}"#.into());
         let stopped = debug(r#"{"cmd":"continue"}"#.into());
         assert!(stopped.contains(r#""breakpoint""#), "{stopped}");
+    }
+
+    #[test]
+    fn the_sweep_evicts_idle_sessions_and_skips_a_busy_one() {
+        let m = SessionManager::with_idle_ttl(Duration::ZERO);
+        let busy = m.open("fig1_ab", 1).unwrap();
+        let idle = m.open("fig1_ab", 2).unwrap();
+        let in_flight = m.get(busy).unwrap();
+        let in_flight = in_flight.lock().unwrap();
+        assert_eq!(m.evict_idle(), 1);
+        assert!(m.get(busy).is_ok() && m.get(idle).is_err());
+        drop(in_flight);
+        let sessions = Json::parse(&m.stats_json()).unwrap();
+        let count = |k| sessions.field("sessions").unwrap().field(k).unwrap().as_u64().unwrap();
+        assert_eq!((count("evicted"), count("active"), count("peak")), (1, 1, 2));
     }
 
     #[test]

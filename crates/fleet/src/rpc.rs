@@ -1,7 +1,9 @@
 //! The fleet RPC surface: typed requests and responses with a hand-rolled
 //! binary codec (tag byte + varint fields, strings and blobs length-
 //! prefixed). Decoding is strict — a payload must parse exactly and
-//! consume every byte, or it is a typed [`WireError`].
+//! consume every byte, or it is a typed [`WireError`]. Tag 7 (the deleted
+//! `Profile` / `Profiled`; `Debug {"cmd":"profile"}` is the one road) stays
+//! reserved in both directions.
 
 use crate::wire::{get_bool, get_bytes, get_str, get_u64, put_bool, put_bytes, put_str, WireError};
 use codec::put_varint;
@@ -26,8 +28,6 @@ pub enum Request {
     SeekLogical { session: u64, logical: u64 },
     /// Report desyncs between the trace and the resident replay.
     DivergenceCheck { session: u64 },
-    /// Replay-time profile of the resident replay (top-N spans).
-    Profile { session: u64, top: u64 },
     /// Discard the session.
     Close { session: u64 },
     /// One debugger [`Command`] as a JSON line, dispatched against the
@@ -80,10 +80,6 @@ pub enum Response {
         clean: bool,
         json: String,
     },
-    Profiled {
-        session: u64,
-        json: String,
-    },
     Closed {
         session: u64,
     },
@@ -103,22 +99,27 @@ pub enum Response {
 }
 
 impl Request {
-    /// Stable name used as the latency-histogram key (`rpc.<name>`).
-    pub fn name(&self) -> &'static str {
+    /// The request's latency-histogram key, `rpc.<name>` — the one table
+    /// of RPC names.
+    pub fn latency_key(&self) -> &'static str {
         match self {
-            Request::Open { .. } => "open",
-            Request::IngestBlocks { .. } => "ingest",
-            Request::Record { .. } => "record",
-            Request::Replay { .. } => "replay",
-            Request::SeekLogical { .. } => "seek",
-            Request::DivergenceCheck { .. } => "divergence",
-            Request::Profile { .. } => "profile",
-            Request::Close { .. } => "close",
-            Request::Debug { .. } => "debug",
-            Request::Stats => "stats",
-            Request::Shutdown { .. } => "shutdown",
-            Request::OpenStored { .. } => "open_stored",
+            Request::Open { .. } => "rpc.open",
+            Request::IngestBlocks { .. } => "rpc.ingest",
+            Request::Record { .. } => "rpc.record",
+            Request::Replay { .. } => "rpc.replay",
+            Request::SeekLogical { .. } => "rpc.seek",
+            Request::DivergenceCheck { .. } => "rpc.divergence",
+            Request::Close { .. } => "rpc.close",
+            Request::Debug { .. } => "rpc.debug",
+            Request::Stats => "rpc.stats",
+            Request::Shutdown { .. } => "rpc.shutdown",
+            Request::OpenStored { .. } => "rpc.open_stored",
         }
+    }
+
+    /// Stable name of the RPC.
+    pub fn name(&self) -> &'static str {
+        &self.latency_key()["rpc.".len()..]
     }
 
     pub fn encode(&self) -> Vec<u8> {
@@ -155,11 +156,6 @@ impl Request {
             Request::DivergenceCheck { session } => {
                 b.push(6);
                 put_varint(&mut b, *session);
-            }
-            Request::Profile { session, top } => {
-                b.push(7);
-                put_varint(&mut b, *session);
-                put_varint(&mut b, *top);
             }
             Request::Close { session } => {
                 b.push(8);
@@ -208,10 +204,6 @@ impl Request {
             },
             6 => Request::DivergenceCheck {
                 session: get_u64(buf, &mut pos)?,
-            },
-            7 => Request::Profile {
-                session: get_u64(buf, &mut pos)?,
-                top: get_u64(buf, &mut pos)?,
             },
             8 => Request::Close {
                 session: get_u64(buf, &mut pos)?,
@@ -299,11 +291,6 @@ impl Response {
                 put_bool(&mut b, *clean);
                 put_str(&mut b, json);
             }
-            Response::Profiled { session, json } => {
-                b.push(7);
-                put_varint(&mut b, *session);
-                put_str(&mut b, json);
-            }
             Response::Closed { session } => {
                 b.push(8);
                 put_varint(&mut b, *session);
@@ -360,10 +347,6 @@ impl Response {
             6 => Response::Divergence {
                 session: get_u64(buf, &mut pos)?,
                 clean: get_bool(buf, &mut pos)?,
-                json: get_str(buf, &mut pos)?,
-            },
-            7 => Response::Profiled {
-                session: get_u64(buf, &mut pos)?,
                 json: get_str(buf, &mut pos)?,
             },
             8 => Response::Closed {

@@ -9,15 +9,19 @@
 //! answered before the connection is dropped. A peer that vanishes
 //! mid-frame is a typed [`WireError`] logged and swallowed — never a
 //! panic (satellite: "a dropped peer must never panic the server").
+//!
+//! This module only moves bytes: what a frame means — decode, shutdown
+//! gate, dispatch, encode — is [`SessionManager::answer`], and this is the
+//! only `accept` loop in the workspace.
 
 use crate::manager::SessionManager;
-use crate::rpc::{Request, Response};
+use crate::rpc::Response;
 use crate::wire::{self, WireError};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -70,11 +74,6 @@ impl FleetServer {
     /// Bind-and-run: `addr` may use port 0 for an ephemeral port.
     pub fn start(addr: &str, config: FleetConfig) -> std::io::Result<FleetServer> {
         let listener = TcpListener::bind(addr)?;
-        Self::serve(listener, config)
-    }
-
-    /// Run on an already-bound listener.
-    pub fn serve(listener: TcpListener, config: FleetConfig) -> std::io::Result<FleetServer> {
         let addr = listener.local_addr()?;
         let mut manager = SessionManager::with_idle_ttl(config.idle_ttl);
         if let Some(root) = &config.store_root {
@@ -197,7 +196,7 @@ fn worker_loop(
     loop {
         // Hold the receiver lock only for the dequeue itself.
         let conn = {
-            let guard = rx.lock().unwrap();
+            let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
             guard.recv_timeout(Duration::from_millis(200))
         };
         match conn {
@@ -317,26 +316,55 @@ fn serve_conn(
             _ => return Ok(()),
         }
 
-        let resp = match Request::decode(&payload) {
-            Err(e) => Response::Error {
-                code: 1,
-                message: e.to_string(),
-            },
-            Ok(Request::Shutdown { token: t }) => {
-                if t == token {
-                    wire::write_frame(&mut conn, &Response::ShuttingDown.encode())?;
-                    stop.store(true, Ordering::SeqCst);
-                    // Wake the acceptor so it notices the flag.
-                    let _ = TcpStream::connect(addr);
-                    return Ok(());
-                }
-                Response::Error {
-                    code: 1,
-                    message: "shutdown denied: bad ctrl token".to_string(),
-                }
-            }
-            Ok(req) => manager.dispatch(req),
+        let (resp, granted_shutdown) = manager.answer(&payload, token);
+        wire::write_frame(&mut conn, &resp)?;
+        if granted_shutdown {
+            stop.store(true, Ordering::SeqCst);
+            // Wake the acceptor so it notices the flag.
+            let _ = TcpStream::connect(addr);
+            return Ok(());
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::FleetClient;
+    use crate::rpc::Request;
+    use crate::session::Session;
+
+    /// A request that panics costs its session, not its worker: the one
+    /// worker of this server answers the panic as a typed error and then
+    /// the next frames on the same connection.
+    #[test]
+    fn the_worker_that_ran_a_panicking_request_answers_the_next_frame() {
+        let config = FleetConfig {
+            workers: 1,
+            ..FleetConfig::default()
         };
-        wire::write_frame(&mut conn, &resp.encode())?;
+        let server = FleetServer::start("127.0.0.1:0", config).unwrap();
+        fn bomb() -> djvm::Program {
+            panic!("planted in the guest builder");
+        }
+        let planted = workloads::Workload {
+            build: bomb,
+            ..crate::manager::workload_named("fig1_ab").unwrap()
+        };
+        let victim = server.manager().install(Session::new(planted, 1));
+
+        let mut client = FleetClient::connect(&server.addr().to_string()).unwrap();
+        for told in ["record request panicked", "poisoned"] {
+            match client.call(&Request::Record { session: victim }).unwrap() {
+                Response::Error { code: 1, message } => assert!(message.contains(told), "{message}"),
+                other => panic!("expected a typed error, got {other:?}"),
+            }
+        }
+        let neighbour = client.open("fig1_ab", 2).unwrap();
+        let recorded = client.call(&Request::Record { session: neighbour }).unwrap();
+        assert!(matches!(recorded, Response::Recorded { .. }), "{recorded:?}");
+
+        server.trigger_shutdown();
+        server.join();
     }
 }

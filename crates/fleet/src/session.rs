@@ -13,10 +13,16 @@
 //!   Seek/divergence/profile/debug requests auto-promote a `Sealed`
 //!   session here.
 //!
+//! A phase change moves the old phase's contents into the new one by
+//! value; what a moved-from session holds meanwhile is an empty
+//! `Recording` — a state in its own right, and the one a corrupt upload
+//! is meant to leave.
+//!
 //! Each session owns its VM outright — nothing is shared between
-//! sessions but the shard map — so fingerprint determinism is exactly
+//! sessions but the session map — so fingerprint determinism is exactly
 //! the single-session story.
 
+use crate::rpc::Response;
 use debugger::DebugSession;
 use dejavu::{record_run, ExecSpec, SymmetryConfig, Trace, TraceError, TraceIngest};
 use std::time::Instant;
@@ -49,7 +55,6 @@ pub enum FleetError {
         got: &'static str,
     },
     Trace(TraceError),
-    Profile(String),
     BadDebugCommand(String),
     /// A request panicked while holding this session's lock; its state
     /// is not trusted again. `Close` still removes it.
@@ -83,7 +88,6 @@ impl std::fmt::Display for FleetError {
                 write!(f, "session is {got}, operation needs {want}")
             }
             FleetError::Trace(e) => write!(f, "trace: {e}"),
-            FleetError::Profile(e) => write!(f, "profile: {e}"),
             FleetError::BadDebugCommand(e) => write!(f, "bad debug command: {e}"),
             FleetError::Poisoned(id) => {
                 write!(f, "session {id} is poisoned: an earlier request panicked")
@@ -114,6 +118,14 @@ pub enum Phase {
     Replaying { dbg: DebugSession },
 }
 
+impl Default for Phase {
+    fn default() -> Self {
+        Phase::Recording {
+            ingest: TraceIngest::new(),
+        }
+    }
+}
+
 impl Phase {
     pub fn name(&self) -> &'static str {
         match self {
@@ -124,26 +136,10 @@ impl Phase {
     }
 }
 
-/// Result of sealing a trace via server-side recording.
-pub struct RecordOutcome {
-    pub fingerprint: u64,
-    pub state_digest: u64,
-    pub events: u64,
-    pub trace_bytes: u64,
-}
-
-/// Result of replaying to completion.
-pub struct ReplayOutcome {
-    pub fingerprint: u64,
-    pub state_digest: u64,
-    pub clean: bool,
-}
-
 /// One hosted session. All methods take `&mut self`; the manager wraps
 /// each session in its own `Mutex` so concurrent requests serialize per
 /// session while distinct sessions run fully in parallel.
 pub struct Session {
-    pub id: u64,
     pub workload: Workload,
     pub seed: u64,
     pub phase: Phase,
@@ -152,14 +148,11 @@ pub struct Session {
 }
 
 impl Session {
-    pub fn new(id: u64, workload: Workload, seed: u64) -> Self {
+    pub fn new(workload: Workload, seed: u64) -> Self {
         Session {
-            id,
             workload,
             seed,
-            phase: Phase::Recording {
-                ingest: TraceIngest::new(),
-            },
+            phase: Phase::default(),
             last_touched: Instant::now(),
         }
     }
@@ -186,40 +179,25 @@ impl Session {
             });
         };
         let total = ingest.push(chunk)?;
-        if done {
-            let taken = std::mem::replace(
-                &mut self.phase,
-                Phase::Sealed {
-                    trace: Trace::default(),
-                    boundaries: Vec::new(),
-                },
-            );
-            let Phase::Recording { ingest } = taken else {
-                unreachable!()
-            };
-            let sealed_bytes = keep_bytes.then(|| ingest.peek().to_vec());
-            let ingested = match ingest.finish() {
-                Ok(i) => i,
-                Err(e) => {
-                    // A corrupt upload empties the buffer but keeps the
-                    // session usable: back to Recording for a retry.
-                    self.phase = Phase::Recording {
-                        ingest: TraceIngest::new(),
-                    };
-                    return Err(e.into());
-                }
-            };
-            self.phase = Phase::Sealed {
-                trace: ingested.trace,
-                boundaries: ingested.boundaries,
-            };
-            return Ok((total, sealed_bytes));
+        if !done {
+            return Ok((total, None));
         }
-        Ok((total, None))
+        // Sealing takes the buffer and leaves an empty one behind, so a
+        // corrupt upload keeps the session usable: still `Recording`,
+        // ready for a retry.
+        let ingest = std::mem::take(ingest);
+        let sealed_bytes = keep_bytes.then(|| ingest.peek().to_vec());
+        let ingested = ingest.finish()?;
+        self.phase = Phase::Sealed {
+            trace: ingested.trace,
+            boundaries: ingested.boundaries,
+        };
+        Ok((total, sealed_bytes))
     }
 
-    /// Record the workload server-side, sealing the trace.
-    pub fn record(&mut self) -> Result<RecordOutcome, FleetError> {
+    /// Record the workload server-side, sealing the trace; answers
+    /// `Recorded` for session `id`.
+    pub fn record(&mut self, id: u64) -> Result<Response, FleetError> {
         if !matches!(&self.phase, Phase::Recording { .. }) {
             return Err(FleetError::BadState {
                 want: "Recording",
@@ -230,7 +208,8 @@ impl Session {
         let (report, trace) =
             record_run(&spec, self.workload.natives, SymmetryConfig::full(), true);
         let stats = trace.stats();
-        let outcome = RecordOutcome {
+        let recorded = Response::Recorded {
+            session: id,
             fingerprint: report.fingerprint,
             state_digest: report.state_digest,
             events: (stats.switch_count + stats.clock_count + stats.native_count) as u64,
@@ -240,77 +219,45 @@ impl Session {
             trace,
             boundaries: Vec::new(),
         };
-        Ok(outcome)
+        Ok(recorded)
     }
 
     /// The resident [`DebugSession`] every seek/replay/profile/debug request
     /// runs on, promoting a `Sealed` session on first use.
     pub fn make_resident(&mut self) -> Result<&mut DebugSession, FleetError> {
-        if let Phase::Recording { .. } = self.phase {
-            return Err(FleetError::BadState {
-                want: "Sealed or Replaying",
-                got: "Recording",
-            });
-        }
-        if let Phase::Sealed { .. } = self.phase {
-            let taken = std::mem::replace(
-                &mut self.phase,
-                Phase::Sealed {
-                    trace: Trace::default(),
-                    boundaries: Vec::new(),
-                },
-            );
-            let Phase::Sealed { trace, boundaries } = taken else {
-                unreachable!()
-            };
-            let dbg = DebugSession::new_indexed(
-                &self.spec(),
-                trace,
-                DEFAULT_CHECKPOINT_INTERVAL,
-                boundaries,
-            );
-            self.phase = Phase::Replaying { dbg };
-        }
+        self.phase = match std::mem::take(&mut self.phase) {
+            Phase::Sealed { trace, boundaries } => Phase::Replaying {
+                dbg: DebugSession::new(
+                    &self.spec(),
+                    trace,
+                    DEFAULT_CHECKPOINT_INTERVAL,
+                    boundaries,
+                ),
+            },
+            other => other,
+        };
         match &mut self.phase {
             Phase::Replaying { dbg } => Ok(dbg),
-            _ => unreachable!(),
+            other => Err(FleetError::BadState {
+                want: "Sealed or Replaying",
+                got: other.name(),
+            }),
         }
     }
 
     /// Replay the sealed trace to completion: a seek to the end of the
     /// trace from wherever a resident session stands (the end state of a
     /// deterministic replay does not depend on where it resumed), through
-    /// whatever breakpoints `Debug` requests left set.
-    pub fn replay(&mut self) -> Result<ReplayOutcome, FleetError> {
+    /// whatever breakpoints `Debug` requests left set. Answers `Replayed`
+    /// for session `id`.
+    pub fn replay(&mut self, id: u64) -> Result<Response, FleetError> {
         let dbg = self.make_resident()?;
         dbg.seek(u64::MAX);
-        Ok(ReplayOutcome {
+        Ok(Response::Replayed {
+            session: id,
             fingerprint: dbg.vm().fingerprint.digest(),
             state_digest: dbg.vm().state_digest(),
             clean: dbg.desyncs().is_empty(),
         })
-    }
-
-    /// Install an already-sealed trace (the `OpenStored` path: the store
-    /// hands over a decoded trace plus its block-boundary checkpoint
-    /// keys, no upload or server-side record needed).
-    pub fn from_sealed(
-        id: u64,
-        workload: Workload,
-        seed: u64,
-        trace: Trace,
-        boundaries: Vec<u64>,
-    ) -> Self {
-        Session {
-            id,
-            workload,
-            seed,
-            phase: Phase::Sealed { trace, boundaries },
-            last_touched: Instant::now(),
-        }
-    }
-
-    pub fn touch(&mut self) {
-        self.last_touched = Instant::now();
     }
 }

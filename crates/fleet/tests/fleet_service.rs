@@ -3,9 +3,11 @@
 //! clients, the streaming ingest path, and token-gated graceful shutdown.
 
 use debugger::protocol::{Command, Response as DbgResponse};
-use debugger::StopReason;
+use debugger::server::MAX_READ_WORDS;
+use debugger::{DebugSession, StopReason};
 use dejavu::{encode_trace, record_run, SymmetryConfig, TraceFormat, DEFAULT_BLOCK_BUDGET};
-use fleet::{spec_for, FleetClient, FleetConfig, FleetServer, Request, Response};
+use fleet::{spec_for, FleetClient, FleetConfig, FleetMemory, FleetServer, Request, Response};
+use reflect::{LocalVmMemory, ProcessMemory, RemoteReflector};
 use std::time::Duration;
 
 fn workload(name: &str) -> workloads::Workload {
@@ -443,6 +445,76 @@ fn three_tier_debug_over_fleet() {
         panic!("expected output");
     };
     assert_eq!(text, truth.output, "debugging must not perturb the replay");
+
+    server.trigger_shutdown();
+    server.join();
+}
+
+/// The paper's split (§3.2, §4): the tool, in its own process, reads the
+/// paused application's memory word by word over the one wire, and runs
+/// the reflection methods itself. Every word of a hosted session paused
+/// mid-run reads as the same word of a local replay stopped at the same
+/// step, and the Figure-3 query run *here* over those reads answers what
+/// the server's own `stack` command answers.
+#[test]
+fn a_client_side_reflector_reads_a_hosted_replay_word_for_word() {
+    let server = start_server(2);
+    let addr = server.addr().to_string();
+    let (w, seed, step) = (workload("producer_consumer"), 4, 3_000);
+    let spec = spec_for(&w, seed);
+    let (_, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
+    let mut local = DebugSession::new(&spec, trace, fleet::DEFAULT_CHECKPOINT_INTERVAL, Vec::new());
+    local.seek(step);
+    assert!(local.vm().status.is_running(), "paused mid-run");
+    let truth = LocalVmMemory::new(local.vm());
+
+    let mut client = FleetClient::connect(&addr).expect("connect");
+    let id = client.open(w.name, seed).expect("open");
+    let recorded = client.call(&Request::Record { session: id }).expect("record");
+    assert!(matches!(recorded, Response::Recorded { .. }), "{recorded:?}");
+    let sought = client.debug(id, &Command::Seek { step }).unwrap();
+    assert!(matches!(sought, DbgResponse::Stopped { step: at, .. } if at == step), "{sought:?}");
+
+    let mut read = |addr, n| match client.debug(id, &Command::Read { addr, n }).unwrap() {
+        DbgResponse::Words { words } => words,
+        other => panic!("read {addr}+{n}: {other:?}"),
+    };
+    let total = local.vm().heap.total_words() as u64;
+    for base in (0..total).step_by(MAX_READ_WORDS as usize) {
+        let words = read(base, MAX_READ_WORDS);
+        assert_eq!(words.len() as u64, MAX_READ_WORDS.min(total - base), "at {base}");
+        for (addr, word) in (base..).zip(words) {
+            assert_eq!(Some(word), truth.read_word(addr), "word {addr}");
+        }
+    }
+    // Off the end of the space is a short read, not an error...
+    assert_eq!(read(total - 1, 2).len(), 1);
+    assert_eq!((read(u64::MAX, 1), truth.read_word(u64::MAX)), (vec![], None));
+    // ...and past the cap is a typed one.
+    let greedy = Command::Read {
+        addr: 0,
+        n: MAX_READ_WORDS + 1,
+    };
+    let refused = client.debug(id, &greedy).unwrap();
+    assert!(matches!(refused, DbgResponse::Error { .. }), "{refused:?}");
+
+    // Figure 3 from the client process. The boot-image address the tool
+    // needs a priori comes from the same spec booted here (§3.3).
+    let mem = FleetMemory::new(FleetClient::connect(&addr).expect("tool connection"), id);
+    assert_eq!(mem.read_word(u64::MAX), None);
+    let mut refl = RemoteReflector::new(spec.program.clone(), &mem);
+    refl.map_boot_method_table(local.vm().boot_image.method_table);
+    let mut lines = 0;
+    for tid in 0..local.vm().threads.len() as u32 {
+        let DbgResponse::Stack { frames } = client.debug(id, &Command::Stack { tid }).unwrap() else {
+            panic!("expected stack");
+        };
+        for f in frames {
+            assert_eq!(refl.line_number_of(f.method, f.pc).unwrap_or(-1), f.line, "{f:?}");
+            lines += (f.line > 0) as usize;
+        }
+    }
+    assert!(lines > 0, "no frame with a source line was compared");
 
     server.trigger_shutdown();
     server.join();

@@ -5,8 +5,8 @@
 //! *address space*:
 //!
 //! * [`memory`] — the `ptrace` contract: read a word at an address without
-//!   the remote VM executing anything (in-process, snapshot, or TCP via
-//!   [`tcpmem`]);
+//!   the remote VM executing anything (in-process, snapshot, or — from a
+//!   client process, over the fleet frame — `fleet::client::FleetMemory`);
 //! * [`remote`] — the tool-side interpreter with remote objects and mapped
 //!   methods (the 23-bytecode extension of §3.4);
 //! * [`mirror`] — cloned typed views (strings, arrays, field maps) for
@@ -22,8 +22,6 @@
 pub mod memory;
 pub mod mirror;
 pub mod remote;
-pub mod tcpmem;
 
 pub use memory::{CountingMemory, LocalVmMemory, ProcessMemory, SnapshotMemory};
 pub use remote::{ReflectError, RemoteReflector, TVal};
-pub use tcpmem::{serve_one, TcpMemory};

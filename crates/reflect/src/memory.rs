@@ -5,9 +5,10 @@
 //! which in the Jalapeño implementation is the Unix ptrace facility" (§3.2)
 //! — i.e., the ability to read a word at an address in the remote process
 //! **without the remote process executing any code**. [`ProcessMemory`]
-//! captures exactly that contract; three implementations cover in-process
-//! inspection of a paused VM, snapshot files, and a live TCP channel (see
-//! [`crate::tcpmem`]).
+//! captures exactly that contract; the implementations here cover
+//! in-process inspection of a paused VM and snapshot files, and
+//! `fleet::client::FleetMemory` reads a fleet-hosted replay from the
+//! client process.
 
 use djvm::heap::{Addr, Word};
 use djvm::Vm;

@@ -329,27 +329,3 @@ fn e8_in_process_reflection_breaks_replay() {
         || vm.state_digest() != rec.state_digest;
     assert!(diverged, "in-process reflection must break replay");
 }
-
-#[test]
-fn tcp_remote_memory_round_trips() {
-    let (mut vm, p) = app_vm();
-    run_to_halt(&mut vm);
-    let program = Arc::new(p);
-    let truth: Vec<u32> = program.method(program.entry).lines.clone();
-    let table = vm.boot_image.method_table;
-    let entry = program.entry;
-
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server = std::thread::spawn(move || reflect::serve_one(vm, listener).unwrap());
-
-    {
-        let mem = reflect::TcpMemory::connect(&addr.to_string()).unwrap();
-        let mut refl = RemoteReflector::new(Arc::clone(&program), &mem);
-        refl.map_boot_method_table(table);
-        let got = refl.line_number_of(entry, 2).unwrap();
-        assert_eq!(got, truth[2] as i64);
-        assert!(mem.round_trips() > 3, "words were fetched over TCP");
-    } // drop closes the connection; server returns
-    let _vm = server.join().unwrap();
-}

@@ -151,12 +151,13 @@ impl Backend {
     /// Atomic write: unique temp file in the target's directory, then
     /// rename over the destination. Concurrent writers of the same path
     /// race benignly — for content-addressed paths both bodies are
-    /// byte-identical, and rename is atomic either way.
+    /// byte-identical, and rename is atomic either way. The directory must
+    /// exist: a write under a root that has been removed is a typed I/O
+    /// error, never the root coming back.
     pub fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
         let dir = path
             .parent()
             .ok_or_else(|| StoreError::Corrupt(format!("{}: no parent dir", path.display())))?;
-        fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, e))?;
         let tmp = dir.join(format!(
             "tmp-{}-{}",
             std::process::id(),
@@ -178,6 +179,12 @@ impl Backend {
             return Ok((0, false));
         }
         let bytes = encode_record(digest, packed);
+        // The one directory not made at `open`: the block's shard.
+        if let Some(shard) = path.parent() {
+            fs::create_dir(shard)
+                .or_else(|e| if shard.is_dir() { Ok(()) } else { Err(e) })
+                .map_err(|e| StoreError::io(shard, e))?;
+        }
         self.write_atomic(&path, &bytes)?;
         Ok((bytes.len() as u64, true))
     }

@@ -8,8 +8,9 @@
 //! LZ77 tier, and either degrades to `Stored` when compression does not
 //! pay ([`Packed::pack`], the same call and the same rule a fresh encode
 //! uses). A block already on its target tier is **skipped without a
-//! write** and keeps the stream it has — which makes a second compaction
-//! pass a byte-level no-op (the idempotence verify.sh gates on).
+//! write or a compression** and keeps the stream it has — which makes a
+//! second compaction pass a byte-level no-op (the idempotence verify.sh
+//! gates on).
 //!
 //! Both passes read raw block bytes only through the validating decoder
 //! and never touch catalog entries or fingerprints: store maintenance
@@ -122,12 +123,15 @@ pub fn compact_pass(
         } else {
             BlockMethod::Lz77
         };
-        let packed = Packed::pack(&raw, desired);
-        if packed.method == current.method {
+        // A record already on its tier is not compressed again to learn
+        // that; one the compressors declined (`Stored`) is retried, since
+        // only packing says whether `desired` pays this time.
+        let packed = (current.method != desired).then(|| Packed::pack(&raw, desired));
+        let Some(packed) = packed.filter(|p| p.method != current.method) else {
             report.unchanged += 1;
             report.bytes_after += len;
             continue;
-        }
+        };
         let bytes = encode_record(digest, &packed);
         backend.write_atomic(&backend.block_path(digest), &bytes)?;
         report.migrated += 1;

@@ -585,13 +585,29 @@ mod tests {
     use dejavu::trace::{DataRec, SwitchRec};
     use dejavu::{encode_trace, TraceFormat};
 
-    fn scratch(tag: &str) -> std::path::PathBuf {
+    /// A scratch store root, removed when the test ends.
+    struct Scratch(std::path::PathBuf);
+
+    impl std::ops::Deref for Scratch {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn scratch(tag: &str) -> Scratch {
         // CARGO_TARGET_TMPDIR is only set for integration tests, so unit
         // tests use the OS temp dir, pid-scoped against parallel runs.
         let dir = std::env::temp_dir().join(format!("djv-store-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        dir
+        Scratch(dir)
     }
 
     fn sample(paranoid: bool, n: usize, salt: u64) -> Trace {
@@ -777,6 +793,24 @@ mod tests {
         let err = store.get_bytes(&put.entry).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
         assert_eq!(store.open_trace(&put.entry).unwrap().trace, trace);
+    }
+
+    /// A store outliving its root must not bring the root back: the heat
+    /// flush — explicit, or the one `Drop` runs — used to
+    /// `create_dir_all` its way to `<root>/meta/heat.json`.
+    #[test]
+    fn a_dropped_store_does_not_resurrect_a_removed_root() {
+        let root = scratch("resurrect");
+        let (flushed, dropped) = (Store::open(&root).unwrap(), Store::open(&root).unwrap());
+        let bytes = encode_trace(&sample(false, 200, 9), TraceFormat::Block, 64);
+        let put = flushed.put_bytes("w", 1, &bytes, 0, "").unwrap();
+        for store in [&flushed, &dropped] {
+            store.get_bytes(&put.entry).unwrap(); // heat to flush
+        }
+        std::fs::remove_dir_all(&*root).unwrap();
+        assert!(matches!(flushed.flush(), Err(StoreError::Io(_))));
+        drop(dropped);
+        assert!(!root.exists(), "a flush recreated {}", root.display());
     }
 
     #[test]

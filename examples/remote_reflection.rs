@@ -1,14 +1,16 @@
 //! The paper's Figure 3, live: `Debugger.lineNumberOf` executed by a tool
-//! against the application VM's address space — over TCP, across
-//! processes' worth of separation — while the application VM executes
-//! nothing.
+//! against the application VM's address space — in process, then over
+//! TCP against a replay a fleet server hosts, across processes' worth of
+//! separation — while the application VM executes nothing.
 //!
 //! ```sh
 //! cargo run --example remote_reflection
 //! ```
 
+use debugger::{Command, Response};
 use djvm::{interp, CycleClock, FixedTimer, Passthrough, ProgramBuilder, Ty, Vm, VmConfig};
-use reflect::{mirror, LocalVmMemory, ProcessMemory, RemoteReflector, TcpMemory};
+use fleet::{spec_for, FleetClient, FleetConfig, FleetMemory, FleetServer, Request};
+use reflect::{mirror, CountingMemory, LocalVmMemory, ProcessMemory, RemoteReflector};
 use std::sync::Arc;
 
 fn main() {
@@ -67,21 +69,35 @@ fn main() {
         }
     }
 
-    // -- The same query over TCP (separate server thread = the remote
-    //    process; the VM executes nothing on the tool's behalf). ---------
-    println!("\n== the same query over TCP ==");
-    let table = vm.boot_image.method_table;
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server = std::thread::spawn(move || reflect::serve_one(vm, listener).unwrap());
-    {
-        let mem = TcpMemory::connect(&addr.to_string()).unwrap();
-        let mut refl = RemoteReflector::new(Arc::clone(&program), &mem);
-        refl.map_boot_method_table(table);
-        let line = refl.line_number_of(program.entry, 9).unwrap();
-        println!("  main @ bytecode 9 -> source line {line}");
-        println!("  TCP word-read round trips: {}", mem.round_trips());
+    // -- The same query over TCP: a fleet server (the remote process)
+    //    hosts a replay paused mid-run; the tool here reads its memory
+    //    word by word over the fleet frame and runs the reflection methods
+    //    itself. The server executes nothing on the tool's behalf. -------
+    println!("\n== the same query against a fleet-hosted replay, over TCP ==");
+    let server = FleetServer::start("127.0.0.1:0", FleetConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let mut gui = FleetClient::connect(&addr).unwrap();
+    let session = gui.open("racy_counter", 7).unwrap();
+    gui.call(&Request::Record { session }).unwrap();
+    gui.debug(session, &Command::Seek { step: 400 }).unwrap();
+    // The tool loads the same boot image as the application (§3.3): the
+    // program, and the one address it must know a priori.
+    let racy_counter = workloads::registry().into_iter().find(|w| w.name == "racy_counter");
+    let spec = spec_for(&racy_counter.unwrap(), 7);
+    let tool = FleetClient::connect(&addr).unwrap();
+    let mem = CountingMemory::new(FleetMemory::new(tool, session));
+    let mut refl = RemoteReflector::new(Arc::clone(&spec.program), &mem);
+    refl.map_boot_method_table(spec.replay_vm().boot_image.method_table);
+    let Response::Stack { frames } = gui.debug(session, &Command::Stack { tid: 0 }).unwrap() else {
+        panic!("expected a stack");
+    };
+    for f in &frames {
+        let line = refl.line_number_of(f.method, f.pc).unwrap();
+        println!("  {} @ bytecode {} -> source line {line}", f.method_name, f.pc);
+        assert_eq!(line, f.line, "the server's own stack command disagrees");
     }
-    let _vm = server.join().unwrap();
+    println!("  word reads over the wire: {}", mem.reads());
+    server.trigger_shutdown();
+    server.join();
     println!("\nno application code executed on the tool's behalf. ✓");
 }

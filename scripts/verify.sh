@@ -401,7 +401,7 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 
-echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one replay loop, one reference map, no env knobs =="
+echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one replay loop, one reference map, one door to a hosted run, no env knobs =="
 fail=0
 # Only the property harness reads the environment (QC_CASES / QC_SEED).
 if grep -rn 'env::var' crates src --include=*.rs | grep -v '^src/qc\.rs:'; then
@@ -541,6 +541,20 @@ if grep -rnE 'TraceFormat::Flat|Trace::decode|fn (root_values|frame_refs|push_ch
     echo "verify: the flat trace reader, or a per-collector copy of the reference walk, is back" >&2
     fail=1
 fi
+# One door to a hosted run: the fleet server binds the only listener and
+# runs the only accept loop, the fleet frame is the only wire between
+# processes, and one function answers a frame.
+one_fn "a listener is bound" \
+    "$(find crates src -name '*.rs' ! -path '*/tests/*' | fns_naming 'TcpListener::bind')" \
+    "crates/fleet/src/server.rs: fn start"
+one_fn "connections are accepted" \
+    "$(find crates src -name '*.rs' ! -path '*/tests/*' | fns_naming '\\.accept\\(\\)')" \
+    "crates/fleet/src/server.rs: fn acceptor_loop"
+if grep -rnE 'tcpmem|TcpMemory|serve_one|SHARDS|dispatch_inner|try_dispatch|DebugSession::new_indexed|from_trace_bytes' \
+    crates src tests examples --include=*.rs; then
+    echo "verify: the second listener, the sharded session map, a nested dispatch or a second DebugSession constructor is back" >&2
+    fail=1
+fi
 [ "$fail" -eq 0 ]
 echo "surface: $(git ls-files '*.rs' '*.sh' ':!benchmark' | xargs cat | wc -l) lines of .rs/.sh outside benchmark/"
 # Lines before the first `#[cfg(test)]` (all of a file that has none), summed.
@@ -555,5 +569,6 @@ echo "surface: $(nontest $d/interp.rs $d/compile.rs) non-test lines in interp.rs
 echo "surface: $(nontest $d/gc.rs $d/vm.rs $d/heap.rs) non-test lines in gc.rs + vm.rs + heap.rs"
 echo "surface: $(nontest crates/dejavu/src/blocktrace.rs crates/store/src/*.rs) non-test lines in dejavu's blocktrace.rs + crates/store/src/*.rs"
 echo "surface: $(nontest $d/interp.rs crates/dejavu/src/timetravel.rs crates/debugger/src/engine.rs crates/fleet/src/session.rs) non-test lines in interp.rs + dejavu's timetravel.rs + debugger's engine.rs + fleet's session.rs"
+echo "surface: $(nontest crates/reflect/src/*.rs crates/fleet/src/*.rs crates/debugger/src/*.rs) non-test lines in crates/{reflect,fleet,debugger}/src"
 
 echo "verify: OK"

@@ -119,7 +119,10 @@ fn every_command() -> Vec<Command> {
         Command::Disassemble { method: 9 },
         Command::Output,
         Command::Where,
-        Command::Quit,
+        Command::Read {
+            addr: u64::MAX,
+            n: 4096,
+        },
     ]
 }
 
@@ -188,7 +191,9 @@ fn every_response() -> Vec<Response> {
         Response::Error {
             message: "no such method \u{7}".into(),
         },
-        Response::Bye,
+        Response::Words {
+            words: vec![0, u64::MAX],
+        },
     ]
 }
 
@@ -224,8 +229,11 @@ fn protocol_rejects_malformed_lines() {
         r#"{"resp":"stopped"}"#,
         r#"{"cmd":"break","method":3}"#,
         r#"{"cmd":"seek","step":-1}"#,
+        r#"{"cmd":"read","addr":0,"n":-1}"#,
+        r#"{"cmd":"quit"}"#,
     ] {
         assert!(Command::from_json_str(junk).is_err(), "accepted {junk:?}");
     }
     assert!(Response::from_json_str(r#"{"resp":"nope"}"#).is_err());
+    assert!(Response::from_json_str(r#"{"resp":"bye"}"#).is_err());
 }

@@ -2,6 +2,8 @@
 //! "frame-codec round-trip property test in the qc harness, plus a
 //! malformed-header fuzz loop mirroring djvb_fuzz.rs").
 
+use codec::{FromJson, ToJson};
+use dejavu_repro::debugger::{Command, Response as DebugResponse};
 use dejavu_repro::fleet::{self, Request, Response, WireError};
 use dejavu_repro::qc::{check, Gen};
 use dejavu_repro::qc_assert;
@@ -15,7 +17,7 @@ fn gen_request(g: &mut Gen) -> Request {
             .map(|_| char::from(g.u64_in(32, 126) as u8))
             .collect::<String>()
     };
-    match g.usize_in(0, 11) {
+    match g.usize_in(0, 10) {
         0 => Request::Open {
             workload: s(g),
             seed: g.any_u64(),
@@ -38,19 +40,25 @@ fn gen_request(g: &mut Gen) -> Request {
         5 => Request::DivergenceCheck {
             session: g.any_u64(),
         },
-        6 => Request::Profile {
-            session: g.any_u64(),
-            top: g.any_u64(),
-        },
-        7 => Request::Close {
+        6 => Request::Close {
             session: g.any_u64(),
         },
-        8 => Request::Debug {
+        // Half of the `Debug` frames carry a command — the word read — so
+        // the round trip and the mutations below reach inside one.
+        7 if g.bool() => Request::Debug {
+            session: g.any_u64(),
+            command: Command::Read {
+                addr: g.any_u64(),
+                n: g.any_u64(),
+            }
+            .to_json_string(),
+        },
+        7 => Request::Debug {
             session: g.any_u64(),
             command: s(g),
         },
-        9 => Request::Stats,
-        10 => Request::OpenStored { entry: s(g) },
+        8 => Request::Stats,
+        9 => Request::OpenStored { entry: s(g) },
         _ => Request::Shutdown { token: s(g) },
     }
 }
@@ -63,7 +71,7 @@ fn gen_response(g: &mut Gen) -> Response {
             .map(|_| char::from(g.u64_in(32, 126) as u8))
             .collect::<String>()
     };
-    match g.usize_in(0, 11) {
+    match g.usize_in(0, 10) {
         0 => Response::Opened {
             session: g.any_u64(),
         },
@@ -96,16 +104,18 @@ fn gen_response(g: &mut Gen) -> Response {
             clean: g.bool(),
             json: s(g),
         },
-        6 => Response::Profiled {
-            session: g.any_u64(),
-            json: s(g),
-        },
-        7 => Response::Closed {
+        6 => Response::Closed {
             session: g.any_u64(),
         },
-        8 => Response::Debug { json: s(g) },
-        9 => Response::Stats { json: s(g) },
-        10 => Response::ShuttingDown,
+        7 if g.bool() => Response::Debug {
+            json: DebugResponse::Words {
+                words: g.vec_of(0, 8, |g| g.any_u64()),
+            }
+            .to_json_string(),
+        },
+        7 => Response::Debug { json: s(g) },
+        8 => Response::Stats { json: s(g) },
+        9 => Response::ShuttingDown,
         _ => Response::Error {
             code: g.u64_in(0, 255) as u8,
             message: s(g),
@@ -119,9 +129,19 @@ fn request_and_response_encodings_round_trip() {
         let req = gen_request(g);
         let decoded = Request::decode(&req.encode()).map_err(|e| e.to_string())?;
         qc_assert!(decoded == req, "request round-trip changed the value");
+        if let Request::Debug { command, .. } = &decoded {
+            if let Ok(cmd) = Command::from_json_str(command) {
+                qc_assert!(cmd.to_json_string() == *command, "command changed: {command}");
+            }
+        }
         let resp = gen_response(g);
         let decoded = Response::decode(&resp.encode()).map_err(|e| e.to_string())?;
         qc_assert!(decoded == resp, "response round-trip changed the value");
+        if let Response::Debug { json } = &decoded {
+            if let Ok(r) = DebugResponse::from_json_str(json) {
+                qc_assert!(r.to_json_string() == *json, "debug response changed: {json}");
+            }
+        }
         Ok(())
     });
 }
@@ -205,13 +225,27 @@ fn mutated_frames_and_headers_never_panic() {
             }
         }
         let ok = catch_unwind(AssertUnwindSafe(|| {
-            let _ = Request::decode(&bytes);
-            let _ = Response::decode(&bytes);
+            if let Ok(Request::Debug { command, .. }) = Request::decode(&bytes) {
+                let _ = Command::from_json_str(&command);
+            }
+            if let Ok(Response::Debug { json }) = Response::decode(&bytes) {
+                let _ = DebugResponse::from_json_str(&json);
+            }
         }))
         .is_ok();
         qc_assert!(ok, "decoder panicked on mutated {} bytes", bytes.len());
         Ok(())
     });
+}
+
+/// Tag 7 was `Profile` / `Profiled`; `Debug {"cmd":"profile"}` is the one
+/// road there, and the tag stays reserved.
+#[test]
+fn the_deleted_profile_tag_is_a_bad_tag() {
+    let profile = [7, 1, 10]; // tag, session 1, top 10
+    assert_eq!(Request::decode(&profile), Err(WireError::BadTag(7)));
+    let profiled = [7, 1, 2, b'{', b'}']; // tag, session 1, json "{}"
+    assert_eq!(Response::decode(&profiled), Err(WireError::BadTag(7)));
 }
 
 #[test]

@@ -34,7 +34,7 @@ fn full_platform_flow() {
     assert!(row.dejavu_bytes < row.readlog_bytes);
 
     // --- debug the recording ---------------------------------------------
-    let mut session = DebugSession::new(&spec, trace, 4_000);
+    let mut session = DebugSession::new(&spec, trace, 4_000, Vec::new());
     let worker = spec.program.method_id_by_name("worker").unwrap();
     session.add_breakpoint(worker, 0);
     let stop = session.cont();
@@ -139,7 +139,7 @@ fn every_replay_door_agrees_with_the_record() {
         tt.advance(u64::MAX);
         agrees("TimeTravel", tt.vm(), tt.desyncs());
 
-        let mut session = DebugSession::new(&spec, trace, u64::MAX);
+        let mut session = DebugSession::new(&spec, trace, u64::MAX, Vec::new());
         session.cont();
         agrees("DebugSession", session.vm(), session.desyncs());
     }

@@ -6,7 +6,6 @@
 //! the same DJVB file, under the same catalog identity, as a client
 //! uploading that run.
 
-use dejavu_repro::debugger::DebugSession;
 use dejavu_repro::dejavu::{
     encode_trace, ingest_bytes, record_run, BlockFile, SymmetryConfig, TraceError, TraceFormat,
     DEFAULT_BLOCK_BUDGET,
@@ -95,8 +94,6 @@ fn flat_bytes_are_one_typed_error_at_every_read_door() {
 
     // The library doors.
     assert_eq!(ingest_bytes(flat.clone()).unwrap_err(), refused);
-    let dbg = DebugSession::from_trace_bytes(&spec, &flat, 5_000);
-    assert_eq!(dbg.err(), Some(refused.clone()));
     let store = Store::open(&dir.join("store")).unwrap();
     let err = store.put_bytes("racy_counter", 3, &flat, 0, "").unwrap_err();
     assert_eq!(err, StoreError::Trace(refused.clone()));
@@ -151,8 +148,6 @@ fn respelled_files_are_one_typed_error_at_every_read_door() {
         let refused = BlockFile::parse(bytes.clone()).unwrap_err();
         assert!(matches!(refused, TraceError::Corrupt(_)), "{name}: {refused}");
         assert_eq!(ingest_bytes(bytes.clone()).unwrap_err(), refused, "{name}");
-        let dbg = DebugSession::from_trace_bytes(&spec, &bytes, 5_000);
-        assert_eq!(dbg.err(), Some(refused.clone()), "{name}");
         let err = store.put_bytes("fig1_cd", 5, &bytes, 0, "").unwrap_err();
         assert_eq!(err, StoreError::Trace(refused.clone()), "{name}");
 
@@ -213,8 +208,6 @@ fn a_zero_yield_point_delta_is_refused_at_every_door_that_decodes_events() {
     assert!(matches!(refused, TraceError::Corrupt(_)), "{refused}");
     let bf = BlockFile::parse(crafted.clone()).expect("the framing is the writer's own");
     assert_eq!(bf.verify().unwrap_err(), refused);
-    let dbg = DebugSession::from_trace_bytes(&spec, &crafted, 5_000);
-    assert_eq!(dbg.err(), Some(refused.clone()));
     let store = Store::open(&dir.join("store")).unwrap();
     let unread = store.put_bytes("racy_counter", 7, &crafted, 0, "").unwrap();
     let err = store.open_trace(&unread.entry).unwrap_err();
