@@ -186,6 +186,8 @@ fn copying(vm: &mut Vm) {
         RESERVED
     };
     vm.heap.bump = to_base;
+    // To-space is written and, in debug builds, from-space scrubbed.
+    vm.heap.extent = vm.heap.total_words();
 
     // Roots, rewritten in place. Only this collector moves an activation
     // stack, so the rebase of each thread's registers is its own.

@@ -196,9 +196,14 @@ pub struct HeapStats {
 }
 
 /// The guest heap.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Heap {
     pub(crate) mem: Vec<Word>,
+    /// Every word at or above this address is zero, so a snapshot is the
+    /// prefix below it. Advanced by `alloc_block` to the end of each
+    /// block it hands out and raised to the heap's end by a copying
+    /// collection; only a restore lowers it.
+    pub(crate) extent: usize,
     kind: GcKind,
     /// Semispace: size of each half.
     pub(crate) half: usize,
@@ -212,10 +217,11 @@ pub struct Heap {
     pub stats: HeapStats,
 }
 
-/// A full copy of heap state, for checkpoint/restore (Igor/Boothe-style
-/// time travel).
+/// A copy of heap state, for checkpoint/restore (Igor/Boothe-style time
+/// travel): the words below the heap's extent and the allocator's state.
 #[derive(Debug, Clone)]
 pub struct HeapSnapshot {
+    /// `mem[..extent]`; its length is the extent at the snapshot.
     mem: Vec<Word>,
     half: usize,
     active_base: usize,
@@ -241,6 +247,7 @@ impl Heap {
         };
         Heap {
             mem,
+            extent: RESERVED,
             kind,
             half,
             active_base,
@@ -292,35 +299,37 @@ impl Heap {
         self.serial
     }
 
+    /// Every word at or above this address is zero.
+    pub fn extent(&self) -> usize {
+        self.extent
+    }
+
     /// Raw block allocation; `None` means a GC (or OOM) is needed.
     fn alloc_block(&mut self, words: usize) -> Option<Addr> {
         debug_assert!(words >= 1);
-        match self.kind {
+        let addr = match self.kind {
             GcKind::Copying => {
-                if self.bump + words <= self.active_base + self.half {
-                    let a = self.bump;
-                    self.bump += words;
-                    Some(a as Addr)
-                } else {
-                    None
+                if self.bump + words > self.active_base + self.half {
+                    return None;
                 }
+                let addr = self.bump;
+                self.bump += words;
+                addr
             }
             GcKind::MarkSweep => {
                 // Address-ordered first fit keeps allocation deterministic.
-                for i in 0..self.free.len() {
-                    let (addr, len) = self.free[i];
-                    if len >= words {
-                        if len == words {
-                            self.free.remove(i);
-                        } else {
-                            self.free[i] = (addr + words, len - words);
-                        }
-                        return Some(addr as Addr);
-                    }
+                let i = self.free.iter().position(|&(_, len)| len >= words)?;
+                let (addr, len) = self.free[i];
+                if len == words {
+                    self.free.remove(i);
+                } else {
+                    self.free[i] = (addr + words, len - words);
                 }
-                None
+                addr
             }
-        }
+        };
+        self.extent = self.extent.max(addr + words);
+        Some(addr as Addr)
     }
 
     /// Allocate a zeroed scalar object. Returns `None` if a GC is needed.
@@ -461,10 +470,16 @@ impl Heap {
         self.mem.clone()
     }
 
-    /// Capture the complete heap state.
+    /// Capture the complete heap state: the words below the extent (the
+    /// rest are zero) and the allocator's bookkeeping.
     pub fn snapshot(&self) -> HeapSnapshot {
+        debug_assert!(
+            self.mem[self.extent..].iter().all(|&w| w == 0),
+            "a word at or above the extent {} is written",
+            self.extent
+        );
         HeapSnapshot {
-            mem: self.mem.clone(),
+            mem: self.mem[..self.extent].to_vec(),
             half: self.half,
             active_base: self.active_base,
             bump: self.bump,
@@ -474,10 +489,16 @@ impl Heap {
         }
     }
 
-    /// Restore a previously captured heap state (collector kind must not
-    /// have changed).
+    /// Restore a previously captured heap state (collector kind and size
+    /// must not have changed): copy its prefix back and zero what this heap
+    /// wrote above it.
     pub fn restore(&mut self, s: &HeapSnapshot) {
-        self.mem.clone_from(&s.mem);
+        let extent = s.mem.len();
+        self.mem[..extent].copy_from_slice(&s.mem);
+        if let Some(tail) = self.mem.get_mut(extent..self.extent) {
+            tail.fill(0);
+        }
+        self.extent = extent;
         self.half = s.half;
         self.active_base = s.active_base;
         self.bump = s.bump;
@@ -486,9 +507,9 @@ impl Heap {
         self.stats = s.stats;
     }
 
-    /// Snapshot payload size in bytes (checkpoint-cost experiments).
+    /// Size in bytes of a snapshot taken now (checkpoint-cost experiments).
     pub fn snapshot_bytes(&self) -> usize {
-        self.mem.len() * 8 + self.free.len() * 16 + 64
+        self.extent * 8 + self.free.len() * 16 + 64
     }
 }
 
@@ -582,6 +603,94 @@ mod tests {
         h.free.insert(0, (a as usize, 4));
         let c = h.alloc_scalar(0, 3).unwrap();
         assert_eq!(c, a, "first-fit must reuse the earliest free block");
+    }
+
+    const KINDS: [GcKind; 2] = [GcKind::MarkSweep, GcKind::Copying];
+
+    #[test]
+    fn extent_is_monotone_and_covers_every_allocated_word() {
+        for kind in KINDS {
+            let mut h = Heap::new(kind, 1024);
+            assert_eq!(h.extent(), RESERVED);
+            for i in 1..30 {
+                let before = h.extent();
+                // Allocate, then write the block's last word.
+                let last = match i % 3 {
+                    0 => {
+                        let a = h.alloc_scalar(1, 2).unwrap();
+                        h.set_field(a, 1, 7);
+                        a + 2
+                    }
+                    1 => {
+                        let a = h.alloc_array(ArrKind::Int, i).unwrap();
+                        h.set_elem(a, i - 1, 7);
+                        a + 1 + i as Addr
+                    }
+                    _ => {
+                        let a = h.alloc_classobj(2, 1).unwrap();
+                        h.set_field(a, 0, 7);
+                        a + 1
+                    }
+                };
+                assert!(h.extent() >= before, "{kind:?}: extent went down");
+                assert!(
+                    (last as usize) < h.extent(),
+                    "{kind:?}: {last} above the extent"
+                );
+                assert!(h.mem[h.extent()..].iter().all(|&w| w == 0), "{kind:?}");
+                assert_eq!(h.snapshot().mem.len(), h.extent());
+            }
+        }
+        // First-fit reuse below the extent leaves it where it was.
+        let mut h = Heap::new(GcKind::MarkSweep, 1024);
+        let a = h.alloc_scalar(0, 3).unwrap();
+        h.alloc_scalar(0, 3).unwrap();
+        h.free.insert(0, (a as usize, 4));
+        let extent = h.extent();
+        assert_eq!(h.alloc_scalar(0, 3), Some(a));
+        assert_eq!(h.extent(), extent);
+    }
+
+    #[test]
+    fn restoring_a_smaller_extent_zeroes_the_tail() {
+        for kind in KINDS {
+            let mut h = Heap::new(kind, 1024);
+            let a = h.alloc_scalar(1, 3).unwrap();
+            h.set_field(a, 2, 5);
+            let snap = h.snapshot();
+            let want = (h.extent(), h.mem_snapshot(), h.free_words());
+            let b = h.alloc_array(ArrKind::Int, 40).unwrap();
+            h.set_elem(b, 39, 9);
+            h.set_field(a, 0, 6);
+            assert!(h.extent() > want.0);
+            h.restore(&snap);
+            assert_eq!(
+                (h.extent(), h.mem_snapshot(), h.free_words()),
+                want,
+                "{kind:?}"
+            );
+            // Allocation resumes where it stood.
+            assert_eq!(h.alloc_array(ArrKind::Int, 40), Some(b), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn restoring_onto_a_heap_with_a_smaller_extent() {
+        for kind in KINDS {
+            let mut h = Heap::new(kind, 1024);
+            let a = h.alloc_array(ArrKind::Ref, 50).unwrap();
+            h.set_elem(a, 49, a);
+            let snap = h.snapshot();
+            let want = (h.extent(), h.mem_snapshot(), h.free_words());
+            let mut fresh = Heap::new(kind, 1024);
+            assert!(fresh.extent() < want.0);
+            fresh.restore(&snap);
+            assert_eq!(
+                (fresh.extent(), fresh.mem_snapshot(), fresh.free_words()),
+                want,
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

@@ -364,6 +364,52 @@ fn dropped_peer_mid_frame_does_not_kill_the_server() {
     server.join();
 }
 
+/// A hosted `fig1_hot` replay takes a checkpoint every
+/// `DEFAULT_CHECKPOINT_INTERVAL` steps, a couple of hundred of them; each
+/// holds the words the guest has written, not the whole heap image, so
+/// one small `Replay` frame cannot pin gigabytes of checkpoints — and the
+/// replay still lands on the recorded fingerprint.
+#[test]
+fn a_hosted_heavy_replay_holds_checkpoints_sized_to_the_guest() {
+    let server = start_server(1);
+    let mut client = FleetClient::connect(&server.addr().to_string()).expect("connect");
+    let id = client.open("fig1_hot", 5).expect("open");
+    let recorded = match client
+        .call(&Request::Record { session: id })
+        .expect("record")
+    {
+        Response::Recorded { fingerprint, .. } => fingerprint,
+        other => panic!("record: {other:?}"),
+    };
+    match client
+        .call(&Request::Replay { session: id })
+        .expect("replay")
+    {
+        Response::Replayed {
+            fingerprint, clean, ..
+        } => {
+            assert!(clean, "desyncs replaying a hosted record");
+            assert_eq!(fingerprint, recorded, "fingerprint drift");
+        }
+        other => panic!("replay: {other:?}"),
+    }
+    let DbgResponse::Metrics { json } = client.debug(id, &Command::Metrics).unwrap() else {
+        panic!("expected metrics");
+    };
+    let doc = codec::Json::parse(&json).expect("canonical metrics json");
+    let counters = doc.field("session").unwrap().field("counters").unwrap();
+    let counter = |k: &str| counters.field(k).unwrap().as_u64().unwrap();
+    let (checkpoints, bytes) = (counter("checkpoints"), counter("checkpoint_bytes"));
+    assert!(checkpoints > 100, "only {checkpoints} checkpoints");
+    assert!(
+        bytes < 64 << 20,
+        "{checkpoints} checkpoints hold {bytes} bytes"
+    );
+
+    server.trigger_shutdown();
+    server.join();
+}
+
 /// E9's three tiers over the one wire: application VM (replayed inside
 /// the server) / fleet server / `FleetClient` standing in for the GUI.
 #[test]

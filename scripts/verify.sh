@@ -401,7 +401,7 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 
-echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one replay loop, one reference map, one door to a hosted run, no env knobs =="
+echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one replay loop, one reference map, one door to a hosted run, one heap extent, no env knobs =="
 fail=0
 # Only the property harness reads the environment (QC_CASES / QC_SEED).
 if grep -rn 'env::var' crates src --include=*.rs | grep -v '^src/qc\.rs:'; then
@@ -536,6 +536,18 @@ one_fn "a per-pc reference map is indexed" \
 one_fn "statics-or-fields (is_classobj beside static_layouts) is chosen" \
     "$(both 'is_classobj' 'static_layouts')" \
     "crates/djvm/src/program.rs: fn layout_of"
+# Checkpoints sized to what the guest wrote: a snapshot copies the words
+# below the heap's extent. Only the reflection core dump copies the whole
+# image, and the extent moves up only where a block is handed out and where
+# a copying collection writes to-space (a restore resets it).
+djvm_fns() { find crates/djvm/src -name '*.rs' | fns_naming "$1"; }
+one_fn "the whole heap image is copied" \
+    "$(djvm_fns 'mem\\.(clone|to_vec)\\(|mem\\.clone_from\\(')" \
+    "crates/djvm/src/heap.rs: fn mem_snapshot"
+one_fn "the heap's extent is advanced" \
+    "$(djvm_fns '\\.extent *=[^=]' | grep -v ': fn restore$' || true)" \
+    "crates/djvm/src/gc.rs: fn copying
+crates/djvm/src/heap.rs: fn alloc_block"
 if grep -rnE 'TraceFormat::Flat|Trace::decode|fn (root_values|frame_refs|push_children)\b' \
     crates src tests examples --include=*.rs; then
     echo "verify: the flat trace reader, or a per-collector copy of the reference walk, is back" >&2

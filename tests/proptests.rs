@@ -864,8 +864,8 @@ fn time_travel_lands_on_the_same_state_in_every_tier() {
             });
 
             // Everything a client can see after each move, one tier at a time
-            // (a checkpoint is an 8 MiB image; three tiers' worth at once is
-            // not needed to compare them).
+            // (three tiers' checkpoints at once are not needed to compare
+            // them).
             let drive = |spec: &ExecSpec| {
                 let mut tt = TimeTravel::new_indexed(
                     spec.replay_vm(),
