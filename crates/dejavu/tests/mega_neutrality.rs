@@ -1,5 +1,5 @@
 //! Tier-2 megablock execution must be **invisible**: like quickening, a
-//! pure speed setting. This suite proves it three ways:
+//! pure speed setting. This suite proves it five ways:
 //!
 //! 1. a qc-style property — random loop-heavy programs × random timer
 //!    intervals × forced-deopt injection, asserting fingerprints, trace
@@ -9,10 +9,15 @@
 //!    including cross-tier replay (a trace recorded under one tier
 //!    replays accurately under another);
 //! 3. a deopt-at-every-guard sweep on `fig1_hot` and forced-deopt stress
-//!    on the `recursion_storm` / `lock_convoy` schedulers' worst cases.
+//!    on the `recursion_storm` / `lock_convoy` schedulers' worst cases;
+//! 4. the same matrix under `Coarse` fingerprints;
+//! 5. every megablock's fingerprint fold — how the closed form advances
+//!    the default `Full` hash — against the pc mixes it replaces.
 
 use dejavu::{record_run, replay_run, ExecSpec, SymmetryConfig};
-use djvm::{Program, ProgramBuilder, SplitMix64, Ty};
+use djvm::compile::{compile_loop, loop_heads};
+use djvm::fingerprint::Fingerprint;
+use djvm::{MethodId, Program, ProgramBuilder, SplitMix64, Ty};
 
 // ---------------------------------------------------------------------------
 // Random loop-heavy guest programs
@@ -246,6 +251,11 @@ fn megablocks_are_neutral_across_the_workload_suite() {
                 "fig1_hot must genuinely run tier-2: {:?}",
                 rec_m.mega
             );
+            assert!(
+                rec_m.mega.closed_iters > 0,
+                "closed form must fire on fig1_hot under the default Full fingerprint: {:?}",
+                rec_m.mega
+            );
         }
     }
 }
@@ -336,14 +346,14 @@ fn fig1_hot_survives_deopt_at_every_guard() {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Coarse fingerprinting: the closed-form stepper's regime
+// 4. Coarse fingerprinting
 // ---------------------------------------------------------------------------
 
-/// Every test above runs under `FingerprintMode::Full`, whose per-pc hash
-/// chain forces the step-by-step megablock loop. The production `Coarse`
-/// mode arms the closed-form stepper (whole iteration batches retired with
-/// one multiply), so the fast path needs its own neutrality proof — trace
-/// bytes, cross-tier replay, and a witness that it actually fired.
+/// Every test above runs under `FingerprintMode::Full`, the default
+/// (`VmConfig::default()`), where the closed form folds each batch's pc
+/// mixes. `Coarse` mixes no pcs at all, so the closed form runs there
+/// without a fold; it gets its own neutrality proof — trace bytes,
+/// cross-tier replay, and a witness that the fast path fired.
 #[test]
 fn coarse_fingerprint_arms_the_closed_form_and_stays_neutral() {
     for (seed, interval) in [(3u64, 97u64), (5, 211), (8, 10_000)] {
@@ -426,4 +436,51 @@ fn stress_workloads_survive_forced_deopt_strides() {
             );
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// 5. The closed form's fingerprint fold is exact
+// ---------------------------------------------------------------------------
+
+/// For every loop head of every registry workload and of the random
+/// programs above (walked the way `dis --mega` walks them), a megablock's
+/// `fold` applied `n` times to a drawn `h` and `tid` equals stepping each
+/// `(s.method, s.pc + i)` of `n` iterations through `mix_step`.
+#[test]
+fn every_megablock_fold_equals_its_stepped_pc_mixes() {
+    let programs = workloads::registry()
+        .into_iter()
+        .map(|w| (w.name.to_string(), (w.build)()))
+        .chain((0..10).map(|seed| (format!("random {seed}"), random_program(seed))));
+    let mut rng = SplitMix64::new(0xF01D);
+    let (mut blocks, mut closed) = (0, 0);
+    for (name, p) in programs {
+        for method in 0..p.methods.len() as MethodId {
+            for head in loop_heads(p.compiled(method)) {
+                let Some(b) = compile_loop(&p, method, head) else {
+                    continue;
+                };
+                blocks += 1;
+                closed += b.closed.is_some() as u32;
+                for _ in 0..8 {
+                    let (h, tid, n) = (rng.next_u64(), rng.next_u64() as u32, rng.next_u64() % 4);
+                    let stepped = (0..n).fold(h, |h, _| {
+                        b.steps.iter().fold(h, |h, s| {
+                            (s.pc..s.pc + s.width)
+                                .fold(h, |h, pc| Fingerprint::mix_step(h, tid, s.method, pc))
+                        })
+                    });
+                    assert_eq!(
+                        b.fold.apply(h, tid, n),
+                        stepped,
+                        "{name}: method {method} loop @{head}, {n} iterations on t{tid}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        blocks >= 10 && closed >= 1,
+        "vacuous: {blocks} megablocks, {closed} closed-form"
+    );
 }

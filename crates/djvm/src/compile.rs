@@ -31,6 +31,7 @@
 //! them in [`crate::builder::ProgramBuilder::finish`] before this pass.
 
 use crate::bytecode::{ClassId, MethodId, Op, Ty};
+use crate::fingerprint::{Fingerprint, StepFold};
 use crate::heap::Word;
 use crate::program::{Method, Program};
 use std::collections::VecDeque;
@@ -1229,9 +1230,12 @@ pub struct MegaBlock {
     /// Closed-form stepper for canonical counting loops (see
     /// [`ClosedLoop::detect`]): lets the tier-2 engine retire a whole
     /// batch of iterations with one multiply instead of stepping, when no
-    /// per-step observer (full fingerprint, profiler, deopt injection) is
-    /// attached. `None` for every other loop shape.
+    /// per-step observer (profiler, deopt injection) is attached. `None`
+    /// for every other loop shape.
     pub closed: Option<ClosedLoop>,
+    /// One full iteration's `Full`-fingerprint pc mixes, composed: what a
+    /// closed-form batch applies once per iteration it retires.
+    pub fold: StepFold,
 }
 
 /// Closed-form description of a single-induction-variable counting loop:
@@ -1405,6 +1409,12 @@ pub fn compile_loop(program: &Program, method: MethodId, head: u32) -> Option<Me
     let width: u64 = steps.iter().map(|s| s.width as u64).sum();
     let guards = steps.iter().filter(|s| s.op.is_guard()).count() as u32;
     let closed = ClosedLoop::detect(&steps);
+    let fold = StepFold::of(|h, tid| {
+        let pcs = steps
+            .iter()
+            .flat_map(|s| (s.pc..s.pc + s.width).map(|pc| (s.method, pc)));
+        pcs.fold(h, |h, (m, pc)| Fingerprint::mix_step(h, tid, m, pc))
+    });
     Some(MegaBlock {
         method,
         head,
@@ -1414,6 +1424,7 @@ pub fn compile_loop(program: &Program, method: MethodId, head: u32) -> Option<Me
         guards,
         steps,
         closed,
+        fold,
     })
 }
 

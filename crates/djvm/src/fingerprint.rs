@@ -12,6 +12,14 @@
 //! Instrumentation-internal execution (DejaVu helper frames) is excluded,
 //! mirroring the fact that DejaVu "cannot replay its own instrumentation,
 //! which behaves differently by definition" (§2.4).
+//!
+//! The per-instruction chain is affine over Z/2⁶⁴ (DESIGN §4):
+//! `h ← h·M + T(tid) + P(method, pc)` with `M` odd, `T(tid) = (tid+1)·K`
+//! for an odd `K`, and `P` a bijective finalizer. Any run of steps on one
+//! thread therefore composes to one [`StepFold`], which is how tier 2
+//! retires whole closed-form iterations under `Full`. The rare events
+//! (switches, output, tagged events) and the read in
+//! [`Fingerprint::digest`] keep the non-linear avalanche.
 
 /// How much of the execution to hash. `VmConfig::default()` picks `Full`;
 /// there is no other default.
@@ -20,7 +28,7 @@ pub enum FingerprintMode {
     /// Hash scheduling decisions and output only.
     Coarse,
     /// Hash every executed instruction's (tid, method, pc). The strongest
-    /// accuracy check; used by the test suite.
+    /// accuracy check, and the default.
     Full,
 }
 
@@ -35,17 +43,32 @@ pub struct Fingerprint {
     pub switches: u64,
 }
 
+/// The splitmix64 finalizer: a bijection on `u64` (each xor-shift and odd
+/// multiply inverts).
 #[inline]
-fn mix(mut h: u64, v: u64) -> u64 {
-    // splitmix64-style avalanche over (h ^ rotated v).
-    h ^= v
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(h << 6)
-        .wrapping_add(h >> 2);
+fn avalanche(mut h: u64) -> u64 {
     h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     h ^ (h >> 31)
 }
+
+#[inline]
+fn mix(h: u64, v: u64) -> u64 {
+    // splitmix64-style avalanche over (h ^ rotated v).
+    avalanche(
+        h ^ v
+            .wrapping_add(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(h << 6)
+            .wrapping_add(h >> 2),
+    )
+}
+
+/// The step chain's multiplier `M`: odd, and ≡ 5 (mod 8), so its
+/// multiplicative order mod 2⁶⁴ is the maximal 2⁶² (Knuth's MMIX LCG
+/// multiplier).
+const M: u64 = 0x5851_F42D_4C95_7F2D;
+/// The thread term's odd multiplier: `T(tid) = (tid+1)·K`.
+const K: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl Fingerprint {
     pub fn new(mode: FingerprintMode) -> Self {
@@ -61,21 +84,12 @@ impl Fingerprint {
         self.mode
     }
 
-    /// One executed instruction (Full mode only).
-    #[inline]
-    pub fn step(&mut self, tid: u32, method: u32, pc: u32) {
-        if self.mode == FingerprintMode::Full {
-            self.steps += 1;
-            self.h = Self::mix_step(self.h, tid, method, pc);
-        }
-    }
-
-    /// The per-instruction rolling state, for a cached-cursor dispatch
-    /// loop that holds it in locals (the quickened interpreter). Pair
-    /// with [`Fingerprint::set_step_state`]; advance the hash with
-    /// [`Fingerprint::mix_step`]. Only meaningful in `Full` mode — in
-    /// other modes [`Fingerprint::step`] is a no-op and the cached state
-    /// must be written back unchanged.
+    /// The per-instruction rolling state `(h, steps)`, held in locals by
+    /// the dispatch loops' cursor. Pair with
+    /// [`Fingerprint::set_step_state`]; advance `h` with
+    /// [`Fingerprint::mix_step`] and count each mixed instruction in
+    /// `steps`. Only `Full` mode advances it — in `Coarse` the cached
+    /// state must be written back unchanged.
     #[inline]
     pub fn step_state(&self) -> (u64, u64) {
         (self.h, self.steps)
@@ -88,14 +102,14 @@ impl Fingerprint {
         self.steps = steps;
     }
 
-    /// The pure hash advance of one [`Fingerprint::step`], usable on a
-    /// cached `h` without touching `self`.
+    /// One executed instruction's advance of the chain:
+    /// `h·M + T(tid) + P(method, pc)` over Z/2⁶⁴. Affine in `h`, so a run of
+    /// them composes to a [`StepFold`].
     #[inline]
     pub fn mix_step(h: u64, tid: u32, method: u32, pc: u32) -> u64 {
-        mix(
-            h,
-            ((tid as u64) << 48) | ((method as u64) << 24) | pc as u64,
-        )
+        h.wrapping_mul(M)
+            .wrapping_add((tid as u64 + 1).wrapping_mul(K))
+            .wrapping_add(avalanche(((method as u64) << 32) | pc as u64))
     }
 
     /// A thread switch to `to` after `yp` yield points on the switching
@@ -120,9 +134,43 @@ impl Fingerprint {
         self.h = mix(mix(self.h, tag), a ^ b.rotate_left(32));
     }
 
-    /// Current digest.
+    /// Current digest. The two counts mix separately, so neither can alias
+    /// into the other.
     pub fn digest(&self) -> u64 {
-        mix(self.h, self.steps ^ (self.switches << 32))
+        mix(mix(self.h, self.steps), self.switches)
+    }
+}
+
+/// A run of [`Fingerprint::mix_step`]s on one thread, composed into the one
+/// affine map `h ↦ a·h + (tid+1)·s + p`. (`T(tid)·Σ Mⁱ` is
+/// `(tid+1)·K·Σ Mⁱ`, so `s` carries the `K`.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StepFold {
+    a: u64,
+    s: u64,
+    p: u64,
+}
+
+impl StepFold {
+    /// Read the map off the chain itself: `chain(h, tid)` must step a fixed
+    /// `(method, pc)` sequence through [`Fingerprint::mix_step`]. Three
+    /// evaluations pin the three coefficients, so the fold is exact.
+    pub fn of(chain: impl Fn(u64, u32) -> u64) -> StepFold {
+        let at0 = chain(0, 0); // s + p
+        let s = chain(0, 1).wrapping_sub(at0); // (2s + p) - (s + p)
+        StepFold {
+            a: chain(1, 0).wrapping_sub(at0),
+            s,
+            p: at0.wrapping_sub(s),
+        }
+    }
+
+    /// The composed run, applied `n` times to `h` on thread `tid`. A plain
+    /// loop of multiply-adds: callers bound `n` by a scheduling quantum.
+    #[inline]
+    pub fn apply(self, h: u64, tid: u32, n: u64) -> u64 {
+        let add = (tid as u64 + 1).wrapping_mul(self.s).wrapping_add(self.p);
+        (0..n).fold(h, |h, _| self.a.wrapping_mul(h).wrapping_add(add))
     }
 }
 
@@ -155,15 +203,31 @@ impl Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
+
+    /// A `Full` fingerprint over `(tid, method, pc)` steps, advanced the
+    /// way a dispatch cursor advances it.
+    fn full(steps: impl IntoIterator<Item = (u32, u32, u32)>) -> Fingerprint {
+        let mut f = Fingerprint::new(FingerprintMode::Full);
+        let (mut h, mut n) = f.step_state();
+        for (tid, method, pc) in steps {
+            h = Fingerprint::mix_step(h, tid, method, pc);
+            n += 1;
+        }
+        f.set_step_state(h, n);
+        f
+    }
+
+    /// The chain state and the digest: the first is what DESIGN §4's
+    /// detection argument is about, the second what a run reports.
+    fn read(f: &Fingerprint) -> (u64, u64) {
+        (f.step_state().0, f.digest())
+    }
 
     #[test]
     fn identical_sequences_hash_identically() {
-        let mut a = Fingerprint::new(FingerprintMode::Full);
-        let mut b = Fingerprint::new(FingerprintMode::Full);
-        for i in 0..100 {
-            a.step(1, 2, i);
-            b.step(1, 2, i);
-        }
+        let mut a = full((0..100).map(|i| (1, 2, i)));
+        let mut b = full((0..100).map(|i| (1, 2, i)));
         a.thread_switch(2, 50);
         b.thread_switch(2, 50);
         assert_eq!(a.digest(), b.digest());
@@ -171,12 +235,80 @@ mod tests {
 
     #[test]
     fn different_order_hashes_differently() {
-        let mut a = Fingerprint::new(FingerprintMode::Full);
-        let mut b = Fingerprint::new(FingerprintMode::Full);
-        a.step(1, 2, 3);
-        a.step(1, 2, 4);
-        b.step(1, 2, 4);
-        b.step(1, 2, 3);
+        let a = full([(1, 2, 3), (1, 2, 4)]);
+        let b = full([(1, 2, 4), (1, 2, 3)]);
+        assert_ne!(a.digest(), b.digest());
+    }
+
+    /// Drawn equal-length step sequences that differ in exactly one
+    /// position — its tid or its `(method, pc)` — never collide: the
+    /// difference reaches the chain state as an odd power of `M` times a
+    /// nonzero `T` or `P` difference. Neither do transpositions of two
+    /// distinct pcs at distance 2ᵏ, k ≤ 20, whose difference carries only
+    /// k + 2 factors of two (`M ≡ 5 mod 8`).
+    #[test]
+    fn one_position_changes_and_power_of_two_transpositions_are_detected() {
+        let mut rng = SplitMix64::new(0xF1_4D);
+        let mut draw = |n: u64| rng.next_u64() % n;
+        for case in 0..2_000 {
+            let len = 1 + draw(48) as usize;
+            let seq: Vec<(u32, u32, u32)> = (0..len)
+                .map(|_| (draw(3) as u32, draw(3) as u32, draw(40) as u32))
+                .collect();
+            let mut other = seq.clone();
+            let at = &mut other[draw(len as u64) as usize];
+            let flip = 1 + draw(u32::MAX as u64) as u32; // nonzero
+            match draw(3) {
+                0 => at.0 ^= flip,
+                1 => at.1 ^= flip,
+                _ => at.2 ^= flip,
+            }
+            let (a, b) = (read(&full(seq)), read(&full(other)));
+            assert!(
+                a.0 != b.0 && a.1 != b.1,
+                "case {case}: one-position change collided"
+            );
+        }
+        for k in 0..=20u32 {
+            for case in 0..3 {
+                let d = 1usize << k;
+                let (i, tail) = (draw(5) as usize, draw(5) as usize);
+                let mut pcs: Vec<u32> = (0..i + d + 1 + tail).map(|_| draw(6) as u32).collect();
+                if pcs[i] == pcs[i + d] {
+                    pcs[i + d] = (pcs[i] + 1) % 6;
+                }
+                let a = read(&full(pcs.iter().map(|&pc| (0, 1, pc))));
+                pcs.swap(i, i + d);
+                let b = read(&full(pcs.iter().map(|&pc| (0, 1, pc))));
+                assert!(
+                    a.0 != b.0 && a.1 != b.1,
+                    "k {k} case {case}: transposition collided"
+                );
+            }
+        }
+    }
+
+    /// What the chain does *not* detect (DESIGN §4): like every polynomial
+    /// hash mod 2⁶⁴, it has crafted collisions. A Thue–Morse word over two
+    /// pcs and its complement differ by `(P(x) − P(y))·Π (1 − M^(2^j))`,
+    /// whose ten factors carry ≥ 64 twos, so at length 2¹⁰ they collide.
+    #[test]
+    fn thue_morse_words_over_two_pcs_collide_at_length_1024() {
+        let word = |flip: u32| (0..1024u32).map(move |i| (0, 1, (i.count_ones() + flip) % 2));
+        assert_eq!(full(word(0)).digest(), full(word(1)).digest());
+        let half = |flip: u32| (0..512u32).map(move |i| (0, 1, (i.count_ones() + flip) % 2));
+        assert_ne!(full(half(0)).digest(), full(half(1)).digest());
+    }
+
+    /// A run of 2³² steps and a run with one switch used to read the same
+    /// count word, so equal chain states gave equal digests.
+    #[test]
+    fn step_and_switch_counts_do_not_alias() {
+        let mut a = full([]);
+        let mut b = full([]);
+        let h = a.step_state().0;
+        a.set_step_state(h, 1 << 32);
+        b.switches = 1;
         assert_ne!(a.digest(), b.digest());
     }
 

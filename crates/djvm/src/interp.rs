@@ -84,10 +84,12 @@ pub fn run_until(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64, until: u6
 /// `counters.steps` and `cycles` by `k`, mixes each `(tid, method, pc+i)`
 /// into the `Full` fingerprint in order, and moves the timer `k` cycles
 /// closer to its tick — in every tier, because [`Cursor::retire`] is the
-/// only code that does any of it. A tier may batch (`k > 1`, or
-/// [`Cursor::mix`] now and [`Cursor::count`] later) only where no tick can
-/// fire inside the batch and only over total ops, for which "account for
-/// k, then run k" is observationally identical to interleaving.
+/// only code that does any of it (tier 2's closed form applies whole
+/// iterations' mixes as their exact composition, [`MegaBlock::fold`]). A
+/// tier may batch (`k > 1`, or [`Cursor::mix`] now and [`Cursor::count`]
+/// later) only where no tick can fire inside the batch and only over total
+/// ops, for which "account for k, then run k" is observationally identical
+/// to interleaving.
 struct Cursor {
     cycles: u64,
     steps: u64,
@@ -125,8 +127,10 @@ impl Cursor {
         vm.fingerprint.set_step_state(self.fph, self.fpsteps);
     }
 
-    /// The `Full`-mode pc mixes of `k` instructions starting at `pc`. The
-    /// hash chain is serially dependent, so no tier can defer it.
+    /// The `Full`-mode pc mixes of `k` instructions starting at `pc`, one
+    /// multiply-add each. The chain is affine, so a tier that retires whole
+    /// iterations folds it instead (`run_mega`'s closed form applies the
+    /// block's [`MegaBlock::fold`]); per fused op there is nothing to win.
     #[inline(always)]
     fn mix(&mut self, tid: Tid, method: MethodId, pc: u32, k: u32) {
         if self.fp_on {
@@ -498,19 +502,25 @@ fn run_mega(
         // Closed-form fast path: a canonical counting loop retires a whole
         // batch of passing iterations with one multiply, provided no
         // per-step observer needs the iterations replayed step-by-step
-        // (full-fingerprint pc mixes, profiler attribution, or forced
-        // deopt injection). The final memory image is bit-identical: the
-        // only per-iteration effects are the induction local (written with
-        // its closed-form value) and operand-stack traffic below a
-        // restored sp, which nothing live can observe. When the next
-        // iteration would fail its guard (`kk == 0`), fall through to the
-        // step loop so the deopt happens at the exact guard pc.
-        if !c.fp_on && !prof_on && !inject {
+        // (profiler attribution or forced deopt injection). The `Full`
+        // fingerprint is no such observer: its pc mixes advance by `kk`
+        // applications of the block's exact fold, one multiply-add each
+        // (`kk` is bounded by the quantum). The final memory image is
+        // bit-identical: the only per-iteration effects are the induction
+        // local (written with its closed-form value) and operand-stack
+        // traffic below a restored sp, which nothing live can observe.
+        // When the next iteration would fail its guard (`kk == 0`), fall
+        // through to the step loop so the deopt happens at the exact guard
+        // pc.
+        if !prof_on && !inject {
             if let Some(cl) = block.closed {
                 let slot = (base + cl.local as u64) as usize;
                 let x0 = vm.heap.mem[slot] as i64;
                 let kk = cl.passes(x0, avail);
                 if kk > 0 {
+                    if c.fp_on {
+                        c.fph = block.fold.apply(c.fph, tid, kk);
+                    }
                     vm.heap.mem[slot] = (x0 as i128 + kk as i128 * cl.step as i128) as i64 as Word;
                     lazy.full_iters += kk;
                     vm.mega.stats.closed_iters += kk;
@@ -2459,14 +2469,20 @@ mod tests {
         assert_eq!(observe(&quick), observe(&mega), "error must be identical");
     }
 
-    /// Like [`boot_mega`] but with coarse fingerprinting — the production
-    /// setting, and the one that arms the closed-form fast path (full
-    /// per-pc hashing forces the step-by-step loop).
-    fn boot_coarse(p: crate::program::Program, quicken: bool, mega: bool, interval: u64) -> Vm {
+    /// Like [`boot_mega`] but with the fingerprint mode chosen. Both modes
+    /// arm the closed-form fast path: `Coarse` mixes nothing per step, and
+    /// `Full` (the default) folds each batch's pc mixes.
+    fn boot_fp(
+        p: crate::program::Program,
+        quicken: bool,
+        mega: bool,
+        interval: u64,
+        fingerprint: FingerprintMode,
+    ) -> Vm {
         let cfg = VmConfig {
             quicken,
             mega,
-            fingerprint: crate::fingerprint::FingerprintMode::Coarse,
+            fingerprint,
             ..VmConfig::default()
         };
         Vm::boot(
@@ -2479,15 +2495,18 @@ mod tests {
     }
 
     #[test]
-    fn closed_form_is_neutral_under_coarse_fingerprint() {
-        // Under coarse fingerprinting the closed-form stepper retires whole
-        // iteration batches with one multiply; every observable (including
-        // the coarse fingerprint, which hashes scheduling + output) must
-        // still match both lower tiers at every timer shape.
-        for interval in [3u64, 29, 97, 211, 10_000] {
-            let mut gen = boot_coarse(mega_workout(), false, false, interval);
-            let mut quick = boot_coarse(mega_workout(), true, false, interval);
-            let mut mega = boot_coarse(mega_workout(), true, true, interval);
+    fn closed_form_is_neutral_under_both_fingerprint_modes() {
+        // The closed-form stepper retires whole iteration batches with one
+        // multiply (and, under `Full`, one fold per iteration); every
+        // observable, the fingerprint included, must still match both lower
+        // tiers at every timer shape.
+        for (mode, interval) in [FingerprintMode::Full, FingerprintMode::Coarse]
+            .into_iter()
+            .flat_map(|m| [3u64, 29, 97, 211, 10_000].map(|i| (m, i)))
+        {
+            let mut gen = boot_fp(mega_workout(), false, false, interval, mode);
+            let mut quick = boot_fp(mega_workout(), true, false, interval, mode);
+            let mut mega = boot_fp(mega_workout(), true, true, interval, mode);
             let (mut h1, mut h2, mut h3) = (Passthrough, Passthrough, Passthrough);
             run(&mut gen, &mut h1, 10_000_000);
             run(&mut quick, &mut h2, 10_000_000);
@@ -2496,17 +2515,17 @@ mod tests {
             assert_eq!(
                 observe(&gen),
                 observe(&quick),
-                "quickening must be invisible at interval {interval}"
+                "quickening must be invisible: {mode:?} at interval {interval}"
             );
             assert_eq!(
                 observe(&quick),
                 observe(&mega),
-                "closed-form megablocks must be invisible at interval {interval}"
+                "closed-form megablocks must be invisible: {mode:?} at interval {interval}"
             );
             if interval >= 97 {
                 assert!(
                     mega.mega.stats.closed_iters > 0,
-                    "fast path must actually run at interval {interval} \
+                    "fast path must actually run: {mode:?} at interval {interval} \
                      (stats: {:?})",
                     mega.mega.stats
                 );
@@ -2536,9 +2555,12 @@ mod tests {
 
     #[test]
     fn closed_form_wraps_like_the_interpreter() {
-        for interval in [7u64, 211, 10_000] {
-            let mut quick = boot_coarse(wrap_workout(), true, false, interval);
-            let mut mega = boot_coarse(wrap_workout(), true, true, interval);
+        for (mode, interval) in [FingerprintMode::Full, FingerprintMode::Coarse]
+            .into_iter()
+            .flat_map(|m| [7u64, 211, 10_000].map(|i| (m, i)))
+        {
+            let mut quick = boot_fp(wrap_workout(), true, false, interval, mode);
+            let mut mega = boot_fp(wrap_workout(), true, true, interval, mode);
             let (mut h1, mut h2) = (Passthrough, Passthrough);
             run(&mut quick, &mut h1, 10_000_000);
             run(&mut mega, &mut h2, 10_000_000);
@@ -2546,7 +2568,7 @@ mod tests {
             assert_eq!(
                 observe(&quick),
                 observe(&mega),
-                "wrap boundary must be bit-identical at interval {interval}"
+                "wrap boundary must be bit-identical: {mode:?} at interval {interval}"
             );
             // At tight intervals the tick gate keeps the block from ever
             // entering (that is the perturbation-freedom contract), so only

@@ -202,6 +202,12 @@ if grep -q '"tier_ups":0' "$MDIR/stats.json"; then
     echo "verify: fig1_hot never tiered up" >&2
     exit 1
 fi
+# The closed form runs under the default (`Full`) fingerprint: it folds the
+# pc mixes of the iterations it retires instead of switching off.
+if grep -q '"closed_iters":0' "$MDIR/stats.json"; then
+    echo "verify: fig1_hot retired no closed-form iterations under the default fingerprint" >&2
+    exit 1
+fi
 "$CLI" stats lock_convoy 5 > "$MDIR/stats-convoy.json" 2> /dev/null
 grep -q '"compile.mega"' "$MDIR/stats-convoy.json" || {
     echo "verify: no compile.mega event in tier-2 record telemetry" >&2
@@ -548,6 +554,17 @@ one_fn "the heap's extent is advanced" \
     "$(djvm_fns '\\.extent *=[^=]' | grep -v ': fn restore$' || true)" \
     "crates/djvm/src/gc.rs: fn copying
 crates/djvm/src/heap.rs: fn alloc_block"
+# One affine fingerprint chain: the per-step mix is advanced by the dispatch
+# cursor and composed by the megablock compiler, nowhere else.
+one_fn "the Full fingerprint's per-step mix is named" \
+    "$(find crates src -name '*.rs' -path '*/src/*' | fns_naming 'mix_step' |
+        grep -v '^crates/djvm/src/fingerprint\.rs: fn mix_step$' || true)" \
+    "crates/djvm/src/compile.rs: fn compile_loop
+crates/djvm/src/interp.rs: fn mix"
+if grep -rnE 'Fingerprint::step\(|fn step\(&mut self, tid' crates src tests examples --include=*.rs; then
+    echo "verify: the old per-step fingerprint mixer is back" >&2
+    fail=1
+fi
 if grep -rnE 'TraceFormat::Flat|Trace::decode|fn (root_values|frame_refs|push_children)\b' \
     crates src tests examples --include=*.rs; then
     echo "verify: the flat trace reader, or a per-collector copy of the reference walk, is back" >&2
