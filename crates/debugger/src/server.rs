@@ -5,6 +5,7 @@
 
 use crate::engine::DebugSession;
 use crate::protocol::{Command, Response};
+use djvm::ProcessMemory;
 
 /// The most words one [`Command::Read`] may ask for: bounds the response
 /// packet (§4, "small packets of data rather than large images").

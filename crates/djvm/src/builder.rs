@@ -44,6 +44,20 @@ impl ProgramBuilder {
         Self::default()
     }
 
+    /// A builder holding what `program` was finished from — its own
+    /// classes, methods, strings and natives, under the same ids — to add
+    /// to and finish again, which injects the builtins afresh.
+    pub fn reopen(program: &Program) -> Self {
+        let b = &program.builtins;
+        Self {
+            classes: program.classes[..b.thread_class as usize].to_vec(),
+            methods: program.methods[..b.get_line_number_at as usize].to_vec(),
+            string_ids: program.strings.iter().cloned().zip(0..).collect(),
+            strings: program.strings.clone(),
+            natives: program.natives.clone(),
+        }
+    }
+
     /// Start a class with no superclass.
     pub fn class(&mut self, name: &str) -> ClassBuilder<'_> {
         self.class_extends(name, None)
@@ -200,7 +214,7 @@ impl ProgramBuilder {
 
     /// The boot-image analogue: the VM's builtin classes and interpreted
     /// instrumentation helpers, appended after everything the user
-    /// defined, in a fixed order (their ids are pinned by a `compile` test).
+    /// defined, in a fixed order (a `compile` test pins it; `reopen` cuts there).
     fn inject_builtins(&mut self) -> Builtins {
         let thread_class = self.class("Thread").field("tid", Ty::Int).build();
         let string_class = self.class("String").field("chars", Ty::Ref).build();
@@ -746,5 +760,41 @@ mod tests {
         });
         let p = pb.finish(m).unwrap();
         assert_eq!(p.methods[0].lines, vec![10, 10, 20]);
+    }
+
+    #[test]
+    fn a_reopened_program_keeps_its_ids_and_gains_what_is_added() {
+        let mut pb = ProgramBuilder::new();
+        let base = pb.class("Base").field("x", Ty::Int).build();
+        let f = pb
+            .virtual_method(base, "f", vec![], 1, Some(Ty::Int))
+            .code(|a| {
+                a.load(0).get_field(0).ret_val();
+            });
+        let hi = pb.intern("hi");
+        let main = pb.method("main", 0, 0).code(|a| {
+            a.print_str(hi).halt();
+        });
+        let p = pb.finish(main).unwrap();
+
+        let mut pb = ProgramBuilder::reopen(&p);
+        assert_eq!(pb.intern("hi"), hi);
+        let g = pb.func("g", 1, 1).code(|a| {
+            a.load(0).ret_val();
+        });
+        let q = pb.finish(p.entry).unwrap();
+        for id in [f, main] {
+            assert_eq!(q.method(id).ops, p.method(id).ops);
+        }
+        assert_eq!(
+            q.classes[base as usize].vtable,
+            p.classes[base as usize].vtable
+        );
+        assert_eq!(q.strings, p.strings);
+        // The builtins follow the addition: classes keep their ids.
+        assert_eq!(g, p.builtins.get_line_number_at);
+        assert_eq!(q.builtins.vm_method_class, p.builtins.vm_method_class);
+        assert_eq!(q.methods.len(), p.methods.len() + 1);
+        assert!(q.methods.iter().all(|m| m.compiled.is_some()));
     }
 }

@@ -34,6 +34,7 @@ use crate::bytecode::{ClassId, MethodId, Op, Ty};
 use crate::fingerprint::{Fingerprint, StepFold};
 use crate::heap::Word;
 use crate::program::{Method, Program};
+use crate::vm::ErrKind;
 use std::collections::VecDeque;
 
 /// Verifier slot type: `Dead` slots are unusable (uninitialized or merge of
@@ -206,6 +207,16 @@ impl CmpFn {
             CmpFn::Gt => a > b,
             CmpFn::Ge => a >= b,
         }
+    }
+}
+
+/// `Div` (or `Rem` if `rem`), the two partial ALU ops, for every tier and
+/// the remote reflector: a zero divisor is the guest's `DivideByZero`.
+pub fn div_rem(a: i64, b: i64, rem: bool) -> Result<i64, ErrKind> {
+    match (b, rem) {
+        (0, _) => Err(ErrKind::DivideByZero),
+        (_, false) => Ok(a.wrapping_div(b)),
+        (_, true) => Ok(a.wrapping_rem(b)),
     }
 }
 

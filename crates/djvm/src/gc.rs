@@ -26,6 +26,7 @@
 use crate::heap::{
     forward_target, forward_word, is_forwarded, Addr, GcKind, Header, Heap, NULL, RESERVED,
 };
+use crate::objref;
 use crate::program::Program;
 use crate::thread::Tid;
 use crate::vm::{frame_slots, Vm};
@@ -95,9 +96,7 @@ fn mark_sweep(vm: &mut Vm) {
 
     // Mark.
     while let Some(a) = worklist.pop() {
-        let raw = vm.heap.raw_header(a);
-        debug_assert!(!is_forwarded(raw));
-        let h = Header::decode(raw);
+        let h = objref::header(&vm.heap, a).expect("a reference to an object");
         if h.marked {
             continue;
         }
@@ -130,8 +129,7 @@ fn mark_sweep(vm: &mut Vm) {
             fi += 1;
             continue;
         }
-        let raw = vm.heap.raw_header(pos as Addr);
-        let h = Header::decode(raw);
+        let h = objref::header(&vm.heap, pos as Addr).expect("an object or a free block");
         let words = vm.heap.object_words(pos as Addr, &vm.program);
         if h.marked {
             vm.heap

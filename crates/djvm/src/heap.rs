@@ -36,6 +36,7 @@
 //! ```
 
 use crate::bytecode::{ClassId, Ty};
+use crate::objref;
 use crate::program::Program;
 
 /// A raw 64-bit guest word.
@@ -119,18 +120,18 @@ pub fn forward_target(w: Word) -> Addr {
     w & !FORWARD_BIT
 }
 
-/// The slots of one object ([`Heap::payload`]): `count` words from `first`,
+/// The slots of one object ([`objref::payload`]): `count` words from `first`,
 /// each a reference or not. It borrows the program, not the heap, so a
 /// collector can rewrite the slots it enumerates.
 #[derive(Debug, Clone, Copy)]
 pub struct Payload<'p> {
     pub first: Addr,
     pub count: usize,
-    refs: Refs<'p>,
+    pub(crate) refs: Refs<'p>,
 }
 
 #[derive(Debug, Clone, Copy)]
-enum Refs<'p> {
+pub(crate) enum Refs<'p> {
     /// An array: every element is a reference, or none is.
     Uniform(bool),
     Typed(&'p [Ty]),
@@ -399,10 +400,6 @@ impl Heap {
 
     // ---- accessors ----
 
-    pub fn header(&self, addr: Addr) -> Header {
-        Header::decode(self.mem[addr as usize])
-    }
-
     pub fn raw_header(&self, addr: Addr) -> Word {
         self.mem[addr as usize]
     }
@@ -431,32 +428,9 @@ impl Heap {
         self.mem[addr as usize + 1 + i] = v;
     }
 
-    /// Read an arbitrary word (the remote-reflection primitive).
-    pub fn read_word(&self, addr: Addr) -> Option<Word> {
-        self.mem.get(addr as usize).copied()
-    }
-
-    /// The payload of the object at `addr`: the one place that knows an
-    /// array keeps its length word ahead of uniformly typed elements and a
-    /// scalar or class object lays its slots out by [`Program::layout_of`].
-    /// An activation stack is an array of non-references here; its
-    /// references are found through its frames ([`crate::vm::frame_slots`]).
+    /// The payload ([`objref::payload`]) of an object this heap holds.
     pub fn payload<'p>(&self, addr: Addr, program: &'p Program) -> Payload<'p> {
-        let h = self.header(addr);
-        if h.is_array {
-            Payload {
-                first: addr + 2,
-                count: self.array_len(addr),
-                refs: Refs::Uniform(h.ref_elems),
-            }
-        } else {
-            let layout = program.layout_of(&h);
-            Payload {
-                first: addr + 1,
-                count: layout.len(),
-                refs: Refs::Typed(layout),
-            }
-        }
+        objref::payload(self, program, addr).expect("a payload of a word that is no object")
     }
 
     /// Total size in words of the object at `addr`, header included.
@@ -544,7 +518,7 @@ mod tests {
         let mut h = Heap::new(GcKind::MarkSweep, 1024);
         let a = h.alloc_scalar(5, 3).unwrap();
         assert!(a as usize >= RESERVED);
-        let hd = h.header(a);
+        let hd = objref::header(&h, a).unwrap();
         assert_eq!(hd.class_id, 5);
         assert!(!hd.is_array);
         h.set_field(a, 1, 42);
@@ -560,9 +534,9 @@ mod tests {
         h.set_elem(a, 9, 7);
         assert_eq!(h.get_elem(a, 9), 7);
         let r = h.alloc_array(ArrKind::Ref, 4).unwrap();
-        assert!(h.header(r).ref_elems);
+        assert!(objref::header(&h, r).unwrap().ref_elems);
         let s = h.alloc_array(ArrKind::Stack, 4).unwrap();
-        assert!(h.header(s).is_stack);
+        assert!(objref::header(&h, s).unwrap().is_stack);
     }
 
     #[test]
@@ -570,7 +544,10 @@ mod tests {
         let mut h = Heap::new(GcKind::MarkSweep, 1024);
         let a = h.alloc_scalar(0, 1).unwrap();
         let b = h.alloc_scalar(0, 1).unwrap();
-        assert_eq!(h.header(a).serial + 1, h.header(b).serial);
+        assert_eq!(
+            objref::header(&h, a).unwrap().serial + 1,
+            objref::header(&h, b).unwrap().serial
+        );
     }
 
     #[test]
@@ -697,7 +674,7 @@ mod tests {
     fn class_object_flag() {
         let mut h = Heap::new(GcKind::MarkSweep, 1024);
         let a = h.alloc_classobj(7, 2).unwrap();
-        let hd = h.header(a);
+        let hd = objref::header(&h, a).unwrap();
         assert!(hd.is_classobj);
         assert_eq!(hd.class_id, 7);
     }

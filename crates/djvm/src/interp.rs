@@ -15,19 +15,21 @@
 //! # One semantics, three tiers
 //!
 //! What an instruction *does* is written once: total ops in
-//! [`Pure::exec`], branch conditions in [`Test::eval`], the virtual
-//! receiver check in [`virtual_receiver`], everything else in [`exec_op`].
+//! [`Pure::exec`], branch conditions in [`Test::eval`], `Div`/`Rem` in
+//! [`div_rem`], reference reads in [`crate::objref`] (the remote reflector
+//! calls these too), everything else in [`exec_op`].
 //! How its cycle is *accounted* is written once too, in
 //! [`Cursor::retire`]. The three dispatch tiers — [`step`] (generic),
 //! [`run_quick`] (quickened) and [`run_mega`] (tier 2) — are sequencing
 //! policies over those definitions: they differ in how many instructions
 //! they retire between write-backs, never in what an instruction means.
 
-use crate::bytecode::{ClassId, MethodId, Op, Ty};
-use crate::compile::{MegaBlock, MegaOp, Pure, QOp, Test};
+use crate::bytecode::{MethodId, Op, Ty};
+use crate::compile::{div_rem, MegaBlock, MegaOp, Pure, QOp, Test};
 use crate::fingerprint::{Fingerprint, FingerprintMode};
 use crate::heap::{Addr, Word, NULL};
 use crate::hook::{AccessDecision, ExecHook};
+use crate::objref;
 use crate::sched::{EntryWaiter, Sleeper, WaitEntry};
 use crate::thread::{SavedPc, ThreadStatus, Tid};
 use crate::vm::{ArgSource, ErrKind, Vm, VmError, VmStatus};
@@ -326,9 +328,9 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64, until: u64) -> Vm
                     retire!(1);
                     let recv = vm.heap.mem[(sp - nargs as u64) as usize];
                     flush!();
-                    let called = match virtual_receiver(vm, recv, class) {
+                    let called = match objref::receiver(&vm.heap, &vm.program, recv, class) {
                         Ok(_) => invoke(vm, hook, callee),
-                        Err(kind) => Err(vm.fail(kind)),
+                        Err(f) => Err(vm.fail(f.kind())),
                     };
                     if let Err(e) = called {
                         raise_err(vm, hook, e);
@@ -580,19 +582,14 @@ fn run_mega(
                     // ---- guarded micro-ops ----
                     MegaOp::Div | MegaOp::Rem => {
                         let forced = guard_forced!();
-                        let b = vm.heap.mem[sp as usize - 1] as i64;
-                        if forced || b == 0 {
-                            deopt!(forced);
-                        }
+                        let i = sp as usize - 2;
+                        let (a, b) = (vm.heap.mem[i] as i64, vm.heap.mem[i + 1] as i64);
+                        let r = match div_rem(a, b, s.op == MegaOp::Rem) {
+                            Ok(r) if !forced => r,
+                            _ => deopt!(forced),
+                        };
                         retire!(s);
                         sp -= 1;
-                        let i = sp as usize - 1;
-                        let a = vm.heap.mem[i] as i64;
-                        let r = if s.op == MegaOp::Div {
-                            a.wrapping_div(b)
-                        } else {
-                            a.wrapping_rem(b)
-                        };
                         vm.heap.mem[i] = r as Word;
                     }
                     MegaOp::Guard { test, jump_if } => {
@@ -611,7 +608,7 @@ fn run_mega(
                     } => {
                         let forced = guard_forced!();
                         let recv = vm.heap.mem[(sp - nargs as u64) as usize];
-                        if forced || virtual_receiver(vm, recv, class).is_err() {
+                        if forced || objref::receiver(&vm.heap, &vm.program, recv, class).is_err() {
                             deopt!(forced);
                         }
                         retire!(s);
@@ -741,14 +738,7 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
         Op::Div | Op::Rem => {
             let b = vm.pop_word() as i64;
             let a = vm.pop_word() as i64;
-            if b == 0 {
-                return Err(vm.fail(ErrKind::DivideByZero));
-            }
-            let r = if op == Op::Div {
-                a.wrapping_div(b)
-            } else {
-                a.wrapping_rem(b)
-            };
+            let r = div_rem(a, b, op == Op::Rem).map_err(|kind| vm.fail(kind))?;
             vm.push_word(r as Word);
             Ok(Flow::Next)
         }
@@ -780,8 +770,9 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
                 return Ok(Flow::Managed); // retry after a switch
             }
             let obj = vm.pop_word();
-            check_scalar(vm, obj, idx, ty)?;
-            let v = vm.heap.get_field(obj, idx as usize);
+            let v = objref::field_slot(&vm.heap, &vm.program, obj, idx, ty)
+                .and_then(|slot| objref::read(&vm.heap, slot))
+                .map_err(|f| vm.fail(f.kind()))?;
             let v = hook.on_shared_read_value(vm, v, ty == Ty::Ref);
             vm.push_word(v);
             Ok(Flow::Next)
@@ -793,8 +784,9 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
             }
             let v = vm.pop_word();
             let obj = vm.pop_word();
-            check_scalar(vm, obj, idx, ty)?;
-            vm.heap.set_field(obj, idx as usize, v);
+            let slot = objref::field_slot(&vm.heap, &vm.program, obj, idx, ty)
+                .map_err(|f| vm.fail(f.kind()))?;
+            vm.heap.mem[slot as usize] = v;
             Ok(Flow::Next)
         }
         Op::GetStatic(class, i) => {
@@ -837,8 +829,9 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
             }
             let i = vm.pop_word() as i64;
             let arr = vm.pop_word();
-            check_array(vm, arr, i, ty)?;
-            let v = vm.heap.get_elem(arr, i as usize);
+            let v = objref::elem_slot(&vm.heap, arr, i, ty)
+                .and_then(|slot| objref::read(&vm.heap, slot))
+                .map_err(|f| vm.fail(f.kind()))?;
             let v = hook.on_shared_read_value(vm, v, ty == Ty::Ref);
             vm.push_word(v);
             Ok(Flow::Next)
@@ -851,34 +844,21 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
             let v = vm.pop_word();
             let i = vm.pop_word() as i64;
             let arr = vm.pop_word();
-            check_array(vm, arr, i, ty)?;
-            vm.heap.set_elem(arr, i as usize, v);
+            let slot = objref::elem_slot(&vm.heap, arr, i, ty).map_err(|f| vm.fail(f.kind()))?;
+            vm.heap.mem[slot as usize] = v;
             Ok(Flow::Next)
         }
-        Op::ArrayLen => {
-            let arr = vm.pop_word();
-            if arr == NULL {
-                return Err(vm.fail(ErrKind::NullDeref));
-            }
-            let h = vm.heap.header(arr);
-            if !h.is_array {
-                return Err(vm.fail(ErrKind::TypeConfusion));
-            }
-            vm.push_word(vm.heap.array_len(arr) as Word);
-            Ok(Flow::Next)
-        }
-        Op::IdentityHash => {
+        Op::ArrayLen | Op::IdentityHash | Op::InstanceOf(_) => {
             let obj = vm.pop_word();
-            if obj == NULL {
-                return Err(vm.fail(ErrKind::NullDeref));
-            }
-            vm.push_word(vm.heap.header(obj).serial);
-            Ok(Flow::Next)
-        }
-        Op::InstanceOf(class) => {
-            let obj = vm.pop_word();
-            let r = virtual_receiver(vm, obj, class).is_ok();
-            vm.push_word(r as Word);
+            let v = match op {
+                Op::ArrayLen => objref::array_len(&vm.heap, obj),
+                Op::InstanceOf(class) => {
+                    objref::instance_of(&vm.heap, &vm.program, obj, class).map(Word::from)
+                }
+                _ => objref::identity_hash(&vm.heap, obj),
+            };
+            let v = v.map_err(|f| vm.fail(f.kind()))?;
+            vm.push_word(v);
             Ok(Flow::Next)
         }
 
@@ -888,11 +868,9 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
             Ok(Flow::Managed)
         }
         Op::CallVirtual { class, slot } => {
-            let static_callee = vm.program.class(class).vtable[slot as usize];
-            let nargs = vm.program.method(static_callee).nargs;
-            let recv = vm.peek_word(nargs as u64 - 1);
-            let dynamic = virtual_receiver(vm, recv, class).map_err(|kind| vm.fail(kind))?;
-            let callee = vm.program.class(dynamic).vtable[slot as usize];
+            let peek = |nargs: u16| vm.peek_word(nargs as u64 - 1);
+            let callee = objref::virtual_target(&vm.heap, &vm.program, class, slot, peek)
+                .map_err(|f| vm.fail(f.kind()))?;
             invoke(vm, hook, callee)?;
             Ok(Flow::Managed)
         }
@@ -1165,22 +1143,6 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
     }
 }
 
-/// The receiver check behind every virtual dispatch (`CallVirtual`,
-/// `CallMono`, tier 2's inlined `Call` guard) and `instanceof`: a non-null
-/// scalar object whose class is `class` or a subclass. Returns the
-/// receiver's dynamic class.
-#[inline]
-fn virtual_receiver(vm: &Vm, recv: Addr, class: ClassId) -> Result<ClassId, ErrKind> {
-    if recv == NULL {
-        return Err(ErrKind::NullDeref);
-    }
-    let h = vm.heap.header(recv);
-    if h.is_array || h.is_classobj || !vm.program.is_subclass(h.class_id, class) {
-        return Err(ErrKind::BadVirtualDispatch);
-    }
-    Ok(h.class_id)
-}
-
 /// Push `callee`'s frame (arguments from the operand stack) and take its
 /// method-prologue yield point.
 fn invoke(vm: &mut Vm, hook: &mut dyn ExecHook, callee: MethodId) -> Result<(), VmError> {
@@ -1206,13 +1168,16 @@ fn clock_read(vm: &mut Vm, hook: &mut dyn ExecHook) -> i64 {
 
 /// Consult the hook before a heap access; `Ok(true)` means the access was
 /// deferred (a switch was performed and the instruction must be retried).
+/// A word that is no object proceeds, and the access itself faults.
 fn access_gate(
     vm: &mut Vm,
     hook: &mut dyn ExecHook,
     obj: Addr,
     write: bool,
 ) -> Result<bool, VmError> {
-    let serial = vm.heap.header(obj).serial;
+    let Ok(serial) = objref::identity_hash(&vm.heap, obj) else {
+        return Ok(false);
+    };
     match hook.on_shared_access(vm, serial, write) {
         AccessDecision::Proceed => Ok(false),
         AccessDecision::SwitchAndRetry => {
@@ -1223,51 +1188,14 @@ fn access_gate(
     }
 }
 
-/// Validate a scalar field access.
-fn check_scalar(vm: &mut Vm, obj: Addr, idx: u16, ty: Ty) -> Result<(), VmError> {
-    if obj == NULL {
-        return Err(vm.fail(ErrKind::NullDeref));
-    }
-    let h = vm.heap.header(obj);
-    if h.is_array || h.is_classobj {
-        return Err(vm.fail(ErrKind::TypeConfusion));
-    }
-    let layout = &vm.program.field_layouts[h.class_id as usize];
-    if layout.get(idx as usize) != Some(&ty) {
-        return Err(vm.fail(ErrKind::TypeConfusion));
-    }
-    Ok(())
-}
-
-/// Validate an array element access.
-fn check_array(vm: &mut Vm, arr: Addr, i: i64, ty: Ty) -> Result<(), VmError> {
-    if arr == NULL {
-        return Err(vm.fail(ErrKind::NullDeref));
-    }
-    let h = vm.heap.header(arr);
-    if !h.is_array || h.is_stack {
-        return Err(vm.fail(ErrKind::TypeConfusion));
-    }
-    let want_ref = ty == Ty::Ref;
-    if h.ref_elems != want_ref {
-        return Err(vm.fail(ErrKind::TypeConfusion));
-    }
-    if i < 0 || i as usize >= vm.heap.array_len(arr) {
-        return Err(vm.fail(ErrKind::IndexOutOfBounds));
-    }
-    Ok(())
-}
-
 /// Resolve a guest Thread-object reference to its tid.
 fn thread_of(vm: &mut Vm, tref: Addr) -> Result<Tid, VmError> {
-    if tref == NULL {
-        return Err(vm.fail(ErrKind::NullDeref));
+    let thread = vm.program.builtins.thread_class;
+    match objref::receiver(&vm.heap, &vm.program, tref, thread) {
+        Ok(_) => Ok(vm.heap.get_field(tref, 0) as Tid),
+        Err(objref::Fault::Null) => Err(vm.fail(ErrKind::NullDeref)),
+        Err(_) => Err(vm.fail(ErrKind::NotAThread)),
     }
-    let h = vm.heap.header(tref);
-    if h.is_array || h.is_classobj || h.class_id != vm.program.builtins.thread_class {
-        return Err(vm.fail(ErrKind::NotAThread));
-    }
-    Ok(vm.heap.get_field(tref, 0) as Tid)
 }
 
 /// Pop the current frame; terminate the thread if it was the root frame.

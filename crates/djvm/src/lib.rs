@@ -38,6 +38,7 @@ pub mod heap;
 pub mod hook;
 pub mod interp;
 pub mod native;
+pub mod objref;
 pub mod program;
 pub mod rng;
 pub mod sched;
@@ -52,6 +53,7 @@ pub use fingerprint::FingerprintMode;
 pub use heap::{Addr, ArrKind, GcKind, Word};
 pub use hook::{ExecHook, Passthrough, YieldAction};
 pub use native::{CallbackReq, NativeCtx, NativeOutcome, NativeRegistry};
+pub use objref::ProcessMemory;
 pub use program::Program;
 pub use rng::SplitMix64;
 pub use sched::SchedPressure;

@@ -40,7 +40,7 @@ impl SplitMix64 {
         }
         let n = span + 1;
         // Rejection zone: values >= threshold map uniformly onto 0..n.
-        let threshold = n.wrapping_neg() % n;
+        let threshold = 0u64.wrapping_sub(n) % n;
         loop {
             let r = self.next_u64();
             if r >= threshold {

@@ -1094,7 +1094,7 @@ impl Vm {
         // Reachable object graph, deterministic BFS.
         let mut visited: BTreeSet<u64> = BTreeSet::new();
         while let Some(a) = worklist.pop() {
-            let h = self.heap.header(a);
+            let h = crate::objref::header(&self.heap, a).expect("a reachable object");
             if !visited.insert(h.serial) {
                 continue;
             }
@@ -1174,11 +1174,7 @@ impl Vm {
     /// Allocation serial of an object (0 for null) — the address-stable
     /// identity used in digests.
     fn obj_serial(&self, addr: Addr) -> u64 {
-        if addr == NULL {
-            0
-        } else {
-            self.heap.header(addr).serial
-        }
+        crate::objref::identity_hash(&self.heap, addr).unwrap_or(0)
     }
 }
 

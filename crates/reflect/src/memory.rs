@@ -5,19 +5,14 @@
 //! which in the Jalapeño implementation is the Unix ptrace facility" (§3.2)
 //! — i.e., the ability to read a word at an address in the remote process
 //! **without the remote process executing any code**. [`ProcessMemory`]
-//! captures exactly that contract; the implementations here cover
-//! in-process inspection of a paused VM and snapshot files, and
-//! `fleet::client::FleetMemory` reads a fleet-hosted replay from the
-//! client process.
+//! captures exactly that contract; it is `djvm`'s, whose heap is one too.
+//! The implementations here cover in-process inspection of a paused VM and
+//! snapshot files, and `fleet::client::FleetMemory` reads a fleet-hosted
+//! replay from the client process.
 
 use djvm::heap::{Addr, Word};
+pub use djvm::ProcessMemory;
 use djvm::Vm;
-
-/// Read-only access to the application VM's address space.
-pub trait ProcessMemory {
-    /// Read one word; `None` if the address is outside the space.
-    fn read_word(&self, addr: Addr) -> Option<Word>;
-}
 
 /// Direct reads of a (paused) VM in the same process — what a debugger gets
 /// from ptrace after stopping the target. Holding `&Vm` guarantees at the

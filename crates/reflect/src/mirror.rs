@@ -7,63 +7,45 @@
 //!
 //! A remote reflector reads untrusted memory: any `addr` may be handed in
 //! (the debugger's `inspect` takes one off the wire), and the word there
-//! need not be a header at all. Every function here answers "not an
-//! object" for such a word — `None`, or `<bad address N>` from
-//! [`describe`] — and never indexes a program table with what it decoded.
+//! need not be a header at all. Every function here reads through
+//! `djvm::objref`, the reference reads the application VM itself uses, and
+//! answers "not an object" for such a word — `None`, or `<bad address N>`
+//! from [`describe`].
 
-use crate::memory::ProcessMemory;
-use djvm::heap::{is_forwarded, Addr, Header};
+use djvm::heap::Addr;
+use djvm::objref::{self, ProcessMemory};
 use djvm::{Program, Ty};
-
-/// Read the remote object's decoded header; `None` if `addr` is outside
-/// the space or holds a forwarding pointer.
-pub fn header_of(mem: &dyn ProcessMemory, addr: Addr) -> Option<Header> {
-    let w = mem.read_word(addr)?;
-    (!is_forwarded(w)).then(|| Header::decode(w))
-}
-
-/// [`header_of`], and the class id it names is one `program` defines — the
-/// precondition of `Program::class` / `flattened_fields`, which index.
-fn object_header(mem: &dyn ProcessMemory, program: &Program, addr: Addr) -> Option<Header> {
-    header_of(mem, addr).filter(|h| (h.class_id as usize) < program.classes.len())
-}
 
 /// Class name of a remote object (arrays and class objects included).
 pub fn class_name(mem: &dyn ProcessMemory, program: &Program, addr: Addr) -> Option<String> {
-    let h = object_header(mem, program, addr)?;
-    if h.is_stack {
-        return Some("[stack]".into());
-    }
-    if h.is_array {
-        return Some(if h.ref_elems { "Object[]" } else { "int[]" }.into());
-    }
-    let name = &program.class(h.class_id).name;
-    Some(if h.is_classobj {
-        format!("<class {name}>")
-    } else {
-        name.clone()
+    let h = objref::object(mem, program, addr).ok()?;
+    let name = || program.class(h.class_id).name.clone();
+    Some(match h {
+        _ if h.is_stack => "[stack]".into(),
+        _ if h.is_array && h.ref_elems => "Object[]".into(),
+        _ if h.is_array => "int[]".into(),
+        _ if h.is_classobj => format!("<class {}>", name()),
+        _ => name(),
     })
 }
 
 /// Clone a remote int array.
 pub fn read_int_array(mem: &dyn ProcessMemory, addr: Addr) -> Option<Vec<i64>> {
-    let h = header_of(mem, addr)?;
-    if !h.is_array || h.ref_elems || h.is_stack {
+    let (h, elems) = objref::array(mem, addr).ok()?;
+    if h.ref_elems || h.is_stack {
         return None;
     }
-    let len = mem.read_word(addr + 1)? as usize;
-    (0..len)
-        .map(|i| mem.read_word(addr + 2 + i as u64).map(|w| w as i64))
+    (elems.slots())
+        .map(|(slot, _)| mem.read_word(slot).map(|w| w as i64))
         .collect()
 }
 
 /// Clone a remote String object (builtin `String { chars }` layout).
 pub fn read_string(mem: &dyn ProcessMemory, program: &Program, addr: Addr) -> Option<String> {
-    let h = header_of(mem, addr)?;
-    if h.is_array || h.class_id != program.builtins.string_class {
+    if objref::header(mem, addr).ok()?.class_id != program.builtins.string_class {
         return None;
     }
-    let chars = mem.read_word(addr + 1)?;
+    let chars = mem.read_word(objref::field_slot(mem, program, addr, 0, Ty::Ref).ok()?)?;
     let bytes: Vec<u8> = read_int_array(mem, chars)?
         .into_iter()
         .map(|v| v as u8)
@@ -77,28 +59,26 @@ pub fn read_fields(
     program: &Program,
     addr: Addr,
 ) -> Option<Vec<(String, String)>> {
-    let h = object_header(mem, program, addr)?;
-    if h.is_array || h.is_stack {
+    let h = objref::object(mem, program, addr).ok()?;
+    if h.is_array {
         return None;
     }
+    let slots = objref::payload(mem, program, addr).ok()?.slots();
     let decls = program.slot_decls(h.class_id, h.is_classobj);
-    let mut out = Vec::with_capacity(decls.len());
-    for (i, d) in decls.iter().enumerate() {
-        let raw = mem.read_word(addr + 1 + i as u64)?;
-        let rendered = match d.ty {
-            Ty::Int => format!("{}", raw as i64),
-            Ty::Ref => {
-                if raw == 0 {
-                    "null".to_string()
-                } else {
+    (decls.iter().zip(slots))
+        .map(|(d, (slot, _))| {
+            let raw = mem.read_word(slot)?;
+            let rendered = match (d.ty, raw) {
+                (Ty::Int, _) => format!("{}", raw as i64),
+                (Ty::Ref, 0) => "null".to_string(),
+                (Ty::Ref, _) => {
                     let cname = class_name(mem, program, raw).unwrap_or_else(|| "?".into());
                     format!("{cname}@{raw}")
                 }
-            }
-        };
-        out.push((d.name.clone(), rendered));
-    }
-    Some(out)
+            };
+            Some((d.name.clone(), rendered))
+        })
+        .collect()
 }
 
 /// Render a one-line description of any remote object.
@@ -106,24 +86,19 @@ pub fn describe(mem: &dyn ProcessMemory, program: &Program, addr: Addr) -> Strin
     if addr == 0 {
         return "null".into();
     }
-    let Some(h) = object_header(mem, program, addr) else {
+    let Ok(h) = objref::object(mem, program, addr) else {
         return format!("<bad address {addr}>");
     };
     let name = class_name(mem, program, addr).unwrap_or_else(|| "?".into());
     if h.is_array {
-        let len = mem.read_word(addr + 1).unwrap_or(0);
+        let len = objref::array_len(mem, addr).unwrap_or(0);
         format!("{name}(len={len})@{addr} #{}", h.serial)
     } else if let Some(s) = read_string(mem, program, addr) {
         format!("String({s:?})@{addr} #{}", h.serial)
     } else {
-        let fields = read_fields(mem, program, addr)
-            .map(|fs| {
-                fs.iter()
-                    .map(|(n, v)| format!("{n}={v}"))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            })
-            .unwrap_or_default();
+        let fields = read_fields(mem, program, addr).unwrap_or_default();
+        let fields: Vec<_> = fields.iter().map(|(n, v)| format!("{n}={v}")).collect();
+        let fields = fields.join(", ");
         format!("{name}{{{fields}}}@{addr} #{}", h.serial)
     }
 }

@@ -1,10 +1,11 @@
 //! E8: remote reflection correctness and perturbation-freedom (paper §3,
 //! Figure 3).
 
-use dejavu::{record_run, replay_run, ExecSpec, SymmetryConfig};
-use djvm::{interp, CycleClock, FixedTimer, Program, ProgramBuilder, Ty, Vm, VmConfig};
+use dejavu::{record_run, ExecSpec, SymmetryConfig};
+use djvm::{interp, CycleClock, FixedTimer, MethodId, Program, ProgramBuilder, Ty, Vm, VmConfig};
 use reflect::{
-    mirror, CountingMemory, LocalVmMemory, ProcessMemory, RemoteReflector, SnapshotMemory, TVal,
+    mirror, CountingMemory, LocalVmMemory, ProcessMemory, ReflectError, RemoteReflector,
+    SnapshotMemory, TVal,
 };
 use std::sync::Arc;
 
@@ -328,4 +329,180 @@ fn e8_in_process_reflection_breaks_replay() {
         || !replayer.desyncs().is_empty()
         || vm.state_digest() != rec.state_digest;
     assert!(diverged, "in-process reflection must break replay");
+}
+
+/// `program` with one read-only method per reference bytecode added, each
+/// taking a receiver (and `aload` an index) and returning what the op
+/// reads: `(bytecode, method)`.
+fn with_probes(program: &Program) -> (Program, Vec<(&'static str, MethodId)>) {
+    let b = program.builtins;
+    let slot = program.class(b.vm_method_class).vslots["getLineNumberAt"];
+    let mut pb = ProgramBuilder::reopen(program);
+    let mut probe = |name, index: bool, op: &dyn Fn(&mut djvm::builder::Asm)| {
+        let args = if index {
+            vec![Ty::Ref, Ty::Int]
+        } else {
+            vec![Ty::Ref]
+        };
+        let nargs = args.len() as u16;
+        let m = pb.method_typed(name, args, nargs, Some(Ty::Int)).code(|a| {
+            a.load(0);
+            if index {
+                a.load(1);
+            }
+            op(a);
+            a.ret_val();
+        });
+        (name, m)
+    };
+    let probes = vec![
+        probe("getfield", false, &|a| {
+            a.get_field(0);
+        }),
+        probe("aload", true, &|a| {
+            a.aload();
+        }),
+        probe("arraylen", false, &|a| {
+            a.array_len();
+        }),
+        probe("identityhash", false, &|a| {
+            a.identity_hash();
+        }),
+        probe("instanceof", false, &|a| {
+            a.instance_of(b.vm_method_class);
+        }),
+        probe("callvirtual", false, &|a| {
+            a.iconst(0).call_virtual(b.vm_method_class, slot);
+        }),
+    ];
+    (pb.finish(program.entry).unwrap(), probes)
+}
+
+fn receiver(word: u64) -> TVal {
+    if word == 0 {
+        TVal::Null
+    } else {
+        TVal::Remote(word)
+    }
+}
+
+#[test]
+fn invoke_refuses_a_method_the_program_does_not_define() {
+    let (mut vm, p) = app_vm();
+    run_to_halt(&mut vm);
+    let mem = LocalVmMemory::new(&vm);
+    let n = p.methods.len() as MethodId;
+    let mut refl = RemoteReflector::new(Arc::new(p), &mem);
+    for m in [n, n + 1, MethodId::MAX] {
+        assert_eq!(refl.invoke(m, &[]), Err(ReflectError::NoSuchMethod(m)));
+    }
+}
+
+#[test]
+fn invoke_refuses_a_wrong_argument_count() {
+    let (mut vm, p) = app_vm();
+    run_to_halt(&mut vm);
+    let mem = LocalVmMemory::new(&vm);
+    let q = p.builtins.line_number_of;
+    let mut refl = RemoteReflector::new(Arc::new(p), &mem);
+    refl.map_boot_method_table(vm.boot_image.method_table);
+    for args in [&[][..], &[TVal::Int(0)], &[TVal::Int(0); 3]] {
+        let got = args.len();
+        assert_eq!(
+            refl.invoke(q, args),
+            Err(ReflectError::Arity { want: 2, got })
+        );
+    }
+    assert_eq!(refl.invoke(q, &[TVal::Int(0); 2]).map(|_| ()), Ok(()));
+}
+
+#[test]
+fn invoke_refuses_an_argument_of_the_wrong_type() {
+    let (mut vm, p) = app_vm();
+    run_to_halt(&mut vm);
+    let mem = LocalVmMemory::new(&vm);
+    let (q, at) = (p.builtins.line_number_of, p.builtins.get_line_number_at);
+    let mut refl = RemoteReflector::new(Arc::new(p), &mem);
+    let table = vm.boot_image.method_table;
+    // An int where a reference goes, and references where ints go.
+    assert_eq!(
+        refl.invoke(at, &[TVal::Int(1), TVal::Int(0)]),
+        Err(ReflectError::ArgType(0))
+    );
+    assert_eq!(
+        refl.invoke(q, &[TVal::Remote(table), TVal::Int(0)]),
+        Err(ReflectError::ArgType(0))
+    );
+    assert_eq!(
+        refl.invoke(q, &[TVal::Int(0), TVal::Null]),
+        Err(ReflectError::ArgType(1))
+    );
+}
+
+#[test]
+fn reflector_answers_a_typed_fault_for_every_address() {
+    // Every reference bytecode, handed every word a client could name:
+    // the answer is a value or a typed error, never a panic.
+    fn walk(vm: &Vm, program: &Program, probes: &[(&str, MethodId)], extra: &[u64]) -> usize {
+        let mem = LocalVmMemory::new(vm);
+        let mut refl = RemoteReflector::new(Arc::new(program.clone()), &mem);
+        let mut faults = 0;
+        // Every word from the extent up is zero: the extent's stands for all.
+        let addrs = (0..vm.heap.extent() as u64 + 1).chain(extra.iter().copied());
+        for addr in addrs {
+            for &(name, m) in probes {
+                let args = [receiver(addr), TVal::Int(0)];
+                let args = &args[..program.method(m).nargs as usize];
+                let got =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| refl.invoke(m, args)));
+                match got {
+                    Ok(Ok(Some(TVal::Int(_)))) => {}
+                    Ok(Err(ReflectError::Fault(_) | ReflectError::BadAddress(_))) => faults += 1,
+                    other => panic!("{name} at {addr}: {other:?}"),
+                }
+            }
+        }
+        faults
+    }
+
+    let w = workloads::registry()
+        .into_iter()
+        .find(|w| w.name == "producer_consumer")
+        .unwrap();
+    let (program, probes) = with_probes(&(w.build)());
+    let spec = ExecSpec::new(program).with_seed(3);
+    let mut vm = spec.live_vm();
+    (w.natives)(&mut vm);
+    interp::run(&mut vm, &mut djvm::Passthrough, 2_000);
+    assert!(vm.status.is_running() && vm.threads.len() > 1);
+    assert!(walk(&vm, &spec.program, &probes, &[u64::MAX, u64::MAX - 1]) > 0);
+
+    // `app_vm`'s second box holds a word with the forwarding bit set.
+    let (mut vm, p) = app_vm();
+    run_to_halt(&mut vm);
+    let (p, probes) = with_probes(&p);
+    let mem = LocalVmMemory::new(&vm);
+    let g = vm.class_objects[p.class_id_by_name("G").unwrap() as usize].unwrap();
+    let first = mem.read_word(g + 1).unwrap();
+    let forwarded = mem.read_word(first + 2).unwrap() + 1;
+    assert!(djvm::heap::is_forwarded(mem.read_word(forwarded).unwrap()));
+    walk(&vm, &p, &probes, &[forwarded, u64::MAX]);
+    // The wrong kind of object faults as it does in the guest: `arraylen`
+    // on a `Box`, `getfield` on an `int[]`, a forwarding word's hash.
+    let mut refl = RemoteReflector::new(Arc::new(p), &mem);
+    let [getfield, _, arraylen, identityhash, ..] = probes[..] else {
+        unreachable!()
+    };
+    let arr = mem.read_word(g + 2).unwrap();
+    let confused = Err(ReflectError::Fault(djvm::ErrKind::TypeConfusion));
+    assert_eq!(refl.invoke(arraylen.1, &[TVal::Remote(first)]), confused);
+    assert_eq!(refl.invoke(getfield.1, &[TVal::Remote(arr)]), confused);
+    assert_eq!(
+        refl.invoke(identityhash.1, &[TVal::Remote(forwarded)]),
+        confused
+    );
+    assert_eq!(
+        refl.invoke(arraylen.1, &[TVal::Remote(arr)]),
+        Ok(Some(TVal::Int(5)))
+    );
 }

@@ -407,7 +407,7 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 
-echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one replay loop, one reference map, one door to a hosted run, one heap extent, no env knobs =="
+echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one replay loop, one reference map, one door to a hosted run, one heap extent, one reference read, no env knobs =="
 fail=0
 # Only the property harness reads the environment (QC_CASES / QC_SEED).
 if grep -rn 'env::var' crates src --include=*.rs | grep -v '^src/qc\.rs:'; then
@@ -420,7 +420,7 @@ if [ -e crates/bench ] ||
     echo "verify: a second timing harness (crates/bench or a [[bench]] target) is back" >&2
     fail=1
 fi
-if grep -rnE 'sniff_format|decode_any|serve_lines|DebugClient' crates src --include=*.rs; then
+if grep -rnE 'sniff_format|decode_any|serve_lines|DebugClient|check_scalar|check_array|virtual_receiver' crates src --include=*.rs; then
     echo "verify: a deleted half of a fork is back" >&2
     fail=1
 fi
@@ -438,10 +438,10 @@ if grep -rnE 'MegaOp::(GuardCmpIf|BackCmpIf|GuardLoadConstCmpIf|BackLoadConstCmp
     echo "verify: a per-tier copy of a shared micro-op or branch test is back" >&2
     fail=1
 fi
-for pat in 'wrapping_neg' 'mem.swap('; do
-    n=$(grep -rnF "$pat" crates/djvm/src --include=*.rs | grep -v '/rng\.rs:' | wc -l)
+for pat in 'wrapping_neg' 'mem.swap(' 'wrapping_div' 'wrapping_rem'; do
+    n=$(grep -rnF "$pat" crates/djvm/src crates/reflect/src --include=*.rs | wc -l)
     if [ "$n" -gt 1 ]; then
-        echo "verify: '$pat' is spelled $n times under crates/djvm/src, want 1 (Pure::exec)" >&2
+        echo "verify: '$pat' is spelled $n times under crates/{djvm,reflect}/src, want 1 (Pure::exec, div_rem)" >&2
         fail=1
     fi
 done
@@ -570,6 +570,21 @@ if grep -rnE 'TraceFormat::Flat|Trace::decode|fn (root_values|frame_refs|push_ch
     echo "verify: the flat trace reader, or a per-collector copy of the reference walk, is back" >&2
     fail=1
 fi
+# One reference read: the guest tiers, the remote reflector and the mirrors
+# decode headers, test subclassing and index vtables through djvm::objref
+# only, and one function resolves a virtual call's target (the verifier's
+# and the devirtualiser's static lookups and the builder's table are not
+# dispatch).
+outside=$(find crates src examples -name '*.rs' ! -path 'crates/djvm/src/*' ! -path '*/tests/*' |
+    fns_naming 'vtable\\[|is_subclass\\(|Header::decode\\(')
+if [ -n "$outside" ]; then
+    echo "verify: an object header is decoded, a subclass tested or a vtable indexed outside crates/djvm/src:" >&2
+    printf '%s\n' "$outside" >&2
+    fail=1
+fi
+one_fn "a virtual call's target is resolved" \
+    "$(djvm_fns 'vtable(\\[|\\.get\\()' | grep -vE '/(compile|builder|dis)\.rs:' || true)" \
+    "crates/djvm/src/objref.rs: fn virtual_target"
 # One door to a hosted run: the fleet server binds the only listener and
 # runs the only accept loop, the fleet frame is the only wire between
 # processes, and one function answers a frame.
@@ -599,5 +614,6 @@ echo "surface: $(nontest $d/gc.rs $d/vm.rs $d/heap.rs) non-test lines in gc.rs +
 echo "surface: $(nontest crates/dejavu/src/blocktrace.rs crates/store/src/*.rs) non-test lines in dejavu's blocktrace.rs + crates/store/src/*.rs"
 echo "surface: $(nontest $d/interp.rs crates/dejavu/src/timetravel.rs crates/debugger/src/engine.rs crates/fleet/src/session.rs) non-test lines in interp.rs + dejavu's timetravel.rs + debugger's engine.rs + fleet's session.rs"
 echo "surface: $(nontest crates/reflect/src/*.rs crates/fleet/src/*.rs crates/debugger/src/*.rs) non-test lines in crates/{reflect,fleet,debugger}/src"
+echo "surface: $(nontest crates/reflect/src/remote.rs) non-test lines in reflect's remote.rs, $(nontest $d/*.rs crates/reflect/src/*.rs) in crates/{djvm,reflect}/src"
 
 echo "verify: OK"

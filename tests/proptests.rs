@@ -943,3 +943,246 @@ fn time_travel_lands_on_the_same_state_in_every_tier() {
         },
     );
 }
+
+// ---------------------------------------------------------------------
+// 10. One definition of a reference read: a reference bytecode gives the
+//     same value, or the same guest error, in the application VM and
+//     through the remote reflector over live and snapshot memory, for any
+//     receiver word a client could name, object or not.
+// ---------------------------------------------------------------------
+
+/// A read-only method running one reference bytecode, and a guest wrapper
+/// that calls it and halts with its result on the operand stack.
+struct Probe {
+    name: &'static str,
+    method: djvm::MethodId,
+    wrapper: djvm::MethodId,
+    /// Takes an index after the receiver.
+    index: bool,
+}
+
+/// `program` with a [`Probe`] per reference bytecode added (class ids are
+/// unchanged, so the builtin classes keep theirs).
+fn with_probes(program: &djvm::Program) -> (djvm::Program, Vec<Probe>) {
+    use djvm::builder::Asm;
+    let b = program.builtins;
+    let slot = program.class(b.vm_method_class).vslots["getLineNumberAt"];
+    let mut pb = ProgramBuilder::reopen(program);
+    let mut probe = |name, index: bool, ret, op: &dyn Fn(&mut Asm)| {
+        let args = if index {
+            vec![Ty::Ref, Ty::Int]
+        } else {
+            vec![Ty::Ref]
+        };
+        let n = args.len() as u16;
+        let push_args = |a: &mut Asm| {
+            (0..n).for_each(|i| {
+                a.load(i);
+            })
+        };
+        let method = pb.method_typed(name, args.clone(), n, Some(ret)).code(|a| {
+            push_args(a);
+            op(a);
+            a.ret_val();
+        });
+        let wrapper = pb.method_typed("probe", args, n, None).code(|a| {
+            push_args(a);
+            a.call(method).halt();
+        });
+        Probe {
+            name,
+            method,
+            wrapper,
+            index,
+        }
+    };
+    let probes = vec![
+        probe("getfield #0:int", false, Ty::Int, &|a| {
+            a.get_field(0);
+        }),
+        probe("getfield #1:ref", false, Ty::Ref, &|a| {
+            a.get_field_ref(1);
+        }),
+        probe("getfield #2:ref", false, Ty::Ref, &|a| {
+            a.get_field_ref(2);
+        }),
+        probe("aload int", true, Ty::Int, &|a| {
+            a.aload();
+        }),
+        probe("aload ref", true, Ty::Ref, &|a| {
+            a.aload_ref();
+        }),
+        probe("arraylen", false, Ty::Int, &|a| {
+            a.array_len();
+        }),
+        probe("identityhash", false, Ty::Int, &|a| {
+            a.identity_hash();
+        }),
+        probe("instanceof VM_Method", false, Ty::Int, &|a| {
+            a.instance_of(b.vm_method_class);
+        }),
+        probe("instanceof Thread", false, Ty::Int, &|a| {
+            a.instance_of(b.thread_class);
+        }),
+        probe("callvirtual getLineNumberAt", false, Ty::Int, &|a| {
+            a.iconst(1).call_virtual(b.vm_method_class, slot);
+        }),
+    ];
+    (pb.finish(program.entry).unwrap(), probes)
+}
+
+/// A receiver word: a live object, an array, a class object, a stack
+/// array, an address off by one, `u64::MAX`, or any word of the heap.
+fn gen_receiver(g: &mut Gen, vm: &djvm::Vm) -> u64 {
+    use djvm::{objref, ProcessMemory};
+    let heap = &vm.heap;
+    let table = vm.boot_image.method_table;
+    let methods = objref::array(heap, table).unwrap().1;
+    let vm_method = heap
+        .read_word(methods.first + g.u64_in(0, methods.count as u64 - 1))
+        .unwrap();
+    let t = &vm.threads[g.usize_in(0, vm.threads.len() - 1)];
+    let class_objects: Vec<u64> = vm.class_objects.iter().flatten().copied().collect();
+    let object = match g.u64_in(0, 6) {
+        0 => t.thread_obj,
+        1 => vm_method,
+        2 => table,
+        3 => heap
+            .read_word(objref::field_slot(heap, &vm.program, vm_method, 2, Ty::Ref).unwrap())
+            .unwrap(),
+        4 => t.stack_obj,
+        5 if !class_objects.is_empty() => class_objects[g.usize_in(0, class_objects.len() - 1)],
+        _ => vm.string_objects.first().copied().unwrap_or(table),
+    };
+    match g.u64_in(0, 9) {
+        0..=4 => object,
+        5 => object.wrapping_add(1),
+        6 => object.wrapping_sub(1),
+        7 => u64::MAX,
+        _ => heap.read_word(g.u64_in(0, heap.extent() as u64)).unwrap(),
+    }
+}
+
+/// The guest that runs only what it is handed: it never switches, and the
+/// probes read no clock and call no native.
+struct Still;
+
+impl djvm::ExecHook for Still {
+    fn on_yield_point(&mut self, _: &mut djvm::Vm) -> djvm::YieldAction {
+        djvm::YieldAction::NONE
+    }
+    fn on_clock_read(&mut self, _: &mut djvm::Vm) -> i64 {
+        0
+    }
+    fn on_native_call(
+        &mut self,
+        _: &mut djvm::Vm,
+        _: djvm::NativeId,
+        _: &[i64],
+    ) -> djvm::NativeOutcome {
+        djvm::NativeOutcome::default()
+    }
+}
+
+#[test]
+fn reference_reads_answer_alike_in_the_guest_and_the_reflector() {
+    use djvm::objref::Fault;
+    use djvm::{ErrKind, ProcessMemory, ThreadStatus, VmStatus};
+    use reflect::{LocalVmMemory, ReflectError, RemoteReflector, SnapshotMemory, TVal};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Arc;
+    type Answer = Result<u64, ErrKind>;
+    let registry = workloads::registry();
+    qc::check(
+        "reference_reads_answer_alike_in_the_guest_and_the_reflector",
+        48,
+        |g| {
+            let w = &registry[g.usize_in(0, registry.len() - 1)];
+            let (program, probes) = with_probes(&(w.build)());
+            let spec = ExecSpec::new(program).with_seed(g.u64_in(0, 99));
+            let mut vm = spec.live_vm();
+            (w.natives)(&mut vm);
+            djvm::interp::run(&mut vm, &mut djvm::Passthrough, g.u64_in(0, 4_000));
+            let cur = vm.sched.current as usize;
+            if !vm.status.is_running() || vm.threads[cur].status != ThreadStatus::Running {
+                return Ok(());
+            }
+            // Compile everything and make stack room now, so the guest's
+            // probe allocates nothing: the state it reads is the state the
+            // reflector reads, and no collection traces a wild receiver.
+            for m in 0..spec.program.methods.len() as djvm::MethodId {
+                vm.ensure_method_compiled(m).map_err(|e| e.to_string())?;
+            }
+            vm.ensure_stack_headroom(256).map_err(|e| e.to_string())?;
+
+            let cases = g.vec_of(1, 6, |g| {
+                let p = &probes[g.usize_in(0, probes.len() - 1)];
+                let index = match g.u64_in(0, 3) {
+                    0 => g.any_i64(),
+                    _ => g.i64_in(-1, 6),
+                };
+                (p, gen_receiver(g, &vm), index)
+            });
+
+            // Through the reflector, over the paused VM and over a copy.
+            let local = LocalVmMemory::new(&vm);
+            let snapshot = SnapshotMemory::from_vm(&vm);
+            let mut remote: Vec<[Answer; 2]> = Vec::new();
+            for &(p, recv, index) in &cases {
+                let recv_val = if recv == 0 {
+                    TVal::Null
+                } else {
+                    TVal::Remote(recv)
+                };
+                let args = [recv_val, TVal::Int(index)];
+                let args = &args[..1 + p.index as usize];
+                let mut answers = [Ok(0), Ok(0)];
+                for (mem, answer) in [&local as &dyn ProcessMemory, &snapshot]
+                    .iter()
+                    .zip(&mut answers)
+                {
+                    let mut refl = RemoteReflector::new(Arc::clone(&spec.program), *mem);
+                    let got = catch_unwind(AssertUnwindSafe(|| refl.invoke(p.method, args)))
+                        .map_err(|_| format!("the reflector panicked: {} on {recv}", p.name))?;
+                    *answer = match got {
+                        Ok(Some(TVal::Int(v))) => Ok(v as u64),
+                        Ok(Some(TVal::Null)) => Ok(0),
+                        Ok(Some(TVal::Remote(a))) => Ok(a),
+                        // The tool reports the word it could not read; the
+                        // guest, the fault an unreadable word is.
+                        Err(ReflectError::BadAddress(a)) => Err(Fault::Unreadable(a).kind()),
+                        Err(ReflectError::Fault(kind)) => Err(kind),
+                        other => return Err(format!("{} on {recv}: {other:?}", p.name)),
+                    };
+                }
+                remote.push(answers);
+            }
+
+            // In the guest, each on a scratch copy of the paused VM.
+            let paused = vm.snapshot();
+            for (&(p, recv, index), answers) in cases.iter().zip(&remote) {
+                vm.restore(&paused);
+                let args = [recv as i64, index];
+                vm.push_frame_public(p.wrapper, &args[..1 + p.index as usize])
+                    .map_err(|e| e.to_string())?;
+                catch_unwind(AssertUnwindSafe(|| {
+                    djvm::interp::run(&mut vm, &mut Still, 10_000)
+                }))
+                .map_err(|_| format!("the guest panicked: {} on {recv}", p.name))?;
+                let guest: Answer = match vm.status {
+                    VmStatus::Halted => Ok(vm.heap.read_word(vm.threads[cur].sp - 1).unwrap()),
+                    VmStatus::Error(e) => Err(e.kind),
+                    s => return Err(format!("{} on {recv}: the guest stopped {s:?}", p.name)),
+                };
+                qc_assert_eq!(
+                    answers.clone(),
+                    [guest, guest],
+                    "{} on {recv} (index {index}) in {}",
+                    p.name,
+                    w.name
+                );
+            }
+            Ok(())
+        },
+    );
+}
