@@ -1,13 +1,12 @@
-//! Block compression primitives: CRC-32 integrity and an LZ77-style
-//! byte compressor.
+//! CRC-32 integrity and an LZ77-style byte compressor.
 //!
-//! The block-structured trace format (see `dejavu::blocktrace`) stores
-//! each block's payload either *raw* or run through [`compress`], and
-//! guards every payload with a [`crc32`] over the raw bytes — a single
-//! flipped or missing byte anywhere in a block is caught at decode time.
-//! Hermetic-build discipline: no external compression crates; this is the
-//! workspace's own LZ implementation, `std`-only and deterministic (the
-//! same input always produces the same output bytes).
+//! Every trace block — in a DJVB file or a store record — carries a
+//! [`crc32`] of its raw bytes, so a single flipped or missing byte is
+//! caught at decode time whatever the compressed stream says; every pack
+//! and unpack pays for it, so it runs eight bytes a step. The entropy
+//! coder blocks are packed with is [`crate::rans`]. [`compress`] /
+//! [`decompress`] are the workspace's LZ77, kept as the benchmark probe's
+//! point of comparison: no block format uses them.
 //!
 //! ## Wire format of a compressed stream
 //!
@@ -18,12 +17,10 @@
 //! ```
 //!
 //! The trailing match is omitted in the final group. Decompression stops
-//! when exactly `raw_len` bytes (known from the block header) have been
-//! produced; anything else — a short stream, an overlong stream, an
-//! offset pointing before the start — is corruption. Matches may overlap
-//! their own output (`offset == 1` encodes a run), which is what makes
-//! delta-encoded trace columns — long stretches of identical small
-//! deltas — collapse to a few bytes per block.
+//! when exactly `raw_len` bytes have been produced; anything else — a
+//! short stream, an overlong stream, an offset pointing before the start
+//! — is corruption. Matches may overlap their own output (`offset == 1`
+//! encodes a run).
 
 use crate::bin::{get_varint, put_varint};
 
@@ -36,19 +33,34 @@ const MAX_MATCH: usize = 1 << 16;
 /// 4-byte hash are tried per position. Small = fast, large = tighter.
 const MAX_CHAIN: usize = 32;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the classic
-/// table-driven byte-at-a-time implementation.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), slicing by
+/// eight: eight table lookups fold eight bytes at once.
 pub fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
+    const T: [[u32; 256]; 8] = crc32_tables();
     let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = T[7][lo as usize & 0xFF]
+            ^ T[6][(lo >> 8) as usize & 0xFF]
+            ^ T[5][(lo >> 16) as usize & 0xFF]
+            ^ T[4][(lo >> 24) as usize]
+            ^ T[3][hi as usize & 0xFF]
+            ^ T[2][(hi >> 8) as usize & 0xFF]
+            ^ T[1][(hi >> 16) as usize & 0xFF]
+            ^ T[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ T[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `T[0]` is the byte-at-a-time table; `T[k][i]` is the CRC of byte `i`
+/// followed by `k` zero bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -61,10 +73,20 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 #[inline]
@@ -188,223 +210,6 @@ pub fn decompress(src: &[u8], raw_len: usize) -> Option<Vec<u8>> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Adaptive order-1 range coder
-// ---------------------------------------------------------------------
-//
-// The LZ pass above exploits *repetition*; trace columns additionally
-// have low *per-symbol entropy* (a recorded nyp delta spans a handful of
-// distinct small values), which repetition-matching cannot reach. This
-// is the classic binary range coder (the LZMA construction): each byte
-// is coded bit by bit through a 255-node probability tree selected by
-// the previous byte (order-1 context), probabilities adapting as they
-// go. Everything is integer arithmetic — encoding is exactly
-// deterministic, and the decoder mirrors the adaptation step for step.
-//
-// Truncation behaviour: a short stream decodes to *wrong* bytes rather
-// than failing structurally (the coder cannot tell missing bytes from
-// zeros). Callers needing tamper evidence must CRC the raw payload —
-// the block trace format does.
-
-/// Probability scale: 12-bit fixed point.
-const RC_BITS: u32 = 12;
-const RC_HALF: u16 = (1 << RC_BITS) / 2;
-const RC_TOP: u32 = 1 << 24;
-
-/// One adaptive binary probability. The update rate follows a fast-start
-/// schedule: a freshly observed context moves in big steps (a block's
-/// model must converge within a few hundred symbols), then settles to a
-/// slower, more precise rate once it has evidence.
-#[derive(Clone, Copy)]
-struct Prob {
-    p: u16,
-    n: u8,
-}
-
-impl Prob {
-    const FRESH: Prob = Prob { p: RC_HALF, n: 0 };
-
-    #[inline]
-    fn shift(&self) -> u32 {
-        match self.n {
-            0..=3 => 2,
-            4..=15 => 3,
-            _ => 4,
-        }
-    }
-
-    #[inline]
-    fn update(&mut self, bit: u32) {
-        let sh = self.shift();
-        self.n = self.n.saturating_add(1);
-        if bit == 0 {
-            self.p += ((1u16 << RC_BITS) - self.p) >> sh;
-        } else {
-            self.p -= self.p >> sh;
-        }
-    }
-}
-
-struct RangeEncoder {
-    low: u64,
-    range: u32,
-    cache: u8,
-    cache_size: u64,
-    out: Vec<u8>,
-}
-
-impl RangeEncoder {
-    fn new() -> Self {
-        Self {
-            low: 0,
-            range: u32::MAX,
-            cache: 0,
-            cache_size: 1,
-            out: Vec::new(),
-        }
-    }
-
-    fn shift_low(&mut self) {
-        if (self.low as u32) < 0xFF00_0000 || (self.low >> 32) != 0 {
-            let carry = (self.low >> 32) as u8;
-            let mut byte = self.cache;
-            loop {
-                self.out.push(byte.wrapping_add(carry));
-                byte = 0xFF;
-                self.cache_size -= 1;
-                if self.cache_size == 0 {
-                    break;
-                }
-            }
-            self.cache = (self.low >> 24) as u8;
-        }
-        self.cache_size += 1;
-        self.low = (self.low & 0x00FF_FFFF) << 8;
-    }
-
-    fn encode_bit(&mut self, p: &mut Prob, bit: u32) {
-        let bound = (self.range >> RC_BITS) * (p.p as u32);
-        if bit == 0 {
-            self.range = bound;
-        } else {
-            self.low += bound as u64;
-            self.range -= bound;
-        }
-        p.update(bit);
-        while self.range < RC_TOP {
-            self.shift_low();
-            self.range <<= 8;
-        }
-    }
-
-    fn finish(mut self) -> Vec<u8> {
-        for _ in 0..5 {
-            self.shift_low();
-        }
-        self.out
-    }
-}
-
-struct RangeDecoder<'a> {
-    code: u32,
-    range: u32,
-    src: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> RangeDecoder<'a> {
-    fn new(src: &'a [u8]) -> Self {
-        let mut d = Self {
-            code: 0,
-            range: u32::MAX,
-            src,
-            pos: 0,
-        };
-        // First byte is the encoder's initial zero cache.
-        for _ in 0..5 {
-            d.code = (d.code << 8) | d.next() as u32;
-        }
-        d
-    }
-
-    fn next(&mut self) -> u8 {
-        let b = self.src.get(self.pos).copied().unwrap_or(0);
-        self.pos += 1;
-        b
-    }
-
-    fn decode_bit(&mut self, p: &mut Prob) -> u32 {
-        let bound = (self.range >> RC_BITS) * (p.p as u32);
-        let bit = if self.code < bound {
-            self.range = bound;
-            0
-        } else {
-            self.code -= bound;
-            self.range -= bound;
-            1
-        };
-        p.update(bit);
-        while self.range < RC_TOP {
-            self.range <<= 8;
-            self.code = (self.code << 8) | self.next() as u32;
-        }
-        bit
-    }
-}
-
-/// Order-1 bit-tree model: one 255-probability tree per previous byte.
-/// Allocated fresh per (de)compression so streams are independent.
-fn rc_model() -> Vec<[Prob; 256]> {
-    vec![[Prob::FRESH; 256]; 256]
-}
-
-/// Compress `src` with the adaptive order-1 range coder. Pair with
-/// [`entropy_decompress`] and the raw length. Worst case (already-random
-/// input) expands by a fraction of a percent plus a 5-byte tail.
-pub fn entropy_compress(src: &[u8]) -> Vec<u8> {
-    let mut model = rc_model();
-    let mut enc = RangeEncoder::new();
-    let mut prev: usize = 0;
-    for &b in src {
-        let tree = &mut model[prev];
-        let mut node = 1usize;
-        for i in (0..8).rev() {
-            let bit = ((b >> i) & 1) as u32;
-            enc.encode_bit(&mut tree[node], bit);
-            node = (node << 1) | bit as usize;
-        }
-        prev = b as usize;
-    }
-    enc.finish()
-}
-
-/// Invert [`entropy_compress`], producing exactly `raw_len` bytes.
-/// Structural corruption is *not* detectable here (see the module note);
-/// `None` only when the stream is grossly oversized for its raw length.
-pub fn entropy_decompress(src: &[u8], raw_len: usize) -> Option<Vec<u8>> {
-    // An honest stream never exceeds raw_len + tail by much; reject
-    // obvious garbage so callers cannot be memory-bombed.
-    if src.len() > raw_len.saturating_add(raw_len / 8) + 16 {
-        return None;
-    }
-    let mut model = rc_model();
-    let mut dec = RangeDecoder::new(src);
-    let mut out = Vec::with_capacity(raw_len);
-    let mut prev: usize = 0;
-    for _ in 0..raw_len {
-        let tree = &mut model[prev];
-        let mut node = 1usize;
-        for _ in 0..8 {
-            let bit = dec.decode_bit(&mut tree[node]);
-            node = (node << 1) | bit as usize;
-        }
-        let b = (node & 0xFF) as u8;
-        out.push(b);
-        prev = b as usize;
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,78 +325,49 @@ mod tests {
         assert_eq!(compress(&data), compress(&data));
     }
 
-    fn rc_roundtrip(data: &[u8]) {
-        let c = entropy_compress(data);
-        let d = entropy_decompress(&c, data.len()).expect("plausible stream");
-        assert_eq!(d, data, "range-coder roundtrip of {} bytes", data.len());
+    /// The byte-at-a-time loop slicing-by-8 replaced: the reference.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let t = crc32_tables();
+        let mut crc = !0u32;
+        for &b in data {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
     }
 
     #[test]
-    fn rc_roundtrips_edge_cases() {
-        rc_roundtrip(b"");
-        rc_roundtrip(b"a");
-        rc_roundtrip(&[0x00]);
-        rc_roundtrip(&[0xFF; 3]);
-        rc_roundtrip(b"hello range coder");
-        rc_roundtrip(&vec![0xABu8; 10_000]);
-    }
-
-    #[test]
-    fn rc_roundtrips_pseudorandom_and_structured() {
-        // xorshift-style pseudorandom bytes (worst case for the model)
-        // and a periodic sequence (best case) both roundtrip exactly.
-        let mut x = 0x2545F491_4F6CDD1Du64;
-        let mut rnd = Vec::new();
-        let mut per = Vec::new();
-        for i in 0..8_192u64 {
+    fn crc32_equals_the_bytewise_reference_at_every_length_and_alignment() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<u8> = (0..4_200)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        for start in 0..9 {
+            for len in (0..70).chain([511, 512, 513, 4_000]) {
+                let slice = &data[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        for _ in 0..500 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            rnd.push(x as u8);
-            per.push((200 + i % 17) as u8);
+            let start = (x % 4_096) as usize;
+            let len = (x >> 32) as usize % (data.len() - start);
+            let slice = &data[start..start + len];
+            assert_eq!(
+                crc32(slice),
+                crc32_bytewise(slice),
+                "start {start} len {len}"
+            );
         }
-        rc_roundtrip(&rnd);
-        rc_roundtrip(&per);
-        // Order-1 adaptation: a deterministic successor structure should
-        // approach zero bits per symbol, far below the LZ matcher.
-        let cper = entropy_compress(&per);
-        assert!(
-            cper.len() * 8 < per.len(),
-            "periodic data: {} bytes coded in {} bytes",
-            per.len(),
-            cper.len()
-        );
-        // Random bytes must not blow up: tiny model overhead + 5-byte tail.
-        let crnd = entropy_compress(&rnd);
-        assert!(crnd.len() < rnd.len() + rnd.len() / 16 + 16);
-    }
-
-    #[test]
-    fn rc_skewed_bytes_beat_one_bit_per_symbol() {
-        // 97% zeros / 3% ones has ~0.19 bits of entropy per symbol; the
-        // adaptive coder should land well under 1 bit.
-        let mut data = vec![0u8; 20_000];
-        for i in (0..data.len()).step_by(33) {
-            data[i] = 1;
-        }
-        let c = entropy_compress(&data);
-        assert!(
-            c.len() * 8 < data.len(),
-            "skewed data: {} bytes coded in {} bytes",
-            data.len(),
-            c.len()
-        );
-        rc_roundtrip(&data);
-    }
-
-    #[test]
-    fn rc_is_deterministic() {
-        let data: Vec<u8> = (0..4_096u32).map(|i| (i * 7 % 251) as u8).collect();
-        assert_eq!(entropy_compress(&data), entropy_compress(&data));
-    }
-
-    #[test]
-    fn rc_rejects_grossly_oversized_stream() {
-        assert!(entropy_decompress(&[0u8; 1_000], 8).is_none());
     }
 }

@@ -9,8 +9,11 @@
 //! * [`bin`] — LEB128 varints and zigzag, the primitives under the binary
 //!   trace format ([`dejavu`'s two-stream trace]) and any other compact
 //!   on-disk structure.
-//! * [`block`] — CRC-32 and an LZ77-style block compressor, the storage
-//!   layer under the block-structured trace format.
+//! * [`block`] — CRC-32, the integrity check under every trace block, and
+//!   an LZ77-style compressor the benchmark probe measures the coder
+//!   against.
+//! * [`rans`] — the entropy coder every compressed trace block goes
+//!   through: static-model rANS over byte-class contexts.
 //! * [`json`] — a small JSON value model ([`json::Json`]) with a strict
 //!   recursive-descent parser and a writer, plus the [`json::FromJson`] /
 //!   [`json::ToJson`] traits the debugger protocol implements by hand.
@@ -25,8 +28,10 @@ pub mod bin;
 pub mod block;
 pub mod digest;
 pub mod json;
+pub mod rans;
 
 pub use bin::{get_varint, put_varint, unzigzag, zigzag};
-pub use block::{compress, crc32, decompress, entropy_compress, entropy_decompress};
+pub use block::{compress, crc32, decompress};
 pub use digest::{digest128, Digest128};
 pub use json::{FromJson, Json, JsonError, ToJson};
+pub use rans::{entropy_compress, entropy_decompress, max_raw_len};

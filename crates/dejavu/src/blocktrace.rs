@@ -17,12 +17,12 @@
 //!   the thread-id column, wall-clock reads are **delta + zigzag**
 //!   encoded, and the small residues are written as varints — the flat
 //!   format's multi-byte absolute fields shrink to mostly one byte;
-//! * each raw block payload is then handed to whichever in-repo
-//!   compressor ([`codec::block`]) wins on that block — the LZ
-//!   matcher or the adaptive order-1 range coder, which squeezes the
-//!   low-entropy residue bytes below the varint's 8-bit floor — and
-//!   guarded by a CRC-32, so a truncated or bit-flipped tail is
-//!   detected, not silently replayed;
+//! * each raw block payload is then packed by the in-repo entropy coder
+//!   ([`codec::rans`], static-model rANS over byte-class contexts), which
+//!   squeezes the low-entropy residue bytes below the varint's 8-bit
+//!   floor and decodes a table lookup per byte, and guarded by a CRC-32,
+//!   so a truncated or bit-flipped tail is detected, not silently
+//!   replayed;
 //! * a **footer index** carries every block's
 //!   `{offset, first_seq, first_logical_time, event_count, …}` so a
 //!   reader seeks to the block covering a logical time in O(log blocks)
@@ -37,11 +37,11 @@
 //! ## File layout
 //!
 //! ```text
-//! "DJVB" ver=1 paranoid  varint(budget)
+//! "DJVB" ver=2 paranoid  varint(budget)
 //! block*:  varint×7 header (first_seq, first_logical_time, event_count,
 //!          switch_count, raw_len, comp_len, crc32)   payload[comp_len]
 //!          (comp_len == raw_len ⇒ payload stored raw; otherwise the
-//!          payload is method_byte(1=LZ, 2=range coder) + stream)
+//!          payload is method_byte(3=rANS) + stream)
 //! footer:  varint(block_count)
 //!          block_count × (varint offset + the 7 header varints again)
 //! tail:    u32le(footer_len) "DJVI"
@@ -51,8 +51,8 @@
 //!
 //! A block's payload is packed once, into a [`Packed`] — the value under
 //! this file's block frame *and* under the store's block records, and the
-//! only code outside `codec` that runs a compressor, maps a method byte
-//! or decides stored-vs-compressed. [`write_block_file`] is the only
+//! only code outside `codec` that runs the coder, maps a method byte or
+//! decides stored-vs-compressed. [`write_block_file`] is the only
 //! code that writes the framing above, for a fresh [`encode_trace`] and a
 //! store reconstruction alike, and [`BlockFile::parse`] accepts a file
 //! only if that writer, handed what was parsed with every payload
@@ -76,7 +76,9 @@ use std::fmt;
 
 const BLOCK_MAGIC: &[u8; 4] = b"DJVB";
 const INDEX_MAGIC: &[u8; 4] = b"DJVI";
-const VERSION: u8 = 1;
+/// Version 2 packs with the rANS coder; version 1 files (LZ77 and the
+/// adaptive range coder) are refused as [`TraceError::UnsupportedVersion`].
+const VERSION: u8 = 2;
 /// Events per block unless the caller chooses otherwise. Small enough
 /// that a seek decodes little, large enough that the compressor sees
 /// real runs.
@@ -94,39 +96,36 @@ pub enum TraceFormat {
     Block,
 }
 
-/// Which compressor a block's on-disk payload went through — `Stored`
-/// when neither compressor paid for itself.
+/// How a block's on-disk payload is held: run through the rANS coder, or
+/// `Stored` raw when the coder did not pay for itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockMethod {
     Stored,
-    Lz77,
-    Range,
+    Rans,
 }
 
 impl BlockMethod {
     pub fn name(&self) -> &'static str {
         match self {
             BlockMethod::Stored => "stored",
-            BlockMethod::Lz77 => "lz77",
-            BlockMethod::Range => "range",
+            BlockMethod::Rans => "rans",
         }
     }
 
-    /// Stable numeric code (store catalog + tier byte). `Stored` is 0;
-    /// 1 and 2 match the DJVB in-payload method byte.
+    /// Stable numeric code (store catalog + record byte). `Stored` is 0;
+    /// `Rans` is 3, the DJVB in-payload method byte — not 1 or 2, so a
+    /// version 1 method byte (LZ77, range coder) names no method.
     pub fn code(&self) -> u8 {
         match self {
             BlockMethod::Stored => 0,
-            BlockMethod::Lz77 => 1,
-            BlockMethod::Range => 2,
+            BlockMethod::Rans => 3,
         }
     }
 
     pub fn from_code(code: u8) -> Option<Self> {
         match code {
             0 => Some(BlockMethod::Stored),
-            1 => Some(BlockMethod::Lz77),
-            2 => Some(BlockMethod::Range),
+            3 => Some(BlockMethod::Rans),
             _ => None,
         }
     }
@@ -135,8 +134,7 @@ impl BlockMethod {
     fn codec(self) -> Option<(fn(&[u8]) -> Vec<u8>, fn(&[u8], usize) -> Option<Vec<u8>>)> {
         match self {
             BlockMethod::Stored => None,
-            BlockMethod::Lz77 => Some((codec::compress, codec::decompress)),
-            BlockMethod::Range => Some((codec::entropy_compress, codec::entropy_decompress)),
+            BlockMethod::Rans => Some((codec::entropy_compress, codec::entropy_decompress)),
         }
     }
 
@@ -165,32 +163,24 @@ pub struct Packed {
 }
 
 impl Packed {
-    /// Pack `raw` with `method`, degrading to `Stored` unless the stream
+    /// Pack `raw` with the coder, degrading to `Stored` unless the stream
     /// plus DJVB's method byte is smaller than the raw bytes. This is the
-    /// one stored-vs-compressed rule: file bytes depend on it, so the
-    /// store's tiers follow it too.
-    pub fn pack(raw: &[u8], method: BlockMethod) -> Packed {
-        let stream = method
+    /// one packer and the one stored-vs-compressed rule: file bytes
+    /// depend on it, and the store's compaction moves records onto it.
+    pub fn pack(raw: &[u8]) -> Packed {
+        let stream = BlockMethod::Rans
             .codec()
             .map(|(compress, _)| compress(raw))
             .filter(|s| s.len() + 1 < raw.len());
         Packed {
-            method: if stream.is_some() { method } else { BlockMethod::Stored },
+            method: if stream.is_some() {
+                BlockMethod::Rans
+            } else {
+                BlockMethod::Stored
+            },
             stream: stream.unwrap_or_else(|| raw.to_vec()),
             raw_len: raw.len() as u32,
             crc: codec::crc32(raw),
-        }
-    }
-
-    /// Race both compressors and keep the smaller stream (LZ77 on a tie)
-    /// — what a fresh encode does per block.
-    pub fn race(raw: &[u8]) -> Packed {
-        let lz = Packed::pack(raw, BlockMethod::Lz77);
-        let rc = Packed::pack(raw, BlockMethod::Range);
-        if rc.stream.len() < lz.stream.len() {
-            rc
-        } else {
-            lz
         }
     }
 
@@ -288,8 +278,15 @@ impl BlockInfo {
             return Err(TraceError::Corrupt("implausible block crc"));
         }
         // The encoder stores the raw payload whenever compression does
-        // not shrink it, so `comp_len <= raw_len` always.
-        if raw_len > MAX_RAW_LEN || comp_len > raw_len {
+        // not shrink it, so `comp_len <= raw_len` always; and a stream
+        // (the payload past its method byte) decodes to at most
+        // `codec::max_raw_len` of its length, so a larger claim is refused
+        // here, before anything is allocated for it.
+        let stream_len = (comp_len as usize).saturating_sub(1);
+        if raw_len > MAX_RAW_LEN
+            || comp_len > raw_len
+            || (comp_len < raw_len && raw_len as usize > codec::max_raw_len(stream_len))
+        {
             return Err(TraceError::Corrupt("implausible block payload length"));
         }
         if switch_count > event_count || event_count > u32::MAX as u64 {
@@ -393,8 +390,8 @@ impl BlockStats {
 /// `varint(value - min)` for each value. The recorded nyp deltas and the
 /// zigzagged clock deltas live in a narrow band, so the residues are
 /// almost always single bytes — and being byte-aligned, they are exactly
-/// what the order-1 range coder models best, pushing the column to its
-/// actual entropy. This is the main lever behind the bytes/event win
+/// what the coder's byte-class contexts model, pushing the column to near
+/// its actual entropy. This is the main lever behind the bytes/event win
 /// over the flat format.
 fn put_for_column(out: &mut Vec<u8>, values: &[u64]) {
     let Some(&min) = values.iter().min() else {
@@ -663,7 +660,7 @@ pub fn encode_block(trace: &Trace, budget: u32) -> Vec<u8> {
             logical,
             (end - seq) as u32,
             switches.len() as u32,
-            Packed::race(&raw),
+            Packed::pack(&raw),
         ));
         // Saturating: keeps the index monotone even for adversarial nyp
         // values near u64::MAX (seek just lands in the last such block).
@@ -887,14 +884,15 @@ impl BlockFile {
             .collect()
     }
 
-    /// Which compressor won block `i`'s encode-time race. Errors on an
-    /// out-of-range index or an unknown method byte (corrupt file).
+    /// How block `i` is packed. Errors on an out-of-range index or an
+    /// unknown method byte (corrupt file, or version 1's LZ77 and range
+    /// coder bytes).
     pub fn block_method(&self, i: usize) -> Result<BlockMethod, TraceError> {
         self.stream(i).map(|(_, method, _)| method)
     }
 
     /// [`BlockFile::block_method`] as the display name `trace inspect`
-    /// prints: `"stored"`, `"lz77"`, or `"range"`.
+    /// prints: `"stored"` or `"rans"`.
     pub fn block_compressor(&self, i: usize) -> Result<&'static str, TraceError> {
         self.block_method(i).map(|m| m.name())
     }
@@ -1199,6 +1197,46 @@ mod tests {
         out
     }
 
+    /// A block whose header claims 64 MiB over a 12-byte stream. Version
+    /// 1 believed it: its range decoder read zeros past the stream's end
+    /// for 2.97 s of CPU behind a 64 MiB allocation, and only then failed
+    /// the CRC. No stream of 12 bytes decodes to more than
+    /// `codec::max_raw_len(12)`, so parse refuses the claim up front.
+    #[test]
+    fn a_raw_len_no_stream_could_produce_is_refused_before_decoding() {
+        let mut file = Vec::new();
+        put_file_header(&mut file, false, DEFAULT_BLOCK_BUDGET);
+        let info = BlockInfo {
+            offset: file.len() as u64,
+            first_seq: 0,
+            first_logical_time: 0,
+            event_count: 1,
+            switch_count: 0,
+            raw_len: MAX_RAW_LEN as u32,
+            comp_len: 13,
+            crc: 0,
+        };
+        info.put(&mut file, false);
+        file.push(BlockMethod::Rans.code());
+        file.extend_from_slice(&[0x5A; 12]);
+        put_footer(&mut file, &[info]);
+        let started = std::time::Instant::now();
+        let refused = ingest_bytes(file);
+        assert!(started.elapsed() < std::time::Duration::from_millis(50));
+        assert_eq!(
+            refused.unwrap_err(),
+            TraceError::Corrupt("implausible block payload length")
+        );
+        // The largest claim those 12 bytes can make still parses.
+        let plausible = BlockInfo {
+            raw_len: codec::max_raw_len(12) as u32,
+            ..info
+        };
+        let (mut pos, mut bytes) = (0, Vec::new());
+        plausible.put(&mut bytes, true);
+        assert_eq!(BlockInfo::get(&bytes, &mut pos, None), Ok(plausible));
+    }
+
     #[test]
     fn crafted_overflowing_column_is_corrupt_not_panic() {
         // A frame-of-reference column whose min + residue overflows u64:
@@ -1289,16 +1327,17 @@ mod tests {
     }
 
     #[test]
-    fn block_compressor_names_the_winner() {
+    fn block_compressor_names_the_method() {
         let t = sample(true, 4_000);
         let bf = BlockFile::parse(encode_block(&t, DEFAULT_BLOCK_BUDGET)).unwrap();
         for (i, b) in bf.index.iter().enumerate() {
             let name = bf.block_compressor(i).unwrap();
-            if b.comp_len == b.raw_len {
-                assert_eq!(name, "stored");
+            let want = if b.comp_len == b.raw_len {
+                "stored"
             } else {
-                assert!(name == "lz77" || name == "range", "block {i}: {name}");
-            }
+                "rans"
+            };
+            assert_eq!(name, want, "block {i}");
         }
         // A regular stream must have at least one genuinely compressed block.
         assert!(
@@ -1329,10 +1368,10 @@ mod tests {
                 let back = write_block_file(bf.paranoid, bf.budget, blocks_of(&bf));
                 assert_eq!(back, enc, "paranoid={paranoid} budget={budget}");
                 // Packing is a pure function of the raw bytes: unpacking
-                // a block and racing it again lands on the same value.
+                // a block and packing it again lands on the same value.
                 for i in 0..bf.index.len() {
                     let packed = bf.packed(i).unwrap();
-                    assert_eq!(Packed::race(&packed.unpack().unwrap()), packed);
+                    assert_eq!(Packed::pack(&packed.unpack().unwrap()), packed);
                 }
             }
         }
@@ -1344,25 +1383,20 @@ mod tests {
 
     #[test]
     fn pack_keeps_one_stored_vs_compressed_rule() {
-        // Compressible: each named method lands, and unpacks to the input.
+        // Compressible: the coder lands, and unpacks to the input.
         let raw: Vec<u8> = (0..4000u32).map(|i| (i % 7) as u8).collect();
-        for method in [BlockMethod::Stored, BlockMethod::Lz77, BlockMethod::Range] {
-            let p = Packed::pack(&raw, method);
-            assert_eq!(p.method, method);
-            assert_eq!((p.raw_len, p.crc), (4000, codec::crc32(&raw)));
-            assert_eq!(p.unpack().as_deref(), Some(&raw[..]));
-        }
-        // Incompressible: every method degrades to the raw bytes.
+        let p = Packed::pack(&raw);
+        assert_eq!(p.method, BlockMethod::Rans);
+        assert_eq!((p.raw_len, p.crc), (4000, codec::crc32(&raw)));
+        assert_eq!(p.unpack().as_deref(), Some(&raw[..]));
+        // Incompressible: the raw bytes.
         let noise: Vec<u8> = (0..64u32)
             .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
             .collect();
-        for method in [BlockMethod::Lz77, BlockMethod::Range] {
-            let p = Packed::pack(&noise, method);
-            assert_eq!((p.method, &p.stream), (BlockMethod::Stored, &noise));
-        }
-        assert_eq!(Packed::race(&noise).method, BlockMethod::Stored);
+        let p = Packed::pack(&noise);
+        assert_eq!((p.method, &p.stream), (BlockMethod::Stored, &noise));
         // A stream that does not belong to its header is not unpacked.
-        let good = Packed::pack(&raw, BlockMethod::Lz77);
+        let good = Packed::pack(&raw);
         for bad in [
             Packed { crc: good.crc ^ 1, ..good.clone() },
             Packed { raw_len: good.raw_len - 1, ..good.clone() },
@@ -1484,10 +1518,13 @@ mod tests {
 
     #[test]
     fn block_method_codes_roundtrip() {
-        for m in [BlockMethod::Stored, BlockMethod::Lz77, BlockMethod::Range] {
+        for m in [BlockMethod::Stored, BlockMethod::Rans] {
             assert_eq!(BlockMethod::from_code(m.code()), Some(m));
         }
-        assert_eq!(BlockMethod::from_code(3), None);
+        // Version 1's LZ77 and range coder name nothing.
+        for code in [1, 2, 4] {
+            assert_eq!(BlockMethod::from_code(code), None);
+        }
         let bf = BlockFile::parse(encode_block(&sample(true, 2_000), 256)).unwrap();
         for i in 0..bf.index.len() {
             assert_eq!(

@@ -34,8 +34,8 @@
 //!
 //! * [`trace`] — the two-stream trace (switch deltas + data events).
 //! * [`blocktrace`] — DJVB, the one on-disk/on-wire format: delta-encoded,
-//!   compressed fixed-budget blocks (LZ or adaptive range coder, per
-//!   block) with a footer index for O(block) seek (see DESIGN.md §6).
+//!   fixed-budget blocks packed by the rANS coder, with a footer index
+//!   for O(block) seek (see DESIGN.md §6).
 //! * [`record`] — Fig. 2-(A): the recording hook.
 //! * [`replay`] — Fig. 2-(B): the replaying hook.
 //! * [`symmetry`] — §2.4's symmetric-instrumentation machinery, each

@@ -1,24 +1,26 @@
-//! The on-disk backend: block record files, catalog files, and the heat
-//! map, all written atomically (unique temp file + rename) so readers —
-//! including concurrent fleet sessions and a compactor mid-pass — only
-//! ever observe a complete old or complete new file.
+//! The on-disk backend: block record files and catalog files, both
+//! written atomically (unique temp file + rename) so readers — including
+//! concurrent fleet sessions and a compactor mid-pass — only ever observe
+//! a complete old or complete new file.
 //!
 //! ## Store layout
 //!
 //! ```text
 //! <root>/blocks/<2-hex-prefix>/<32-hex-digest>.blk   block records
 //! <root>/catalog/<32-hex-entry-id>.json              run manifests
-//! <root>/meta/heat.json                              access counters
 //! ```
 //!
-//! ## Block record format (`DJSB` v1)
+//! ## Block record format (`DJSB` v2)
 //!
 //! ```text
-//! "DJSB" ver=1 tier_byte(0=stored 1=lz77 2=range)
+//! "DJSB" ver=2 method_byte(0=stored 3=rans)
 //! varint(raw_len) varint(comp_len) varint(crc32 of raw)
 //! digest[16]                                (echo of the filename key)
-//! payload[comp_len]                         (raw, or the tier's stream)
+//! payload[comp_len]                         (raw, or the coder's stream)
 //! ```
+//!
+//! Version 1 records (LZ77 and range-coder payloads) are refused with a
+//! typed error naming their version; there is no second decoder.
 //!
 //! A record is a header around a [`dejavu::Packed`] — the value a DJVB
 //! block frame wraps — written from it and read back into it, stream
@@ -31,11 +33,12 @@ use crate::error::StoreError;
 use codec::{digest128, get_varint, put_varint, Digest128};
 use dejavu::{BlockMethod, Packed};
 use std::fs;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const RECORD_MAGIC: &[u8; 4] = b"DJSB";
-const RECORD_VERSION: u8 = 1;
+const RECORD_VERSION: u8 = 2;
 /// Decoder allocation cap, mirroring the DJVB block payload bound.
 const MAX_RAW_LEN: u64 = 1 << 26;
 
@@ -57,27 +60,37 @@ pub fn encode_record(digest: Digest128, packed: &Packed) -> Vec<u8> {
     out
 }
 
-/// Decode and fully validate one block record: framing, tier, CRC, and
+/// A record's method, from its first six bytes.
+fn record_method(expect: Digest128, head: &[u8]) -> Result<BlockMethod, StoreError> {
+    let corrupt = |what: String| StoreError::Corrupt(format!("block {expect}: {what}"));
+    if head.len() < 6 || &head[..4] != RECORD_MAGIC {
+        return Err(corrupt("bad record magic".into()));
+    }
+    if head[4] != RECORD_VERSION {
+        return Err(corrupt(format!("unsupported record version {}", head[4])));
+    }
+    BlockMethod::from_code(head[5]).ok_or_else(|| corrupt("unknown record method".into()))
+}
+
+/// Decode and fully validate one block record: framing, method, CRC, and
 /// the content digest against `expect`. Returns the payload as the
 /// record holds it and the raw bytes it unpacks to.
 pub fn decode_record(expect: Digest128, buf: &[u8]) -> Result<(Packed, Vec<u8>), StoreError> {
     let corrupt = |what: &str| StoreError::Corrupt(format!("block {expect}: {what}"));
-    if buf.len() < 6 || &buf[..4] != RECORD_MAGIC {
-        return Err(corrupt("bad record magic"));
-    }
-    if buf[4] != RECORD_VERSION {
-        return Err(corrupt("unsupported record version"));
-    }
-    let method = BlockMethod::from_code(buf[5]).ok_or_else(|| corrupt("unknown storage tier"))?;
+    let method = record_method(expect, buf)?;
     let mut pos = 6usize;
     let raw_len = get_varint(buf, &mut pos).ok_or_else(|| corrupt("short record header"))?;
     let comp_len = get_varint(buf, &mut pos).ok_or_else(|| corrupt("short record header"))?;
     let crc = get_varint(buf, &mut pos).ok_or_else(|| corrupt("short record header"))?;
-    if raw_len > MAX_RAW_LEN || crc > u32::MAX as u64 {
+    // A stream decodes to at most `codec::max_raw_len` of its length:
+    // a larger claim is refused before anything is allocated for it.
+    let undecodable = method != BlockMethod::Stored
+        && raw_len > codec::max_raw_len(comp_len.try_into().unwrap_or(usize::MAX)) as u64;
+    if raw_len > MAX_RAW_LEN || crc > u32::MAX as u64 || undecodable {
         return Err(corrupt("implausible record header"));
     }
     if method == BlockMethod::Stored && comp_len != raw_len {
-        return Err(corrupt("stored tier with mismatched lengths"));
+        return Err(corrupt("stored record with mismatched lengths"));
     }
     if comp_len > raw_len.max(1) {
         return Err(corrupt("compressed payload larger than raw"));
@@ -113,6 +126,14 @@ pub fn decode_record(expect: Digest128, buf: &[u8]) -> Result<(Packed, Vec<u8>),
     Ok((packed, raw))
 }
 
+fn not_found_or_io(path: &Path, digest: Digest128, e: std::io::Error) -> StoreError {
+    if e.kind() == std::io::ErrorKind::NotFound {
+        StoreError::NotFound(format!("block {digest}"))
+    } else {
+        StoreError::io(path, e)
+    }
+}
+
 /// Filesystem operations under one store root.
 #[derive(Debug)]
 pub struct Backend {
@@ -122,7 +143,7 @@ pub struct Backend {
 impl Backend {
     /// Open (creating directories as needed).
     pub fn open(root: &Path) -> Result<Backend, StoreError> {
-        for sub in ["blocks", "catalog", "meta"] {
+        for sub in ["blocks", "catalog"] {
             let dir = root.join(sub);
             fs::create_dir_all(&dir).map_err(|e| StoreError::io(&dir, e))?;
         }
@@ -142,10 +163,6 @@ impl Backend {
 
     pub fn catalog_path(&self, id: &str) -> PathBuf {
         self.root.join("catalog").join(format!("{id}.json"))
-    }
-
-    pub fn heat_path(&self) -> PathBuf {
-        self.root.join("meta").join("heat.json")
     }
 
     /// Atomic write: unique temp file in the target's directory, then
@@ -192,14 +209,18 @@ impl Backend {
     /// Read + fully validate one block record.
     pub fn read_block(&self, digest: Digest128) -> Result<(Packed, Vec<u8>), StoreError> {
         let path = self.block_path(digest);
-        let buf = fs::read(&path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                StoreError::NotFound(format!("block {digest}"))
-            } else {
-                StoreError::io(&path, e)
-            }
-        })?;
+        let buf = fs::read(&path).map_err(|e| not_found_or_io(&path, digest, e))?;
         decode_record(digest, &buf)
+    }
+
+    /// One block record's method, read from its header alone.
+    pub fn read_method(&self, digest: Digest128) -> Result<BlockMethod, StoreError> {
+        let path = self.block_path(digest);
+        let mut head = Vec::with_capacity(6);
+        fs::File::open(&path)
+            .and_then(|f| f.take(6).read_to_end(&mut head))
+            .map_err(|e| not_found_or_io(&path, digest, e))?;
+        record_method(digest, &head)
     }
 
     /// Every block digest on disk with its record-file size, sorted by
@@ -262,7 +283,7 @@ impl Backend {
     /// how many were removed.
     pub fn sweep_tmp(&self) -> Result<u64, StoreError> {
         let mut removed = 0;
-        let mut dirs: Vec<PathBuf> = vec![self.root.join("catalog"), self.root.join("meta")];
+        let mut dirs: Vec<PathBuf> = vec![self.root.join("catalog")];
         let blocks = self.root.join("blocks");
         let shards = fs::read_dir(&blocks).map_err(|e| StoreError::io(&blocks, e))?;
         for shard in shards {
@@ -294,15 +315,29 @@ impl Backend {
 mod tests {
     use super::*;
 
+    /// A payload the coder packs: one bit or so per byte.
+    fn compressible() -> Vec<u8> {
+        (0..120u32).map(|i| (i % 3 == 0) as u8).collect()
+    }
+
+    fn stored(raw: &[u8]) -> Packed {
+        Packed {
+            method: BlockMethod::Stored,
+            stream: raw.to_vec(),
+            raw_len: raw.len() as u32,
+            crc: codec::crc32(raw),
+        }
+    }
+
     #[test]
-    fn record_roundtrip_all_tiers() {
-        // Compressible payload: every tier should survive a round trip
-        // and come back with the stream it was handed and the raw bytes.
-        let raw: Vec<u8> = (0..4000u32).map(|i| (i % 7) as u8).collect();
+    fn record_roundtrip_both_methods() {
+        // Each method survives a round trip and comes back with the
+        // stream it was handed and the raw bytes.
+        let raw = compressible();
         let digest = digest128(&raw);
-        for tier in [BlockMethod::Stored, BlockMethod::Lz77, BlockMethod::Range] {
-            let packed = Packed::pack(&raw, tier);
-            assert_eq!(packed.method, tier);
+        let packed = Packed::pack(&raw);
+        assert_eq!(packed.method, BlockMethod::Rans);
+        for packed in [packed, stored(&raw)] {
             let bytes = encode_record(digest, &packed);
             assert_eq!(decode_record(digest, &bytes).unwrap(), (packed, raw.clone()));
         }
@@ -310,12 +345,12 @@ mod tests {
 
     #[test]
     fn record_incompressible_degrades_to_stored() {
-        // A short high-entropy payload the compressors cannot shrink.
+        // A short high-entropy payload the coder cannot shrink.
         let raw: Vec<u8> = (0..64u32)
             .map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)
             .collect();
         let digest = digest128(&raw);
-        let packed = Packed::pack(&raw, BlockMethod::Lz77);
+        let packed = Packed::pack(&raw);
         assert_eq!(packed.method, BlockMethod::Stored);
         let bytes = encode_record(digest, &packed);
         assert_eq!(decode_record(digest, &bytes).unwrap(), (packed, raw));
@@ -325,7 +360,7 @@ mod tests {
     fn record_rejects_wrong_digest_and_damage() {
         let raw = b"payload payload payload payload".to_vec();
         let digest = digest128(&raw);
-        let bytes = encode_record(digest, &Packed::pack(&raw, BlockMethod::Stored));
+        let bytes = encode_record(digest, &stored(&raw));
         // Wrong expected digest: echo check fires.
         let other = digest128(b"other");
         assert!(matches!(
@@ -346,6 +381,28 @@ mod tests {
         assert!(decode_record(digest, &bad).is_err());
     }
 
+    /// A coded record claiming more raw bytes than its stream can decode
+    /// to is refused from its header, before the payload is decoded.
+    #[test]
+    fn record_refuses_a_raw_len_its_stream_cannot_produce() {
+        let raw = compressible();
+        let digest = digest128(&raw);
+        let packed = Packed::pack(&raw);
+        let claim = codec::max_raw_len(packed.stream.len()) as u32 + 1;
+        let bytes = encode_record(
+            digest,
+            &Packed {
+                raw_len: claim,
+                ..packed
+            },
+        );
+        let err = decode_record(digest, &bytes).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("corrupt store: block {digest}: implausible record header")
+        );
+    }
+
     fn unhex(s: &str) -> Vec<u8> {
         (0..s.len())
             .step_by(2)
@@ -353,24 +410,51 @@ mod tests {
             .collect()
     }
 
-    /// `DJSB` v1 is frozen: one record per tier, byte for byte as the
-    /// build before the packed-payload value wrote it, still decodes to
-    /// the same raw bytes — and re-encodes to itself.
+    /// `DJSB` v2 is frozen: one record per method, byte for byte as this
+    /// format writes it, decodes to the same raw bytes and re-encodes to
+    /// itself.
     #[test]
-    fn records_written_before_packed_still_read() {
+    fn version_2_records_are_frozen() {
+        let raw = compressible();
+        let digest = digest128(&raw);
+        // magic, version 2, method, raw_len 120, comp_len, crc, digest echo
+        let head = |method: &str, comp_len: &str| {
+            format!("444a534202{method}78{comp_len}f98ffbb00b52b68602197ab9b93c30f5688a02534e")
+        };
+        let stored: String = raw.iter().map(|b| format!("{b:02x}")).collect();
+        for (method, record) in [
+            (BlockMethod::Stored, head("00", "78") + &stored),
+            (
+                BlockMethod::Rans,
+                head("03", "1d") + "d8807fc015eb10ed1e97804400eb10ed1e97804400667bc85c667bc85c",
+            ),
+        ] {
+            let record = unhex(&record);
+            let (packed, got) = decode_record(digest, &record).unwrap();
+            assert_eq!((packed.method, &got), (method, &raw));
+            assert_eq!(encode_record(digest, &packed), record, "{method:?}");
+        }
+        assert_eq!(Packed::pack(&raw).method, BlockMethod::Rans);
+    }
+
+    /// Version 1 records — here one per v1 method, as the build before
+    /// this format wrote them — are refused with their version named.
+    #[test]
+    fn version_1_records_are_refused() {
         let raw = b"abcabcabcabcabcabcabcabcabcabcabcabc".to_vec();
         let digest = digest128(&raw);
         let header = "eaad84880fa5b613559dfc3b4f7c253f51d970c5d2"; // crc, digest echo
         for (tier, lens, stream) in [
-            (BlockMethod::Stored, "2424", "616263".repeat(12)),
-            (BlockMethod::Lz77, "2407", "03616263210300".into()),
-            (BlockMethod::Range, "2411", "0061625b6169c3be18c22267b4ae4c58c1".into()),
+            (0, "2424", "616263".repeat(12)),
+            (1, "2407", "03616263210300".into()),
+            (2, "2411", "0061625b6169c3be18c22267b4ae4c58c1".into()),
         ] {
-            let record = unhex(&format!("444a534201{:02x}{lens}{header}{stream}", tier.code()));
-            let (packed, got) = decode_record(digest, &record).unwrap();
-            assert_eq!(got, raw, "{tier:?}");
-            assert_eq!((packed.method, &packed.stream), (tier, &unhex(&stream)));
-            assert_eq!(encode_record(digest, &packed), record, "{tier:?}");
+            let record = unhex(&format!("444a534201{tier:02x}{lens}{header}{stream}"));
+            let err = decode_record(digest, &record).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("corrupt store: block {digest}: unsupported record version 1")
+            );
         }
     }
 }

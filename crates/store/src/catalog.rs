@@ -34,8 +34,8 @@ pub struct BlockRef {
     /// Cumulative logical clock before the block — the checkpoint key.
     pub first_logical_time: u64,
     /// The method the upload packed this block with (`get` re-packs a
-    /// record that has since moved to another tier with exactly this
-    /// one).
+    /// record on another method — another upload's, or compaction's —
+    /// with exactly this one).
     pub method: BlockMethod,
     pub raw_len: u32,
 }
@@ -239,7 +239,7 @@ mod tests {
                     event_count: 4096,
                     switch_count: 2048,
                     first_logical_time: 0,
-                    method: BlockMethod::Range,
+                    method: BlockMethod::Rans,
                     raw_len: 9000,
                 },
                 BlockRef {

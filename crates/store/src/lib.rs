@@ -7,17 +7,20 @@
 //!
 //! * [`backend`] — the persistence layer: self-validating block record
 //!   files keyed by content digest ([`codec::digest128`] of the raw,
-//!   pre-compression payload), atomic tmp+rename writes, catalog and
-//!   heat-map files.
+//!   pre-compression payload), atomic tmp+rename writes, catalog files.
 //! * [`catalog`] — one canonical-JSON manifest per run: workload, seed,
 //!   format, block-digest list, fingerprint, policy pointer. A run is a
 //!   *view* over shared blocks; identical blocks across runs store once.
 //! * [`snapshot`] — the checkpoint tier: a bounded decoded-block cache
 //!   plus per-block logical-time boundaries, so `TimeTravel` seeks
 //!   served from the store keep the ≤-one-block-span guarantee.
-//! * [`compact`] — GC of unreferenced blocks and heat-driven tier
-//!   migration (cold → order-1 range coder, hot → LZ77), deterministic
-//!   and idempotent.
+//! * [`compact`] — GC of unreferenced blocks, and compaction, which moves
+//!   a record stored raw onto the packer's coder; deterministic and
+//!   idempotent.
+//!
+//! There is one packer ([`dejavu::Packed::pack`]), so there are no
+//! storage tiers to choose between, no read heat to choose by, and
+//! nothing for a store to write back when it is dropped.
 //!
 //! ## Byte fidelity
 //!
@@ -27,40 +30,38 @@
 //! the content digest that keys dedup — and writes the stream verbatim
 //! into a block record. `get` validates every record it reads and hands
 //! the streams to [`dejavu::write_block_file`], the writer that emitted
-//! the upload; it runs a compressor only for a block whose on-disk tier
-//! is not the method the catalog entry names (compaction moved it, or
-//! another run brought the same bytes under another method), and checks
-//! the result against the recorded file length. A DJVB file has one
-//! spelling ([`dejavu::BlockFile::parse`]), so the framing around the
-//! streams comes back by construction; and a put that lands on an
-//! existing entry is a dedup hit — the entry goes on describing the
-//! first file put under it — so no upload changes what an earlier one
-//! gets back.
+//! the upload; it re-packs only a block whose record is on another
+//! method than the catalog entry names (another run brought the same
+//! bytes packed otherwise, or compaction moved a raw record onto the
+//! coder), and checks the result against the recorded file length. A
+//! DJVB file has one spelling ([`dejavu::BlockFile::parse`]), so the
+//! framing around the streams comes back by construction; and a put
+//! that lands on an existing entry is a dedup hit — the entry goes on
+//! describing the first file put under it — so no upload changes what an
+//! earlier one gets back.
 //!
 //! **The limit that remains.** Blocks are keyed by their raw bytes, a
 //! record holds one stream — the first put for those bytes — and an
 //! entry names a method, not a stream. This build packs the same bytes
 //! to the same stream every time, so for files it encoded none of that
 //! shows. A block packed by a *foreign* encoder — a valid stream this
-//! build's compressor would not emit for those bytes — comes back
-//! byte-exact only while the record written for it is the one on disk:
-//! once compaction has re-tiered it, `get` re-packs with this build's
-//! compressor; and a run that shares the block but packed it otherwise
-//! is served the record's stream, not its own. The length check turns a
-//! stream of another size into a typed error; one of the same size goes
-//! unseen, though the content — all that replay reads — is the same
-//! either way. `put` does not refuse the second spelling of a block:
+//! build's coder would not emit for those bytes — comes back byte-exact
+//! as long as the record holds that stream; a run that shares the block
+//! but coded it otherwise is served the record's stream, not its own.
+//! The length check turns a stream of another size into a typed error;
+//! one of the same size goes unseen, though the content — all that
+//! replay reads — is the same either way. `put` does not refuse the second spelling of a block:
 //! that would let whoever uploads a foreign spelling first block every
 //! honest put that shares the block. Closing the limit takes a
 //! whole-upload digest in the catalog (ROADMAP item 3).
 //!
 //! ## Perturbation-freedom
 //!
-//! Store maintenance (dedup, tier migration, GC, caching) only ever
-//! rewrites *representations* of raw block bytes, never the bytes
-//! themselves, and replay output is a pure function of those bytes. The
-//! integration tests replay store-served traces under concurrent
-//! compaction and assert bit-identical fingerprints.
+//! Store maintenance (dedup, compaction, GC, caching) only ever rewrites
+//! *representations* of raw block bytes, never the bytes themselves, and
+//! replay output is a pure function of those bytes. The integration tests
+//! replay store-served traces under concurrent compaction and assert
+//! bit-identical fingerprints.
 
 pub mod backend;
 pub mod catalog;
@@ -75,15 +76,17 @@ pub use error::StoreError;
 pub use snapshot::{BlockCache, BlockKey, StoredTrace, DEFAULT_CACHE_BLOCKS};
 
 use codec::{digest128, Digest128, Json};
-use dejavu::{decode_block_events, write_block_file, BlockFile, Packed, Trace, TraceError};
+use dejavu::{
+    decode_block_events, write_block_file, BlockFile, BlockMethod, Packed, Trace, TraceError,
+};
 use snapshot::DecodedBlock;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use telemetry::Registry;
 
-/// Blocks read fewer than this many times count as cold for
-/// [`Store::compact`] unless the caller chooses otherwise.
+/// What the benchmark passes [`Store::compact`], which ignores it. Kept
+/// only because `benchmark/src/corpus.rs` names it (ROADMAP 5(d)).
 pub const DEFAULT_COLD_THRESHOLD: u64 = 2;
 
 /// What one `put` did.
@@ -112,13 +115,11 @@ impl PutOutcome {
     }
 }
 
-/// Mutable store state behind one lock: access heat, the decoded-block
-/// cache, and the observer counters. Filesystem writes happen outside
-/// the lock (they are atomic per file); the lock only guards in-process
-/// bookkeeping, so concurrent fleet sessions share one `Store` cheaply.
+/// Mutable store state behind one lock: the decoded-block cache and the
+/// observer counters. Filesystem writes happen outside the lock (they are
+/// atomic per file); the lock only guards in-process bookkeeping, so
+/// concurrent fleet sessions share one `Store` cheaply.
 struct State {
-    heat: BTreeMap<Digest128, u64>,
-    heat_dirty: bool,
     cache: BlockCache,
     metrics: Registry,
 }
@@ -139,13 +140,9 @@ pub struct Store {
 impl Store {
     /// Open (and create if absent) a store at `root`.
     pub fn open(root: &Path) -> Result<Store, StoreError> {
-        let backend = Backend::open(root)?;
-        let heat = load_heat(&backend)?;
         Ok(Store {
-            backend,
+            backend: Backend::open(root)?,
             state: Mutex::new(State {
-                heat,
-                heat_dirty: false,
                 cache: BlockCache::new(DEFAULT_CACHE_BLOCKS),
                 metrics: Registry::new(),
             }),
@@ -264,7 +261,7 @@ impl Store {
 
     /// Reconstruct the exact original file bytes of an entry: every
     /// record validated, its stream framed as it was handed in, and only
-    /// a block whose on-disk tier is not the method the entry names
+    /// a block whose record is on another method than the entry names
     /// re-packed (the crate docs say what that can and cannot promise).
     pub fn get_bytes(&self, id: &str) -> Result<Vec<u8>, StoreError> {
         let entry = self.read_entry(id)?;
@@ -274,7 +271,14 @@ impl Store {
             let (mut packed, raw) = self.read_block(bref)?;
             bytes_read += raw.len() as u64;
             if packed.method != bref.method {
-                packed = Packed::pack(&raw, bref.method);
+                packed = match bref.method {
+                    BlockMethod::Stored => Packed {
+                        method: BlockMethod::Stored,
+                        stream: raw,
+                        ..packed
+                    },
+                    BlockMethod::Rans => Packed::pack(&raw),
+                };
             }
             blocks.push((
                 bref.first_logical_time,
@@ -291,12 +295,7 @@ impl Store {
                 entry.file_bytes
             )));
         }
-        let mut st = self.lock();
-        st.metrics.add("store.bytes_read", bytes_read);
-        for bref in &entry.blocks {
-            *st.heat.entry(bref.digest).or_insert(0) += 1;
-        }
-        st.heat_dirty = true;
+        self.lock().metrics.add("store.bytes_read", bytes_read);
         Ok(bytes)
     }
 
@@ -349,13 +348,6 @@ impl Store {
         for block in &decoded {
             trace.append_block(block.0.iter().cloned(), block.1.iter().cloned())?;
         }
-        {
-            let mut st = self.lock();
-            for bref in &entry.blocks {
-                *st.heat.entry(bref.digest).or_insert(0) += 1;
-            }
-            st.heat_dirty = !entry.blocks.is_empty() || st.heat_dirty;
-        }
         let boundaries = entry.boundaries();
         Ok(StoredTrace {
             entry,
@@ -378,47 +370,36 @@ impl Store {
             .collect()
     }
 
-    /// Remove unreferenced blocks, stale temp files, and dead heat
-    /// counters.
+    /// Remove unreferenced blocks and stale temp files.
     pub fn gc(&self) -> Result<GcReport, StoreError> {
         let referenced: BTreeSet<Digest128> = self
             .entries()?
             .iter()
             .flat_map(|e| e.blocks.iter().map(|b| b.digest))
             .collect();
-        let mut heat = {
-            let st = self.lock();
-            st.heat.clone()
-        };
-        let report = compact::gc_pass(&self.backend, &referenced, &mut heat)?;
-        let mut st = self.lock();
-        st.heat = heat;
-        st.heat_dirty = st.heat_dirty || report.pruned_heat > 0;
-        st.metrics.add("store.gc_removed", report.removed_blocks);
-        drop(st);
-        self.flush()?;
+        let report = compact::gc_pass(&self.backend, &referenced)?;
+        self.lock()
+            .metrics
+            .add("store.gc_removed", report.removed_blocks);
         Ok(report)
     }
 
-    /// Heat-driven tier migration: blocks with fewer than
-    /// `cold_threshold` client reads move to the range-coder tier, the
-    /// rest to LZ77 (either degrading to stored when compression does
-    /// not pay). Idempotent: a second pass with unchanged heat issues
-    /// zero writes.
-    pub fn compact(&self, cold_threshold: u64) -> Result<CompactReport, StoreError> {
-        let heat = {
-            let st = self.lock();
-            st.heat.clone()
-        };
-        let report = compact::compact_pass(&self.backend, &heat, cold_threshold)?;
-        let mut st = self.lock();
-        st.metrics.add("store.blocks_compacted", report.migrated);
+    /// Move every record onto the packer's method: a record stored raw
+    /// that the coder now compresses is rewritten. Idempotent: a second
+    /// pass issues zero writes. The argument is ignored; it is kept for
+    /// the benchmark, which passes [`DEFAULT_COLD_THRESHOLD`].
+    pub fn compact(&self, _ignored: u64) -> Result<CompactReport, StoreError> {
+        let report = compact::compact_pass(&self.backend)?;
+        self.lock()
+            .metrics
+            .add("store.blocks_compacted", report.migrated);
         Ok(report)
     }
 
     /// Deterministic disk-shape statistics: a pure function of store
-    /// *content* (catalog + blocks), independent of access history, so
-    /// byte-stable across gc/compact idempotence checks.
+    /// *content* (catalog + blocks), so byte-stable across gc/compact
+    /// idempotence checks. A record's method is read from its header; no
+    /// payload is decoded.
     pub fn disk_stats(&self) -> Result<Json, StoreError> {
         let entries = self.entries()?;
         // Naive cost = one file per *put run* (repeated puts of the same
@@ -434,11 +415,10 @@ impl Store {
             .iter()
             .map(|&(_, len)| len)
             .sum();
-        let mut tiers = [0u64; 3]; // by `BlockMethod::code`
+        let mut blocks_stored = 0;
         for &(digest, _) in &blocks {
-            tiers[self.backend.read_block(digest)?.0.method.code() as usize] += 1;
+            blocks_stored += (self.backend.read_method(digest)? == BlockMethod::Stored) as u64;
         }
-        let [tier_stored, tier_lz77, tier_range] = tiers;
         let store_bytes = block_bytes + catalog_bytes;
         let dedup_ratio_milli = if store_bytes == 0 {
             0
@@ -450,6 +430,11 @@ impl Store {
         Ok(Json::obj(vec![
             ("block_bytes", Json::UInt(block_bytes)),
             ("blocks", Json::UInt(blocks.len() as u64)),
+            (
+                "blocks_rans",
+                Json::UInt(blocks.len() as u64 - blocks_stored),
+            ),
+            ("blocks_stored", Json::UInt(blocks_stored)),
             ("bytes_per_run", Json::UInt(bytes_per_run)),
             ("catalog_bytes", Json::UInt(catalog_bytes)),
             ("dedup_ratio_milli", Json::UInt(dedup_ratio_milli)),
@@ -458,9 +443,6 @@ impl Store {
             ("naive_bytes_per_run", Json::UInt(naive_bytes_per_run)),
             ("runs", Json::UInt(runs)),
             ("store_bytes", Json::UInt(store_bytes)),
-            ("tier_lz77", Json::UInt(tier_lz77)),
-            ("tier_range", Json::UInt(tier_range)),
-            ("tier_stored", Json::UInt(tier_stored)),
             ("total_block_refs", Json::UInt(total_refs)),
         ]))
     }
@@ -472,26 +454,6 @@ impl Store {
         let mut j = self.lock().metrics.to_json();
         j.canonicalize();
         j
-    }
-
-    /// Persist the heat map if it changed. Called on drop; explicit
-    /// calls make heat visible to other processes (the CLI between
-    /// subcommand invocations).
-    pub fn flush(&self) -> Result<(), StoreError> {
-        let snapshot = {
-            let mut st = self.lock();
-            if !st.heat_dirty {
-                return Ok(());
-            }
-            st.heat_dirty = false;
-            st.heat.clone()
-        };
-        let pairs: Vec<(String, Json)> = snapshot
-            .iter()
-            .map(|(d, &n)| (d.hex(), Json::UInt(n)))
-            .collect();
-        self.backend
-            .write_atomic(&self.backend.heat_path(), Json::Obj(pairs).to_string().as_bytes())
     }
 
     /// One referenced block, validated against its record and against
@@ -541,42 +503,12 @@ impl Store {
     }
 }
 
-impl Drop for Store {
-    fn drop(&mut self) {
-        let _ = self.flush();
-    }
-}
-
 impl std::fmt::Debug for Store {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Store")
             .field("root", &self.backend.root())
             .finish()
     }
-}
-
-fn load_heat(backend: &Backend) -> Result<BTreeMap<Digest128, u64>, StoreError> {
-    let path = backend.heat_path();
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(BTreeMap::new()),
-        Err(e) => return Err(StoreError::io(&path, e)),
-    };
-    let json =
-        Json::parse(&text).map_err(|e| StoreError::Corrupt(format!("heat map: bad JSON: {e:?}")))?;
-    let mut heat = BTreeMap::new();
-    for (k, v) in json
-        .as_obj()
-        .map_err(|_| StoreError::Corrupt("heat map: not an object".into()))?
-    {
-        let digest = Digest128::parse(k)
-            .ok_or_else(|| StoreError::Corrupt(format!("heat map: bad digest key {k:?}")))?;
-        let n = v
-            .as_u64()
-            .map_err(|_| StoreError::Corrupt("heat map: non-integer count".into()))?;
-        heat.insert(digest, n);
-    }
-    Ok(heat)
 }
 
 #[cfg(test)]
@@ -720,52 +652,55 @@ mod tests {
         assert!(gc1.removed_blocks > 0);
         let gc2 = store.gc().unwrap();
         assert_eq!(gc2.removed_blocks, 0, "gc idempotent");
-        // Compact everything cold → range tier; bytes still reconstruct.
-        let c1 = store.compact(DEFAULT_COLD_THRESHOLD).unwrap();
-        assert_eq!(c1.examined, gc1.live_blocks);
-        let back = store.get_bytes(&kept.entry).unwrap();
-        assert_eq!(back, keep, "compaction preserves reconstruction");
-        let c2 = store.compact(DEFAULT_COLD_THRESHOLD).unwrap();
-        assert_eq!(c2.migrated, 0, "second compact is a no-op");
-        assert_eq!(c2.unchanged, c2.examined);
-        // Stats JSON is canonical and carries the dedup ratio.
+        // This build's own records are already on the packer's method.
+        let c1 = store.compact(0).unwrap();
+        assert_eq!((c1.examined, c1.migrated), (gc1.live_blocks, 0));
+        assert_eq!(store.get_bytes(&kept.entry).unwrap(), keep);
+        // Stats JSON is canonical, carries the dedup ratio, and counts
+        // each record's method from its header.
         let stats = store.disk_stats().unwrap();
         assert_eq!(stats.to_string(), stats.to_canonical_string());
         assert!(stats.field("dedup_ratio_milli").unwrap().as_u64().is_ok());
+        let count = |k| stats.field(k).unwrap().as_u64().unwrap();
+        assert_eq!(
+            count("blocks_rans") + count("blocks_stored"),
+            count("blocks")
+        );
+        assert!(count("blocks_rans") > 0);
     }
 
-    /// The store keeps the stream it was handed: a block packed by a
-    /// foreign encoder — a valid LZ stream `codec::compress` does not
-    /// emit for those bytes — comes back byte-exact, where re-running
-    /// this build's compressor would return a file one byte shorter.
-    #[test]
-    fn a_foreign_stream_is_kept_not_respelled() {
-        let root = scratch("foreign");
-        let store = Store::open(&root).unwrap();
-        // 40 identical switches: the raw payload is `28 07` then 41 zeros.
+    /// 40 identical switches: the raw payload is `28 07` then 41 zeros.
+    fn forty_switches() -> (Trace, Vec<u8>, BlockFile) {
         let trace = Trace {
             paranoid: false,
             switches: vec![SwitchRec { nyp: 7, check_tid: u32::MAX }; 40],
             data: Vec::new(),
         };
-        let honest_file = encode_trace(&trace, TraceFormat::Block, 4096);
-        let honest = BlockFile::parse(honest_file.clone()).unwrap();
+        let file = encode_trace(&trace, TraceFormat::Block, 4096);
+        let parsed = BlockFile::parse(file.clone()).unwrap();
+        (trace, file, parsed)
+    }
+
+    /// An upload whose encoder stored a block raw where this build codes
+    /// it comes back byte-exact, and so does every honest run sharing the
+    /// block, before and after compaction moves the record onto the
+    /// coder: `get` re-packs to whichever method each entry names.
+    #[test]
+    fn a_block_stored_raw_by_another_encoder_serves_every_entry() {
+        let root = scratch("foreign-method");
+        let store = Store::open(&root).unwrap();
+        let (trace, honest_file, honest) = forty_switches();
         let raw = honest.block_raw(0).unwrap();
-        // This build: 3 literals, one 40-byte run. The foreign encoder
-        // stops the run a byte early and carries the last zero as a
-        // literal.
-        assert_eq!(codec::compress(&raw), [3, 0x28, 7, 0, 40, 1, 0]);
-        let foreign = Packed {
-            method: dejavu::BlockMethod::Lz77,
-            stream: vec![3, 0x28, 7, 0, 39, 1, 1, 0],
+        assert_eq!(honest.block_method(0).unwrap(), BlockMethod::Rans);
+        let stored = Packed {
+            method: BlockMethod::Stored,
+            stream: raw.clone(),
             ..honest.packed(0).unwrap()
         };
-        assert_eq!(foreign.unpack().as_ref(), Some(&raw));
-        let file = write_block_file(false, 4096, [(0, 40, 40, foreign)]);
+        let file = write_block_file(false, 4096, [(0, 40, 40, stored)]);
 
         let put = store.put_bytes("w", 1, &file, 0, "").unwrap();
         assert_eq!(store.get_bytes(&put.entry).unwrap(), file);
-        assert_eq!(store.open_trace(&put.entry).unwrap().trace, trace);
         // The honest spelling of the same run has the same identity: a
         // dedup hit, not a refusal — the fingerprint still upgrades —
         // and the entry goes on serving the first upload.
@@ -773,63 +708,68 @@ mod tests {
         assert_eq!((&again.entry, again.new_entry, again.blocks_new), (&put.entry, false, 0));
         assert_eq!(store.entry(&put.entry).unwrap().fingerprint, 0xabc);
         assert_eq!(store.get_bytes(&put.entry).unwrap(), file);
+        // An honest run under another seed shares the raw record.
+        let shared = store.put_bytes("w", 2, &honest_file, 0, "").unwrap();
+        assert!(shared.new_entry && shared.blocks_new == 0);
+        // The first compaction moves the raw record onto the coder, the
+        // second finds nothing to do; every entry is served throughout.
+        for migrated in [1, 0] {
+            assert_eq!(store.get_bytes(&shared.entry).unwrap(), honest_file);
+            assert_eq!(store.get_bytes(&put.entry).unwrap(), file);
+            assert_eq!(store.open_trace(&shared.entry).unwrap().trace, trace);
+            assert_eq!(store.compact(0).unwrap().migrated, migrated);
+        }
+        assert_eq!(
+            store.backend.read_method(digest128(&raw)).unwrap(),
+            BlockMethod::Rans
+        );
+        assert_eq!(store.get_bytes(&put.entry).unwrap(), file);
+        assert_eq!(store.get_bytes(&shared.entry).unwrap(), honest_file);
+    }
 
-        // The limit that remains (crate docs). An honest run under
-        // another seed shares the block: its put is not refused and it
-        // replays, but `get` finds the foreign stream in the record —
-        // here one byte long, which the length check turns into a typed
-        // error rather than wrong bytes.
+    /// The store keeps the stream it was handed: a block coded by a
+    /// foreign encoder — a valid rANS stream of other tables than this
+    /// build would write for those bytes — comes back byte-exact. The
+    /// limit that remains (crate docs): an honest run sharing the block
+    /// is served the record's stream, here a file of another length,
+    /// which the length check turns into a typed error rather than wrong
+    /// bytes; compaction leaves a coded record alone.
+    #[test]
+    fn a_foreign_stream_is_kept_not_respelled() {
+        let root = scratch("foreign-stream");
+        let store = Store::open(&root).unwrap();
+        let (trace, honest_file, honest) = forty_switches();
+        let raw = honest.block_raw(0).unwrap();
+        let ours = honest.packed(0).unwrap();
+        // Frequencies 104/12/12 of 128 where this build writes 124/2/2.
+        let foreign = Packed {
+            stream: FOREIGN_STREAM.to_vec(),
+            ..ours.clone()
+        };
+        assert_ne!(foreign.stream, ours.stream);
+        assert_eq!(foreign.unpack().as_ref(), Some(&raw));
+        let file = write_block_file(false, 4096, [(0, 40, 40, foreign)]);
+        assert_ne!(file.len(), honest_file.len());
+
+        let put = store.put_bytes("w", 1, &file, 0, "").unwrap();
+        assert_eq!(store.get_bytes(&put.entry).unwrap(), file);
+        assert_eq!(store.open_trace(&put.entry).unwrap().trace, trace);
         let shared = store.put_bytes("w", 2, &honest_file, 0, "").unwrap();
         assert!(shared.new_entry && shared.blocks_new == 0);
         assert_eq!(store.open_trace(&shared.entry).unwrap().trace, trace);
-        let err = store.get_bytes(&shared.entry).unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
-        // Once compaction has moved the record off the tier it was
-        // uploaded under, `get` re-packs with this build's compressor:
-        // the honest file comes back, the foreign one no longer does.
-        let moved = store.compact(u64::MAX).unwrap(); // everything is cold
-        assert_eq!(moved.to_range, 1);
-        assert_eq!(store.get_bytes(&shared.entry).unwrap(), honest_file);
-        let err = store.get_bytes(&put.entry).unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
-        assert_eq!(store.open_trace(&put.entry).unwrap().trace, trace);
+        for _ in 0..2 {
+            let err = store.get_bytes(&shared.entry).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
+            assert_eq!(store.get_bytes(&put.entry).unwrap(), file);
+            assert_eq!(store.compact(0).unwrap().migrated, 0);
+        }
     }
 
-    /// A store outliving its root must not bring the root back: the heat
-    /// flush — explicit, or the one `Drop` runs — used to
-    /// `create_dir_all` its way to `<root>/meta/heat.json`.
-    #[test]
-    fn a_dropped_store_does_not_resurrect_a_removed_root() {
-        let root = scratch("resurrect");
-        let (flushed, dropped) = (Store::open(&root).unwrap(), Store::open(&root).unwrap());
-        let bytes = encode_trace(&sample(false, 200, 9), TraceFormat::Block, 64);
-        let put = flushed.put_bytes("w", 1, &bytes, 0, "").unwrap();
-        for store in [&flushed, &dropped] {
-            store.get_bytes(&put.entry).unwrap(); // heat to flush
-        }
-        std::fs::remove_dir_all(&*root).unwrap();
-        assert!(matches!(flushed.flush(), Err(StoreError::Io(_))));
-        drop(dropped);
-        assert!(!root.exists(), "a flush recreated {}", root.display());
-    }
-
-    #[test]
-    fn heat_persists_across_opens() {
-        let root = scratch("heat");
-        let entry;
-        {
-            let store = Store::open(&root).unwrap();
-            let bytes = encode_trace(&sample(false, 300, 5), TraceFormat::Block, 64);
-            entry = store.put_bytes("w", 1, &bytes, 0, "").unwrap().entry;
-            store.get_bytes(&entry).unwrap();
-            store.get_bytes(&entry).unwrap();
-            // Drop flushes heat.
-        }
-        let store = Store::open(&root).unwrap();
-        let st = store.lock();
-        assert!(st.heat.values().all(|&n| n == 2), "two reads per block");
-        assert!(!st.heat.is_empty());
-    }
+    const FOREIGN_STREAM: [u8; 25] = [
+        0x57, 0x5c, 0x60, 0x10, 0x20, 0x16, 0x88, 0x22, 0x01, 0xe8, 0x69, 0x86,
+        0x3e, 0x7c, 0x0b, 0x00, 0x00, 0x20, 0xe9, 0xc4, 0x2d, 0x30, 0x00, 0x00,
+        0x00,
+    ];
 
     #[test]
     fn missing_and_malformed_ids_are_typed() {

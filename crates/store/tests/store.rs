@@ -8,9 +8,9 @@ use dejavu::{
     record_run, replay_run, BlockFile, ExecSpec, SymmetryConfig, TimeTravel, Trace,
     DEFAULT_BLOCK_BUDGET,
 };
-use store::{Store, StoreError, DEFAULT_COLD_THRESHOLD};
 use std::path::PathBuf;
 use std::sync::Arc;
+use store::{Store, StoreError};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("store-it-{tag}"));
@@ -148,7 +148,7 @@ fn compaction_under_concurrent_ingest_preserves_fingerprints() {
         std::thread::spawn(move || {
             let mut passes = 0u64;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                store.compact(DEFAULT_COLD_THRESHOLD).unwrap();
+                store.compact(0).unwrap();
                 passes += 1;
             }
             passes
@@ -179,7 +179,7 @@ fn compaction_under_concurrent_ingest_preserves_fingerprints() {
 
     // Every run: byte-identical get, fingerprint-identical replay —
     // with compaction racing the whole time and one more pass after.
-    store.compact(DEFAULT_COLD_THRESHOLD).unwrap();
+    store.compact(0).unwrap();
     let replays_as_recorded = |name: &str, seed: u64, fp: u64, id: &str| {
         let stored = store.open_trace(id).unwrap();
         let (spec, _) = spec_for(name, seed);
@@ -192,14 +192,12 @@ fn compaction_under_concurrent_ingest_preserves_fingerprints() {
         replays_as_recorded(name, *seed, *fp, id);
     }
 
-    // gc after everything: nothing is unreferenced. The verification
-    // loop above bumped heat (reads are heat, by design), so one more
-    // compact may re-tier — but the one after that must be a no-op.
+    // gc after everything: nothing is unreferenced, and reads move
+    // nothing, so compaction has nothing left to do.
     let gc = store.gc().unwrap();
     assert_eq!(gc.removed_blocks, 0);
-    store.compact(DEFAULT_COLD_THRESHOLD).unwrap();
-    let c = store.compact(DEFAULT_COLD_THRESHOLD).unwrap();
-    assert_eq!(c.migrated, 0, "consecutive compacts converge");
+    let c = store.compact(0).unwrap();
+    assert_eq!(c.migrated, 0, "every record is on the packer's method");
     // A replay served after the full maintenance cycle (gc + compact)
     // still reproduces the record.
     let (name, seed, fp, _, id) = &ingested[0];

@@ -311,8 +311,8 @@ for wl in fig1_ab fig1_cd fig1_hot; do
         "$CLI" store put "$STORE" "$wl" "$seed" "$t" --no-verify > /dev/null 2> /dev/null
     done
 done
-# Maintenance idempotence, byte-level: a second gc+compact pass over an
-# unread store must leave every file untouched.
+# Maintenance idempotence, byte-level: a second gc+compact pass must leave
+# every file untouched.
 "$CLI" store gc "$STORE" > /dev/null 2> /dev/null
 "$CLI" store compact "$STORE" > /dev/null 2> /dev/null
 (cd "$STORE" && find . -type f | sort | xargs cksum) > "$SDIR/pass1.cksum"
@@ -407,7 +407,7 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 
-echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one replay loop, one reference map, one door to a hosted run, one heap extent, one reference read, no env knobs =="
+echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one packer, one replay loop, one reference map, one door to a hosted run, one heap extent, one reference read, no env knobs =="
 fail=0
 # Only the property harness reads the environment (QC_CASES / QC_SEED).
 if grep -rn 'env::var' crates src --include=*.rs | grep -v '^src/qc\.rs:'; then
@@ -473,9 +473,15 @@ if grep -rnE 'CompileError::[A-Z]' crates src tests --include=*.rs ||
 fi
 # A block is packed once: the second DJVB writer, the second splicer and
 # the raw-block struct stay deleted, and one non-test function outside
-# crates/codec names the compressors and decompressors.
+# crates/codec names the coder. One packer: the range coder, the
+# compressor race and the heat-driven tiers it fed stay deleted, and no
+# product function names the LZ77 pair the benchmark probe still measures.
 if grep -rnE 'assemble_block_file|RawBlock|raw_blocks|splice_blocks' crates src tests --include=*.rs; then
     echo "verify: a second DJVB writer, splicer or block struct is back" >&2
+    fail=1
+fi
+if grep -rnE 'rc_model|RangeDecoder|Packed::race|load_heat|heat\.json' crates src tests examples --include=*.rs; then
+    echo "verify: the range coder, the compressor race or the store's heat map is back" >&2
     fail=1
 fi
 # "FILE: fn NAME" of every non-test function, in the files named on stdin,
@@ -489,10 +495,16 @@ fns_naming() {
         $0 ~ pat { print FILENAME ": fn " fn }' | sort -u
 }
 callers=$(find crates -name '*.rs' -path '*/src/*' ! -path 'crates/codec/*' |
-    fns_naming 'codec::(entropy_)?(de)?compress')
+    fns_naming 'codec::entropy_(de)?compress')
 if [ "$(printf '%s\n' "$callers" | grep -c .)" -ne 1 ]; then
-    echo "verify: codec's compressors are named in other than one non-test function:" >&2
+    echo "verify: codec's coder is named in other than one non-test function:" >&2
     printf '%s\n' "$callers" >&2
+    fail=1
+fi
+lz77=$(find crates src -name '*.rs' -path '*src/*' | fns_naming 'codec::(de)?compress([^a-z_]|$)')
+if [ -n "$lz77" ]; then
+    echo "verify: a product function names the LZ77 pair (codec::{compress, decompress}):" >&2
+    printf '%s\n' "$lz77" >&2
     fail=1
 fi
 # One replay loop: time travel is the product's (`dejavu::timetravel`, over

@@ -15,7 +15,7 @@
 //! dejavu-cli store get <dir> <entry-id> <out>    # the put file back, byte for byte
 //! dejavu-cli store ls <dir>                      # catalog summary, one JSON/line
 //! dejavu-cli store gc <dir>                      # drop unreferenced blocks
-//! dejavu-cli store compact <dir> [--cold <n>]    # heat-driven tier migration
+//! dejavu-cli store compact <dir>                 # move raw records onto the coder
 //! dejavu-cli store stats <dir>                   # content-deterministic shape JSON
 //! dejavu-cli neutrality <workload> [seed]        # telemetry on == off proof
 //! dejavu-cli checkjson <file>                    # validate via crates/codec
@@ -78,8 +78,8 @@
 //! re-framed copy of a stored run (a padded varint, a paranoid byte of 2)
 //! is refused like any corrupt file, exit 1. `store get` frames the
 //! compressed streams the store was handed — it re-packs only a block
-//! compaction has since moved to another tier — and checks the result
-//! against the put file's length. `trace inspect --dedup` keys blocks
+//! whose record is on another method than the put file packed it with —
+//! and checks the result against the put file's length. `trace inspect --dedup` keys blocks
 //! exactly as the store does — [`codec::digest128`] over the raw
 //! pre-compression payload — so its unique-block accounting predicts
 //! store dedup byte-for-byte.
@@ -759,7 +759,6 @@ fn store_cmd(args: &mut Args) -> Cmd {
     let spec_of = spec_builder(args);
     let no_verify = args.flag("--no-verify");
     let policy = args.value("--policy")?.unwrap_or_default();
-    let cold: u64 = args.number("--cold", store::DEFAULT_COLD_THRESHOLD)?;
     let (op, dir) = (args.pos(0)?, args.pos(1)?);
     let st = store::Store::open(std::path::Path::new(dir))?;
     match op {
@@ -815,7 +814,7 @@ fn store_cmd(args: &mut Args) -> Cmd {
             }
         }
         "gc" => print_canonical(st.gc()?.to_json()),
-        "compact" => print_canonical(st.compact(cold)?.to_json()),
+        "compact" => print_canonical(st.compact(0)?.to_json()),
         "stats" => print_canonical(st.disk_stats()?),
         _ => return Err(CliError::Usage),
     }

@@ -8,8 +8,8 @@
 //! abort (SIGABRT / exit 101).
 
 use dejavu_repro::dejavu::{
-    encode_trace, ingest_bytes, write_block_file, BlockFile, DataRec, SwitchRec, Trace,
-    TraceError, TraceFormat,
+    encode_trace, ingest_bytes, write_block_file, BlockFile, BlockMethod, DataRec, SwitchRec,
+    Trace, TraceError, TraceFormat,
 };
 use dejavu_repro::qc::{check, Gen};
 use dejavu_repro::qc_assert;
@@ -123,6 +123,68 @@ fn mutated_djvb_bytes_never_panic() {
         let ok = catch_unwind(AssertUnwindSafe(|| exercise_decoders(&bytes))).is_ok();
         qc_assert!(ok, "decoder panicked on mutated {} bytes", bytes.len());
         Ok(())
+    });
+}
+
+/// The coder's table header — the first bytes of each coded block's
+/// stream — mutated inside an otherwise well-framed file: every decoder
+/// entry point refuses it with a typed error or, if the damage left the
+/// tables equivalent, decodes the original trace; none panics, and the
+/// CRC stands behind whatever the coder lets through.
+#[test]
+fn mutated_table_headers_never_panic() {
+    check("mutated_table_headers_never_panic", 400, |g| {
+        // Small deltas in long columns, so the blocks are coded.
+        let paranoid = g.bool();
+        let trace = Trace {
+            paranoid,
+            switches: g.vec_of(100, 3_000, |g| SwitchRec {
+                nyp: g.u64_in(1, 4),
+                check_tid: if paranoid {
+                    g.u64_in(0, 3) as u32
+                } else {
+                    u32::MAX
+                },
+            }),
+            data: g.vec_of(0, 1_000, |g| DataRec::Clock(g.i64_in(0, 3))),
+        };
+        let budget = [96, 512, 4096][g.usize_in(0, 2)];
+        let bf = BlockFile::parse(encode_trace(&trace, TraceFormat::Block, budget))
+            .map_err(|e| e.to_string())?;
+        let mut blocks: Vec<_> = (0..bf.index.len())
+            .map(|i| {
+                let b = &bf.index[i];
+                (
+                    b.first_logical_time,
+                    b.event_count,
+                    b.switch_count,
+                    bf.packed(i).unwrap(),
+                )
+            })
+            .collect();
+        let coded: Vec<usize> = (0..blocks.len())
+            .filter(|&i| blocks[i].3.method == BlockMethod::Rans)
+            .collect();
+        qc_assert!(!coded.is_empty(), "no block of the trace is coded");
+        let stream = &mut blocks[coded[g.usize_in(0, coded.len() - 1)]].3.stream;
+        let mut header: Vec<u8> = stream.drain(..stream.len().min(8)).collect();
+        for _ in 0..g.usize_in(1, 4) {
+            mutate(g, &mut header);
+        }
+        stream.splice(0..0, header);
+        let bytes = write_block_file(bf.paranoid, bf.budget, blocks);
+        let ok = catch_unwind(AssertUnwindSafe(|| exercise_decoders(&bytes))).is_ok();
+        qc_assert!(ok, "decoder panicked on a mutated table header");
+        match ingest_bytes(bytes) {
+            Err(_) => Ok(()),
+            Ok(got) => {
+                qc_assert!(
+                    got.trace == trace,
+                    "a mutated table header decoded another trace"
+                );
+                Ok(())
+            }
+        }
     });
 }
 

@@ -1,8 +1,9 @@
 //! Fuzz oracle for the trace-store read path: build a real store with
 //! `put_bytes`, apply seeded byte mutations — bit flips, truncations,
-//! overwrites, insertions — to one on-disk artifact (a catalog manifest,
-//! a block record, or the heat file), then drive every read entry point
-//! and assert "typed `StoreError` or success, never panic".
+//! overwrites, insertions — to one on-disk artifact (a catalog manifest
+//! or a block record, often aimed at a coded record's table header), then
+//! drive every read entry point and assert "typed `StoreError` or
+//! success, never panic".
 //!
 //! Same contract the DJVB fuzz gives the corpus gate: a corrupt store
 //! must surface as exit 1 from the CLI, and that only holds if nothing
@@ -14,20 +15,27 @@
 //! a typed error (the limit in the `store` crate docs) — and no upload
 //! changes what an earlier one gets back.
 
+use dejavu_repro::codec::get_varint;
 use dejavu_repro::dejavu::{
-    encode_trace, BlockFile, DataRec, Packed, SwitchRec, Trace, TraceFormat,
+    encode_trace, BlockFile, BlockMethod, DataRec, Packed, SwitchRec, Trace, TraceFormat,
 };
 use dejavu_repro::qc::{check, Gen};
 use dejavu_repro::qc_assert;
-use dejavu_repro::store::{Store, DEFAULT_COLD_THRESHOLD};
+use dejavu_repro::store::Store;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 /// A structurally valid random trace: the corpus the store is seeded with.
+/// Half are long runs of small deltas, whose blocks the coder packs.
 fn gen_trace(g: &mut Gen) -> Trace {
     let paranoid = g.bool();
-    let switches = g.vec_of(1, 30, |g| SwitchRec {
-        nyp: g.u64_in(1, 50_000),
+    let (switches, nyp, clock) = if g.bool() {
+        (600, 4, 3)
+    } else {
+        (30, 50_000, 2_000_000)
+    };
+    let switches = g.vec_of(1, switches, |g| SwitchRec {
+        nyp: g.u64_in(1, nyp),
         check_tid: if paranoid {
             g.u64_in(0, 5) as u32
         } else {
@@ -36,7 +44,7 @@ fn gen_trace(g: &mut Gen) -> Trace {
     });
     let data = g.vec_of(0, 20, |g| {
         if g.bool() {
-            DataRec::Clock(g.i64_in(-5, 2_000_000))
+            DataRec::Clock(g.i64_in(-5, clock))
         } else {
             DataRec::Native {
                 ret: g.any_i64(),
@@ -117,8 +125,21 @@ fn seed_store(g: &mut Gen, root: &Path) -> Vec<String> {
             .expect("seed put");
         ids.push(out.entry);
     }
-    drop(store); // flush heat + caches so the mutation hits cold state
+    drop(store); // drop the caches so the mutation hits cold state
     ids
+}
+
+/// Where a coded block record's stream — its table header first —
+/// begins; `None` for anything else.
+fn table_header(file: &[u8]) -> Option<usize> {
+    if file.get(..4) != Some(b"DJSB") || file.get(5) != Some(&BlockMethod::Rans.code()) {
+        return None;
+    }
+    let mut pos = 6;
+    for _ in 0..3 {
+        get_varint(file, &mut pos)?;
+    }
+    Some(pos + 16)
 }
 
 /// Drive every read/maintenance entry point; the closure's only job is
@@ -143,7 +164,7 @@ fn exercise_store(root: &Path, ids: &[String]) {
     }
     let _ = store.disk_stats();
     let _ = store.gc();
-    let _ = store.compact(DEFAULT_COLD_THRESHOLD);
+    let _ = store.compact(0);
 }
 
 #[test]
@@ -156,15 +177,22 @@ fn mutated_store_files_never_panic() {
         let root = base.join(format!("it{iter}"));
         let ids = seed_store(g, &root);
 
-        // Mutate one on-disk artifact — catalog manifest, block record,
-        // or heat file — with 1..8 seeded corruptions.
+        // Mutate one on-disk artifact — catalog manifest or block record
+        // — with 1..8 seeded corruptions; half the time, a coded record's
+        // table header alone.
         let files = store_files(&root);
         qc_assert!(!files.is_empty(), "seeded store produced no files");
         let victim = &files[g.usize_in(0, files.len() - 1)];
         let mut bytes = std::fs::read(victim).map_err(|e| e.to_string())?;
+        let at = match table_header(&bytes) {
+            Some(start) if g.bool() => start..(start + 8).min(bytes.len()),
+            _ => 0..bytes.len(),
+        };
+        let mut window: Vec<u8> = bytes.drain(at.clone()).collect();
         for _ in 0..g.usize_in(1, 8) {
-            mutate(g, &mut bytes);
+            mutate(g, &mut window);
         }
+        bytes.splice(at.start..at.start, window);
         std::fs::write(victim, &bytes).map_err(|e| e.to_string())?;
 
         let ok = catch_unwind(AssertUnwindSafe(|| exercise_store(&root, &ids))).is_ok();
@@ -219,7 +247,7 @@ fn content(bytes: &[u8]) -> Option<(Vec<Vec<u8>>, bool)> {
         .map(|i| {
             let packed = bf.packed(i).ok()?;
             let raw = packed.unpack()?;
-            native &= Packed::race(&raw) == packed;
+            native &= Packed::pack(&raw) == packed;
             Some(raw)
         })
         .collect::<Option<Vec<_>>>()?;
@@ -277,9 +305,7 @@ fn a_put_is_refused_or_served_back_byte_exact() {
         };
         served("after put")?;
         store.gc().map_err(|e| e.to_string())?;
-        store
-            .compact(DEFAULT_COLD_THRESHOLD)
-            .map_err(|e| e.to_string())?;
+        store.compact(0).map_err(|e| e.to_string())?;
         served("after gc + compact")?;
         drop(store);
         let _ = std::fs::remove_dir_all(&root);
