@@ -1,7 +1,7 @@
 //! A typed fleet client: one TCP connection, blocking request/response.
 //! Sessions outlive connections — a client may connect, open sessions,
 //! disconnect, and drive the same sessions later from a new connection
-//! (the 3-phase bench does exactly this).
+//! (`tests/fleet_service.rs`'s 64-session waves do exactly this).
 
 use crate::rpc::{Request, Response};
 use crate::wire::{self, WireError};

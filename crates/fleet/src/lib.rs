@@ -26,8 +26,13 @@
 //! followed by length-prefixed binary frames; every malformed input is a
 //! typed [`WireError`], fuzzed the same way the DJVB decoder is. It is
 //! the only way to talk to a resident replay.
+//!
+//! The accuracy rule holds across the service: every fingerprint a hosted
+//! session computes equals a single-session record/replay of the same
+//! workload and seed (`tests/fleet_service.rs` drives 64 sessions at once
+//! to check it). The manager's `rpc.*` latency histograms are the crate's
+//! one timing site; the numbers come from `benchmark/`'s `fleet_mix`.
 
-pub mod bench;
 pub mod client;
 pub mod manager;
 pub mod rpc;

@@ -48,7 +48,6 @@ pub struct SessionManager {
     /// registry behind a mutex: observations are O(1) bucket increments,
     /// so the critical section is tiny compared to any request body.
     metrics: Mutex<Registry>,
-    idle_ttl: Duration,
     /// Optional content-addressed trace store: sealed uploads and
     /// server-side records dedup into it, and `OpenStored` serves
     /// sessions straight out of its shared blocks.
@@ -57,14 +56,9 @@ pub struct SessionManager {
 
 impl SessionManager {
     pub fn new() -> Self {
-        Self::with_idle_ttl(DEFAULT_IDLE_TTL)
-    }
-
-    pub fn with_idle_ttl(idle_ttl: Duration) -> Self {
         SessionManager {
             sessions: Mutex::default(),
             metrics: Mutex::default(),
-            idle_ttl,
             store: None,
         }
     }
@@ -119,11 +113,11 @@ impl SessionManager {
         f(&mut session)
     }
 
-    /// Drop sessions idle past the TTL. `try_lock` on the session keeps
+    /// Drop sessions idle longer than `ttl`. `try_lock` on the session keeps
     /// the sweep from stalling behind an in-flight request — a busy
     /// session is by definition not idle. A poisoned session ages out
     /// like any other.
-    pub fn evict_idle(&self) -> usize {
+    pub fn evict_idle(&self, ttl: Duration) -> usize {
         let now = Instant::now();
         let mut sessions = self.sessions();
         let stale: Vec<u64> = sessions
@@ -135,7 +129,7 @@ impl SessionManager {
                     Err(TryLockError::Poisoned(p)) => p.into_inner(),
                     Err(TryLockError::WouldBlock) => return None,
                 };
-                (now.duration_since(sess.last_touched) > self.idle_ttl).then_some(id)
+                (now.duration_since(sess.last_touched) > ttl).then_some(id)
             })
             .collect();
         let evicted: Vec<_> = stale.iter().filter_map(|id| sessions.map.remove(id)).collect();
@@ -384,12 +378,12 @@ mod tests {
 
     #[test]
     fn the_sweep_evicts_idle_sessions_and_skips_a_busy_one() {
-        let m = SessionManager::with_idle_ttl(Duration::ZERO);
+        let m = SessionManager::new();
         let busy = m.open("fig1_ab", 1).unwrap();
         let idle = m.open("fig1_ab", 2).unwrap();
         let in_flight = m.get(busy).unwrap();
         let in_flight = in_flight.lock().unwrap();
-        assert_eq!(m.evict_idle(), 1);
+        assert_eq!(m.evict_idle(Duration::ZERO), 1);
         assert!(m.get(busy).is_ok() && m.get(idle).is_err());
         drop(in_flight);
         let sessions = Json::parse(&m.stats_json()).unwrap();

@@ -14,7 +14,7 @@
 //! gate, dispatch, encode — is [`SessionManager::answer`], and this is the
 //! only `accept` loop in the workspace.
 
-use crate::manager::SessionManager;
+use crate::manager::{SessionManager, DEFAULT_IDLE_TTL};
 use crate::rpc::Response;
 use crate::wire::{self, WireError};
 use std::io::{Read, Write};
@@ -30,13 +30,8 @@ use std::time::Duration;
 pub struct FleetConfig {
     /// Worker threads handling connections.
     pub workers: usize,
-    /// Bounded connection queue between acceptor and workers; a full
-    /// queue sheds load by dropping the new connection.
-    pub queue: usize,
     /// Ctrl token required by the `Shutdown` RPC.
     pub shutdown_token: String,
-    /// Idle-session eviction TTL.
-    pub idle_ttl: Duration,
     /// Root of a content-addressed trace store to attach (`None` = no
     /// store: ingests stay session-local and `OpenStored` is refused).
     pub store_root: Option<std::path::PathBuf>,
@@ -46,14 +41,15 @@ impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
             workers: 8,
-            queue: 128,
             shutdown_token: "dejavu".to_string(),
-            idle_ttl: crate::manager::DEFAULT_IDLE_TTL,
             store_root: None,
         }
     }
 }
 
+/// Bounded connection queue between acceptor and workers; a full queue
+/// sheds load by dropping the new connection.
+const QUEUE: usize = 128;
 /// Socket read timeout: the granularity at which idle workers notice the
 /// stop flag.
 const POLL: Duration = Duration::from_millis(200);
@@ -75,7 +71,7 @@ impl FleetServer {
     pub fn start(addr: &str, config: FleetConfig) -> std::io::Result<FleetServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let mut manager = SessionManager::with_idle_ttl(config.idle_ttl);
+        let mut manager = SessionManager::new();
         if let Some(root) = &config.store_root {
             let store = store::Store::open(root)
                 .map_err(|e| std::io::Error::other(format!("open store {root:?}: {e}")))?;
@@ -83,7 +79,7 @@ impl FleetServer {
         }
         let manager = Arc::new(manager);
         let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = sync_channel::<TcpStream>(config.queue.max(1));
+        let (tx, rx) = sync_channel::<TcpStream>(QUEUE);
         let rx = Arc::new(Mutex::new(rx));
 
         let mut workers = Vec::new();
@@ -112,7 +108,7 @@ impl FleetServer {
                     slept += Duration::from_millis(50);
                     if slept >= SWEEP {
                         slept = Duration::ZERO;
-                        manager.evict_idle();
+                        manager.evict_idle(DEFAULT_IDLE_TTL);
                     }
                 }
             })

@@ -1,6 +1,8 @@
-//! Integration tests for the fleet service: concurrent sessions over the
-//! framed RPC, the three-tier debugger dialogue with simultaneous
-//! clients, the streaming ingest path, and token-gated graceful shutdown.
+//! Integration tests for the fleet service: 64 concurrent sessions over
+//! the framed RPC, each fingerprint checked against a single-session
+//! record of the same workload and seed; the three-tier debugger dialogue
+//! with simultaneous clients; the streaming ingest path; and token-gated
+//! graceful shutdown.
 
 use debugger::protocol::{Command, Response as DbgResponse};
 use debugger::server::MAX_READ_WORDS;
@@ -29,29 +31,145 @@ fn start_server(workers: usize) -> FleetServer {
     .expect("bind ephemeral port")
 }
 
+/// One of the server's `sessions` counters, read over a fresh connection.
+fn sessions_stat(addr: &str, key: &str) -> u64 {
+    let stats = FleetClient::connect(addr)
+        .expect("connect")
+        .stats()
+        .expect("stats");
+    let doc = codec::Json::parse(&stats).expect("canonical stats json");
+    doc.field("sessions")
+        .unwrap()
+        .field(key)
+        .unwrap()
+        .as_u64()
+        .unwrap()
+}
+
+/// Sessions the parity test hosts at once, and the client threads that
+/// drive them.
+const SESSIONS: usize = 64;
+const CLIENTS: usize = 4;
+
+/// Run `body` for every session index in `0..SESSIONS`, split across
+/// `CLIENTS` scoped threads, each on a connection of its own that is
+/// dropped when its share is done. Results come back in index order.
+fn wave<T: Send>(addr: &str, body: impl Fn(&mut FleetClient, usize) -> T + Sync) -> Vec<T> {
+    let per = SESSIONS.div_ceil(CLIENTS);
+    let body = &body;
+    std::thread::scope(|scope| {
+        let shares: Vec<_> = (0..SESSIONS)
+            .step_by(per)
+            .map(|lo| {
+                scope.spawn(move || {
+                    let mut client = FleetClient::connect(addr).expect("connect");
+                    (lo..(lo + per).min(SESSIONS))
+                        .map(|i| body(&mut client, i))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        shares
+            .into_iter()
+            .flat_map(|share| share.join().expect("client thread"))
+            .collect()
+    })
+}
+
+/// The fleet's accuracy rule at 64 resident sessions: every fingerprint a
+/// hosted session records or replays equals a single-session record of the
+/// same workload and seed. Three waves of fresh connections — open and
+/// record; replay, seek and divergence-check; close — so every session
+/// outlives the connection that opened it.
 #[test]
 fn concurrent_sessions_record_replay_seek_with_identical_fingerprints() {
     let server = start_server(4);
     let addr = server.addr().to_string();
+    let w = workload("racy_counter");
 
-    // 16 sessions driven by 4 client threads keeps the tier-1 suite
-    // quick; the 64-session version is verify.sh's `fleet` stage.
-    let report = fleet::bench::drive(&addr, 16, "fig1_ab", 4).expect("drive");
-    assert_eq!(report.sessions, 16);
+    // Wave A: open and record; the ground truth is recorded here too, once
+    // per seed.
+    let recorded = wave(&addr, |client, i| {
+        let seed = 1_000 + i as u64;
+        let id = client.open(w.name, seed).expect("open");
+        let fleet = match client
+            .call(&Request::Record { session: id })
+            .expect("record")
+        {
+            Response::Recorded { fingerprint, .. } => fingerprint,
+            other => panic!("record session {id}: {other:?}"),
+        };
+        let (truth, _) = record_run(&spec_for(&w, seed), w.natives, SymmetryConfig::full(), true);
+        (id, seed, fleet, truth.fingerprint)
+    });
+    let mut mismatches: Vec<String> = recorded
+        .iter()
+        .filter(|&&(_, _, fleet, truth)| fleet != truth)
+        .map(|(id, seed, fleet, truth)| {
+            format!("session {id} (seed {seed}): record fp {fleet:#x} != single-session {truth:#x}")
+        })
+        .collect();
+
+    // Every wave-A connection is gone and every session is still resident.
+    assert_eq!(sessions_stat(&addr, "active"), SESSIONS as u64);
+
+    // Wave B: replay, seek, divergence-check.
+    let replayed = wave(&addr, |client, i| {
+        let (id, seed, _, truth) = recorded[i];
+        let mut wrong = Vec::new();
+        match client
+            .call(&Request::Replay { session: id })
+            .expect("replay")
+        {
+            Response::Replayed {
+                fingerprint, clean, ..
+            } if fingerprint != truth || !clean => wrong.push(format!(
+                "session {id} (seed {seed}): replay fp {fingerprint:#x} (clean={clean}) \
+                 != single-session {truth:#x}"
+            )),
+            Response::Replayed { .. } => {}
+            other => panic!("replay session {id}: {other:?}"),
+        }
+        let seek = Request::SeekLogical {
+            session: id,
+            logical: 500,
+        };
+        match client.call(&seek).expect("seek") {
+            Response::Sought {
+                final_logical: 500, ..
+            } => {}
+            other => panic!("seek session {id}: {other:?}"),
+        }
+        match client
+            .call(&Request::DivergenceCheck { session: id })
+            .expect("divergence")
+        {
+            Response::Divergence { clean: true, .. } => {}
+            Response::Divergence { json, .. } => wrong.push(format!(
+                "session {id} (seed {seed}): divergence after seek: {json}"
+            )),
+            other => panic!("divergence check session {id}: {other:?}"),
+        }
+        wrong
+    });
+    mismatches.extend(replayed.into_iter().flatten());
+
+    // Wave C: close.
+    wave(&addr, |client, i| {
+        let id = recorded[i].0;
+        match client.call(&Request::Close { session: id }).expect("close") {
+            Response::Closed { .. } => {}
+            other => panic!("close session {id}: {other:?}"),
+        }
+    });
+
     assert!(
-        report.fingerprints_match,
-        "fleet fingerprints diverged from single-session ground truth: {:?}",
-        report.mismatches
+        mismatches.is_empty(),
+        "fleet fingerprints diverged from single-session ground truth:\n{}",
+        mismatches.join("\n")
     );
-    assert_eq!(report.resident_peak, 16, "all sessions resident at once");
-    assert!(report.latency.count() > 0);
-
-    // Stats survive the drive: peak must have seen all 16.
-    let mut client = FleetClient::connect(&addr).expect("connect");
-    let stats = client.stats().expect("stats");
-    let doc = codec::Json::parse(&stats).expect("canonical stats json");
-    let peak = doc.field("sessions").unwrap().field("peak").unwrap();
-    assert!(peak.as_u64().unwrap() >= 16, "peak {peak} < 16");
+    let peak = sessions_stat(&addr, "peak");
+    assert!(peak >= SESSIONS as u64, "peak {peak} < {SESSIONS}");
 
     server.trigger_shutdown();
     server.join();
@@ -132,7 +250,6 @@ fn store_backed_fleet_dedups_ingests_and_serves_open_stored() {
             workers: 4,
             shutdown_token: "test-token".to_string(),
             store_root: Some(root.clone()),
-            ..FleetConfig::default()
         },
     )
     .expect("bind ephemeral port");
@@ -255,7 +372,6 @@ fn four_connections_sealing_one_run_merge_into_one_store_entry() {
             workers: 4,
             shutdown_token: "test-token".to_string(),
             store_root: Some(root),
-            ..FleetConfig::default()
         },
     )
     .expect("bind ephemeral port");

@@ -7,8 +7,8 @@
 //! heap and allocator, and outside the execution fingerprint. This crate
 //! is that observer. It owns three pieces:
 //!
-//! * [`metrics`] — a registry of counters, gauges and log2-bucketed
-//!   histograms with stable (sorted) ordering and deterministic JSON
+//! * [`metrics`] — a registry of counters and log2-bucketed histograms
+//!   with stable (sorted) ordering and deterministic JSON
 //!   export through `codec`,
 //! * [`ring`] — a bounded event ring recording the last N scheduler /
 //!   instrumentation events (thread switches with their logical-clock

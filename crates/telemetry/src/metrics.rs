@@ -1,5 +1,5 @@
-//! The metrics registry: named counters, gauges and log2-bucketed
-//! histograms with stable ordering and deterministic JSON export.
+//! The metrics registry: named counters and log2-bucketed histograms
+//! with stable ordering and deterministic JSON export.
 //!
 //! Determinism discipline: `BTreeMap` keys give sorted iteration, every
 //! exported value is an exact integer (no floats, no wall-clock
@@ -122,22 +122,6 @@ impl Histogram {
         Some(self.max)
     }
 
-    /// Fold another histogram into this one. The merge is exact for
-    /// every exported statistic except `sum` saturation: bucket counts,
-    /// `count`, `min` and `max` of the merge equal those of observing
-    /// both sample streams into one histogram.
-    pub fn merge(&mut self, other: &Histogram) {
-        for b in 0..BUCKETS {
-            self.buckets[b] += other.buckets[b];
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        if other.count > 0 {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-
     /// Deterministic JSON: non-empty buckets as `[index, count]` pairs in
     /// ascending index order, plus the exact aggregates.
     pub fn to_json(&self) -> Json {
@@ -167,13 +151,12 @@ impl Default for Histogram {
     }
 }
 
-/// A registry of named metrics. Names are `&'static str` by convention
-/// (call sites name their metric once); `BTreeMap` keeps export order
-/// stable regardless of registration order.
+/// A registry of named counters and histograms. Names are `&'static str`
+/// by convention (call sites name their metric once); `BTreeMap` keeps
+/// export order stable regardless of registration order.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, i64>,
     histograms: BTreeMap<&'static str, Histogram>,
 }
 
@@ -192,61 +175,17 @@ impl Registry {
         self.add(name, 1);
     }
 
-    /// Set a gauge to an instantaneous value.
-    pub fn set_gauge(&mut self, name: &'static str, v: i64) {
-        self.gauges.insert(name, v);
-    }
-
     /// Observe a sample into a named histogram (creating it empty).
     pub fn observe(&mut self, name: &'static str, v: u64) {
         self.histograms.entry(name).or_default().observe(v);
     }
 
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Counters in sorted-name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Fold another registry into this one: counters and histograms
-    /// accumulate, gauges take the other's value (last writer wins, the
-    /// gauge contract). This is how per-shard registries aggregate into
-    /// one fleet-wide snapshot without a global metrics lock.
-    pub fn merge(&mut self, other: &Registry) {
-        for (&k, &v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (&k, &v) in &other.gauges {
-            self.gauges.insert(k, v);
-        }
-        for (&k, h) in &other.histograms {
-            self.histograms.entry(k).or_default().merge(h);
-        }
-    }
-
-    /// Deterministic JSON export: three sorted-key objects.
+    /// Deterministic JSON export: two sorted-key objects.
     pub fn to_json(&self) -> Json {
         let counters = Json::Obj(
             self.counters
                 .iter()
                 .map(|(&k, &v)| (k.to_string(), Json::UInt(v)))
-                .collect(),
-        );
-        let gauges = Json::Obj(
-            self.gauges
-                .iter()
-                .map(|(&k, &v)| (k.to_string(), Json::Int(v)))
                 .collect(),
         );
         let histograms = Json::Obj(
@@ -255,11 +194,7 @@ impl Registry {
                 .map(|(&k, h)| (k.to_string(), h.to_json()))
                 .collect(),
         );
-        Json::obj(vec![
-            ("counters", counters),
-            ("gauges", gauges),
-            ("histograms", histograms),
-        ])
+        Json::obj(vec![("counters", counters), ("histograms", histograms)])
     }
 }
 
@@ -408,56 +343,28 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_equals_joint_observation() {
-        let (mut a, mut b, mut joint) = (Histogram::new(), Histogram::new(), Histogram::new());
-        for v in [0u64, 1, 7, 1000, u64::MAX] {
-            a.observe(v);
-            joint.observe(v);
-        }
-        for v in [3u64, 3, 1 << 40] {
-            b.observe(v);
-            joint.observe(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, joint);
-        // Merging an empty histogram is the identity.
-        let before = a.clone();
-        a.merge(&Histogram::new());
-        assert_eq!(a, before);
-    }
-
-    #[test]
-    fn registry_merge_accumulates() {
-        let (mut a, mut b) = (Registry::new(), Registry::new());
-        a.add("reqs", 2);
-        a.observe("lat", 8);
-        a.set_gauge("active", 1);
-        b.add("reqs", 3);
-        b.add("evictions", 1);
-        b.observe("lat", 64);
-        b.set_gauge("active", 5);
-        a.merge(&b);
-        assert_eq!(a.counter("reqs"), 5);
-        assert_eq!(a.counter("evictions"), 1);
-        assert_eq!(a.gauge("active"), Some(5));
-        assert_eq!(a.histogram("lat").unwrap().count(), 2);
-    }
-
-    #[test]
     fn registry_export_is_sorted_and_stable() {
         let mut r = Registry::new();
         r.incr("zeta");
         r.add("alpha", 3);
-        r.set_gauge("ready_threads", 2);
+        r.add("alpha", 2);
         r.observe("latency", 9);
-        let s = r.to_json().to_string();
+        r.observe("latency", 64);
+        let j = r.to_json();
+        let s = j.to_string();
         // "alpha" must precede "zeta" regardless of registration order.
         assert!(s.find("alpha").unwrap() < s.find("zeta").unwrap());
+        // Counters accumulate; histograms collect every sample.
+        let counters = j.field("counters").unwrap();
+        assert_eq!(counters.field("alpha").unwrap().as_u64().unwrap(), 5);
+        assert_eq!(counters.field("zeta").unwrap().as_u64().unwrap(), 1);
+        let latency = j.field("histograms").unwrap().field("latency").unwrap();
+        assert_eq!(latency.field("count").unwrap().as_u64().unwrap(), 2);
         // Two identical registries export byte-identical JSON.
         let mut r2 = Registry::new();
         r2.observe("latency", 9);
-        r2.set_gauge("ready_threads", 2);
-        r2.add("alpha", 3);
+        r2.add("alpha", 5);
+        r2.observe("latency", 64);
         r2.incr("zeta");
         assert_eq!(s, r2.to_json().to_string());
         assert!(codec::Json::parse(&s).is_ok());

@@ -219,7 +219,7 @@ if grep -q '"compile.mega"' "$MDIR/stats-ablated.json"; then
     exit 1
 fi
 
-echo "== fleet: 64 concurrent sessions, fingerprint parity, clean shutdown =="
+echo "== fleet: 64 resident sessions across connections, a debug dialogue, clean shutdown =="
 FDIR="$SCRATCH/fleet-verify"
 rm -rf "$FDIR"; mkdir -p "$FDIR"
 # Ephemeral port: the server binds port 0 and reports its pick.
@@ -233,27 +233,21 @@ done
 require "$FDIR/port"
 FLEET_PORT=$(cat "$FDIR/port")
 FLEET_ADDR="127.0.0.1:$FLEET_PORT"
-# The 64-session drive against the externally started server. The driver
-# itself compares every concurrently-hosted fingerprint with its
-# single-session ground truth (exit 2 otherwise); its canonical JSON
-# carries the verdict and the latency quantiles.
-"$CLI" fleet-bench "$FLEET_ADDR" --sessions 64 > "$FDIR/drive.json"
-"$CLI" checkjson "$FDIR/drive.json"
-grep -q '"fingerprints_match":true' "$FDIR/drive.json" || {
-    echo "verify: fleet fingerprints diverged from single-session replays" >&2
-    exit 1
-}
-grep -q '"p99_request_ns":[0-9]' "$FDIR/drive.json" || {
-    echo "verify: fleet-bench output missing p99 request latency" >&2
-    exit 1
-}
-grep -q '"resident_peak":64' "$FDIR/drive.json" || {
-    echo "verify: fleet did not hold 64 sessions resident concurrently" >&2
-    exit 1
-}
+# 64 sessions against the separately started server, each opened and
+# recorded server-side by a one-shot connection of its own: every one is
+# still resident once all 64 connections are gone. (Fingerprint parity at
+# 64 concurrent sessions is fleet_service.rs's, in the tests stage.)
+for seed in $(seq 1000 1063); do
+    "$CLI" debug "$FLEET_ADDR" open fig1_ab "$seed" > /dev/null
+done
 # Live metrics snapshot: canonical JSON on stdout.
 "$CLI" stats --fleet "$FLEET_ADDR" > "$FDIR/stats.json" 2> /dev/null
+require "$FDIR/stats.json"
 "$CLI" checkjson "$FDIR/stats.json"
+grep -q '"active":64,' "$FDIR/stats.json" || {
+    echo "verify: fleet did not hold 64 sessions resident across connections" >&2
+    exit 1
+}
 grep -q '"peak":' "$FDIR/stats.json"
 # The debugger front end: one-shot `debug` calls against one session
 # compose into a dialogue (sessions outlive connections).
@@ -407,7 +401,7 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 
-echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one packer, one replay loop, one reference map, one door to a hosted run, one heap extent, one reference read, no env knobs =="
+echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one packer, one replay loop, one reference map, one door to a hosted run, one heap extent, one reference read, one fleet driver, no env knobs =="
 fail=0
 # Only the property harness reads the environment (QC_CASES / QC_SEED).
 if grep -rn 'env::var' crates src --include=*.rs | grep -v '^src/qc\.rs:'; then
@@ -611,6 +605,22 @@ if grep -rnE 'tcpmem|TcpMemory|serve_one|SHARDS|dispatch_inner|try_dispatch|Debu
     echo "verify: the second listener, the sharded session map, a nested dispatch or a second DebugSession constructor is back" >&2
     fail=1
 fi
+# One fleet driver: benchmark/'s fleet_mix measures a fleet and
+# fleet_service.rs checks its parity; the deleted load driver, its latency
+# report and the knobs and registry calls only it kept alive stay deleted,
+# and the manager's rpc.* histograms are the fleet's one timing site.
+if grep -rnE 'fleet[-]bench|fleet::ben[c]h|Drive[R]eport|p99_request[_]ns|with_idle[_]ttl|set[_]gauge' \
+    crates src tests examples scripts; then
+    echo "verify: the second fleet driver, or a knob or registry call only it used, is back" >&2
+    fail=1
+fi
+clocks=$(find crates/fleet/src -name '*.rs' | fns_naming 'Instant::now' |
+    grep -vE '^crates/fleet/src/(manager\.rs: fn (dispatch|with_session|evict_idle)|session\.rs: fn new)$' || true)
+if [ -n "$clocks" ]; then
+    echo "verify: a fleet function other than the manager's request timing and idle clock reads Instant::now:" >&2
+    printf '%s\n' "$clocks" >&2
+    fail=1
+fi
 [ "$fail" -eq 0 ]
 echo "surface: $(git ls-files '*.rs' '*.sh' ':!benchmark' | xargs cat | wc -l) lines of .rs/.sh outside benchmark/"
 # Lines before the first `#[cfg(test)]` (all of a file that has none), summed.
@@ -626,6 +636,7 @@ echo "surface: $(nontest $d/gc.rs $d/vm.rs $d/heap.rs) non-test lines in gc.rs +
 echo "surface: $(nontest crates/dejavu/src/blocktrace.rs crates/store/src/*.rs) non-test lines in dejavu's blocktrace.rs + crates/store/src/*.rs"
 echo "surface: $(nontest $d/interp.rs crates/dejavu/src/timetravel.rs crates/debugger/src/engine.rs crates/fleet/src/session.rs) non-test lines in interp.rs + dejavu's timetravel.rs + debugger's engine.rs + fleet's session.rs"
 echo "surface: $(nontest crates/reflect/src/*.rs crates/fleet/src/*.rs crates/debugger/src/*.rs) non-test lines in crates/{reflect,fleet,debugger}/src"
+echo "surface: $(nontest crates/fleet/src/*.rs) non-test lines in crates/fleet/src"
 echo "surface: $(nontest crates/reflect/src/remote.rs) non-test lines in reflect's remote.rs, $(nontest $d/*.rs crates/reflect/src/*.rs) in crates/{djvm,reflect}/src"
 
 echo "verify: OK"

@@ -24,15 +24,15 @@
 //! dejavu-cli dis <workload> [method-name] [--quick|--mega]
 //! dejavu-cli fleet-serve <port> [--workers <n>]  # multi-session fleet server
 //!                   [--fleet-token <t>] [--port-file <f>] [--store <dir>]
-//! dejavu-cli fleet-bench <addr> [workload]       # drive N concurrent sessions
-//!                   [--sessions <n>] [--workers <n>]
 //! dejavu-cli fleet-shutdown <addr> <token>       # token-gated graceful stop
 //! dejavu-cli debug <addr> open <workload> <seed> # host + record a session, print its id
 //! dejavu-cli debug <addr> <session> '<json command>'  # one debugger command
 //! ```
 //!
 //! Flags follow the subcommand name; each subcommand takes the ones
-//! listed for it.
+//! listed for it. An argument a subcommand does not take — a misspelled
+//! flag, an extra positional, a seed that is not an integer — is a usage
+//! error (exit 1).
 //!
 //! `fleet-serve` hosts ≥64 concurrent record/replay sessions behind one
 //! framed binary RPC endpoint (`crates/fleet`, DESIGN.md §9) — the one
@@ -40,9 +40,8 @@
 //! connections, so one-shot calls compose into a dialogue
 //! (`{"cmd":"break",…}`, `{"cmd":"continue"}`, `{"cmd":"stack","tid":0}`
 //! …, the `debugger::protocol` command language); each prints the
-//! response as one JSON line. `fleet-bench` exits 2 if any
-//! concurrently-hosted fingerprint differs from its single-session
-//! ground truth.
+//! response as one JSON line; `stats --fleet` prints the server's
+//! session counters and per-RPC latency histograms.
 //!
 //! Trace files are DJVB, the block-structured compressed format of
 //! [`dejavu::encode_trace`] — the only format `record` writes and the
@@ -91,6 +90,7 @@ use dejavu::{
     DEFAULT_BLOCK_BUDGET,
 };
 use dejavu_repro::corpus;
+use std::cell::Cell;
 use std::process::ExitCode;
 use workloads::Workload;
 
@@ -148,26 +148,32 @@ impl From<String> for CliError {
 type Cmd = Result<(), CliError>;
 
 /// The arguments after the subcommand name. A subcommand first takes
-/// the flags it uses, then reads what is left by position.
-struct Args(Vec<String>);
+/// the flags it uses, then reads what is left by position; whatever lies
+/// past the last position it read was not taken, and [`Args::all_taken`]
+/// refuses it.
+struct Args {
+    args: Vec<String>,
+    /// One past the highest position read so far.
+    read: Cell<usize>,
+}
 
 impl Args {
     /// Remove a boolean flag; true if it was present.
     fn flag(&mut self, flag: &str) -> bool {
-        let at = self.0.iter().position(|a| a == flag);
-        at.map(|i| self.0.remove(i)).is_some()
+        let at = self.args.iter().position(|a| a == flag);
+        at.map(|i| self.args.remove(i)).is_some()
     }
 
     /// Remove `<opt> <value>`, returning the value.
     fn value(&mut self, opt: &str) -> Result<Option<String>, CliError> {
-        let Some(i) = self.0.iter().position(|a| a == opt) else {
+        let Some(i) = self.args.iter().position(|a| a == opt) else {
             return Ok(None);
         };
-        if i + 1 >= self.0.len() {
+        if i + 1 >= self.args.len() {
             return Err(CliError::Input(format!("{opt} requires a value argument")));
         }
-        let value = self.0.remove(i + 1);
-        self.0.remove(i);
+        let value = self.args.remove(i + 1);
+        self.args.remove(i);
         Ok(Some(value))
     }
 
@@ -193,7 +199,25 @@ impl Args {
 
     /// Positional argument `i`; a usage error when absent.
     fn pos(&self, i: usize) -> Result<&str, CliError> {
-        self.0.get(i).map(String::as_str).ok_or(CliError::Usage)
+        self.read.set(self.read.get().max(i + 1));
+        self.args.get(i).map(String::as_str).ok_or(CliError::Usage)
+    }
+
+    /// Every positional from `i` on.
+    fn rest(&self, i: usize) -> &[String] {
+        self.read.set(self.read.get().max(self.args.len()));
+        self.args.get(i..).unwrap_or_default()
+    }
+
+    /// A usage error if an argument lies past the last position read.
+    fn all_taken(&self) -> Cmd {
+        match self.args.get(self.read.get()) {
+            Some(extra) => {
+                eprintln!("unexpected argument \"{extra}\"");
+                Err(CliError::Usage)
+            }
+            None => Ok(()),
+        }
     }
 
     /// Positional `i` as a registry workload.
@@ -209,8 +233,11 @@ impl Args {
     }
 
     /// Positional `i` as an optional seed (default 1).
-    fn seed_or_1(&self, i: usize) -> u64 {
-        self.int(i).unwrap_or(1)
+    fn seed_or_1(&self, i: usize) -> Result<u64, CliError> {
+        match self.args.get(i) {
+            None => Ok(1),
+            Some(_) => self.int(i),
+        }
     }
 }
 
@@ -281,18 +308,21 @@ fn main() -> ExitCode {
         Some("dis") => dis,
         Some("store") => store_cmd,
         Some("fleet-serve") => fleet_serve,
-        Some("fleet-bench") => fleet_bench,
         Some("fleet-shutdown") => fleet_shutdown,
         Some("debug") => debug,
         _ => |_| Err(CliError::Usage),
     };
-    let Err(e) = cmd(&mut Args(argv.collect())) else {
+    let mut args = Args {
+        args: argv.collect(),
+        read: Cell::new(0),
+    };
+    let Err(e) = cmd(&mut args).and_then(|()| args.all_taken()) else {
         return ExitCode::SUCCESS;
     };
     match &e {
         CliError::Usage => eprintln!(
             "usage: dejavu-cli <list|run|record|replay|profile|trace|stats|neutrality|checkjson|\
-             check|corpus|store|dis|fleet-serve|fleet-bench|fleet-shutdown|debug> [args...]\n\
+             check|corpus|store|dis|fleet-serve|fleet-shutdown|debug> [args...]\n\
              see the module docs for details"
         ),
         CliError::Input(msg) | CliError::Diverged(msg) => eprintln!("{msg}"),
@@ -310,7 +340,7 @@ fn list(_: &mut Args) -> Cmd {
 fn run(args: &mut Args) -> Cmd {
     let spec_of = spec_builder(args);
     let w = args.workload(0)?;
-    let r = passthrough_run(&spec_of(&w, args.seed_or_1(1)), w.natives);
+    let r = passthrough_run(&spec_of(&w, args.seed_or_1(1)?), w.natives);
     print!("{}", r.output);
     eprintln!(
         "[{} steps, {} switches, status {:?}]",
@@ -445,7 +475,7 @@ fn trace_inspect(args: &mut Args) -> Cmd {
     if args.pos(0)? != "inspect" {
         return Err(CliError::Usage);
     }
-    let paths = &args.0[1..];
+    let paths = args.rest(1);
     if paths.is_empty() {
         return Err(CliError::Usage);
     }
@@ -526,7 +556,7 @@ fn stats(args: &mut Args) -> Cmd {
     }
     let spec_of = spec_builder(args);
     let w = args.workload(0)?;
-    let spec = spec_of(&w, args.seed_or_1(1)).with_telemetry();
+    let spec = spec_of(&w, args.seed_or_1(1)?).with_telemetry();
     let out = record_replay_forensic(&spec, w.natives, SymmetryConfig::full());
     // Tier-2 stats are observer-side (excluded from the byte-compared
     // run metrics) but worth surfacing here: tier_ups is deterministic
@@ -614,7 +644,7 @@ fn fleet_stats(addr: &str) -> Cmd {
 fn neutrality(args: &mut Args) -> Cmd {
     let spec_of = spec_builder(args);
     let w = args.workload(0)?;
-    let spec_off = spec_of(&w, args.seed_or_1(1));
+    let spec_off = spec_of(&w, args.seed_or_1(1)?);
     let spec_on = spec_off.clone().with_telemetry();
     let off = record_replay_forensic(&spec_off, w.natives, SymmetryConfig::full());
     let on = record_replay_forensic(&spec_on, w.natives, SymmetryConfig::full());
@@ -829,11 +859,11 @@ fn fleet_serve(args: &mut Args) -> Cmd {
     let port_file = args.value("--port-file")?;
     let store_root = args.value("--store")?.map(std::path::PathBuf::from);
     let port: u16 = args.pos(0)?.parse().map_err(|_| CliError::Usage)?;
+    args.all_taken()?; // the server runs until shutdown: refuse a stray argument first
     let config = fleet::FleetConfig {
         workers,
         shutdown_token,
         store_root,
-        ..fleet::FleetConfig::default()
     };
     let server = fleet::FleetServer::start(&format!("127.0.0.1:{port}"), config)
         .map_err(|e| CliError::Input(format!("bind port {port}: {e}")))?;
@@ -845,41 +875,6 @@ fn fleet_serve(args: &mut Args) -> Cmd {
     eprintln!("fleet server listening on {addr} ({workers} workers, framed RPC)");
     server.join(); // returns when a Shutdown RPC is accepted
     eprintln!("fleet server: clean shutdown");
-    Ok(())
-}
-
-fn fleet_bench(args: &mut Args) -> Cmd {
-    let workers = args.positive("--workers", 8)?;
-    let sessions = args.positive("--sessions", 64)?;
-    let addr = args.pos(0)?;
-    let workload = args.pos(1).unwrap_or("fig1_ab");
-    let report = fleet::bench::drive(addr, sessions, workload, workers.min(sessions))
-        .map_err(|e| CliError::Input(format!("fleet-bench: {e}")))?;
-    let secs = report.elapsed.as_secs_f64();
-    let quantile = |q| Json::UInt(report.latency.quantile(q).unwrap_or(0));
-    print_canonical(Json::obj(vec![
-        ("sessions", Json::UInt(report.sessions as u64)),
-        ("requests", Json::UInt(report.requests)),
-        ("elapsed_ns", Json::UInt(report.elapsed.as_nanos() as u64)),
-        (
-            "sessions_per_sec",
-            Json::UInt((report.sessions as f64 / secs.max(1e-9)) as u64),
-        ),
-        ("p50_request_ns", quantile(500)),
-        ("p99_request_ns", quantile(990)),
-        ("fingerprints_match", Json::Bool(report.fingerprints_match)),
-        ("resident_peak", Json::UInt(report.resident_peak)),
-    ]));
-    if !report.fingerprints_match {
-        return Err(CliError::Diverged(
-            report
-                .mismatches
-                .iter()
-                .map(|m| format!("MISMATCH: {m}"))
-                .collect::<Vec<_>>()
-                .join("\n"),
-        ));
-    }
     Ok(())
 }
 

@@ -36,6 +36,29 @@ fn usage_errors_exit_1() {
     assert_eq!(run(&["check"]).0, 1);
     assert_eq!(run(&["corpus"]).0, 1);
     assert_eq!(run(&["replay", "racy_counter", "1", "/no/such/file"]).0, 1);
+    // An argument the subcommand does not take is refused, not ignored:
+    // a seed that is not an integer, a misspelled flag, an extra
+    // positional.
+    assert_eq!(run(&["run", "fig1_ab", "5x"]).0, 1);
+    assert_eq!(run(&["neutrality", "racy_counter", "x7"]).0, 1);
+    let dir = scratch("usage");
+    let (trace, metrics) = (dir.join("t.djvb"), dir.join("m.json"));
+    let (code, err) = run(&[
+        "record",
+        "fig1_ab",
+        "5",
+        trace.to_str().unwrap(),
+        "--metric-out",
+        metrics.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 1, "{err}");
+    assert!(
+        err.contains("unexpected argument \"--metric-out\""),
+        "{err}"
+    );
+    assert_eq!(run(&["list", "extra"]).0, 1);
+    assert_eq!(run(&["dis", "fig1_ab", "main", "extra"]).0, 1);
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
@@ -45,14 +68,7 @@ fn corrupt_inputs_exit_1_not_panic() {
     let junk = dir.join("junk.djvb");
     std::fs::write(&junk, b"not a trace at all").unwrap();
     let trunc = dir.join("trunc.djvb");
-    let (code, _) = run(&[
-        "record",
-        "clock_spin",
-        "1",
-        trunc.to_str().unwrap(),
-        "--trace-format",
-        "block",
-    ]);
+    let (code, _) = run(&["record", "clock_spin", "1", trunc.to_str().unwrap()]);
     assert_eq!(code, 0);
     let bytes = std::fs::read(&trunc).unwrap();
     std::fs::write(&trunc, &bytes[..bytes.len() / 3]).unwrap();
@@ -109,15 +125,7 @@ fn store_subcommand_exit_classes() {
     let root = dir.join("store");
     let trace = dir.join("t.djvb");
     assert_eq!(
-        run(&[
-            "record",
-            "racy_counter",
-            "1",
-            trace.to_str().unwrap(),
-            "--trace-format",
-            "block",
-        ])
-        .0,
+        run(&["record", "racy_counter", "1", trace.to_str().unwrap()]).0,
         0
     );
     let root_s = root.to_str().unwrap();
