@@ -19,7 +19,7 @@ pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Read an LEB128 varint at `*pos`, advancing it. `None` on truncation or
-/// a continuation run past 64 bits.
+/// a value that does not fit in 64 bits.
 pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v = 0u64;
     let mut shift = 0;
@@ -31,8 +31,11 @@ pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
             return Some(v);
         }
         shift += 7;
-        if shift >= 64 {
-            return None;
+        if shift == 63 {
+            // The tenth byte carries bit 63 alone and ends the varint.
+            let b = *buf.get(*pos)?;
+            *pos += 1;
+            return (b <= 1).then(|| v | ((b as u64) << 63));
         }
     }
 }
@@ -86,6 +89,19 @@ mod tests {
         let buf = [0x80u8; 11];
         let mut pos = 0;
         assert_eq!(get_varint(&buf, &mut pos), None);
+    }
+
+    #[test]
+    fn a_value_past_64_bits_is_refused_not_wrapped() {
+        // 2^64 and a tenth byte of 0x7f: both used to decode (as 0 and as
+        // u64::MAX).
+        let two_pow_64 = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02];
+        let high_bits = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
+        for buf in [two_pow_64, high_bits] {
+            assert_eq!(get_varint(&buf, &mut 0), None, "{buf:02x?}");
+        }
+        let max = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        assert_eq!(get_varint(&max, &mut 0), Some(u64::MAX));
     }
 
     #[test]

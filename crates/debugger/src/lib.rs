@@ -9,8 +9,8 @@
 //!  debugger tier: [`engine::DebugSession`] — breakpoints, step,
 //!        │         reverse-step (checkpoints), stack/thread views;
 //!        │         hosted by the fleet server, one per session
-//!        │ TCP: a [`protocol`] command as one JSON line inside a fleet
-//!        │      `Debug` frame, executed by [`server::handle`]
+//!        │ TCP: a typed [`protocol`] command inside a fleet `Debug`
+//!        │      frame, executed by [`server::handle`]
 //!  GUI tier: `fleet::FleetClient::debug` / `dejavu-cli debug`
 //!            (CLI stand-in for the Swing GUI)
 //! ```

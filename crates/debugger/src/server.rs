@@ -1,7 +1,8 @@
 //! The debugger tier's command semantics: [`handle`] is the one
 //! definition of what each [`Command`] does to a [`DebugSession`].
 //! Transport lives in the fleet tier (`fleet::Request::Debug` carries a
-//! command as one JSON line; `fleet::FleetClient::debug` is the client).
+//! typed command in the fleet's binary frame; `fleet::FleetClient::debug`
+//! is the client).
 
 use crate::engine::DebugSession;
 use crate::protocol::{Command, Response};
@@ -59,19 +60,6 @@ pub fn handle(session: &mut DebugSession, cmd: Command) -> Response {
                 step: session.step_index(),
             }
         }
-        Command::SeekTime { time } => {
-            let st = session.seek_time(time);
-            Response::SeekStats {
-                target_logical: st.target_logical,
-                restored: st.restored,
-                checkpoint_step: st.checkpoint_step,
-                checkpoint_logical: st.checkpoint_logical,
-                steps_replayed: st.steps_replayed,
-                events_replayed: st.events_replayed,
-                final_step: st.final_step,
-                final_logical: st.final_logical,
-            }
-        }
         Command::Stack { tid } if tid as usize >= session.vm().threads.len() => Response::Error {
             message: format!("no such thread {tid}"),
         },
@@ -119,14 +107,6 @@ pub fn handle(session: &mut DebugSession, cmd: Command) -> Response {
             Ok(json) => Response::Profile { json },
             Err(message) => Response::Error { message },
         },
-        Command::Divergence => {
-            let desyncs: Vec<String> = session.desyncs().iter().map(|d| d.describe()).collect();
-            Response::Divergence {
-                clean: desyncs.is_empty(),
-                desyncs,
-                json: session.divergence_json(),
-            }
-        }
         Command::Read { n, .. } if n > MAX_READ_WORDS => Response::Error {
             message: format!("read of {n} words is past the cap of {MAX_READ_WORDS}"),
         },

@@ -247,16 +247,8 @@ fn metrics_and_divergence_commands() {
     assert_eq!(json, json2, "metrics reads are deterministic");
 
     // An accurate replay reports a clean divergence state.
-    let Response::Divergence {
-        clean,
-        desyncs,
-        json,
-    } = handle(&mut s, Command::Divergence)
-    else {
-        panic!("expected divergence");
-    };
-    assert!(clean && desyncs.is_empty());
-    assert_eq!(json, "[]");
+    assert!(s.desyncs().is_empty());
+    assert_eq!(s.divergence_json(), "[]");
 
     // Metrics reads must not have perturbed the replay.
     let r = handle(&mut s, Command::Continue);
@@ -274,10 +266,10 @@ fn metrics_and_divergence_commands() {
         panic!("expected output");
     };
     assert_eq!(text, rec_output, "metrics queries must not perturb replay");
-    let Response::Divergence { clean, .. } = handle(&mut s, Command::Divergence) else {
-        panic!("expected divergence");
-    };
-    assert!(clean, "accurate replay stays clean to the end");
+    assert!(
+        s.desyncs().is_empty(),
+        "accurate replay stays clean to the end"
+    );
 }
 
 #[test]
@@ -450,7 +442,7 @@ fn seek_time_replays_only_the_target_block_span() {
 }
 
 #[test]
-fn seek_time_command() {
+fn seek_time_restores_from_a_checkpoint_after_a_halt() {
     let (spec, trace, _) = recorded("racy_counter", 13);
     let bytes = dejavu::encode_trace(&trace, dejavu::TraceFormat::Block, 64);
     let t = dejavu::ingest_bytes(bytes).unwrap();
@@ -467,17 +459,14 @@ fn seek_time_command() {
         ),
         "{r:?}"
     );
-    let Response::SeekStats {
+    let dejavu::SeekStats {
         target_logical,
         restored,
         checkpoint_logical,
         events_replayed,
         final_logical,
         ..
-    } = handle(&mut s, Command::SeekTime { time: 40 })
-    else {
-        panic!("expected seek_stats");
-    };
+    } = s.seek_time(40);
     assert_eq!(target_logical, 40);
     assert!(restored, "halted session seeks backward via a checkpoint");
     assert!(checkpoint_logical <= 40);

@@ -5,7 +5,6 @@
 
 use crate::rpc::{Request, Response};
 use crate::wire::{self, WireError};
-use codec::{FromJson, ToJson};
 use debugger::protocol::{Command, Response as DebugResponse};
 use reflect::ProcessMemory;
 use std::cell::RefCell;
@@ -97,10 +96,9 @@ impl FleetClient {
     pub fn debug(&mut self, session: u64, cmd: &Command) -> Result<DebugResponse, WireError> {
         match self.call(&Request::Debug {
             session,
-            command: cmd.to_json_string(),
+            command: cmd.clone(),
         })? {
-            Response::Debug { json } => DebugResponse::from_json_str(&json)
-                .map_err(|e| WireError::Io(format!("undecodable debug response: {e}"))),
+            Response::Debug { response } => Ok(response),
             other => Err(unexpected(other)),
         }
     }

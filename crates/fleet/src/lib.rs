@@ -9,8 +9,8 @@
 //! Layering (nothing below knows about anything above):
 //!
 //! ```text
-//!  client: [`FleetClient`] (binary RPC; debugger commands ride in
-//!      │   `Debug` frames as one JSON line each) and
+//!  client: [`FleetClient`] (binary RPC; a typed debugger command
+//!      │   rides a `Debug` frame like any other message) and
 //!      │   [`client::FleetMemory`], the hosted replay's address space as
 //!      │   a tool in the client process reads it
 //!  [`server`] thread-pool acceptor — moves bytes

@@ -19,8 +19,7 @@
 
 use crate::rpc::{Request, Response};
 use crate::session::{FleetError, Phase, Session};
-use codec::{FromJson, Json, ToJson};
-use debugger::protocol::Command;
+use codec::Json;
 use dejavu::{encode_trace, TraceFormat, DEFAULT_BLOCK_BUDGET};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -187,7 +186,8 @@ impl SessionManager {
         (resp.encode(), stop)
     }
 
-    /// Execute one RPC and record its latency under `rpc.<name>`. This is
+    /// Execute one RPC and record its latency under its
+    /// [`latency_key`](Request::latency_key). This is
     /// the single semantic core: the TCP server (through [`answer`]) and
     /// in-process callers all funnel through here, so the protocol cannot
     /// fork. `Shutdown` is *not* granted here — it is a server-level
@@ -278,16 +278,10 @@ impl SessionManager {
                     closed.ok_or(FleetError::NoSuchSession(session))?;
                     Response::Closed { session }
                 }
-                Request::Debug { session, command } => {
-                    let cmd = Command::from_json_str(&command)
-                        .map_err(|e| FleetError::BadDebugCommand(e.to_string()))?;
-                    self.with_session(session, |s| {
-                        let resp = debugger::server::handle(s.make_resident()?, cmd);
-                        Ok(Response::Debug {
-                            json: resp.to_json_string(),
-                        })
-                    })?
-                }
+                Request::Debug { session, command } => self.with_session(session, |s| {
+                    let response = debugger::server::handle(s.make_resident()?, command);
+                    Ok(Response::Debug { response })
+                })?,
                 Request::Stats => Response::Stats {
                     json: self.stats_json(),
                 },
@@ -320,6 +314,7 @@ impl Default for SessionManager {
 mod tests {
     use super::*;
     use crate::session::spec_for;
+    use debugger::{Command, Response as DebugResponse, StopReason};
     use dejavu::{record_run, SymmetryConfig};
 
     #[test]
@@ -334,8 +329,8 @@ mod tests {
         else {
             panic!("did not record");
         };
-        let debug = |command: String| match m.dispatch(Request::Debug { session, command }) {
-            Response::Debug { json } => json,
+        let debug = |command| match m.dispatch(Request::Debug { session, command }) {
+            Response::Debug { response } => response,
             other => panic!("debug command did not answer: {other:?}"),
         };
         let entry = workloads::registry()
@@ -344,7 +339,7 @@ mod tests {
             .map(|w| (w.build)().entry)
             .unwrap();
         for pc in 0..6 {
-            debug(format!(r#"{{"cmd":"break","method":{entry},"pc":{pc}}}"#));
+            debug(Command::Break { method: entry, pc });
         }
         let replay = || match m.dispatch(Request::Replay { session }) {
             Response::Replayed {
@@ -371,9 +366,18 @@ mod tests {
         assert!(0 < at() && at() < end);
         assert_eq!(replay(), (fingerprint, state_digest, true));
         // Replay ignored the breakpoints, it did not clear them.
-        debug(r#"{"cmd":"seek","step":0}"#.into());
-        let stopped = debug(r#"{"cmd":"continue"}"#.into());
-        assert!(stopped.contains(r#""breakpoint""#), "{stopped}");
+        debug(Command::Seek { step: 0 });
+        let stopped = debug(Command::Continue);
+        assert!(
+            matches!(
+                stopped,
+                DebugResponse::Stopped {
+                    reason: StopReason::Breakpoint { .. },
+                    ..
+                }
+            ),
+            "{stopped:?}"
+        );
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! The fleet RPC surface: typed requests and responses with a hand-rolled
-//! binary codec (tag byte + varint fields, strings and blobs length-
-//! prefixed). Decoding is strict — a payload must parse exactly and
-//! consume every byte, or it is a typed [`WireError`]. Tag 7 (the deleted
-//! `Profile` / `Profiled`; `Debug {"cmd":"profile"}` is the one road) stays
-//! reserved in both directions.
+//! The fleet RPC surface: typed requests and responses, and the one line
+//! per message that lays each out on the wire ([`wire_layout`]: a tag
+//! byte, then each field's [`Wire`] encoding in order). A debugger
+//! [`Command`] and its [`DebugResponse`] are messages of the same codec,
+//! carried inside `Debug` frames. Decoding is strict — a payload must
+//! parse exactly and consume every byte, or it is a typed [`WireError`].
+//! Tag 7 (the deleted `Profile` / `Profiled`; `Debug { Profile }` is the
+//! one road) stays reserved in both directions.
 
-use crate::wire::{get_bool, get_bytes, get_str, get_u64, put_bool, put_bytes, put_str, WireError};
-use codec::put_varint;
+use crate::wire::{self, wire_layout, Elem, WireError};
+use debugger::protocol::{Command, Response as DebugResponse};
+use debugger::{FrameInfo, StopReason, ThreadInfo};
 
 /// Client → server messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,11 +33,8 @@ pub enum Request {
     DivergenceCheck { session: u64 },
     /// Discard the session.
     Close { session: u64 },
-    /// One debugger [`Command`] as a JSON line, dispatched against the
-    /// session's resident replay.
-    ///
-    /// [`Command`]: debugger::protocol::Command
-    Debug { session: u64, command: String },
+    /// One debugger command, run against the session's resident replay.
+    Debug { session: u64, command: Command },
     /// Fleet-wide metrics snapshot (canonical JSON).
     Stats,
     /// Graceful shutdown, gated on the server's ctrl token.
@@ -83,8 +83,9 @@ pub enum Response {
     Closed {
         session: u64,
     },
+    /// What a `Debug` request's command answered.
     Debug {
-        json: String,
+        response: DebugResponse,
     },
     Stats {
         json: String,
@@ -98,9 +99,85 @@ pub enum Response {
     },
 }
 
+wire_layout!(enum Request {
+    1 => Open { workload, seed },
+    2 => IngestBlocks { session, chunk, done },
+    3 => Record { session },
+    4 => Replay { session },
+    5 => SeekLogical { session, logical },
+    6 => DivergenceCheck { session },
+    8 => Close { session },
+    9 => Debug { session, command },
+    10 => Stats,
+    11 => Shutdown { token },
+    12 => OpenStored { entry },
+});
+
+wire_layout!(enum Response {
+    1 => Opened { session },
+    2 => Ingested { session, bytes },
+    3 => Recorded { session, fingerprint, state_digest, events, trace_bytes },
+    4 => Replayed { session, fingerprint, state_digest, clean },
+    5 => Sought { session, target_logical, final_step, final_logical, steps_replayed },
+    6 => Divergence { session, clean, json },
+    8 => Closed { session },
+    9 => Debug { response },
+    10 => Stats { json },
+    11 => ShuttingDown,
+    12 => Error { code, message },
+});
+
+wire_layout!(enum Command {
+    1 => Break { method, pc },
+    2 => BreakLine { method, line },
+    3 => ClearBreak { method, pc },
+    4 => Continue,
+    5 => Step,
+    6 => StepBack,
+    7 => Seek { step },
+    8 => Stack { tid },
+    9 => Threads,
+    10 => Inspect { addr },
+    11 => Disassemble { method },
+    12 => Output,
+    13 => Where,
+    14 => Metrics,
+    15 => Profile { top },
+    16 => Read { addr, n },
+});
+
+wire_layout!(enum DebugResponse {
+    1 => Ok,
+    2 => Stopped { reason, step },
+    3 => Stack { frames },
+    4 => Threads { threads },
+    5 => Object { description },
+    6 => Listing { text },
+    7 => Output { text },
+    8 => Location { method, pc, line, step },
+    9 => Metrics { json },
+    10 => Profile { json },
+    11 => Words { words },
+    12 => Error { message },
+});
+
+wire_layout!(enum StopReason {
+    1 => Breakpoint { method, pc, tid },
+    2 => StepDone,
+    3 => Halted,
+    4 => Deadlocked,
+    5 => Error(message),
+});
+
+wire_layout!(struct FrameInfo { method, method_name, pc, line, op });
+wire_layout!(struct ThreadInfo { tid, name, status, method_name, pc, yield_points });
+impl Elem for FrameInfo {}
+impl Elem for ThreadInfo {}
+
 impl Request {
     /// The request's latency-histogram key, `rpc.<name>` — the one table
-    /// of RPC names.
+    /// of RPC names. A debugger command is timed under its own
+    /// `rpc.debug.<cmd>`, named as the CLI spells it.
     pub fn latency_key(&self) -> &'static str {
         match self {
             Request::Open { .. } => "rpc.open",
@@ -110,7 +187,24 @@ impl Request {
             Request::SeekLogical { .. } => "rpc.seek",
             Request::DivergenceCheck { .. } => "rpc.divergence",
             Request::Close { .. } => "rpc.close",
-            Request::Debug { .. } => "rpc.debug",
+            Request::Debug { command, .. } => match command {
+                Command::Break { .. } => "rpc.debug.break",
+                Command::BreakLine { .. } => "rpc.debug.break_line",
+                Command::ClearBreak { .. } => "rpc.debug.clear_break",
+                Command::Continue => "rpc.debug.continue",
+                Command::Step => "rpc.debug.step",
+                Command::StepBack => "rpc.debug.step_back",
+                Command::Seek { .. } => "rpc.debug.seek",
+                Command::Stack { .. } => "rpc.debug.stack",
+                Command::Threads => "rpc.debug.threads",
+                Command::Inspect { .. } => "rpc.debug.inspect",
+                Command::Disassemble { .. } => "rpc.debug.disassemble",
+                Command::Output => "rpc.debug.output",
+                Command::Where => "rpc.debug.where",
+                Command::Metrics => "rpc.debug.metrics",
+                Command::Profile { .. } => "rpc.debug.profile",
+                Command::Read { .. } => "rpc.debug.read",
+            },
             Request::Stats => "rpc.stats",
             Request::Shutdown { .. } => "rpc.shutdown",
             Request::OpenStored { .. } => "rpc.open_stored",
@@ -123,255 +217,20 @@ impl Request {
     }
 
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        match self {
-            Request::Open { workload, seed } => {
-                b.push(1);
-                put_str(&mut b, workload);
-                put_varint(&mut b, *seed);
-            }
-            Request::IngestBlocks {
-                session,
-                chunk,
-                done,
-            } => {
-                b.push(2);
-                put_varint(&mut b, *session);
-                put_bytes(&mut b, chunk);
-                put_bool(&mut b, *done);
-            }
-            Request::Record { session } => {
-                b.push(3);
-                put_varint(&mut b, *session);
-            }
-            Request::Replay { session } => {
-                b.push(4);
-                put_varint(&mut b, *session);
-            }
-            Request::SeekLogical { session, logical } => {
-                b.push(5);
-                put_varint(&mut b, *session);
-                put_varint(&mut b, *logical);
-            }
-            Request::DivergenceCheck { session } => {
-                b.push(6);
-                put_varint(&mut b, *session);
-            }
-            Request::Close { session } => {
-                b.push(8);
-                put_varint(&mut b, *session);
-            }
-            Request::Debug { session, command } => {
-                b.push(9);
-                put_varint(&mut b, *session);
-                put_str(&mut b, command);
-            }
-            Request::Stats => b.push(10),
-            Request::Shutdown { token } => {
-                b.push(11);
-                put_str(&mut b, token);
-            }
-            Request::OpenStored { entry } => {
-                b.push(12);
-                put_str(&mut b, entry);
-            }
-        }
-        b
+        wire::encode(self)
     }
 
     pub fn decode(buf: &[u8]) -> Result<Request, WireError> {
-        let mut pos = 1usize;
-        let tag = *buf.first().ok_or(WireError::Truncated)?;
-        let req = match tag {
-            1 => Request::Open {
-                workload: get_str(buf, &mut pos)?,
-                seed: get_u64(buf, &mut pos)?,
-            },
-            2 => Request::IngestBlocks {
-                session: get_u64(buf, &mut pos)?,
-                chunk: get_bytes(buf, &mut pos)?,
-                done: get_bool(buf, &mut pos)?,
-            },
-            3 => Request::Record {
-                session: get_u64(buf, &mut pos)?,
-            },
-            4 => Request::Replay {
-                session: get_u64(buf, &mut pos)?,
-            },
-            5 => Request::SeekLogical {
-                session: get_u64(buf, &mut pos)?,
-                logical: get_u64(buf, &mut pos)?,
-            },
-            6 => Request::DivergenceCheck {
-                session: get_u64(buf, &mut pos)?,
-            },
-            8 => Request::Close {
-                session: get_u64(buf, &mut pos)?,
-            },
-            9 => Request::Debug {
-                session: get_u64(buf, &mut pos)?,
-                command: get_str(buf, &mut pos)?,
-            },
-            10 => Request::Stats,
-            11 => Request::Shutdown {
-                token: get_str(buf, &mut pos)?,
-            },
-            12 => Request::OpenStored {
-                entry: get_str(buf, &mut pos)?,
-            },
-            t => return Err(WireError::BadTag(t)),
-        };
-        if pos != buf.len() {
-            return Err(WireError::TrailingBytes);
-        }
-        Ok(req)
+        wire::decode(buf)
     }
 }
 
 impl Response {
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        match self {
-            Response::Opened { session } => {
-                b.push(1);
-                put_varint(&mut b, *session);
-            }
-            Response::Ingested { session, bytes } => {
-                b.push(2);
-                put_varint(&mut b, *session);
-                put_varint(&mut b, *bytes);
-            }
-            Response::Recorded {
-                session,
-                fingerprint,
-                state_digest,
-                events,
-                trace_bytes,
-            } => {
-                b.push(3);
-                put_varint(&mut b, *session);
-                put_varint(&mut b, *fingerprint);
-                put_varint(&mut b, *state_digest);
-                put_varint(&mut b, *events);
-                put_varint(&mut b, *trace_bytes);
-            }
-            Response::Replayed {
-                session,
-                fingerprint,
-                state_digest,
-                clean,
-            } => {
-                b.push(4);
-                put_varint(&mut b, *session);
-                put_varint(&mut b, *fingerprint);
-                put_varint(&mut b, *state_digest);
-                put_bool(&mut b, *clean);
-            }
-            Response::Sought {
-                session,
-                target_logical,
-                final_step,
-                final_logical,
-                steps_replayed,
-            } => {
-                b.push(5);
-                put_varint(&mut b, *session);
-                put_varint(&mut b, *target_logical);
-                put_varint(&mut b, *final_step);
-                put_varint(&mut b, *final_logical);
-                put_varint(&mut b, *steps_replayed);
-            }
-            Response::Divergence {
-                session,
-                clean,
-                json,
-            } => {
-                b.push(6);
-                put_varint(&mut b, *session);
-                put_bool(&mut b, *clean);
-                put_str(&mut b, json);
-            }
-            Response::Closed { session } => {
-                b.push(8);
-                put_varint(&mut b, *session);
-            }
-            Response::Debug { json } => {
-                b.push(9);
-                put_str(&mut b, json);
-            }
-            Response::Stats { json } => {
-                b.push(10);
-                put_str(&mut b, json);
-            }
-            Response::ShuttingDown => b.push(11),
-            Response::Error { code, message } => {
-                b.push(12);
-                b.push(*code);
-                put_str(&mut b, message);
-            }
-        }
-        b
+        wire::encode(self)
     }
 
     pub fn decode(buf: &[u8]) -> Result<Response, WireError> {
-        let mut pos = 1usize;
-        let tag = *buf.first().ok_or(WireError::Truncated)?;
-        let resp = match tag {
-            1 => Response::Opened {
-                session: get_u64(buf, &mut pos)?,
-            },
-            2 => Response::Ingested {
-                session: get_u64(buf, &mut pos)?,
-                bytes: get_u64(buf, &mut pos)?,
-            },
-            3 => Response::Recorded {
-                session: get_u64(buf, &mut pos)?,
-                fingerprint: get_u64(buf, &mut pos)?,
-                state_digest: get_u64(buf, &mut pos)?,
-                events: get_u64(buf, &mut pos)?,
-                trace_bytes: get_u64(buf, &mut pos)?,
-            },
-            4 => Response::Replayed {
-                session: get_u64(buf, &mut pos)?,
-                fingerprint: get_u64(buf, &mut pos)?,
-                state_digest: get_u64(buf, &mut pos)?,
-                clean: get_bool(buf, &mut pos)?,
-            },
-            5 => Response::Sought {
-                session: get_u64(buf, &mut pos)?,
-                target_logical: get_u64(buf, &mut pos)?,
-                final_step: get_u64(buf, &mut pos)?,
-                final_logical: get_u64(buf, &mut pos)?,
-                steps_replayed: get_u64(buf, &mut pos)?,
-            },
-            6 => Response::Divergence {
-                session: get_u64(buf, &mut pos)?,
-                clean: get_bool(buf, &mut pos)?,
-                json: get_str(buf, &mut pos)?,
-            },
-            8 => Response::Closed {
-                session: get_u64(buf, &mut pos)?,
-            },
-            9 => Response::Debug {
-                json: get_str(buf, &mut pos)?,
-            },
-            10 => Response::Stats {
-                json: get_str(buf, &mut pos)?,
-            },
-            11 => Response::ShuttingDown,
-            12 => {
-                let code = *buf.get(pos).ok_or(WireError::Truncated)?;
-                pos += 1;
-                Response::Error {
-                    code,
-                    message: get_str(buf, &mut pos)?,
-                }
-            }
-            t => return Err(WireError::BadTag(t)),
-        };
-        if pos != buf.len() {
-            return Err(WireError::TrailingBytes);
-        }
-        Ok(resp)
+        wire::decode(buf)
     }
 }

@@ -55,7 +55,6 @@ pub enum FleetError {
         got: &'static str,
     },
     Trace(TraceError),
-    BadDebugCommand(String),
     /// A request panicked while holding this session's lock; its state
     /// is not trusted again. `Close` still removes it.
     Poisoned(u64),
@@ -88,7 +87,6 @@ impl std::fmt::Display for FleetError {
                 write!(f, "session is {got}, operation needs {want}")
             }
             FleetError::Trace(e) => write!(f, "trace: {e}"),
-            FleetError::BadDebugCommand(e) => write!(f, "bad debug command: {e}"),
             FleetError::Poisoned(id) => {
                 write!(f, "session {id} is poisoned: an earlier request panicked")
             }

@@ -8,8 +8,11 @@ use debugger::protocol::{Command, Response as DbgResponse};
 use debugger::server::MAX_READ_WORDS;
 use debugger::{DebugSession, StopReason};
 use dejavu::{encode_trace, record_run, SymmetryConfig, TraceFormat, DEFAULT_BLOCK_BUDGET};
-use fleet::{spec_for, FleetClient, FleetConfig, FleetMemory, FleetServer, Request, Response};
+use fleet::{
+    spec_for, FleetClient, FleetConfig, FleetMemory, FleetServer, Request, Response, WireError,
+};
 use reflect::{LocalVmMemory, ProcessMemory, RemoteReflector};
+use std::io::{Read, Write};
 use std::time::Duration;
 
 fn workload(name: &str) -> workloads::Workload {
@@ -457,7 +460,6 @@ fn shutdown_is_token_gated_and_clean() {
 
 #[test]
 fn dropped_peer_mid_frame_does_not_kill_the_server() {
-    use std::io::Write;
     let server = start_server(2);
     let addr = server.addr();
 
@@ -467,7 +469,7 @@ fn dropped_peer_mid_frame_does_not_kill_the_server() {
     drop(s);
     // A full hello with a bogus frame length, then hang up.
     let mut s = std::net::TcpStream::connect(addr).unwrap();
-    s.write_all(b"DJVF\x01").unwrap();
+    s.write_all(&fleet::wire::hello_bytes()).unwrap();
     s.write_all(&u32::MAX.to_le_bytes()).unwrap();
     drop(s);
     std::thread::sleep(Duration::from_millis(100));
@@ -530,7 +532,9 @@ fn a_hosted_heavy_replay_holds_checkpoints_sized_to_the_guest() {
 /// the server) / fleet server / `FleetClient` standing in for the GUI.
 #[test]
 fn three_tier_debug_over_fleet() {
-    let server = start_server(2);
+    // A worker serves one connection at a time: two clients and one raw
+    // connection.
+    let server = start_server(3);
     let addr = server.addr().to_string();
     let w = workload("racy_counter");
     let spec = spec_for(&w, 9);
@@ -567,13 +571,24 @@ fn three_tier_debug_over_fleet() {
         stop_reason(b.debug(id, &cmd).unwrap());
     }
 
-    // A malformed command string is a typed error; the session survives.
-    let garbled = Request::Debug {
+    // A frame carrying a command tag no command has is a typed wire
+    // error; the session survives.
+    let mut garbled = Request::Debug {
         session: id,
-        command: "this is not json".to_string(),
-    };
-    match b.call(&garbled).expect("call") {
-        Response::Error { code: 1, message } => assert!(message.contains("bad debug command")),
+        command: Command::Threads,
+    }
+    .encode();
+    *garbled.last_mut().unwrap() = 0xEE;
+    let mut raw = std::net::TcpStream::connect(&addr).unwrap();
+    raw.write_all(&fleet::wire::hello_bytes()).unwrap();
+    raw.read_exact(&mut [0; 5]).unwrap();
+    fleet::wire::write_frame(&mut raw, &garbled).unwrap();
+    let answer = fleet::wire::read_frame(&mut raw).unwrap();
+    drop(raw);
+    match Response::decode(&answer).unwrap() {
+        Response::Error { code: 1, message } => {
+            assert_eq!(message, WireError::BadTag(0xEE).to_string())
+        }
         other => panic!("expected error, got {other:?}"),
     }
     // So is a well-formed command naming a thread or method the run never
@@ -607,6 +622,32 @@ fn three_tier_debug_over_fleet() {
         panic!("expected output");
     };
     assert_eq!(text, truth.output, "debugging must not perturb the replay");
+
+    server.trigger_shutdown();
+    server.join();
+}
+
+/// Each debugger command is timed under its own `rpc.debug.<cmd>` key,
+/// named as the CLI spells it; there is no catch-all `rpc.debug`.
+#[test]
+fn each_debug_command_is_timed_under_its_own_key() {
+    let server = start_server(1);
+    let mut client = FleetClient::connect(&server.addr().to_string()).expect("connect");
+    let id = client.open("fig1_ab", 3).expect("open");
+    let recorded = client.call(&Request::Record { session: id }).expect("record");
+    assert!(matches!(recorded, Response::Recorded { .. }), "{recorded:?}");
+    let read = client.debug(id, &Command::Read { addr: 0, n: 2 }).unwrap();
+    assert!(matches!(read, DbgResponse::Words { .. }), "{read:?}");
+    let threads = client.debug(id, &Command::Threads).unwrap();
+    assert!(matches!(threads, DbgResponse::Threads { .. }), "{threads:?}");
+
+    let doc = codec::Json::parse(&client.stats().expect("stats")).unwrap();
+    let histograms = doc.field("rpc").unwrap().field("histograms").unwrap();
+    for key in ["rpc.debug.read", "rpc.debug.threads"] {
+        let count = histograms.field(key).and_then(|h| h.field("count")).unwrap();
+        assert_eq!(count.as_u64().unwrap(), 1, "{key}");
+    }
+    assert!(histograms.get("rpc.debug").is_none());
 
     server.trigger_shutdown();
     server.join();

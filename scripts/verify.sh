@@ -401,7 +401,7 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 
-echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one packer, one replay loop, one reference map, one door to a hosted run, one heap extent, one reference read, one fleet driver, no env knobs =="
+echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one packer, one replay loop, one reference map, one door to a hosted run, one heap extent, one reference read, one fleet driver, one request vocabulary, no env knobs =="
 fail=0
 # Only the property harness reads the environment (QC_CASES / QC_SEED).
 if grep -rn 'env::var' crates src --include=*.rs | grep -v '^src/qc\.rs:'; then
@@ -621,6 +621,18 @@ if [ -n "$clocks" ]; then
     printf '%s\n' "$clocks" >&2
     fail=1
 fi
+# One request vocabulary: a debugger command and its response are typed
+# messages of the fleet's binary codec. JSON is only the CLI's door (it
+# parses a command and prints a response), and the commands that
+# duplicated `SeekLogical` and `DivergenceCheck` stay deleted.
+if grep -rnE 'SeekTime|"seek_time"|Response::SeekStats|^[[:space:]]*SeekStats \{|BadDebugCommand|impl ToJson for Command|impl FromJson for (Response|StopReason|FrameInfo|ThreadInfo)' \
+    crates src tests examples --include=*.rs; then
+    echo "verify: a debugger JSON codec path, or a command duplicating a fleet RPC, is back" >&2
+    fail=1
+fi
+one_fn "a debugger command is parsed from JSON" \
+    "$(find crates src examples -name '*.rs' ! -path '*/tests/*' | fns_naming 'Command::from_json_str')" \
+    "src/bin/dejavu-cli.rs: fn debug"
 [ "$fail" -eq 0 ]
 echo "surface: $(git ls-files '*.rs' '*.sh' ':!benchmark' | xargs cat | wc -l) lines of .rs/.sh outside benchmark/"
 # Lines before the first `#[cfg(test)]` (all of a file that has none), summed.
@@ -637,6 +649,7 @@ echo "surface: $(nontest crates/dejavu/src/blocktrace.rs crates/store/src/*.rs) 
 echo "surface: $(nontest $d/interp.rs crates/dejavu/src/timetravel.rs crates/debugger/src/engine.rs crates/fleet/src/session.rs) non-test lines in interp.rs + dejavu's timetravel.rs + debugger's engine.rs + fleet's session.rs"
 echo "surface: $(nontest crates/reflect/src/*.rs crates/fleet/src/*.rs crates/debugger/src/*.rs) non-test lines in crates/{reflect,fleet,debugger}/src"
 echo "surface: $(nontest crates/fleet/src/*.rs) non-test lines in crates/fleet/src"
+echo "surface: $(nontest crates/fleet/src/rpc.rs crates/debugger/src/protocol.rs crates/fleet/src/manager.rs) non-test lines in fleet's rpc.rs + debugger's protocol.rs + fleet's manager.rs, $(nontest crates/fleet/src/*.rs crates/debugger/src/*.rs) in crates/{fleet,debugger}/src"
 echo "surface: $(nontest crates/reflect/src/remote.rs) non-test lines in reflect's remote.rs, $(nontest $d/*.rs crates/reflect/src/*.rs) in crates/{djvm,reflect}/src"
 
 echo "verify: OK"

@@ -39,7 +39,9 @@
 //! server. `debug` is its debugger front end: sessions outlive
 //! connections, so one-shot calls compose into a dialogue
 //! (`{"cmd":"break",…}`, `{"cmd":"continue"}`, `{"cmd":"stack","tid":0}`
-//! …, the `debugger::protocol` command language); each prints the
+//! …, the `debugger::protocol` command language). This is the platform's
+//! one JSON door: `debug` parses its argument into a typed command, which
+//! crosses the wire as a binary fleet message, and prints the typed
 //! response as one JSON line; `stats --fleet` prints the server's
 //! session counters and per-RPC latency histograms.
 //!
@@ -891,9 +893,10 @@ fn fleet_shutdown(args: &mut Args) -> Cmd {
 
 /// The debugger front end of a running `fleet-serve`. `open` hosts a
 /// session and records the workload server-side, printing the session id;
-/// every other call runs one `debugger::protocol` command against a
-/// session and prints the response as one JSON line (a debugger-level
-/// `error` response is exit 1).
+/// every other call parses one `debugger::protocol` command from its JSON
+/// spelling (a malformed one is exit 1), runs it against a session and
+/// prints the response as one JSON line (a debugger-level `error`
+/// response is exit 1).
 fn debug(args: &mut Args) -> Cmd {
     let mut client = fleet::FleetClient::connect(args.pos(0)?)?;
     if args.pos(1)? == "open" {

@@ -13,48 +13,10 @@ use dejavu_repro::dejavu::{
 use dejavu_repro::fleet::spec_for;
 use dejavu_repro::qc::{check, Gen};
 use dejavu_repro::qc_assert;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 
-/// The system allocator, counting the bytes this thread asks for.
-struct Counting;
-
-thread_local! {
-    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count(bytes: usize) {
-    let _ = ALLOCATED.try_with(|a| a.set(a.get() + bytes));
-}
-
-// SAFETY: every call is forwarded to `System` unchanged; the count is a
-// const-initialised thread-local cell, which neither allocates nor runs
-// a destructor.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static COUNTING: Counting = Counting;
+mod counting;
 
 /// What the decoder may allocate beyond its output: two sets of sixteen
 /// 256-slot tables of `u32`, and change.
@@ -62,9 +24,7 @@ const TABLES: usize = 40 << 10;
 
 /// `entropy_decompress`, with the bytes it allocated.
 fn decompress_counted(stream: &[u8], raw_len: usize) -> (Option<Vec<u8>>, usize) {
-    let before = ALLOCATED.with(Cell::get);
-    let out = entropy_decompress(stream, raw_len);
-    (out, ALLOCATED.with(Cell::get) - before)
+    counting::counted(|| entropy_decompress(stream, raw_len))
 }
 
 /// The raw blocks of every registry workload, at the default budget and
