@@ -36,6 +36,9 @@ use std::sync::Arc;
 pub fn collect(vm: &mut Vm) {
     // Occupancy peaks immediately before a collection; sample it here.
     vm.heap.note_peak();
+    if vm.heap.committed_words() < vm.heap.total_words() {
+        vm.heap.stats.partial_commit_collections += 1;
+    }
     let words_before = vm.heap.stats.words_copied_or_swept;
     if let Some(p) = vm.telem.profile.as_deref_mut() {
         p.phase_begin(
@@ -186,6 +189,7 @@ fn copying(vm: &mut Vm) {
     vm.heap.bump = to_base;
     // To-space is written and, in debug builds, from-space scrubbed.
     vm.heap.extent = vm.heap.total_words();
+    vm.heap.commit(vm.heap.extent);
 
     // Roots, rewritten in place. Only this collector moves an activation
     // stack, so the rebase of each thread's registers is its own.

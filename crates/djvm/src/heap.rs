@@ -10,7 +10,8 @@
 //! flat representation is what makes **remote reflection** possible: a tool
 //! process can interpret the application VM's state purely by reading words
 //! at addresses (the `ptrace` analogue), without the application executing
-//! any code.
+//! any code. The `Vec` holds only a committed prefix of the address space,
+//! grown as the guest's extent rises; every word past it reads as zero.
 //!
 //! ## Object layout
 //!
@@ -47,6 +48,9 @@ pub type Addr = u64;
 pub const NULL: Addr = 0;
 /// Low words are reserved so that small integers never alias valid objects.
 pub const RESERVED: usize = 16;
+/// The heap's storage is committed in multiples of this many words, so a
+/// VM pays for the words its guest touches, not for its address space.
+const COMMIT_GRANULE: usize = 64;
 
 const FORWARD_BIT: u64 = 1 << 63;
 const MARK_BIT: u64 = 1 << 62;
@@ -194,12 +198,22 @@ pub struct HeapStats {
     /// sampled at [`Heap::note_peak`] call sites (GC entry and run end —
     /// occupancy only grows between collections, so that is exact).
     pub peak_words_in_use: u64,
+    /// Collections that began with part of the address space still
+    /// uncommitted. An observer count: no trace, fingerprint, digest or
+    /// metrics document reads it.
+    pub partial_commit_collections: u64,
 }
 
 /// The guest heap.
 #[derive(Debug)]
 pub struct Heap {
+    /// The committed prefix of the address space: it covers the extent,
+    /// and every word past it is zero without being stored. Index it only
+    /// below the extent; [`ProcessMemory::read_word`] reads any address.
+    /// Grown by [`Heap::commit`] alone.
     pub(crate) mem: Vec<Word>,
+    /// The size of the address space in words.
+    total: usize,
     /// Every word at or above this address is zero, so a snapshot is the
     /// prefix below it. Advanced by `alloc_block` to the end of each
     /// block it hands out and raised to the heap's end by a copying
@@ -237,7 +251,6 @@ impl Heap {
     /// collector can only hand out half of it at a time).
     pub fn new(kind: GcKind, words: usize) -> Heap {
         assert!(words > RESERVED * 4, "heap too small");
-        let mem = vec![0; words];
         let (half, active_base, bump, free) = match kind {
             GcKind::Copying => {
                 let usable = words - RESERVED;
@@ -246,8 +259,9 @@ impl Heap {
             }
             GcKind::MarkSweep => (0, 0, 0, vec![(RESERVED, words - RESERVED)]),
         };
-        Heap {
-            mem,
+        let mut heap = Heap {
+            mem: Vec::new(),
+            total: words,
             extent: RESERVED,
             kind,
             half,
@@ -256,7 +270,34 @@ impl Heap {
             free,
             serial: 0,
             stats: HeapStats::default(),
+        };
+        heap.commit(RESERVED);
+        heap
+    }
+
+    /// Back the address space below `end` with zeroed storage. The one
+    /// place the storage grows: where the extent is set or rises (`new`,
+    /// `alloc_block`, a copying flip) and where a restore copies a
+    /// snapshot back. The committed length rounds up to a
+    /// [`COMMIT_GRANULE`]; the allocation under it at least doubles,
+    /// capped at the heap's size, so a guest that fills its heap pays
+    /// amortised O(1) per word.
+    pub(crate) fn commit(&mut self, end: usize) {
+        if end <= self.mem.len() {
+            return;
         }
+        debug_assert!(end <= self.total, "commit past the heap's end");
+        let len = end.next_multiple_of(COMMIT_GRANULE).min(self.total);
+        if len > self.mem.capacity() {
+            let cap = (2 * self.mem.capacity()).clamp(len, self.total);
+            self.mem.reserve_exact(cap - self.mem.len());
+        }
+        self.mem.resize(len, 0);
+    }
+
+    /// Words of the address space backed by storage (at least the extent).
+    pub fn committed_words(&self) -> usize {
+        self.mem.len()
     }
 
     pub fn kind(&self) -> GcKind {
@@ -264,7 +305,7 @@ impl Heap {
     }
 
     pub fn total_words(&self) -> usize {
-        self.mem.len()
+        self.total
     }
 
     /// Words still allocatable without a collection.
@@ -281,7 +322,7 @@ impl Heap {
     pub fn words_in_use(&self) -> usize {
         match self.kind {
             GcKind::Copying => self.bump - self.active_base,
-            GcKind::MarkSweep => self.mem.len() - RESERVED - self.free_words(),
+            GcKind::MarkSweep => self.total - RESERVED - self.free_words(),
         }
     }
 
@@ -329,7 +370,11 @@ impl Heap {
                 addr
             }
         };
-        self.extent = self.extent.max(addr + words);
+        let end = addr + words;
+        if end > self.extent {
+            self.extent = end;
+            self.commit(end);
+        }
         Some(addr as Addr)
     }
 
@@ -439,9 +484,12 @@ impl Heap {
         (p.first - addr) as usize + p.count
     }
 
-    /// Copy of the raw word image (snapshot-based remote reflection).
+    /// Copy of the whole raw word image (snapshot-based remote
+    /// reflection): the committed prefix, zero-extended to the heap's size.
     pub fn mem_snapshot(&self) -> Vec<Word> {
-        self.mem.clone()
+        let mut image = self.mem.to_vec();
+        image.resize(self.total, 0);
+        image
     }
 
     /// Capture the complete heap state: the words below the extent (the
@@ -465,9 +513,10 @@ impl Heap {
 
     /// Restore a previously captured heap state (collector kind and size
     /// must not have changed): copy its prefix back and zero what this heap
-    /// wrote above it.
+    /// wrote above it. The committed prefix never shrinks.
     pub fn restore(&mut self, s: &HeapSnapshot) {
         let extent = s.mem.len();
+        self.commit(extent);
         self.mem[..extent].copy_from_slice(&s.mem);
         if let Some(tail) = self.mem.get_mut(extent..self.extent) {
             tail.fill(0);
@@ -490,6 +539,7 @@ impl Heap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objref::ProcessMemory;
 
     #[test]
     fn header_roundtrip() {
@@ -614,6 +664,7 @@ mod tests {
                     (last as usize) < h.extent(),
                     "{kind:?}: {last} above the extent"
                 );
+                assert!(h.extent() <= h.committed_words(), "{kind:?}");
                 assert!(h.mem[h.extent()..].iter().all(|&w| w == 0), "{kind:?}");
                 assert_eq!(h.snapshot().mem.len(), h.extent());
             }
@@ -660,13 +711,32 @@ mod tests {
             let snap = h.snapshot();
             let want = (h.extent(), h.mem_snapshot(), h.free_words());
             let mut fresh = Heap::new(kind, 1024);
-            assert!(fresh.extent() < want.0);
+            assert!(fresh.committed_words() < want.0, "{kind:?}");
             fresh.restore(&snap);
             assert_eq!(
                 (fresh.extent(), fresh.mem_snapshot(), fresh.free_words()),
                 want,
                 "{kind:?}"
             );
+        }
+    }
+
+    #[test]
+    fn storage_is_committed_as_the_extent_rises() {
+        for kind in KINDS {
+            let mut h = Heap::new(kind, 1024);
+            assert_eq!(h.committed_words(), COMMIT_GRANULE, "{kind:?}");
+            let a = h.alloc_array(ArrKind::Int, 100).unwrap();
+            assert_eq!(h.committed_words(), 2 * COMMIT_GRANULE, "{kind:?}");
+            // Past the committed prefix the space reads as zeros, then ends.
+            let past = h.committed_words() as Addr;
+            assert_eq!(h.read_word(a + 1), Some(100));
+            assert_eq!(h.read_word(past), Some(0));
+            assert_eq!(h.read_word(1023), Some(0));
+            assert_eq!(h.read_word(1024), None);
+            let image = h.mem_snapshot();
+            assert_eq!(image.len(), 1024);
+            assert_eq!(image[..past as usize], h.mem[..]);
         }
     }
 

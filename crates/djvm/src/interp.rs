@@ -198,6 +198,9 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64, until: u64) -> Vm
     let program = vm.program.clone();
     // One hoisted bool keeps the profiler-off cost to a predicted branch.
     let prof_on = vm.telem.profile.is_some();
+    // Set when a megablock ran and its entry gate then closed at its head:
+    // a probe there would miss the gate again, so tier 1 takes the head.
+    let mut gate_closed = false;
     // Every yield point and call re-enters here with the cursor flushed, so
     // this is where the logical-time bound is tested: once per yield point.
     'outer: while vm.status.is_running()
@@ -212,11 +215,12 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64, until: u64) -> Vm
             (t.method, t.pc, t.sp, t.fp + 3)
         };
         // ---- tier-2: megablocks execute at compiled loop heads ----
-        if vm.mega.enabled && vm.instr_depth == 0 {
+        if !std::mem::take(&mut gate_closed) && vm.mega.enabled && vm.instr_depth == 0 {
             if let Some(block) = vm.mega_block(method, pc) {
                 let before = vm.counters.steps;
-                run_mega(vm, hook, &block, limit, until, prof_on);
+                let closed = run_mega(vm, hook, &block, limit, until, prof_on);
                 if vm.counters.steps != before {
+                    gate_closed = closed;
                     continue 'outer;
                 }
                 // Zero progress (entry-gate miss, or a deopt at the very
@@ -401,6 +405,8 @@ impl Lazy {
 ///   depend only on the preempt bit; replay's recorded delta decreases by
 ///   exactly the yield points we credit).
 ///
+/// Returns whether it stopped because the entry gate closed at the head.
+///
 /// Every guard failure — real or injected — exits *before* the offending
 /// step, with the thread cursor flushed to that step's exact
 /// (method, pc, sp) and all prefix accounting written back: the quickened
@@ -420,7 +426,7 @@ fn run_mega(
     limit: u64,
     until: u64,
     prof_on: bool,
-) {
+) -> bool {
     let (width, yields) = (block.width, block.yields);
     let stride = vm.config.mega_deopt_stride;
     let forced_guard = vm.config.mega_deopt_guard;
@@ -483,6 +489,7 @@ fn run_mega(
         }};
     }
 
+    let mut gate_closed = false;
     let failed = 'outer: loop {
         lazy.settle(&mut c, vm, block);
         // How many whole iterations fit before the next tick, the step
@@ -495,6 +502,7 @@ fn run_mega(
         if avail == 0 {
             vm.mega.stats.gate_misses += 1;
             flush_at!(block.method, block.head);
+            gate_closed = true;
             break 'outer None;
         }
         if !entered {
@@ -656,6 +664,7 @@ fn run_mega(
     if let Some(e) = failed {
         raise_err(vm, hook, e);
     }
+    gate_closed
 }
 
 /// The generic tier: execute one instruction of the current thread (plus

@@ -23,7 +23,11 @@ pub trait ProcessMemory {
 impl ProcessMemory for Heap {
     #[inline]
     fn read_word(&self, addr: Addr) -> Option<Word> {
-        self.mem.get(addr as usize).copied()
+        match self.mem.get(addr as usize) {
+            Some(&w) => Some(w),
+            // Past the committed prefix every word of the space is zero.
+            None => (addr < self.total_words() as Addr).then_some(0),
+        }
     }
 }
 

@@ -165,7 +165,8 @@ pub struct MegaStats {
     /// Deopts injected by `mega_deopt_stride` / `mega_deopt_guard`.
     pub forced_deopts: u64,
     /// Entry-gate misses (tick too close, budget exhausted, or the hook's
-    /// quiet-yield horizon too short).
+    /// quiet-yield horizon too short), one per closing: a block whose gate
+    /// closes after it ran hands its head to tier 1 without a second probe.
     pub gate_misses: u64,
 }
 

@@ -401,7 +401,7 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 
-echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one packer, one replay loop, one reference map, one door to a hosted run, one heap extent, one reference read, one fleet driver, one request vocabulary, no env knobs =="
+echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one packer, one replay loop, one reference map, one door to a hosted run, one heap extent, one heap commit, one reference read, one fleet driver, one request vocabulary, no env knobs =="
 fail=0
 # Only the property harness reads the environment (QC_CASES / QC_SEED).
 if grep -rn 'env::var' crates src --include=*.rs | grep -v '^src/qc\.rs:'; then
@@ -560,6 +560,23 @@ one_fn "the heap's extent is advanced" \
     "$(djvm_fns '\\.extent *=[^=]' | grep -v ': fn restore$' || true)" \
     "crates/djvm/src/gc.rs: fn copying
 crates/djvm/src/heap.rs: fn alloc_block"
+# One heap commit: a heap's storage is the committed prefix of its address
+# space. It grows in one function, called where the extent is set or rises
+# and where a restore copies a snapshot back, and nothing in heap.rs sizes
+# storage to the whole space up front (only the core dump zero-extends to it).
+one_fn "the heap's storage grows" \
+    "$(djvm_fns 'mem\\.(resize|reserve|extend|push|append|insert)')" \
+    "crates/djvm/src/heap.rs: fn commit"
+one_fn "the heap's storage is committed" \
+    "$(djvm_fns '\\.commit\\(' | grep -v ': fn commit$' || true)" \
+    "crates/djvm/src/gc.rs: fn copying
+crates/djvm/src/heap.rs: fn alloc_block
+crates/djvm/src/heap.rs: fn new
+crates/djvm/src/heap.rs: fn restore"
+one_fn "heap.rs sizes a vector" \
+    "$(echo crates/djvm/src/heap.rs | fns_naming 'vec!\\[[^]]*;|with_capacity\\(|resize\\(|reserve')" \
+    "crates/djvm/src/heap.rs: fn commit
+crates/djvm/src/heap.rs: fn mem_snapshot"
 # One affine fingerprint chain: the per-step mix is advanced by the dispatch
 # cursor and composed by the megablock compiler, nowhere else.
 one_fn "the Full fingerprint's per-step mix is named" \
