@@ -17,7 +17,8 @@
 //! non-deterministic"). Accordingly, accuracy for this scheme is judged on
 //! program output, not on the full execution fingerprint.
 
-use dejavu::trace::{DataRec, Trace};
+use codec::varint_len;
+use dejavu::trace::DataRec;
 use djvm::hook::{AccessDecision, ExecHook, YieldAction};
 use djvm::vm::Vm;
 use djvm::{NativeId, NativeOutcome};
@@ -44,28 +45,15 @@ pub struct IrTrace {
 impl IrTrace {
     /// Encoded size (varint model shared with the other traces).
     pub fn encoded_len(&self) -> usize {
-        fn varint_len(mut v: u64) -> usize {
-            let mut n = 1;
-            while v >= 0x80 {
-                v >>= 7;
-                n += 1;
-            }
-            n
-        }
-        let mut total = 5;
+        let mut own = 0;
         let mut last_serial = 0u64;
         for a in &self.accesses {
             // delta-encode serials (favourable to IR, for fairness)
             let delta = a.serial.abs_diff(last_serial);
-            total += varint_len(delta << 1) + varint_len(a.version) + varint_len(a.tid as u64) + 1;
+            own += varint_len(delta << 1) + varint_len(a.version) + varint_len(a.tid as u64) + 1;
             last_serial = a.serial;
         }
-        let data = Trace {
-            paranoid: false,
-            switches: vec![],
-            data: self.data.clone(),
-        };
-        total + data.encoded().len() - 5
+        crate::framed_len(own, &self.data)
     }
 }
 

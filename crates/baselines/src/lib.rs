@@ -21,6 +21,8 @@ pub mod instant_replay;
 pub mod shared_reads;
 pub mod thread_map;
 
+use codec::varint_len;
+use dejavu::trace::{DataRec, HEADER_BYTES};
 use dejavu::{ExecSpec, SymmetryConfig};
 use djvm::hook::ExecHook;
 use djvm::{interp, Vm, VmStatus};
@@ -51,6 +53,18 @@ fn drive(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> BaselineReport
         steps: vm.counters.steps,
         wall_time: t0.elapsed(),
     }
+}
+
+/// A baseline trace's E5 size: `own` bytes of the scheme's ordering
+/// records, framed the way DejaVu's size model frames a trace with an
+/// empty switch stream — the header, a zero switch count, then the data
+/// stream every replay scheme logs (paper footnote 7).
+fn framed_len(own: usize, data: &[DataRec]) -> usize {
+    HEADER_BYTES
+        + own
+        + varint_len(0)
+        + varint_len(data.len() as u64)
+        + data.iter().map(DataRec::encoded_len).sum::<usize>()
 }
 
 /// Record with the Russinovich–Cogswell scheme.

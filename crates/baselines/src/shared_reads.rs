@@ -8,7 +8,8 @@
 //! the largest trace of any scheme in the comparison (E5), typically an
 //! order of magnitude beyond even Instant Replay's per-access records.
 
-use dejavu::trace::{DataRec, Trace};
+use codec::varint_len;
+use dejavu::trace::DataRec;
 use djvm::hook::{ExecHook, YieldAction};
 use djvm::vm::Vm;
 use djvm::{NativeId, NativeOutcome, Tid, Word};
@@ -31,25 +32,14 @@ impl ReadTrace {
     /// word values do not varint-compress in general), so each read costs a
     /// full 8-byte word.
     pub fn encoded_len(&self) -> usize {
-        fn varint_len(mut v: u64) -> usize {
-            let mut n = 1;
-            while v >= 0x80 {
-                v >>= 7;
-                n += 1;
-            }
-            n
-        }
-        let mut total = 5;
-        for (tid, vals) in &self.reads {
-            total += varint_len(*tid as u64) + varint_len(vals.len() as u64);
-            total += vals.len() * 8;
-        }
-        let data = Trace {
-            paranoid: false,
-            switches: vec![],
-            data: self.data.clone(),
-        };
-        total + data.encoded().len() - 5
+        let own = self
+            .reads
+            .iter()
+            .map(|(tid, vals)| {
+                varint_len(*tid as u64) + varint_len(vals.len() as u64) + vals.len() * 8
+            })
+            .sum();
+        crate::framed_len(own, &self.data)
     }
 }
 

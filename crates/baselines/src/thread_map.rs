@@ -16,7 +16,8 @@
 //! switch points reuse the yield-point counter (their implementation used a
 //! Mach kernel hook; the identification mechanism is orthogonal).
 
-use dejavu::trace::{DataRec, Trace};
+use codec::varint_len;
+use dejavu::trace::DataRec;
 use djvm::hook::{ExecHook, YieldAction};
 use djvm::vm::Vm;
 use djvm::{NativeId, NativeOutcome, Tid};
@@ -42,32 +43,16 @@ pub struct RcTrace {
 }
 
 impl RcTrace {
-    /// Encoded size in bytes (varint model identical to the DejaVu trace
-    /// encoder, for a fair E5 comparison).
+    /// Encoded size in bytes (the varint model of the DejaVu trace, for a
+    /// fair E5 comparison): a tid and a flag byte per dispatch, plus the
+    /// yield-point delta of a preemptive one.
     pub fn encoded_len(&self) -> usize {
-        fn varint_len(mut v: u64) -> usize {
-            let mut n = 1;
-            while v >= 0x80 {
-                v >>= 7;
-                n += 1;
-            }
-            n
-        }
-        let mut total = 5;
-        for d in &self.dispatches {
-            total += varint_len(d.to as u64) + 1;
-            if let Some(nyp) = d.preempt_after {
-                total += varint_len(nyp);
-            }
-        }
-        // data stream: identical encoding to dejavu's
-        let data_trace = Trace {
-            paranoid: false,
-            switches: vec![],
-            data: self.data.clone(),
-        };
-        total += data_trace.encoded().len() - 5;
-        total
+        let own = self
+            .dispatches
+            .iter()
+            .map(|d| varint_len(d.to as u64) + 1 + d.preempt_after.map_or(0, varint_len))
+            .sum();
+        crate::framed_len(own, &self.data)
     }
 }
 

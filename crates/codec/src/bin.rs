@@ -18,6 +18,11 @@ pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Bytes [`put_varint`] writes for `v`: one per started 7-bit group.
+pub fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Read an LEB128 varint at `*pos`, advancing it. `None` on truncation or
 /// a value that does not fit in 64 bits.
 pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
@@ -72,6 +77,21 @@ mod tests {
         let mut buf = Vec::new();
         put_varint(&mut buf, u64::MAX);
         assert_eq!(buf.len(), 10);
+    }
+
+    #[test]
+    fn varint_len_is_the_written_length() {
+        let mut buf = Vec::new();
+        let mut values = vec![0u64, u64::MAX];
+        for bits in (7..64).step_by(7) {
+            values.extend([(1u64 << bits) - 1, 1 << bits]);
+        }
+        for v in values {
+            buf.clear();
+            put_varint(&mut buf, v);
+            assert_eq!(varint_len(v), buf.len(), "{v:#x}");
+        }
+        assert_eq!(varint_len(u64::MAX), 10);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod digest;
 pub mod json;
 pub mod rans;
 
-pub use bin::{get_varint, put_varint, unzigzag, zigzag};
+pub use bin::{get_varint, put_varint, unzigzag, varint_len, zigzag};
 pub use block::{compress, crc32, decompress};
 pub use digest::{digest128, Digest128};
 pub use json::{FromJson, Json, JsonError, ToJson};

@@ -2,21 +2,19 @@
 //! checkpoint-indexable storage for DejaVu traces — the one format
 //! traces are persisted, uploaded and read back in.
 //!
-//! The flat encoding ([`Trace::encoded`]) is one unindexed event stream;
-//! it stays as the in-memory canonical bytes of a [`Trace`] (size
-//! accounting, neutrality comparisons) but no read door accepts it:
-//! navigating it to a logical time would mean replaying from zero. This
-//! module makes the trace a first-class storage layer (rr's lesson:
-//! trace compactness and cheap navigation are what make record/replay
-//! deployable):
+//! A [`Trace`] in memory is two unindexed event streams, sized by the
+//! varint model of [`Trace::stats`]; navigating one to a logical time
+//! would mean replaying from zero. This module makes the trace a
+//! first-class storage layer (rr's lesson: trace compactness and cheap
+//! navigation are what make record/replay deployable):
 //!
 //! * events are grouped into fixed-budget **blocks**;
 //! * within a block, fields are stored **columnar** and
 //!   **frame-of-reference** encoded: the block minimum is subtracted
 //!   from the nyp column (the recorded deltas of the logical clock) and
 //!   the thread-id column, wall-clock reads are **delta + zigzag**
-//!   encoded, and the small residues are written as varints — the flat
-//!   format's multi-byte absolute fields shrink to mostly one byte;
+//!   encoded, and the small residues are written as varints — the
+//!   size model's multi-byte absolute fields shrink to mostly one byte;
 //! * each raw block payload is then packed by the in-repo entropy coder
 //!   ([`codec::rans`], static-model rANS over byte-class contexts), which
 //!   squeezes the low-entropy residue bytes below the varint's 8-bit
@@ -87,9 +85,8 @@ pub const DEFAULT_BLOCK_BUDGET: u32 = 4096;
 const MAX_RAW_LEN: u64 = 1 << 26;
 
 /// Trace encodings [`encode_trace`] can produce: DJVB, the one file
-/// format. (Flat `DJV1` bytes — [`Trace::encoded`] — are size accounting,
-/// have no reader, and every read door refuses them as
-/// [`TraceError::NotATrace`].)
+/// format. Bytes with any other magic are [`TraceError::NotATrace`] at
+/// every read door.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFormat {
     /// The block-structured compressed file format (`DJVB`).
@@ -196,8 +193,8 @@ impl Packed {
 /// an unknown format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
-    /// The `DJVB` magic did not match: not a trace file (flat `DJV1`
-    /// bytes included — they are an in-memory encoding, not a file).
+    /// The `DJVB` magic did not match: not a trace file (the flat
+    /// encoding older builds wrote included — no build reads it).
     NotATrace,
     /// A `DJVB` file with a version this build does not speak.
     UnsupportedVersion(u8),
@@ -392,7 +389,7 @@ impl BlockStats {
 /// almost always single bytes — and being byte-aligned, they are exactly
 /// what the coder's byte-class contexts model, pushing the column to near
 /// its actual entropy. This is the main lever behind the bytes/event win
-/// over the flat format.
+/// over the varint size model.
 fn put_for_column(out: &mut Vec<u8>, values: &[u64]) {
     let Some(&min) = values.iter().min() else {
         return;
@@ -891,12 +888,6 @@ impl BlockFile {
         self.stream(i).map(|(_, method, _)| method)
     }
 
-    /// [`BlockFile::block_method`] as the display name `trace inspect`
-    /// prints: `"stored"` or `"rans"`.
-    pub fn block_compressor(&self, i: usize) -> Result<&'static str, TraceError> {
-        self.block_method(i).map(|m| m.name())
-    }
-
     /// Reassemble the full in-memory [`Trace`].
     pub fn to_trace(&self) -> Result<Trace, TraceError> {
         let mut trace = Trace {
@@ -1308,15 +1299,15 @@ mod tests {
     }
 
     #[test]
-    fn block_format_beats_flat_on_regular_streams() {
+    fn block_format_beats_the_varint_model_on_regular_streams() {
         // The compression claim in miniature: periodic nyp deltas +
         // near-linear clock reads.
         let t = sample(true, 4_000);
-        let flat = t.encoded().len();
+        let model = t.stats().total_bytes;
         let block = encode_block(&t, DEFAULT_BLOCK_BUDGET).len();
         assert!(
-            block * 3 <= flat,
-            "block {block} bytes vs flat {flat} bytes — expected ≥3×"
+            block * 3 <= model,
+            "block {block} bytes vs varint model {model} bytes — expected ≥3×"
         );
         let bf = BlockFile::parse(encode_block(&t, DEFAULT_BLOCK_BUDGET)).unwrap();
         let s = bf.stats();
@@ -1327,24 +1318,23 @@ mod tests {
     }
 
     #[test]
-    fn block_compressor_names_the_method() {
+    fn block_method_names_the_packing() {
         let t = sample(true, 4_000);
         let bf = BlockFile::parse(encode_block(&t, DEFAULT_BLOCK_BUDGET)).unwrap();
         for (i, b) in bf.index.iter().enumerate() {
-            let name = bf.block_compressor(i).unwrap();
             let want = if b.comp_len == b.raw_len {
-                "stored"
+                BlockMethod::Stored
             } else {
-                "rans"
+                BlockMethod::Rans
             };
-            assert_eq!(name, want, "block {i}");
+            assert_eq!(bf.block_method(i).unwrap(), want, "block {i}");
         }
         // A regular stream must have at least one genuinely compressed block.
         assert!(
-            (0..bf.index.len()).any(|i| bf.block_compressor(i).unwrap() != "stored"),
+            (0..bf.index.len()).any(|i| bf.block_method(i).unwrap() != BlockMethod::Stored),
             "all blocks stored raw"
         );
-        assert!(bf.block_compressor(bf.index.len()).is_err(), "out of range");
+        assert!(bf.block_method(bf.index.len()).is_err(), "out of range");
     }
 
     /// Every block of a parsed file, as the writer takes it.
@@ -1527,10 +1517,8 @@ mod tests {
         }
         let bf = BlockFile::parse(encode_block(&sample(true, 2_000), 256)).unwrap();
         for i in 0..bf.index.len() {
-            assert_eq!(
-                bf.block_method(i).unwrap().name(),
-                bf.block_compressor(i).unwrap()
-            );
+            let m = bf.block_method(i).unwrap();
+            assert_eq!(BlockMethod::from_code(m.code()), Some(m));
         }
     }
 

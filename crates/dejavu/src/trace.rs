@@ -11,17 +11,18 @@
 //!   in execution order: wall-clock reads (§2.2) and native-call outcomes
 //!   including callback parameters (§2.5).
 //!
-//! The flat binary encoding is varint-based (the shared [`codec::bin`]
-//! primitives) and write-only: [`Trace::encoded`] exists for
-//! byte-equality checks and for [`TraceStats`], the sizes the trace-size
-//! experiment (E5) compares against the baselines. What is read back is
-//! DJVB ([`crate::blocktrace`]).
+//! [`Trace::stats`] sizes a trace under the one model the trace-size
+//! experiment (E5) uses for DejaVu and every baseline: a 5-byte header
+//! (a 4-byte magic and the paranoid flag), a varint count per stream, and
+//! each record's fields as LEB128 varints ([`codec::varint_len`]). The
+//! model counts bytes; nothing writes them. What is written and read back
+//! is DJVB ([`crate::blocktrace`]).
 //!
 //! In *paranoid* mode each switch record additionally carries the thread
 //! id observed during record, used purely as a replay-desync detector —
 //! the paper's minimal trace does not need it.
 
-use codec::{put_varint, zigzag};
+use codec::{varint_len, zigzag};
 use djvm::MethodId;
 
 /// One preemptive thread switch.
@@ -48,6 +49,34 @@ pub enum DataRec {
     },
 }
 
+impl DataRec {
+    /// Bytes this record takes in the E5 size model: a tag byte, then its
+    /// integers as varints (signed ones zigzagged). The one definition of a
+    /// data stream's size: [`Trace::stats`] and the §5 baselines, which log
+    /// the same data stream, all add these up.
+    pub fn encoded_len(&self) -> usize {
+        let signed = |v: i64| varint_len(zigzag(v));
+        1 + match self {
+            DataRec::Clock(v) => signed(*v),
+            DataRec::Native { ret, callbacks } => {
+                signed(*ret)
+                    + varint_len(callbacks.len() as u64)
+                    + callbacks
+                        .iter()
+                        .map(|(m, args)| {
+                            varint_len(*m as u64)
+                                + varint_len(args.len() as u64)
+                                + args.iter().map(|&a| signed(a)).sum::<usize>()
+                        })
+                        .sum::<usize>()
+            }
+        }
+    }
+}
+
+/// The size model's fixed header: a 4-byte magic and the paranoid flag.
+pub const HEADER_BYTES: usize = 5;
+
 /// A complete recording of one execution's non-determinism.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
@@ -56,10 +85,10 @@ pub struct Trace {
     pub data: Vec<DataRec>,
 }
 
-/// Byte-level size breakdown (experiment E5), now with per-event-kind
-/// accounting: how many encoded bytes each stream kind contributes, and
-/// the varint encoding's compression ratio against a fixed-width
-/// equivalent of the same records (8-byte integers, 4-byte ids/counts).
+/// Byte-level size breakdown (experiment E5) under the varint model, with
+/// per-event-kind accounting: how many bytes each stream kind contributes,
+/// and the model's compression ratio against a fixed-width equivalent of
+/// the same records (8-byte integers, 4-byte ids/counts).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TraceStats {
     pub switch_count: usize,
@@ -110,25 +139,11 @@ impl TraceStats {
     }
 }
 
-const MAGIC: &[u8; 4] = b"DJV1";
-
 impl Trace {
-    /// Encode to the canonical flat byte form (`DJV1`). An in-memory
-    /// encoding — size accounting and byte-equality checks — not a file
-    /// format: files are DJVB ([`crate::blocktrace`]).
-    pub fn encoded(&self) -> Vec<u8> {
-        self.measured().0
-    }
-
-    /// Size breakdown of the encoded trace, per event kind.
+    /// Size breakdown of the trace under the E5 model, per event kind:
+    /// the header, the switch count and switch records, then the data
+    /// count and data records.
     pub fn stats(&self) -> TraceStats {
-        self.measured().1
-    }
-
-    /// The one walk over the records: the flat bytes, and where they
-    /// went. Sizes are read off the output as it grows, so the layout is
-    /// written once and `total_bytes == encoded().len()` by construction.
-    fn measured(&self) -> (Vec<u8>, TraceStats) {
         // Fixed-width equivalent: every switch is 8 bytes of nyp (+4 of
         // check tid in paranoid mode); every data record is a tag byte
         // plus 8-byte integers and 4-byte ids/counts.
@@ -137,52 +152,37 @@ impl Trace {
             raw_bytes: self.switches.len() * if self.paranoid { 12 } else { 8 },
             ..TraceStats::default()
         };
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.push(self.paranoid as u8);
-        put_varint(&mut out, self.switches.len() as u64);
-        let switches_at = out.len();
         for s in &self.switches {
-            put_varint(&mut out, s.nyp);
+            st.switch_bytes += varint_len(s.nyp);
             if self.paranoid {
-                put_varint(&mut out, s.check_tid as u64);
+                st.switch_bytes += varint_len(s.check_tid as u64);
             }
         }
-        st.switch_bytes = out.len() - switches_at;
-        put_varint(&mut out, self.data.len() as u64);
         for d in &self.data {
-            let record_at = out.len();
             match d {
-                DataRec::Clock(v) => {
-                    out.push(0);
-                    put_varint(&mut out, zigzag(*v));
+                DataRec::Clock(_) => {
                     st.clock_count += 1;
-                    st.clock_bytes += out.len() - record_at;
+                    st.clock_bytes += d.encoded_len();
                     st.raw_bytes += 1 + 8;
                 }
-                DataRec::Native { ret, callbacks } => {
-                    out.push(1);
-                    put_varint(&mut out, zigzag(*ret));
-                    put_varint(&mut out, callbacks.len() as u64);
-                    st.raw_bytes += 1 + 8 + 4;
-                    for (m, args) in callbacks {
-                        put_varint(&mut out, *m as u64);
-                        put_varint(&mut out, args.len() as u64);
-                        st.raw_bytes += 4 + 4 + 8 * args.len();
-                        for &a in args {
-                            put_varint(&mut out, zigzag(a));
-                        }
-                    }
+                DataRec::Native { callbacks, .. } => {
                     st.native_count += 1;
-                    st.native_bytes += out.len() - record_at;
+                    st.native_bytes += d.encoded_len();
+                    st.raw_bytes += 1 + 8 + 4;
+                    for (_, args) in callbacks {
+                        st.raw_bytes += 4 + 4 + 8 * args.len();
+                    }
                 }
             }
         }
-        // Everything past the 5-byte header and the switch payload: the
-        // two stream-length varints plus the data records.
-        st.data_bytes = out.len() - st.switch_bytes - 5;
-        st.total_bytes = out.len();
-        (out, st)
+        // Everything past the header and the switch payload: the two
+        // stream-length varints plus the data records.
+        st.data_bytes = varint_len(self.switches.len() as u64)
+            + varint_len(self.data.len() as u64)
+            + st.clock_bytes
+            + st.native_bytes;
+        st.total_bytes = HEADER_BYTES + st.switch_bytes + st.data_bytes;
+        st
     }
 }
 
@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn empty_trace_is_its_header() {
         // Magic, flags byte and two zero-length stream counts.
-        assert_eq!(Trace::default().encoded().len(), 7);
+        assert_eq!(Trace::default().stats().total_bytes, 7);
     }
 
     #[test]
@@ -228,8 +228,12 @@ mod tests {
         assert_eq!(s.switch_count, 2);
         assert_eq!(s.clock_count, 3);
         assert_eq!(s.native_count, 1);
-        assert_eq!(s.total_bytes, t.encoded().len());
-        assert!(s.switch_bytes < s.total_bytes);
+        // Header, switch varints of 1 and 3 bytes, clock records of 2, 2
+        // and 11 bytes, a 10-byte native record and the two count varints.
+        assert_eq!(s.switch_bytes, 1 + 3);
+        assert_eq!(s.clock_bytes, 2 + 2 + 11);
+        assert_eq!(s.native_bytes, 10);
+        assert_eq!(s.total_bytes, HEADER_BYTES + 4 + 2 + 15 + 10);
     }
 
     #[test]
@@ -240,10 +244,7 @@ mod tests {
         // `data_bytes` is everything past the header and switch payload:
         // the two stream-length varints plus the per-kind record bytes
         // (tags included in the kind that owns them).
-        let mut lenbuf = Vec::new();
-        put_varint(&mut lenbuf, t.switches.len() as u64);
-        put_varint(&mut lenbuf, t.data.len() as u64);
-        assert_eq!(s.clock_bytes + s.native_bytes + lenbuf.len(), s.data_bytes);
+        assert_eq!(s.clock_bytes + s.native_bytes + 2, s.data_bytes);
     }
 
     #[test]

@@ -149,7 +149,7 @@ fn spec_for(p: Program, seed: u64, interval: u64) -> ExecSpec {
 
 /// The three-tier matrix for one spec: record generic, quickened, and
 /// megablock runs and assert every guest observable — fingerprint, state
-/// digest, output, status, step/cycle counts, trace bytes — is identical.
+/// digest, output, status, step/cycle counts, trace — is identical.
 fn assert_three_tier_equal(
     s: &ExecSpec,
     natives: fn(&mut djvm::Vm),
@@ -175,16 +175,8 @@ fn assert_three_tier_equal(
         rec_g.counters.yield_points, rec_m.counters.yield_points,
         "{what}: yield points"
     );
-    assert_eq!(
-        trace_g.encoded(),
-        trace_q.encoded(),
-        "{what}: trace bytes g/q"
-    );
-    assert_eq!(
-        trace_q.encoded(),
-        trace_m.encoded(),
-        "{what}: trace bytes q/m"
-    );
+    assert_eq!(trace_g, trace_q, "{what}: traces g/q");
+    assert_eq!(trace_q, trace_m, "{what}: traces q/m");
     rec_m
 }
 
@@ -221,9 +213,8 @@ fn random_programs_are_tier_neutral_across_timers_and_forced_deopts() {
                 "seed {seed} interval {interval}: stride-{stride} injection visible"
             );
             assert_eq!(
-                trace_q.encoded(),
-                trace_i.encoded(),
-                "seed {seed} interval {interval}: injected trace bytes differ"
+                trace_q, trace_i,
+                "seed {seed} interval {interval}: injected traces differ"
             );
         }
     }
@@ -330,11 +321,7 @@ fn fig1_hot_survives_deopt_at_every_guard() {
             .with_mega_deopt_guard(Some(g));
         let (rec_i, trace_i) = record_run(&inj, w.natives, SymmetryConfig::full(), true);
         assert!(rec_q.matches(&rec_i), "deopt at guard {g} visible");
-        assert_eq!(
-            trace_q.encoded(),
-            trace_i.encoded(),
-            "guard {g} trace bytes"
-        );
+        assert_eq!(trace_q, trace_i, "guard {g} traces");
         if g == 0 {
             assert!(
                 rec_i.mega.forced_deopts > 0,
@@ -352,7 +339,7 @@ fn fig1_hot_survives_deopt_at_every_guard() {
 /// Every test above runs under `FingerprintMode::Full`, the default
 /// (`VmConfig::default()`), where the closed form folds each batch's pc
 /// mixes. `Coarse` mixes no pcs at all, so the closed form runs there
-/// without a fold; it gets its own neutrality proof — trace bytes,
+/// without a fold; it gets its own neutrality proof — traces,
 /// cross-tier replay, and a witness that the fast path fired.
 #[test]
 fn coarse_fingerprint_arms_the_closed_form_and_stays_neutral() {
@@ -429,11 +416,7 @@ fn stress_workloads_survive_forced_deopt_strides() {
                 .with_mega_deopt_stride(stride);
             let (rec_i, trace_i) = record_run(&inj, w.natives, SymmetryConfig::full(), true);
             assert!(rec_q.matches(&rec_i), "{name}: stride {stride} visible");
-            assert_eq!(
-                trace_q.encoded(),
-                trace_i.encoded(),
-                "{name}: stride {stride} trace bytes"
-            );
+            assert_eq!(trace_q, trace_i, "{name}: stride {stride} traces");
         }
     }
 }

@@ -44,12 +44,7 @@ fn quickening_is_neutral_across_the_workload_suite() {
             "{}: cycle counts differ",
             w.name
         );
-        assert_eq!(
-            trace_q.encoded(),
-            trace_u.encoded(),
-            "{}: trace bytes differ",
-            w.name
-        );
+        assert_eq!(trace_q, trace_u, "{}: traces differ", w.name);
     }
 }
 
@@ -109,10 +104,6 @@ fn interval_one_is_neutral_on_scheduling_workloads() {
             rec_q.matches(&rec_u),
             "{name}: interval-1 observables differ"
         );
-        assert_eq!(
-            trace_q.encoded(),
-            trace_u.encoded(),
-            "{name}: interval-1 trace bytes differ"
-        );
+        assert_eq!(trace_q, trace_u, "{name}: interval-1 traces differ");
     }
 }

@@ -59,7 +59,12 @@ pub enum Response {
         session: u64,
         fingerprint: u64,
         state_digest: u64,
+        /// Logged events: preemptive switches, clock reads and native
+        /// outcomes.
         events: u64,
+        /// The trace's size under the E5 varint model
+        /// (`TraceStats::total_bytes`), not the length of the DJVB file
+        /// the server stores, which the block coder packs smaller.
         trace_bytes: u64,
     },
     Replayed {

@@ -50,8 +50,6 @@ fn main() {
         }
     }
 
-    println!("\nflat binary encoding: {} bytes", trace.encoded().len());
-
     println!("\n== the same execution under every scheme (paper §5) ==");
     let row = trace_size_comparison("producer_consumer", &spec, w.natives);
     println!(

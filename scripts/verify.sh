@@ -401,7 +401,7 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 
-echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one packer, one replay loop, one reference map, one door to a hosted run, one heap extent, one heap commit, one reference read, one fleet driver, one request vocabulary, no env knobs =="
+echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one packer, one replay loop, one reference map, one door to a hosted run, one heap extent, one heap commit, one reference read, one fleet driver, one request vocabulary, one trace spelling, no env knobs =="
 fail=0
 # Only the property harness reads the environment (QC_CASES / QC_SEED).
 if grep -rn 'env::var' crates src --include=*.rs | grep -v '^src/qc\.rs:'; then
@@ -650,6 +650,19 @@ fi
 one_fn "a debugger command is parsed from JSON" \
     "$(find crates src examples -name '*.rs' ! -path '*/tests/*' | fns_naming 'Command::from_json_str')" \
     "src/bin/dejavu-cli.rs: fn debug"
+# One trace spelling: a trace is written as DJVB and sized by
+# `Trace::stats`'s varint model (E5). The flat `DJV1` encoder nobody read
+# back stays deleted, and a varint's size is defined once, beside
+# `put_varint`, for DejaVu and the §5 baselines alike.
+flat=$(find crates src examples -name '*.rs' ! -path '*/tests/*' | fns_naming 'DJV1|(\\.|::|fn )encoded\\(')
+if [ -n "$flat" ]; then
+    echo "verify: the flat DJV1 trace encoding is spelled, defined or called:" >&2
+    printf '%s\n' "$flat" >&2
+    fail=1
+fi
+one_fn "a varint's size is defined" \
+    "$(grep -rnE 'fn varint_len\b' crates src examples tests --include=*.rs | cut -d: -f1)" \
+    "crates/codec/src/bin.rs"
 [ "$fail" -eq 0 ]
 echo "surface: $(git ls-files '*.rs' '*.sh' ':!benchmark' | xargs cat | wc -l) lines of .rs/.sh outside benchmark/"
 # Lines before the first `#[cfg(test)]` (all of a file that has none), summed.

@@ -513,7 +513,7 @@ fn trace_inspect(args: &mut Args) -> Cmd {
                     0 => 1000,
                     raw => b.comp_len as u64 * 1000 / raw as u64,
                 };
-                let compressor = bf.block_compressor(i).unwrap_or("corrupt");
+                let compressor = bf.block_method(i).map_or("corrupt", |m| m.name());
                 Json::obj(vec![
                     ("comp_len", Json::UInt(b.comp_len as u64)),
                     ("compression_permille", Json::UInt(permille)),

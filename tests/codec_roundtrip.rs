@@ -23,7 +23,7 @@ fn bin_roundtrip(t: &Trace) {
 fn empty_trace_roundtrips() {
     bin_roundtrip(&Trace::default());
     // Header only: magic + flags byte + two zero-length varint counts.
-    assert_eq!(Trace::default().encoded().len(), 7);
+    assert_eq!(Trace::default().stats().total_bytes, 7);
 }
 
 #[test]

@@ -110,7 +110,9 @@ fn mutated_djvb_bytes_never_panic() {
         let mut bytes = if g.bool() {
             encode_trace(&trace, TraceFormat::Block, budget)
         } else {
-            trace.encoded()
+            // The flat encoding older builds wrote, which no door reads: a
+            // paranoid trace of two (nyp, tid) switches and a clock read.
+            b"DJV1\x01\x02\xc8\x01\x00\x96\x01\x01\x01\x00\x54".to_vec()
         };
         if zeroed {
             let refused = ingest_bytes(bytes.clone()).is_err();

@@ -294,7 +294,7 @@ fn gc_preserves_linked_list() {
 //    programs built from the exact shapes the quickener fuses (and a
 //    few it must refuse to fuse) and random timer shapes — always
 //    including interval 1, the worst case for mid-fusion splits — the
-//    fingerprint, the encoded trace bytes, and the final heap digest
+//    fingerprint, the trace, and the final heap digest
 //    are byte-identical with quickening on vs. off, and a trace
 //    recorded in one mode replays accurately under the other.
 // ---------------------------------------------------------------------
@@ -526,7 +526,7 @@ fn quicken_modes_agree(spec: &ExecSpec) -> Result<(), String> {
     qc_assert_eq!(rec_q.status, rec_u.status, "termination status");
     qc_assert_eq!(rec_q.counters.steps, rec_u.counters.steps, "step count");
     qc_assert_eq!(rec_q.cycles, rec_u.cycles, "cycle count");
-    qc_assert_eq!(trace_q.encoded(), trace_u.encoded(), "trace bytes");
+    qc_assert_eq!(&trace_q, &trace_u, "traces");
     let (rep_q, de_q) = replay_run(&q, trace_u, SymmetryConfig::full());
     qc_assert!(de_q.is_empty(), "desyncs replaying unfused trace quickened");
     qc_assert!(

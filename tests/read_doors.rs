@@ -1,10 +1,10 @@
-//! DJVB is the only trace anyone reads back. Flat `Trace::encoded()`
-//! bytes — the in-memory encoding — are refused at every door that takes
-//! serialized trace bytes, with the same typed error and never a second
-//! decoder; so is a DJVB file framed any other way than the one writer
-//! frames it; and what the fleet stores for a run it recorded itself is
-//! the same DJVB file, under the same catalog identity, as a client
-//! uploading that run.
+//! DJVB is the only trace anyone reads back. The flat `DJV1` bytes older
+//! builds wrote are refused at every door that takes serialized trace
+//! bytes, with the same typed error and never a second decoder; so is a
+//! DJVB file framed any other way than the one writer frames it; and
+//! what the fleet stores for a run it recorded itself is the same DJVB
+//! file, under the same catalog identity, as a client uploading that
+//! run.
 
 use dejavu_repro::dejavu::{
     encode_trace, ingest_bytes, record_run, BlockFile, SymmetryConfig, TraceError, TraceFormat,
@@ -88,7 +88,8 @@ fn flat_bytes_are_one_typed_error_at_every_read_door() {
     let w = workload("racy_counter");
     let spec = spec_for(&w, 3);
     let (rec, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
-    let flat = trace.encoded();
+    // A paranoid flat trace: two (nyp, tid) switches and one clock read.
+    let flat = b"DJV1\x01\x02\xc8\x01\x00\x96\x01\x01\x01\x00\x54".to_vec();
     let djvb = encode_trace(&trace, TraceFormat::Block, DEFAULT_BLOCK_BUDGET);
     let refused = TraceError::NotATrace;
 
