@@ -100,27 +100,12 @@ impl ExecSpec {
         self
     }
 
-    /// Force tier-2 megablock execution on or off for every VM built from
-    /// this spec (the CLI's `--no-mega` ablation). Like quickening,
-    /// purely a speed setting: runs are bit-identical either way.
-    /// Megablocks additionally require quickening.
+    /// Force tier 2 (closed-form counting loops) on or off for every VM
+    /// built from this spec (the CLI's `--no-mega` ablation). Like
+    /// quickening, purely a speed setting: runs are bit-identical either
+    /// way. Tier 2 additionally requires quickening.
     pub fn with_mega(mut self, mega: bool) -> Self {
         self.vm.mega = mega;
-        self
-    }
-
-    /// Inject a deopt at every `stride`-th megablock guard evaluation
-    /// (0 disables). Forced deopts exit before the guarded step, so they
-    /// are semantics-preserving — used by the neutrality test suite.
-    pub fn with_mega_deopt_stride(mut self, stride: u64) -> Self {
-        self.vm.mega_deopt_stride = stride;
-        self
-    }
-
-    /// Force the guard with this per-iteration ordinal to always fail
-    /// (`None` disables). Semantics-preserving like the stride knob.
-    pub fn with_mega_deopt_guard(mut self, guard: Option<u32>) -> Self {
-        self.vm.mega_deopt_guard = guard;
         self
     }
 
@@ -188,8 +173,8 @@ pub struct RunReport {
     /// [`ExecSpec::profile`] was set). Excluded from [`RunReport::matches`]
     /// for the same reason as `telemetry`.
     pub profile: Option<Box<telemetry::Profiler>>,
-    /// Tier-2 megablock runtime statistics. Observer state: entry and
-    /// deopt counts legitimately differ between a record run and its
+    /// Tier-2 runtime statistics. Observer state: entry and closed-pass
+    /// counts legitimately differ between a record run and its
     /// replay (hook horizons differ), so — like `telemetry` — this is
     /// excluded from [`RunReport::matches`]. Tier-*up* counts, by
     /// contrast, are deterministic and surface in the event ring.

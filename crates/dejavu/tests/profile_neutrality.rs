@@ -139,12 +139,13 @@ fn cycle_attribution_is_complete() {
     assert_eq!(interp + sched, m.total_cycles, "interp + sched = total");
 }
 
-/// Tier-2 megablocks unfold to their constituent QOp spans: profiling the
-/// same trace with megablocks on and off yields byte-identical artifacts
-/// and a complete attribution, while the tier-2 replay provably tiered up
-/// (a vacuous pass would mean the profiler silently pinned tier 1).
+/// Tier 2 stands aside under the profiler, which attributes every
+/// dispatched op and tier 2 dispatches none: profiling the same trace with
+/// tier 2 on and off yields byte-identical artifacts and a complete
+/// attribution. Loops still tier up (their `compile.mega` events are part
+/// of the run), they are just never entered.
 #[test]
-fn megablock_unfold_keeps_attribution_complete() {
+fn tier_2_stands_aside_for_the_profiler() {
     let w = workloads::registry()
         .into_iter()
         .find(|w| w.name == "fig1_hot")
@@ -156,8 +157,8 @@ fn megablock_unfold_keeps_attribution_complete() {
     let (p_on, rep_on, d_on) = profile_replay(&spec, trace, SymmetryConfig::full());
     assert!(d_off.is_empty() && d_on.is_empty());
     assert!(
-        rep_on.mega.tier_ups > 0,
-        "profiled replay never tiered up: {:?}",
+        rep_on.mega.tier_ups > 0 && rep_on.mega.entries == 0,
+        "profiled replay must tier up and never enter: {:?}",
         rep_on.mega
     );
     assert!(rep_on.matches(&rep_off), "tier-2 visible to the profiler");

@@ -8,7 +8,7 @@
 //! word, the heap a straight replay holds at the same step.
 //!
 //! It runs the generic tier, where one step is one instruction. A fused
-//! op of the quickened and megablock tiers need not write the operand
+//! op of the quickened tier, or tier 2's closed form, need not write the operand
 //! slots its constituents would have, so there the dead words above a
 //! stack pointer depend on where a run paused; those tiers' landings are
 //! pinned by fingerprint and state digest in `tests/proptests.rs`.

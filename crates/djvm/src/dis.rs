@@ -4,7 +4,7 @@
 //! view of the executing method's Java source and machine instructions").
 
 use crate::bytecode::{Op, Ty};
-use crate::compile::{MegaOp, Pure, QOp, Test};
+use crate::compile::{Pure, QOp, Test};
 use crate::program::Program;
 use crate::MethodId;
 use std::fmt::Write;
@@ -143,33 +143,30 @@ pub fn disassemble_all(program: &Program) -> String {
         .join("\n")
 }
 
-/// Render a total micro-op behind its tier prefix (`q.` / `m.`): the
-/// quickened and tier-2 listings spell the shared ops identically.
-fn render_pure(tier: &str, p: Pure) -> String {
+/// Render a total micro-op of the quickened stream.
+fn render_pure(p: Pure) -> String {
     match p {
-        Pure::Const(v) => format!("{tier}const {v}"),
-        Pure::Load(i) => format!("{tier}load l{i}"),
-        Pure::Store(i) => format!("{tier}store l{i}"),
-        Pure::Dup => format!("{tier}dup"),
-        Pure::Pop => format!("{tier}pop"),
-        Pure::Swap => format!("{tier}swap"),
-        Pure::Neg => format!("{tier}neg"),
-        Pure::RefEq => format!("{tier}refeq"),
-        Pure::Alu(f) => format!("{tier}alu {f:?}"),
-        Pure::Cmp(f) => format!("{tier}cmp {f:?}"),
-        Pure::ConstStore { v, local } => format!("{tier}const+store {v} -> l{local}"),
-        Pure::LoadLoadAlu { a, b, f } => format!("{tier}load+load+alu l{a}, l{b}, {f:?}"),
-        Pure::LoadConstAlu { a, v, f } => format!("{tier}load+const+alu l{a}, {v}, {f:?}"),
+        Pure::Const(v) => format!("q.const {v}"),
+        Pure::Load(i) => format!("q.load l{i}"),
+        Pure::Store(i) => format!("q.store l{i}"),
+        Pure::Dup => "q.dup".into(),
+        Pure::Pop => "q.pop".into(),
+        Pure::Swap => "q.swap".into(),
+        Pure::Neg => "q.neg".into(),
+        Pure::RefEq => "q.refeq".into(),
+        Pure::Alu(f) => format!("q.alu {f:?}"),
+        Pure::Cmp(f) => format!("q.cmp {f:?}"),
+        Pure::ConstStore { v, local } => format!("q.const+store {v} -> l{local}"),
+        Pure::LoadLoadAlu { a, b, f } => format!("q.load+load+alu l{a}, l{b}, {f:?}"),
+        Pure::LoadConstAlu { a, v, f } => format!("q.load+const+alu l{a}, {v}, {f:?}"),
     }
 }
 
-/// Render a branch test with the direction of the branch it feeds. A bare
-/// `Test::Top` is padded to `pad` columns so the tier-2 guard annotations
-/// line up.
-fn render_test(test: Test, jump_if: bool, pad: usize) -> String {
+/// Render a branch test with the direction of the branch it feeds.
+fn render_test(test: Test, jump_if: bool) -> String {
     let dir = if jump_if { "ifnz" } else { "ifz" };
     match test {
-        Test::Top => format!("{dir:pad$}"),
+        Test::Top => dir.to_string(),
         Test::Cmp(f) => format!("cmp+{dir} {f:?}"),
         Test::LoadConstCmp { a, v, f } => format!("load+const+cmp+{dir} l{a}, {v}, {f:?}"),
     }
@@ -182,18 +179,14 @@ pub fn render_qop(program: &Program, q: QOp) -> String {
     let be = |backedge: bool| if backedge { " [backedge]" } else { "" };
     match q {
         QOp::Gen(op) => render_op(program, op),
-        QOp::Pure(p) => render_pure("q.", p),
+        QOp::Pure(p) => render_pure(p),
         QOp::Goto { target, backedge } => format!("q.goto @{target}{}", be(backedge)),
         QOp::Branch {
             test,
             jump_if,
             target,
             backedge,
-        } => format!(
-            "q.{} @{target}{}",
-            render_test(test, jump_if, 0),
-            be(backedge)
-        ),
+        } => format!("q.{} @{target}{}", render_test(test, jump_if), be(backedge)),
         QOp::CallMono {
             class,
             callee,
@@ -254,45 +247,11 @@ pub fn disassemble_quickened_all(program: &Program) -> String {
         .join("\n")
 }
 
-/// Render one megablock micro-op. Guarded ops state the condition that
-/// side-exits to the quickened tier; the `^` marks how far the call
-/// inliner descended.
-pub fn render_mega_op(program: &Program, op: MegaOp) -> String {
-    match op {
-        MegaOp::Pure(p) => render_pure("m.", p),
-        MegaOp::Jump => "m.jump (forward goto, folded into step order)".into(),
-        MegaOp::Div => "m.div                      [guard: divisor != 0]".into(),
-        MegaOp::Rem => "m.rem                      [guard: divisor != 0]".into(),
-        MegaOp::Guard { test, jump_if } => format!(
-            "m.fallthrough.{} [guard: branch not taken]",
-            render_test(test, jump_if, 18)
-        ),
-        MegaOp::Call {
-            class,
-            callee,
-            nargs,
-        } => format!(
-            "m.call.inlined {}.{} ({nargs} args) [guard: receiver is {}]",
-            program.class(class).name,
-            program.method(callee).name,
-            program.class(class).name
-        ),
-        MegaOp::Ret { has_val } => {
-            format!("m.ret{} (inlined return)", if has_val { "val" } else { "" })
-        }
-        MegaOp::BackGoto => "m.backedge goto -> head".into(),
-        MegaOp::Back { test, jump_if } => format!(
-            "m.backedge.{} [guard: branch taken]",
-            render_test(test, jump_if, 21)
-        ),
-    }
-}
-
-/// Disassemble the tier-2 megablocks a method's loops *would* compile to.
-/// The listing is static (blocks are built from the quickened stream, not
-/// from runtime state), so it shows every candidate loop head: compiled
-/// ones with their guard list, constituent pc ranges and side-exit table;
-/// rejected ones with a `not traceable` note.
+/// Disassemble the tier-2 closed forms a method's loops *would* compile
+/// to. The listing is static (closed forms are read off the quickened
+/// stream, not from runtime state), so it shows every loop head: a closed
+/// one with its induction, guard, other locals and width; any other with
+/// `stays tier 1`.
 pub fn disassemble_mega(program: &Program, method: MethodId) -> String {
     let m = program.method(method);
     let cm = program.compiled(method);
@@ -306,65 +265,28 @@ pub fn disassemble_mega(program: &Program, method: MethodId) -> String {
         if heads.len() == 1 { "" } else { "s" }
     );
     for head in heads {
-        match crate::compile::compile_loop(program, method, head) {
-            None => {
-                let _ = writeln!(out, "  loop @{head}: not traceable (stays quickened)");
-            }
-            Some(b) => {
-                let _ = writeln!(
-                    out,
-                    "  loop @{head}: megablock — {} steps, width {} cycles, {} yield point{}, {} guard{}",
-                    b.steps.len(),
-                    b.width,
-                    b.yields,
-                    if b.yields == 1 { "" } else { "s" },
-                    b.guards,
-                    if b.guards == 1 { "" } else { "s" }
-                );
-                if let Some(cl) = b.closed {
-                    let _ = writeln!(
-                        out,
-                        "    closed form: l{} += {} while {:?}(l{}, {}) != {}",
-                        cl.local, cl.step, cl.f, cl.local, cl.bound, cl.exit_if
-                    );
-                }
-                let mut guard_ix = 0u32;
-                let mut exits: Vec<(u32, u32, MethodId)> = Vec::new();
-                for s in &b.steps {
-                    let caret = "^".repeat(s.depth as usize + 1);
-                    let range = if s.width > 1 {
-                        format!("{}..{}", s.pc, s.pc + s.width - 1)
-                    } else {
-                        format!("{}", s.pc)
-                    };
-                    let gtag = if s.op.is_guard() {
-                        exits.push((guard_ix, s.pc, s.method));
-                        let t = format!("g{guard_ix} ");
-                        guard_ix += 1;
-                        t
-                    } else {
-                        "   ".into()
-                    };
-                    let _ = writeln!(
-                        out,
-                        "    {gtag}{caret:>3} {range:>9}  {}",
-                        render_mega_op(program, s.op)
-                    );
-                }
-                if exits.is_empty() {
-                    let _ = writeln!(out, "    side exits: none");
-                } else {
-                    let _ = writeln!(out, "    side exits (deopt to quickened, pre-step):");
-                    for (g, pc, meth) in exits {
-                        let _ = writeln!(
-                            out,
-                            "      g{g} -> {}@{pc}",
-                            program.method(meth).qualified_name(program)
-                        );
-                    }
-                }
-            }
-        }
+        let Some(cl) = crate::compile::compile_loop(program, method, head) else {
+            let _ = writeln!(out, "  loop @{head}: stays tier 1");
+            continue;
+        };
+        let accs: String = cl
+            .accs
+            .iter()
+            .map(|(l, c)| format!(", l{l} += {c}"))
+            .collect();
+        let _ = writeln!(
+            out,
+            "  loop @{head}: closed form: l{} += {} while {:?}(l{}, {}) != {}{accs} \
+             [guard at {}, {} cycles a pass]",
+            cl.local,
+            cl.step,
+            cl.f,
+            cl.local,
+            cl.bound,
+            cl.exit_if,
+            if cl.eval_offset == 0 { "head" } else { "tail" },
+            cl.width
+        );
     }
     out
 }
@@ -468,40 +390,38 @@ mod tests {
     }
 
     #[test]
-    fn mega_listing_shows_guards_and_side_exits() {
+    fn mega_listing_shows_each_loops_closed_form() {
         let mut pb = ProgramBuilder::new();
-        let m = pb.method("hot", 0, 1).code(|a| {
+        let m = pb.method("hot", 0, 2).code(|a| {
             a.iconst(0).store(0);
+            a.iconst(0).store(1);
             a.label("top");
             a.load(0).iconst(5).ge().if_nz("done");
+            a.load(1).iconst(-3).add().store(1);
             a.load(0).iconst(1).add().store(0);
             a.goto("top");
             a.label("done");
+            a.label("down");
+            a.load(0).iconst(-1).add().store(0);
+            a.load(0).iconst(0).gt().if_nz("down");
             a.halt();
         });
         let p = pb.finish(m).unwrap();
         let text = disassemble_mega(&p, m);
-        assert!(text.contains("megablock"), "{text}");
-        assert!(text.contains("g0"), "guard ordinals shown: {text}");
-        assert!(text.contains("side exits"), "{text}");
-        assert!(text.contains("m.backedge goto"), "{text}");
-        assert!(
-            text.contains("[guard: branch not taken]"),
-            "exit condition shown: {text}"
-        );
-        assert!(text.contains("2..5"), "constituent pc ranges shown: {text}");
-        // The canonical counting loop also prints its closed form.
-        assert!(
-            text.contains("closed form: l0 += 1 while Ge(l0, 5) != true"),
-            "closed form shown: {text}"
+        assert_eq!(
+            text,
+            "method hot (tier-2, 2 loop heads)\n\
+             \x20 loop @4: closed form: l0 += 1 while Ge(l0, 5) != true, l1 += -3 \
+             [guard at head, 13 cycles a pass]\n\
+             \x20 loop @17: closed form: l0 += -1 while Gt(l0, 0) != false \
+             [guard at tail, 8 cycles a pass]\n"
         );
     }
 
     #[test]
-    fn mega_listing_flags_untraceable_loops() {
+    fn mega_listing_flags_loops_that_stay_tier_1() {
         let mut pb = ProgramBuilder::new();
-        // The loop body allocates — New is not traceable, so the loop
-        // head must be listed as rejected.
+        // The loop body allocates, so it has no closed form.
         let cls = pb.class("Box").field("v", Ty::Int).build();
         let m = pb.method("alloc_loop", 0, 1).code(|a| {
             a.iconst(0).store(0);
@@ -515,7 +435,7 @@ mod tests {
         });
         let p = pb.finish(m).unwrap();
         let text = disassemble_mega(&p, m);
-        assert!(text.contains("not traceable"), "{text}");
+        assert!(text.contains("loop @2: stays tier 1"), "{text}");
     }
 
     #[test]
@@ -537,8 +457,7 @@ mod tests {
                 assert!(!s.is_empty());
             }
         }
-        // Every shared micro-op renders, identically behind either tier
-        // prefix, and no two of them render alike.
+        // Every shared micro-op renders, and no two of them render alike.
         let (f, c) = (crate::compile::AluFn::Add, crate::compile::CmpFn::Lt);
         let pures = [
             Pure::Const(1),
@@ -557,19 +476,12 @@ mod tests {
         ];
         let mut seen = std::collections::BTreeSet::new();
         for pure in pures {
-            let (q, m) = (
-                render_qop(&p, QOp::Pure(pure)),
-                render_mega_op(&p, MegaOp::Pure(pure)),
-            );
-            assert!(q.starts_with("q.") && m.starts_with("m.") && q.len() > 2);
-            assert_eq!(q[2..], m[2..]);
+            let q = render_qop(&p, QOp::Pure(pure));
+            assert!(q.starts_with("q.") && q.len() > 2);
             assert!(seen.insert(q), "{pure:?} renders like another op");
         }
-        // Every test renders in all three positions, spelled as before the
-        // tiers shared one `Test` (bare tests pad to the guard column).
+        // Every test renders, spelled as before the tiers shared one `Test`.
         let lcc = Test::LoadConstCmp { a: 0, v: 5, f: c };
-        let guard = |test, jump_if| render_mega_op(&p, MegaOp::Guard { test, jump_if });
-        let back = |test, jump_if| render_mega_op(&p, MegaOp::Back { test, jump_if });
         let branch = |test, jump_if, backedge| {
             let q = QOp::Branch {
                 test,
@@ -580,22 +492,6 @@ mod tests {
             render_qop(&p, q)
         };
         for (got, want) in [
-            (
-                guard(Test::Top, true),
-                "m.fallthrough.ifnz               [guard: branch not taken]",
-            ),
-            (
-                back(Test::Top, false),
-                "m.backedge.ifz                   [guard: branch taken]",
-            ),
-            (
-                guard(Test::Cmp(c), true),
-                "m.fallthrough.cmp+ifnz Lt [guard: branch not taken]",
-            ),
-            (
-                back(lcc, false),
-                "m.backedge.load+const+cmp+ifz l0, 5, Lt [guard: branch taken]",
-            ),
             (branch(Test::Top, true, true), "q.ifnz @7 [backedge]"),
             (branch(Test::Cmp(c), false, false), "q.cmp+ifz Lt @7"),
             (

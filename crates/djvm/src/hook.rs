@@ -80,13 +80,13 @@ pub trait ExecHook {
     /// How many upcoming [`ExecHook::on_yield_point`] consults are
     /// guaranteed *quiet* — they would return [`YieldAction::NONE`] and
     /// have no effect beyond advancing the hook's yield-point arithmetic —
-    /// assuming no timer tick fires before they happen. The tier-2
-    /// megablock engine batches that many consults away (crediting them
-    /// back via [`ExecHook::on_yield_points_skipped`]), so the answer must
+    /// assuming no timer tick fires before they happen. Tier 2's closed
+    /// form batches that many consults away (crediting them back via
+    /// [`ExecHook::on_yield_points_skipped`]), so the answer must
     /// be exact: passthrough and record switch only when the preempt bit
     /// is set (which a tick-free window cannot set), replay switches when
     /// the recorded delta expires. The conservative default of 0 keeps
-    /// custom hooks correct: megablocks simply never run for them.
+    /// custom hooks correct: tier 2 simply never runs for them.
     fn quiet_yield_horizon(&self, _vm: &Vm) -> u64 {
         0
     }

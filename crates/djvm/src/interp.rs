@@ -19,13 +19,16 @@
 //! [`div_rem`], reference reads in [`crate::objref`] (the remote reflector
 //! calls these too), everything else in [`exec_op`].
 //! How its cycle is *accounted* is written once too, in
-//! [`Cursor::retire`]. The three dispatch tiers — [`step`] (generic),
-//! [`run_quick`] (quickened) and [`run_mega`] (tier 2) — are sequencing
-//! policies over those definitions: they differ in how many instructions
-//! they retire between write-backs, never in what an instruction means.
+//! [`Cursor::retire`]. The two dispatch tiers — [`step`] (generic) and
+//! [`run_quick`] (quickened) — are sequencing policies over those
+//! definitions: they differ in how many instructions they retire between
+//! write-backs, never in what an instruction means. Tier 2, [`run_mega`],
+//! executes no instruction at all: at the head of a counting loop it
+//! writes the closed form of the passes tier 1 would have run
+//! ([`ClosedLoop`]) and hands every other pass back to tier 1.
 
 use crate::bytecode::{MethodId, Op, Ty};
-use crate::compile::{div_rem, MegaBlock, MegaOp, Pure, QOp, Test};
+use crate::compile::{div_rem, ClosedLoop, Pure, QOp, Test};
 use crate::fingerprint::{Fingerprint, FingerprintMode};
 use crate::heap::{Addr, Word, NULL};
 use crate::hook::{AccessDecision, ExecHook};
@@ -57,8 +60,8 @@ pub fn run(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> VmStatus {
 /// switches either off), both honoured identically by every tier:
 ///
 /// * **steps** — at most `max_steps` more instructions retire; a fused
-///   superinstruction or a megablock iteration counts as its constituent
-///   instructions and splits at the edge.
+///   superinstruction counts as its constituent instructions and splits
+///   at the edge, and tier 2 retires only whole passes that fit.
 /// * **logical time** — the run pauses right after the instruction that
 ///   brings `counters.yield_points` to `until` (at once if it is already
 ///   there): tiers 0–1 re-test it after every yield point, tier 2 folds it
@@ -87,7 +90,7 @@ pub fn run_until(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64, until: u6
 /// into the `Full` fingerprint in order, and moves the timer `k` cycles
 /// closer to its tick — in every tier, because [`Cursor::retire`] is the
 /// only code that does any of it (tier 2's closed form applies whole
-/// iterations' mixes as their exact composition, [`MegaBlock::fold`]). A
+/// passes' mixes as their exact composition, [`ClosedLoop::fold`]). A
 /// tier may batch (`k > 1`, or [`Cursor::mix`] now and [`Cursor::count`]
 /// later) only where no tick can fire inside the batch and only over total
 /// ops, for which "account for k, then run k" is observationally identical
@@ -131,8 +134,8 @@ impl Cursor {
 
     /// The `Full`-mode pc mixes of `k` instructions starting at `pc`, one
     /// multiply-add each. The chain is affine, so a tier that retires whole
-    /// iterations folds it instead (`run_mega`'s closed form applies the
-    /// block's [`MegaBlock::fold`]); per fused op there is nothing to win.
+    /// passes folds it instead (`run_mega` applies the loop's
+    /// [`ClosedLoop::fold`]); per fused op there is nothing to win.
     #[inline(always)]
     fn mix(&mut self, tid: Tid, method: MethodId, pc: u32, k: u32) {
         if self.fp_on {
@@ -198,8 +201,8 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64, until: u64) -> Vm
     let program = vm.program.clone();
     // One hoisted bool keeps the profiler-off cost to a predicted branch.
     let prof_on = vm.telem.profile.is_some();
-    // Set when a megablock ran and its entry gate then closed at its head:
-    // a probe there would miss the gate again, so tier 1 takes the head.
+    // Set when tier 2 ran and then handed its head to tier 1 (`run_mega`'s
+    // result): a probe there would retire nothing, so tier 1 takes the head.
     let mut gate_closed = false;
     // Every yield point and call re-enters here with the cursor flushed, so
     // this is where the logical-time bound is tested: once per yield point.
@@ -214,19 +217,21 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64, until: u64) -> Vm
             let t = &vm.threads[cur];
             (t.method, t.pc, t.sp, t.fp + 3)
         };
-        // ---- tier-2: megablocks execute at compiled loop heads ----
-        if !std::mem::take(&mut gate_closed) && vm.mega.enabled && vm.instr_depth == 0 {
-            if let Some(block) = vm.mega_block(method, pc) {
+        // ---- tier 2: closed loops retire whole passes at their heads ----
+        // A profiled run stays here: the profiler attributes every
+        // dispatched op, and tier 2 dispatches none.
+        if !std::mem::take(&mut gate_closed) && vm.mega.enabled && vm.instr_depth == 0 && !prof_on {
+            if let Some(cl) = vm.closed_loop(method, pc) {
                 let before = vm.counters.steps;
-                let closed = run_mega(vm, hook, &block, limit, until, prof_on);
+                let closed = run_mega(vm, hook, &cl, limit, until);
                 if vm.counters.steps != before {
                     gate_closed = closed;
                     continue 'outer;
                 }
-                // Zero progress (entry-gate miss, or a deopt at the very
-                // first step): the VM is bit-identical to entry, so fall
+                // Zero progress (a gate miss, or a first pass tier 2 does
+                // not run): the VM is bit-identical to entry, so fall
                 // through into quickened dispatch below, which always
-                // advances — the block is only re-tried at the next taken
+                // advances — the head is only re-probed at the next taken
                 // backedge, so this cannot spin.
             }
         }
@@ -349,322 +354,87 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64, until: u64) -> Vm
     vm.status
 }
 
-/// Tier 2's sequencing state: work the megablock has run but not yet
-/// settled into the [`Cursor`]. Completed clean iterations only bump
-/// `full_iters`, the current iteration accumulates retired widths in
-/// `done_w`, and [`Lazy::settle`] pays for everything in one multiply at
-/// the next batch boundary or flush. This is where tier 2 beats tier 1 —
-/// the quickened loop pays the full per-op accounting (plus a tick check
-/// and a hook consult per yield point) that the megablock amortizes over
-/// a whole batch of iterations.
-struct Lazy {
-    full_iters: u64,
-    done_w: u64,
-    /// The prefix of `done_w` a mid-iteration flush (Call/Ret) already
-    /// settled; carried across the iteration boundary so the completed
-    /// iteration is not paid for twice.
-    settled_w: u64,
-    /// Upcoming yield-point consults the hook has guaranteed quiet.
-    h: u64,
-    /// Yield points batched away so far; credited (to the counters and
-    /// the hook) on exit, before any real hook consult can happen.
-    skipped: u64,
-}
-
-impl Lazy {
-    #[inline(always)]
-    fn settle(&mut self, c: &mut Cursor, vm: &mut Vm, block: &MegaBlock) {
-        c.count(
-            vm,
-            self.full_iters * block.width + self.done_w - self.settled_w,
-        );
-        self.settled_w = self.done_w;
-        self.h = self.h.saturating_sub(self.full_iters * block.yields);
-        self.skipped += self.full_iters * block.back_yield;
-        vm.mega.stats.iters += self.full_iters;
-        self.full_iters = 0;
-    }
-}
-
-/// Tier 2: execute whole iterations of a compiled megablock.
+/// Tier 2: retire whole passes of a closed loop at its head, in closed
+/// form (DESIGN §10). Nothing runs step by step here: the stepper only
+/// decides how many passes tier 1 would have run without a tick, a pause
+/// or a preemption, and writes their combined effect.
 ///
-/// # Extending the cycle-accounting invariant (DESIGN §10)
+/// # Extending the cycle-accounting invariant
 ///
-/// A full iteration (`width` source instructions, `yields` yield points)
-/// runs batched only when three gates all pass at the head:
+/// At most `avail` passes (`width` source instructions and one yield
+/// point each) retire, the least of three bounds re-taken after each
+/// batch:
 ///
-/// * `to_tick > width` — no timer tick can fire inside the batch (the
-///   fused-superinstruction gate, applied per iteration);
-/// * `steps + width <= limit` — budget-limited runs pause on identical
-///   instruction boundaries in every tier;
-/// * `h >= yields` — the hook has guaranteed that many upcoming
-///   yield-point consults are *quiet* (no switch, no helper), so skipping
-///   them and crediting the counts at exit is observationally identical.
-///   `h` is consulted once at entry: within a tick-free window the horizon
-///   cannot shrink for any other reason (passthrough/record horizons
-///   depend only on the preempt bit; replay's recorded delta decreases by
-///   exactly the yield points we credit).
+/// * `to_tick > avail · width` — no timer tick can fire inside the batch
+///   (the fused-superinstruction gate, applied per pass);
+/// * `steps + avail · width <= limit` — budget-limited runs pause on
+///   identical instruction boundaries in every tier;
+/// * `avail <= h` — the hook has guaranteed that many upcoming yield-point
+///   consults are *quiet* (no switch, no helper), so skipping them and
+///   crediting the counts at exit is observationally identical. `h` is
+///   consulted once at entry: within a tick-free window the horizon cannot
+///   shrink for any other reason (passthrough/record horizons depend only
+///   on the preempt bit; replay's recorded delta decreases by exactly the
+///   yield points we credit). The logical-time bound `until` caps it, so
+///   no batch credits a yield point past it.
 ///
-/// Returns whether it stopped because the entry gate closed at the head.
+/// Of those, [`ClosedLoop::passes`] retires the ones whose guard holds and
+/// whose guarded value stays inside `i64`. Everything else — the pass whose
+/// guard fails, the pass that wraps — is tier 1's, which runs it with full
+/// semantics when this returns.
 ///
-/// Every guard failure — real or injected — exits *before* the offending
-/// step, with the thread cursor flushed to that step's exact
-/// (method, pc, sp) and all prefix accounting written back: the quickened
-/// tier then re-executes the step with full semantics (error events, hook
-/// consults), so a deopt is never observable. Inlined calls push and pop
-/// *real* frames (`push_frame`/`do_return`), keeping physical stack writes
-/// identical to the quickened tier; the cursor is stored and reloaded
-/// around them so their events (stack growth, profiler spans) interleave
-/// in program order.
-// Kept out of the tier-1 dispatch loop: inlining this large body bloats
-// `run_quick`'s icache footprint for a call taken only at hot loop heads.
+/// Returns whether tier 1 takes the head without probing it again: after
+/// a gate miss, and after a tail-guarded loop's last pass, whose guard is
+/// not at the head. A head-guarded loop's failing guard *is* the head, so
+/// `run_quick` probes it once more; that entry retires nothing and hands
+/// the head to tier 1.
+// Kept out of the tier-1 dispatch loop: inlining it bloats `run_quick`'s
+// icache footprint for a call taken only at hot loop heads.
 #[inline(never)]
-fn run_mega(
-    vm: &mut Vm,
-    hook: &mut dyn ExecHook,
-    block: &MegaBlock,
-    limit: u64,
-    until: u64,
-    prof_on: bool,
-) -> bool {
-    let (width, yields) = (block.width, block.yields);
-    let stride = vm.config.mega_deopt_stride;
-    let forced_guard = vm.config.mega_deopt_guard;
-    // Deopt injection is config-gated; keep the per-guard bookkeeping off
-    // the fast path entirely when both knobs are cold.
-    let inject = stride != 0 || forced_guard.is_some();
-
+fn run_mega(vm: &mut Vm, hook: &mut dyn ExecHook, cl: &ClosedLoop, limit: u64, until: u64) -> bool {
     let tid = vm.sched.current;
     let cur = tid as usize;
-    let (mut sp, mut base) = {
-        let t = &vm.threads[cur];
-        (t.sp, t.fp + 3)
-    };
+    debug_assert_eq!(vm.threads[cur].pc, cl.head);
+    let base = vm.threads[cur].fp + 3;
     let mut c = Cursor::load(vm);
-    let mut lazy = Lazy {
-        full_iters: 0,
-        done_w: 0,
-        settled_w: 0,
-        // One horizon consult covers the whole entry (see above); the
-        // logical-time bound caps it, so no batch credits a yield past it.
-        h: hook
-            .quiet_yield_horizon(vm)
-            .min(until.saturating_sub(vm.counters.yield_points)),
-        skipped: 0,
-    };
-    let mut entered = false;
-
-    // Write the cursor and accounting back at an exact step boundary.
-    macro_rules! flush_at {
-        ($method:expr, $pc:expr) => {{
-            lazy.settle(&mut c, vm, block);
-            let t = &mut vm.threads[cur];
-            debug_assert_eq!(t.method, $method);
-            t.pc = $pc;
-            t.sp = sp;
-            c.store(vm);
-        }};
-    }
-    // Pick the frame and cursor back up after a real frame push/pop: the
-    // stack may have grown (and moved), and fingerprint events may have
-    // mixed.
-    macro_rules! reload {
-        () => {{
-            let t = &vm.threads[cur];
-            sp = t.sp;
-            base = t.fp + 3;
-            c = Cursor::load(vm);
-        }};
-    }
-    // One micro-op's accounting: the pc mixes now, the counts lazily.
-    macro_rules! retire {
-        ($s:expr) => {{
-            c.mix(tid, $s.method, $s.pc, $s.width);
-            if prof_on {
-                // Unfold into the same per-QOp counters the quickened
-                // tier feeds (ProfileModel completeness holds tier-up).
-                profile_qop(vm, $s.kind, $s.width);
-            }
-            lazy.done_w += $s.width as u64;
-        }};
-    }
-
-    let mut gate_closed = false;
-    let failed = 'outer: loop {
-        lazy.settle(&mut c, vm, block);
-        // How many whole iterations fit before the next tick, the step
-        // budget, or the hook's quiet-yield horizon could interrupt. Each
-        // bound reproduces the per-iteration gate it replaces exactly, so
-        // ticks/preemptions/pauses land on identical step boundaries.
-        let by_tick = c.to_tick.saturating_sub(1) / width;
-        let by_budget = limit.saturating_sub(c.steps) / width;
-        let avail = by_tick.min(by_budget).min(lazy.h / yields);
+    let mut h = hook
+        .quiet_yield_horizon(vm)
+        .min(until.saturating_sub(vm.counters.yield_points));
+    let mut retired = 0u64;
+    let handoff = loop {
+        let by_tick = c.to_tick.saturating_sub(1) / cl.width;
+        let by_budget = limit.saturating_sub(c.steps) / cl.width;
+        let avail = by_tick.min(by_budget).min(h);
         if avail == 0 {
             vm.mega.stats.gate_misses += 1;
-            flush_at!(block.method, block.head);
-            gate_closed = true;
-            break 'outer None;
+            break true;
         }
-        if !entered {
-            entered = true;
+        if retired == 0 {
             vm.mega.stats.entries += 1;
         }
-        // Closed-form fast path: a canonical counting loop retires a whole
-        // batch of passing iterations with one multiply, provided no
-        // per-step observer needs the iterations replayed step-by-step
-        // (profiler attribution or forced deopt injection). The `Full`
-        // fingerprint is no such observer: its pc mixes advance by `kk`
-        // applications of the block's exact fold, one multiply-add each
-        // (`kk` is bounded by the quantum). The final memory image is
-        // bit-identical: the only per-iteration effects are the induction
-        // local (written with its closed-form value) and operand-stack
-        // traffic below a restored sp, which nothing live can observe.
-        // When the next iteration would fail its guard (`kk == 0`), fall
-        // through to the step loop so the deopt happens at the exact guard
-        // pc.
-        if !prof_on && !inject {
-            if let Some(cl) = block.closed {
-                let slot = (base + cl.local as u64) as usize;
-                let x0 = vm.heap.mem[slot] as i64;
-                let kk = cl.passes(x0, avail);
-                if kk > 0 {
-                    if c.fp_on {
-                        c.fph = block.fold.apply(c.fph, tid, kk);
-                    }
-                    vm.heap.mem[slot] = (x0 as i128 + kk as i128 * cl.step as i128) as i64 as Word;
-                    lazy.full_iters += kk;
-                    vm.mega.stats.closed_iters += kk;
-                    continue 'outer;
-                }
-            }
+        let locals = &mut vm.heap.mem[base as usize..];
+        let kk = cl.passes(locals[cl.local as usize] as i64, avail);
+        if kk == 0 {
+            break cl.eval_offset != 0;
         }
-        'batch: for _ in 0..avail {
-            let mut guard_ix: u32 = 0;
-            for s in &block.steps {
-                let s = *s;
-                // Evaluate one guard's forced-deopt injection knobs (predicted
-                // false; the bookkeeping only runs when a knob is set).
-                macro_rules! guard_forced {
-                    () => {{
-                        if inject {
-                            let g = guard_ix;
-                            guard_ix += 1;
-                            vm.mega.guard_evals += 1;
-                            (stride != 0 && vm.mega.guard_evals % stride == 0)
-                                || forced_guard == Some(g)
-                        } else {
-                            false
-                        }
-                    }};
-                }
-                // Side exit *before* this step: quickened re-executes it.
-                macro_rules! deopt {
-                    ($forced:expr) => {{
-                        flush_at!(s.method, s.pc);
-                        vm.mega.stats.deopts += 1;
-                        if $forced {
-                            vm.mega.stats.forced_deopts += 1;
-                        }
-                        break 'outer None;
-                    }};
-                }
-                // A taken backedge terminator: iteration complete.
-                macro_rules! iter_done {
-                    () => {{
-                        let _ = guard_ix; // terminators end the per-iteration count
-                        debug_assert_eq!(lazy.done_w, width);
-                        lazy.full_iters += 1;
-                        lazy.done_w = 0;
-                        continue 'batch;
-                    }};
-                }
-                match s.op {
-                    MegaOp::Pure(p) => {
-                        retire!(s);
-                        sp = p.exec(&mut vm.heap.mem, sp, base);
-                    }
-                    // Interior forward Goto: transfer is implicit in step
-                    // order; only the accounting remains.
-                    MegaOp::Jump => retire!(s),
-
-                    // ---- guarded micro-ops ----
-                    MegaOp::Div | MegaOp::Rem => {
-                        let forced = guard_forced!();
-                        let i = sp as usize - 2;
-                        let (a, b) = (vm.heap.mem[i] as i64, vm.heap.mem[i + 1] as i64);
-                        let r = match div_rem(a, b, s.op == MegaOp::Rem) {
-                            Ok(r) if !forced => r,
-                            _ => deopt!(forced),
-                        };
-                        retire!(s);
-                        sp -= 1;
-                        vm.heap.mem[i] = r as Word;
-                    }
-                    MegaOp::Guard { test, jump_if } => {
-                        let forced = guard_forced!();
-                        let (sense, pops) = test.eval(&vm.heap.mem, sp, base);
-                        if forced || sense == jump_if {
-                            deopt!(forced);
-                        }
-                        retire!(s);
-                        sp -= pops;
-                    }
-                    MegaOp::Call {
-                        class,
-                        callee,
-                        nargs,
-                    } => {
-                        let forced = guard_forced!();
-                        let recv = vm.heap.mem[(sp - nargs as u64) as usize];
-                        if forced || objref::receiver(&vm.heap, &vm.program, recv, class).is_err() {
-                            deopt!(forced);
-                        }
-                        retire!(s);
-                        flush_at!(s.method, s.pc); // push_frame reads t.pc/t.sp
-                        if let Err(e) = vm.push_frame(callee, true, &[], false, false) {
-                            break 'outer Some(e);
-                        }
-                        reload!();
-                        lazy.skipped += 1; // the callee's prologue yield point, batched
-                    }
-                    MegaOp::Ret { has_val } => {
-                        retire!(s);
-                        flush_at!(s.method, s.pc);
-                        let retv = if has_val { Some(vm.pop_word()) } else { None };
-                        do_return(vm, hook, retv);
-                        reload!();
-                    }
-
-                    // ---- backedge terminators ----
-                    MegaOp::BackGoto => {
-                        retire!(s);
-                        iter_done!();
-                    }
-                    MegaOp::Back { test, jump_if } => {
-                        let forced = guard_forced!();
-                        let (sense, pops) = test.eval(&vm.heap.mem, sp, base);
-                        if forced || sense != jump_if {
-                            deopt!(forced);
-                        }
-                        retire!(s);
-                        sp -= pops;
-                        iter_done!();
-                    }
-                }
-            }
-            unreachable!("megablock has no backedge terminator");
+        // `kk` passes: their locals in closed form, their pc mixes as `kk`
+        // applications of the pass's exact fold.
+        cl.advance(locals, kk);
+        if c.fp_on {
+            c.fph = cl.fold.apply(c.fph, tid, kk);
         }
+        c.count(vm, kk * cl.width);
+        h -= kk;
+        retired += kk;
+        vm.mega.stats.closed_iters += kk;
     };
-
-    if lazy.skipped > 0 {
-        vm.counters.yield_points += lazy.skipped;
-        vm.threads[cur].yield_points += lazy.skipped;
-        hook.on_yield_points_skipped(lazy.skipped);
+    c.store(vm);
+    if retired > 0 {
+        vm.counters.yield_points += retired;
+        vm.threads[cur].yield_points += retired;
+        hook.on_yield_points_skipped(retired);
     }
-    if let Some(e) = failed {
-        raise_err(vm, hook, e);
-    }
-    gate_closed
+    handoff
 }
 
 /// The generic tier: execute one instruction of the current thread (plus
@@ -2178,11 +1948,13 @@ mod tests {
         assert_eq!(vm.output, "10\n");
     }
 
-    // ---- tier-2 megablock neutrality ----
+    // ---- tier-2 closed-form neutrality ----
 
-    /// Two hot loops (both far past `MEGA_HOT_THRESHOLD`), one with a
-    /// devirtualized call and a `rem` in the body, racing on preemptive
-    /// switches — the three-tier equality workout.
+    /// Three hot loops (all far past `MEGA_HOT_THRESHOLD`) racing on
+    /// preemptive switches — the three-tier equality workout. The worker's
+    /// head-guarded loop carries two accumulators (one wrapping), main's
+    /// tail-guarded loop counts down; both tier up. Main's other loop has
+    /// a devirtualized call and a `rem` in its body, so it stays tier 1.
     fn mega_workout() -> crate::program::Program {
         let mut pb = ProgramBuilder::new();
         let c = pb.class("Scaler").build();
@@ -2191,17 +1963,23 @@ mod tests {
                 a.load(1).iconst(2).mul().ret_val();
             });
         let slot = pb.vslot(c, "twice");
-        let worker = pb.method("worker", 0, 1).code(|a| {
+        let worker = pb.method("worker", 0, 3).code(|a| {
             a.iconst(0).store(0);
+            a.iconst(5).store(1);
+            a.iconst(i64::MAX - 700).store(2);
             a.label("top");
             a.load(0).iconst(300).ge().if_nz("done");
+            a.load(1).iconst(-7).add().store(1);
             a.load(0).iconst(1).add().store(0);
+            a.load(2).iconst(3).add().store(2);
             a.goto("top");
             a.label("done");
             a.load(0).print();
+            a.load(1).print();
+            a.load(2).print();
             a.ret();
         });
-        let m = pb.method("main", 0, 3).code(|a| {
+        let m = pb.method("main", 0, 4).code(|a| {
             a.spawn(worker, 0);
             a.new(c).store(2);
             a.iconst(0).store(0);
@@ -2213,25 +1991,22 @@ mod tests {
             a.load(0).iconst(1).add().store(0);
             a.goto("top");
             a.label("done");
+            a.iconst(400).store(3);
+            a.label("down");
+            a.load(3).iconst(-1).add().store(3);
+            a.load(3).iconst(0).gt().if_nz("down");
             a.join();
             a.load(1).print();
+            a.load(3).print();
             a.halt();
         });
         pb.finish(m).unwrap()
     }
 
-    fn boot_mega(
-        p: crate::program::Program,
-        mega: bool,
-        interval: u64,
-        stride: u64,
-        guard: Option<u32>,
-    ) -> Vm {
+    fn boot_mega(p: crate::program::Program, mega: bool, interval: u64) -> Vm {
         let cfg = VmConfig {
             quicken: true,
             mega,
-            mega_deopt_stride: stride,
-            mega_deopt_guard: guard,
             ..VmConfig::default()
         };
         Vm::boot(
@@ -2244,17 +2019,22 @@ mod tests {
     }
 
     #[test]
-    fn megablocks_tier_up_and_batch_iterations() {
-        let mut vm = boot_mega(mega_workout(), true, 10_000, 0, None);
+    fn closed_loops_tier_up_and_retire_passes() {
+        let mut vm = boot_mega(mega_workout(), true, 10_000);
         vm.enable_telemetry(256);
         let mut h = Passthrough;
         run(&mut vm, &mut h, 10_000_000);
         assert!(!vm.status.is_running());
         let st = vm.mega.stats;
-        assert!(st.tier_ups >= 2, "both hot loops tier up: {st:?}");
-        assert!(st.entries >= 2, "blocks actually dispatched: {st:?}");
-        assert!(st.iters > 200, "iterations run batched: {st:?}");
-        assert_eq!(st.forced_deopts, 0, "{st:?}");
+        assert_eq!(
+            st.tier_ups, 2,
+            "the two closed loops, not the call loop: {st:?}"
+        );
+        assert!(st.entries >= 2, "both closed loops entered: {st:?}");
+        assert!(
+            st.closed_iters > 200,
+            "passes retired in closed form: {st:?}"
+        );
         // Tier-up surfaces in the event ring as compile.mega, carrying
         // the trip count at the threshold crossing.
         let megas: Vec<_> = vm
@@ -2279,14 +2059,14 @@ mod tests {
     }
 
     #[test]
-    fn megablocks_are_neutral_across_timer_shapes() {
+    fn closed_loops_are_neutral_across_timer_shapes() {
         // Interval 1 can never pass the entry gate (everything runs
-        // tier-1); large intervals batch almost every iteration. All must
-        // observe identically, across all three tiers.
+        // tier-1); large intervals retire almost every pass in closed form.
+        // All must observe identically, across all three tiers.
         for interval in [1, 2, 3, 7, 64, 10_000] {
             let mut gen = boot_q(mega_workout(), false, interval);
-            let mut quick = boot_mega(mega_workout(), false, interval, 0, None);
-            let mut mega = boot_mega(mega_workout(), true, interval, 0, None);
+            let mut quick = boot_mega(mega_workout(), false, interval);
+            let mut mega = boot_mega(mega_workout(), true, interval);
             let (mut h1, mut h2, mut h3) = (Passthrough, Passthrough, Passthrough);
             run(&mut gen, &mut h1, 10_000_000);
             run(&mut quick, &mut h2, 10_000_000);
@@ -2300,22 +2080,22 @@ mod tests {
             assert_eq!(
                 observe(&quick),
                 observe(&mega),
-                "megablocks must be invisible at interval {interval}"
+                "tier 2 must be invisible at interval {interval}"
             );
         }
     }
 
     #[test]
-    fn megablocks_pause_on_identical_budget_boundaries() {
-        // The n + width <= max_steps gate and the logical-time horizon:
-        // bounded runs stop at the same instruction in every tier, even
-        // mid-hot-loop.
+    fn closed_loops_pause_on_identical_budget_boundaries() {
+        // The steps + passes · width <= max_steps gate and the logical-time
+        // horizon: bounded runs stop at the same instruction in every tier,
+        // even mid-hot-loop.
         for until in logical_bounds(boot_q(mega_workout(), false, 97)) {
             for budget in [1u64, 2, 3, 5, 17, 50, 101, 500, 1_000, 2_317, u64::MAX] {
                 let mut vms = [
                     boot_q(mega_workout(), false, 97),
-                    boot_mega(mega_workout(), false, 97, 0, None),
-                    boot_mega(mega_workout(), true, 97, 0, None),
+                    boot_mega(mega_workout(), false, 97),
+                    boot_mega(mega_workout(), true, 97),
                 ];
                 assert_pause_agrees(&mut vms, budget, until);
             }
@@ -2323,65 +2103,20 @@ mod tests {
     }
 
     #[test]
-    fn forced_deopt_is_invisible_at_every_stride() {
-        let baseline = {
-            let mut vm = boot_mega(mega_workout(), false, 10_000, 0, None);
-            let mut h = Passthrough;
-            run(&mut vm, &mut h, 10_000_000);
-            observe(&vm)
-        };
-        for stride in [1u64, 2, 3, 7, 64] {
-            let mut vm = boot_mega(mega_workout(), true, 10_000, stride, None);
-            let mut h = Passthrough;
-            run(&mut vm, &mut h, 10_000_000);
-            assert_eq!(
-                observe(&vm),
-                baseline,
-                "stride-{stride} forced deopts must be invisible"
-            );
-            if stride == 1 {
-                // Every guard evaluation deopts: blocks enter, never
-                // complete an iteration, and the run still matches.
-                assert!(vm.mega.stats.forced_deopts > 0, "{:?}", vm.mega.stats);
-                assert_eq!(vm.mega.stats.iters, 0, "{:?}", vm.mega.stats);
-            }
-        }
-    }
-
-    #[test]
-    fn forced_deopt_is_invisible_at_every_guard_ordinal() {
-        let baseline = {
-            let mut vm = boot_mega(mega_workout(), false, 10_000, 0, None);
-            let mut h = Passthrough;
-            run(&mut vm, &mut h, 10_000_000);
-            observe(&vm)
-        };
-        // Cover every guard ordinal of every block in the workout (the
-        // widest block has 3 guards; ordinal 7 exercises the no-op case).
-        for g in [0u32, 1, 2, 7] {
-            let mut vm = boot_mega(mega_workout(), true, 10_000, 0, Some(g));
-            let mut h = Passthrough;
-            run(&mut vm, &mut h, 10_000_000);
-            assert_eq!(
-                observe(&vm),
-                baseline,
-                "deopt at guard ordinal {g} must be invisible"
-            );
-            if g == 0 {
-                assert!(vm.mega.stats.forced_deopts > 0, "{:?}", vm.mega.stats);
-            }
-        }
-    }
-
-    #[test]
-    fn megablocks_are_neutral_on_error_paths() {
-        // A division whose divisor decays to zero mid-hot-loop: the block
-        // tiers up around trip 64, then the Div guard catches the zero at
-        // trip 150 and deopts; the quickened re-execution raises the real
-        // DivByZero at the identical instruction.
+    fn closed_loops_hand_error_paths_to_tier_1() {
+        // A division whose divisor decays to zero mid-hot-loop: the loop
+        // is not closed (its body divides), so it stays tier 1 and raises
+        // the real DivByZero at the identical instruction; the closed loop
+        // before it tiers up and runs in closed form.
         let build = || {
             let mut pb = ProgramBuilder::new();
             let m = pb.method("main", 0, 1).code(|a| {
+                a.iconst(0).store(0);
+                a.label("warm");
+                a.load(0).iconst(500).ge().if_nz("go");
+                a.load(0).iconst(1).add().store(0);
+                a.goto("warm");
+                a.label("go");
                 a.iconst(0).store(0);
                 a.label("top");
                 a.load(0).iconst(200).ge().if_nz("done");
@@ -2394,21 +2129,22 @@ mod tests {
             pb.finish(m).unwrap()
         };
         let mut gen = boot_q(build(), false, 10_000);
-        let mut quick = boot_mega(build(), false, 10_000, 0, None);
-        let mut mega = boot_mega(build(), true, 10_000, 0, None);
+        let mut quick = boot_mega(build(), false, 10_000);
+        let mut mega = boot_mega(build(), true, 10_000);
         let (mut h1, mut h2, mut h3) = (Passthrough, Passthrough, Passthrough);
         run(&mut gen, &mut h1, 10_000_000);
         run(&mut quick, &mut h2, 10_000_000);
         run(&mut mega, &mut h3, 10_000_000);
         assert!(matches!(mega.status, VmStatus::Error(_)), "div0 must fail");
-        assert!(mega.mega.stats.tier_ups >= 1, "{:?}", mega.mega.stats);
+        assert_eq!(mega.mega.stats.tier_ups, 1, "{:?}", mega.mega.stats);
+        assert!(mega.mega.stats.closed_iters > 0, "{:?}", mega.mega.stats);
         assert_eq!(observe(&gen), observe(&quick));
         assert_eq!(observe(&quick), observe(&mega), "error must be identical");
     }
 
-    /// Like [`boot_mega`] but with the fingerprint mode chosen. Both modes
-    /// arm the closed-form fast path: `Coarse` mixes nothing per step, and
-    /// `Full` (the default) folds each batch's pc mixes.
+    /// Like [`boot_mega`] but with the fingerprint mode chosen. Tier 2 runs
+    /// under both: `Coarse` mixes nothing per step, and `Full` (the
+    /// default) folds each batch's pc mixes.
     fn boot_fp(
         p: crate::program::Program,
         quicken: bool,
@@ -2433,8 +2169,8 @@ mod tests {
 
     #[test]
     fn closed_form_is_neutral_under_both_fingerprint_modes() {
-        // The closed-form stepper retires whole iteration batches with one
-        // multiply (and, under `Full`, one fold per iteration); every
+        // The closed-form stepper retires whole batches of passes with one
+        // multiply (and, under `Full`, one fold per pass); every
         // observable, the fingerprint included, must still match both lower
         // tiers at every timer shape.
         for (mode, interval) in [FingerprintMode::Full, FingerprintMode::Coarse]
@@ -2457,7 +2193,7 @@ mod tests {
             assert_eq!(
                 observe(&quick),
                 observe(&mega),
-                "closed-form megablocks must be invisible: {mode:?} at interval {interval}"
+                "tier 2 must be invisible: {mode:?} at interval {interval}"
             );
             if interval >= 97 {
                 assert!(
@@ -2472,9 +2208,9 @@ mod tests {
 
     /// Counting loop whose induction variable crosses the i64 wrap: starts
     /// near `i64::MAX`, steps by +3, and only exits once the wrap makes it
-    /// negative. Exercises the closed form's no-wrap horizon — the final
-    /// wrapping iteration must be executed step-by-step with the
-    /// interpreter's exact wrapping-add semantics.
+    /// negative. Exercises the closed form's no-wrap horizon — tier 1 runs
+    /// the pass whose guarded value wraps, with the interpreter's exact
+    /// wrapping-add semantics.
     fn wrap_workout() -> crate::program::Program {
         let mut pb = ProgramBuilder::new();
         let m = pb.method("main", 0, 1).code(|a| {
@@ -2507,7 +2243,7 @@ mod tests {
                 observe(&mega),
                 "wrap boundary must be bit-identical: {mode:?} at interval {interval}"
             );
-            // At tight intervals the tick gate keeps the block from ever
+            // At tight intervals the tick gate keeps the loop from ever
             // entering (that is the perturbation-freedom contract), so only
             // roomy quanta must show closed-form batches.
             if interval >= 211 {

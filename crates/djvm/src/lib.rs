@@ -48,7 +48,7 @@ pub mod vm;
 pub use builder::ProgramBuilder;
 pub use bytecode::{ClassId, MethodId, NativeId, Op, StrId, Ty};
 pub use clock::{CycleClock, FixedTimer, JitteredClock, JitteredTimer, TimerSource, WallClock};
-pub use compile::{AluFn, ClosedLoop, CmpFn, MegaBlock, MegaOp, QOp};
+pub use compile::{AluFn, ClosedLoop, CmpFn, QOp};
 pub use fingerprint::FingerprintMode;
 pub use heap::{Addr, ArrKind, GcKind, Word};
 pub use hook::{ExecHook, Passthrough, YieldAction};

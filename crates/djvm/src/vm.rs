@@ -10,6 +10,7 @@
 
 use crate::bytecode::{ClassId, MethodId, NativeId};
 use crate::clock::{TimerSource, WallClock};
+use crate::compile::ClosedLoop;
 use crate::fingerprint::{Digest, Fingerprint, FingerprintMode};
 use crate::heap::{Addr, ArrKind, GcKind, Heap, Word, NULL};
 use crate::native::{NativeCtx, NativeOutcome, NativeRegistry};
@@ -88,20 +89,13 @@ pub struct VmConfig {
     /// bit-identical either way (the cycle-accounting invariant, DESIGN §5).
     /// Defaults to on.
     pub quicken: bool,
-    /// Tier-2 execution: compile hot loop bodies into straight-line guarded
-    /// megablocks (DESIGN §10). Like `quicken`, purely a speed knob — the
+    /// Tier-2 execution: retire the passes of hot counting loops in closed
+    /// form (DESIGN §10). Like `quicken`, purely a speed knob — the
     /// cycle-accounting invariant makes fingerprints, traces and digests
-    /// bit-identical with it on or off. Requires `quicken` (the tier-2
-    /// engine compiles from the quickened stream). Defaults to on.
+    /// bit-identical with it on or off, and switching it off is how that
+    /// is shown. Requires `quicken` (tier 2 reads its loops off the
+    /// quickened stream). Defaults to on.
     pub mega: bool,
-    /// Forced-deopt injection for testing: every `stride`-th megablock
-    /// guard evaluation fails even though the guarded condition holds
-    /// (0 = off). Deopt is exit-before-step, so a spurious failure is
-    /// always semantics-preserving — neutrality tests sweep this.
-    pub mega_deopt_stride: u64,
-    /// Forced-deopt injection: the guard with this per-iteration ordinal
-    /// always fails (the deopt-at-every-guard sweep).
-    pub mega_deopt_guard: Option<u32>,
 }
 
 impl Default for VmConfig {
@@ -113,8 +107,6 @@ impl Default for VmConfig {
             fingerprint: FingerprintMode::Full,
             quicken: true,
             mega: true,
-            mega_deopt_stride: 0,
-            mega_deopt_guard: None,
         }
     }
 }
@@ -144,26 +136,19 @@ pub struct VmCounters {
     pub native_calls: u64,
 }
 
-/// Tier-2 runtime counters. Pure observer state: how often megablocks ran
-/// is *mode-dependent* (record and replay legitimately batch different
+/// Tier-2 runtime counters. Pure observer state: how often tier 2 ran is
+/// *mode-dependent* (record and replay legitimately batch different
 /// spans, because their quiet-yield horizons differ), so these counters are
 /// excluded from [`VmCounters`], the fingerprint, [`Vm::state_digest`] and
 /// [`VmSnapshot`] — only the tier-up count is deterministic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MegaStats {
-    /// Loops promoted to megablocks (deterministic across modes).
+    /// Loops compiled to their closed form (deterministic across modes).
     pub tier_ups: u64,
-    /// Megablock entries (≥1 iteration each).
+    /// Entries past the gate at a closed loop's head.
     pub entries: u64,
-    /// Completed megablock iterations.
-    pub iters: u64,
-    /// Subset of `iters` retired by the closed-form counting-loop stepper
-    /// (no per-step execution at all).
+    /// Passes retired in closed form; tier 1 runs every other pass.
     pub closed_iters: u64,
-    /// Guard-failure deopts back to the quickened interpreter.
-    pub deopts: u64,
-    /// Deopts injected by `mega_deopt_stride` / `mega_deopt_guard`.
-    pub forced_deopts: u64,
     /// Entry-gate misses (tick too close, budget exhausted, or the hook's
     /// quiet-yield horizon too short), one per closing: a block whose gate
     /// closes after it ran hands its head to tier 1 without a second probe.
@@ -176,31 +161,26 @@ impl MegaStats {
         use codec::Json;
         Json::obj(vec![
             ("closed_iters", Json::UInt(self.closed_iters)),
-            ("deopts", Json::UInt(self.deopts)),
             ("entries", Json::UInt(self.entries)),
-            ("forced_deopts", Json::UInt(self.forced_deopts)),
             ("gate_misses", Json::UInt(self.gate_misses)),
-            ("iters", Json::UInt(self.iters)),
             ("tier_ups", Json::UInt(self.tier_ups)),
         ])
     }
 }
 
-/// Per-method tier-2 state: a hotness counter and a compiled-block slot per
+/// Per-method tier-2 state: a hotness counter and a compiled-loop slot per
 /// qop index (only loop heads ever become non-zero / non-`None`).
 struct MethodMega {
     hot: Vec<u32>,
-    blocks: Vec<Option<Arc<crate::compile::MegaBlock>>>,
+    loops: Vec<Option<Arc<ClosedLoop>>>,
 }
 
-/// Tier-2 engine state hanging off the [`Vm`]. Not guest-visible: the
-/// compiled blocks are a pure cache over the (immutable) quickened streams,
-/// and the stats are observer counters.
+/// Tier-2 state hanging off the [`Vm`]. Not guest-visible: the compiled
+/// loops are a pure cache over the (immutable) quickened streams, and the
+/// stats are observer counters.
 pub struct MegaState {
     /// Master switch (`VmConfig::mega && VmConfig::quicken`).
     pub enabled: bool,
-    /// Global guard-evaluation counter driving `mega_deopt_stride`.
-    pub guard_evals: u64,
     pub stats: MegaStats,
     methods: Vec<Option<Box<MethodMega>>>,
 }
@@ -209,7 +189,6 @@ impl MegaState {
     fn new(nmethods: usize, enabled: bool) -> Self {
         Self {
             enabled,
-            guard_evals: 0,
             stats: MegaStats::default(),
             methods: (0..nmethods).map(|_| None).collect(),
         }
@@ -259,7 +238,7 @@ pub struct Vm {
     /// [`VmSnapshot`] — so enabling it cannot perturb the execution
     /// (the §2.4 discipline, applied to observability).
     pub telem: telemetry::VmTelemetry,
-    /// Tier-2 megablock engine state (hotness counters, compiled blocks,
+    /// Tier-2 state (hotness counters, compiled closed loops,
     /// observer stats). Like `telem`, deliberately outside guest state.
     pub mega: MegaState,
     pub config: VmConfig,
@@ -420,12 +399,12 @@ impl Vm {
     }
 
     // ------------------------------------------------------------------
-    // Tier-2 megablocks (hotness, compilation, lookup)
+    // Tier 2: closed loops (hotness, compilation, lookup)
     // ------------------------------------------------------------------
 
     /// Count one taken backedge to `head` in `method`; at exactly
     /// [`crate::compile::MEGA_HOT_THRESHOLD`] takes, try to compile the
-    /// loop into a megablock. Pre-tier-up execution is bit-identical in
+    /// loop to its closed form. Pre-tier-up execution is bit-identical in
     /// every mode, so the threshold crossing — and the `compile.mega`
     /// telemetry event it emits — lands at the same logical instant
     /// everywhere, even though post-tier-up *entry* counts are
@@ -444,7 +423,7 @@ impl Vm {
         let mm = self.mega.methods[method as usize].get_or_insert_with(|| {
             Box::new(MethodMega {
                 hot: vec![0; nq],
-                blocks: vec![None; nq],
+                loops: vec![None; nq],
             })
         });
         let h = &mut mm.hot[head as usize];
@@ -456,9 +435,8 @@ impl Vm {
             return;
         }
         let trip = *h as u64;
-        let block = crate::compile::compile_loop(&self.program, method, head);
-        if let Some(b) = block {
-            let width = b.width;
+        if let Some(cl) = crate::compile::compile_loop(&self.program, method, head) {
+            let width = cl.width;
             self.mega.stats.tier_ups += 1;
             let tid = self.sched.current;
             self.telem.event(
@@ -471,19 +449,15 @@ impl Vm {
                 },
             );
             let mm = self.mega.methods[method as usize].as_mut().unwrap();
-            mm.blocks[head as usize] = Some(Arc::new(b));
+            mm.loops[head as usize] = Some(Arc::new(cl));
         }
     }
 
-    /// The compiled megablock headed at (`method`, `pc`), if one exists.
+    /// The closed loop headed at (`method`, `pc`), if one was compiled.
     #[inline]
-    pub(crate) fn mega_block(
-        &self,
-        method: MethodId,
-        pc: u32,
-    ) -> Option<Arc<crate::compile::MegaBlock>> {
+    pub(crate) fn closed_loop(&self, method: MethodId, pc: u32) -> Option<Arc<ClosedLoop>> {
         let mm = self.mega.methods[method as usize].as_deref()?;
-        mm.blocks.get(pc as usize)?.clone()
+        mm.loops.get(pc as usize)?.clone()
     }
 
     // ------------------------------------------------------------------

@@ -33,10 +33,10 @@ pub enum EventKind {
     /// Class id `class` was (lazily) loaded.
     ClassLoad { class: u32 },
     /// The loop headed at `loop_pc` in `method` crossed the tier-2 hotness
-    /// threshold (`trip_count` taken backedges) and was compiled into a
-    /// megablock of `block_width` accounted cycles per iteration. Emitted
-    /// at the threshold crossing, which happens at the same logical instant
-    /// in every mode — tier-up is deterministic even though per-block entry
+    /// threshold (`trip_count` taken backedges) and was compiled to its
+    /// closed form, `block_width` accounted cycles per pass. Emitted at the
+    /// threshold crossing, which happens at the same logical instant in
+    /// every mode — tier-up is deterministic even though per-loop entry
     /// counts are not.
     MegaCompile {
         method: u32,

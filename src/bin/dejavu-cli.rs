@@ -54,12 +54,15 @@
 //!
 //! `--no-quicken` (any run-like subcommand, `check` included) disables
 //! the quickened dispatch engine — runs are bit-identical, only slower.
-//! `--no-mega` keeps quickening but disables tier-2 megablock execution
-//! of hot loops. These two flags are the only ablation switches.
+//! `--no-mega` keeps quickening but disables tier 2, which retires the
+//! passes of hot counting loops in closed form. These two flags are the
+//! only ablation switches.
 //! `dis --quick` prints the quickened `QOp` stream with fusion pc ranges;
-//! `dis --mega` prints each loop's compiled megablock — entry guards,
-//! constituent ops with original pc ranges, and the side-exit (deopt)
-//! table.
+//! `dis --mega` prints each loop head's closed form — its induction local,
+//! guard, other locals' increments, guard position and cycles a pass — or
+//! `stays tier 1`. `stats` adds each run's tier-2 counters under `mega`:
+//! `tier_ups`, `entries`, `closed_iters` (passes retired in closed form)
+//! and `gate_misses`.
 //!
 //! Exit codes (uniform across every subcommand, carried by [`CliError`]):
 //! `0` success / accurate replay / corpus pass, `1` usage, I/O, or
@@ -562,7 +565,7 @@ fn stats(args: &mut Args) -> Cmd {
     let out = record_replay_forensic(&spec, w.natives, SymmetryConfig::full());
     // Tier-2 stats are observer-side (excluded from the byte-compared
     // run metrics) but worth surfacing here: tier_ups is deterministic
-    // across record/replay, the entry/iteration split is not required
+    // across record/replay, the entry/closed-pass split is not required
     // to be (it depends on each side's quiet-yield horizon).
     let mega = Json::obj(vec![
         ("record", out.record.mega.to_json()),

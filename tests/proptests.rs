@@ -783,7 +783,7 @@ fn block_trace_roundtrips_and_detects_truncation() {
 // ---------------------------------------------------------------------
 // 9. Time travel lands on the same state in every dispatch tier: it is
 //    `interp::run_until` paused at checkpoint keys, so the generic,
-//    quickened and megablock loops must take the same checkpoints and
+//    quickened and tier-2 loops must take the same checkpoints and
 //    stop every move on the same step — the step a plain budgeted replay
 //    stops on.
 // ---------------------------------------------------------------------
@@ -910,7 +910,7 @@ fn time_travel_lands_on_the_same_state_in_every_tier() {
             qc_assert_eq!(
                 drive(&spec.clone().with_mega(false)),
                 seen.clone(),
-                "{} without megablocks, cadence {cadence}, bounds {bounds:?}, {moves:?}",
+                "{} without tier 2, cadence {cadence}, bounds {bounds:?}, {moves:?}",
                 w.name
             );
             qc_assert_eq!(
