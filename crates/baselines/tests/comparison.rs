@@ -6,8 +6,10 @@ use baselines::{
     ir_record, ir_replay, rc_record, rc_replay, readlog_record, readlog_replay,
     trace_size_comparison, TimeTravel,
 };
+use baselines::{IrRecorder, IrReplayer, ReadLogRecorder, ReadLogReplayer};
 use dejavu::{ExecSpec, SymmetryConfig};
-use djvm::{Vm, VmStatus};
+use djvm::hook::{AccessDecision, ExecHook, YieldAction};
+use djvm::{interp, NativeId, NativeOutcome, Tid, Vm, VmStatus, Word};
 
 fn spec(name: &str, seed: u64) -> (ExecSpec, fn(&mut Vm)) {
     let w = workloads::registry()
@@ -193,4 +195,95 @@ fn e14_checkpoint_interval_tradeoff() {
     sparse.seek(10_500);
     assert!(dense_storage > sparse.storage_bytes());
     assert!(dense_reexec <= sparse.reexecuted);
+}
+
+/// Counts the heap-access callbacks a hook receives and passes every call
+/// on, its answer to `observes_shared_accesses` included.
+struct Counting<H> {
+    inner: H,
+    accesses: u64,
+    reads: u64,
+}
+
+impl<H: ExecHook> ExecHook for Counting<H> {
+    fn on_init(&mut self, vm: &mut Vm) {
+        self.inner.on_init(vm)
+    }
+    fn on_yield_point(&mut self, vm: &mut Vm) -> YieldAction {
+        self.inner.on_yield_point(vm)
+    }
+    fn on_instr_yield_point(&mut self, vm: &mut Vm) -> YieldAction {
+        self.inner.on_instr_yield_point(vm)
+    }
+    fn on_clock_read(&mut self, vm: &mut Vm) -> i64 {
+        self.inner.on_clock_read(vm)
+    }
+    fn on_native_call(&mut self, vm: &mut Vm, native: NativeId, args: &[i64]) -> NativeOutcome {
+        self.inner.on_native_call(vm, native, args)
+    }
+    fn on_thread_switch(&mut self, vm: &mut Vm, to: Tid) {
+        self.inner.on_thread_switch(vm, to)
+    }
+    fn on_shared_access(&mut self, vm: &mut Vm, serial: u64, write: bool) -> AccessDecision {
+        self.accesses += 1;
+        self.inner.on_shared_access(vm, serial, write)
+    }
+    fn on_shared_read_value(&mut self, vm: &mut Vm, v: Word, is_ref: bool) -> Word {
+        self.reads += 1;
+        self.inner.on_shared_read_value(vm, v, is_ref)
+    }
+    fn observes_shared_accesses(&self) -> bool {
+        self.inner.observes_shared_accesses()
+    }
+    fn on_halt(&mut self, vm: &mut Vm) {
+        self.inner.on_halt(vm)
+    }
+}
+
+/// Run `hook` on `vm` and return its access and read callback counts with
+/// the run's output.
+fn counted<H: ExecHook>(mut vm: Vm, inner: H, max_steps: u64) -> (u64, u64, String) {
+    let mut hook = Counting {
+        inner,
+        accesses: 0,
+        reads: 0,
+    };
+    hook.on_init(&mut vm);
+    interp::run(&mut vm, &mut hook, max_steps);
+    (hook.accesses, hook.reads, vm.output)
+}
+
+/// Tier 1 runs heap accesses in its cursor only for hooks that do not
+/// observe them: the access-logging baselines still see every one, so
+/// their callbacks are the same whether the quickened tier runs or not.
+#[test]
+fn access_logging_baselines_see_every_access_in_every_tier() {
+    for name in ["racy_counter", "bank_transfer", "server_loop"] {
+        let (s, natives) = spec(name, 3);
+        let runs: Vec<_> = [false, true]
+            .into_iter()
+            .map(|quicken| {
+                let s = s.clone().with_quicken(quicken);
+                let live = || {
+                    let mut vm = s.live_vm();
+                    natives(&mut vm);
+                    vm
+                };
+                let (_, ir) = ir_record(&s, natives);
+                let (_, reads) = readlog_record(&s, natives);
+                [
+                    counted(live(), IrRecorder::new(), s.max_steps),
+                    counted(live(), ReadLogRecorder::new(), s.max_steps),
+                    counted(s.replay_vm(), IrReplayer::new(ir), s.max_steps),
+                    counted(s.replay_vm(), ReadLogReplayer::new(reads), s.max_steps),
+                ]
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1], "{name}: callbacks differ across tiers");
+        assert!(
+            runs[1].iter().all(|r| r.0 > 0 && r.1 > 0),
+            "{name}: {:?}",
+            runs[1]
+        );
+    }
 }

@@ -99,6 +99,17 @@ impl InstrCommon {
         }
     }
 
+    /// Both hooks' [`ExecHook::quiet_instr_yield_horizon`]: with liveClock
+    /// paused their instrumentation yield points do nothing; the ablation
+    /// counts every one, so tier 2 never batches them.
+    pub fn instr_horizon(&self) -> u64 {
+        if self.sym.live_clock {
+            u64::MAX
+        } else {
+            0
+        }
+    }
+
     /// Guest-visible buffer write/read at a switch (contents are
     /// instrumentation state and excluded from the state digest).
     pub fn touch_buffer(&self, vm: &mut Vm, idx: u64, value: u64, write: bool) {
@@ -206,6 +217,14 @@ impl ExecHook for DejaVuRecorder {
         // Batched yield points still tick the logical clock (Fig. 2's
         // delta): the recorded trace must not depend on the execution tier.
         self.nyp += k;
+    }
+
+    fn quiet_instr_yield_horizon(&self, _vm: &Vm) -> u64 {
+        self.common.instr_horizon()
+    }
+
+    fn observes_shared_accesses(&self) -> bool {
+        false // the paper's point: DejaVu logs no shared access
     }
 
     fn on_clock_read(&mut self, vm: &mut Vm) -> i64 {

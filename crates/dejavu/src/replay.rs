@@ -213,6 +213,14 @@ impl ExecHook for DejaVuReplayer {
         }
     }
 
+    fn quiet_instr_yield_horizon(&self, _vm: &Vm) -> u64 {
+        self.common.instr_horizon()
+    }
+
+    fn observes_shared_accesses(&self) -> bool {
+        false
+    }
+
     fn on_clock_read(&mut self, _vm: &mut Vm) -> i64 {
         self.clock_reads += 1;
         // A record of the other kind is left for the call it belongs to.

@@ -30,9 +30,10 @@
 //! boot-image analogue) are guest code like any other: the builder adds
 //! them in [`crate::builder::ProgramBuilder::finish`] before this pass.
 
-use crate::bytecode::{ClassId, MethodId, Op, Ty};
+use crate::bytecode::{ClassId, MethodId, NativeId, Op, Ty};
 use crate::fingerprint::{Fingerprint, StepFold};
-use crate::heap::Word;
+use crate::heap::{Addr, Heap, Word};
+use crate::objref;
 use crate::program::{Method, Program};
 use crate::vm::ErrKind;
 use std::collections::VecDeque;
@@ -400,6 +401,161 @@ impl Test {
     }
 }
 
+/// A *partial* op: like [`Pure`] it cannot block, allocate, switch or
+/// emit telemetry, but it reads or writes heap words beyond the frame and
+/// it can fault — `Div`/`Rem` on a zero divisor, a heap access on a null,
+/// on a word that is no object or out of bounds. [`Partial::exec`] is its
+/// one definition: the generic tier runs it between the hook's access gate
+/// and read filter, the quickened tier ([`QOp::Partial`]) inside its cursor
+/// whenever that gate and filter are known to be no-ops.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Partial {
+    Div,
+    Rem,
+    GetField { idx: u16, ty: Ty },
+    PutField { idx: u16, ty: Ty },
+    GetStatic { class: ClassId, i: u16 },
+    PutStatic { class: ClassId, i: u16 },
+    ALoad(Ty),
+    AStore(Ty),
+    ArrayLen,
+}
+
+impl Partial {
+    /// The partial op of one source instruction, if it is one.
+    pub fn of(op: Op) -> Option<Partial> {
+        Some(match op {
+            Op::Div => Partial::Div,
+            Op::Rem => Partial::Rem,
+            Op::GetField { idx, ty } => Partial::GetField { idx, ty },
+            Op::PutField { idx, ty } => Partial::PutField { idx, ty },
+            Op::GetStatic(class, i) => Partial::GetStatic { class, i },
+            Op::PutStatic(class, i) => Partial::PutStatic { class, i },
+            Op::ALoad(ty) => Partial::ALoad(ty),
+            Op::AStore(ty) => Partial::AStore(ty),
+            Op::ArrayLen => Partial::ArrayLen,
+            _ => return None,
+        })
+    }
+
+    /// The source instruction: the inverse of [`Partial::of`].
+    pub fn op(self) -> Op {
+        match self {
+            Partial::Div => Op::Div,
+            Partial::Rem => Op::Rem,
+            Partial::GetField { idx, ty } => Op::GetField { idx, ty },
+            Partial::PutField { idx, ty } => Op::PutField { idx, ty },
+            Partial::GetStatic { class, i } => Op::GetStatic(class, i),
+            Partial::PutStatic { class, i } => Op::PutStatic(class, i),
+            Partial::ALoad(ty) => Op::ALoad(ty),
+            Partial::AStore(ty) => Op::AStore(ty),
+            Partial::ArrayLen => Op::ArrayLen,
+        }
+    }
+
+    /// The class whose statics the op touches: [`Partial::exec`] takes its
+    /// class object, which loading the class allocates.
+    #[inline]
+    pub fn class(self) -> Option<ClassId> {
+        match self {
+            Partial::GetStatic { class, .. } | Partial::PutStatic { class, .. } => Some(class),
+            _ => None,
+        }
+    }
+
+    /// For a field, static or array-element access, the object the hook's
+    /// access gate is consulted on (the class object `statics` for a static)
+    /// and whether the op writes it. `Div`, `Rem` and `ArrayLen` are no
+    /// shared access.
+    #[inline]
+    pub fn gate(self, mem: &[Word], sp: u64, statics: Addr) -> Option<(Addr, bool)> {
+        let operand = |depth: u64| mem[(sp - 1 - depth) as usize];
+        Some(match self {
+            Partial::GetField { .. } => (operand(0), false),
+            Partial::PutField { .. } => (operand(1), true),
+            Partial::GetStatic { .. } => (statics, false),
+            Partial::PutStatic { .. } => (statics, true),
+            Partial::ALoad(_) => (operand(1), false),
+            Partial::AStore(_) => (operand(2), true),
+            Partial::Div | Partial::Rem | Partial::ArrayLen => return None,
+        })
+    }
+
+    /// For a shared read, whether the word it reads is a reference (the
+    /// hook's read filter is told); `None` for every other op.
+    #[inline]
+    pub fn read_ty(self, program: &Program) -> Option<Ty> {
+        match self {
+            Partial::GetField { ty, .. } | Partial::ALoad(ty) => Some(ty),
+            Partial::GetStatic { class, i } => {
+                Some(program.static_layouts[class as usize][i as usize])
+            }
+            _ => None,
+        }
+    }
+
+    /// Pop the op's operands off the stack whose top is `*sp`, then run it:
+    /// push the value it produces, or write the slot it stores to. A fault
+    /// leaves the operands popped and nothing written. `statics` is the
+    /// class object of [`Partial::class`] (ignored by the other ops).
+    #[inline(always)]
+    pub fn exec(
+        self,
+        heap: &mut Heap,
+        program: &Program,
+        sp: &mut u64,
+        statics: Addr,
+    ) -> Result<(), objref::Fault> {
+        let s = *sp as usize;
+        let mem = &heap.mem;
+        let (pops, v) = match self {
+            Partial::Div | Partial::Rem => {
+                *sp -= 2;
+                let (a, b) = (mem[s - 2] as i64, mem[s - 1] as i64);
+                let r = div_rem(a, b, self == Partial::Rem).map_err(objref::Fault::Guest)?;
+                (2, r as Word)
+            }
+            Partial::GetField { idx, ty } => {
+                *sp -= 1;
+                let slot = objref::field_slot(heap, program, mem[s - 1], idx, ty)?;
+                (1, objref::read(heap, slot)?)
+            }
+            Partial::PutField { idx, ty } => {
+                *sp -= 2;
+                let (obj, v) = (mem[s - 2], mem[s - 1]);
+                let slot = objref::field_slot(heap, program, obj, idx, ty)?;
+                heap.mem[slot as usize] = v;
+                return Ok(());
+            }
+            Partial::GetStatic { i, .. } => (0, heap.get_field(statics, i as usize)),
+            Partial::PutStatic { i, .. } => {
+                *sp -= 1;
+                heap.set_field(statics, i as usize, mem[s - 1]);
+                return Ok(());
+            }
+            Partial::ALoad(ty) => {
+                *sp -= 2;
+                let slot = objref::elem_slot(heap, mem[s - 2], mem[s - 1] as i64, ty)?;
+                (2, objref::read(heap, slot)?)
+            }
+            Partial::AStore(ty) => {
+                *sp -= 3;
+                let (arr, i, v) = (mem[s - 3], mem[s - 2] as i64, mem[s - 1]);
+                let slot = objref::elem_slot(heap, arr, i, ty)?;
+                heap.mem[slot as usize] = v;
+                return Ok(());
+            }
+            Partial::ArrayLen => {
+                *sp -= 1;
+                (1, objref::array_len(heap, mem[s - 1])?)
+            }
+        };
+        heap.mem[s - pops] = v;
+        *sp = (s - pops + 1) as u64;
+        Ok(())
+    }
+}
+
 /// A quickened instruction. The quickened stream is a *parallel* array
 /// with exactly one entry per source pc: a fused superinstruction lives at
 /// its head pc, while every interior pc keeps its own single-op quickened
@@ -407,15 +563,26 @@ impl Test {
 /// and the interpreter can resume mid-pattern after a timer split, an
 /// access-gate retry, or a thread switch.
 ///
-/// Only [`Pure`] ops, branches over a [`Test`] and devirtualized calls get
-/// quickened forms — everything else is `Gen` and runs through the generic
-/// one-instruction path, which keeps the error / gate / instrumentation
-/// semantics in exactly one place.
+/// [`Pure`] and [`Partial`] ops, branches over a [`Test`], devirtualized
+/// calls, clock reads and native calls get quickened forms. Everything
+/// else is `Gen` and runs through the generic one-instruction path, which
+/// keeps the block / switch / allocation / instrumentation semantics in
+/// exactly one place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QOp {
     /// Not quickened: execute via the generic interpreter path.
     Gen(Op),
     Pure(Pure),
+    /// Runs in the cursor unless the hook observes shared accesses (then
+    /// a gated access goes generic) or a static's class is not loaded yet.
+    Partial(Partial),
+    /// `Now`: the cursor is flushed around the hook's clock read only.
+    Now,
+    /// `NativeCall`: the cursor is flushed around the hook's call only.
+    NativeCall {
+        native: NativeId,
+        nargs: u8,
+    },
     /// Branches carry their backedge bit so the dispatch loop needs no
     /// side-table probe.
     Goto {
@@ -453,8 +620,9 @@ impl QOp {
 
     /// Index into the profiler's QOp attribution table (parallel to
     /// [`QOP_KIND_NAMES`], whose order predates [`Pure`]/[`Test`] and is
-    /// pinned: profile exports are compared byte for byte). The counters
-    /// are keyed by the *kind* of quickened op, not its operands.
+    /// pinned: profile exports are compared byte for byte, so new kinds
+    /// are appended). The counters are keyed by the *kind* of quickened
+    /// op, not its operands.
     #[inline]
     pub fn kind_index(self) -> usize {
         match self {
@@ -482,12 +650,25 @@ impl QOp {
                 Test::LoadConstCmp { .. } => 19,
             },
             QOp::CallMono { .. } => 14,
+            QOp::Partial(p) => match p {
+                Partial::Div => 20,
+                Partial::Rem => 21,
+                Partial::GetField { .. } => 22,
+                Partial::PutField { .. } => 23,
+                Partial::GetStatic { .. } => 24,
+                Partial::PutStatic { .. } => 25,
+                Partial::ALoad(_) => 26,
+                Partial::AStore(_) => 27,
+                Partial::ArrayLen => 28,
+            },
+            QOp::Now => 29,
+            QOp::NativeCall { .. } => 30,
         }
     }
 }
 
 /// Number of [`QOp`] kinds ([`QOp::kind_index`] domain).
-pub const QOP_KIND_COUNT: usize = 20;
+pub const QOP_KIND_COUNT: usize = 31;
 
 /// Display names for the profiler's QOp attribution table, indexed by
 /// [`QOp::kind_index`].
@@ -512,6 +693,17 @@ pub const QOP_KIND_NAMES: [&str; QOP_KIND_COUNT] = [
     "load_const_alu",
     "cmp_if",
     "load_const_cmp_if",
+    "div",
+    "rem",
+    "get_field",
+    "put_field",
+    "get_static",
+    "put_static",
+    "aload",
+    "astore",
+    "array_len",
+    "now",
+    "native_call",
 ];
 
 /// Baseline-compiler output attached to each method.
@@ -1031,6 +1223,9 @@ fn quicken_single(program: &Program, op: Op, pc: usize, backedge: &[bool]) -> QO
     if let Some(p) = Pure::of(op) {
         return QOp::Pure(p);
     }
+    if let Some(p) = Partial::of(op) {
+        return QOp::Partial(p);
+    }
     if let Some(b) = branch(op, backedge[pc], Test::Top) {
         return b;
     }
@@ -1047,6 +1242,8 @@ fn quicken_single(program: &Program, op: Op, pc: usize, backedge: &[bool]) -> QO
             },
             None => QOp::Gen(op),
         },
+        Op::Now => QOp::Now,
+        Op::NativeCall { native, nargs } => QOp::NativeCall { native, nargs },
         _ => QOp::Gen(op),
     }
 }
@@ -1803,8 +2000,43 @@ mod tests {
                 branch(Test::LoadConstCmp { a: 0, v: 0, f: c }, false),
                 "load_const_cmp_if",
             ),
+            (QOp::Partial(Partial::Div), "div"),
+            (QOp::Partial(Partial::Rem), "rem"),
+            (
+                QOp::Partial(Partial::GetField {
+                    idx: 0,
+                    ty: Ty::Int,
+                }),
+                "get_field",
+            ),
+            (
+                QOp::Partial(Partial::PutField {
+                    idx: 0,
+                    ty: Ty::Ref,
+                }),
+                "put_field",
+            ),
+            (
+                QOp::Partial(Partial::GetStatic { class: 0, i: 0 }),
+                "get_static",
+            ),
+            (
+                QOp::Partial(Partial::PutStatic { class: 0, i: 0 }),
+                "put_static",
+            ),
+            (QOp::Partial(Partial::ALoad(Ty::Int)), "aload"),
+            (QOp::Partial(Partial::AStore(Ty::Ref)), "astore"),
+            (QOp::Partial(Partial::ArrayLen), "array_len"),
+            (QOp::Now, "now"),
+            (
+                QOp::NativeCall {
+                    native: 0,
+                    nargs: 1,
+                },
+                "native_call",
+            ),
         ];
-        assert_eq!(QOP_KIND_COUNT, 20);
+        assert_eq!(QOP_KIND_COUNT, 31);
         assert_eq!(table.len(), QOP_KIND_COUNT);
         for (i, (q, name)) in table.iter().enumerate() {
             assert_eq!(q.kind_index(), i, "{q:?}");
@@ -1814,8 +2046,9 @@ mod tests {
 
     /// `Pure::of` (with `AluFn::of` / `CmpFn::of` behind it) claims exactly
     /// the ops the quickener keeps inline as `QOp::Pure`; every other op
-    /// becomes `Goto`, a `Test::Top` branch, `CallMono` or `Gen` — and so
-    /// has its own arm in the generic interpreter. One sample per `Op`
+    /// becomes a `Partial`, `Goto`, a `Test::Top` branch, `CallMono`, `Now`,
+    /// `NativeCall` or `Gen` — and so has its own arm in the generic
+    /// interpreter. One sample per `Op`
     /// variant; keep in step with `bytecode::Op`.
     #[test]
     fn pure_of_claims_exactly_the_ops_quickening_keeps_inline() {
@@ -1941,7 +2174,12 @@ mod tests {
                     }
                 ),
                 Op::CallVirtual { .. } => matches!(q, QOp::CallMono { .. }),
-                _ => q == QOp::Gen(op),
+                Op::Now => q == QOp::Now,
+                Op::NativeCall { native, nargs } => q == QOp::NativeCall { native, nargs },
+                _ => match Partial::of(op) {
+                    Some(p) => p.op() == op && q == QOp::Partial(p),
+                    None => q == QOp::Gen(op),
+                },
             };
             assert!(expected, "{op:?} quickened to {q:?}");
         }
@@ -1965,7 +2203,7 @@ mod tests {
         assert!(c
             .qops
             .iter()
-            .any(|q| matches!(q, QOp::Gen(Op::Div) | QOp::Gen(Op::Rem))));
+            .any(|q| matches!(q, QOp::Partial(Partial::Div | Partial::Rem))));
     }
 
     #[test]

@@ -196,6 +196,11 @@ pub fn render_qop(program: &Program, q: QOp) -> String {
             program.class(class).name,
             program.method(callee).name
         ),
+        QOp::Partial(p) => format!("q.{}", render_op(program, p.op())),
+        QOp::Now => format!("q.{}", render_op(program, Op::Now)),
+        QOp::NativeCall { native, nargs } => {
+            format!("q.{}", render_op(program, Op::NativeCall { native, nargs }))
+        }
     }
 }
 

@@ -97,6 +97,17 @@ pub trait ExecHook {
     /// by `k` here; `k` never exceeds the horizon they last reported.
     fn on_yield_points_skipped(&mut self, _k: u64) {}
 
+    /// [`ExecHook::quiet_yield_horizon`] for yield points inside
+    /// instrumentation helper frames: how many upcoming
+    /// [`ExecHook::on_instr_yield_point`] consults are guaranteed to return
+    /// [`YieldAction::NONE`] with no effect at all. Tier 2 runs a helper's
+    /// closed loops for at most that many passes and credits nothing back,
+    /// so a hook whose instrumentation yield points count anything must
+    /// answer 0, as the default does.
+    fn quiet_instr_yield_horizon(&self, _vm: &Vm) -> u64 {
+        0
+    }
+
     /// A wall-clock read. Passthrough/record return (and record) the live
     /// value; replay returns the recorded one.
     fn on_clock_read(&mut self, vm: &mut Vm) -> i64;
@@ -121,11 +132,22 @@ pub trait ExecHook {
     }
 
     /// Filter the value produced by a heap read (Recap/PPD-style content
-    /// logging substitutes recorded values here). `is_ref` distinguishes
+    /// logging substitutes recorded values here); the read has already
+    /// pushed `v`, and the answer replaces it. `is_ref` distinguishes
     /// reference reads — addresses, which content-logging schemes cannot
     /// safely substitute across runs — from plain values.
     fn on_shared_read_value(&mut self, _vm: &mut Vm, v: Word, _is_ref: bool) -> Word {
         v
+    }
+
+    /// Whether [`ExecHook::on_shared_access`] and
+    /// [`ExecHook::on_shared_read_value`] must see every heap access. A hook
+    /// that keeps both defaults may answer `false`: tier 1 then runs field,
+    /// static and array-element accesses inside its cursor without calling
+    /// either. The conservative default keeps custom hooks exact: every
+    /// such access goes through the generic path, which calls both.
+    fn observes_shared_accesses(&self) -> bool {
+        true
     }
 
     /// The VM halted (normally or abnormally).
@@ -169,6 +191,10 @@ impl ExecHook for Passthrough {
 
     fn on_native_call(&mut self, vm: &mut Vm, native: NativeId, args: &[i64]) -> NativeOutcome {
         vm.call_native_live(native, args)
+    }
+
+    fn observes_shared_accesses(&self) -> bool {
+        false
     }
 
     fn mode_name(&self) -> &'static str {

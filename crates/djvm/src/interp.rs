@@ -15,20 +15,25 @@
 //! # One semantics, three tiers
 //!
 //! What an instruction *does* is written once: total ops in
-//! [`Pure::exec`], branch conditions in [`Test::eval`], `Div`/`Rem` in
-//! [`div_rem`], reference reads in [`crate::objref`] (the remote reflector
-//! calls these too), everything else in [`exec_op`].
-//! How its cycle is *accounted* is written once too, in
+//! [`Pure::exec`], branch conditions in [`Test::eval`], the ops that can
+//! fault but only move words (`Div`/`Rem` and the field, static and array
+//! ops) in [`Partial::exec`] over [`crate::compile::div_rem`] and
+//! [`crate::objref`] (the remote reflector calls these too), clock reads
+//! and native calls in [`now`] and [`native_call`], everything else in
+//! [`exec_op`]. How its cycle is *accounted* is written once too, in
 //! [`Cursor::retire`]. The two dispatch tiers — [`step`] (generic) and
 //! [`run_quick`] (quickened) — are sequencing policies over those
 //! definitions: they differ in how many instructions they retire between
-//! write-backs, never in what an instruction means. Tier 2, [`run_mega`],
-//! executes no instruction at all: at the head of a counting loop it
-//! writes the closed form of the passes tier 1 would have run
+//! write-backs, never in what an instruction means. Tier 1 keeps heap,
+//! clock and native ops in its cursor, flushing only around a hook call;
+//! the hook's access gate and read filter stay on the generic path, which
+//! a hook that observes shared accesses keeps them on. Tier 2,
+//! [`run_mega`], executes no instruction at all: at the head of a counting
+//! loop it writes the closed form of the passes tier 1 would have run
 //! ([`ClosedLoop`]) and hands every other pass back to tier 1.
 
 use crate::bytecode::{MethodId, Op, Ty};
-use crate::compile::{div_rem, ClosedLoop, Pure, QOp, Test};
+use crate::compile::{ClosedLoop, Partial, Pure, QOp, Test};
 use crate::fingerprint::{Fingerprint, FingerprintMode};
 use crate::heap::{Addr, Word, NULL};
 use crate::hook::{AccessDecision, ExecHook};
@@ -184,7 +189,8 @@ fn profile_qop(vm: &mut Vm, kind: usize, k: u32) {
 
 /// Tier 1: dispatch the `QOp` stream with a cached frame cursor (`pc`,
 /// `sp`, frame base and the accounting [`Cursor`] held in locals, flushed
-/// only at switches, calls, yield points, and generic fallbacks).
+/// only at switches, calls, returns, yield points, faults and around hook
+/// and generic calls).
 ///
 /// A width-`k` superinstruction retires as one batch only if
 /// `to_tick > k` (no tick inside the batch) and `steps + k <= limit`
@@ -192,6 +198,13 @@ fn profile_qop(vm: &mut Vm, kind: usize, k: u32) {
 /// Otherwise the generic path executes just its first constituent with
 /// full semantics; the interior pcs keep their single-op `QOp` forms, so
 /// execution resumes mid-pattern with no pc remapping.
+///
+/// An op that leaves the same thread running in the same frame — every
+/// [`Partial`] op, a clock read, a native call without callbacks, an
+/// uncontended monitor op — continues in the cursor; anything else
+/// re-enters the outer loop, which reloads it. So tier 2 is probed only
+/// where the outer loop is entered: at taken backedges, call targets and
+/// thread switches.
 // Kept its own function: folded into `run` it shares a register allocation
 // with the generic loop and dispatches slower (E21).
 #[inline(never)]
@@ -201,9 +214,8 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64, until: u64) -> Vm
     let program = vm.program.clone();
     // One hoisted bool keeps the profiler-off cost to a predicted branch.
     let prof_on = vm.telem.profile.is_some();
-    // Set when tier 2 ran and then handed its head to tier 1 (`run_mega`'s
-    // result): a probe there would retire nothing, so tier 1 takes the head.
-    let mut gate_closed = false;
+    // Whether heap accesses must reach the hook (then they go generic).
+    let watched = hook.observes_shared_accesses();
     // Every yield point and call re-enters here with the cursor flushed, so
     // this is where the logical-time bound is tested: once per yield point.
     'outer: while vm.status.is_running()
@@ -219,20 +231,15 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64, until: u64) -> Vm
         };
         // ---- tier 2: closed loops retire whole passes at their heads ----
         // A profiled run stays here: the profiler attributes every
-        // dispatched op, and tier 2 dispatches none.
-        if !std::mem::take(&mut gate_closed) && vm.mega.enabled && vm.instr_depth == 0 && !prof_on {
+        // dispatched op, and tier 2 dispatches none. Whatever tier 2 left
+        // (a pass it does not run, or none at all) tier 1 takes from the
+        // head, so nothing here can spin.
+        if vm.mega.enabled && !prof_on {
             if let Some(cl) = vm.closed_loop(method, pc) {
-                let before = vm.counters.steps;
-                let closed = run_mega(vm, hook, &cl, limit, until);
-                if vm.counters.steps != before {
-                    gate_closed = closed;
-                    continue 'outer;
+                run_mega(vm, hook, &cl, limit, until);
+                if vm.counters.yield_points >= until {
+                    break 'outer;
                 }
-                // Zero progress (a gate miss, or a first pass tier 2 does
-                // not run): the VM is bit-identical to entry, so fall
-                // through into quickened dispatch below, which always
-                // advances — the head is only re-probed at the next taken
-                // backedge, so this cannot spin.
             }
         }
         let qops = &program.compiled(method).qops;
@@ -254,6 +261,22 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64, until: u64) -> Vm
                 }
             }};
         }
+        // After a flushed op: stay in the cursor if the same thread still
+        // runs in the same frame, else re-enter the outer loop. The frame
+        // is its `fp`: a call, a return, a callback frame or a collection
+        // that moves the stack all change it.
+        macro_rules! resume {
+            () => {{
+                let t = &vm.threads[cur];
+                if vm.status.is_running() && vm.sched.current == tid && t.fp + 3 == base {
+                    pc = t.pc;
+                    sp = t.sp;
+                    c = Cursor::load(vm);
+                    continue; // the dispatch loop below
+                }
+                continue 'outer;
+            }};
+        }
         // Fall back to the generic interpreter for one instruction: the
         // timer may expire here, the op may fail, switch, or allocate.
         macro_rules! generic {
@@ -266,7 +289,7 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64, until: u64) -> Vm
                 }
                 flush!();
                 step(vm, hook);
-                continue 'outer;
+                resume!();
             }};
         }
         // Retire a width-`k` op as one batch, or split it at a tick or
@@ -328,6 +351,43 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64, until: u64) -> Vm
                         pc += k;
                     }
                 }
+                QOp::Partial(p) => {
+                    // A static's first touch loads its class (an allocation),
+                    // and a watched access consults the hook: both generic.
+                    let statics = match p.class() {
+                        Some(class) => match vm.class_objects[class as usize] {
+                            Some(a) => a,
+                            None => generic!(),
+                        },
+                        None => NULL,
+                    };
+                    if watched && p.gate(&vm.heap.mem, sp, statics).is_some() {
+                        generic!();
+                    }
+                    retire!(1);
+                    if let Err(f) = p.exec(&mut vm.heap, &program, &mut sp, statics) {
+                        flush!();
+                        let e = vm.fail(f.kind());
+                        raise_err(vm, hook, e);
+                        continue 'outer;
+                    }
+                    pc += 1;
+                }
+                QOp::Now => {
+                    retire!(1);
+                    flush!();
+                    now(vm, hook);
+                    vm.threads[cur].pc = pc + 1;
+                    resume!();
+                }
+                QOp::NativeCall { native, nargs } => {
+                    retire!(1);
+                    flush!();
+                    if let Err(e) = native_call(vm, hook, native, nargs, pc) {
+                        raise_err(vm, hook, e);
+                    }
+                    resume!();
+                }
                 // Devirtualized call: both vtable probes pre-resolved.
                 QOp::CallMono {
                     class,
@@ -378,36 +438,39 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64, until: u64) -> Vm
 ///   yield points we credit). The logical-time bound `until` caps it, so
 ///   no batch credits a yield point past it.
 ///
+/// Inside an instrumentation helper's frames (`instr_depth > 0`) the
+/// backedges are instrumentation yield points: `h` is the hook's
+/// [`ExecHook::quiet_instr_yield_horizon`], and nothing is credited —
+/// those yield points tick no logical clock, and the fingerprint is off.
+///
 /// Of those, [`ClosedLoop::passes`] retires the ones whose guard holds and
 /// whose guarded value stays inside `i64`. Everything else — the pass whose
-/// guard fails, the pass that wraps — is tier 1's, which runs it with full
-/// semantics when this returns.
-///
-/// Returns whether tier 1 takes the head without probing it again: after
-/// a gate miss, and after a tail-guarded loop's last pass, whose guard is
-/// not at the head. A head-guarded loop's failing guard *is* the head, so
-/// `run_quick` probes it once more; that entry retires nothing and hands
-/// the head to tier 1.
+/// guard fails, the pass that wraps — is tier 1's: the first batch that
+/// retires nothing returns, and tier 1 takes the head.
 // Kept out of the tier-1 dispatch loop: inlining it bloats `run_quick`'s
 // icache footprint for a call taken only at hot loop heads.
 #[inline(never)]
-fn run_mega(vm: &mut Vm, hook: &mut dyn ExecHook, cl: &ClosedLoop, limit: u64, until: u64) -> bool {
+fn run_mega(vm: &mut Vm, hook: &mut dyn ExecHook, cl: &ClosedLoop, limit: u64, until: u64) {
     let tid = vm.sched.current;
     let cur = tid as usize;
     debug_assert_eq!(vm.threads[cur].pc, cl.head);
     let base = vm.threads[cur].fp + 3;
+    let instr = vm.instr_depth > 0;
     let mut c = Cursor::load(vm);
-    let mut h = hook
-        .quiet_yield_horizon(vm)
-        .min(until.saturating_sub(vm.counters.yield_points));
+    let mut h = if instr {
+        hook.quiet_instr_yield_horizon(vm)
+    } else {
+        hook.quiet_yield_horizon(vm)
+            .min(until.saturating_sub(vm.counters.yield_points))
+    };
     let mut retired = 0u64;
-    let handoff = loop {
+    loop {
         let by_tick = c.to_tick.saturating_sub(1) / cl.width;
         let by_budget = limit.saturating_sub(c.steps) / cl.width;
         let avail = by_tick.min(by_budget).min(h);
         if avail == 0 {
             vm.mega.stats.gate_misses += 1;
-            break true;
+            break;
         }
         if retired == 0 {
             vm.mega.stats.entries += 1;
@@ -415,7 +478,7 @@ fn run_mega(vm: &mut Vm, hook: &mut dyn ExecHook, cl: &ClosedLoop, limit: u64, u
         let locals = &mut vm.heap.mem[base as usize..];
         let kk = cl.passes(locals[cl.local as usize] as i64, avail);
         if kk == 0 {
-            break cl.eval_offset != 0;
+            break;
         }
         // `kk` passes: their locals in closed form, their pc mixes as `kk`
         // applications of the pass's exact fold.
@@ -427,14 +490,13 @@ fn run_mega(vm: &mut Vm, hook: &mut dyn ExecHook, cl: &ClosedLoop, limit: u64, u
         h -= kk;
         retired += kk;
         vm.mega.stats.closed_iters += kk;
-    };
+    }
     c.store(vm);
-    if retired > 0 {
+    if retired > 0 && !instr {
         vm.counters.yield_points += retired;
         vm.threads[cur].yield_points += retired;
         hook.on_yield_points_skipped(retired);
     }
-    handoff
 }
 
 /// The generic tier: execute one instruction of the current thread (plus
@@ -513,15 +575,6 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
             Ok(Flow::Next)
         }
 
-        // ---- the two partial arithmetic ops ----
-        Op::Div | Op::Rem => {
-            let b = vm.pop_word() as i64;
-            let a = vm.pop_word() as i64;
-            let r = div_rem(a, b, op == Op::Rem).map_err(|kind| vm.fail(kind))?;
-            vm.push_word(r as Word);
-            Ok(Flow::Next)
-        }
-
         // ---- control flow ----
         Op::Goto(t) => Ok(Flow::Jump(t)),
         Op::If(target) | Op::IfZ(target) => {
@@ -543,51 +596,6 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
             vm.push_word(a);
             Ok(Flow::Next)
         }
-        Op::GetField { idx, ty } => {
-            let obj = vm.peek_word(0);
-            if obj != NULL && access_gate(vm, hook, obj, false)? {
-                return Ok(Flow::Managed); // retry after a switch
-            }
-            let obj = vm.pop_word();
-            let v = objref::field_slot(&vm.heap, &vm.program, obj, idx, ty)
-                .and_then(|slot| objref::read(&vm.heap, slot))
-                .map_err(|f| vm.fail(f.kind()))?;
-            let v = hook.on_shared_read_value(vm, v, ty == Ty::Ref);
-            vm.push_word(v);
-            Ok(Flow::Next)
-        }
-        Op::PutField { idx, ty } => {
-            let obj = vm.peek_word(1);
-            if obj != NULL && access_gate(vm, hook, obj, true)? {
-                return Ok(Flow::Managed);
-            }
-            let v = vm.pop_word();
-            let obj = vm.pop_word();
-            let slot = objref::field_slot(&vm.heap, &vm.program, obj, idx, ty)
-                .map_err(|f| vm.fail(f.kind()))?;
-            vm.heap.mem[slot as usize] = v;
-            Ok(Flow::Next)
-        }
-        Op::GetStatic(class, i) => {
-            let cobj = vm.ensure_class_loaded(class)?;
-            if access_gate(vm, hook, cobj, false)? {
-                return Ok(Flow::Managed);
-            }
-            let v = vm.heap.get_field(cobj, i as usize);
-            let is_ref = vm.program.static_layouts[class as usize][i as usize] == Ty::Ref;
-            let v = hook.on_shared_read_value(vm, v, is_ref);
-            vm.push_word(v);
-            Ok(Flow::Next)
-        }
-        Op::PutStatic(class, i) => {
-            let cobj = vm.ensure_class_loaded(class)?;
-            if access_gate(vm, hook, cobj, true)? {
-                return Ok(Flow::Managed);
-            }
-            let v = vm.pop_word();
-            vm.heap.set_field(cobj, i as usize, v);
-            Ok(Flow::Next)
-        }
         Op::NewArray(ty) => {
             let len = vm.pop_word() as i64;
             if len < 0 {
@@ -601,36 +609,9 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
             vm.push_word(a);
             Ok(Flow::Next)
         }
-        Op::ALoad(ty) => {
-            let arr = vm.peek_word(1);
-            if arr != NULL && access_gate(vm, hook, arr, false)? {
-                return Ok(Flow::Managed);
-            }
-            let i = vm.pop_word() as i64;
-            let arr = vm.pop_word();
-            let v = objref::elem_slot(&vm.heap, arr, i, ty)
-                .and_then(|slot| objref::read(&vm.heap, slot))
-                .map_err(|f| vm.fail(f.kind()))?;
-            let v = hook.on_shared_read_value(vm, v, ty == Ty::Ref);
-            vm.push_word(v);
-            Ok(Flow::Next)
-        }
-        Op::AStore(ty) => {
-            let arr = vm.peek_word(2);
-            if arr != NULL && access_gate(vm, hook, arr, true)? {
-                return Ok(Flow::Managed);
-            }
-            let v = vm.pop_word();
-            let i = vm.pop_word() as i64;
-            let arr = vm.pop_word();
-            let slot = objref::elem_slot(&vm.heap, arr, i, ty).map_err(|f| vm.fail(f.kind()))?;
-            vm.heap.mem[slot as usize] = v;
-            Ok(Flow::Next)
-        }
-        Op::ArrayLen | Op::IdentityHash | Op::InstanceOf(_) => {
+        Op::IdentityHash | Op::InstanceOf(_) => {
             let obj = vm.pop_word();
             let v = match op {
-                Op::ArrayLen => objref::array_len(&vm.heap, obj),
                 Op::InstanceOf(class) => {
                     objref::instance_of(&vm.heap, &vm.program, obj, class).map(Word::from)
                 }
@@ -851,46 +832,11 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
 
         // ---- environment ----
         Op::Now => {
-            let v = clock_read(vm, hook);
-            vm.push_word(v as Word);
+            now(vm, hook);
             Ok(Flow::Next)
         }
         Op::NativeCall { native, nargs } => {
-            let mut args = vec![0i64; nargs as usize];
-            for i in (0..nargs as usize).rev() {
-                args[i] = vm.pop_word() as i64;
-            }
-            if let Some(p) = vm.telem.profile.as_deref_mut() {
-                p.phase_begin(
-                    vm.sched.current,
-                    telemetry::profile::PHASE_NATIVE,
-                    native as u64,
-                    vm.cycles,
-                );
-            }
-            let outcome = hook.on_native_call(vm, native, &args);
-            vm.counters.native_calls += 1;
-            let tid = vm.sched.current;
-            vm.telem
-                .event(tid, telemetry::EventKind::NativeCall { method: native });
-            if let Some(p) = vm.telem.profile.as_deref_mut() {
-                p.phase_end(
-                    tid,
-                    telemetry::profile::PHASE_NATIVE,
-                    native as u64,
-                    vm.cycles,
-                );
-            }
-            if vm.program.natives[native as usize].returns {
-                vm.push_word(outcome.ret as Word);
-            }
-            // Callbacks run before the caller continues (§2.5): queue their
-            // frames so the first callback executes first.
-            let cur = vm.sched.current as usize;
-            vm.threads[cur].pc = pc + 1;
-            for cb in outcome.callbacks.iter().rev() {
-                vm.push_frame(cb.method, false, &cb.args, true, false)?;
-            }
+            native_call(vm, hook, native, nargs, pc)?;
             Ok(Flow::Managed)
         }
 
@@ -912,14 +858,97 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
             Ok(Flow::Managed)
         }
 
-        // ---- total ops: constants, locals, shuffles, ALU, compares ----
+        // ---- total ops, then the partial ones: ALU, locals, heap slots ----
         _ => {
-            let p = Pure::of(op).expect("every op without an arm above is total");
+            if let Some(p) = Partial::of(op) {
+                return exec_partial(vm, hook, p);
+            }
+            let p = Pure::of(op).expect("every op without an arm above is total or partial");
             let t = &mut vm.threads[vm.sched.current as usize];
             t.sp = p.exec(&mut vm.heap.mem, t.sp, t.fp + 3);
             Ok(Flow::Next)
         }
     }
+}
+
+/// The generic tier's [`Partial`] op: [`Partial::exec`] between the
+/// hook's access gate and its read filter. A static's first touch loads
+/// its class here.
+fn exec_partial(vm: &mut Vm, hook: &mut dyn ExecHook, p: Partial) -> Result<Flow, VmError> {
+    let statics = match p.class() {
+        Some(class) => vm.ensure_class_loaded(class)?,
+        None => NULL,
+    };
+    let cur = vm.sched.current as usize;
+    let gate = p.gate(&vm.heap.mem, vm.threads[cur].sp, statics);
+    if let Some((obj, write)) = gate.filter(|&(obj, _)| obj != NULL) {
+        if access_gate(vm, hook, obj, write)? {
+            return Ok(Flow::Managed); // retry after a switch
+        }
+    }
+    let mut sp = vm.threads[cur].sp;
+    let done = p.exec(&mut vm.heap, &vm.program, &mut sp, statics);
+    vm.threads[cur].sp = sp;
+    done.map_err(|f| vm.fail(f.kind()))?;
+    if let Some(ty) = p.read_ty(&vm.program) {
+        let top = sp as usize - 1;
+        vm.heap.mem[top] = hook.on_shared_read_value(vm, vm.heap.mem[top], ty == Ty::Ref);
+    }
+    Ok(Flow::Next)
+}
+
+/// `Now`: one hook-mediated clock read, pushed.
+fn now(vm: &mut Vm, hook: &mut dyn ExecHook) {
+    let v = clock_read(vm, hook);
+    vm.push_word(v as Word);
+}
+
+/// `NativeCall` at `pc`: pop the arguments, let the hook run (or replay)
+/// the native, push its result, advance the pc, and queue the frames of
+/// any callbacks it requested.
+fn native_call(
+    vm: &mut Vm,
+    hook: &mut dyn ExecHook,
+    native: crate::bytecode::NativeId,
+    nargs: u8,
+    pc: u32,
+) -> Result<(), VmError> {
+    let mut args = vec![0i64; nargs as usize];
+    for i in (0..nargs as usize).rev() {
+        args[i] = vm.pop_word() as i64;
+    }
+    if let Some(p) = vm.telem.profile.as_deref_mut() {
+        p.phase_begin(
+            vm.sched.current,
+            telemetry::profile::PHASE_NATIVE,
+            native as u64,
+            vm.cycles,
+        );
+    }
+    let outcome = hook.on_native_call(vm, native, &args);
+    vm.counters.native_calls += 1;
+    let tid = vm.sched.current;
+    vm.telem
+        .event(tid, telemetry::EventKind::NativeCall { method: native });
+    if let Some(p) = vm.telem.profile.as_deref_mut() {
+        p.phase_end(
+            tid,
+            telemetry::profile::PHASE_NATIVE,
+            native as u64,
+            vm.cycles,
+        );
+    }
+    if vm.program.natives[native as usize].returns {
+        vm.push_word(outcome.ret as Word);
+    }
+    // Callbacks run before the caller continues (§2.5): queue their
+    // frames so the first callback executes first.
+    let cur = vm.sched.current as usize;
+    vm.threads[cur].pc = pc + 1;
+    for cb in outcome.callbacks.iter().rev() {
+        vm.push_frame(cb.method, false, &cb.args, true, false)?;
+    }
+    Ok(())
 }
 
 /// Push `callee`'s frame (arguments from the operand stack) and take its

@@ -166,29 +166,34 @@ rm -rf "$MDIR"; mkdir -p "$MDIR"
 fields() {
     grep -o '"fingerprint":[0-9]*\|"state_digest":[0-9]*\|"steps":[0-9]*\|"cycles":[0-9]*\|"yield_points":[0-9]*\|"thread_switches":[0-9]*' "$1"
 }
-"$CLI" record fig1_hot 5 "$MDIR/default.djvb" --metrics-out "$MDIR/default.json" > /dev/null
-require "$MDIR/default.djvb" "$MDIR/default.json"
-fields "$MDIR/default.json" > "$MDIR/default.fields"
 for flag in --no-quicken --no-mega; do
     # The committed corpus replays accurately under its policies with
     # every tier at its default (checked in the corpus stage) and ablated.
     "$CLI" check tests/corpus "$flag"
-    # Recording fig1_hot in both modes yields byte-identical traces, and
-    # every guest-observable metric matches. (The full metrics documents
-    # are NOT cmp'd whole: the telemetry ring legitimately differs across
-    # the ablation — tier-up emits observer-side compile.mega events that
-    # shift ring sequence numbers.)
-    "$CLI" record fig1_hot 5 "$MDIR/ablated$flag.djvb" "$flag" \
-        --metrics-out "$MDIR/ablated$flag.json" > /dev/null
-    require "$MDIR/ablated$flag.djvb" "$MDIR/ablated$flag.json"
-    cmp "$MDIR/default.djvb" "$MDIR/ablated$flag.djvb"
-    fields "$MDIR/ablated$flag.json" > "$MDIR/ablated$flag.fields"
-    require "$MDIR/default.fields" "$MDIR/ablated$flag.fields"
-    cmp "$MDIR/default.fields" "$MDIR/ablated$flag.fields"
-    # Cross-tier replay: the default trace drives an ablated replay and
-    # the ablated trace drives a default replay, both ACCURATE (exit 0).
-    "$CLI" replay fig1_hot 5 "$MDIR/default.djvb" "$flag" > /dev/null
-    "$CLI" replay fig1_hot 5 "$MDIR/ablated$flag.djvb" > /dev/null
+done
+# The hot loop (tier 2) and the three event guests (tier 1's heap, clock
+# and native ops) record byte-identical traces in every tier, and every
+# guest-observable metric matches. (The full metrics documents are NOT
+# cmp'd whole: the telemetry ring legitimately differs across the
+# ablation — tier-up emits observer-side compile.mega events that shift
+# ring sequence numbers.)
+for w in fig1_hot clock_spin native_heavy server_loop; do
+    "$CLI" record "$w" 5 "$MDIR/$w.djvb" --metrics-out "$MDIR/$w.json" > /dev/null
+    require "$MDIR/$w.djvb" "$MDIR/$w.json"
+    fields "$MDIR/$w.json" > "$MDIR/$w.fields"
+    for flag in --no-quicken --no-mega; do
+        "$CLI" record "$w" 5 "$MDIR/$w$flag.djvb" "$flag" \
+            --metrics-out "$MDIR/$w$flag.json" > /dev/null
+        require "$MDIR/$w$flag.djvb" "$MDIR/$w$flag.json"
+        cmp "$MDIR/$w.djvb" "$MDIR/$w$flag.djvb"
+        fields "$MDIR/$w$flag.json" > "$MDIR/$w$flag.fields"
+        require "$MDIR/$w.fields" "$MDIR/$w$flag.fields"
+        cmp "$MDIR/$w.fields" "$MDIR/$w$flag.fields"
+        # Cross-tier replay: the default trace drives an ablated replay and
+        # the ablated trace drives a default replay, both ACCURATE (exit 0).
+        "$CLI" replay "$w" 5 "$MDIR/$w.djvb" "$flag" > /dev/null
+        "$CLI" replay "$w" 5 "$MDIR/$w$flag.djvb" > /dev/null
+    done
 done
 # The tier-up itself is observable where it belongs — the observer-side
 # stats channel: nonzero tier_ups on fig1_hot, and the compile.mega ring
