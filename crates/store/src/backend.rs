@@ -1,27 +1,34 @@
-//! The on-disk backend: block record files and catalog files, both
-//! written atomically (unique temp file + rename) so readers — including
-//! concurrent fleet sessions and a compactor mid-pass — only ever observe
-//! a complete old or complete new file.
-//!
-//! ## Store layout
+//! The on-disk backend: one append-only log, and the index `open`
+//! rebuilds from it.
 //!
 //! ```text
-//! <root>/blocks/<2-hex-prefix>/<32-hex-digest>.blk   block records
-//! <root>/catalog/<32-hex-entry-id>.json              run manifests
-//! <root>/catalog/<32-hex-entry-id>.puts              put logs, one byte a put
+//! <root>/LOCK         empty; held by the one open Store (File::try_lock)
+//! <root>/log/<n>.seg  segments, numbered up; only the highest is appended to
+//!
+//! frame  tag:u8 len:u32-LE payload[len]
+//! 'B'    a block record (DJSB v2, below), indexed by its digest echo
+//! 'E'    an entry record: one catalog manifest's canonical JSON
+//! 'C'    a commit: entry id[16] puts:u64-LE put_len:u32-LE crc:u32-LE
 //! ```
 //!
-//! A put log is the one file not written by rename: it is only ever
-//! appended to, one byte per put, so its length is the entry's put count.
-//! An entry without a log counts the `puts` key of a manifest written
-//! before logs existed, or 0.
+//! A put is one append: its new block records, an entry record when the
+//! entry's bytes change, and a commit, whose CRC-32 covers the `put_len`
+//! bytes since the previous commit and its own fields before the CRC.
+//! `puts` is the entry's count after the put — absolute, so a commit that
+//! a pass copies and `open` meets twice (a crash between copy and unlink)
+//! counts once. Only committed records enter the index. At `open`, bytes
+//! after the highest segment's last commit that are a prefix of a put —
+//! all a write cut short leaves — are a torn tail and are truncated;
+//! anything else that does not scan is `Corrupt`. A [`Handle`] reads with
+//! `read_at` on the segment's open file, which a pass that unlinks the
+//! segment leaves readable.
 //!
 //! ## Block record format (`DJSB` v2)
 //!
 //! ```text
 //! "DJSB" ver=2 method_byte(0=stored 3=rans)
 //! varint(raw_len) varint(comp_len) varint(crc32 of raw)
-//! digest[16]                                (echo of the filename key)
+//! digest[16]                                (echo of the index key)
 //! payload[comp_len]                         (raw, or the coder's stream)
 //! ```
 //!
@@ -32,25 +39,34 @@
 //! block frame wraps — written from it and read back into it, stream
 //! verbatim. It is self-validating: decode unpacks the payload
 //! (decompress, length, CRC) **and recomputes the content digest against
-//! the echo** — so even a digest collision or a renamed file surfaces as
-//! a typed [`StoreError::Corrupt`], never as silently wrong replay data.
+//! the echo** — so even a digest collision or a misplaced record surfaces
+//! as a typed [`StoreError::Corrupt`], never as silently wrong replay data.
 
 use crate::error::StoreError;
-use codec::{digest128, get_varint, put_varint, Digest128};
+use codec::{crc32, digest128, get_varint, put_varint, Digest128};
 use dejavu::{BlockMethod, Packed};
-use std::fs;
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeMap;
+use std::fs::{self, File, OpenOptions};
+use std::os::unix::fs::FileExt;
+use std::path::PathBuf;
+use std::sync::Arc;
 
 const RECORD_MAGIC: &[u8; 4] = b"DJSB";
 const RECORD_VERSION: u8 = 2;
 /// Decoder allocation cap, mirroring the DJVB block payload bound.
 const MAX_RAW_LEN: u64 = 1 << 26;
 
-/// Process-wide uniquifier for temp-file names (pid alone is not enough
-/// with many store threads in one process).
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+pub(crate) const BLOCK: u8 = b'B';
+pub(crate) const ENTRY: u8 = b'E';
+const COMMIT: u8 = b'C';
+/// A frame's tag and payload length.
+const HEAD: u64 = 5;
+/// A commit's payload: entry id, put count, put length, CRC.
+const COMMIT_LEN: usize = 32;
+/// What one commit frame takes; `disk_stats` counts one per put.
+pub(crate) const COMMIT_BYTES: u64 = HEAD + COMMIT_LEN as u64;
+/// A segment this long takes no more puts: the next one starts a segment.
+const SEGMENT_BYTES: u64 = 8 << 20;
 
 /// Encode one block record around `packed`, stream verbatim.
 pub fn encode_record(digest: Digest128, packed: &Packed) -> Vec<u8> {
@@ -132,215 +148,268 @@ pub fn decode_record(expect: Digest128, buf: &[u8]) -> Result<(Packed, Vec<u8>),
     Ok((packed, raw))
 }
 
-fn not_found_or_io(path: &Path, digest: Digest128, e: std::io::Error) -> StoreError {
-    if e.kind() == std::io::ErrorKind::NotFound {
-        StoreError::NotFound(format!("block {digest}"))
-    } else {
-        StoreError::io(path, e)
+/// A block record's digest echo and method byte, read from its header
+/// alone; `decode_record` validates the rest on every read.
+fn record_key(buf: &[u8]) -> Option<(Digest128, u8)> {
+    if buf.get(..4)? != RECORD_MAGIC {
+        return None;
+    }
+    let mut pos = 6;
+    for _ in 0..3 {
+        get_varint(buf, &mut pos)?;
+    }
+    let echo = buf.get(pos..pos + 16)?.try_into().ok()?;
+    Some((Digest128(echo), buf[5]))
+}
+
+/// Where a record's payload sits in the log.
+#[derive(Clone, Copy)]
+pub(crate) struct Loc {
+    pub seg: u64,
+    pub off: u64,
+    pub len: u32,
+}
+
+impl Loc {
+    /// The bytes its frame takes.
+    pub fn frame(&self) -> u64 {
+        HEAD + self.len as u64
     }
 }
 
-/// Filesystem operations under one store root.
-#[derive(Debug)]
-pub struct Backend {
-    root: PathBuf,
+/// An indexed block record and its method byte.
+pub(crate) struct BlockAt {
+    pub at: Loc,
+    pub method: u8,
 }
 
-impl Backend {
-    /// Open (creating directories as needed).
-    pub fn open(root: &Path) -> Result<Backend, StoreError> {
-        for sub in ["blocks", "catalog"] {
-            let dir = root.join(sub);
-            fs::create_dir_all(&dir).map_err(|e| StoreError::io(&dir, e))?;
+/// An indexed entry: its latest record, its latest commit and its put count.
+pub(crate) struct EntryAt {
+    pub at: Loc,
+    pub commit: Loc,
+    pub puts: u64,
+}
+
+/// One segment file and what it holds up to its last commit.
+pub(crate) struct Segment {
+    file: Arc<File>,
+    pub len: u64,
+    pub blocks: u64,
+    pub commits: u64,
+}
+
+/// One record's bytes, readable without the log's lock.
+pub(crate) struct Handle(Arc<File>, Loc);
+
+impl Handle {
+    pub fn read(&self) -> Result<Vec<u8>, StoreError> {
+        let mut buf = vec![0; self.1.len as usize];
+        self.0
+            .read_exact_at(&mut buf, self.1.off)
+            .map_err(|e| StoreError::Io(format!("segment {}: {e}", self.1.seg)))?;
+        Ok(buf)
+    }
+}
+
+/// Frames ending in commits, written in one append: a put, or a pass's copy.
+#[derive(Default)]
+pub(crate) struct Frames {
+    pub buf: Vec<u8>,
+    /// Where the frames not yet committed begin.
+    start: usize,
+}
+
+impl Frames {
+    pub fn push(&mut self, tag: u8, payload: &[u8]) -> Result<(), StoreError> {
+        let len = u32::try_from(payload.len())
+            .map_err(|_| StoreError::Corrupt("a record past 4 GiB".into()))?;
+        self.buf.push(tag);
+        self.buf.extend_from_slice(&len.to_le_bytes());
+        self.buf.extend_from_slice(payload);
+        Ok(())
+    }
+
+    /// Commit the frames since the last commit, as put number `puts` of `id`.
+    pub fn commit(&mut self, id: Digest128, puts: u64) -> Result<(), StoreError> {
+        let put_len = u32::try_from(self.buf.len() - self.start)
+            .map_err(|_| StoreError::Corrupt("a put past 4 GiB".into()))?;
+        let fields = [&id.0[..], &puts.to_le_bytes(), &put_len.to_le_bytes()].concat();
+        self.push(COMMIT, &[&fields[..], &[0; 4]].concat())?;
+        let crc_at = self.buf.len() - 4;
+        let crc = crc32(&self.buf[self.start..crc_at]);
+        self.buf[crc_at..].copy_from_slice(&crc.to_le_bytes());
+        self.start = self.buf.len();
+        Ok(())
+    }
+
+    /// True while frames wait for a commit.
+    pub fn pending(&self) -> bool {
+        self.start < self.buf.len()
+    }
+}
+
+/// The log under one root, and its index: every committed block record
+/// by digest, and every entry by id.
+#[derive(Default)]
+pub(crate) struct Log {
+    dir: PathBuf,
+    pub segments: BTreeMap<u64, Segment>,
+    pub blocks: BTreeMap<Digest128, BlockAt>,
+    pub entries: BTreeMap<Digest128, EntryAt>,
+}
+
+impl Log {
+    /// Scan every segment under `dir` into the index, truncating a torn
+    /// tail off the highest.
+    pub fn open(dir: PathBuf) -> Result<Log, StoreError> {
+        fs::create_dir_all(&dir).map_err(|e| StoreError::io(&dir, e))?;
+        let mut numbers = Vec::new();
+        for f in fs::read_dir(&dir).map_err(|e| StoreError::io(&dir, e))? {
+            let name = f.map_err(|e| StoreError::io(&dir, e))?.file_name();
+            let stem = name.to_str().and_then(|s| s.strip_suffix(".seg"));
+            numbers.extend(stem.and_then(|s| s.parse::<u64>().ok()));
         }
-        Ok(Backend {
-            root: root.to_path_buf(),
-        })
-    }
-
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    pub fn block_path(&self, digest: Digest128) -> PathBuf {
-        let hex = digest.hex();
-        self.root.join("blocks").join(&hex[..2]).join(format!("{hex}.blk"))
-    }
-
-    pub fn catalog_path(&self, id: &str) -> PathBuf {
-        self.root.join("catalog").join(format!("{id}.json"))
-    }
-
-    /// An entry's put log.
-    pub fn puts_path(&self, id: &str) -> PathBuf {
-        self.root.join("catalog").join(format!("{id}.puts"))
-    }
-
-    /// Count `n` puts of an entry: append `n` bytes to its log in one
-    /// write.
-    pub fn append_puts(&self, id: &str, n: u64) -> Result<(), StoreError> {
-        let path = self.puts_path(id);
-        fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .and_then(|mut f| f.write_all(&vec![b'+'; n as usize]))
-            .map_err(|e| StoreError::io(&path, e))
-    }
-
-    /// An entry's put count: the length of its log, `None` if it has none.
-    pub fn puts(&self, id: &str) -> Result<Option<u64>, StoreError> {
-        let path = self.puts_path(id);
-        match fs::metadata(&path) {
-            Ok(m) => Ok(Some(m.len())),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(StoreError::io(&path, e)),
-        }
-    }
-
-    /// Atomic write: unique temp file in the target's directory, then
-    /// rename over the destination. Concurrent writers of the same path
-    /// race benignly — for content-addressed paths both bodies are
-    /// byte-identical, and rename is atomic either way. The directory must
-    /// exist: a write under a root that has been removed is a typed I/O
-    /// error, never the root coming back.
-    pub fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-        let dir = path
-            .parent()
-            .ok_or_else(|| StoreError::Corrupt(format!("{}: no parent dir", path.display())))?;
-        let tmp = dir.join(format!(
-            "tmp-{}-{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        fs::write(&tmp, bytes).map_err(|e| StoreError::io(&tmp, e))?;
-        fs::rename(&tmp, path).map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            StoreError::io(path, e)
-        })
-    }
-
-    /// Write one block record if absent. Returns `(bytes_written,
-    /// was_new)` — `bytes_written == 0` on a dedup hit, which keeps the
-    /// record (and so the stream) the store already has.
-    pub fn write_block(&self, digest: Digest128, packed: &Packed) -> Result<(u64, bool), StoreError> {
-        let path = self.block_path(digest);
-        if path.exists() {
-            return Ok((0, false));
-        }
-        let bytes = encode_record(digest, packed);
-        // The one directory not made at `open`: the block's shard.
-        if let Some(shard) = path.parent() {
-            fs::create_dir(shard)
-                .or_else(|e| if shard.is_dir() { Ok(()) } else { Err(e) })
-                .map_err(|e| StoreError::io(shard, e))?;
-        }
-        self.write_atomic(&path, &bytes)?;
-        Ok((bytes.len() as u64, true))
-    }
-
-    /// Read + fully validate one block record.
-    pub fn read_block(&self, digest: Digest128) -> Result<(Packed, Vec<u8>), StoreError> {
-        let path = self.block_path(digest);
-        let buf = fs::read(&path).map_err(|e| not_found_or_io(&path, digest, e))?;
-        decode_record(digest, &buf)
-    }
-
-    /// One block record's method, read from its header alone.
-    pub fn read_method(&self, digest: Digest128) -> Result<BlockMethod, StoreError> {
-        let path = self.block_path(digest);
-        let mut head = Vec::with_capacity(6);
-        fs::File::open(&path)
-            .and_then(|f| f.take(6).read_to_end(&mut head))
-            .map_err(|e| not_found_or_io(&path, digest, e))?;
-        record_method(digest, &head)
-    }
-
-    /// Every block digest on disk with its record-file size, sorted by
-    /// digest (deterministic iteration order for compaction and stats).
-    pub fn list_blocks(&self) -> Result<Vec<(Digest128, u64)>, StoreError> {
-        let mut out = Vec::new();
-        let blocks = self.root.join("blocks");
-        let shards = fs::read_dir(&blocks).map_err(|e| StoreError::io(&blocks, e))?;
-        for shard in shards {
-            let shard = shard.map_err(|e| StoreError::io(&blocks, e))?.path();
-            if !shard.is_dir() {
-                continue;
-            }
-            let entries = fs::read_dir(&shard).map_err(|e| StoreError::io(&shard, e))?;
-            for entry in entries {
-                let entry = entry.map_err(|e| StoreError::io(&shard, e))?;
-                let name = entry.file_name().to_string_lossy().into_owned();
-                let Some(stem) = name.strip_suffix(".blk") else {
-                    continue;
-                };
-                let Some(digest) = Digest128::parse(stem) else {
-                    continue;
-                };
-                let len = entry
-                    .metadata()
-                    .map_err(|e| StoreError::io(&entry.path(), e))?
-                    .len();
-                out.push((digest, len));
-            }
-        }
-        out.sort_by_key(|&(d, _)| d);
-        Ok(out)
-    }
-
-    /// Every catalog entry id on disk with its file size, sorted.
-    pub fn list_catalog(&self) -> Result<Vec<(String, u64)>, StoreError> {
-        let dir = self.root.join("catalog");
-        let mut out = Vec::new();
-        let entries = fs::read_dir(&dir).map_err(|e| StoreError::io(&dir, e))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| StoreError::io(&dir, e))?;
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let Some(stem) = name.strip_suffix(".json") else {
-                continue;
-            };
-            if Digest128::parse(stem).is_none() {
-                continue;
-            }
-            let len = entry
-                .metadata()
-                .map_err(|e| StoreError::io(&entry.path(), e))?
-                .len();
-            out.push((stem.to_owned(), len));
-        }
-        out.sort();
-        Ok(out)
-    }
-
-    /// Delete leftover `tmp-*` files from interrupted writes. Returns
-    /// how many were removed.
-    pub fn sweep_tmp(&self) -> Result<u64, StoreError> {
-        let mut removed = 0;
-        let mut dirs: Vec<PathBuf> = vec![self.root.join("catalog")];
-        let blocks = self.root.join("blocks");
-        let shards = fs::read_dir(&blocks).map_err(|e| StoreError::io(&blocks, e))?;
-        for shard in shards {
-            let p = shard.map_err(|e| StoreError::io(&blocks, e))?.path();
-            if p.is_dir() {
-                dirs.push(p);
-            }
-        }
-        for dir in dirs {
-            let entries = fs::read_dir(&dir).map_err(|e| StoreError::io(&dir, e))?;
-            for entry in entries {
-                let entry = entry.map_err(|e| StoreError::io(&dir, e))?;
-                if entry
-                    .file_name()
-                    .to_string_lossy()
-                    .starts_with("tmp-")
-                {
-                    fs::remove_file(entry.path())
-                        .map_err(|e| StoreError::io(&entry.path(), e))?;
-                    removed += 1;
+        numbers.sort_unstable();
+        let mut log = Log {
+            dir,
+            ..Log::default()
+        };
+        for (i, &n) in numbers.iter().enumerate() {
+            let path = log.path(n);
+            let bytes = fs::read(&path).map_err(|e| StoreError::io(&path, e))?;
+            log.open_segment(n, false)?;
+            let end = log.scan(n, &bytes)?;
+            if end < bytes.len() {
+                if i + 1 < numbers.len() {
+                    let torn = bytes.len() - end;
+                    return Err(StoreError::Corrupt(format!(
+                        "segment {n}: {torn} bytes after its last commit"
+                    )));
                 }
+                let file = &log.segments[&n].file;
+                file.set_len(end as u64).map_err(|e| StoreError::io(&path, e))?;
             }
         }
-        Ok(removed)
+        Ok(log)
+    }
+
+    fn path(&self, n: u64) -> PathBuf {
+        self.dir.join(format!("{n:010}.seg"))
+    }
+
+    /// Open segment `n`, or start it empty.
+    fn open_segment(&mut self, n: u64, create: bool) -> Result<(), StoreError> {
+        let path = self.path(n);
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create_new(create)
+            .open(&path)
+            .map_err(|e| StoreError::io(&path, e))?;
+        let file = Arc::new(file);
+        let (len, blocks, commits) = (0, 0, 0);
+        self.segments.insert(n, Segment { file, len, blocks, commits });
+        Ok(())
+    }
+
+    /// Unlink segment `n`; a [`Handle`] into it stays readable.
+    pub fn remove(&mut self, n: u64) -> Result<(), StoreError> {
+        self.segments.remove(&n);
+        let path = self.path(n);
+        fs::remove_file(&path).map_err(|e| StoreError::io(&path, e))
+    }
+
+    /// The number after the highest segment's.
+    pub fn next(&self) -> u64 {
+        self.segments.last_key_value().map_or(1, |(&n, _)| n + 1)
+    }
+
+    pub fn handle(&self, at: Loc) -> Handle {
+        Handle(Arc::clone(&self.segments[&at.seg].file), at)
+    }
+
+    /// Append a put to the highest segment, or to a new one once it is full.
+    pub fn put(&mut self, frames: &Frames) -> Result<(), StoreError> {
+        match self.segments.last_key_value() {
+            Some((&n, seg)) if seg.len < SEGMENT_BYTES => self.append(n, frames),
+            _ => self.append(self.next(), frames),
+        }
+    }
+
+    /// Write `frames` at the end of segment `n`, started if new, in one
+    /// write, then index them. A failed write is cut back off, so the
+    /// segment still ends at its last commit.
+    pub fn append(&mut self, n: u64, frames: &Frames) -> Result<(), StoreError> {
+        debug_assert!(!frames.pending(), "every frame appended is committed");
+        if !self.segments.contains_key(&n) {
+            self.open_segment(n, true)?;
+        }
+        let seg = &self.segments[&n];
+        if let Err(e) = seg.file.write_all_at(&frames.buf, seg.len) {
+            let _ = seg.file.set_len(seg.len);
+            return Err(StoreError::io(&self.path(n), e));
+        }
+        self.scan(n, &frames.buf).map(|_| ())
+    }
+
+    /// Index the committed puts of `bytes`, which begin at segment `n`'s
+    /// end. Returns how many bytes they take; the rest is a torn tail.
+    fn scan(&mut self, n: u64, bytes: &[u8]) -> Result<usize, StoreError> {
+        let base = self.segments[&n].len;
+        let corrupt = |pos: usize, what: &str| {
+            StoreError::Corrupt(format!("segment {n} at byte {}: {what}", base + pos as u64))
+        };
+        let word = |b: &[u8], i: usize| u32::from_le_bytes(b[i..i + 4].try_into().unwrap());
+        let (mut pos, mut start) = (0, 0);
+        let (mut blocks, mut entry) = (Vec::new(), None);
+        while let Some(head) = bytes.get(pos..pos + HEAD as usize) {
+            let len = word(head, 1);
+            let end = pos + HEAD as usize + len as usize;
+            let Some(payload) = bytes.get(pos + HEAD as usize..end) else {
+                break;
+            };
+            let at = Loc {
+                seg: n,
+                off: base + pos as u64 + HEAD,
+                len,
+            };
+            match head[0] {
+                BLOCK => match record_key(payload) {
+                    Some(key) => blocks.push((key, at)),
+                    None => return Err(corrupt(pos, "unreadable block record")),
+                },
+                ENTRY if entry.is_none() => entry = Some(at),
+                COMMIT if payload.len() == COMMIT_LEN => {
+                    let id = Digest128(payload[..16].try_into().unwrap());
+                    let puts = u64::from_le_bytes(payload[16..24].try_into().unwrap());
+                    let sealed = pos + HEAD as usize + 28;
+                    if word(payload, 24) as usize != pos - start
+                        || word(payload, 28) != crc32(&bytes[start..sealed])
+                    {
+                        return Err(corrupt(pos, "commit does not match its put"));
+                    }
+                    let record = match (entry.take(), self.entries.get(&id)) {
+                        (Some(record), _) => record,
+                        (None, Some(known)) => known.at,
+                        (None, None) => return Err(corrupt(pos, "commit names no entry")),
+                    };
+                    let (commit, at) = (at, record);
+                    self.entries.insert(id, EntryAt { at, commit, puts });
+                    let seg = self.segments.get_mut(&n).expect("scanned segments are open");
+                    seg.blocks += blocks.len() as u64;
+                    seg.commits += 1;
+                    for ((digest, method), at) in blocks.drain(..) {
+                        self.blocks.insert(digest, BlockAt { at, method });
+                    }
+                    start = end;
+                }
+                _ => return Err(corrupt(pos, "unexpected frame")),
+            }
+            pos = end;
+        }
+        let seg = self.segments.get_mut(&n).expect("scanned segments are open");
+        seg.len += start as u64;
+        Ok(start)
     }
 }
 

@@ -58,16 +58,14 @@ pub struct CatalogEntry {
     /// How many times this run has been put (repeated puts of the same
     /// run converge on one entry; this counts them, so "naive bytes" =
     /// `file_bytes × puts` reflects what per-run files would have cost).
-    /// Not part of the manifest: the store reads it off the entry's put
-    /// log, which every put appends one byte to. A manifest written before
-    /// put logs existed carries a `puts` key, which counts while the entry
-    /// has no log.
+    /// Not part of the manifest: the store reads it off the entry's latest
+    /// commit record.
     pub puts: u64,
     pub blocks: Vec<BlockRef>,
 }
 
 impl CatalogEntry {
-    /// Content identity (the catalog filename). Excludes fingerprint
+    /// Content identity (the entry id). Excludes fingerprint
     /// and policy — see the module docs.
     pub fn identity(&self) -> String {
         let blocks = Json::Arr(
@@ -90,7 +88,7 @@ impl CatalogEntry {
     /// Canonical JSON body (keys pre-sorted, so `to_string` ==
     /// `to_canonical_string`). The `id` field is included for
     /// self-description and re-validated on parse; `puts` is not (it
-    /// lives in the put log, so a repeat put leaves these bytes alone).
+    /// lives in commit records, so a repeat put leaves these bytes alone).
     pub fn to_json(&self) -> Json {
         let blocks = Json::Arr(
             self.blocks
@@ -126,97 +124,71 @@ impl CatalogEntry {
     /// file, hand edits) is typed corruption.
     pub fn from_json(j: &Json) -> Result<CatalogEntry, StoreError> {
         let corrupt = |what: &str| StoreError::Corrupt(format!("catalog entry: {what}"));
-        let field_u64 = |key: &str| -> Result<u64, StoreError> {
-            j.field(key)
-                .and_then(|v| v.as_u64())
-                .map_err(|_| corrupt(&format!("missing/invalid field {key:?}")))
+        let invalid = |key: &str| corrupt(&format!("missing/invalid field {key:?}"));
+        // A number of `obj` no larger than `max`.
+        let num = |obj: &Json, key: &str, max: u64| {
+            let v = obj.field(key).and_then(|v| v.as_u64()).ok();
+            v.filter(|&v| v <= max).ok_or_else(|| invalid(key))
         };
-        let field_str = |key: &str| -> Result<String, StoreError> {
-            j.field(key)
-                .and_then(|v| v.as_str())
-                .map(|s| s.to_owned())
-                .map_err(|_| corrupt(&format!("missing/invalid field {key:?}")))
+        let text = |key: &str| {
+            let v = j.field(key).and_then(|v| v.as_str()).map(str::to_owned);
+            v.map_err(|_| invalid(key))
         };
-        if field_str("format")? != FORMAT {
+        if text("format")? != FORMAT {
             return Err(corrupt("unknown format"));
         }
-        let budget = field_u64("budget")?;
-        if budget == 0 || budget > u32::MAX as u64 {
+        let budget = num(j, "budget", u32::MAX as u64)?;
+        if budget == 0 {
             return Err(corrupt("bad budget"));
         }
-        let paranoid = j
-            .field("paranoid")
-            .and_then(|v| v.as_bool())
-            .map_err(|_| corrupt("missing/invalid field \"paranoid\""))?;
-        let blocks_json = j
-            .field("blocks")
-            .and_then(|v| v.as_arr())
-            .map_err(|_| corrupt("missing/invalid field \"blocks\""))?;
-        let mut blocks = Vec::with_capacity(blocks_json.len());
-        let mut prev_logical = 0u64;
+        let paranoid = j.field("paranoid").and_then(|v| v.as_bool());
+        let paranoid = paranoid.map_err(|_| invalid("paranoid"))?;
+        let blocks_json = j.field("blocks").and_then(|v| v.as_arr());
+        let blocks_json = blocks_json.map_err(|_| invalid("blocks"))?;
+        let mut blocks: Vec<BlockRef> = Vec::with_capacity(blocks_json.len());
         for b in blocks_json {
-            let bfield = |key: &str| -> Result<u64, StoreError> {
-                b.field(key)
-                    .and_then(|v| v.as_u64())
-                    .map_err(|_| corrupt(&format!("block ref: missing/invalid {key:?}")))
-            };
-            let digest = b
-                .field("digest")
-                .and_then(|v| v.as_str())
-                .ok()
-                .and_then(Digest128::parse)
-                .ok_or_else(|| corrupt("block ref: bad digest"))?;
-            let event_count = bfield("event_count")?;
-            let switch_count = bfield("switch_count")?;
-            if switch_count > event_count || event_count > u32::MAX as u64 {
-                return Err(corrupt("block ref: implausible event counts"));
-            }
-            let first_logical_time = bfield("first_logical_time")?;
-            if first_logical_time < prev_logical {
+            let digest = b.field("digest").and_then(|v| v.as_str()).ok();
+            let digest = digest.and_then(Digest128::parse).ok_or_else(|| invalid("digest"))?;
+            let event_count = num(b, "event_count", u32::MAX as u64)?;
+            let first_logical_time = num(b, "first_logical_time", u64::MAX)?;
+            if blocks.last().is_some_and(|p| first_logical_time < p.first_logical_time) {
                 return Err(corrupt("block ref: logical time not monotone"));
             }
-            prev_logical = first_logical_time;
-            let method = BlockMethod::from_code(
-                u8::try_from(bfield("method")?)
-                    .map_err(|_| corrupt("block ref: bad method"))?,
-            )
-            .ok_or_else(|| corrupt("block ref: bad method"))?;
-            let raw_len = bfield("raw_len")?;
-            if raw_len > u32::MAX as u64 {
-                return Err(corrupt("block ref: implausible raw_len"));
-            }
+            let method = u8::try_from(num(b, "method", 255)?).ok();
             blocks.push(BlockRef {
                 digest,
                 event_count: event_count as u32,
-                switch_count: switch_count as u32,
+                switch_count: num(b, "switch_count", event_count)? as u32,
                 first_logical_time,
-                method,
-                raw_len: raw_len as u32,
+                method: method.and_then(BlockMethod::from_code).ok_or_else(|| invalid("method"))?,
+                raw_len: num(b, "raw_len", u32::MAX as u64)? as u32,
             });
         }
-        // A manifest written before put logs existed carries its put count
-        // itself; the store reads it only while the entry has no log.
-        let legacy_puts = match j.field("puts") {
-            Err(_) => 0,
-            Ok(v) => match v.as_u64() {
-                Ok(n) if n > 0 => n,
-                _ => return Err(corrupt("bad legacy puts")),
-            },
-        };
         let entry = CatalogEntry {
-            workload: field_str("workload")?,
-            seed: field_u64("seed")?,
+            workload: text("workload")?,
+            seed: num(j, "seed", u64::MAX)?,
             paranoid,
             budget: budget as u32,
-            file_bytes: field_u64("file_bytes")?,
-            fingerprint: field_u64("fingerprint")?,
-            policy: field_str("policy")?,
-            puts: legacy_puts,
+            file_bytes: num(j, "file_bytes", u64::MAX)?,
+            fingerprint: num(j, "fingerprint", u64::MAX)?,
+            policy: text("policy")?,
+            puts: 0,
             blocks,
         };
-        let claimed = field_str("id")?;
-        if claimed != entry.identity() {
+        if text("id")? != entry.identity() {
             return Err(corrupt("id disagrees with recomputed identity"));
+        }
+        Ok(entry)
+    }
+
+    /// An entry record's bytes, read back as the entry `id` names.
+    pub(crate) fn parse(id: &str, bytes: &[u8]) -> Result<CatalogEntry, StoreError> {
+        let json = std::str::from_utf8(bytes).ok().and_then(|t| Json::parse(t).ok());
+        let json = json.ok_or_else(|| StoreError::Corrupt(format!("entry {id}: bad JSON")))?;
+        let entry = CatalogEntry::from_json(&json)?;
+        let other = entry.identity();
+        if other != id {
+            return Err(StoreError::Corrupt(format!("entry {id}: record is {other}")));
         }
         Ok(entry)
     }
@@ -241,7 +213,7 @@ mod tests {
             file_bytes: 12345,
             fingerprint: 0xdead_beef,
             policy: "".into(),
-            puts: 0, // the put log's count: no manifest carries it
+            puts: 0, // the commits' count: no manifest carries it
             blocks: vec![
                 BlockRef {
                     digest: digest128(b"block zero"),

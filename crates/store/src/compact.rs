@@ -1,117 +1,121 @@
-//! Garbage collection and compaction.
-//!
-//! **GC** removes block records no catalog entry references, plus
-//! leftover temp files from interrupted writes. **Compaction** moves a
-//! record onto the packer's method: a record holding its bytes `Stored`
-//! — an upload whose encoder did not compress them — is re-packed with
-//! [`Packed::pack`], the call and the rule a fresh encode uses, and
-//! rewritten if that compresses. A record already on the coder is not
-//! read past its header, and one the coder still does not pay for is not
-//! rewritten, which makes a second pass a byte-level no-op (the
-//! idempotence verify.sh gates on).
-//!
-//! Neither pass touches catalog entries or fingerprints, and compaction
-//! reads raw bytes only through the validating decoder: store
-//! maintenance is perturbation-free by construction — replay output is a
-//! function of raw block bytes, which re-packing preserves exactly.
+//! The one maintenance pass, which `gc` and `compact` both run. A segment
+//! holds dead bytes once the index points past some of its records: an
+//! entry record a later put superseded, a re-packed block record, a copy
+//! left by a pass cut short between copy and unlink. The pass copies the
+//! live records of every segment with dead bytes — or with a record stored
+//! raw that [`Packed::pack`] now compresses, re-packed on the way — into a
+//! new segment, keeping each entry's latest commit, then unlinks them. A
+//! superseded commit alone does not make a segment worth copying, so a
+//! pass that finds nothing to do writes nothing. A put commits its blocks
+//! with its entry, so no record is unnamed and no pass can take blocks a
+//! put is about to name; re-packing keeps the raw bytes, all replay reads.
 
-use crate::backend::{encode_record, Backend};
+use crate::backend::{decode_record, encode_record, Frames, Log, BLOCK, COMMIT_BYTES, ENTRY};
 use crate::error::StoreError;
-use codec::{Digest128, Json};
+use codec::Json;
 use dejavu::{BlockMethod, Packed};
-use std::collections::BTreeSet;
-use std::fs;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// What one GC pass did.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GcReport {
-    pub live_blocks: u64,
-    pub removed_blocks: u64,
-    pub removed_tmp: u64,
-    pub freed_bytes: u64,
-}
-
-impl GcReport {
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("freed_bytes", Json::UInt(self.freed_bytes)),
-            ("live_blocks", Json::UInt(self.live_blocks)),
-            ("removed_blocks", Json::UInt(self.removed_blocks)),
-            ("removed_tmp", Json::UInt(self.removed_tmp)),
-        ])
-    }
-}
-
-/// What one compaction pass did.
+/// What one pass did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CompactReport {
-    pub examined: u64,
-    /// Stored records rewritten onto the coder.
+    /// Block records the store holds after the pass.
+    pub live_blocks: u64,
+    /// Block records the copied segments held that nothing reads any more.
+    pub removed_blocks: u64,
+    /// Records stored raw that the pass re-packed onto the coder.
     pub migrated: u64,
-    /// Records left as they were (no write issued).
-    pub unchanged: u64,
+    /// Segments copied and unlinked.
+    pub segments: u64,
     pub bytes_before: u64,
     pub bytes_after: u64,
 }
+
+/// `gc` runs the same pass as `compact`.
+pub type GcReport = CompactReport;
 
 impl CompactReport {
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("bytes_after", Json::UInt(self.bytes_after)),
             ("bytes_before", Json::UInt(self.bytes_before)),
-            ("examined", Json::UInt(self.examined)),
+            ("live_blocks", Json::UInt(self.live_blocks)),
             ("migrated", Json::UInt(self.migrated)),
-            ("unchanged", Json::UInt(self.unchanged)),
+            ("removed_blocks", Json::UInt(self.removed_blocks)),
+            ("segments", Json::UInt(self.segments)),
         ])
     }
 }
 
-/// Remove unreferenced blocks and stale temp files. `referenced` is the
-/// union of every catalog entry's digest list.
-pub fn gc_pass(
-    backend: &Backend,
-    referenced: &BTreeSet<Digest128>,
-) -> Result<GcReport, StoreError> {
-    let mut report = GcReport {
-        removed_tmp: backend.sweep_tmp()?,
-        ..GcReport::default()
+pub(crate) fn pass(log: &mut Log) -> Result<CompactReport, StoreError> {
+    let bytes = |log: &Log| log.segments.values().map(|s| s.len).sum::<u64>();
+    let mut report = CompactReport {
+        live_blocks: log.blocks.len() as u64,
+        bytes_before: bytes(log),
+        ..CompactReport::default()
     };
-    for (digest, len) in backend.list_blocks()? {
-        if referenced.contains(&digest) {
-            report.live_blocks += 1;
-        } else {
-            let path = backend.block_path(digest);
-            fs::remove_file(&path).map_err(|e| StoreError::io(&path, e))?;
-            report.removed_blocks += 1;
-            report.freed_bytes += len;
+    // A segment's live bytes: the records the index points into, and
+    // every commit it holds.
+    let mut live = BTreeMap::new();
+    let blocks = log.blocks.values().map(|b| b.at);
+    for at in blocks.chain(log.entries.values().map(|e| e.at)) {
+        *live.entry(at.seg).or_insert(0) += at.frame();
+    }
+    let mut copy: BTreeSet<u64> = (log.segments.iter())
+        .filter(|(n, s)| live.get(*n).unwrap_or(&0) + s.commits * COMMIT_BYTES < s.len)
+        .map(|(&n, _)| n)
+        .collect();
+    let mut repacked = BTreeMap::new();
+    for (&digest, b) in &log.blocks {
+        if b.method == BlockMethod::Stored.code() {
+            let (_, raw) = decode_record(digest, &log.handle(b.at).read()?)?;
+            let packed = Packed::pack(&raw);
+            if packed.method != BlockMethod::Stored {
+                repacked.insert(digest, encode_record(digest, &packed));
+                copy.insert(b.at.seg);
+            }
         }
     }
-    Ok(report)
-}
 
-/// Move every record onto the packer's method. Deterministic given the
-/// block contents; see the module docs for the idempotence argument.
-pub fn compact_pass(backend: &Backend) -> Result<CompactReport, StoreError> {
-    let mut report = CompactReport::default();
-    for (digest, len) in backend.list_blocks()? {
-        report.examined += 1;
-        report.bytes_before += len;
-        let packed = match backend.read_method(digest)? {
-            BlockMethod::Rans => None,
-            BlockMethod::Stored => {
-                let (_, raw) = backend.read_block(digest)?;
-                Some(Packed::pack(&raw)).filter(|p| p.method != BlockMethod::Stored)
-            }
-        };
-        let Some(packed) = packed else {
-            report.unchanged += 1;
-            report.bytes_after += len;
-            continue;
-        };
-        let bytes = encode_record(digest, &packed);
-        backend.write_atomic(&backend.block_path(digest), &bytes)?;
-        report.migrated += 1;
-        report.bytes_after += bytes.len() as u64;
+    // Blocks in log order, then each entry whose record or latest commit
+    // moves, sealed by its commit.
+    let mut out = Frames::default();
+    let mut moved: Vec<_> = log
+        .blocks
+        .iter()
+        .filter(|(_, b)| copy.contains(&b.at.seg))
+        .collect();
+    moved.sort_by_key(|(_, b)| (b.at.seg, b.at.off));
+    for (digest, b) in &moved {
+        match repacked.get(*digest) {
+            Some(record) => out.push(BLOCK, record)?,
+            None => out.push(BLOCK, &log.handle(b.at).read()?)?,
+        }
     }
+    for (&id, e) in &log.entries {
+        if copy.contains(&e.at.seg) {
+            out.push(ENTRY, &log.handle(e.at).read()?)?;
+        }
+        if copy.contains(&e.at.seg) || copy.contains(&e.commit.seg) {
+            out.commit(id, e.puts)?;
+        }
+    }
+    if out.pending() {
+        // Blocks whose entries all stay put: re-state an entry's count to
+        // commit them (a block is only ever put with an entry).
+        let (&id, e) = log.entries.first_key_value().expect("blocks have entries");
+        out.commit(id, e.puts)?;
+    }
+    let held: u64 = copy.iter().map(|n| log.segments[n].blocks).sum();
+    report.removed_blocks = held - moved.len() as u64;
+    report.migrated = repacked.len() as u64;
+    report.segments = copy.len() as u64;
+    if !out.buf.is_empty() {
+        log.append(log.next(), &out)?;
+    }
+    for n in copy {
+        log.remove(n)?;
+    }
+    report.bytes_after = bytes(log);
     Ok(report)
 }

@@ -19,6 +19,10 @@ pub enum StoreError {
     Trace(TraceError),
     /// No entry / block under the requested identity.
     NotFound(String),
+    /// Another open `Store` holds this root's `LOCK`.
+    Locked(String),
+    /// The root is in the layout before the log (`blocks/`, `catalog/`).
+    OldLayout(String),
     /// Two puts of the same entry identity carry different *verified*
     /// fingerprints — the replay-divergence class, not an I/O class.
     FingerprintMismatch {
@@ -52,6 +56,12 @@ impl fmt::Display for StoreError {
             StoreError::Corrupt(what) => write!(f, "corrupt store: {what}"),
             StoreError::Trace(e) => write!(f, "stored trace: {e}"),
             StoreError::NotFound(what) => write!(f, "not in store: {what}"),
+            StoreError::Locked(root) => write!(f, "store {root} is held by another open store"),
+            StoreError::OldLayout(root) => write!(
+                f,
+                "store {root} is in the old layout (blocks/ and catalog/, no log/): \
+                 take its runs out with the old build's `store get`"
+            ),
             StoreError::FingerprintMismatch { entry, have, got } => write!(
                 f,
                 "fingerprint mismatch for entry {entry}: store has {have:#018x}, put carries {got:#018x}"

@@ -3,69 +3,35 @@
 //! DJVB files are write-once single-run artifacts; a fleet serving many
 //! runs of the same workload family pays full price in bytes and cold
 //! decode for every run. This crate turns the block layer into a
-//! storage engine (mirroring the ethrex store/backend/snapshot split):
+//! storage engine:
 //!
-//! * [`backend`] — the persistence layer: self-validating block record
-//!   files keyed by content digest ([`codec::digest128`] of the raw,
-//!   pre-compression payload), atomic tmp+rename writes, catalog files.
+//! * [`backend`] — one append-only log of self-validating block records,
+//!   keyed by content digest ([`codec::digest128`] of the raw,
+//!   pre-compression payload), entry records and commit records, and the
+//!   index `open` rebuilds from it. A put is one append; one `Store`
+//!   holds a root at a time.
 //! * [`catalog`] — one canonical-JSON manifest per run: workload, seed,
 //!   format, block-digest list, fingerprint, policy pointer. A run is a
 //!   *view* over shared blocks; identical blocks across runs store once.
-//!   Beside each manifest, an append-only put log counts the puts that
-//!   landed on it, one byte each, so a repeat put rewrites no manifest.
-//!   A manifest written before put logs existed carries its count as a
-//!   `puts` key; it counts until the entry's next put moves it into a log.
 //! * [`snapshot`] — the checkpoint tier: a bounded decoded-block cache
 //!   plus per-block logical-time boundaries, so `TimeTravel` seeks
 //!   served from the store keep the ≤-one-block-span guarantee.
-//! * [`compact`] — GC of unreferenced blocks, and compaction, which moves
-//!   a record stored raw onto the packer's coder; deterministic and
-//!   idempotent.
-//!
-//! There is one packer ([`dejavu::Packed::pack`]), so there are no
-//! storage tiers to choose between, no read heat to choose by, and
-//! nothing for a store to write back when it is dropped.
+//! * [`compact`] — the one maintenance pass: copy the live records of
+//!   segments holding dead bytes into a new one, moving a record stored
+//!   raw onto the packer's coder; deterministic and idempotent.
 //!
 //! ## Byte fidelity
 //!
 //! A block is packed once, by whoever encoded the file, and the store
-//! keeps the stream it was handed. `put` takes each block's
-//! [`dejavu::Packed`] out of the file, unpacks it once — for its CRC and
-//! the content digest that keys dedup — and writes the stream verbatim
-//! into a block record. `get` validates every record it reads and hands
-//! the streams to [`dejavu::write_block_file`], the writer that emitted
-//! the upload; it re-packs only a block whose record is on another
-//! method than the catalog entry names (another run brought the same
-//! bytes packed otherwise, or compaction moved a raw record onto the
-//! coder), and checks the result against the recorded file length. A
-//! DJVB file has one spelling ([`dejavu::BlockFile::parse`]), so the
-//! framing around the streams comes back by construction; and a put
-//! that lands on an existing entry is a dedup hit — the entry goes on
-//! describing the first file put under it — so no upload changes what an
-//! earlier one gets back.
-//!
-//! **The limit that remains.** Blocks are keyed by their raw bytes, a
-//! record holds one stream — the first put for those bytes — and an
-//! entry names a method, not a stream. This build packs the same bytes
-//! to the same stream every time, so for files it encoded none of that
-//! shows. A block packed by a *foreign* encoder — a valid stream this
-//! build's coder would not emit for those bytes — comes back byte-exact
-//! as long as the record holds that stream; a run that shares the block
-//! but coded it otherwise is served the record's stream, not its own.
-//! The length check turns a stream of another size into a typed error;
-//! one of the same size goes unseen, though the content — all that
-//! replay reads — is the same either way. `put` does not refuse the second spelling of a block:
-//! that would let whoever uploads a foreign spelling first block every
-//! honest put that shares the block. Closing the limit takes a
-//! whole-upload digest in the catalog (ROADMAP item 3).
-//!
-//! ## Perturbation-freedom
-//!
-//! Store maintenance (dedup, compaction, GC, caching) only ever rewrites
-//! *representations* of raw block bytes, never the bytes themselves, and
-//! replay output is a pure function of those bytes. The integration tests
-//! replay store-served traces under concurrent compaction and assert
-//! bit-identical fingerprints.
+//! keeps the stream it was handed. `get` validates every record it reads,
+//! frames the streams with [`dejavu::write_block_file`], the writer that
+//! emitted the upload, re-packing only a block whose record is on another
+//! method than the entry names, and checks the file length. A put that
+//! lands on an existing entry is a dedup hit, so no upload changes what an
+//! earlier one gets back; DESIGN §11.3 states the limit a foreign encoder's
+//! stream leaves. Maintenance rewrites only *representations* of raw block
+//! bytes, all replay reads: the integration tests replay store-served
+//! traces under concurrent maintenance and assert identical fingerprints.
 
 pub mod backend;
 pub mod catalog;
@@ -73,24 +39,24 @@ pub mod compact;
 pub mod error;
 pub mod snapshot;
 
-pub use backend::Backend;
 pub use catalog::{BlockRef, CatalogEntry};
 pub use compact::{CompactReport, GcReport};
 pub use error::StoreError;
 pub use snapshot::{BlockCache, BlockKey, StoredTrace, DEFAULT_CACHE_BLOCKS};
 
+use backend::{decode_record, encode_record, Frames, Log, BLOCK, COMMIT_BYTES, ENTRY};
 use codec::{digest128, Digest128, Json};
 use dejavu::{
     decode_block_events, write_block_file, BlockFile, BlockMethod, Packed, Trace, TraceError,
 };
 use snapshot::DecodedBlock;
 use std::collections::BTreeSet;
-use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::fs::{File, OpenOptions, TryLockError};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard};
 use telemetry::Registry;
 
-/// What the benchmark passes [`Store::compact`], which ignores it. Kept
-/// only because `benchmark/src/corpus.rs` names it (ROADMAP 5(d)).
+/// What the benchmark passes [`Store::compact`], which ignores it (ROADMAP 5(d)).
 pub const DEFAULT_COLD_THRESHOLD: u64 = 2;
 
 /// What one `put` did.
@@ -119,52 +85,63 @@ impl PutOutcome {
     }
 }
 
-/// Mutable store state behind one lock: the decoded-block cache and the
-/// observer counters. Filesystem writes happen outside the lock (they are
-/// atomic per file); the lock only guards in-process bookkeeping, so
-/// concurrent fleet sessions share one `Store` cheaply.
+/// The decoded-block cache and the observer counters.
 struct State {
     cache: BlockCache,
     metrics: Registry,
 }
 
 /// A content-addressed trace store rooted at one directory. All methods
-/// take `&self`; share it as `Arc<Store>` across threads.
+/// take `&self`; share it as `Arc<Store>` across threads. One `Store`
+/// holds a root at a time: a second `open`, in this process or another,
+/// is [`StoreError::Locked`].
 pub struct Store {
-    backend: Backend,
+    root: PathBuf,
+    /// The one writer mutex: held across a put's merge and append, a
+    /// maintenance pass, and each index lookup. Record bytes are read
+    /// outside it, through a [`backend::Handle`].
+    log: Mutex<Log>,
     state: Mutex<State>,
-    /// Held across a catalog manifest's read-modify-write and the put-log
-    /// append, so two puts of one run in this process merge (a verified
-    /// fingerprint survives an unverified put) instead of the later write
-    /// winning. Block writes stay outside it. A second *process* on the
-    /// same root is still unserialised (ROADMAP item 8).
-    manifests: Mutex<()>,
+    /// `<root>/LOCK`, locked for the store's life.
+    _lock: File,
 }
 
 impl Store {
-    /// Open (and create if absent) a store at `root`.
+    /// Open (and create if absent) a store at `root`: lock it and scan its
+    /// log. A root in the layout before the log is refused, not imported.
     pub fn open(root: &Path) -> Result<Store, StoreError> {
+        let log = root.join("log");
+        if !log.exists() && ["blocks", "catalog"].iter().any(|d| root.join(d).exists()) {
+            return Err(StoreError::OldLayout(root.display().to_string()));
+        }
+        std::fs::create_dir_all(root).map_err(|e| StoreError::io(root, e))?;
+        let path = root.join("LOCK");
+        let lock = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(&path)
+            .map_err(|e| StoreError::io(&path, e))?;
+        lock.try_lock().map_err(|e| match e {
+            TryLockError::WouldBlock => StoreError::Locked(root.display().to_string()),
+            TryLockError::Error(e) => StoreError::io(&path, e),
+        })?;
         Ok(Store {
-            backend: Backend::open(root)?,
+            root: root.to_path_buf(),
+            log: Mutex::new(Log::open(log)?),
             state: Mutex::new(State {
                 cache: BlockCache::new(DEFAULT_CACHE_BLOCKS),
                 metrics: Registry::new(),
             }),
-            manifests: Mutex::new(()),
+            _lock: lock,
         })
     }
 
-    pub fn root(&self) -> &Path {
-        self.backend.root()
-    }
-
-    /// Ingest one serialized DJVB trace file. Blocks dedup against
-    /// everything already stored; the catalog entry converges
-    /// across repeated puts of the same run, with `fingerprint`
-    /// upgrading 0 → verified in place. Two *verified* puts that
-    /// disagree are a [`StoreError::FingerprintMismatch`]. The manifest is
-    /// written only when its bytes change; every put then appends one byte
-    /// to the entry's put log.
+    /// Ingest one serialized DJVB trace file as one append: the blocks the
+    /// store lacks, the entry record if its bytes change, and a commit.
+    /// The entry converges across repeated puts of the same run, with
+    /// `fingerprint` upgrading 0 → verified in place; two *verified* puts
+    /// that disagree are a [`StoreError::FingerprintMismatch`].
     pub fn put_bytes(
         &self,
         workload: &str,
@@ -174,19 +151,12 @@ impl Store {
         policy: &str,
     ) -> Result<PutOutcome, StoreError> {
         let bf = BlockFile::parse(bytes.to_vec())?;
-
+        let mut packs = Vec::with_capacity(bf.index.len());
         let mut blocks = Vec::with_capacity(bf.index.len());
-        let mut blocks_new = 0u64;
-        let mut bytes_written = 0u64;
         for (i, info) in bf.index.iter().enumerate() {
             let packed = bf.packed(i)?;
             let raw = packed.unpack().ok_or(TraceError::BadCrc { block: i })?;
             let digest = digest128(&raw);
-            let (written, was_new) = self.backend.write_block(digest, &packed)?;
-            if was_new {
-                blocks_new += 1;
-                bytes_written += written;
-            }
             blocks.push(BlockRef {
                 digest,
                 event_count: info.event_count,
@@ -195,9 +165,9 @@ impl Store {
                 method: packed.method,
                 raw_len: packed.raw_len,
             });
+            packs.push((digest, packed));
         }
         let blocks_total = blocks.len() as u64;
-
         let mut entry = CatalogEntry {
             workload: workload.to_owned(),
             seed,
@@ -210,64 +180,56 @@ impl Store {
             blocks,
         };
         let id = entry.identity();
+        let key = Digest128::parse(&id).expect("an identity is a digest's hex");
 
-        let path = self.backend.catalog_path(&id);
-        let mut new_entry = true;
-        // (Poison: a put that panicked here wrote its manifest atomically
-        // or not at all.)
-        let merging = self.manifests.lock().unwrap_or_else(|p| p.into_inner());
-        let mut unchanged = false;
-        if path.exists() {
-            let existing = self.read_entry(&id)?;
-            if existing.fingerprint != 0 && fingerprint != 0 && existing.fingerprint != fingerprint
-            {
-                return Err(StoreError::FingerprintMismatch {
-                    entry: id,
-                    have: existing.fingerprint,
-                    got: fingerprint,
-                });
+        let mut put = Frames::default();
+        let mut bytes_written = 0u64;
+        let mut log = self.log();
+        let mut fresh = BTreeSet::new();
+        for (digest, packed) in &packs {
+            if !log.blocks.contains_key(digest) && fresh.insert(*digest) {
+                let record = encode_record(*digest, packed);
+                bytes_written += record.len() as u64;
+                put.push(BLOCK, &record)?;
             }
-            new_entry = false;
-            // A legacy manifest's count moves into a fresh log before the
-            // manifest can be rewritten without it.
-            if existing.puts > 0 && self.backend.puts(&id)?.is_none() {
-                self.backend.append_puts(&id, existing.puts)?;
-            }
-            if entry.fingerprint == 0 {
-                entry.fingerprint = existing.fingerprint;
-            }
-            if entry.policy.is_empty() {
-                entry.policy = existing.policy.clone();
-            }
-            // Same identity, so the same raw blocks in the same order;
-            // how they were packed may still differ. The entry describes
-            // one file, the first put under it — as each block record
-            // holds the first stream put for it — so a later put is a
-            // dedup hit and changes nothing `get` returns.
-            unchanged =
-                entry.fingerprint == existing.fingerprint && entry.policy == existing.policy;
-            entry.blocks = existing.blocks;
-            entry.file_bytes = existing.file_bytes;
         }
-        // A repeat put rewrites the manifest only when its bytes change (a
-        // fingerprint upgrade, a policy change); otherwise its one write is
-        // the byte it appends to the put log, which follows the manifest.
+        let (new_entry, puts, unchanged) = match log.entries.get(&key) {
+            None => (true, 0, false),
+            Some(slot) => {
+                let existing = CatalogEntry::parse(&id, &log.handle(slot.at).read()?)?;
+                let (have, got) = (existing.fingerprint, fingerprint);
+                if have != 0 && got != 0 && have != got {
+                    return Err(StoreError::FingerprintMismatch { entry: id, have, got });
+                }
+                if entry.fingerprint == 0 {
+                    entry.fingerprint = existing.fingerprint;
+                }
+                if entry.policy.is_empty() {
+                    entry.policy = existing.policy.clone();
+                }
+                // Same identity, same raw blocks; the entry goes on
+                // describing the first file put under it, as each block
+                // record holds the first stream put for it.
+                let unchanged =
+                    entry.fingerprint == existing.fingerprint && entry.policy == existing.policy;
+                entry.blocks = existing.blocks;
+                entry.file_bytes = existing.file_bytes;
+                (false, slot.puts, unchanged)
+            }
+        };
         if !unchanged {
-            self.backend
-                .write_atomic(&path, entry.to_json().to_string().as_bytes())?;
+            put.push(ENTRY, entry.to_json().to_string().as_bytes())?;
         }
-        self.backend.append_puts(&id, 1)?;
-        drop(merging);
+        put.commit(key, puts + 1)?;
+        log.put(&put)?;
+        drop(log);
 
+        let blocks_new = fresh.len() as u64;
         let mut st = self.lock();
-        if new_entry {
-            st.metrics.incr("store.entries_put");
-        } else {
-            st.metrics.incr("store.entries_deduped");
-        }
+        let entries = if new_entry { "store.entries_put" } else { "store.entries_deduped" };
+        st.metrics.incr(entries);
         st.metrics.add("store.blocks_stored", blocks_new);
-        st.metrics
-            .add("store.blocks_deduped", blocks_total - blocks_new);
+        st.metrics.add("store.blocks_deduped", blocks_total - blocks_new);
         st.metrics.add("store.bytes_written", bytes_written);
         Ok(PutOutcome {
             fingerprint: entry.fingerprint,
@@ -382,43 +344,36 @@ impl Store {
 
     /// All catalog entries, sorted by id.
     pub fn entries(&self) -> Result<Vec<CatalogEntry>, StoreError> {
-        self.backend
-            .list_catalog()?
-            .into_iter()
-            .map(|(id, _)| self.read_entry(&id))
-            .collect()
+        let ids: Vec<String> = self.log().entries.keys().map(|k| k.hex()).collect();
+        ids.iter().map(|id| self.read_entry(id)).collect()
     }
 
-    /// Remove unreferenced blocks and stale temp files.
+    /// Run the maintenance pass ([`compact`]).
     pub fn gc(&self) -> Result<GcReport, StoreError> {
-        let referenced: BTreeSet<Digest128> = self
-            .entries()?
-            .iter()
-            .flat_map(|e| e.blocks.iter().map(|b| b.digest))
-            .collect();
-        let report = compact::gc_pass(&self.backend, &referenced)?;
-        self.lock()
-            .metrics
-            .add("store.gc_removed", report.removed_blocks);
-        Ok(report)
+        self.maintain("store.gc_removed", |r| r.removed_blocks)
     }
 
-    /// Move every record onto the packer's method: a record stored raw
-    /// that the coder now compresses is rewritten. Idempotent: a second
-    /// pass issues zero writes. The argument is ignored; it is kept for
-    /// the benchmark, which passes [`DEFAULT_COLD_THRESHOLD`].
+    /// Run the maintenance pass ([`compact`]). The argument is ignored; it
+    /// is kept for the benchmark, which passes [`DEFAULT_COLD_THRESHOLD`].
     pub fn compact(&self, _ignored: u64) -> Result<CompactReport, StoreError> {
-        let report = compact::compact_pass(&self.backend)?;
-        self.lock()
-            .metrics
-            .add("store.blocks_compacted", report.migrated);
+        self.maintain("store.blocks_compacted", |r| r.migrated)
+    }
+
+    fn maintain(
+        &self,
+        counter: &'static str,
+        count: fn(&CompactReport) -> u64,
+    ) -> Result<CompactReport, StoreError> {
+        let report = compact::pass(&mut self.log())?;
+        self.lock().metrics.add(counter, count(&report));
         Ok(report)
     }
 
     /// Deterministic disk-shape statistics: a pure function of store
-    /// *content* (catalog + blocks), so byte-stable across gc/compact
-    /// idempotence checks. A record's method is read from its header; no
-    /// payload is decoded.
+    /// *content* (entries, put counts and block records), so byte-stable
+    /// across maintenance passes. Each block and entry record counts with
+    /// its frame, and each put with one commit record. A record's method
+    /// is read from the index; no payload is decoded.
     pub fn disk_stats(&self) -> Result<Json, StoreError> {
         let entries = self.entries()?;
         // Naive cost = one file per *put run* (repeated puts of the same
@@ -426,32 +381,25 @@ impl Store {
         let naive_bytes: u64 = entries.iter().map(|e| e.file_bytes * e.puts).sum();
         let runs: u64 = entries.iter().map(|e| e.puts).sum();
         let total_refs: u64 = entries.iter().map(|e| e.blocks.len() as u64).sum();
-        let blocks = self.backend.list_blocks()?;
-        let block_bytes: u64 = blocks.iter().map(|&(_, len)| len).sum();
-        // Manifests and their put logs.
-        let mut catalog_bytes = 0;
-        for (id, len) in self.backend.list_catalog()? {
-            catalog_bytes += len + self.backend.puts(&id)?.unwrap_or(0);
-        }
-        let mut blocks_stored = 0;
-        for &(digest, _) in &blocks {
-            blocks_stored += (self.backend.read_method(digest)? == BlockMethod::Stored) as u64;
-        }
-        let store_bytes = block_bytes + catalog_bytes;
-        let dedup_ratio_milli = if store_bytes == 0 {
-            0
-        } else {
-            naive_bytes * 1000 / store_bytes
+        let (blocks, block_bytes, blocks_stored, entry_bytes) = {
+            let log = self.log();
+            let stored = BlockMethod::Stored.code();
+            (
+                log.blocks.len() as u64,
+                log.blocks.values().map(|b| b.at.frame()).sum::<u64>(),
+                log.blocks.values().filter(|b| b.method == stored).count() as u64,
+                log.entries.values().map(|e| e.at.frame()).sum::<u64>(),
+            )
         };
-        let bytes_per_run = if runs == 0 { 0 } else { store_bytes / runs };
-        let naive_bytes_per_run = if runs == 0 { 0 } else { naive_bytes / runs };
+        let catalog_bytes = entry_bytes + runs * COMMIT_BYTES;
+        let store_bytes = block_bytes + catalog_bytes;
+        let dedup_ratio_milli = (naive_bytes * 1000).checked_div(store_bytes).unwrap_or(0);
+        let bytes_per_run = store_bytes.checked_div(runs).unwrap_or(0);
+        let naive_bytes_per_run = naive_bytes.checked_div(runs).unwrap_or(0);
         Ok(Json::obj(vec![
             ("block_bytes", Json::UInt(block_bytes)),
-            ("blocks", Json::UInt(blocks.len() as u64)),
-            (
-                "blocks_rans",
-                Json::UInt(blocks.len() as u64 - blocks_stored),
-            ),
+            ("blocks", Json::UInt(blocks)),
+            ("blocks_rans", Json::UInt(blocks - blocks_stored)),
             ("blocks_stored", Json::UInt(blocks_stored)),
             ("bytes_per_run", Json::UInt(bytes_per_run)),
             ("catalog_bytes", Json::UInt(catalog_bytes)),
@@ -477,7 +425,13 @@ impl Store {
     /// One referenced block, validated against its record and against
     /// the length the catalog recorded for it.
     fn read_block(&self, bref: &BlockRef) -> Result<(Packed, Vec<u8>), StoreError> {
-        let (packed, raw) = self.backend.read_block(bref.digest)?;
+        let handle = {
+            let log = self.log();
+            let at = log.blocks.get(&bref.digest).map(|b| b.at);
+            at.map(|at| log.handle(at))
+        };
+        let handle = handle.ok_or_else(|| StoreError::NotFound(format!("block {}", bref.digest)))?;
+        let (packed, raw) = decode_record(bref.digest, &handle.read()?)?;
         if raw.len() as u64 != bref.raw_len as u64 {
             return Err(StoreError::Corrupt(format!(
                 "block {}: raw length disagrees with catalog",
@@ -488,49 +442,35 @@ impl Store {
     }
 
     fn read_entry(&self, id: &str) -> Result<CatalogEntry, StoreError> {
-        if Digest128::parse(id).is_none() {
-            return Err(StoreError::Corrupt(format!("not a valid entry id: {id:?}")));
-        }
-        let path = self.backend.catalog_path(id);
-        let text = std::fs::read_to_string(&path).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::NotFound {
-                StoreError::NotFound(format!("entry {id}"))
-            } else {
-                StoreError::io(&path, e)
-            }
-        })?;
-        let json = Json::parse(&text)
-            .map_err(|e| StoreError::Corrupt(format!("entry {id}: bad JSON: {e:?}")))?;
-        let mut entry = CatalogEntry::from_json(&json)?;
-        // The log is the count; without one, a legacy manifest's own
-        // `puts` key (already in `entry.puts`) is.
-        if let Some(puts) = self.backend.puts(id)? {
-            entry.puts = puts;
-        }
-        if entry.identity() != id {
-            return Err(StoreError::Corrupt(format!(
-                "entry {id}: file content identifies as {}",
-                entry.identity()
-            )));
-        }
+        let key = Digest128::parse(id)
+            .ok_or_else(|| StoreError::Corrupt(format!("not a valid entry id: {id:?}")))?;
+        let (handle, puts) = {
+            let log = self.log();
+            let e = log.entries.get(&key);
+            let e = e.ok_or_else(|| StoreError::NotFound(format!("entry {id}")))?;
+            (log.handle(e.at), e.puts)
+        };
+        let mut entry = CatalogEntry::parse(id, &handle.read()?)?;
+        entry.puts = puts;
         Ok(entry)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
+    fn log(&self) -> MutexGuard<'_, Log> {
+        // A poisoned lock means a thread panicked holding it; the index
+        // changes only in one scan after a write lands, so it is whole.
+        self.log.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
         // A poisoned lock means another thread panicked mid-bookkeeping;
         // the bookkeeping is observer-only, so continue with its state.
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 
 impl std::fmt::Debug for Store {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Store")
-            .field("root", &self.backend.root())
-            .finish()
+        f.debug_struct("Store").field("root", &self.root).finish()
     }
 }
 
@@ -665,23 +605,28 @@ mod tests {
         let root = scratch("gc-compact");
         let store = Store::open(&root).unwrap();
         let keep = encode_trace(&sample(false, 400, 1), TraceFormat::Block, 64);
-        let dead = encode_trace(&sample(false, 400, 2), TraceFormat::Block, 64);
+        let other = encode_trace(&sample(false, 400, 2), TraceFormat::Block, 64);
         let kept = store.put_bytes("w", 1, &keep, 0, "").unwrap();
-        let doomed = store.put_bytes("w", 2, &dead, 0, "").unwrap();
-        // Remove the doomed entry's catalog file; its unshared blocks
-        // become garbage.
-        std::fs::remove_file(store.backend.catalog_path(&doomed.entry)).unwrap();
-        let gc1 = store.gc().unwrap();
-        assert!(gc1.removed_blocks > 0);
-        let gc2 = store.gc().unwrap();
-        assert_eq!(gc2.removed_blocks, 0, "gc idempotent");
-        // This build's own records are already on the packer's method.
-        let c1 = store.compact(0).unwrap();
-        assert_eq!((c1.examined, c1.migrated), (gc1.live_blocks, 0));
-        assert_eq!(store.get_bytes(&kept.entry).unwrap(), keep);
-        // Stats JSON is canonical, carries the dedup ratio, and counts
-        // each record's method from its header.
+        store.put_bytes("w", 2, &other, 0, "").unwrap();
+        // Nothing is dead yet: the pass writes nothing.
+        let idle = store.gc().unwrap();
+        assert_eq!((idle.segments, idle.bytes_after), (0, idle.bytes_before));
+        // A fingerprint upgrade supersedes the first entry record.
+        store.put_bytes("w", 1, &keep, 0xabc, "").unwrap();
         let stats = store.disk_stats().unwrap();
+        let gc1 = store.gc().unwrap();
+        assert_eq!((gc1.segments, gc1.removed_blocks, gc1.migrated), (1, 0, 0));
+        assert!(gc1.bytes_after < gc1.bytes_before);
+        // This build's own records are already on the packer's method,
+        // and a second pass finds nothing to do.
+        let c2 = store.compact(0).unwrap();
+        assert_eq!((c2.segments, c2.migrated), (0, 0));
+        assert_eq!((c2.live_blocks, c2.bytes_before), (gc1.live_blocks, gc1.bytes_after));
+        assert_eq!(store.get_bytes(&kept.entry).unwrap(), keep);
+        assert_eq!(store.entry(&kept.entry).unwrap().puts, 2);
+        // Stats JSON is canonical, a function of content alone, carries
+        // the dedup ratio, and counts each record's method.
+        assert_eq!(store.disk_stats().unwrap(), stats);
         assert_eq!(stats.to_string(), stats.to_canonical_string());
         assert!(stats.field("dedup_ratio_milli").unwrap().as_u64().is_ok());
         let count = |k| stats.field(k).unwrap().as_u64().unwrap();
@@ -742,10 +687,8 @@ mod tests {
             assert_eq!(store.open_trace(&shared.entry).unwrap().trace, trace);
             assert_eq!(store.compact(0).unwrap().migrated, migrated);
         }
-        assert_eq!(
-            store.backend.read_method(digest128(&raw)).unwrap(),
-            BlockMethod::Rans
-        );
+        let method = store.log().blocks[&digest128(&raw)].method;
+        assert_eq!(method, BlockMethod::Rans.code());
         assert_eq!(store.get_bytes(&put.entry).unwrap(), file);
         assert_eq!(store.get_bytes(&shared.entry).unwrap(), honest_file);
     }

@@ -8,7 +8,7 @@ use dejavu::{
     record_run, replay_run, BlockFile, ExecSpec, SymmetryConfig, TimeTravel, Trace,
     DEFAULT_BLOCK_BUDGET,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use store::{Store, StoreError};
 
@@ -17,6 +17,16 @@ fn scratch(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// The store's segment files, in log order.
+fn segments(root: &Path) -> Vec<PathBuf> {
+    let mut segs: Vec<PathBuf> = std::fs::read_dir(root.join("log"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    segs.sort();
+    segs
 }
 
 /// Deterministic spec for a named workload (timer base/jitter mirror the
@@ -148,6 +158,7 @@ fn compaction_under_concurrent_ingest_preserves_fingerprints() {
         std::thread::spawn(move || {
             let mut passes = 0u64;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                store.gc().unwrap();
                 store.compact(0).unwrap();
                 passes += 1;
             }
@@ -231,6 +242,7 @@ fn four_writers_of_one_run_merge_into_one_entry() {
     }
 }
 
+
 #[test]
 fn corrupt_block_file_is_typed_not_panic() {
     let root = scratch("corrupt");
@@ -239,96 +251,117 @@ fn corrupt_block_file_is_typed_not_panic() {
     // trace at these timer settings — zero blocks to damage).
     let (fp, _, bytes) = record("fig1_hot", 77);
     let id = store.put_bytes("fig1_hot", 77, &bytes, fp, "").unwrap().entry;
-    // Damage one block record on disk.
-    let entry = store.entry(&id).unwrap();
-    let victim = entry.blocks[0].digest;
-    let path = root
-        .join("blocks")
-        .join(&victim.hex()[..2])
-        .join(format!("{}.blk", victim.hex()));
-    let mut buf = std::fs::read(&path).unwrap();
-    let mid = buf.len() / 2;
-    buf[mid] ^= 0xff;
-    std::fs::write(&path, &buf).unwrap();
+    // Damage one block record in its segment, under the open store.
+    let seg = &segments(&root)[0];
+    let mut buf = std::fs::read(seg).unwrap();
+    let at = buf.windows(4).position(|w| w == b"DJSB").unwrap();
+    let len = u32::from_le_bytes(buf[at - 4..at].try_into().unwrap()) as usize;
+    buf[at + len / 2] ^= 0xff;
+    std::fs::write(seg, &buf).unwrap();
     let err = store.get_bytes(&id).unwrap_err();
     assert_eq!(err.code(), 1);
     assert!(matches!(err, StoreError::Corrupt(_) | StoreError::Trace(_)));
+    // Reopened, the put no longer matches its commit.
+    drop(store);
+    let err = Store::open(&root).unwrap_err();
+    assert_eq!(err.code(), 1);
+    assert!(matches!(err, StoreError::Corrupt(_)), "{err}");
 }
 
-/// A repeat put of a verified run is a dedup hit on disk too: the
-/// manifest keeps its bytes and its mtime, and the entry's put log grows
-/// by exactly one byte. A fingerprint upgrade does rewrite the manifest.
+/// A repeat put of a verified run appends one commit record — a 5-byte
+/// frame head and a 32-byte commit — and nothing else; a fingerprint
+/// upgrade appends the entry record too.
 #[test]
-fn a_repeat_put_rewrites_no_manifest() {
+fn a_repeat_put_appends_one_commit() {
+    const COMMIT: u64 = 37;
     let root = scratch("repeat");
     let store = Store::open(&root).unwrap();
     let (fp, _, bytes) = record("racy_counter", 4);
     let id = store.put_bytes("racy_counter", 4, &bytes, 0, "").unwrap().entry;
-    let manifest = root.join("catalog").join(format!("{id}.json"));
-    let log = root.join("catalog").join(format!("{id}.puts"));
-    let state = || {
-        let meta = std::fs::metadata(&manifest).unwrap();
-        let log_len = std::fs::metadata(&log).unwrap().len();
-        (std::fs::read(&manifest).unwrap(), meta.modified().unwrap(), log_len)
-    };
-    let unverified = state();
-    assert_eq!(unverified.2, 1);
+    let log_len = || segments(&root).iter().map(|s| s.metadata().unwrap().len()).sum::<u64>();
+    let unverified = log_len();
     store.put_bytes("racy_counter", 4, &bytes, fp, "").unwrap();
-    let verified = state();
-    assert_ne!(verified.0, unverified.0, "the fingerprint upgrade is written");
-    assert_eq!(verified.2, 2);
+    let manifest = store.entry(&id).unwrap().to_json().to_string().len() as u64;
+    let verified = log_len();
+    assert_eq!(verified, unverified + 5 + manifest + COMMIT, "the fingerprint upgrade");
     for puts in 3..=5 {
-        // Sleep past the filesystem's mtime granularity, so a rewrite of
-        // the same bytes would show.
-        std::thread::sleep(std::time::Duration::from_millis(20));
         store.put_bytes("racy_counter", 4, &bytes, fp, "").unwrap();
-        let now = state();
-        assert_eq!((&now.0, now.1), (&verified.0, verified.1), "put {puts}");
-        assert_eq!(now.2, puts, "one byte a put");
+        assert_eq!(log_len(), verified + (puts - 2) * COMMIT, "put {puts}");
     }
     let e = store.entry(&id).unwrap();
     assert_eq!((e.puts, e.fingerprint), (5, fp));
     let stats = store.disk_stats().unwrap();
     let catalog_bytes = stats.field("catalog_bytes").unwrap().as_u64().unwrap();
-    assert_eq!(catalog_bytes, verified.0.len() as u64 + 5, "manifest plus log");
+    assert_eq!(catalog_bytes, 5 + manifest + 5 * COMMIT, "one entry record, a commit a put");
 }
 
-/// A manifest written before put logs existed carries `"puts": N` and has
-/// no log. It still counts N, in `entry` and `disk_stats`; the next put
-/// moves the count into a log of N + 1 bytes and leaves the manifest as
-/// it was. A legacy `"puts": 0` is corruption, as it always was.
+/// A put cut short at any byte — a crash mid-append — leaves the store
+/// as it was before the put: `open` truncates the torn tail, and every
+/// entry comes back byte for byte. Cut after its last byte, the put is
+/// whole. Both for a put that brings blocks and an entry, and for a
+/// repeat put that appends only a commit.
 #[test]
-fn a_legacy_manifest_keeps_its_put_count() {
-    let root = scratch("legacy");
+fn a_put_cut_short_at_any_byte_leaves_the_old_state() {
+    let root = scratch("torn");
+    let (fp_a, _, a) = record("racy_counter", 8);
+    let (fp_b, _, b) = record("fig1_hot", 9);
     let store = Store::open(&root).unwrap();
-    let (fp, _, bytes) = record("racy_counter", 6);
-    let id = store.put_bytes("racy_counter", 6, &bytes, fp, "").unwrap().entry;
-    let manifest = root.join("catalog").join(format!("{id}.json"));
-    let log = root.join("catalog").join(format!("{id}.puts"));
-    let current = std::fs::read_to_string(&manifest).unwrap();
-    assert!(!current.contains("\"puts\""));
-    let legacy = current.replace("\"seed\":", "\"puts\":3,\"seed\":");
-    assert_ne!(legacy, current);
-    std::fs::write(&manifest, &legacy).unwrap();
-    std::fs::remove_file(&log).unwrap();
+    let id_a = store.put_bytes("racy_counter", 8, &a, fp_a, "").unwrap().entry;
+    drop(store);
+    let seg = segments(&root).pop().unwrap();
+    for (name, seed, bytes, fp) in [("fig1_hot", 9, &b, fp_b), ("racy_counter", 8, &a, fp_a)] {
+        let store = Store::open(&root).unwrap();
+        let before = (store.entries().unwrap(), store.disk_stats().unwrap());
+        let old_len = seg.metadata().unwrap().len();
+        let id = store.put_bytes(name, seed, bytes, fp, "").unwrap().entry;
+        let after = (store.entries().unwrap(), store.disk_stats().unwrap());
+        drop(store);
+        let whole = std::fs::read(&seg).unwrap();
+        for cut in old_len as usize..=whole.len() {
+            std::fs::write(&seg, &whole[..cut]).unwrap();
+            let store = Store::open(&root).unwrap();
+            let now = (store.entries().unwrap(), store.disk_stats().unwrap());
+            if cut == whole.len() {
+                assert_eq!(now, after, "{name}: the whole put");
+                assert_eq!(&store.get_bytes(&id).unwrap(), bytes);
+            } else {
+                assert_eq!(now, before, "{name}: cut at {cut}");
+                assert_eq!(seg.metadata().unwrap().len(), old_len, "{name}: torn tail left");
+            }
+            assert_eq!(store.get_bytes(&id_a).unwrap(), a, "{name}: cut at {cut}");
+            drop(store);
+        }
+    }
+}
 
-    let catalog_bytes = |store: &Store| {
-        let stats = store.disk_stats().unwrap();
-        let field = |k: &str| stats.field(k).unwrap().as_u64().unwrap();
-        (field("catalog_bytes"), field("naive_bytes"))
-    };
+/// A root in the layout before the log — `blocks/` and `catalog/`, no
+/// `log/` — is refused with a typed error naming the layout, and `open`
+/// writes nothing into it.
+#[test]
+fn an_old_layout_root_is_refused() {
+    let root = scratch("old-layout");
+    for dir in ["blocks/c8", "catalog"] {
+        std::fs::create_dir_all(root.join(dir)).unwrap();
+    }
+    let err = Store::open(&root).unwrap_err();
+    assert!(matches!(err, StoreError::OldLayout(_)), "{err}");
+    assert_eq!(err.code(), 1);
+    assert!(err.to_string().contains("old layout (blocks/ and catalog/"), "{err}");
+    assert!(!root.join("log").exists() && !root.join("LOCK").exists());
+}
+
+/// One `Store` per root: a second `open` while the first lives is a typed
+/// error, and dropping the holder frees the root.
+#[test]
+fn a_root_is_held_by_one_store() {
+    let root = scratch("lock");
     let store = Store::open(&root).unwrap();
-    let e = store.entry(&id).unwrap();
-    assert_eq!((e.puts, e.fingerprint), (3, fp));
-    assert_eq!(catalog_bytes(&store), (legacy.len() as u64, 3 * e.file_bytes));
-
-    store.put_bytes("racy_counter", 6, &bytes, fp, "").unwrap();
-    assert_eq!(std::fs::read_to_string(&manifest).unwrap(), legacy);
-    assert_eq!(std::fs::metadata(&log).unwrap().len(), 4);
-    assert_eq!(store.entry(&id).unwrap().puts, 4);
-    assert_eq!(catalog_bytes(&store), (legacy.len() as u64 + 4, 4 * e.file_bytes));
-
-    std::fs::write(&manifest, current.replace("\"seed\":", "\"puts\":0,\"seed\":")).unwrap();
-    std::fs::remove_file(&log).unwrap();
-    assert!(matches!(store.entry(&id), Err(StoreError::Corrupt(_))));
+    let (fp, _, bytes) = record("racy_counter", 2);
+    store.put_bytes("racy_counter", 2, &bytes, fp, "").unwrap();
+    let err = Store::open(&root).unwrap_err();
+    assert!(matches!(err, StoreError::Locked(_)), "{err}");
+    assert_eq!(err.code(), 1);
+    assert_eq!(store.entries().unwrap().len(), 1);
+    drop(store);
+    assert_eq!(Store::open(&root).unwrap().entries().unwrap().len(), 1);
 }

@@ -406,7 +406,7 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 
-echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one packer, one replay loop, one reference map, one door to a hosted run, one heap extent, one heap commit, one reference read, one fleet driver, one request vocabulary, one trace spelling, one tier-2 path, no env knobs =="
+echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one packer, one replay loop, one reference map, one door to a hosted run, one heap extent, one heap commit, one reference read, one fleet driver, one request vocabulary, one trace spelling, one tier-2 path, one store log, no env knobs =="
 fail=0
 # Only the property harness reads the environment (QC_CASES / QC_SEED).
 if grep -rn 'env::var' crates src --include=*.rs | grep -v '^src/qc\.rs:'; then
@@ -447,6 +447,18 @@ tier2=$(find crates src examples -name '*.rs' ! -path '*/tests/*' | sort | xargs
 if [ -n "$tier2" ]; then
     echo "verify: the tier-2 step engine or its deopt machinery is spelled outside tests:" >&2
     printf '%s\n' "$tier2" >&2
+    fail=1
+fi
+# The store is one append-only log (DESIGN §11.1): the temp-file renames,
+# the per-block files and their listing, and the per-entry put logs stay
+# deleted from its non-test code.
+store=$(find crates/store/src -name '*.rs' | sort | xargs awk '
+    FNR == 1 { test = 0 }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    !test && /write_atomic|sweep_tmp|tmp-|\.puts"|\.blk"|list_blocks/ { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$store" ]; then
+    echo "verify: a temp file, a block file, a put log or a block listing is spelled in the store:" >&2
+    printf '%s\n' "$store" >&2
     fail=1
 fi
 for pat in 'wrapping_neg' 'mem.swap(' 'wrapping_div' 'wrapping_rem'; do
@@ -693,6 +705,7 @@ echo "surface: $(nontest $d/interp.rs $d/compile.rs $d/dis.rs) non-test lines in
 echo "surface: $(nontest $d/interp.rs $d/compile.rs) non-test lines in interp.rs + compile.rs"
 echo "surface: $(nontest $d/gc.rs $d/vm.rs $d/heap.rs) non-test lines in gc.rs + vm.rs + heap.rs"
 echo "surface: $(nontest crates/dejavu/src/blocktrace.rs crates/store/src/*.rs) non-test lines in dejavu's blocktrace.rs + crates/store/src/*.rs"
+echo "surface: $(nontest crates/store/src/*.rs) non-test lines in crates/store/src"
 echo "surface: $(nontest $d/interp.rs crates/dejavu/src/timetravel.rs crates/debugger/src/engine.rs crates/fleet/src/session.rs) non-test lines in interp.rs + dejavu's timetravel.rs + debugger's engine.rs + fleet's session.rs"
 echo "surface: $(nontest crates/reflect/src/*.rs crates/fleet/src/*.rs crates/debugger/src/*.rs) non-test lines in crates/{reflect,fleet,debugger}/src"
 echo "surface: $(nontest crates/fleet/src/*.rs) non-test lines in crates/fleet/src"

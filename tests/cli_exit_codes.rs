@@ -6,6 +6,8 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+mod segments;
+
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dejavu-cli"))
 }
@@ -180,14 +182,17 @@ fn store_subcommand_exit_classes() {
     }
 
     // Injected block damage: get degrades to the corrupt class, no panic.
+    // Every block record in the log is zeroed.
     let mut smashed = false;
-    for shard in std::fs::read_dir(root.join("blocks")).unwrap() {
-        for blk in std::fs::read_dir(shard.unwrap().path()).unwrap() {
-            std::fs::write(blk.unwrap().path(), b"").unwrap();
+    for seg in segments::files(&root) {
+        let mut frames = segments::frames(&std::fs::read(&seg).unwrap());
+        for (_, payload) in frames.iter_mut().filter(|(tag, _)| *tag == b'B') {
+            payload.fill(0);
             smashed = true;
         }
+        std::fs::write(&seg, segments::join(&frames)).unwrap();
     }
-    assert!(smashed, "store held no block files");
+    assert!(smashed, "store held no block records");
     assert_eq!(
         run(&["store", "get", root_s, &entry, back.to_str().unwrap()]).0,
         1
@@ -228,4 +233,47 @@ fn check_subcommand_exit_classes() {
     assert_eq!(code, 2, "{err}");
     let _ = std::fs::remove_dir_all(dir);
     let _ = std::fs::remove_dir_all(empty);
+}
+
+/// One store per root: beside a root this process holds, a second
+/// in-process `open` and a `store gc` child are each a typed exit-1
+/// refusal, and the holder sees its store unchanged. A root in the layout
+/// before the log is refused the same way, and nothing is written to it.
+#[test]
+fn a_held_or_old_layout_store_root_is_exit_1() {
+    use dejavu_repro::store::{Store, StoreError};
+    let dir = scratch("store-lock");
+    let root = dir.join("store");
+    let trace = dir.join("t.djvb");
+    let trace_s = trace.to_str().unwrap();
+    let root_s = root.to_str().unwrap();
+    assert_eq!(run(&["record", "racy_counter", "1", trace_s]).0, 0);
+    assert_eq!(run(&["store", "put", root_s, "racy_counter", "1", trace_s]).0, 0);
+
+    let held = Store::open(&root).unwrap();
+    let before = (held.entries().unwrap(), held.disk_stats().unwrap());
+    let err = Store::open(&root).unwrap_err();
+    assert!(matches!(err, StoreError::Locked(_)), "{err}");
+    assert_eq!(err.code(), 1);
+    for op in ["gc", "put"] {
+        let mut args = vec!["store", op, root_s];
+        if op == "put" {
+            args.extend(["racy_counter", "1", trace_s]);
+        }
+        let (code, stderr) = run(&args);
+        assert_eq!(code, 1, "store {op}: {stderr}");
+        assert!(stderr.contains("held by another open store"), "store {op}: {stderr}");
+    }
+    assert_eq!((held.entries().unwrap(), held.disk_stats().unwrap()), before);
+    drop(held);
+    assert_eq!(run(&["store", "gc", root_s]).0, 0, "the dropped holder freed the root");
+
+    let old = dir.join("old");
+    std::fs::create_dir_all(old.join("blocks")).unwrap();
+    std::fs::create_dir_all(old.join("catalog")).unwrap();
+    let (code, stderr) = run(&["store", "ls", old.to_str().unwrap()]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("old layout (blocks/ and catalog/"), "{stderr}");
+    assert!(!old.join("log").exists());
+    let _ = std::fs::remove_dir_all(dir);
 }

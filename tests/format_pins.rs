@@ -18,6 +18,8 @@ use dejavu_repro::store::Store;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+mod segments;
+
 fn scratch(tag: &str) -> PathBuf {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("target")
@@ -165,13 +167,19 @@ fn a_version_1_record_is_a_typed_error_and_exit_1() {
     let store = Store::open(&root).unwrap();
     let id = store.put_bytes("w", 1, &bytes, 0, "").unwrap().entry;
     drop(store);
-    let hex = digest.hex();
-    let path = root
-        .join("blocks")
-        .join(&hex[..2])
-        .join(format!("{hex}.blk"));
-    assert!(path.exists());
-    std::fs::write(&path, record).unwrap();
+    // The segment with the v1 record in the v2 record's frame, its commit
+    // re-sealed over the new bytes.
+    let [seg] = &segments::files(&root)[..] else {
+        panic!("one segment expected");
+    };
+    let mut frames = segments::frames(&std::fs::read(seg).unwrap());
+    let mut blocks = frames.iter_mut().filter(|(tag, _)| *tag == b'B');
+    let (Some(block), None) = (blocks.next(), blocks.next()) else {
+        panic!("one block record expected");
+    };
+    assert!(block.1.windows(16).any(|w| w == digest.0), "the v2 record echoes its digest");
+    block.1 = record;
+    std::fs::write(seg, segments::seal(&frames)).unwrap();
     let refused = format!("block {digest}: unsupported record version 1");
     let store = Store::open(&root).unwrap();
     for err in [
@@ -181,6 +189,7 @@ fn a_version_1_record_is_a_typed_error_and_exit_1() {
         assert_eq!(err.code(), 1, "{err}");
         assert!(err.to_string().contains(&refused), "{err}");
     }
+    drop(store); // one store per root: the CLI's `store get` opens it next
     let out = root.join("back.djvb");
     let (code, err) = cli(&[
         "store",
@@ -191,7 +200,6 @@ fn a_version_1_record_is_a_typed_error_and_exit_1() {
     ]);
     assert_eq!(code, 1, "{err}");
     assert!(err.contains(&refused), "{err}");
-    drop(store);
     let _ = std::fs::remove_dir_all(&root);
 }
 

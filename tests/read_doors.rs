@@ -138,13 +138,32 @@ fn respelled_files_are_one_typed_error_at_every_read_door() {
     padded_budget[offset_at] = 9;
     padded_budget.splice(6..8, [0x80, 0xa0, 0x00]);
 
-    let store = Arc::new(Store::open(&dir.join("store")).unwrap());
-    let honest = store.put_bytes("fig1_cd", 5, &djvb, rec.fingerprint, "").unwrap();
+    let root = dir.join("store");
+    let honest = Store::open(&root)
+        .unwrap()
+        .put_bytes("fig1_cd", 5, &djvb, rec.fingerprint, "")
+        .unwrap();
+    let crafted = [("paranoid2", paranoid_two), ("padded", padded_budget)];
+    // The CLI doors: exit 1, same message. They run first, while no
+    // `Store` in this process holds the root.
+    for (name, bytes) in &crafted {
+        let refused = BlockFile::parse(bytes.clone()).unwrap_err();
+        let file = dir.join(format!("{name}.djvb"));
+        std::fs::write(&file, bytes).unwrap();
+        let file = file.to_str().unwrap();
+        let doors: [&[&str]; 4] = [
+            &["replay", "fig1_cd", "5", file],
+            &["store", "put", root.to_str().unwrap(), "fig1_cd", "5", file],
+            &["store", "put", root.to_str().unwrap(), "fig1_cd", "5", file, "--no-verify"],
+            &["trace", "inspect", file],
+        ];
+        cli_refuses(&doors, &refused);
+    }
+    let store = Arc::new(Store::open(&root).unwrap());
     let mut fleet = SessionManager::new();
     fleet.set_store(Arc::clone(&store));
     let id = fleet.open("fig1_cd", 5).unwrap();
-    let root = dir.join("store");
-    for (name, bytes) in [("paranoid2", paranoid_two), ("padded", padded_budget)] {
+    for (name, bytes) in crafted {
         // The library doors.
         let refused = BlockFile::parse(bytes.clone()).unwrap_err();
         assert!(matches!(refused, TraceError::Corrupt(_)), "{name}: {refused}");
@@ -162,19 +181,7 @@ fn respelled_files_are_one_typed_error_at_every_read_door() {
         }
         assert_eq!(fleet.get(id).unwrap().lock().unwrap().phase.name(), "Recording");
 
-        // The CLI doors: exit 1, same message.
-        let file = dir.join(format!("{name}.djvb"));
-        std::fs::write(&file, &bytes).unwrap();
-        let file = file.to_str().unwrap();
-        let doors: [&[&str]; 4] = [
-            &["replay", "fig1_cd", "5", file],
-            &["store", "put", root.to_str().unwrap(), "fig1_cd", "5", file],
-            &["store", "put", root.to_str().unwrap(), "fig1_cd", "5", file, "--no-verify"],
-            &["trace", "inspect", file],
-        ];
-        cli_refuses(&doors, &refused);
-
-        // Nothing behind the doors moved.
+        // Nothing behind the doors, the CLI's included, moved.
         let entries = store.entries().unwrap();
         assert_eq!(entries.len(), 1, "{name} was cataloged");
         assert_eq!((entries[0].puts, entries[0].file_bytes), (1, djvb.len() as u64));
@@ -248,12 +255,17 @@ fn a_fleet_record_and_an_upload_of_the_same_run_share_one_store_entry() {
     assert_eq!(entries.len(), 1);
     let id = entries[0].identity();
 
-    // What the server stored is a DJVB file the CLI reads back.
+    // What the server stored is a DJVB file the CLI reads back, once the
+    // server's store lets go of the root.
+    drop((fleet, store));
     let back = dir.join("back.djvb");
-    let (root, back) = (root.to_str().unwrap(), back.to_str().unwrap());
-    assert_eq!(cli(&["store", "get", root, &id, back]).0, 0);
+    let (root_s, back) = (root.to_str().unwrap(), back.to_str().unwrap());
+    assert_eq!(cli(&["store", "get", root_s, &id, back]).0, 0);
     let (code, err) = cli(&["replay", "fig1_cd", "3", back]);
     assert_eq!(code, 0, "{err}");
+    let store = Arc::new(Store::open(&root).unwrap());
+    let mut fleet = SessionManager::new();
+    fleet.set_store(Arc::clone(&store));
 
     // A client recording the same run and uploading it converges on the
     // same entry; the first-hand fingerprint survives the unverified put.

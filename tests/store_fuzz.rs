@@ -1,9 +1,10 @@
 //! Fuzz oracle for the trace-store read path: build a real store with
 //! `put_bytes`, apply seeded byte mutations — bit flips, truncations,
-//! overwrites, insertions — to one on-disk artifact (a catalog manifest
-//! or a block record, often aimed at a coded record's table header), then
-//! drive every read entry point and assert "typed `StoreError` or
-//! success, never panic".
+//! overwrites, insertions — to one frame of a log segment (a block record,
+//! often aimed at a coded record's table header, an entry record or a
+//! commit record), half the time re-sealing the put's commit over the
+//! damage as a hostile writer would, then drive every read entry point
+//! and assert "typed `StoreError` or success, never panic".
 //!
 //! Same contract the DJVB fuzz gives the corpus gate: a corrupt store
 //! must surface as exit 1 from the CLI, and that only holds if nothing
@@ -23,7 +24,9 @@ use dejavu_repro::qc::{check, Gen};
 use dejavu_repro::qc_assert;
 use dejavu_repro::store::Store;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
+
+mod segments;
 
 /// A structurally valid random trace: the corpus the store is seeded with.
 /// Half are long runs of small deltas, whose blocks the coder packs.
@@ -84,27 +87,6 @@ fn mutate(g: &mut Gen, bytes: &mut Vec<u8>) {
     }
 }
 
-/// Every regular file under `root`, sorted for seed determinism.
-fn store_files(root: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    let mut stack = vec![root.to_path_buf()];
-    while let Some(dir) = stack.pop() {
-        let Ok(entries) = std::fs::read_dir(&dir) else {
-            continue;
-        };
-        for entry in entries.flatten() {
-            let p = entry.path();
-            if p.is_dir() {
-                stack.push(p);
-            } else {
-                out.push(p);
-            }
-        }
-    }
-    out.sort();
-    out
-}
-
 /// Seed a fresh store with a couple of runs; returns the catalog ids.
 fn seed_store(g: &mut Gen, root: &Path) -> Vec<String> {
     let store = Store::open(root).expect("open fresh store");
@@ -131,13 +113,13 @@ fn seed_store(g: &mut Gen, root: &Path) -> Vec<String> {
 
 /// Where a coded block record's stream — its table header first —
 /// begins; `None` for anything else.
-fn table_header(file: &[u8]) -> Option<usize> {
-    if file.get(..4) != Some(b"DJSB") || file.get(5) != Some(&BlockMethod::Rans.code()) {
+fn table_header(record: &[u8]) -> Option<usize> {
+    if record.get(..4) != Some(b"DJSB") || record.get(5) != Some(&BlockMethod::Rans.code()) {
         return None;
     }
     let mut pos = 6;
     for _ in 0..3 {
-        get_varint(file, &mut pos)?;
+        get_varint(record, &mut pos)?;
     }
     Some(pos + 16)
 }
@@ -177,22 +159,32 @@ fn mutated_store_files_never_panic() {
         let root = base.join(format!("it{iter}"));
         let ids = seed_store(g, &root);
 
-        // Mutate one on-disk artifact — catalog manifest or block record
-        // — with 1..8 seeded corruptions; half the time, a coded record's
-        // table header alone.
-        let files = store_files(&root);
-        qc_assert!(!files.is_empty(), "seeded store produced no files");
+        // Mutate one frame of one segment — a block, entry or commit
+        // record — with 1..8 seeded corruptions; half the time a coded
+        // block record's table header alone. Half the time the put's
+        // commit is re-sealed over the damage, so `open` indexes it and
+        // the read paths meet it.
+        let files = segments::files(&root);
+        qc_assert!(!files.is_empty(), "seeded store produced no segments");
         let victim = &files[g.usize_in(0, files.len() - 1)];
-        let mut bytes = std::fs::read(victim).map_err(|e| e.to_string())?;
-        let at = match table_header(&bytes) {
-            Some(start) if g.bool() => start..(start + 8).min(bytes.len()),
-            _ => 0..bytes.len(),
+        let mut frames = segments::frames(&std::fs::read(victim).map_err(|e| e.to_string())?);
+        qc_assert!(!frames.is_empty(), "seeded segment holds no frames");
+        let i = g.usize_in(0, frames.len() - 1);
+        let payload = &mut frames[i].1;
+        let at = match table_header(payload) {
+            Some(start) if g.bool() => start..(start + 8).min(payload.len()),
+            _ => 0..payload.len(),
         };
-        let mut window: Vec<u8> = bytes.drain(at.clone()).collect();
+        let mut window: Vec<u8> = payload.drain(at.clone()).collect();
         for _ in 0..g.usize_in(1, 8) {
             mutate(g, &mut window);
         }
-        bytes.splice(at.start..at.start, window);
+        payload.splice(at.start..at.start, window);
+        let bytes = if g.bool() {
+            segments::seal(&frames)
+        } else {
+            segments::join(&frames)
+        };
         std::fs::write(victim, &bytes).map_err(|e| e.to_string())?;
 
         let ok = catch_unwind(AssertUnwindSafe(|| exercise_store(&root, &ids))).is_ok();
@@ -365,10 +357,12 @@ fn crafted_respellings_are_refused_and_change_nothing() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Deterministic extremes beside the random sweep: a block record
-/// truncated to nothing, a deleted block record, and a catalog manifest
-/// overwritten with non-JSON garbage. Each must read back as a typed
-/// error with the CLI "corrupt artifact" code, never a panic.
+/// Deterministic extremes beside the random sweep, one per record kind: a
+/// segment cut off inside a block record, a block record taken out of its
+/// put, an entry record overwritten with non-JSON garbage, a commit whose
+/// CRC no longer matches its put, and one that names no entry. Each reads
+/// back as a typed error with the CLI "corrupt artifact" code — from
+/// `open`, or from the read it reaches — never a panic.
 #[test]
 fn crafted_store_damage_is_typed() {
     let root = std::env::temp_dir().join(format!("djv-store-crafted-{}", std::process::id()));
@@ -388,21 +382,32 @@ fn crafted_store_damage_is_typed() {
     let id = store.put_bytes("wa", 1, &bytes, 9, "").expect("put").entry;
     drop(store);
 
-    let blocks: Vec<PathBuf> = store_files(&root)
-        .into_iter()
-        .filter(|p| p.extension().is_some_and(|e| e == "blk"))
-        .collect();
-    assert!(!blocks.is_empty(), "crafted trace produced no block files");
+    let [seg] = &segments::files(&root)[..] else {
+        panic!("crafted trace produced other than one segment");
+    };
+    let whole = std::fs::read(seg).expect("read segment");
+    let frames = segments::frames(&whole);
+    let first_block = frames.iter().position(|(tag, _)| *tag == b'B');
+    let first_block = first_block.expect("crafted trace produced no block records");
+    let with = |i: usize, payload: Option<Vec<u8>>| {
+        let mut frames = frames.clone();
+        match payload {
+            Some(p) => frames[i].1 = p,
+            None => drop(frames.remove(i)),
+        }
+        frames
+    };
 
-    // Truncated block record.
-    std::fs::write(&blocks[0], b"").expect("truncate block");
+    // Cut inside a block record: a torn put, truncated at open.
+    let cut = segments::join(&frames[..first_block]).len() + 5 + frames[first_block].1.len() / 2;
+    std::fs::write(seg, &whole[..cut]).expect("truncate block");
     let store = Store::open(&root).expect("reopen");
     let err = store.get_bytes(&id).expect_err("truncated block must fail");
     assert_eq!(err.code(), 1, "corrupt block is CLI code 1, got {err}");
     drop(store);
 
-    // Missing block record.
-    std::fs::remove_file(&blocks[0]).expect("delete block");
+    // A block record taken out, the commit re-sealed.
+    std::fs::write(seg, segments::seal(&with(first_block, None))).expect("drop block");
     let store = Store::open(&root).expect("reopen");
     assert_eq!(
         store.open_trace(&id).expect_err("missing block").code(),
@@ -410,9 +415,10 @@ fn crafted_store_damage_is_typed() {
     );
     drop(store);
 
-    // Garbage catalog manifest.
-    let catalog = root.join("catalog").join(format!("{id}.json"));
-    std::fs::write(&catalog, b"\xFF\xFEnot json at all").expect("smash catalog");
+    // Garbage entry record, the commit re-sealed.
+    let entry = frames.iter().position(|(tag, _)| *tag == b'E').expect("entry record");
+    let garbage = b"\xFF\xFEnot json at all".to_vec();
+    std::fs::write(seg, segments::seal(&with(entry, Some(garbage)))).expect("smash entry");
     let store = Store::open(&root).expect("reopen");
     let ok = catch_unwind(AssertUnwindSafe(|| {
         let _ = store.entries();
@@ -421,7 +427,29 @@ fn crafted_store_damage_is_typed() {
         let _ = store.gc();
     }))
     .is_ok();
-    assert!(ok, "garbage catalog manifest caused a panic");
+    assert!(ok, "garbage entry record caused a panic");
+    assert_eq!(store.entry(&id).expect_err("garbage entry").code(), 1);
+    drop(store);
+
+    // A commit that does not match its put, and a re-sealed bare commit
+    // that names no entry: `open` refuses both rather than drop a put.
+    let commit = frames.iter().position(|(tag, _)| *tag == b'C').expect("commit record");
+    let mut stale = frames[commit].1.clone();
+    stale[31] ^= 1;
+    let mut stranger = frames[commit].1.clone();
+    stranger[0] ^= 1;
+    let mut appended = frames.clone();
+    appended.push((b'C', stranger.clone()));
+    for damaged in [segments::join(&with(commit, Some(stale))), segments::seal(&appended)] {
+        std::fs::write(seg, damaged).expect("smash commit");
+        let err = Store::open(&root).expect_err("damaged commit");
+        assert_eq!(err.code(), 1, "{err}");
+    }
+    // Re-sealed under another id, the put's entry record reads as what it
+    // is, not as the entry its commit names.
+    std::fs::write(seg, segments::seal(&with(commit, Some(stranger)))).expect("rename entry");
+    let store = Store::open(&root).expect("reopen");
+    assert_eq!(store.entries().expect_err("misnamed entry").code(), 1);
     drop(store);
     let _ = std::fs::remove_dir_all(&root);
 }
