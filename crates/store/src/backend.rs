@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! <root>/LOCK         empty; held by the one open Store (File::try_lock)
-//! <root>/log/<n>.seg  segments, numbered up; only the highest is appended to
+//! <root>/log/<n>.seg  segments, numbered up; puts append to the highest
 //!
 //! frame  tag:u8 len:u32-LE payload[len]
 //! 'B'    a block record (DJSB v2, below), indexed by its digest echo
@@ -19,9 +19,11 @@
 //! counts once. Only committed records enter the index. At `open`, bytes
 //! after the highest segment's last commit that are a prefix of a put —
 //! all a write cut short leaves — are a torn tail and are truncated;
-//! anything else that does not scan is `Corrupt`. A [`Handle`] reads with
-//! `read_at` on the segment's open file, which a pass that unlinks the
-//! segment leaves readable.
+//! anything else that does not scan is `Corrupt`. A maintenance pass
+//! rewrites the live log into the next segment and unlinks the rest, so
+//! more than one segment stands only after a pass cut short. A [`Handle`]
+//! reads with `read_at` on the segment's open file, which a pass that
+//! unlinks the segment leaves readable.
 //!
 //! ## Block record format (`DJSB` v2)
 //!
@@ -65,8 +67,6 @@ const HEAD: u64 = 5;
 const COMMIT_LEN: usize = 32;
 /// What one commit frame takes; `disk_stats` counts one per put.
 pub(crate) const COMMIT_BYTES: u64 = HEAD + COMMIT_LEN as u64;
-/// A segment this long takes no more puts: the next one starts a segment.
-const SEGMENT_BYTES: u64 = 8 << 20;
 
 /// Encode one block record around `packed`, stream verbatim.
 pub fn encode_record(digest: Digest128, packed: &Packed) -> Vec<u8> {
@@ -183,10 +183,9 @@ pub(crate) struct BlockAt {
     pub method: u8,
 }
 
-/// An indexed entry: its latest record, its latest commit and its put count.
+/// An indexed entry: its latest record and its put count.
 pub(crate) struct EntryAt {
     pub at: Loc,
-    pub commit: Loc,
     pub puts: u64,
 }
 
@@ -211,40 +210,30 @@ impl Handle {
     }
 }
 
-/// Frames ending in commits, written in one append: a put, or a pass's copy.
+/// A put's frames, sealed by its commit into the bytes of one append.
 #[derive(Default)]
-pub(crate) struct Frames {
-    pub buf: Vec<u8>,
-    /// Where the frames not yet committed begin.
-    start: usize,
-}
+pub(crate) struct Frames(Vec<u8>);
 
 impl Frames {
     pub fn push(&mut self, tag: u8, payload: &[u8]) -> Result<(), StoreError> {
         let len = u32::try_from(payload.len())
             .map_err(|_| StoreError::Corrupt("a record past 4 GiB".into()))?;
-        self.buf.push(tag);
-        self.buf.extend_from_slice(&len.to_le_bytes());
-        self.buf.extend_from_slice(payload);
+        self.0.push(tag);
+        self.0.extend_from_slice(&len.to_le_bytes());
+        self.0.extend_from_slice(payload);
         Ok(())
     }
 
-    /// Commit the frames since the last commit, as put number `puts` of `id`.
-    pub fn commit(&mut self, id: Digest128, puts: u64) -> Result<(), StoreError> {
-        let put_len = u32::try_from(self.buf.len() - self.start)
+    /// Commit the frames as put number `puts` of `id`.
+    pub fn seal(mut self, id: Digest128, puts: u64) -> Result<Vec<u8>, StoreError> {
+        let put_len = u32::try_from(self.0.len())
             .map_err(|_| StoreError::Corrupt("a put past 4 GiB".into()))?;
         let fields = [&id.0[..], &puts.to_le_bytes(), &put_len.to_le_bytes()].concat();
         self.push(COMMIT, &[&fields[..], &[0; 4]].concat())?;
-        let crc_at = self.buf.len() - 4;
-        let crc = crc32(&self.buf[self.start..crc_at]);
-        self.buf[crc_at..].copy_from_slice(&crc.to_le_bytes());
-        self.start = self.buf.len();
-        Ok(())
-    }
-
-    /// True while frames wait for a commit.
-    pub fn pending(&self) -> bool {
-        self.start < self.buf.len()
+        let crc_at = self.0.len() - 4;
+        let crc = crc32(&self.0[..crc_at]);
+        self.0[crc_at..].copy_from_slice(&crc.to_le_bytes());
+        Ok(self.0)
     }
 }
 
@@ -306,9 +295,13 @@ impl Log {
             .create_new(create)
             .open(&path)
             .map_err(|e| StoreError::io(&path, e))?;
-        let file = Arc::new(file);
-        let (len, blocks, commits) = (0, 0, 0);
-        self.segments.insert(n, Segment { file, len, blocks, commits });
+        let segment = Segment {
+            file: Arc::new(file),
+            len: 0,
+            blocks: 0,
+            commits: 0,
+        };
+        self.segments.insert(n, segment);
         Ok(())
     }
 
@@ -319,37 +312,29 @@ impl Log {
         fs::remove_file(&path).map_err(|e| StoreError::io(&path, e))
     }
 
-    /// The number after the highest segment's.
-    pub fn next(&self) -> u64 {
-        self.segments.last_key_value().map_or(1, |(&n, _)| n + 1)
-    }
-
     pub fn handle(&self, at: Loc) -> Handle {
         Handle(Arc::clone(&self.segments[&at.seg].file), at)
     }
 
-    /// Append a put to the highest segment, or to a new one once it is full.
-    pub fn put(&mut self, frames: &Frames) -> Result<(), StoreError> {
-        match self.segments.last_key_value() {
-            Some((&n, seg)) if seg.len < SEGMENT_BYTES => self.append(n, frames),
-            _ => self.append(self.next(), frames),
-        }
+    /// Append a sealed put to the highest segment.
+    pub fn put(&mut self, put: &[u8]) -> Result<(), StoreError> {
+        let n = self.segments.last_key_value().map_or(1, |(&n, _)| n);
+        self.append(n, put)
     }
 
-    /// Write `frames` at the end of segment `n`, started if new, in one
-    /// write, then index them. A failed write is cut back off, so the
+    /// Write sealed `puts` at the end of segment `n`, started if new, in
+    /// one write, then index them. A failed write is cut back off, so the
     /// segment still ends at its last commit.
-    pub fn append(&mut self, n: u64, frames: &Frames) -> Result<(), StoreError> {
-        debug_assert!(!frames.pending(), "every frame appended is committed");
+    pub fn append(&mut self, n: u64, puts: &[u8]) -> Result<(), StoreError> {
         if !self.segments.contains_key(&n) {
             self.open_segment(n, true)?;
         }
         let seg = &self.segments[&n];
-        if let Err(e) = seg.file.write_all_at(&frames.buf, seg.len) {
+        if let Err(e) = seg.file.write_all_at(puts, seg.len) {
             let _ = seg.file.set_len(seg.len);
             return Err(StoreError::io(&self.path(n), e));
         }
-        self.scan(n, &frames.buf).map(|_| ())
+        self.scan(n, puts).map(|_| ())
     }
 
     /// Index the committed puts of `bytes`, which begin at segment `n`'s
@@ -393,8 +378,7 @@ impl Log {
                         (None, Some(known)) => known.at,
                         (None, None) => return Err(corrupt(pos, "commit names no entry")),
                     };
-                    let (commit, at) = (at, record);
-                    self.entries.insert(id, EntryAt { at, commit, puts });
+                    self.entries.insert(id, EntryAt { at: record, puts });
                     let seg = self.segments.get_mut(&n).expect("scanned segments are open");
                     seg.blocks += blocks.len() as u64;
                     seg.commits += 1;

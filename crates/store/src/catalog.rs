@@ -124,58 +124,87 @@ impl CatalogEntry {
     /// file, hand edits) is typed corruption.
     pub fn from_json(j: &Json) -> Result<CatalogEntry, StoreError> {
         let corrupt = |what: &str| StoreError::Corrupt(format!("catalog entry: {what}"));
-        let invalid = |key: &str| corrupt(&format!("missing/invalid field {key:?}"));
-        // A number of `obj` no larger than `max`.
-        let num = |obj: &Json, key: &str, max: u64| {
-            let v = obj.field(key).and_then(|v| v.as_u64()).ok();
-            v.filter(|&v| v <= max).ok_or_else(|| invalid(key))
+        let field_u64 = |key: &str| -> Result<u64, StoreError> {
+            j.field(key)
+                .and_then(|v| v.as_u64())
+                .map_err(|_| corrupt(&format!("missing/invalid field {key:?}")))
         };
-        let text = |key: &str| {
-            let v = j.field(key).and_then(|v| v.as_str()).map(str::to_owned);
-            v.map_err(|_| invalid(key))
+        let field_str = |key: &str| -> Result<String, StoreError> {
+            j.field(key)
+                .and_then(|v| v.as_str())
+                .map(|s| s.to_owned())
+                .map_err(|_| corrupt(&format!("missing/invalid field {key:?}")))
         };
-        if text("format")? != FORMAT {
+        if field_str("format")? != FORMAT {
             return Err(corrupt("unknown format"));
         }
-        let budget = num(j, "budget", u32::MAX as u64)?;
-        if budget == 0 {
+        let budget = field_u64("budget")?;
+        if budget == 0 || budget > u32::MAX as u64 {
             return Err(corrupt("bad budget"));
         }
-        let paranoid = j.field("paranoid").and_then(|v| v.as_bool());
-        let paranoid = paranoid.map_err(|_| invalid("paranoid"))?;
-        let blocks_json = j.field("blocks").and_then(|v| v.as_arr());
-        let blocks_json = blocks_json.map_err(|_| invalid("blocks"))?;
-        let mut blocks: Vec<BlockRef> = Vec::with_capacity(blocks_json.len());
+        let paranoid = j
+            .field("paranoid")
+            .and_then(|v| v.as_bool())
+            .map_err(|_| corrupt("missing/invalid field \"paranoid\""))?;
+        let blocks_json = j
+            .field("blocks")
+            .and_then(|v| v.as_arr())
+            .map_err(|_| corrupt("missing/invalid field \"blocks\""))?;
+        let mut blocks = Vec::with_capacity(blocks_json.len());
+        let mut prev_logical = 0u64;
         for b in blocks_json {
-            let digest = b.field("digest").and_then(|v| v.as_str()).ok();
-            let digest = digest.and_then(Digest128::parse).ok_or_else(|| invalid("digest"))?;
-            let event_count = num(b, "event_count", u32::MAX as u64)?;
-            let first_logical_time = num(b, "first_logical_time", u64::MAX)?;
-            if blocks.last().is_some_and(|p| first_logical_time < p.first_logical_time) {
+            let bfield = |key: &str| -> Result<u64, StoreError> {
+                b.field(key)
+                    .and_then(|v| v.as_u64())
+                    .map_err(|_| corrupt(&format!("block ref: missing/invalid {key:?}")))
+            };
+            let digest = b
+                .field("digest")
+                .and_then(|v| v.as_str())
+                .ok()
+                .and_then(Digest128::parse)
+                .ok_or_else(|| corrupt("block ref: bad digest"))?;
+            let event_count = bfield("event_count")?;
+            let switch_count = bfield("switch_count")?;
+            if switch_count > event_count || event_count > u32::MAX as u64 {
+                return Err(corrupt("block ref: implausible event counts"));
+            }
+            let first_logical_time = bfield("first_logical_time")?;
+            if first_logical_time < prev_logical {
                 return Err(corrupt("block ref: logical time not monotone"));
             }
-            let method = u8::try_from(num(b, "method", 255)?).ok();
+            prev_logical = first_logical_time;
+            let method = BlockMethod::from_code(
+                u8::try_from(bfield("method")?)
+                    .map_err(|_| corrupt("block ref: bad method"))?,
+            )
+            .ok_or_else(|| corrupt("block ref: bad method"))?;
+            let raw_len = bfield("raw_len")?;
+            if raw_len > u32::MAX as u64 {
+                return Err(corrupt("block ref: implausible raw_len"));
+            }
             blocks.push(BlockRef {
                 digest,
                 event_count: event_count as u32,
-                switch_count: num(b, "switch_count", event_count)? as u32,
+                switch_count: switch_count as u32,
                 first_logical_time,
-                method: method.and_then(BlockMethod::from_code).ok_or_else(|| invalid("method"))?,
-                raw_len: num(b, "raw_len", u32::MAX as u64)? as u32,
+                method,
+                raw_len: raw_len as u32,
             });
         }
         let entry = CatalogEntry {
-            workload: text("workload")?,
-            seed: num(j, "seed", u64::MAX)?,
+            workload: field_str("workload")?,
+            seed: field_u64("seed")?,
             paranoid,
             budget: budget as u32,
-            file_bytes: num(j, "file_bytes", u64::MAX)?,
-            fingerprint: num(j, "fingerprint", u64::MAX)?,
-            policy: text("policy")?,
+            file_bytes: field_u64("file_bytes")?,
+            fingerprint: field_u64("fingerprint")?,
+            policy: field_str("policy")?,
             puts: 0,
             blocks,
         };
-        if text("id")? != entry.identity() {
+        let claimed = field_str("id")?;
+        if claimed != entry.identity() {
             return Err(corrupt("id disagrees with recomputed identity"));
         }
         Ok(entry)

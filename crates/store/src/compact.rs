@@ -1,16 +1,21 @@
-//! The one maintenance pass, which `gc` and `compact` both run. A segment
+//! The one maintenance pass, which `gc` and `compact` both run. The log
 //! holds dead bytes once the index points past some of its records: an
 //! entry record a later put superseded, a re-packed block record, a copy
-//! left by a pass cut short between copy and unlink. The pass copies the
-//! live records of every segment with dead bytes — or with a record stored
-//! raw that [`Packed::pack`] now compresses, re-packed on the way — into a
-//! new segment, keeping each entry's latest commit, then unlinks them. A
-//! superseded commit alone does not make a segment worth copying, so a
-//! pass that finds nothing to do writes nothing. A put commits its blocks
-//! with its entry, so no record is unnamed and no pass can take blocks a
-//! put is about to name; re-packing keeps the raw bytes, all replay reads.
+//! left by a pass cut short. When it does — or when a record stored raw
+//! is one [`Packed::pack`] now compresses — the pass re-puts every entry,
+//! in id order, into one new segment: the blocks it names that no earlier
+//! entry of the pass brought (re-packed where the coder now wins), its
+//! entry record and a commit of its put count, one append an entry. Then
+//! it unlinks every older segment, highest first. The new segment holds
+//! the whole live log, so what a pass cut short leaves — a prefix of the
+//! old log, then committed copies — scans in order to the same index,
+//! and the next pass copies it again. A superseded commit alone is not
+//! worth a copy, so a pass that finds nothing to do writes nothing. A put
+//! commits its blocks with its entry, so no pass can take blocks a put is
+//! about to name; re-packing keeps the raw bytes, all replay reads.
 
 use crate::backend::{decode_record, encode_record, Frames, Log, BLOCK, COMMIT_BYTES, ENTRY};
+use crate::catalog::CatalogEntry;
 use crate::error::StoreError;
 use codec::Json;
 use dejavu::{BlockMethod, Packed};
@@ -52,19 +57,13 @@ pub(crate) fn pass(log: &mut Log) -> Result<CompactReport, StoreError> {
     let mut report = CompactReport {
         live_blocks: log.blocks.len() as u64,
         bytes_before: bytes(log),
+        bytes_after: bytes(log),
         ..CompactReport::default()
     };
-    // A segment's live bytes: the records the index points into, and
-    // every commit it holds.
-    let mut live = BTreeMap::new();
-    let blocks = log.blocks.values().map(|b| b.at);
-    for at in blocks.chain(log.entries.values().map(|e| e.at)) {
-        *live.entry(at.seg).or_insert(0) += at.frame();
-    }
-    let mut copy: BTreeSet<u64> = (log.segments.iter())
-        .filter(|(n, s)| live.get(*n).unwrap_or(&0) + s.commits * COMMIT_BYTES < s.len)
-        .map(|(&n, _)| n)
-        .collect();
+    // Live bytes: the records the index points into, and every commit.
+    let records = log.blocks.values().map(|b| b.at.frame()).sum::<u64>()
+        + log.entries.values().map(|e| e.at.frame()).sum::<u64>();
+    let commits: u64 = log.segments.values().map(|s| s.commits).sum();
     let mut repacked = BTreeMap::new();
     for (&digest, b) in &log.blocks {
         if b.method == BlockMethod::Stored.code() {
@@ -72,50 +71,44 @@ pub(crate) fn pass(log: &mut Log) -> Result<CompactReport, StoreError> {
             let packed = Packed::pack(&raw);
             if packed.method != BlockMethod::Stored {
                 repacked.insert(digest, encode_record(digest, &packed));
-                copy.insert(b.at.seg);
             }
         }
     }
+    if records + commits * COMMIT_BYTES == report.bytes_before && repacked.is_empty() {
+        return Ok(report);
+    }
 
-    // Blocks in log order, then each entry whose record or latest commit
-    // moves, sealed by its commit.
-    let mut out = Frames::default();
-    let mut moved: Vec<_> = log
-        .blocks
-        .iter()
-        .filter(|(_, b)| copy.contains(&b.at.seg))
-        .collect();
-    moved.sort_by_key(|(_, b)| (b.at.seg, b.at.off));
-    for (digest, b) in &moved {
-        match repacked.get(*digest) {
-            Some(record) => out.push(BLOCK, record)?,
-            None => out.push(BLOCK, &log.handle(b.at).read()?)?,
+    let old: Vec<u64> = log.segments.keys().copied().collect();
+    let n = old.last().map_or(1, |last| last + 1);
+    let entries: Vec<_> = log.entries.iter().map(|(&id, e)| (id, e.at, e.puts)).collect();
+    let mut copied = BTreeSet::new();
+    for (id, at, puts) in entries {
+        let record = log.handle(at).read()?;
+        let mut put = Frames::default();
+        for b in CatalogEntry::parse(&id.hex(), &record)?.blocks {
+            let Some(block) = log.blocks.get(&b.digest) else {
+                continue;
+            };
+            if copied.insert(b.digest) {
+                match repacked.get(&b.digest) {
+                    Some(packed) => put.push(BLOCK, packed)?,
+                    None => put.push(BLOCK, &log.handle(block.at).read()?)?,
+                }
+            }
         }
+        put.push(ENTRY, &record)?;
+        log.append(n, &put.seal(id, puts)?)?;
     }
-    for (&id, e) in &log.entries {
-        if copy.contains(&e.at.seg) {
-            out.push(ENTRY, &log.handle(e.at).read()?)?;
-        }
-        if copy.contains(&e.at.seg) || copy.contains(&e.commit.seg) {
-            out.commit(id, e.puts)?;
-        }
+    // A block no entry names is read by nothing: it goes with its segment.
+    let held: u64 = old.iter().map(|s| log.segments[s].blocks).sum();
+    log.blocks.retain(|digest, _| copied.contains(digest));
+    for &s in old.iter().rev() {
+        log.remove(s)?;
     }
-    if out.pending() {
-        // Blocks whose entries all stay put: re-state an entry's count to
-        // commit them (a block is only ever put with an entry).
-        let (&id, e) = log.entries.first_key_value().expect("blocks have entries");
-        out.commit(id, e.puts)?;
-    }
-    let held: u64 = copy.iter().map(|n| log.segments[n].blocks).sum();
-    report.removed_blocks = held - moved.len() as u64;
-    report.migrated = repacked.len() as u64;
-    report.segments = copy.len() as u64;
-    if !out.buf.is_empty() {
-        log.append(log.next(), &out)?;
-    }
-    for n in copy {
-        log.remove(n)?;
-    }
+    report.live_blocks = copied.len() as u64;
+    report.removed_blocks = held - report.live_blocks;
+    report.migrated = repacked.keys().filter(|d| copied.contains(*d)).count() as u64;
+    report.segments = old.len() as u64;
     report.bytes_after = bytes(log);
     Ok(report)
 }

@@ -220,8 +220,7 @@ impl Store {
         if !unchanged {
             put.push(ENTRY, entry.to_json().to_string().as_bytes())?;
         }
-        put.commit(key, puts + 1)?;
-        log.put(&put)?;
+        log.put(&put.seal(key, puts + 1)?)?;
         drop(log);
 
         let blocks_new = fresh.len() as u64;
@@ -245,7 +244,7 @@ impl Store {
     /// a block whose record is on another method than the entry names
     /// re-packed (the crate docs say what that can and cannot promise).
     pub fn get_bytes(&self, id: &str) -> Result<Vec<u8>, StoreError> {
-        let entry = self.read_entry(id)?;
+        let entry = self.entry(id)?;
         let mut blocks = Vec::with_capacity(entry.blocks.len());
         let mut bytes_read = 0u64;
         for bref in &entry.blocks {
@@ -284,7 +283,7 @@ impl Store {
     /// served through the snapshot tier (shared blocks decode once per
     /// process, counted as checkpoint hits/misses).
     pub fn open_trace(&self, id: &str) -> Result<StoredTrace, StoreError> {
-        let entry = self.read_entry(id)?;
+        let entry = self.entry(id)?;
         let mut decoded: Vec<DecodedBlock> = Vec::with_capacity(entry.blocks.len());
         for bref in &entry.blocks {
             let key = BlockKey {
@@ -337,15 +336,10 @@ impl Store {
         })
     }
 
-    /// One catalog entry.
-    pub fn entry(&self, id: &str) -> Result<CatalogEntry, StoreError> {
-        self.read_entry(id)
-    }
-
     /// All catalog entries, sorted by id.
     pub fn entries(&self) -> Result<Vec<CatalogEntry>, StoreError> {
         let ids: Vec<String> = self.log().entries.keys().map(|k| k.hex()).collect();
-        ids.iter().map(|id| self.read_entry(id)).collect()
+        ids.iter().map(|id| self.entry(id)).collect()
     }
 
     /// Run the maintenance pass ([`compact`]).
@@ -441,7 +435,8 @@ impl Store {
         Ok((packed, raw))
     }
 
-    fn read_entry(&self, id: &str) -> Result<CatalogEntry, StoreError> {
+    /// One catalog entry.
+    pub fn entry(&self, id: &str) -> Result<CatalogEntry, StoreError> {
         let key = Digest128::parse(id)
             .ok_or_else(|| StoreError::Corrupt(format!("not a valid entry id: {id:?}")))?;
         let (handle, puts) = {
