@@ -16,12 +16,13 @@
 //! a typed error (the limit in the `store` crate docs) — and no upload
 //! changes what an earlier one gets back.
 
-use dejavu_repro::codec::get_varint;
+use dejavu_repro::codec::{digest128, get_varint};
 use dejavu_repro::dejavu::{
     encode_trace, BlockFile, BlockMethod, DataRec, Packed, SwitchRec, Trace, TraceFormat,
 };
 use dejavu_repro::qc::{check, Gen};
 use dejavu_repro::qc_assert;
+use dejavu_repro::store::backend::encode_record;
 use dejavu_repro::store::Store;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -450,6 +451,23 @@ fn crafted_store_damage_is_typed() {
     std::fs::write(seg, segments::seal(&with(commit, Some(stranger)))).expect("rename entry");
     let store = Store::open(&root).expect("reopen");
     assert_eq!(store.entries().expect_err("misnamed entry").code(), 1);
+    drop(store);
+
+    // A valid block record no entry names, sealed into the put: nothing
+    // reads it, and the first pass that finds dead bytes drops it.
+    let raw = b"a block no entry names ".repeat(4);
+    let mut extra = frames.clone();
+    extra.insert(commit, (b'B', encode_record(digest128(&raw), &Packed::pack(&raw))));
+    std::fs::write(seg, segments::seal(&extra)).expect("add a block");
+    let store = Store::open(&root).expect("reopen");
+    let blocks = |s: &Store| s.disk_stats().unwrap().field("blocks").unwrap().as_u64().unwrap();
+    let named = blocks(&store) - 1;
+    store.put_bytes("wa", 1, &bytes, 9, "p").expect("a new policy: dead bytes");
+    let gc = store.gc().expect("gc");
+    assert_eq!((gc.segments, gc.removed_blocks, gc.live_blocks), (1, 1, named));
+    assert_eq!(blocks(&store), named);
+    assert_eq!(store.gc().expect("second gc").segments, 0, "the first pass left work");
+    assert_eq!(store.get_bytes(&id).expect("get"), bytes);
     drop(store);
     let _ = std::fs::remove_dir_all(&root);
 }
