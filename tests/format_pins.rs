@@ -5,13 +5,17 @@
 //! values the version 1 build computed for a fixed run still hold. And a
 //! version 1 file or record is refused with a typed error (CLI exit 1),
 //! not decoded by a second path. And the trace sizes E5 reports are
-//! pinned at the values the deleted flat encoder measured.
+//! pinned at the values the deleted flat encoder measured. And what the
+//! observer writes — metrics JSON, the event rings of a divergence
+//! report, the profile artifacts — is pinned byte for byte.
 
 use dejavu_repro::baselines::trace_size_comparison;
 use dejavu_repro::codec::{digest128, get_varint};
+use dejavu_repro::debugger::DebugSession;
 use dejavu_repro::dejavu::{
-    encode_trace, ingest_bytes, record_run, BlockFile, DataRec, ExecSpec, SwitchRec,
-    SymmetryConfig, Trace, TraceError, TraceFormat, DEFAULT_BLOCK_BUDGET,
+    encode_trace, ingest_bytes, profile_replay, record_replay_forensic, record_run,
+    run_metrics_json, Ablation, BlockFile, DataRec, ExecSpec, SwitchRec, SymmetryConfig, Trace,
+    TraceError, TraceFormat, DEFAULT_BLOCK_BUDGET,
 };
 use dejavu_repro::fleet::spec_for;
 use dejavu_repro::store::Store;
@@ -311,4 +315,124 @@ fn every_e5_trace_size_is_pinned() {
         assert_eq!(g, want, "line {i}");
     }
     assert_eq!(got, TRACE_SIZES, "table length");
+}
+
+/// Every byte the observer writes for one registry run, by artifact: the
+/// canonical metrics JSON of a record and its replay with telemetry on;
+/// the `DivergenceReport` of the liveClock ablation and both sides'
+/// metrics (their event rings); the profile's Chrome trace, folded stacks
+/// and summary; and the debugger's metrics document after a replay to the
+/// end. `heap_words` small enough forces collections.
+fn observer_bytes(name: &str, seed: u64, heap_words: Option<usize>) -> Vec<(&'static str, String)> {
+    let w = workloads::registry()
+        .into_iter()
+        .find(|w| w.name == name)
+        .unwrap();
+    let mut spec = spec_for(&w, seed).with_telemetry();
+    if let Some(words) = heap_words {
+        spec.vm.heap_words = words;
+    }
+    let out = record_replay_forensic(&spec, w.natives, SymmetryConfig::full());
+    assert!(out.accurate, "{name}");
+    let ablated = record_replay_forensic(
+        &spec,
+        w.natives,
+        SymmetryConfig::ablate(Ablation::LiveClock),
+    );
+    let report = ablated.report.as_ref().expect("the ablation diverges");
+    assert!(report.first.is_some(), "{name}: the rings localize it");
+    let (_, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
+    let (profile, _, _) = profile_replay(&spec, trace.clone(), SymmetryConfig::full());
+    let mut session = DebugSession::new(&spec, trace, 5_000, Vec::new());
+    session.cont();
+    vec![
+        (
+            "record",
+            run_metrics_json(&out.record, Some(&out.trace_stats)).to_string(),
+        ),
+        ("replay", run_metrics_json(&out.replay, None).to_string()),
+        ("divergence", report.to_json().to_string()),
+        (
+            "ablated.record",
+            run_metrics_json(&ablated.record, None).to_string(),
+        ),
+        (
+            "ablated.replay",
+            run_metrics_json(&ablated.replay, None).to_string(),
+        ),
+        ("chrome", profile.chrome_json().to_string()),
+        ("folded", profile.folded()),
+        ("summary", profile.summary_json(10).to_string()),
+        ("debugger", session.metrics_json()),
+    ]
+}
+
+/// One line per artifact: `<run> <artifact> <digest128 of its bytes>`.
+/// The runs between them hold every event kind the VM reports: switches,
+/// compiles, class loads, collections and closed-loop compiles
+/// (`gc_pressure` on a small heap), native calls with callbacks
+/// (`server_loop`), stack growths (`recursion_storm`) and clock reads
+/// (`clock_spin`).
+fn observer_table() -> String {
+    let runs = [
+        ("gc_pressure", Some(8 * 1024)),
+        ("server_loop", None),
+        ("recursion_storm", None),
+        ("clock_spin", None),
+    ];
+    let mut out = String::new();
+    for (name, heap_words) in runs {
+        for (what, bytes) in observer_bytes(name, 1, heap_words) {
+            out += &format!("{name} {what} {}\n", digest128(bytes.as_bytes()).hex());
+        }
+    }
+    out
+}
+
+const OBSERVER_BYTES: &str = "\
+gc_pressure record 90c3e73f458f94216363c40914093b49
+gc_pressure replay 83b076e205f01d4b619d3869dec6ab76
+gc_pressure divergence 662e251c88b64a52fee1b9e98d4c11db
+gc_pressure ablated.record d8fb298cb0b9d223589a59201e8ff62d
+gc_pressure ablated.replay a23a5b755120f7cfde7b85ac09b84ac9
+gc_pressure chrome 340b992eb7b3d36d53c1905499f2909b
+gc_pressure folded f7ebc9f57f47d551e0632f8ded79af1f
+gc_pressure summary e8271d342e172f93643e9e43ebfa90a4
+gc_pressure debugger 3bab7f63776f15d01031fefd53d11a22
+server_loop record 9b9aab911b471fc5e17fd6a921f9b9ac
+server_loop replay f0069e8d5a7d512c6f5e4ddb90827ace
+server_loop divergence af71685474ab5715603a957ff3d0d18f
+server_loop ablated.record f6f5699db3af192c4c758203aaee4104
+server_loop ablated.replay 76c9f245121af3a164ca428ce1f0dea7
+server_loop chrome a7dd20cc431883670cbf64258ae041ff
+server_loop folded 271dfe3697f1bff2f42d9dd0b68e647d
+server_loop summary adf261fbd47cba8f19951f491dd3ce0b
+server_loop debugger 6983540c5a6956007f1b68a412186b2d
+recursion_storm record 13c95f390d92105e45a4bf31faf64c9e
+recursion_storm replay e98ab7c7875bb8ad9886e26f49510d4d
+recursion_storm divergence a513b1feb2e651ba4fe53cec2d767019
+recursion_storm ablated.record 4de57ce835214bb4d08374662d2fa527
+recursion_storm ablated.replay c15e001b892cf45a8bcd34c913b403f5
+recursion_storm chrome 4f0863ccbc67294f6456a3d56e791145
+recursion_storm folded 4d5ffe12ce9c6ba203aa4dbe0b0e3fae
+recursion_storm summary 05b19765d762ac70769641fd0e070bb2
+recursion_storm debugger 1aa33e3946cc7f97ceddf53912a33e48
+clock_spin record 166a8920799414550e14a8c295dde617
+clock_spin replay 160ec71a154ed9bc1f51ef3ff6d332d6
+clock_spin divergence d164a9a83a864990ed3205c8414f0d15
+clock_spin ablated.record 16bc0a4185c69a7d2e1a2b4c66f0ac6b
+clock_spin ablated.replay ca92cd0df37525c095c9b1ed4389f07d
+clock_spin chrome 1cac75bcec8d01ed00255d5e676094c2
+clock_spin folded f5edf42cdeaf9735c1f9e18ddca27876
+clock_spin summary c70d2bcaaf783d391671286e33518db3
+clock_spin debugger 5cdb002e17ce6a5eab9aa0d55d1d8f79
+";
+
+#[test]
+fn every_observer_artifact_is_pinned() {
+    let got = observer_table();
+    for (i, (g, want)) in got.lines().zip(OBSERVER_BYTES.lines()).enumerate() {
+        assert_eq!(g, want, "line {i}");
+    }
+    assert_eq!(got, OBSERVER_BYTES, "table length");
 }
