@@ -287,14 +287,7 @@ impl DebugSession {
             ("cycles", Json::UInt(vm.cycles)),
             ("ring", vm.telem.ring.to_json()),
             ("session", session.to_json()),
-            (
-                "histograms",
-                Json::obj(vec![
-                    ("alloc_words", vm.telem.alloc_words.to_json()),
-                    ("compile_words", vm.telem.compile_words.to_json()),
-                    ("timer_intervals", vm.telem.timer_intervals.to_json()),
-                ]),
-            ),
+            ("histograms", vm.telem.histograms.to_json()),
         ]);
         j.canonicalize();
         j.to_string()

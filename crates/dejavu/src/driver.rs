@@ -40,8 +40,6 @@ pub struct ExecSpec {
     /// guest heap, the logical clock, the fingerprint, and the state
     /// digest (and the neutrality test suite proves it).
     pub telemetry: bool,
-    /// Event-ring capacity when `telemetry` is on.
-    pub telemetry_ring: usize,
     /// Arm the replay-time profiler (`telemetry::profile`) on every VM
     /// this spec builds. Like `telemetry`, a pure observer: fingerprints
     /// and state digests are bit-identical with it on or off.
@@ -61,7 +59,6 @@ impl ExecSpec {
             clock_noise: 3,
             max_steps: 200_000_000,
             telemetry: false,
-            telemetry_ring: telemetry::DEFAULT_RING_CAP,
             profile: false,
         }
     }
@@ -119,9 +116,8 @@ impl ExecSpec {
         )
         .expect("boot failed");
         if self.telemetry {
-            vm.enable_telemetry(self.telemetry_ring);
+            vm.enable_telemetry();
         }
-        // After enable_telemetry: enabling telemetry replaces the sink.
         if self.profile {
             vm.enable_profiler();
         }

@@ -18,7 +18,7 @@ use codec::Json;
 use djvm::sched::SchedPressure;
 use djvm::vm::VmCounters;
 use djvm::{Vm, VmStatus};
-use telemetry::{first_mismatch, Event, Histogram, RingMismatch};
+use telemetry::{first_mismatch, EventRing, Histograms, RingMismatch};
 
 /// End-of-phase cumulative marks, in deterministic units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,13 +62,8 @@ pub struct RunTelemetry {
     pub mode: &'static str,
     pub timer: &'static str,
     pub wall: &'static str,
-    pub ring_events: Vec<Event>,
-    pub ring_dropped: u64,
-    pub ring_next_seq: u64,
-    pub ring_capacity: usize,
-    pub timer_intervals: Histogram,
-    pub alloc_words: Histogram,
-    pub compile_words: Histogram,
+    pub ring: EventRing,
+    pub histograms: Histograms,
     pub heap: djvm::heap::HeapStats,
     pub pressure: SchedPressure,
     /// `(tid, yield_points)` — each thread's final logical clock.
@@ -89,13 +84,8 @@ impl RunTelemetry {
             mode,
             timer: vm.timer.describe(),
             wall: vm.wall.describe(),
-            ring_events: vm.telem.ring.events(),
-            ring_dropped: vm.telem.ring.dropped(),
-            ring_next_seq: vm.telem.ring.next_seq(),
-            ring_capacity: vm.telem.ring.capacity(),
-            timer_intervals: vm.telem.timer_intervals.clone(),
-            alloc_words: vm.telem.alloc_words.clone(),
-            compile_words: vm.telem.compile_words.clone(),
+            ring: vm.telem.ring.clone(),
+            histograms: vm.telem.histograms.clone(),
             heap: vm.heap.stats,
             pressure: vm.sched.pressure(),
             thread_clocks: vm.threads.iter().map(|t| (t.tid, t.yield_points)).collect(),
@@ -128,20 +118,6 @@ impl RunTelemetry {
             ("sleepers", Json::UInt(self.pressure.sleepers as u64)),
             ("waiting", Json::UInt(self.pressure.waiting as u64)),
         ]);
-        let ring = Json::obj(vec![
-            ("capacity", Json::UInt(self.ring_capacity as u64)),
-            ("dropped", Json::UInt(self.ring_dropped)),
-            (
-                "events",
-                Json::Arr(self.ring_events.iter().map(|e| e.to_json()).collect()),
-            ),
-            ("next_seq", Json::UInt(self.ring_next_seq)),
-        ]);
-        let histograms = Json::obj(vec![
-            ("alloc_words", self.alloc_words.to_json()),
-            ("compile_words", self.compile_words.to_json()),
-            ("timer_intervals", self.timer_intervals.to_json()),
-        ]);
         let threads = Json::Arr(
             self.thread_clocks
                 .iter()
@@ -155,7 +131,7 @@ impl RunTelemetry {
         );
         Json::obj(vec![
             ("heap", heap),
-            ("histograms", histograms),
+            ("histograms", self.histograms.to_json()),
             (
                 "meta",
                 Json::obj(vec![
@@ -168,7 +144,7 @@ impl RunTelemetry {
                 "phases",
                 Json::Arr(self.phases.iter().map(|p| p.to_json()).collect()),
             ),
-            ("ring", ring),
+            ("ring", self.ring.to_json()),
             ("sched", sched),
             ("threads", threads),
         ])
@@ -275,7 +251,7 @@ impl DivergenceReport {
     /// Align the two sides of a diverged record/replay pair.
     pub fn build(record: &RunReport, replay: &RunReport, desyncs: Vec<Desync>) -> Self {
         let first = match (&record.telemetry, &replay.telemetry) {
-            (Some(a), Some(b)) => first_mismatch(&a.ring_events, &b.ring_events),
+            (Some(a), Some(b)) => first_mismatch(&a.ring.events(), &b.ring.events()),
             _ => None,
         };
         let thread_clock_deltas = match (&record.telemetry, &replay.telemetry) {
@@ -317,12 +293,12 @@ impl DivergenceReport {
             record_ring_dropped: record
                 .telemetry
                 .as_ref()
-                .map(|t| t.ring_dropped)
+                .map(|t| t.ring.dropped())
                 .unwrap_or(0),
             replay_ring_dropped: replay
                 .telemetry
                 .as_ref()
-                .map(|t| t.ring_dropped)
+                .map(|t| t.ring.dropped())
                 .unwrap_or(0),
         }
     }
@@ -391,7 +367,7 @@ impl DivergenceReport {
             out.push_str(&format!(
                 "event ring wrapped: record dropped {} event(s), replay dropped {} — \
                  localization covers only the retained window; the true first \
-                 mismatch may be earlier (raise the ring capacity to widen it)\n",
+                 mismatch may be earlier (raise telemetry::DEFAULT_RING_CAP to widen it)\n",
                 self.record_ring_dropped, self.replay_ring_dropped,
             ));
         }
@@ -423,6 +399,17 @@ mod tests {
     use super::*;
 
     fn fake_report(fingerprint: u64, ring_dropped: u64) -> RunReport {
+        // A ring that holds nothing counts every event it is handed as dropped.
+        let mut ring = EventRing::new(0);
+        for collection in 0..ring_dropped {
+            ring.push(
+                0,
+                telemetry::VmEvent::GcEnd {
+                    collection,
+                    words: 0,
+                },
+            );
+        }
         RunReport {
             status: VmStatus::Halted,
             output: String::new(),
@@ -436,13 +423,8 @@ mod tests {
                 mode: "record",
                 timer: "fixed",
                 wall: "cycle",
-                ring_events: Vec::new(),
-                ring_dropped,
-                ring_next_seq: ring_dropped,
-                ring_capacity: 4,
-                timer_intervals: Histogram::new(),
-                alloc_words: Histogram::new(),
-                compile_words: Histogram::new(),
+                ring,
+                histograms: Histograms::default(),
                 heap: Default::default(),
                 pressure: Default::default(),
                 thread_clocks: Vec::new(),

@@ -31,6 +31,7 @@ use crate::program::Program;
 use crate::thread::Tid;
 use crate::vm::{frame_slots, Vm};
 use std::sync::Arc;
+use telemetry::VmEvent;
 
 /// Collect garbage. Called by the VM when an allocation fails.
 pub fn collect(vm: &mut Vm) {
@@ -40,37 +41,17 @@ pub fn collect(vm: &mut Vm) {
         vm.heap.stats.partial_commit_collections += 1;
     }
     let words_before = vm.heap.stats.words_copied_or_swept;
-    if let Some(p) = vm.telem.profile.as_deref_mut() {
-        p.phase_begin(
-            vm.sched.current,
-            telemetry::profile::PHASE_GC,
-            vm.heap.stats.collections + 1,
-            vm.cycles,
-        );
-    }
+    let collection = vm.heap.stats.collections + 1;
+    vm.note(VmEvent::GcBegin { collection });
     match vm.heap.kind() {
         GcKind::MarkSweep => mark_sweep(vm),
         GcKind::Copying => copying(vm),
     }
-    vm.heap.stats.collections += 1;
-    vm.fingerprint.event(0x6C, vm.heap.stats.collections, 0);
-    let tid = vm.sched.current;
-    vm.telem.event(
-        tid,
-        telemetry::EventKind::Gc {
-            collection: vm.heap.stats.collections,
-        },
-    );
-    if let Some(p) = vm.telem.profile.as_deref_mut() {
-        // Zero-width in logical time (GC runs between guest instructions);
-        // the work done is carried in the arg instead.
-        p.phase_end(
-            tid,
-            telemetry::profile::PHASE_GC,
-            vm.heap.stats.words_copied_or_swept - words_before,
-            vm.cycles,
-        );
-    }
+    vm.heap.stats.collections = collection;
+    // Zero-width in logical time (GC runs between guest instructions);
+    // the work done is carried in the event instead.
+    let words = vm.heap.stats.words_copied_or_swept - words_before;
+    vm.note(VmEvent::GcEnd { collection, words });
 }
 
 /// Address of every reference slot in every frame of every thread.

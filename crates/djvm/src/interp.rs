@@ -41,6 +41,7 @@ use crate::objref;
 use crate::sched::{EntryWaiter, Sleeper, WaitEntry};
 use crate::thread::{SavedPc, ThreadStatus, Tid};
 use crate::vm::{ArgSource, ErrKind, Vm, VmError, VmStatus};
+use telemetry::VmEvent;
 
 /// How the executed instruction affected the pc.
 enum Flow {
@@ -166,7 +167,9 @@ impl Cursor {
             debug_assert_eq!(k, 1, "a batch crossed a timer tick");
             vm.preempt_bit = true;
             self.to_tick = vm.timer.next_interval();
-            vm.telem.timer_interval(self.to_tick);
+            vm.note(VmEvent::TimerTick {
+                interval: self.to_tick,
+            });
         }
     }
 
@@ -543,7 +546,10 @@ fn raise_err(vm: &mut Vm, hook: &mut dyn ExecHook, e: VmError) {
     if vm.status.is_running() {
         vm.status = VmStatus::Error(e);
     }
-    vm.fingerprint.event(0xE44, e.kind as u64, e.pc as u64);
+    vm.note(VmEvent::Error {
+        kind: e.kind as u32,
+        pc: e.pc,
+    });
     hook.on_halt(vm);
 }
 
@@ -853,7 +859,9 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
         }
         Op::Halt => {
             vm.status = VmStatus::Halted;
-            vm.fingerprint.event(0x4A17, 0, 0);
+            vm.note(VmEvent::Halt {
+                all_terminated: false,
+            });
             hook.on_halt(vm);
             Ok(Flow::Managed)
         }
@@ -917,27 +925,9 @@ fn native_call(
     for i in (0..nargs as usize).rev() {
         args[i] = vm.pop_word() as i64;
     }
-    if let Some(p) = vm.telem.profile.as_deref_mut() {
-        p.phase_begin(
-            vm.sched.current,
-            telemetry::profile::PHASE_NATIVE,
-            native as u64,
-            vm.cycles,
-        );
-    }
+    vm.note(VmEvent::NativeBegin { method: native });
     let outcome = hook.on_native_call(vm, native, &args);
-    vm.counters.native_calls += 1;
-    let tid = vm.sched.current;
-    vm.telem
-        .event(tid, telemetry::EventKind::NativeCall { method: native });
-    if let Some(p) = vm.telem.profile.as_deref_mut() {
-        p.phase_end(
-            tid,
-            telemetry::profile::PHASE_NATIVE,
-            native as u64,
-            vm.cycles,
-        );
-    }
+    vm.note(VmEvent::NativeEnd { method: native });
     if vm.program.natives[native as usize].returns {
         vm.push_word(outcome.ret as Word);
     }
@@ -967,10 +957,7 @@ fn invoke(vm: &mut Vm, hook: &mut dyn ExecHook, callee: MethodId) -> Result<(), 
 /// exactly what the guest observed.)
 fn clock_read(vm: &mut Vm, hook: &mut dyn ExecHook) -> i64 {
     let v = hook.on_clock_read(vm);
-    vm.counters.clock_reads += 1;
-    let tid = vm.sched.current;
-    vm.telem
-        .event(tid, telemetry::EventKind::ClockRead { value: v });
+    vm.note(VmEvent::ClockRead { value: v });
     v
 }
 
@@ -1025,9 +1012,7 @@ fn do_return(vm: &mut Vm, hook: &mut dyn ExecHook, retv: Option<Word>) {
         t.method = caller_method;
         t.pc = saved.caller_pc.wrapping_add(1);
     }
-    if let Some(p) = vm.telem.profile.as_deref_mut() {
-        p.exit(cur as Tid, exiting, vm.cycles);
-    }
+    vm.note(VmEvent::Exit { method: exiting });
     if let Some(v) = retv {
         if !saved.discard_result {
             vm.push_word(v);
@@ -1053,10 +1038,7 @@ fn terminate_current(vm: &mut Vm, hook: &mut dyn ExecHook) {
         t.fp = 0;
         t.sp = 0;
     }
-    vm.fingerprint.event(0x7E43, cur as u64, 0);
-    if let Some(p) = vm.telem.profile.as_deref_mut() {
-        p.thread_end(cur, vm.cycles);
-    }
+    vm.note(VmEvent::ThreadEnd);
     if let Some(waiters) = vm.sched.join_waiters.remove(&cur) {
         for w in waiters {
             vm.threads[w as usize].status = ThreadStatus::Ready;
@@ -1171,14 +1153,8 @@ fn schedule_next(vm: &mut Vm, hook: &mut dyn ExecHook) {
         if let Some(tid) = vm.sched.ready.pop_front() {
             vm.sched.current = tid;
             vm.threads[tid as usize].status = ThreadStatus::Running;
-            vm.counters.thread_switches += 1;
-            let yp = vm.threads[tid as usize].yield_points;
-            vm.fingerprint.thread_switch(tid, yp);
-            vm.telem
-                .event(tid, telemetry::EventKind::Switch { to: tid, nyp: yp });
-            if let Some(p) = vm.telem.profile.as_deref_mut() {
-                p.switch_to(tid, yp, vm.cycles);
-            }
+            let nyp = vm.threads[tid as usize].yield_points;
+            vm.note(VmEvent::Switch { to: tid, nyp });
             hook.on_thread_switch(vm, tid);
             return;
         }
@@ -1202,7 +1178,9 @@ fn schedule_next(vm: &mut Vm, hook: &mut dyn ExecHook) {
                 // A replay desync (recorded clock never reaches the
                 // deadline) — fail deterministically rather than spin.
                 vm.status = VmStatus::Deadlocked;
-                vm.fingerprint.event(0xDEAD, 1, 0);
+                vm.note(VmEvent::Deadlock {
+                    clock_stalled: true,
+                });
                 hook.on_halt(vm);
                 return;
             }
@@ -1215,10 +1193,14 @@ fn schedule_next(vm: &mut Vm, hook: &mut dyn ExecHook) {
             .all(|t| t.status == ThreadStatus::Terminated)
         {
             vm.status = VmStatus::Halted;
-            vm.fingerprint.event(0x4A17, 1, 0);
+            vm.note(VmEvent::Halt {
+                all_terminated: true,
+            });
         } else {
             vm.status = VmStatus::Deadlocked;
-            vm.fingerprint.event(0xDEAD, 0, 0);
+            vm.note(VmEvent::Deadlock {
+                clock_stalled: false,
+            });
         }
         hook.on_halt(vm);
         return;
@@ -2050,7 +2032,7 @@ mod tests {
     #[test]
     fn closed_loops_tier_up_and_retire_passes() {
         let mut vm = boot_mega(mega_workout(), true, 10_000);
-        vm.enable_telemetry(256);
+        vm.enable_telemetry();
         let mut h = Passthrough;
         run(&mut vm, &mut h, 10_000_000);
         assert!(!vm.status.is_running());
@@ -2071,11 +2053,11 @@ mod tests {
             .ring
             .events()
             .into_iter()
-            .filter(|e| matches!(e.kind, telemetry::EventKind::MegaCompile { .. }))
+            .filter(|e| matches!(e.kind, telemetry::VmEvent::MegaCompile { .. }))
             .collect();
         assert_eq!(megas.len() as u64, st.tier_ups);
         for e in &megas {
-            if let telemetry::EventKind::MegaCompile {
+            if let telemetry::VmEvent::MegaCompile {
                 trip_count,
                 block_width,
                 ..

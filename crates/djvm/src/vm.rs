@@ -19,6 +19,7 @@ use crate::sched::Scheduler;
 use crate::thread::{SavedPc, ThreadState, ThreadStatus, Tid};
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use telemetry::VmEvent;
 
 /// Fatal guest error kinds. All are deterministic: the same program with
 /// the same replayed inputs fails identically (and the fingerprint captures
@@ -303,7 +304,7 @@ impl Vm {
             output: String::new(),
             fingerprint,
             counters: VmCounters::default(),
-            telem: telemetry::VmTelemetry::disabled(),
+            telem: telemetry::VmTelemetry::default(),
             mega,
             config,
             boot_image: BootImage::default(),
@@ -337,20 +338,18 @@ impl Vm {
         Ok(vm)
     }
 
-    /// Turn on the observer-only telemetry sink with an event ring of
-    /// `ring_cap` entries. Safe at any point; neutrality is guaranteed
+    /// Turn on the observer-only event ring and histograms (an armed
+    /// profiler stays armed). Safe at any point; neutrality is guaranteed
     /// because nothing in the sink is guest-visible.
-    pub fn enable_telemetry(&mut self, ring_cap: usize) {
-        self.telem = telemetry::VmTelemetry::enabled(ring_cap);
+    pub fn enable_telemetry(&mut self) {
+        self.telem.enable();
     }
 
-    /// Arm the replay-time profiler (see `telemetry::profile`). Call
-    /// *after* [`Vm::enable_telemetry`] if both are wanted — enabling
-    /// telemetry replaces the whole sink. Safe at any point: the profiler
-    /// seeds itself from the live frame chains so spans opened before
-    /// arming still close correctly, and like the rest of the sink it is
-    /// pure observer state (never guest-visible, never fingerprinted,
-    /// never snapshotted into guest state).
+    /// Arm the replay-time profiler (see `telemetry::profile`). Safe at
+    /// any point: the profiler seeds itself from the live frame chains so
+    /// spans opened before arming still close correctly, and like the
+    /// rest of the sink it is pure observer state (never guest-visible,
+    /// never fingerprinted, never snapshotted into guest state).
     pub fn enable_profiler(&mut self) {
         let mut p = telemetry::Profiler::new(crate::compile::QOP_KIND_COUNT);
         for t in &self.threads {
@@ -372,13 +371,63 @@ impl Vm {
                 fp = sfp;
             }
             for &m in chain.iter().rev() {
-                p.enter(t.tid, m, self.cycles);
+                p.note(self.cycles, t.tid, VmEvent::Enter { method: m });
             }
         }
-        let cur = self.sched.current;
-        let nyp = self.threads[cur as usize].yield_points;
-        p.switch_to(cur, nyp, self.cycles);
+        let to = self.sched.current;
+        let nyp = self.threads[to as usize].yield_points;
+        p.note(self.cycles, to, VmEvent::Switch { to, nyp });
         self.telem.profile = Some(Box::new(p));
+    }
+
+    /// Report one VM event: the one call at every event site. It bumps
+    /// the event's counter and folds it into the fingerprint (the tags
+    /// below are frozen: recorded fingerprints are compared for
+    /// equality), then hands it to the observer sinks, which keep the
+    /// variants their views need (`telemetry::event`). Inlined, so a site
+    /// keeps only its own arm and, with every sink off, one branch per
+    /// sink its event could reach.
+    #[inline(always)]
+    pub(crate) fn note(&mut self, ev: VmEvent) {
+        let tid = self.sched.current;
+        match ev {
+            VmEvent::Switch { to, nyp } => {
+                self.counters.thread_switches += 1;
+                self.fingerprint.thread_switch(to, nyp);
+            }
+            VmEvent::ClockRead { .. } => self.counters.clock_reads += 1,
+            VmEvent::NativeEnd { .. } => self.counters.native_calls += 1,
+            VmEvent::GcEnd { collection, .. } => self.fingerprint.event(0x6C, collection, 0),
+            VmEvent::StackGrowth { new_words } => {
+                self.counters.stack_growths += 1;
+                self.fingerprint.event(0x57AC, new_words, 0);
+            }
+            VmEvent::Compile { method, .. } => {
+                self.counters.methods_compiled += 1;
+                self.fingerprint.event(0xC0DE, method as u64, 0);
+            }
+            VmEvent::ClassLoad { class } => {
+                self.counters.class_loads += 1;
+                self.fingerprint.event(0xC1A55, class as u64, 0);
+            }
+            VmEvent::MegaCompile { .. } => self.mega.stats.tier_ups += 1,
+            VmEvent::ThreadStart { tid, method } => {
+                self.fingerprint.event(0x59A3, tid as u64, method as u64);
+                if let Some(p) = self.telem.profile.as_deref_mut() {
+                    p.thread_name(tid, &self.threads[tid as usize].name);
+                }
+            }
+            VmEvent::ThreadEnd => self.fingerprint.event(0x7E43, tid as u64, 0),
+            VmEvent::Halt { all_terminated } => {
+                self.fingerprint.event(0x4A17, all_terminated as u64, 0)
+            }
+            VmEvent::Deadlock { clock_stalled } => {
+                self.fingerprint.event(0xDEAD, clock_stalled as u64, 0)
+            }
+            VmEvent::Error { kind, pc } => self.fingerprint.event(0xE44, kind as u64, pc as u64),
+            _ => {}
+        }
+        self.telem.note(tid, self.cycles, ev);
     }
 
     fn err(&self, kind: ErrKind) -> VmError {
@@ -394,7 +443,10 @@ impl Vm {
     pub(crate) fn fail(&mut self, kind: ErrKind) -> VmError {
         let e = self.err(kind);
         self.status = VmStatus::Error(e);
-        self.fingerprint.event(0xE44, kind as u64, e.pc as u64);
+        self.note(VmEvent::Error {
+            kind: kind as u32,
+            pc: e.pc,
+        });
         e
     }
 
@@ -436,18 +488,12 @@ impl Vm {
         }
         let trip = *h as u64;
         if let Some(cl) = crate::compile::compile_loop(&self.program, method, head) {
-            let width = cl.width;
-            self.mega.stats.tier_ups += 1;
-            let tid = self.sched.current;
-            self.telem.event(
-                tid,
-                telemetry::EventKind::MegaCompile {
-                    method: method as u32,
-                    loop_pc: head,
-                    trip_count: trip,
-                    block_width: width,
-                },
-            );
+            self.note(VmEvent::MegaCompile {
+                method,
+                loop_pc: head,
+                trip_count: trip,
+                block_width: cl.width,
+            });
             let mm = self.mega.methods[method as usize].as_mut().unwrap();
             mm.loops[head as usize] = Some(Arc::new(cl));
         }
@@ -464,46 +510,31 @@ impl Vm {
     // Allocation (with GC retry)
     // ------------------------------------------------------------------
 
-    pub(crate) fn alloc_scalar(&mut self, class: ClassId, nfields: usize) -> Result<Addr, VmError> {
+    /// Allocate through `alloc`, collecting and retrying once when the
+    /// heap is full, and report the words taken.
+    fn alloc_with(&mut self, alloc: impl Fn(&mut Heap) -> Option<Addr>) -> Result<Addr, VmError> {
         let before = self.heap.stats.words_allocated;
-        let a = if let Some(a) = self.heap.alloc_scalar(class, nfields) {
+        let a = if let Some(a) = alloc(&mut self.heap) {
             Ok(a)
         } else {
             crate::gc::collect(self);
-            self.heap
-                .alloc_scalar(class, nfields)
-                .ok_or_else(|| self.err(ErrKind::OutOfMemory))
+            alloc(&mut self.heap).ok_or_else(|| self.err(ErrKind::OutOfMemory))
         };
-        self.telem.alloc(self.heap.stats.words_allocated - before);
+        let words = self.heap.stats.words_allocated - before;
+        self.note(VmEvent::Alloc { words });
         a
+    }
+
+    pub(crate) fn alloc_scalar(&mut self, class: ClassId, nfields: usize) -> Result<Addr, VmError> {
+        self.alloc_with(|heap| heap.alloc_scalar(class, nfields))
     }
 
     pub(crate) fn alloc_classobj(&mut self, class: ClassId, n: usize) -> Result<Addr, VmError> {
-        let before = self.heap.stats.words_allocated;
-        let a = if let Some(a) = self.heap.alloc_classobj(class, n) {
-            Ok(a)
-        } else {
-            crate::gc::collect(self);
-            self.heap
-                .alloc_classobj(class, n)
-                .ok_or_else(|| self.err(ErrKind::OutOfMemory))
-        };
-        self.telem.alloc(self.heap.stats.words_allocated - before);
-        a
+        self.alloc_with(|heap| heap.alloc_classobj(class, n))
     }
 
     pub(crate) fn alloc_array(&mut self, kind: ArrKind, len: usize) -> Result<Addr, VmError> {
-        let before = self.heap.stats.words_allocated;
-        let a = if let Some(a) = self.heap.alloc_array(kind, len) {
-            Ok(a)
-        } else {
-            crate::gc::collect(self);
-            self.heap
-                .alloc_array(kind, len)
-                .ok_or_else(|| self.err(ErrKind::OutOfMemory))
-        };
-        self.telem.alloc(self.heap.stats.words_allocated - before);
-        a
+        self.alloc_with(|heap| heap.alloc_array(kind, len))
     }
 
     /// Allocate a guest array from host code (hooks/tools), protected
@@ -581,11 +612,7 @@ impl Vm {
         let n = self.program.static_layouts[class as usize].len();
         let a = self.alloc_classobj(class, n)?;
         self.class_objects[class as usize] = Some(a);
-        self.counters.class_loads += 1;
-        self.fingerprint.event(0xC1A55, class as u64, 0);
-        let tid = self.sched.current;
-        self.telem
-            .event(tid, telemetry::EventKind::ClassLoad { class });
+        self.note(VmEvent::ClassLoad { class });
         Ok(a)
     }
 
@@ -597,29 +624,12 @@ impl Vm {
         let len = self.program.compiled(m).code_words();
         let a = self.alloc_array(ArrKind::Int, len)?;
         self.code_objects[m as usize] = Some(a);
-        self.counters.methods_compiled += 1;
-        self.fingerprint.event(0xC0DE, m as u64, 0);
-        let tid = self.sched.current;
-        self.telem
-            .event(tid, telemetry::EventKind::Compile { method: m });
-        self.telem.compile(len as u64);
-        if let Some(p) = self.telem.profile.as_deref_mut() {
-            // Zero-width span: compilation costs no logical cycles (the
-            // triggering call's cycle stays with its method); arg carries
-            // method id in, code words out.
-            p.phase_begin(
-                tid,
-                telemetry::profile::PHASE_COMPILE,
-                m as u64,
-                self.cycles,
-            );
-            p.phase_end(
-                tid,
-                telemetry::profile::PHASE_COMPILE,
-                len as u64,
-                self.cycles,
-            );
-        }
+        // Costs no logical cycles: the triggering call's cycle stays with
+        // its method.
+        self.note(VmEvent::Compile {
+            method: m,
+            words: len as u64,
+        });
         Ok(())
     }
 
@@ -809,11 +819,7 @@ impl Vm {
             name: name.to_string(),
         });
         self.sched.ready.push_back(tid);
-        self.fingerprint.event(0x59A3, tid as u64, method as u64);
-        if let Some(p) = self.telem.profile.as_deref_mut() {
-            p.thread_name(tid, name);
-            p.enter(tid, method, self.cycles);
-        }
+        self.note(VmEvent::ThreadStart { tid, method });
         Ok(tid)
     }
 
@@ -837,15 +843,9 @@ impl Vm {
         let t = &mut self.threads[cur];
         t.stack_obj = new_obj;
         t.rebase_stack(&mut self.heap, new_obj.wrapping_sub(old_obj));
-        self.counters.stack_growths += 1;
-        self.fingerprint.event(0x57AC, new_len as u64, 0);
-        let tid = self.sched.current;
-        self.telem.event(
-            tid,
-            telemetry::EventKind::StackGrowth {
-                new_words: new_len as u64,
-            },
-        );
+        self.note(VmEvent::StackGrowth {
+            new_words: new_len as u64,
+        });
         Ok(())
     }
 
@@ -929,9 +929,7 @@ impl Vm {
         t.sp = fp_new + 3 + nlocals as u64;
         t.method = callee;
         t.pc = 0;
-        if let Some(p) = self.telem.profile.as_deref_mut() {
-            p.enter(self.sched.current, callee, self.cycles);
-        }
+        self.note(VmEvent::Enter { method: callee });
         Ok(())
     }
 

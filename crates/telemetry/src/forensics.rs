@@ -129,9 +129,10 @@ pub fn first_mismatch(record: &[Event], replay: &[Event]) -> Option<RingMismatch
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::{EventKind, EventRing};
+    use crate::event::VmEvent;
+    use crate::ring::EventRing;
 
-    fn ring_of(kinds: &[(u32, EventKind)], cap: usize) -> EventRing {
+    fn ring_of(kinds: &[(u32, VmEvent)], cap: usize) -> EventRing {
         let mut r = EventRing::new(cap);
         for &(tid, k) in kinds {
             r.push(tid, k);
@@ -142,9 +143,15 @@ mod tests {
     #[test]
     fn identical_rings_have_no_mismatch() {
         let evs = [
-            (0, EventKind::Switch { to: 1, nyp: 10 }),
-            (1, EventKind::ClockRead { value: 5 }),
-            (1, EventKind::Gc { collection: 1 }),
+            (0, VmEvent::Switch { to: 1, nyp: 10 }),
+            (1, VmEvent::ClockRead { value: 5 }),
+            (
+                1,
+                VmEvent::GcEnd {
+                    words: 0,
+                    collection: 1,
+                },
+            ),
         ];
         let a = ring_of(&evs, 8);
         let b = ring_of(&evs, 8);
@@ -155,15 +162,15 @@ mod tests {
     fn payload_difference_is_localized() {
         let a = ring_of(
             &[
-                (0, EventKind::Switch { to: 1, nyp: 10 }),
-                (1, EventKind::Switch { to: 0, nyp: 20 }),
+                (0, VmEvent::Switch { to: 1, nyp: 10 }),
+                (1, VmEvent::Switch { to: 0, nyp: 20 }),
             ],
             8,
         );
         let b = ring_of(
             &[
-                (0, EventKind::Switch { to: 1, nyp: 10 }),
-                (1, EventKind::Switch { to: 0, nyp: 21 }),
+                (0, VmEvent::Switch { to: 1, nyp: 10 }),
+                (1, VmEvent::Switch { to: 0, nyp: 21 }),
             ],
             8,
         );
@@ -177,11 +184,25 @@ mod tests {
     #[test]
     fn different_capacities_still_align_on_overlap() {
         // Record ring kept everything; replay ring dropped its oldest.
-        let evs: Vec<(u32, EventKind)> = (0..6)
-            .map(|i| (0, EventKind::Gc { collection: i }))
+        let evs: Vec<(u32, VmEvent)> = (0..6)
+            .map(|i| {
+                (
+                    0,
+                    VmEvent::GcEnd {
+                        words: 0,
+                        collection: i,
+                    },
+                )
+            })
             .collect();
         let mut bad = evs.clone();
-        bad[4] = (0, EventKind::Gc { collection: 99 });
+        bad[4] = (
+            0,
+            VmEvent::GcEnd {
+                words: 0,
+                collection: 99,
+            },
+        );
         let a = ring_of(&evs, 16);
         let b = ring_of(&bad, 3); // retains seqs 3..6
         let m = first_mismatch(&a.events(), &b.events()).unwrap();
@@ -191,12 +212,12 @@ mod tests {
     #[test]
     fn tail_length_difference_is_a_divergence() {
         let evs = [
-            (0, EventKind::ClockRead { value: 1 }),
-            (0, EventKind::ClockRead { value: 2 }),
+            (0, VmEvent::ClockRead { value: 1 }),
+            (0, VmEvent::ClockRead { value: 2 }),
         ];
         let a = ring_of(&evs, 8);
         let mut b = ring_of(&evs, 8);
-        b.push(0, EventKind::ClockRead { value: 3 });
+        b.push(0, VmEvent::ClockRead { value: 3 });
         let m = first_mismatch(&a.events(), &b.events()).unwrap();
         assert_eq!(m.seq, 2);
         assert_eq!(m.record, None);
@@ -206,7 +227,16 @@ mod tests {
 
     #[test]
     fn one_empty_side_diverges_at_first_event() {
-        let a = ring_of(&[(0, EventKind::Gc { collection: 0 })], 8);
+        let a = ring_of(
+            &[(
+                0,
+                VmEvent::GcEnd {
+                    words: 0,
+                    collection: 0,
+                },
+            )],
+            8,
+        );
         let b = EventRing::new(8);
         let m = first_mismatch(&a.events(), &b.events()).unwrap();
         assert_eq!(m.seq, 0);
@@ -216,8 +246,26 @@ mod tests {
 
     #[test]
     fn mismatch_json_is_valid() {
-        let a = ring_of(&[(0, EventKind::Compile { method: 1 })], 4);
-        let b = ring_of(&[(0, EventKind::Compile { method: 2 })], 4);
+        let a = ring_of(
+            &[(
+                0,
+                VmEvent::Compile {
+                    method: 1,
+                    words: 8,
+                },
+            )],
+            4,
+        );
+        let b = ring_of(
+            &[(
+                0,
+                VmEvent::Compile {
+                    method: 2,
+                    words: 8,
+                },
+            )],
+            4,
+        );
         let m = first_mismatch(&a.events(), &b.events()).unwrap();
         assert!(codec::Json::parse(&m.to_json().to_string()).is_ok());
     }

@@ -4,11 +4,11 @@
 //! The paper's posture is "record lightly, analyze heavily during replay":
 //! since a replayed execution is bit-identical to the recorded one, any
 //! analysis too expensive for the recorder can be paid for at replay time
-//! instead. This module is that analysis layer. The VM appends
-//! [`ProfEvent`]s — method-span opens/closes from the interpreter's
-//! call/return sites, zero-width phase spans (gc/compile/native) from the
-//! runtime-service sites, thread switches from the scheduler — and keeps
-//! per-QOp cycle counters fed from the quickened dispatch loop. Everything
+//! instead. This module is that analysis layer. [`Profiler::note`] logs
+//! the [`VmEvent`]s that `Vm::note` hands it — frame enters and exits,
+//! thread starts and ends, switches, and the gc/compile/native events
+//! that bound zero-width phase spans — as [`ProfEvent`]s, and the
+//! quickened dispatch loop feeds per-QOp cycle counters. Everything
 //! downstream (exclusive/inclusive attribution, folded stacks, Chrome
 //! trace events) is derived offline by [`ProfileModel::build`].
 //!
@@ -22,10 +22,11 @@
 //!   units (cycles, yield points, words); wall time never enters. Two
 //!   replays of the same trace emit byte-identical artifacts on any host.
 
+use crate::event::VmEvent;
 use codec::Json;
 use std::collections::BTreeMap;
 
-/// Phase indices for [`ProfKind::PhaseBegin`]/[`ProfKind::PhaseEnd`].
+/// Phase indices for the runtime-service spans and the summary's table.
 pub const PHASE_INTERP: u8 = 0;
 pub const PHASE_SCHED: u8 = 1;
 pub const PHASE_GC: u8 = 2;
@@ -43,25 +44,27 @@ pub struct ProfEvent {
     pub cycles: u64,
     /// Thread the event belongs to.
     pub tid: u32,
-    pub kind: ProfKind,
+    pub kind: VmEvent,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProfKind {
-    /// A method frame was pushed on `tid`'s stack.
-    Enter { method: u32 },
-    /// A method frame was popped (non-root return).
-    Exit { method: u32 },
-    /// A runtime-service phase opened. `arg` is phase-specific input
-    /// (gc: collection number, compile/native: method id).
-    PhaseBegin { phase: u8, arg: u64 },
-    /// The matching close. `arg` is phase-specific output (gc: words
-    /// copied or swept, compile: code words).
-    PhaseEnd { phase: u8, arg: u64 },
-    /// The scheduler dispatched `to` (its logical clock was `nyp`).
-    Switch { to: u32, nyp: u64 },
-    /// The thread terminated; all of its open spans close here.
-    ThreadEnd,
+/// The runtime-service span boundaries an event stands for, as
+/// `(phase, begins, arg)`: `arg` is the phase's input at a begin (gc:
+/// collection number, compile/native: method id) and its output at an
+/// end (gc: words copied or swept, compile: code words, native: method
+/// id). A compile is a zero-width span, so both; frame, thread and switch
+/// events are none.
+fn phase_marks(ev: &VmEvent) -> [Option<(u8, bool, u64)>; 2] {
+    match *ev {
+        VmEvent::NativeBegin { method } => [Some((PHASE_NATIVE, true, method as u64)), None],
+        VmEvent::NativeEnd { method } => [Some((PHASE_NATIVE, false, method as u64)), None],
+        VmEvent::GcBegin { collection } => [Some((PHASE_GC, true, collection)), None],
+        VmEvent::GcEnd { words, .. } => [Some((PHASE_GC, false, words)), None],
+        VmEvent::Compile { method, words } => [
+            Some((PHASE_COMPILE, true, method as u64)),
+            Some((PHASE_COMPILE, false, words)),
+        ],
+        _ => [None, None],
+    }
 }
 
 /// The in-VM flight recorder: an append-only event log plus per-QOp-kind
@@ -89,11 +92,6 @@ impl Profiler {
         }
     }
 
-    #[inline]
-    fn push(&mut self, cycles: u64, tid: u32, kind: ProfKind) {
-        self.events.push(ProfEvent { cycles, tid, kind });
-    }
-
     /// Record a thread's name (once, at creation/seeding).
     pub fn thread_name(&mut self, tid: u32, name: &str) {
         if !self.threads.iter().any(|(t, _)| *t == tid) {
@@ -101,34 +99,29 @@ impl Profiler {
         }
     }
 
-    #[inline]
-    pub fn enter(&mut self, tid: u32, method: u32, cycles: u64) {
-        self.push(cycles, tid, ProfKind::Enter { method });
-    }
-
-    #[inline]
-    pub fn exit(&mut self, tid: u32, method: u32, cycles: u64) {
-        self.push(cycles, tid, ProfKind::Exit { method });
-    }
-
-    #[inline]
-    pub fn phase_begin(&mut self, tid: u32, phase: u8, arg: u64, cycles: u64) {
-        self.push(cycles, tid, ProfKind::PhaseBegin { phase, arg });
-    }
-
-    #[inline]
-    pub fn phase_end(&mut self, tid: u32, phase: u8, arg: u64, cycles: u64) {
-        self.push(cycles, tid, ProfKind::PhaseEnd { phase, arg });
-    }
-
-    #[inline]
-    pub fn switch_to(&mut self, to: u32, nyp: u64, cycles: u64) {
-        self.push(cycles, to, ProfKind::Switch { to, nyp });
-    }
-
-    #[inline]
-    pub fn thread_end(&mut self, tid: u32, cycles: u64) {
-        self.push(cycles, tid, ProfKind::ThreadEnd);
+    /// Log `ev` on thread `tid` at `cycles` if it is one of the events the
+    /// profiler keeps; ignore it otherwise. A thread's start belongs to
+    /// the new thread.
+    #[inline(always)]
+    pub fn note(&mut self, cycles: u64, tid: u32, ev: VmEvent) {
+        let tid = match ev {
+            VmEvent::ThreadStart { tid, .. } => tid,
+            VmEvent::Switch { .. }
+            | VmEvent::NativeBegin { .. }
+            | VmEvent::NativeEnd { .. }
+            | VmEvent::GcBegin { .. }
+            | VmEvent::GcEnd { .. }
+            | VmEvent::Compile { .. }
+            | VmEvent::ThreadEnd
+            | VmEvent::Enter { .. }
+            | VmEvent::Exit { .. } => tid,
+            _ => return,
+        };
+        self.events.push(ProfEvent {
+            cycles,
+            tid,
+            kind: ev,
+        });
     }
 
     /// Attribute `k` cycles to quickened-op kind `kind` (one dispatch).
@@ -251,8 +244,16 @@ impl ProfileModel {
                 e.cycles.saturating_sub(last),
             );
             last = last.max(e.cycles);
+            for (phase, begins, arg) in phase_marks(&e.kind).into_iter().flatten() {
+                let stat = &mut phases[phase as usize];
+                if begins {
+                    stat.count += 1;
+                } else {
+                    stat.arg_total += arg;
+                }
+            }
             match e.kind {
-                ProfKind::Enter { method } => {
+                VmEvent::Enter { method } | VmEvent::ThreadStart { method, .. } => {
                     stacks.entry(e.tid).or_default().push(OpenFrame {
                         method,
                         entered: e.cycles,
@@ -260,34 +261,24 @@ impl ProfileModel {
                     *active.entry(method).or_insert(0) += 1;
                     methods.entry(method).or_default().calls += 1;
                 }
-                ProfKind::Exit { method } => {
-                    // Tolerant unwind: pop until the named frame closes
-                    // (exits always match in practice; this keeps the
-                    // model total even on a truncated log).
+                // Tolerant unwind: an exit pops until the named frame
+                // closes (exits always match in practice; this keeps the
+                // model total even on a truncated log), a thread's end
+                // pops them all.
+                VmEvent::Exit { .. } | VmEvent::ThreadEnd => {
                     let stack = stacks.entry(e.tid).or_default();
                     while let Some(f) = stack.pop() {
                         close_frame(&mut active, &mut methods, &f, e.cycles);
-                        if f.method == method {
+                        if e.kind == (VmEvent::Exit { method: f.method }) {
                             break;
                         }
                     }
                 }
-                ProfKind::PhaseBegin { phase, .. } => {
-                    phases[phase as usize].count += 1;
-                }
-                ProfKind::PhaseEnd { phase, arg } => {
-                    phases[phase as usize].arg_total += arg;
-                }
-                ProfKind::Switch { to, .. } => {
+                VmEvent::Switch { to, .. } => {
                     switches += 1;
                     cur = to;
                 }
-                ProfKind::ThreadEnd => {
-                    let stack = stacks.entry(e.tid).or_default();
-                    while let Some(f) = stack.pop() {
-                        close_frame(&mut active, &mut methods, &f, e.cycles);
-                    }
-                }
+                _ => {}
             }
         }
         // Tail: charge the remaining window and close surviving frames.
@@ -358,6 +349,9 @@ pub fn chrome_trace(p: &Profiler, final_cycles: u64, method_names: &[String]) ->
         }
         Json::obj(pairs)
     };
+    let method_end = |tid: u32, ts: u64, m: u32| {
+        dur_event("E", tid, ts, name_of(method_names, m), "method", None)
+    };
     for (tid, name) in &p.threads {
         events.push(dur_event(
             "M",
@@ -372,8 +366,18 @@ pub fn chrome_trace(p: &Profiler, final_cycles: u64, method_names: &[String]) ->
     // deadlock leaves frames open; Perfetto requires balanced B/E).
     let mut open: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
     for e in &p.events {
+        for (phase, begins, arg) in phase_marks(&e.kind).into_iter().flatten() {
+            events.push(dur_event(
+                if begins { "B" } else { "E" },
+                e.tid,
+                e.cycles,
+                PHASE_NAMES[phase as usize].into(),
+                "phase",
+                Some(Json::obj(vec![("arg", Json::UInt(arg))])),
+            ));
+        }
         match e.kind {
-            ProfKind::Enter { method } => {
+            VmEvent::Enter { method } | VmEvent::ThreadStart { method, .. } => {
                 open.entry(e.tid).or_default().push(method);
                 events.push(dur_event(
                     "B",
@@ -384,43 +388,17 @@ pub fn chrome_trace(p: &Profiler, final_cycles: u64, method_names: &[String]) ->
                     None,
                 ));
             }
-            ProfKind::Exit { method } => {
+            // An exit closes frames down to its own, a thread's end all.
+            VmEvent::Exit { .. } | VmEvent::ThreadEnd => {
                 let stack = open.entry(e.tid).or_default();
                 while let Some(m) = stack.pop() {
-                    events.push(dur_event(
-                        "E",
-                        e.tid,
-                        e.cycles,
-                        name_of(method_names, m),
-                        "method",
-                        None,
-                    ));
-                    if m == method {
+                    events.push(method_end(e.tid, e.cycles, m));
+                    if e.kind == (VmEvent::Exit { method: m }) {
                         break;
                     }
                 }
             }
-            ProfKind::PhaseBegin { phase, arg } => {
-                events.push(dur_event(
-                    "B",
-                    e.tid,
-                    e.cycles,
-                    PHASE_NAMES[phase as usize].into(),
-                    "phase",
-                    Some(Json::obj(vec![("arg", Json::UInt(arg))])),
-                ));
-            }
-            ProfKind::PhaseEnd { phase, arg } => {
-                events.push(dur_event(
-                    "E",
-                    e.tid,
-                    e.cycles,
-                    PHASE_NAMES[phase as usize].into(),
-                    "phase",
-                    Some(Json::obj(vec![("arg", Json::UInt(arg))])),
-                ));
-            }
-            ProfKind::Switch { to, nyp } => {
+            VmEvent::Switch { to, nyp } => {
                 events.push(dur_event(
                     "i",
                     e.tid,
@@ -433,31 +411,12 @@ pub fn chrome_trace(p: &Profiler, final_cycles: u64, method_names: &[String]) ->
                     ])),
                 ));
             }
-            ProfKind::ThreadEnd => {
-                let stack = open.entry(e.tid).or_default();
-                while let Some(m) = stack.pop() {
-                    events.push(dur_event(
-                        "E",
-                        e.tid,
-                        e.cycles,
-                        name_of(method_names, m),
-                        "method",
-                        None,
-                    ));
-                }
-            }
+            _ => {}
         }
     }
     for (tid, stack) in open.iter_mut() {
         while let Some(m) = stack.pop() {
-            events.push(dur_event(
-                "E",
-                *tid,
-                final_cycles,
-                name_of(method_names, m),
-                "method",
-                None,
-            ));
+            events.push(method_end(*tid, final_cycles, m));
         }
     }
     let mut j = Json::obj(vec![
@@ -562,8 +521,14 @@ pub fn summary_json(
             })
             .collect(),
     );
+    // Span boundaries and marks: a compile, logged once, is two.
+    let compiles = p
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, VmEvent::Compile { .. }));
+    let events = (p.events.len() + compiles.count()) as u64;
     let mut j = Json::obj(vec![
-        ("events", Json::UInt(p.events.len() as u64)),
+        ("events", Json::UInt(events)),
         ("hot_methods", hot),
         ("phases", phases),
         ("qops", qops),
@@ -587,11 +552,11 @@ mod tests {
     fn simple_log() -> Profiler {
         let mut p = Profiler::new(4);
         p.thread_name(0, "main");
-        p.enter(0, 0, 0);
-        p.switch_to(0, 0, 0);
-        p.enter(0, 1, 10);
-        p.exit(0, 1, 30);
-        p.thread_end(0, 40);
+        p.note(0, 0, VmEvent::Enter { method: 0 });
+        p.note(0, 0, VmEvent::Switch { to: 0, nyp: 0 });
+        p.note(10, 0, VmEvent::Enter { method: 1 });
+        p.note(30, 0, VmEvent::Exit { method: 1 });
+        p.note(40, 0, VmEvent::ThreadEnd);
         p
     }
 
@@ -619,11 +584,11 @@ mod tests {
     #[test]
     fn recursion_counts_inclusive_once() {
         let mut p = Profiler::new(4);
-        p.enter(0, 1, 0);
-        p.switch_to(0, 0, 0);
-        p.enter(0, 1, 5); // foo calls itself
-        p.exit(0, 1, 15);
-        p.exit(0, 1, 20);
+        p.note(0, 0, VmEvent::Enter { method: 1 });
+        p.note(0, 0, VmEvent::Switch { to: 0, nyp: 0 });
+        p.note(5, 0, VmEvent::Enter { method: 1 }); // foo calls itself
+        p.note(15, 0, VmEvent::Exit { method: 1 });
+        p.note(20, 0, VmEvent::Exit { method: 1 });
         let m = ProfileModel::build(&p, 20);
         let foo = m.methods[&1];
         assert_eq!(foo.calls, 2);
@@ -634,11 +599,11 @@ mod tests {
     #[test]
     fn switch_changes_charging_thread() {
         let mut p = Profiler::new(4);
-        p.enter(0, 0, 0);
-        p.enter(1, 2, 0); // spawned, not yet running
-        p.switch_to(0, 0, 0);
-        p.switch_to(1, 1, 10); // t1 runs [10,25)
-        p.switch_to(0, 1, 25); // t0 runs [25,30)
+        p.note(0, 0, VmEvent::Enter { method: 0 });
+        p.note(0, 1, VmEvent::Enter { method: 2 }); // spawned, not yet running
+        p.note(0, 0, VmEvent::Switch { to: 0, nyp: 0 });
+        p.note(10, 1, VmEvent::Switch { to: 1, nyp: 1 }); // t1 runs [10,25)
+        p.note(25, 0, VmEvent::Switch { to: 0, nyp: 1 }); // t0 runs [25,30)
         let m = ProfileModel::build(&p, 30);
         assert_eq!(m.thread_cycles[&0], 15);
         assert_eq!(m.thread_cycles[&1], 15);
@@ -650,11 +615,11 @@ mod tests {
     #[test]
     fn idle_running_thread_charges_sched_phase() {
         let mut p = Profiler::new(4);
-        p.enter(0, 0, 0);
-        p.switch_to(0, 0, 0);
-        p.thread_end(0, 10);
-        p.switch_to(1, 0, 16); // 6 cycles with no open frame on t0
-        p.enter(1, 2, 16);
+        p.note(0, 0, VmEvent::Enter { method: 0 });
+        p.note(0, 0, VmEvent::Switch { to: 0, nyp: 0 });
+        p.note(10, 0, VmEvent::ThreadEnd);
+        p.note(16, 1, VmEvent::Switch { to: 1, nyp: 0 }); // 6 cycles with no open frame on t0
+        p.note(16, 1, VmEvent::Enter { method: 2 });
         let m = ProfileModel::build(&p, 20);
         assert_eq!(m.phases[PHASE_SCHED as usize].cycles, 6);
         assert_eq!(m.phases[PHASE_INTERP as usize].cycles, m.total_cycles - 6);
@@ -663,11 +628,24 @@ mod tests {
     #[test]
     fn phase_spans_count_and_accumulate_args() {
         let mut p = Profiler::new(4);
-        p.enter(0, 0, 0);
-        p.phase_begin(0, PHASE_GC, 1, 7);
-        p.phase_end(0, PHASE_GC, 128, 7);
-        p.phase_begin(0, PHASE_COMPILE, 2, 9);
-        p.phase_end(0, PHASE_COMPILE, 33, 9);
+        p.note(0, 0, VmEvent::Enter { method: 0 });
+        p.note(7, 0, VmEvent::GcBegin { collection: 1 });
+        p.note(
+            7,
+            0,
+            VmEvent::GcEnd {
+                collection: 1,
+                words: 128,
+            },
+        );
+        p.note(
+            9,
+            0,
+            VmEvent::Compile {
+                method: 2,
+                words: 33,
+            },
+        );
         let m = ProfileModel::build(&p, 10);
         assert_eq!(m.phases[PHASE_GC as usize].count, 1);
         assert_eq!(m.phases[PHASE_GC as usize].arg_total, 128);
@@ -699,8 +677,8 @@ mod tests {
     #[test]
     fn chrome_trace_closes_open_spans_at_final_cycles() {
         let mut p = Profiler::new(4);
-        p.enter(0, 0, 0);
-        p.enter(0, 1, 5); // never exits (deadlock/halt mid-frame)
+        p.note(0, 0, VmEvent::Enter { method: 0 });
+        p.note(5, 0, VmEvent::Enter { method: 1 }); // never exits (deadlock/halt mid-frame)
         let j = chrome_trace(&p, 77, &names());
         let s = j.to_string();
         let evs = Json::parse(&s)
@@ -743,11 +721,11 @@ mod tests {
     #[test]
     fn top_methods_orders_by_exclusive_desc() {
         let mut p = Profiler::new(2);
-        p.enter(0, 2, 0);
-        p.switch_to(0, 0, 0);
-        p.exit(0, 2, 30);
-        p.enter(0, 1, 30);
-        p.exit(0, 1, 40);
+        p.note(0, 0, VmEvent::Enter { method: 2 });
+        p.note(0, 0, VmEvent::Switch { to: 0, nyp: 0 });
+        p.note(30, 0, VmEvent::Exit { method: 2 });
+        p.note(30, 0, VmEvent::Enter { method: 1 });
+        p.note(40, 0, VmEvent::Exit { method: 1 });
         let m = ProfileModel::build(&p, 40);
         let top = m.top_methods(5);
         assert_eq!(top[0].0, 2);

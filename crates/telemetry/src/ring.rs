@@ -9,66 +9,17 @@
 //! bounded (old events are dropped, counted in [`EventRing::dropped`])
 //! so tracing never grows per-run memory unboundedly.
 
+use crate::event::VmEvent;
 use codec::Json;
 use std::collections::VecDeque;
 
-/// One kind of instrumented event. Every variant carries the values the
-/// deterministic replay contract depends on, so an event compares equal
-/// across record/replay exactly when the execution agreed at that point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventKind {
-    /// The scheduler dispatched thread `to`; `nyp` is that thread's
-    /// logical clock (yield points executed) at dispatch.
-    Switch { to: u32, nyp: u64 },
-    /// A wall-clock read returned `value` (recorded value on replay).
-    ClockRead { value: i64 },
-    /// A native call to method id `method`.
-    NativeCall { method: u32 },
-    /// Garbage collection number `collection` ran.
-    Gc { collection: u64 },
-    /// A thread stack grew to `new_words` words.
-    StackGrowth { new_words: u64 },
-    /// Method id `method` was (lazily) compiled.
-    Compile { method: u32 },
-    /// Class id `class` was (lazily) loaded.
-    ClassLoad { class: u32 },
-    /// The loop headed at `loop_pc` in `method` crossed the tier-2 hotness
-    /// threshold (`trip_count` taken backedges) and was compiled to its
-    /// closed form, `block_width` accounted cycles per pass. Emitted at the
-    /// threshold crossing, which happens at the same logical instant in
-    /// every mode — tier-up is deterministic even though per-loop entry
-    /// counts are not.
-    MegaCompile {
-        method: u32,
-        loop_pc: u32,
-        trip_count: u64,
-        block_width: u64,
-    },
-}
-
-impl EventKind {
-    /// Stable lowercase name, used in JSON and forensic reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::Switch { .. } => "switch",
-            EventKind::ClockRead { .. } => "clock_read",
-            EventKind::NativeCall { .. } => "native_call",
-            EventKind::Gc { .. } => "gc",
-            EventKind::StackGrowth { .. } => "stack_growth",
-            EventKind::Compile { .. } => "compile",
-            EventKind::ClassLoad { .. } => "class_load",
-            EventKind::MegaCompile { .. } => "compile.mega",
-        }
-    }
-}
-
-/// One ring entry: an event kind, the thread it happened on, and its
-/// absolute sequence number.
+/// One ring entry: an event, the thread it happened on, and its absolute
+/// sequence number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     pub seq: u64,
     pub tid: u32,
-    pub kind: EventKind,
+    pub kind: VmEvent,
 }
 
 impl Event {
@@ -76,32 +27,32 @@ impl Event {
     pub fn to_json(&self) -> Json {
         let mut pairs: Vec<(&str, Json)> = Vec::with_capacity(7);
         match self.kind {
-            EventKind::MegaCompile { block_width, .. } => {
+            VmEvent::MegaCompile { block_width, .. } => {
                 pairs.push(("block_width", Json::UInt(block_width)));
             }
-            EventKind::ClassLoad { class } => {
+            VmEvent::ClassLoad { class } => {
                 pairs.push(("class", Json::UInt(class as u64)));
             }
-            EventKind::Gc { collection } => {
+            VmEvent::GcEnd { collection, .. } => {
                 pairs.push(("collection", Json::UInt(collection)));
             }
             _ => {}
         }
         pairs.push(("kind", Json::Str(self.kind.name().into())));
         match self.kind {
-            EventKind::MegaCompile {
+            VmEvent::MegaCompile {
                 loop_pc, method, ..
             } => {
                 pairs.push(("loop_pc", Json::UInt(loop_pc as u64)));
                 pairs.push(("method", Json::UInt(method as u64)));
             }
-            EventKind::NativeCall { method } | EventKind::Compile { method } => {
+            VmEvent::NativeEnd { method } | VmEvent::Compile { method, .. } => {
                 pairs.push(("method", Json::UInt(method as u64)));
             }
-            EventKind::StackGrowth { new_words } => {
+            VmEvent::StackGrowth { new_words } => {
                 pairs.push(("new_words", Json::UInt(new_words)));
             }
-            EventKind::Switch { nyp, .. } => {
+            VmEvent::Switch { nyp, .. } => {
                 pairs.push(("nyp", Json::UInt(nyp)));
             }
             _ => {}
@@ -109,11 +60,11 @@ impl Event {
         pairs.push(("seq", Json::UInt(self.seq)));
         pairs.push(("tid", Json::UInt(self.tid as u64)));
         match self.kind {
-            EventKind::Switch { to, .. } => pairs.push(("to", Json::UInt(to as u64))),
-            EventKind::MegaCompile { trip_count, .. } => {
+            VmEvent::Switch { to, .. } => pairs.push(("to", Json::UInt(to as u64))),
+            VmEvent::MegaCompile { trip_count, .. } => {
                 pairs.push(("trip_count", Json::UInt(trip_count)));
             }
-            EventKind::ClockRead { value } => pairs.push(("value", Json::Int(value))),
+            VmEvent::ClockRead { value } => pairs.push(("value", Json::Int(value))),
             _ => {}
         }
         Json::obj(pairs)
@@ -122,38 +73,38 @@ impl Event {
     /// Human-oriented one-line rendering for CLI / debugger output.
     pub fn describe(&self) -> String {
         match self.kind {
-            EventKind::Switch { to, nyp } => {
+            VmEvent::Switch { to, nyp } => {
                 format!(
                     "#{} tid {} switch to={} nyp={}",
                     self.seq, self.tid, to, nyp
                 )
             }
-            EventKind::ClockRead { value } => {
+            VmEvent::ClockRead { value } => {
                 format!("#{} tid {} clock_read value={}", self.seq, self.tid, value)
             }
-            EventKind::NativeCall { method } => {
+            VmEvent::NativeEnd { method } => {
                 format!(
                     "#{} tid {} native_call method={}",
                     self.seq, self.tid, method
                 )
             }
-            EventKind::Gc { collection } => {
+            VmEvent::GcEnd { collection, .. } => {
                 format!(
                     "#{} tid {} gc collection={}",
                     self.seq, self.tid, collection
                 )
             }
-            EventKind::StackGrowth { new_words } => format!(
+            VmEvent::StackGrowth { new_words } => format!(
                 "#{} tid {} stack_growth new_words={}",
                 self.seq, self.tid, new_words
             ),
-            EventKind::Compile { method } => {
+            VmEvent::Compile { method, .. } => {
                 format!("#{} tid {} compile method={}", self.seq, self.tid, method)
             }
-            EventKind::ClassLoad { class } => {
+            VmEvent::ClassLoad { class } => {
                 format!("#{} tid {} class_load class={}", self.seq, self.tid, class)
             }
-            EventKind::MegaCompile {
+            VmEvent::MegaCompile {
                 method,
                 loop_pc,
                 trip_count,
@@ -162,6 +113,7 @@ impl Event {
                 "#{} tid {} compile.mega method={} loop_pc={} trip_count={} block_width={}",
                 self.seq, self.tid, method, loop_pc, trip_count, block_width
             ),
+            _ => format!("#{} tid {} {}", self.seq, self.tid, self.kind.name()),
         }
     }
 }
@@ -187,10 +139,6 @@ impl EventRing {
         }
     }
 
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -209,8 +157,25 @@ impl EventRing {
         self.dropped
     }
 
+    /// Append `ev` if it is one of the events the ring holds; ignore it
+    /// otherwise.
+    #[inline(always)]
+    pub fn note(&mut self, tid: u32, ev: VmEvent) {
+        if let VmEvent::Switch { .. }
+        | VmEvent::ClockRead { .. }
+        | VmEvent::NativeEnd { .. }
+        | VmEvent::GcEnd { .. }
+        | VmEvent::StackGrowth { .. }
+        | VmEvent::Compile { .. }
+        | VmEvent::ClassLoad { .. }
+        | VmEvent::MegaCompile { .. } = ev
+        {
+            self.push(tid, ev);
+        }
+    }
+
     /// Append one event, evicting the oldest if the ring is full.
-    pub fn push(&mut self, tid: u32, kind: EventKind) {
+    pub fn push(&mut self, tid: u32, kind: VmEvent) {
         let ev = Event {
             seq: self.next_seq,
             tid,
@@ -261,7 +226,13 @@ mod tests {
     fn ring_keeps_last_n_with_absolute_seqs() {
         let mut r = EventRing::new(3);
         for i in 0..5u64 {
-            r.push(0, EventKind::Gc { collection: i });
+            r.push(
+                0,
+                VmEvent::GcEnd {
+                    words: 0,
+                    collection: i,
+                },
+            );
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.dropped(), 2);
@@ -274,7 +245,7 @@ mod tests {
     #[test]
     fn zero_capacity_ring_counts_but_stores_nothing() {
         let mut r = EventRing::new(0);
-        r.push(1, EventKind::ClockRead { value: -3 });
+        r.push(1, VmEvent::ClockRead { value: -3 });
         assert_eq!(r.len(), 0);
         assert_eq!(r.next_seq(), 1);
         assert_eq!(r.dropped(), 1);
@@ -283,14 +254,20 @@ mod tests {
     #[test]
     fn event_json_is_valid_and_distinct_per_kind() {
         let kinds = [
-            EventKind::Switch { to: 2, nyp: 40 },
-            EventKind::ClockRead { value: -7 },
-            EventKind::NativeCall { method: 9 },
-            EventKind::Gc { collection: 3 },
-            EventKind::StackGrowth { new_words: 512 },
-            EventKind::Compile { method: 4 },
-            EventKind::ClassLoad { class: 1 },
-            EventKind::MegaCompile {
+            VmEvent::Switch { to: 2, nyp: 40 },
+            VmEvent::ClockRead { value: -7 },
+            VmEvent::NativeEnd { method: 9 },
+            VmEvent::GcEnd {
+                words: 0,
+                collection: 3,
+            },
+            VmEvent::StackGrowth { new_words: 512 },
+            VmEvent::Compile {
+                method: 4,
+                words: 12,
+            },
+            VmEvent::ClassLoad { class: 1 },
+            VmEvent::MegaCompile {
                 method: 6,
                 loop_pc: 11,
                 trip_count: 64,
@@ -313,11 +290,23 @@ mod tests {
     #[test]
     fn clear_preserves_sequence_numbering() {
         let mut r = EventRing::new(8);
-        r.push(0, EventKind::ClassLoad { class: 0 });
-        r.push(0, EventKind::Compile { method: 0 });
+        r.push(0, VmEvent::ClassLoad { class: 0 });
+        r.push(
+            0,
+            VmEvent::Compile {
+                method: 0,
+                words: 12,
+            },
+        );
         r.clear();
         assert_eq!(r.len(), 0);
-        r.push(0, EventKind::Gc { collection: 0 });
+        r.push(
+            0,
+            VmEvent::GcEnd {
+                words: 0,
+                collection: 0,
+            },
+        );
         assert_eq!(r.events()[0].seq, 2);
     }
 }

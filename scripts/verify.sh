@@ -406,7 +406,7 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 
-echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one packer, one replay loop, one reference map, one door to a hosted run, one heap extent, one heap commit, one reference read, one fleet driver, one request vocabulary, one trace spelling, one tier-2 path, one store log, no env knobs =="
+echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one packer, one replay loop, one reference map, one door to a hosted run, one heap extent, one heap commit, one reference read, one fleet driver, one request vocabulary, one trace spelling, one tier-2 path, one store log, one event door, no env knobs =="
 fail=0
 # Only the property harness reads the environment (QC_CASES / QC_SEED).
 if grep -rn 'env::var' crates src --include=*.rs | grep -v '^src/qc\.rs:'; then
@@ -622,6 +622,21 @@ if grep -rnE 'TraceFormat::Flat|Trace::decode|fn (root_values|frame_refs|push_ch
     echo "verify: the flat trace reader, or a per-collector copy of the reference walk, is back" >&2
     fail=1
 fi
+# One event door (DESIGN §4b): a VM event site makes one `Vm::note` call.
+# Only `note` folds an event into the fingerprint or writes a sink; beside
+# it, only the per-dispatch QOp counter, `run_quick`'s hoisted flag and the
+# profiler's arming (which seeds it from the frame chains) reach the
+# profiler.
+one_fn "a VM event is folded or written to a sink" \
+    "$(find crates/djvm/src -name '*.rs' |
+        fns_naming 'fingerprint\\.(event|thread_switch)\\(|telem\\.event\\(|EventKind::|ProfKind')" \
+    "crates/djvm/src/vm.rs: fn note"
+one_fn "the profiler is reached" \
+    "$(find crates/djvm/src -name '*.rs' | fns_naming 'telem\\.profile')" \
+    "crates/djvm/src/interp.rs: fn profile_qop
+crates/djvm/src/interp.rs: fn run_quick
+crates/djvm/src/vm.rs: fn enable_profiler
+crates/djvm/src/vm.rs: fn note"
 # One reference read: the guest tiers, the remote reflector and the mirrors
 # decode headers, test subclassing and index vtables through djvm::objref
 # only, and one function resolves a virtual call's target (the verifier's
@@ -711,5 +726,6 @@ echo "surface: $(nontest crates/reflect/src/*.rs crates/fleet/src/*.rs crates/de
 echo "surface: $(nontest crates/fleet/src/*.rs) non-test lines in crates/fleet/src"
 echo "surface: $(nontest crates/fleet/src/rpc.rs crates/debugger/src/protocol.rs crates/fleet/src/manager.rs) non-test lines in fleet's rpc.rs + debugger's protocol.rs + fleet's manager.rs, $(nontest crates/fleet/src/*.rs crates/debugger/src/*.rs) in crates/{fleet,debugger}/src"
 echo "surface: $(nontest crates/reflect/src/remote.rs) non-test lines in reflect's remote.rs, $(nontest $d/*.rs crates/reflect/src/*.rs) in crates/{djvm,reflect}/src"
+echo "surface: $(nontest $d/*.rs crates/telemetry/src/*.rs) non-test lines in crates/{djvm,telemetry}/src"
 
 echo "verify: OK"

@@ -585,9 +585,9 @@ fn stats(args: &mut Args) -> Cmd {
     // interpolated within a bucket).
     if let Some(t) = &out.record.telemetry {
         for (name, h) in [
-            ("alloc_words", &t.alloc_words),
-            ("compile_words", &t.compile_words),
-            ("timer_intervals", &t.timer_intervals),
+            ("alloc_words", &t.histograms.alloc_words),
+            ("compile_words", &t.histograms.compile_words),
+            ("timer_intervals", &t.histograms.timer_intervals),
         ] {
             if h.count() == 0 {
                 continue;
