@@ -436,6 +436,69 @@ fn stress_workloads_are_tier_neutral_at_a_short_quantum() {
     }
 }
 
+/// Ticks inside a closed pass. Two threads race closed loops of width `w`
+/// under fixed timer intervals of `w − 1`, `w`, `w + 1` and 1: a tick
+/// lands in the pass whose closing yield point switches, and some passes
+/// take two ticks (every pass takes `w` at interval 1). Tier 2 retires
+/// those passes and performs their switching yield points itself, so
+/// every tier must agree — in passthrough, record and replay, under both
+/// fingerprint modes — on the fingerprint, the state, the yield points,
+/// the trace and the timer-interval histogram.
+#[test]
+fn ticks_inside_a_closed_pass_are_tier_neutral() {
+    let program = workloads::fig1::fig1_ab_scaled(2_000);
+    let main = program.entry;
+    let width = loop_heads(program.compiled(main))
+        .into_iter()
+        .find_map(|head| compile_loop(&program, main, head))
+        .expect("fig1_ab_scaled's delay loop is closed")
+        .width;
+    let observe = |r: &dejavu::RunReport| {
+        let t = r.telemetry.as_ref().expect("telemetry is on");
+        (
+            r.fingerprint,
+            r.state_digest,
+            r.output.clone(),
+            r.counters.steps,
+            r.counters.yield_points,
+            r.counters.preemptive_switches,
+            t.histograms.timer_intervals.to_json().to_string(),
+        )
+    };
+    for mode in [FingerprintMode::Full, FingerprintMode::Coarse] {
+        for interval in [width - 1, width, width + 1, 1] {
+            let mut s = ExecSpec::new(program.clone()).with_seed(5);
+            s.timer_base = interval;
+            s.timer_jitter = 0;
+            let s = s.with_fingerprint(mode).with_telemetry();
+            let what = format!("{mode:?} interval {interval} (pass width {width})");
+            let tiers = [
+                s.clone().with_quicken(false),
+                s.clone().with_quicken(true).with_mega(false),
+                s.clone().with_quicken(true).with_mega(true),
+            ];
+            let runs: Vec<_> = tiers
+                .iter()
+                .map(|t| {
+                    let pass = passthrough_run(t, |_| {});
+                    let (rec, trace) = record_run(t, |_| {}, SymmetryConfig::full(), true);
+                    let (rep, desyncs) = replay_run(t, trace.clone(), SymmetryConfig::full());
+                    assert!(desyncs.is_empty(), "{what}: replay desynced");
+                    assert!(rec.matches(&rep), "{what}: record vs replay");
+                    let closed = pass.mega.closed_iters;
+                    let seen = [observe(&pass), observe(&rec), observe(&rep)];
+                    (seen, trace, closed)
+                })
+                .collect();
+            for tier in 1..3 {
+                assert_eq!(runs[0].0, runs[tier].0, "{what}: tier {tier} observables");
+                assert_eq!(runs[0].1, runs[tier].1, "{what}: tier {tier} trace");
+            }
+            assert!(runs[2].2 > 0, "{what}: tier 2 retired no pass");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // 4. The closed form's fingerprint fold is exact
 // ---------------------------------------------------------------------------

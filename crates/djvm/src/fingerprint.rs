@@ -165,12 +165,25 @@ impl StepFold {
         }
     }
 
-    /// The composed run, applied `n` times to `h` on thread `tid`. A plain
-    /// loop of multiply-adds: callers bound `n` by a scheduling quantum.
+    /// The composed run, applied `n` times to `h` on thread `tid`: the
+    /// affine map `h ↦ a·h + c` raised to the `n`th power by squaring, so
+    /// `O(log n)` multiply-adds, exact mod 2⁶⁴ like the chain itself.
     #[inline]
-    pub fn apply(self, h: u64, tid: u32, n: u64) -> u64 {
-        let add = (tid as u64 + 1).wrapping_mul(self.s).wrapping_add(self.p);
-        (0..n).fold(h, |h, _| self.a.wrapping_mul(h).wrapping_add(add))
+    pub fn apply(self, h: u64, tid: u32, mut n: u64) -> u64 {
+        let (mut a, mut c) = (
+            self.a,
+            (tid as u64 + 1).wrapping_mul(self.s).wrapping_add(self.p),
+        );
+        let mut h = h;
+        while n > 0 {
+            if n & 1 == 1 {
+                h = a.wrapping_mul(h).wrapping_add(c);
+            }
+            c = a.wrapping_mul(c).wrapping_add(c);
+            a = a.wrapping_mul(a);
+            n >>= 1;
+        }
+        h
     }
 }
 
@@ -310,6 +323,25 @@ mod tests {
         a.set_step_state(h, 1 << 32);
         b.switches = 1;
         assert_ne!(a.digest(), b.digest());
+    }
+
+    /// The squared-up fold equals `n` single applications of the map.
+    #[test]
+    fn step_fold_apply_equals_the_naive_loop() {
+        let mut rng = SplitMix64::new(0x5F01D);
+        for _ in 0..16 {
+            let f = StepFold {
+                a: rng.next_u64(),
+                s: rng.next_u64(),
+                p: rng.next_u64(),
+            };
+            let (h, tid) = (rng.next_u64(), rng.next_u64() as u32);
+            let add = (tid as u64 + 1).wrapping_mul(f.s).wrapping_add(f.p);
+            for n in [0, 1, 2, 3, 63, 64, 65, (1 << 20) + 7] {
+                let naive = (0..n).fold(h, |h, _| f.a.wrapping_mul(h).wrapping_add(add));
+                assert_eq!(f.apply(h, tid, n), naive, "{f:?} h {h} tid {tid} n {n}");
+            }
+        }
     }
 
     #[test]

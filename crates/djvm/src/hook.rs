@@ -85,8 +85,13 @@ pub trait ExecHook {
     /// [`ExecHook::on_yield_points_skipped`]), so the answer must
     /// be exact: passthrough and record switch only when the preempt bit
     /// is set (which a tick-free window cannot set), replay switches when
-    /// the recorded delta expires. The conservative default of 0 keeps
-    /// custom hooks correct: tier 2 simply never runs for them.
+    /// the recorded delta expires. After each tick it crosses, tier 2
+    /// credits the consults it has passed and asks again: passthrough and
+    /// record then answer 0, replay's answer does not move. The consult
+    /// just past the horizon tier 2 performs through
+    /// [`ExecHook::on_yield_point`] itself, as tier 1 would. The
+    /// conservative default of 0 keeps custom hooks correct: every consult
+    /// reaches them.
     fn quiet_yield_horizon(&self, _vm: &Vm) -> u64 {
         0
     }
@@ -100,10 +105,11 @@ pub trait ExecHook {
     /// [`ExecHook::quiet_yield_horizon`] for yield points inside
     /// instrumentation helper frames: how many upcoming
     /// [`ExecHook::on_instr_yield_point`] consults are guaranteed to return
-    /// [`YieldAction::NONE`] with no effect at all. Tier 2 runs a helper's
-    /// closed loops for at most that many passes and credits nothing back,
-    /// so a hook whose instrumentation yield points count anything must
-    /// answer 0, as the default does.
+    /// [`YieldAction::NONE`] with no effect at all. Tier 2 skips at most
+    /// that many of a helper's closed-loop consults and credits nothing
+    /// back, so a hook whose instrumentation yield points count anything
+    /// must answer 0, as the default does: each such consult then reaches
+    /// [`ExecHook::on_instr_yield_point`].
     fn quiet_instr_yield_horizon(&self, _vm: &Vm) -> u64 {
         0
     }

@@ -30,7 +30,10 @@
 //! a hook that observes shared accesses keeps them on. Tier 2,
 //! [`run_mega`], executes no instruction at all: at the head of a counting
 //! loop it writes the closed form of the passes tier 1 would have run
-//! ([`ClosedLoop`]) and hands every other pass back to tier 1.
+//! ([`ClosedLoop`]) and hands every other pass back to tier 1. It owns the
+//! preemption window too: its batches cross timer ticks, and it performs
+//! the yield point that closes the pass a tick or a recorded switch lands
+//! in, so a preemption costs no tier-1 pass.
 
 use crate::bytecode::{MethodId, Op, Ty};
 use crate::compile::{ClosedLoop, Partial, Pure, QOp, Test};
@@ -98,9 +101,11 @@ pub fn run_until(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64, until: u6
 /// only code that does any of it (tier 2's closed form applies whole
 /// passes' mixes as their exact composition, [`ClosedLoop::fold`]). A
 /// tier may batch (`k > 1`, or [`Cursor::mix`] now and [`Cursor::count`]
-/// later) only where no tick can fire inside the batch and only over total
-/// ops, for which "account for k, then run k" is observationally identical
-/// to interleaving.
+/// later) only over total ops, for which "account for k, then run k" is
+/// observationally identical to interleaving, and only where no tick can
+/// fire inside the batch — or, in tier 2, by splitting the count at each
+/// tick ([`Cursor::count_across`]): a tick touches VM-global state only,
+/// and no hook consult lies inside a closed pass.
 struct Cursor {
     cycles: u64,
     steps: u64,
@@ -151,10 +156,11 @@ impl Cursor {
         }
     }
 
-    /// The counters and the timer for `k` retired instructions. Batching
-    /// callers (`k > 1`) gate on `to_tick > k`, so only a single
-    /// instruction ever lands on the tick (the asynchronous,
-    /// non-deterministic event of §2.3; it touches VM-global state only).
+    /// The counters and the timer for `k` retired instructions, the last
+    /// of which may land on the tick (the asynchronous, non-deterministic
+    /// event of §2.3; it touches VM-global state only). None may land past
+    /// it: tier 1 batches (`k > 1`) only where `to_tick > k`, and tier 2
+    /// splits a batch at each tick ([`Cursor::count_across`]).
     #[inline(always)]
     fn count(&mut self, vm: &mut Vm, k: u64) {
         self.steps += k;
@@ -162,15 +168,29 @@ impl Cursor {
         if self.fp_on {
             self.fpsteps += k;
         }
+        debug_assert!(k <= self.to_tick, "a batch crossed a timer tick");
         self.to_tick -= k;
         if self.to_tick == 0 {
-            debug_assert_eq!(k, 1, "a batch crossed a timer tick");
             vm.preempt_bit = true;
             self.to_tick = vm.timer.next_interval();
             vm.note(VmEvent::TimerTick {
                 interval: self.to_tick,
             });
         }
+    }
+
+    /// [`Cursor::count`] for `k` instructions that may cross any number of
+    /// ticks: split at each tick's exact instruction, so the timer draws
+    /// happen in tier 1's order. Returns whether a tick fired.
+    fn count_across(&mut self, vm: &mut Vm, mut k: u64) -> bool {
+        let ticked = k >= self.to_tick;
+        while k >= self.to_tick {
+            let at = self.to_tick;
+            self.count(vm, at);
+            k -= at;
+        }
+        self.count(vm, k);
+        ticked
     }
 
     #[inline(always)]
@@ -239,9 +259,8 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64, until: u64) -> Vm
         // head, so nothing here can spin.
         if vm.mega.enabled && !prof_on {
             if let Some(cl) = vm.closed_loop(method, pc) {
-                run_mega(vm, hook, &cl, limit, until);
-                if vm.counters.yield_points >= until {
-                    break 'outer;
+                if run_mega(vm, hook, &cl, limit, until) || vm.counters.yield_points >= until {
+                    continue 'outer;
                 }
             }
         }
@@ -419,27 +438,43 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64, until: u64) -> Vm
 
 /// Tier 2: retire whole passes of a closed loop at its head, in closed
 /// form (DESIGN §10). Nothing runs step by step here: the stepper only
-/// decides how many passes tier 1 would have run without a tick, a pause
-/// or a preemption, and writes their combined effect.
+/// decides how many passes tier 1 would have run before a pause, a guard
+/// failure or a yield point that is not quiet, and writes their combined
+/// effect. Returns whether it also performed that last pass's closing
+/// yield point; the thread may then have switched or entered a helper, so
+/// the caller re-enters its outer loop.
 ///
 /// # Extending the cycle-accounting invariant
 ///
-/// At most `avail` passes (`width` source instructions and one yield
-/// point each) retire, the least of three bounds re-taken after each
-/// batch:
+/// Each batch retires at most `cap` passes (`width` source instructions
+/// and one closing yield point each), the least of four bounds re-taken
+/// after each batch:
 ///
-/// * `to_tick > avail · width` — no timer tick can fire inside the batch
-///   (the fused-superinstruction gate, applied per pass);
-/// * `steps + avail · width <= limit` — budget-limited runs pause on
-///   identical instruction boundaries in every tier;
-/// * `avail <= h` — the hook has guaranteed that many upcoming yield-point
-///   consults are *quiet* (no switch, no helper), so skipping them and
-///   crediting the counts at exit is observationally identical. `h` is
-///   consulted once at entry: within a tick-free window the horizon cannot
-///   shrink for any other reason (passthrough/record horizons depend only
-///   on the preempt bit; replay's recorded delta decreases by exactly the
-///   yield points we credit). The logical-time bound `until` caps it, so
-///   no batch credits a yield point past it.
+/// * `⌈to_tick / width⌉` — up to and including the pass the next timer
+///   tick lands in. A tick only sets the preempt bit, draws the next
+///   interval and reports itself, and inside a pass only the closing
+///   backedge consults the hook, so the batch may cross it:
+///   [`Cursor::count_across`] splits the count at each tick's exact
+///   instruction, however many land in that last pass;
+/// * `(limit − steps) / width` — budget-limited runs pause on identical
+///   instruction boundaries in every tier;
+/// * `until − yield_points` — the logical-time bound: no batch runs a
+///   yield point past it;
+/// * `h + 1` — the hook has guaranteed that `h` upcoming consults are
+///   *quiet* (no switch, no helper), assuming no tick fires first, so
+///   skipping them and crediting the counts is observationally identical.
+///   Within a tick-free window the horizon cannot shrink for any other
+///   reason (passthrough/record horizons depend only on the preempt bit;
+///   replay's recorded delta decreases by exactly the yield points
+///   credited).
+///
+/// After a batch whose last pass took a tick, or ran consult `h + 1`, the
+/// passes before it are credited and the horizon is re-read: passthrough
+/// and record answer 0 once the preempt bit is set, replay's answer does
+/// not move with a tick. If the last consult is still quiet it is credited
+/// too and stepping goes on. Otherwise tier 2 closes that pass exactly as
+/// tier 1's taken backedge does — `mega_note_backedge`, flush, then
+/// [`yield_point`] — so a switch costs no tier-1 pass.
 ///
 /// Inside an instrumentation helper's frames (`instr_depth > 0`) the
 /// backedges are instrumentation yield points: `h` is the hook's
@@ -453,35 +488,52 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64, until: u64) -> Vm
 // Kept out of the tier-1 dispatch loop: inlining it bloats `run_quick`'s
 // icache footprint for a call taken only at hot loop heads.
 #[inline(never)]
-fn run_mega(vm: &mut Vm, hook: &mut dyn ExecHook, cl: &ClosedLoop, limit: u64, until: u64) {
+fn run_mega(vm: &mut Vm, hook: &mut dyn ExecHook, cl: &ClosedLoop, limit: u64, until: u64) -> bool {
     let tid = vm.sched.current;
     let cur = tid as usize;
     debug_assert_eq!(vm.threads[cur].pc, cl.head);
     let base = vm.threads[cur].fp + 3;
     let instr = vm.instr_depth > 0;
-    let mut c = Cursor::load(vm);
-    let mut h = if instr {
-        hook.quiet_instr_yield_horizon(vm)
-    } else {
-        hook.quiet_yield_horizon(vm)
-            .min(until.saturating_sub(vm.counters.yield_points))
+    let horizon = |vm: &Vm, hook: &dyn ExecHook| {
+        if instr {
+            hook.quiet_instr_yield_horizon(vm)
+        } else {
+            hook.quiet_yield_horizon(vm)
+        }
     };
+    // Credit quiet consults skipped over; instrumentation yield points
+    // count nothing.
+    let credit = |vm: &mut Vm, hook: &mut dyn ExecHook, k: u64| {
+        if k > 0 && !instr {
+            vm.counters.yield_points += k;
+            vm.threads[cur].yield_points += k;
+            hook.on_yield_points_skipped(k);
+        }
+    };
+    let mut c = Cursor::load(vm);
+    let mut room = if instr {
+        u64::MAX
+    } else {
+        until.saturating_sub(vm.counters.yield_points)
+    };
+    let mut h = horizon(vm, hook);
+    let mut quiet = 0u64; // consults skipped and not yet credited
     let mut retired = 0u64;
-    loop {
-        let by_tick = c.to_tick.saturating_sub(1) / cl.width;
+    let consult = loop {
+        let by_tick = c.to_tick.div_ceil(cl.width);
         let by_budget = limit.saturating_sub(c.steps) / cl.width;
-        let avail = by_tick.min(by_budget).min(h);
-        if avail == 0 {
+        let cap = by_tick.min(by_budget).min(room).min(h.saturating_add(1));
+        if cap == 0 {
             vm.mega.stats.gate_misses += 1;
-            break;
+            break false;
         }
         if retired == 0 {
             vm.mega.stats.entries += 1;
         }
         let locals = &mut vm.heap.mem[base as usize..];
-        let kk = cl.passes(locals[cl.local as usize] as i64, avail);
+        let kk = cl.passes(locals[cl.local as usize] as i64, cap);
         if kk == 0 {
-            break;
+            break false;
         }
         // `kk` passes: their locals in closed form, their pc mixes as `kk`
         // applications of the pass's exact fold.
@@ -489,17 +541,35 @@ fn run_mega(vm: &mut Vm, hook: &mut dyn ExecHook, cl: &ClosedLoop, limit: u64, u
         if c.fp_on {
             c.fph = cl.fold.apply(c.fph, tid, kk);
         }
-        c.count(vm, kk * cl.width);
-        h -= kk;
+        let ticked = c.count_across(vm, kk * cl.width);
+        room -= kk;
         retired += kk;
         vm.mega.stats.closed_iters += kk;
-    }
+        if kk <= h && !ticked {
+            h -= kk;
+            quiet += kk;
+            continue;
+        }
+        // The last pass's consult follows a tick or is past the horizon:
+        // settle the ones before it, then ask again.
+        c.store(vm);
+        credit(vm, hook, quiet + kk - 1);
+        quiet = 0;
+        h = horizon(vm, hook);
+        if h == 0 {
+            break true;
+        }
+        h -= 1;
+        quiet = 1;
+    };
     c.store(vm);
-    if retired > 0 && !instr {
-        vm.counters.yield_points += retired;
-        vm.threads[cur].yield_points += retired;
-        hook.on_yield_points_skipped(retired);
+    credit(vm, hook, quiet);
+    if consult {
+        let method = vm.threads[cur].method;
+        vm.mega_note_backedge(method, cl.head);
+        yield_point(vm, hook);
     }
+    consult
 }
 
 /// The generic tier: execute one instruction of the current thread (plus

@@ -148,11 +148,12 @@ pub struct MegaStats {
     pub tier_ups: u64,
     /// Entries past the gate at a closed loop's head.
     pub entries: u64,
-    /// Passes retired in closed form; tier 1 runs every other pass.
+    /// Passes retired in closed form, each with its closing yield point;
+    /// tier 1 runs every other pass.
     pub closed_iters: u64,
-    /// Entry-gate misses (tick too close, budget exhausted, or the hook's
-    /// quiet-yield horizon too short), one per closing: a block whose gate
-    /// closes after it ran hands its head to tier 1 without a second probe.
+    /// Exits on a pause bound: the step budget has no room for a whole
+    /// pass, or the logical-time bound is reached. Ticks and switches no
+    /// longer close the gate (tier 2 retires the pass they land in).
     pub gate_misses: u64,
 }
 

@@ -159,6 +159,83 @@ fn e3_yieldpoint_cost() {
         );
     }
     println!();
+    e3_per_preemption();
+}
+
+/// E3's second table: what one preemption costs. `compute_hot`'s guest,
+/// `fig1_ab_scaled(80_000)` under `fleet::spec_for` (seed 7), runs the same
+/// guest steps at the fleet's timer (211 ± 60) and at 100 000 ± 60; each
+/// mode's time difference is divided by *that mode's own* difference in
+/// preemptive switches (record and replay switch more often than
+/// passthrough: their helper frames add cycles between ticks). Each cell
+/// is the median of interleaved runs of the VM loop alone. A timed run
+/// whose fingerprint differs from its mode's untimed run at the same timer
+/// (a replay's: the record's) is a divergence, not a timing: the binary
+/// exits non-zero.
+fn e3_per_preemption() {
+    const RUNS: usize = 21;
+    let hot = workloads::registry()
+        .into_iter()
+        .find(|w| w.name == "fig1_hot")
+        .unwrap();
+    let guest = workloads::Workload {
+        build: || workloads::fig1::fig1_ab_scaled(80_000),
+        ..hot
+    };
+    let specs = [211, 100_000].map(|base| {
+        let mut s = fleet::spec_for(&guest, 7);
+        s.timer_base = base;
+        s
+    });
+    // Per timer: the fingerprint each mode must reproduce, and the trace.
+    let refs = specs.clone().map(|s| {
+        let pass = passthrough_run(&s, guest.natives).fingerprint;
+        let (rec, trace) = record_run(&s, guest.natives, SymmetryConfig::full(), false);
+        ([pass, rec.fingerprint, rec.fingerprint], Arc::new(trace))
+    });
+    // [mode][timer] → (run times, preemptive switches)
+    let mut cells: [[(Vec<Duration>, u64); 2]; 3] = Default::default();
+    let mut diverged = false;
+    for _ in 0..RUNS {
+        for (t, s) in specs.iter().enumerate() {
+            let runs = [
+                passthrough_run(s, guest.natives),
+                record_run(s, guest.natives, SymmetryConfig::full(), false).0,
+                replay_run(s, Arc::clone(&refs[t].1), SymmetryConfig::full()).0,
+            ];
+            for (mode, r) in runs.into_iter().enumerate() {
+                diverged |= r.fingerprint != refs[t].0[mode];
+                let cell = &mut cells[mode][t];
+                cell.0.push(r.wall_time);
+                cell.1 = r.counters.preemptive_switches;
+            }
+        }
+    }
+    let median = |v: &mut Vec<Duration>| {
+        v.sort();
+        v[v.len() / 2]
+    };
+    println!(
+        "Per preemption: `fig1_ab_scaled(80_000)`, seed 7, median of {RUNS} interleaved runs.\n"
+    );
+    println!("| mode | switches at timer 211 / 100 000 | timer 211 | timer 100 000 | per switch |");
+    println!("|---|---|---|---|---|");
+    for (mode, [fast, slow]) in ["passthrough", "record", "replay"]
+        .into_iter()
+        .zip(cells.iter_mut())
+    {
+        let (t_fast, t_slow) = (median(&mut fast.0), median(&mut slow.0));
+        let per = (t_fast.as_secs_f64() - t_slow.as_secs_f64()) * 1e9 / (fast.1 - slow.1) as f64;
+        println!(
+            "| {mode} | {} / {} | {t_fast:.2?} | {t_slow:.2?} | {per:.0} ns |",
+            fast.1, slow.1
+        );
+    }
+    println!();
+    if diverged {
+        eprintln!("E3: a timed run's fingerprint differs from its record");
+        std::process::exit(1);
+    }
 }
 
 fn e4_record_overhead() {
