@@ -124,10 +124,6 @@ impl ExecHook for IrRecorder {
         });
         out
     }
-
-    fn mode_name(&self) -> &'static str {
-        "instant-replay-record"
-    }
 }
 
 /// Replay mode: enforce the per-object access order; a thread whose access
@@ -212,10 +208,6 @@ impl ExecHook for IrReplayer {
             },
             _ => NativeOutcome::value(0),
         }
-    }
-
-    fn mode_name(&self) -> &'static str {
-        "instant-replay-replay"
     }
 }
 

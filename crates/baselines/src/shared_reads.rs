@@ -105,10 +105,6 @@ impl ExecHook for ReadLogRecorder {
         });
         out
     }
-
-    fn mode_name(&self) -> &'static str {
-        "read-log-record"
-    }
 }
 
 /// Replay mode: substitute each thread's logged read values, overriding
@@ -186,10 +182,6 @@ impl ExecHook for ReadLogReplayer {
             },
             _ => NativeOutcome::value(0),
         }
-    }
-
-    fn mode_name(&self) -> &'static str {
-        "read-log-replay"
     }
 }
 

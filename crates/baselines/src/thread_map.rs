@@ -128,10 +128,6 @@ impl ExecHook for RcRecorder {
         });
         out
     }
-
-    fn mode_name(&self) -> &'static str {
-        "rc-record"
-    }
 }
 
 /// Replay mode: forces preemptive switches from the log and, on *every*
@@ -226,10 +222,6 @@ impl ExecHook for RcReplayer {
             },
             _ => NativeOutcome::value(0),
         }
-    }
-
-    fn mode_name(&self) -> &'static str {
-        "rc-replay"
     }
 }
 

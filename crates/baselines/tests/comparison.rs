@@ -148,7 +148,13 @@ fn e14_time_travel_seeks_backward_and_forward() {
     let (s, natives) = spec("racy_counter", 11);
     let (rec, trace) = dejavu::record_run(&s, natives, SymmetryConfig::full(), true);
 
-    let mut tt = TimeTravel::new(s.replay_vm(), trace, SymmetryConfig::full(), 2_000);
+    let mut tt = TimeTravel::new_indexed(
+        s.replay_vm(),
+        trace,
+        SymmetryConfig::full(),
+        2_000,
+        Vec::new(),
+    );
 
     // Forward to the middle.
     tt.seek(10_000);
@@ -184,13 +190,25 @@ fn e14_checkpoint_interval_tradeoff() {
     let (s, natives) = spec("racy_counter", 13);
     let (_rec, trace) = dejavu::record_run(&s, natives, SymmetryConfig::full(), false);
     // Denser checkpoints => more storage, less re-execution on seek.
-    let mut dense = TimeTravel::new(s.replay_vm(), trace.clone(), SymmetryConfig::full(), 1_000);
+    let mut dense = TimeTravel::new_indexed(
+        s.replay_vm(),
+        trace.clone(),
+        SymmetryConfig::full(),
+        1_000,
+        Vec::new(),
+    );
     dense.seek(20_000);
     dense.seek(10_500);
     let dense_storage = dense.storage_bytes();
     let dense_reexec = dense.reexecuted;
 
-    let mut sparse = TimeTravel::new(s.replay_vm(), trace, SymmetryConfig::full(), 10_000);
+    let mut sparse = TimeTravel::new_indexed(
+        s.replay_vm(),
+        trace,
+        SymmetryConfig::full(),
+        10_000,
+        Vec::new(),
+    );
     sparse.seek(20_000);
     sparse.seek(10_500);
     assert!(dense_storage > sparse.storage_bytes());
@@ -234,9 +252,6 @@ impl<H: ExecHook> ExecHook for Counting<H> {
     }
     fn observes_shared_accesses(&self) -> bool {
         self.inner.observes_shared_accesses()
-    }
-    fn on_halt(&mut self, vm: &mut Vm) {
-        self.inner.on_halt(vm)
     }
 }
 

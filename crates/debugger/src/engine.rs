@@ -50,6 +50,10 @@ pub struct ThreadInfo {
     pub yield_points: u64,
 }
 
+/// Steps between the checkpoints a session takes for reverse execution: a
+/// seek replays at most this many past the checkpoints taken so far.
+const CHECKPOINT_INTERVAL: u64 = 5_000;
+
 /// A perturbation-free debug session over a recorded execution.
 pub struct DebugSession {
     tt: TimeTravel,
@@ -67,24 +71,18 @@ pub struct DebugSession {
 
 impl DebugSession {
     /// Start a session replaying `trace`, recorded under `spec`.
-    /// Checkpoints every `checkpoint_interval` steps enable reverse
+    /// Checkpoints every `CHECKPOINT_INTERVAL` steps enable reverse
     /// execution; checkpoints at the logical-time `boundaries` (a block
     /// trace's footer index, as [`dejavu::ingest_bytes`] returns it; empty
-    /// for none) make [`DebugSession::seek_time`] O(block) instead of
-    /// O(run).
-    pub fn new(
-        spec: &ExecSpec,
-        trace: Trace,
-        checkpoint_interval: u64,
-        boundaries: Vec<u64>,
-    ) -> Self {
+    /// for none) are kept too.
+    pub fn new(spec: &ExecSpec, trace: Trace, boundaries: Vec<u64>) -> Self {
         let spec = spec.clone().with_telemetry();
         let trace = Arc::new(trace);
         let tt = TimeTravel::new_indexed(
             spec.replay_vm(),
             Arc::clone(&trace),
             SymmetryConfig::full(),
-            checkpoint_interval,
+            CHECKPOINT_INTERVAL,
             boundaries,
         );
         Self {
@@ -172,7 +170,7 @@ impl DebugSession {
         if let Some(r) = self.status_reason() {
             return r;
         }
-        self.tt.step_once();
+        self.tt.advance(1);
         self.status_reason()
             .or_else(|| self.at_breakpoint())
             .unwrap_or(StopReason::StepDone)

@@ -5,7 +5,7 @@
 
 use debugger::server::handle;
 use debugger::{Command, DebugSession, Response, StopReason};
-use dejavu::{record_run, ExecSpec, SymmetryConfig};
+use dejavu::{record_run, ExecSpec, SymmetryConfig, TimeTravel};
 use djvm::VmStatus;
 
 fn recorded(name: &str, seed: u64) -> (ExecSpec, dejavu::Trace, String) {
@@ -22,7 +22,7 @@ fn recorded(name: &str, seed: u64) -> (ExecSpec, dejavu::Trace, String) {
 
 fn session(name: &str, seed: u64) -> (DebugSession, String) {
     let (spec, trace, output) = recorded(name, seed);
-    (DebugSession::new(&spec, trace, 5_000, Vec::new()), output)
+    (DebugSession::new(&spec, trace, Vec::new()), output)
 }
 
 #[test]
@@ -139,7 +139,7 @@ fn breakpoints_by_source_line() {
 fn e9_protocol_session() {
     let (spec, trace, rec_output) = recorded("racy_counter", 9);
     let worker = spec.program.method_id_by_name("worker").unwrap();
-    let mut s = DebugSession::new(&spec, trace, 5_000, Vec::new());
+    let mut s = DebugSession::new(&spec, trace, Vec::new());
     let (method, pc) = (worker, 0);
 
     assert!(matches!(
@@ -216,7 +216,7 @@ fn e9_protocol_session() {
 #[test]
 fn metrics_and_divergence_commands() {
     let (spec, trace, rec_output) = recorded("racy_counter", 11);
-    let mut s = DebugSession::new(&spec, trace, 5_000, Vec::new());
+    let mut s = DebugSession::new(&spec, trace, Vec::new());
 
     // Advance a little, then read metrics mid-replay.
     for _ in 0..50 {
@@ -291,14 +291,14 @@ fn continue_without_breakpoints_lands_where_single_stepping_does() {
         counters.to_string()
     };
     let (spec, trace, rec_output) = recorded("racy_counter", 11);
-    let mut ran = DebugSession::new(&spec, trace.clone(), 1_000, Vec::new());
+    let mut ran = DebugSession::new(&spec, trace.clone(), Vec::new());
     assert_eq!(ran.cont(), StopReason::Halted);
 
-    let mut stepped = DebugSession::new(&spec, trace.clone(), 1_000, Vec::new());
+    let mut stepped = DebugSession::new(&spec, trace.clone(), Vec::new());
     while stepped.step() == StopReason::StepDone {}
 
     // A breakpoint nothing reaches forces `cont` down the single-step side.
-    let mut probed = DebugSession::new(&spec, trace, 1_000, Vec::new());
+    let mut probed = DebugSession::new(&spec, trace, Vec::new());
     probed.add_breakpoint(probed.program().entry, u32::MAX);
     assert_eq!(probed.cont(), StopReason::Halted);
     probed.remove_breakpoint(probed.program().entry, u32::MAX);
@@ -306,7 +306,7 @@ fn continue_without_breakpoints_lands_where_single_stepping_does() {
     let want = session_block(&ran);
     assert_eq!(want, session_block(&stepped));
     assert_eq!(want, session_block(&probed));
-    assert!(ran.step_index() > 1_000, "the run crosses a cadence key");
+    assert!(ran.step_index() > 5_000, "the run crosses a cadence key");
     for s in [&ran, &stepped, &probed] {
         assert_eq!(s.output(), rec_output);
         assert_eq!(s.vm().state_digest(), ran.vm().state_digest());
@@ -317,7 +317,7 @@ fn continue_without_breakpoints_lands_where_single_stepping_does() {
 #[test]
 fn profile_command_and_no_trace_error() {
     let (spec, trace, rec_output) = recorded("fig1_ab", 5);
-    let mut s = DebugSession::new(&spec, trace, 5_000, Vec::new());
+    let mut s = DebugSession::new(&spec, trace, Vec::new());
 
     // Profile before stepping at all: the command replays the whole run in
     // a scratch VM, so it works from any session position.
@@ -360,7 +360,7 @@ fn profile_command_and_no_trace_error() {
         switches: Vec::new(),
         data: Vec::new(),
     };
-    let mut s = DebugSession::new(&spec, empty, 5_000, Vec::new());
+    let mut s = DebugSession::new(&spec, empty, Vec::new());
     let Response::Error { message } = handle(&mut s, Command::Profile { top: 5 }) else {
         panic!("expected error for profile with no trace");
     };
@@ -388,20 +388,24 @@ fn seek_time_replays_only_the_target_block_span() {
     // Interval checkpoints off: block boundaries are the only keys, so
     // the measured replay span is attributable to the index alone.
     let t = dejavu::ingest_bytes(bytes).expect("block bytes accepted");
-    let mut indexed = DebugSession::new(&spec, t.trace, u64::MAX, t.boundaries);
-    assert_eq!(indexed.cont(), StopReason::Halted);
+    let sym = SymmetryConfig::full();
+    let mut indexed =
+        TimeTravel::new_indexed(spec.replay_vm(), t.trace, sym, u64::MAX, t.boundaries);
+    indexed.advance(u64::MAX);
+    assert_eq!(indexed.status(), VmStatus::Halted);
     let end = indexed.logical_time();
     let target = end / 2;
 
-    let stats = indexed.seek_time(target);
+    let stats = indexed.seek_logical(target);
     assert!(stats.restored, "backward seek must restore a checkpoint");
     assert_eq!(stats.target_logical, target);
     assert!(
         stats.final_logical >= target,
         "seek lands at or past the target"
     );
-    // The restored checkpoint is the *nearest* block boundary ≤ target…
-    let want = boundaries[boundaries.partition_point(|&b| b <= target) - 1];
+    // The restored checkpoint is the *nearest* block boundary < target
+    // (one at the target may lie past the first step that reached it)…
+    let want = boundaries[boundaries.partition_point(|&b| b < target) - 1];
     assert_eq!(
         stats.checkpoint_logical, want,
         "checkpoint keyed to the covering block"
@@ -416,9 +420,10 @@ fn seek_time_replays_only_the_target_block_span() {
     // The same seek on an unindexed session (single step-0 checkpoint)
     // replays the whole prefix — the block index is what makes the seek
     // O(block) instead of O(run).
-    let mut full = DebugSession::new(&spec, trace, u64::MAX, Vec::new());
-    assert_eq!(full.cont(), StopReason::Halted);
-    let full_stats = full.seek_time(target);
+    let mut full = TimeTravel::new_indexed(spec.replay_vm(), trace, sym, u64::MAX, Vec::new());
+    full.advance(u64::MAX);
+    assert_eq!(full.status(), VmStatus::Halted);
+    let full_stats = full.seek_logical(target);
     assert_eq!(
         full_stats.checkpoint_logical, 0,
         "unindexed session restores step 0"
@@ -436,7 +441,7 @@ fn seek_time_replays_only_the_target_block_span() {
     );
 
     // Seeking forward to where we already are replays nothing.
-    let noop = indexed.seek_time(indexed.logical_time());
+    let noop = indexed.seek_logical(indexed.logical_time());
     assert!(!noop.restored);
     assert_eq!(noop.events_replayed, 0);
 }
@@ -446,7 +451,7 @@ fn seek_time_restores_from_a_checkpoint_after_a_halt() {
     let (spec, trace, _) = recorded("racy_counter", 13);
     let bytes = dejavu::encode_trace(&trace, dejavu::TraceFormat::Block, 64);
     let t = dejavu::ingest_bytes(bytes).unwrap();
-    let mut s = DebugSession::new(&spec, t.trace, 5_000, t.boundaries);
+    let mut s = DebugSession::new(&spec, t.trace, t.boundaries);
 
     let r = handle(&mut s, Command::Continue);
     assert!(

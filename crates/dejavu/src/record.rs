@@ -245,8 +245,4 @@ impl ExecHook for DejaVuRecorder {
         });
         out
     }
-
-    fn mode_name(&self) -> &'static str {
-        "dejavu-record"
-    }
 }

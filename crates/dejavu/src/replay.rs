@@ -259,8 +259,4 @@ impl ExecHook for DejaVuReplayer {
             }
         }
     }
-
-    fn mode_name(&self) -> &'static str {
-        "dejavu-replay"
-    }
 }

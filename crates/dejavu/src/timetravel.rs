@@ -7,6 +7,14 @@
 //! dispatch tier the VM runs, paused at the nearest of the caller's target
 //! and the next checkpoint key. The debugger's reverse-step and the
 //! fleet's `Replay`/`SeekLogical` RPCs sit on top.
+//!
+//! The same determinism means a checkpoint, once taken, is the state at
+//! its step for as long as the trace exists, so none is ever dropped. A
+//! seek in either direction has one rule: restore the newest checkpoint at
+//! or before where the seek lands when the target is behind the VM or that
+//! checkpoint is ahead of it, then replay forward. A seek therefore
+//! replays at most one checkpoint interval past the checkpoints taken so
+//! far.
 
 use crate::{DejaVuReplayer, Desync, SymmetryConfig, Trace};
 use djvm::hook::ExecHook;
@@ -27,18 +35,18 @@ pub struct Checkpoint {
 }
 
 /// What one [`TimeTravel::seek_logical`] actually did: where it restored
-/// from and how much it replayed to land. A checkpoint-indexed seek
-/// replays from the last block boundary at or before the target, which is
-/// O(block) only where the boundaries spread over the run's logical time.
+/// from and how much it replayed to land. With block-boundary keys only, a
+/// seek replays from the last boundary below the target, which is
+/// O(block) only where the boundaries spread over the run's logical time:
 /// DJVB stores a block's switches before its data, so on an event-dense
-/// trace every data-only block shares one boundary (`clock_spin(10_000)`,
-/// seed 7, timer 211 ± 60: `[0, 19988, 19988, 19988, 19988, 19988]` of
-/// 20 000 yield points), and a seek below it replays from t = 0.
+/// trace the data-only blocks share one boundary. A step cadence bounds it
+/// whatever the boundaries are.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SeekStats {
     /// Logical time the caller asked for.
     pub target_logical: u64,
-    /// Whether a checkpoint restore happened (backward seeks only).
+    /// Whether a checkpoint restore happened: the target lay behind the
+    /// VM, or a kept checkpoint lay between the VM and the target.
     pub restored: bool,
     /// Step / logical time of the checkpoint the seek started from
     /// (current position when no restore happened).
@@ -68,22 +76,19 @@ pub struct TimeTravel {
     boundaries: Vec<u64>,
     /// Steps executed since replay start.
     pub step: u64,
-    /// Restores performed (experiment counter).
+    /// Seeks that restored a checkpoint, backward or forward (experiment
+    /// counter).
     pub restores: u64,
-    /// Steps re-executed due to restores (experiment counter).
+    /// Steps those seeks replayed from the checkpoint they restored
+    /// (experiment counter).
     pub reexecuted: u64,
 }
 
 impl TimeTravel {
-    /// Wrap a freshly booted replay VM. `interval` = steps between
-    /// checkpoints (the space/time knob the paper discusses).
-    pub fn new(vm: Vm, trace: impl Into<Arc<Trace>>, sym: SymmetryConfig, interval: u64) -> Self {
-        Self::new_indexed(vm, trace, sym, interval, Vec::new())
-    }
-
-    /// Like [`TimeTravel::new`], additionally checkpointing at each given
-    /// logical-time boundary (must be sorted ascending; block boundaries
-    /// from a block-structured trace are).
+    /// Wrap a freshly booted replay VM. Checkpoints go every `interval`
+    /// steps (`u64::MAX`: none past step 0) and at the first step that
+    /// enters each logical-time `boundary` (sorted ascending, as a block
+    /// trace's footer index is; empty for none).
     pub fn new_indexed(
         mut vm: Vm,
         trace: impl Into<Arc<Trace>>,
@@ -123,16 +128,27 @@ impl TimeTravel {
         self.vm.status
     }
 
+    /// Keep the state at the current step, in step order; a step already
+    /// held is held once.
     fn take_checkpoint(&mut self) {
+        let Err(at) = self
+            .checkpoints
+            .binary_search_by_key(&self.step, |c| c.at_step)
+        else {
+            return;
+        };
         let snapshot = self.vm.snapshot();
         let bytes = self.vm.snapshot_size_bytes();
-        self.checkpoints.push(Checkpoint {
-            at_step: self.step,
-            at_logical: self.logical_time(),
-            snapshot,
-            replayer: self.replayer.clone(),
-            bytes,
-        });
+        self.checkpoints.insert(
+            at,
+            Checkpoint {
+                at_step: self.step,
+                at_logical: self.logical_time(),
+                snapshot,
+                replayer: self.replayer.clone(),
+                bytes,
+            },
+        );
     }
 
     /// Replay forward until `to_step`, `to_logical` or the end of the run,
@@ -163,25 +179,28 @@ impl TimeTravel {
         }
     }
 
-    /// Travel to whichever of `to_step` / `to_logical` comes first: when
-    /// that lies behind, restore the newest checkpoint at or before it
-    /// (dropping those from its future; re-execution re-takes them) — then
-    /// it is ordinary replay ("reverse execution" per Igor/Boothe).
+    /// Travel to whichever of `to_step` / `to_logical` comes first. The
+    /// newest checkpoint at or before the landing — `at_step ≤ to_step`,
+    /// `at_logical < to_logical`, since a cadence checkpoint whose clock
+    /// already reads the target can sit past the first step that did — is
+    /// restored when the target lies behind the VM or the checkpoint ahead
+    /// of it; then it is ordinary replay ("reverse execution" per
+    /// Igor/Boothe). A logical seek thus lands where a straight replay
+    /// first reaches the target, unless the VM's clock reads it already.
     fn travel(&mut self, to_step: u64, to_logical: u64) -> SeekStats {
         let mut stats = SeekStats {
             target_logical: to_logical,
             ..SeekStats::default()
         };
-        if to_step < self.step || to_logical < self.logical_time() {
-            let idx = self
-                .checkpoints
-                .partition_point(|c| c.at_step <= to_step && c.at_logical <= to_logical)
-                .saturating_sub(1);
-            let cp = &self.checkpoints[idx];
+        let idx = self
+            .checkpoints
+            .partition_point(|c| c.at_step <= to_step && c.at_logical < to_logical)
+            .saturating_sub(1);
+        let cp = &self.checkpoints[idx];
+        if to_step < self.step || to_logical < self.logical_time() || cp.at_step > self.step {
             self.vm.restore(&cp.snapshot);
             self.replayer = cp.replayer.clone();
             self.step = cp.at_step;
-            self.checkpoints.truncate(idx + 1);
             self.restores += 1;
             stats.restored = true;
         }
@@ -191,19 +210,12 @@ impl TimeTravel {
         self.forward(to_step, to_logical);
         stats.steps_replayed = self.step - stats.checkpoint_step;
         if stats.restored {
-            // only restore-induced catch-up counts as re-execution
             self.reexecuted += stats.steps_replayed;
         }
         stats.events_replayed = self.replayer.events_consumed() - events_before;
         stats.final_step = self.step;
         stats.final_logical = self.logical_time();
         stats
-    }
-
-    /// Execute exactly one replayed instruction: the debugger's
-    /// single-step, and nothing else's.
-    pub fn step_once(&mut self) {
-        self.advance(1);
     }
 
     /// Run forward `n` steps (or until the VM stops).
@@ -217,11 +229,8 @@ impl TimeTravel {
     }
 
     /// Travel to an absolute *logical time* (counted yield points) — the
-    /// block-trace seek path. Returns what the seek cost; with
-    /// block-boundary checkpoints ([`TimeTravel::new_indexed`])
-    /// `events_replayed` is bounded by the span between the two block
-    /// boundaries around the target, which is one block's only where the
-    /// boundaries are distinct (see [`SeekStats`]).
+    /// block-trace seek path. Returns what the seek cost (see
+    /// [`SeekStats`]).
     pub fn seek_logical(&mut self, target: u64) -> SeekStats {
         self.travel(u64::MAX, target)
     }

@@ -89,7 +89,7 @@ fn every_landing_holds_the_straight_replays_whole_heap() {
                     Move::Seek(s) => tt.seek(s),
                     Move::SeekLogical(t) => drop(tt.seek_logical(t)),
                     Move::Advance(n) => tt.advance(n),
-                    Move::StepOnce => tt.step_once(),
+                    Move::StepOnce => tt.advance(1),
                 }
                 let (at, mem) = observe(tt.vm());
                 let extent = tt.vm().heap.extent();

@@ -155,14 +155,6 @@ pub trait ExecHook {
     fn observes_shared_accesses(&self) -> bool {
         true
     }
-
-    /// The VM halted (normally or abnormally).
-    fn on_halt(&mut self, _vm: &mut Vm) {}
-
-    /// A human-readable mode label for diagnostics.
-    fn mode_name(&self) -> &'static str {
-        "custom"
-    }
 }
 
 /// The no-instrumentation hook: live clock, live natives, preempt on the
@@ -201,9 +193,5 @@ impl ExecHook for Passthrough {
 
     fn observes_shared_accesses(&self) -> bool {
         false
-    }
-
-    fn mode_name(&self) -> &'static str {
-        "passthrough"
     }
 }

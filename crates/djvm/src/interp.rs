@@ -390,7 +390,7 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64, until: u64) -> Vm
                     if let Err(f) = p.exec(&mut vm.heap, &program, &mut sp, statics) {
                         flush!();
                         let e = vm.fail(f.kind());
-                        raise_err(vm, hook, e);
+                        raise_err(vm, e);
                         continue 'outer;
                     }
                     pc += 1;
@@ -406,7 +406,7 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64, until: u64) -> Vm
                     retire!(1);
                     flush!();
                     if let Err(e) = native_call(vm, hook, native, nargs, pc) {
-                        raise_err(vm, hook, e);
+                        raise_err(vm, e);
                     }
                     resume!();
                 }
@@ -424,7 +424,7 @@ fn run_quick(vm: &mut Vm, hook: &mut dyn ExecHook, limit: u64, until: u64) -> Vm
                         Err(f) => Err(vm.fail(f.kind())),
                     };
                     if let Err(e) = called {
-                        raise_err(vm, hook, e);
+                        raise_err(vm, e);
                     }
                     continue 'outer;
                 }
@@ -604,7 +604,7 @@ fn step(vm: &mut Vm, hook: &mut dyn ExecHook) {
             }
         }
         Ok(Flow::Managed) => {}
-        Err(e) => raise_err(vm, hook, e),
+        Err(e) => raise_err(vm, e),
     }
 }
 
@@ -612,7 +612,7 @@ fn step(vm: &mut Vm, hook: &mut dyn ExecHook) {
 /// loop must produce the same status transition and the same `0xE44`
 /// fingerprint event sequence (note `vm.fail` already fired one `0xE44`;
 /// this second one is part of the observable record and must be kept).
-fn raise_err(vm: &mut Vm, hook: &mut dyn ExecHook, e: VmError) {
+fn raise_err(vm: &mut Vm, e: VmError) {
     if vm.status.is_running() {
         vm.status = VmStatus::Error(e);
     }
@@ -620,7 +620,6 @@ fn raise_err(vm: &mut Vm, hook: &mut dyn ExecHook, e: VmError) {
         kind: e.kind as u32,
         pc: e.pc,
     });
-    hook.on_halt(vm);
 }
 
 /// Pop the monitor object of a synchronization op: `NullDeref` if it is
@@ -932,7 +931,6 @@ fn exec_op(vm: &mut Vm, hook: &mut dyn ExecHook, op: Op, pc: u32) -> Result<Flow
             vm.note(VmEvent::Halt {
                 all_terminated: false,
             });
-            hook.on_halt(vm);
             Ok(Flow::Managed)
         }
 
@@ -1251,7 +1249,6 @@ fn schedule_next(vm: &mut Vm, hook: &mut dyn ExecHook) {
                 vm.note(VmEvent::Deadlock {
                     clock_stalled: true,
                 });
-                hook.on_halt(vm);
                 return;
             }
             continue;
@@ -1272,7 +1269,6 @@ fn schedule_next(vm: &mut Vm, hook: &mut dyn ExecHook) {
                 clock_stalled: false,
             });
         }
-        hook.on_halt(vm);
         return;
     }
 }
@@ -1302,7 +1298,6 @@ fn yield_point(vm: &mut Vm, hook: &mut dyn ExecHook) {
         vm.instr_depth += 1;
         if let Err(e) = vm.push_frame(method, false, &[arg], true, true) {
             vm.status = VmStatus::Error(e);
-            hook.on_halt(vm);
         }
     } else if act.switch_now {
         vm.counters.preemptive_switches += 1;

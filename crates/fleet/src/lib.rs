@@ -44,5 +44,5 @@ pub use client::{FleetClient, FleetMemory};
 pub use manager::{SessionManager, DEFAULT_IDLE_TTL};
 pub use rpc::{Request, Response};
 pub use server::{FleetConfig, FleetServer};
-pub use session::{spec_for, FleetError, Phase, Session, DEFAULT_CHECKPOINT_INTERVAL};
+pub use session::{spec_for, FleetError, Phase, Session};
 pub use wire::{WireError, MAGIC, MAX_FRAME, VERSION};

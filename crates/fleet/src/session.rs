@@ -28,9 +28,6 @@ use dejavu::{record_run, ExecSpec, SymmetryConfig, Trace, TraceError, TraceInges
 use std::time::Instant;
 use workloads::Workload;
 
-/// Step-cadence checkpoint interval for hosted replays.
-pub const DEFAULT_CHECKPOINT_INTERVAL: u64 = 5_000;
-
 /// The platform's one execution environment for a registry workload
 /// (timer base 211, jitter 60). The fleet, the CLI and the corpus all
 /// build their specs here, so a fleet-hosted recording, a CLI recording
@@ -225,12 +222,7 @@ impl Session {
     pub fn make_resident(&mut self) -> Result<&mut DebugSession, FleetError> {
         self.phase = match std::mem::take(&mut self.phase) {
             Phase::Sealed { trace, boundaries } => Phase::Replaying {
-                dbg: DebugSession::new(
-                    &self.spec(),
-                    trace,
-                    DEFAULT_CHECKPOINT_INTERVAL,
-                    boundaries,
-                ),
+                dbg: DebugSession::new(&self.spec(), trace, boundaries),
             },
             other => other,
         };

@@ -482,11 +482,11 @@ fn dropped_peer_mid_frame_does_not_kill_the_server() {
     server.join();
 }
 
-/// A hosted `fig1_hot` replay takes a checkpoint every
-/// `DEFAULT_CHECKPOINT_INTERVAL` steps, a couple of hundred of them; each
-/// holds the words the guest has written, not the whole heap image, so
-/// one small `Replay` frame cannot pin gigabytes of checkpoints — and the
-/// replay still lands on the recorded fingerprint.
+/// A hosted `fig1_hot` replay takes a checkpoint every 5 000 steps, a
+/// couple of hundred of them; each holds the words the guest has written,
+/// not the whole heap image, so one small `Replay` frame cannot pin
+/// gigabytes of checkpoints — and the replay still lands on the recorded
+/// fingerprint.
 #[test]
 fn a_hosted_heavy_replay_holds_checkpoints_sized_to_the_guest() {
     let server = start_server(1);
@@ -666,7 +666,7 @@ fn a_client_side_reflector_reads_a_hosted_replay_word_for_word() {
     let (w, seed, step) = (workload("producer_consumer"), 4, 3_000);
     let spec = spec_for(&w, seed);
     let (_, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
-    let mut local = DebugSession::new(&spec, trace, fleet::DEFAULT_CHECKPOINT_INTERVAL, Vec::new());
+    let mut local = DebugSession::new(&spec, trace, Vec::new());
     local.seek(step);
     assert!(local.vm().status.is_running(), "paused mid-run");
     let truth = LocalVmMemory::new(local.vm());

@@ -129,7 +129,10 @@ fn e3_yieldpoint_cost() {
         a.label("done");
         a.halt();
     });
-    let mut s = ExecSpec::new(pb.finish(m).unwrap());
+    // Tier 2 retires this loop in closed form and credits its yield points
+    // in one batch; tier 1 consults the hook at every one, which is the
+    // cost Figure 2's instrumentation adds.
+    let mut s = ExecSpec::new(pb.finish(m).unwrap()).with_mega(false);
     s.timer_base = 997;
     s.timer_jitter = 100;
     let (rec, trace) = record_run(&s, |_| {}, SymmetryConfig::full(), false);
@@ -629,11 +632,12 @@ fn e14_checkpoints() {
     println!("| checkpoint interval (steps) | checkpoints | storage bytes | reverse-seek re-exec steps |");
     println!("|---|---|---|---|");
     for interval in [1_000u64, 5_000, 20_000] {
-        let mut tt = TimeTravel::new(
+        let mut tt = TimeTravel::new_indexed(
             s.replay_vm(),
             trace.clone(),
             SymmetryConfig::full(),
             interval,
+            Vec::new(),
         );
         tt.seek(30_000);
         tt.seek(15_500); // one reverse seek

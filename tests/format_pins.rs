@@ -343,7 +343,7 @@ fn observer_bytes(name: &str, seed: u64, heap_words: Option<usize>) -> Vec<(&'st
     assert!(report.first.is_some(), "{name}: the rings localize it");
     let (_, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
     let (profile, _, _) = profile_replay(&spec, trace.clone(), SymmetryConfig::full());
-    let mut session = DebugSession::new(&spec, trace, 5_000, Vec::new());
+    let mut session = DebugSession::new(&spec, trace, Vec::new());
     session.cont();
     vec![
         (

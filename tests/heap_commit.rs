@@ -67,7 +67,7 @@ fn read_word_agrees_with_the_whole_image() {
         spec.vm.heap_words = words;
         let (rec, trace) = record_run(&spec, w.natives, sym, true);
         let end = rec.counters.steps;
-        let mut tt = TimeTravel::new(spec.replay_vm(), trace, sym, end / 4 + 1);
+        let mut tt = TimeTravel::new_indexed(spec.replay_vm(), trace, sym, end / 4 + 1, Vec::new());
         tt.seek(end);
         read_words_agree(&tt.vm().heap, w.name, "straight")?;
         let high = tt.vm().heap.extent();

@@ -34,7 +34,7 @@ fn full_platform_flow() {
     assert!(row.dejavu_bytes < row.readlog_bytes);
 
     // --- debug the recording ---------------------------------------------
-    let mut session = DebugSession::new(&spec, trace, 4_000, Vec::new());
+    let mut session = DebugSession::new(&spec, trace, Vec::new());
     let worker = spec.program.method_id_by_name("worker").unwrap();
     session.add_breakpoint(worker, 0);
     let stop = session.cont();
@@ -80,7 +80,13 @@ fn time_travel_composes_with_reflection() {
     spec.timer_jitter = 19;
     let (rec, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
 
-    let mut tt = TimeTravel::new(spec.replay_vm(), trace, SymmetryConfig::full(), 3_000);
+    let mut tt = TimeTravel::new_indexed(
+        spec.replay_vm(),
+        trace,
+        SymmetryConfig::full(),
+        3_000,
+        Vec::new(),
+    );
 
     // Sample the same moment twice (before/after a round trip through the
     // future) and reflectively compare: identical remote answers.
@@ -135,11 +141,12 @@ fn every_replay_door_agrees_with_the_record() {
             );
             assert_eq!((&vm.output, vm.status), (&rec.output, rec.status));
         };
-        let mut tt = TimeTravel::new(spec.replay_vm(), trace.clone(), sym, u64::MAX);
+        let mut tt =
+            TimeTravel::new_indexed(spec.replay_vm(), trace.clone(), sym, u64::MAX, Vec::new());
         tt.advance(u64::MAX);
         agrees("TimeTravel", tt.vm(), tt.desyncs());
 
-        let mut session = DebugSession::new(&spec, trace, u64::MAX, Vec::new());
+        let mut session = DebugSession::new(&spec, trace, Vec::new());
         session.cont();
         agrees("DebugSession", session.vm(), session.desyncs());
     }

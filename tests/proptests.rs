@@ -1071,7 +1071,7 @@ fn time_travel_lands_on_the_same_state_in_every_tier() {
                             None
                         }
                         Move::StepOnce => {
-                            tt.step_once();
+                            tt.advance(1);
                             None
                         }
                     };
