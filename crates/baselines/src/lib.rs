@@ -11,10 +11,12 @@
 //! | Recap / PPD | the *value* of every shared read | [`shared_reads`] |
 //! | Igor / Boothe | periodic full-state checkpoints (time travel) | [`checkpoint`] |
 //!
-//! [`trace_size_comparison`] produces the E5 table row for a workload;
-//! the `rc_record_replay` / `ir_record_replay` / `readlog_record_replay`
-//! helpers run full record→replay cycles for accuracy and overhead
-//! measurements (E7).
+//! [`trace_size_comparison`] produces the E5 table row for a workload.
+//! The `{rc,ir,readlog}_{record,replay}` functions run each scheme through
+//! [`dejavu::drive`], the straight run DejaVu's own record and replay are,
+//! and return its [`dejavu::RunReport`], so the accuracy and overhead
+//! measurements (E4, E7) time the same window and build the same report
+//! for every scheme.
 
 pub mod checkpoint;
 pub mod instant_replay;
@@ -23,37 +25,13 @@ pub mod thread_map;
 
 use codec::varint_len;
 use dejavu::trace::{DataRec, HEADER_BYTES};
-use dejavu::{ExecSpec, SymmetryConfig};
-use djvm::hook::ExecHook;
-use djvm::{interp, Vm, VmStatus};
-use std::time::{Duration, Instant};
+use dejavu::{drive, ExecSpec, RunReport, SymmetryConfig};
+use djvm::Vm;
 
 pub use checkpoint::{SeekStats, TimeTravel};
 pub use instant_replay::{IrRecorder, IrReplayer, IrTrace};
 pub use shared_reads::{ReadLogRecorder, ReadLogReplayer, ReadTrace};
 pub use thread_map::{RcRecorder, RcReplayer, RcTrace};
-
-/// Outcome of a baseline run (weaker observables than
-/// [`dejavu::RunReport`], matching each scheme's weaker guarantees).
-#[derive(Debug, Clone)]
-pub struct BaselineReport {
-    pub status: VmStatus,
-    pub output: String,
-    pub steps: u64,
-    pub wall_time: Duration,
-}
-
-fn drive(vm: &mut Vm, hook: &mut dyn ExecHook, max_steps: u64) -> BaselineReport {
-    hook.on_init(vm);
-    let t0 = Instant::now();
-    interp::run(vm, hook, max_steps);
-    BaselineReport {
-        status: vm.status,
-        output: vm.output.clone(),
-        steps: vm.counters.steps,
-        wall_time: t0.elapsed(),
-    }
-}
 
 /// A baseline trace's E5 size: `own` bytes of the scheme's ordering
 /// records, framed the way DejaVu's size model frames a trace with an
@@ -68,57 +46,45 @@ fn framed_len(own: usize, data: &[DataRec]) -> usize {
 }
 
 /// Record with the Russinovich–Cogswell scheme.
-pub fn rc_record(spec: &ExecSpec, natives: impl FnOnce(&mut Vm)) -> (BaselineReport, RcTrace) {
-    let mut vm = spec.live_vm();
-    natives(&mut vm);
+pub fn rc_record(spec: &ExecSpec, natives: impl FnOnce(&mut Vm)) -> (RunReport, RcTrace) {
     let mut hook = RcRecorder::new();
-    let rep = drive(&mut vm, &mut hook, spec.max_steps);
+    let rep = drive(spec, spec.live_vm(), natives, &mut hook, "rc_record");
     (rep, hook.into_trace())
 }
 
 /// Replay a Russinovich–Cogswell trace; returns the report plus the
 /// mapping-lookup count (the per-dispatch cost DejaVu avoids).
-pub fn rc_replay(spec: &ExecSpec, trace: RcTrace) -> (BaselineReport, u64, u64) {
-    let mut vm = spec.replay_vm();
+pub fn rc_replay(spec: &ExecSpec, trace: RcTrace) -> (RunReport, u64, u64) {
     let mut hook = RcReplayer::new(trace);
-    let rep = drive(&mut vm, &mut hook, spec.max_steps);
+    let rep = drive(spec, spec.replay_vm(), |_| {}, &mut hook, "rc_replay");
     (rep, hook.lookups, hook.mismatches)
 }
 
 /// Record with Instant Replay (CREW access logging).
-pub fn ir_record(spec: &ExecSpec, natives: impl FnOnce(&mut Vm)) -> (BaselineReport, IrTrace) {
-    let mut vm = spec.live_vm();
-    natives(&mut vm);
+pub fn ir_record(spec: &ExecSpec, natives: impl FnOnce(&mut Vm)) -> (RunReport, IrTrace) {
     let mut hook = IrRecorder::new();
-    let rep = drive(&mut vm, &mut hook, spec.max_steps);
+    let rep = drive(spec, spec.live_vm(), natives, &mut hook, "ir_record");
     (rep, hook.into_trace())
 }
 
 /// Replay an Instant Replay trace (access-order enforcement).
-pub fn ir_replay(spec: &ExecSpec, trace: IrTrace) -> (BaselineReport, u64, u64) {
-    let mut vm = spec.replay_vm();
+pub fn ir_replay(spec: &ExecSpec, trace: IrTrace) -> (RunReport, u64, u64) {
     let mut hook = IrReplayer::new(trace);
-    let rep = drive(&mut vm, &mut hook, spec.max_steps);
+    let rep = drive(spec, spec.replay_vm(), |_| {}, &mut hook, "ir_replay");
     (rep, hook.delays, hook.order_violations)
 }
 
 /// Record with Recap/PPD-style read-value logging.
-pub fn readlog_record(
-    spec: &ExecSpec,
-    natives: impl FnOnce(&mut Vm),
-) -> (BaselineReport, ReadTrace) {
-    let mut vm = spec.live_vm();
-    natives(&mut vm);
+pub fn readlog_record(spec: &ExecSpec, natives: impl FnOnce(&mut Vm)) -> (RunReport, ReadTrace) {
     let mut hook = ReadLogRecorder::new();
-    let rep = drive(&mut vm, &mut hook, spec.max_steps);
+    let rep = drive(spec, spec.live_vm(), natives, &mut hook, "readlog_record");
     (rep, hook.into_trace())
 }
 
 /// Replay with read-value substitution.
-pub fn readlog_replay(spec: &ExecSpec, trace: ReadTrace) -> (BaselineReport, u64, u64) {
-    let mut vm = spec.replay_vm();
+pub fn readlog_replay(spec: &ExecSpec, trace: ReadTrace) -> (RunReport, u64, u64) {
     let mut hook = ReadLogReplayer::new(trace);
-    let rep = drive(&mut vm, &mut hook, spec.max_steps);
+    let rep = drive(spec, spec.replay_vm(), |_| {}, &mut hook, "readlog_replay");
     (rep, hook.substituted, hook.underruns)
 }
 

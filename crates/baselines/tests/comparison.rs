@@ -163,7 +163,7 @@ fn e14_time_travel_seeks_backward_and_forward() {
 
     // Onward to completion.
     while tt.status().is_running() {
-        tt.advance(5_000);
+        tt.seek(tt.step.saturating_add(5_000));
     }
     assert_eq!(tt.vm().output, rec.output, "time-travel replay is accurate");
 
@@ -180,7 +180,7 @@ fn e14_time_travel_seeks_backward_and_forward() {
 
     // And forward again to completion with identical output.
     while tt.status().is_running() {
-        tt.advance(5_000);
+        tt.seek(tt.step.saturating_add(5_000));
     }
     assert_eq!(tt.vm().output, rec.output);
 }

@@ -2,11 +2,14 @@
 //!
 //! The session drives a **replaying** application VM (so execution is the
 //! recorded one, exactly), supports breakpoints, single-stepping, and —
-//! thanks to checkpoints — *reverse* stepping. All inspection goes through
-//! **remote reflection** against the paused VM's address space: "the
-//! execution must not be perturbed by normal debugger operations such as
-//! stopping and continuing, querying objects and program states, setting
-//! breakpoints."
+//! thanks to checkpoints — *reverse* stepping. Every motion (step,
+//! continue, reverse step, seek) is a [`TimeTravel`] seek, so each one
+//! replays from the VM's position or from the newest checkpoint at or
+//! before where it lands, whichever is nearer. All inspection goes
+//! through **remote reflection** against the paused VM's address space:
+//! "the execution must not be perturbed by normal debugger operations such
+//! as stopping and continuing, querying objects and program states,
+//! setting breakpoints."
 
 use dejavu::{ExecSpec, SeekStats, SymmetryConfig, TimeTravel, Trace};
 use djvm::heap::Addr;
@@ -150,10 +153,11 @@ impl DebugSession {
 
     /// Continue until a breakpoint (checked before each instruction) or
     /// termination. With no breakpoint set there is nothing to check: the
-    /// run goes to the end of the trace at replay speed.
+    /// run is a seek to the end of the trace, which starts from the newest
+    /// checkpoint already taken when that lies ahead of the VM.
     pub fn cont(&mut self) -> StopReason {
         if self.breakpoints.is_empty() {
-            self.tt.advance(u64::MAX);
+            self.tt.seek(u64::MAX);
         }
         // `step` always makes progress, so `cont` at a breakpoint moves
         // past it.
@@ -165,12 +169,12 @@ impl DebugSession {
         }
     }
 
-    /// Execute exactly one instruction.
+    /// Execute exactly one instruction (a seek one step ahead).
     pub fn step(&mut self) -> StopReason {
         if let Some(r) = self.status_reason() {
             return r;
         }
-        self.tt.advance(1);
+        self.tt.seek(self.tt.step + 1);
         self.status_reason()
             .or_else(|| self.at_breakpoint())
             .unwrap_or(StopReason::StepDone)

@@ -391,7 +391,7 @@ fn seek_time_replays_only_the_target_block_span() {
     let sym = SymmetryConfig::full();
     let mut indexed =
         TimeTravel::new_indexed(spec.replay_vm(), t.trace, sym, u64::MAX, t.boundaries);
-    indexed.advance(u64::MAX);
+    indexed.seek(indexed.step.saturating_add(u64::MAX));
     assert_eq!(indexed.status(), VmStatus::Halted);
     let end = indexed.logical_time();
     let target = end / 2;
@@ -421,7 +421,7 @@ fn seek_time_replays_only_the_target_block_span() {
     // replays the whole prefix — the block index is what makes the seek
     // O(block) instead of O(run).
     let mut full = TimeTravel::new_indexed(spec.replay_vm(), trace, sym, u64::MAX, Vec::new());
-    full.advance(u64::MAX);
+    full.seek(full.step.saturating_add(u64::MAX));
     assert_eq!(full.status(), VmStatus::Halted);
     let full_stats = full.seek_logical(target);
     assert_eq!(
@@ -477,4 +477,38 @@ fn seek_time_restores_from_a_checkpoint_after_a_halt() {
     assert!(checkpoint_logical <= 40);
     assert!(final_logical >= 40);
     assert!(events_replayed > 0);
+}
+
+#[test]
+fn continue_after_a_step_back_restores_the_newest_checkpoint() {
+    // `fig1_hot` under the fleet's hosted spec (`fleet::spec_for(w, 7)`):
+    // one million steps, so a `continue` that replayed from step 0 instead
+    // of from the last checkpoint would show in `reexecuted_steps`.
+    let w = workloads::registry()
+        .into_iter()
+        .find(|w| w.name == "fig1_hot")
+        .unwrap();
+    let mut spec = ExecSpec::new((w.build)()).with_seed(7);
+    spec.timer_base = 211;
+    spec.timer_jitter = 60;
+    let (_, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
+    let mut s = DebugSession::new(&spec, trace, Vec::new());
+    let session = |s: &DebugSession, key: &str| {
+        let doc = codec::Json::parse(&s.metrics_json()).unwrap();
+        let counters = doc.field("session").unwrap().field("counters").unwrap();
+        counters.field(key).unwrap().as_u64().unwrap()
+    };
+
+    assert_eq!(s.cont(), StopReason::Halted);
+    let (end, fingerprint) = (s.step_index(), s.vm().fingerprint.digest());
+    assert!(end > 1_000_000, "{end}");
+    s.seek(0);
+    let (restores, reexecuted) = (session(&s, "restores"), session(&s, "reexecuted_steps"));
+
+    assert_eq!(s.cont(), StopReason::Halted);
+    assert_eq!(session(&s, "restores"), restores + 1);
+    let replayed = session(&s, "reexecuted_steps") - reexecuted;
+    assert!(replayed <= 5_000, "continue replayed {replayed} steps");
+    assert_eq!(s.step_index(), end);
+    assert_eq!(s.vm().fingerprint.digest(), fingerprint);
 }

@@ -211,21 +211,35 @@ impl RunReport {
     }
 }
 
-/// Run uninstrumented (the precision baseline).
-pub fn passthrough_run(spec: &ExecSpec, natives: impl FnOnce(&mut Vm)) -> RunReport {
-    let mut vm = spec.live_vm();
+/// Run `vm` under `hook` to its end or `spec.max_steps`: the one straight
+/// run of every mode and every §5 scheme. Natives, then `on_init`; only the
+/// interpreter is timed, and the report is built after it, its telemetry
+/// labelled `mode`.
+pub fn drive(
+    spec: &ExecSpec,
+    mut vm: Vm,
+    natives: impl FnOnce(&mut Vm),
+    hook: &mut dyn ExecHook,
+    mode: &'static str,
+) -> RunReport {
     let boot = PhaseSpan::mark("boot", &vm);
     natives(&mut vm);
-    let mut hook = Passthrough;
+    hook.on_init(&mut vm);
     let warmup = PhaseSpan::mark("warmup", &vm);
     let t0 = Instant::now();
-    interp::run(&mut vm, &mut hook, spec.max_steps);
-    let run = PhaseSpan::mark("passthrough", &vm);
-    RunReport::from_vm(
-        &mut vm,
-        t0.elapsed(),
+    interp::run(&mut vm, hook, spec.max_steps);
+    let run = PhaseSpan::mark(mode, &vm);
+    RunReport::from_vm(&mut vm, t0.elapsed(), mode, vec![boot, warmup, run])
+}
+
+/// Run uninstrumented (the precision baseline).
+pub fn passthrough_run(spec: &ExecSpec, natives: impl FnOnce(&mut Vm)) -> RunReport {
+    drive(
+        spec,
+        spec.live_vm(),
+        natives,
+        &mut Passthrough,
         "passthrough",
-        vec![boot, warmup, run],
     )
 }
 
@@ -236,16 +250,8 @@ pub fn record_run(
     sym: SymmetryConfig,
     paranoid: bool,
 ) -> (RunReport, Trace) {
-    let mut vm = spec.live_vm();
-    let boot = PhaseSpan::mark("boot", &vm);
-    natives(&mut vm);
     let mut hook = DejaVuRecorder::new(sym, paranoid);
-    hook.on_init(&mut vm);
-    let warmup = PhaseSpan::mark("warmup", &vm);
-    let t0 = Instant::now();
-    interp::run(&mut vm, &mut hook, spec.max_steps);
-    let run = PhaseSpan::mark("record", &vm);
-    let report = RunReport::from_vm(&mut vm, t0.elapsed(), "record", vec![boot, warmup, run]);
+    let report = drive(spec, spec.live_vm(), natives, &mut hook, "record");
     (report, hook.into_trace())
 }
 
@@ -256,29 +262,20 @@ pub fn replay_run(
     trace: impl Into<Arc<Trace>>,
     sym: SymmetryConfig,
 ) -> (RunReport, Vec<Desync>) {
-    let mut vm = spec.replay_vm();
-    let boot = PhaseSpan::mark("boot", &vm);
     let mut hook = DejaVuReplayer::new(trace, sym);
-    hook.on_init(&mut vm);
-    let warmup = PhaseSpan::mark("warmup", &vm);
-    let t0 = Instant::now();
-    interp::run(&mut vm, &mut hook, spec.max_steps);
-    let run = PhaseSpan::mark("replay", &vm);
-    let report = RunReport::from_vm(&mut vm, t0.elapsed(), "replay", vec![boot, warmup, run]);
+    let report = drive(spec, spec.replay_vm(), |_| {}, &mut hook, "replay");
     (report, hook.into_desyncs())
 }
 
 /// Record then replay, returning both reports and whether replay was
-/// accurate.
+/// accurate (the verdict of [`record_replay_forensic`]).
 pub fn record_replay(
     spec: &ExecSpec,
     natives: impl FnOnce(&mut Vm),
     sym: SymmetryConfig,
 ) -> (RunReport, RunReport, bool) {
-    let (rec, trace) = record_run(spec, natives, sym, true);
-    let (rep, desyncs) = replay_run(spec, trace, sym);
-    let ok = rec.matches(&rep) && desyncs.is_empty();
-    (rec, rep, ok)
+    let out = record_replay_forensic(spec, natives, sym);
+    (out.record, out.replay, out.accurate)
 }
 
 /// Everything [`record_replay_forensic`] produces: both reports, the

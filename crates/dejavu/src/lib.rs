@@ -40,7 +40,9 @@
 //! * [`replay`] — Fig. 2-(B): the replaying hook.
 //! * [`symmetry`] — §2.4's symmetric-instrumentation machinery, each
 //!   mechanism individually defeatable for ablation.
-//! * [`driver`] — run orchestration and the accuracy criterion.
+//! * [`driver`] — run orchestration: [`drive`], the one straight run of a
+//!   VM under a hook (passthrough, record, replay and every §5 scheme),
+//!   and the accuracy criterion.
 //! * [`timetravel`] — checkpoints over a replayed run: seek by step or
 //!   logical time, backward as restore + ordinary replay (§5).
 
@@ -60,7 +62,7 @@ pub use blocktrace::{
     DEFAULT_BLOCK_BUDGET, DEFAULT_INGEST_LIMIT,
 };
 pub use driver::{
-    passthrough_run, record_replay, record_replay_forensic, record_run, replay_run,
+    drive, passthrough_run, record_replay, record_replay_forensic, record_run, replay_run,
     ExecSpec, ForensicOutcome, RunReport,
 };
 pub use observe::{

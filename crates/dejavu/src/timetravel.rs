@@ -3,9 +3,12 @@
 //! The paper's §5 case against Igor/Boothe-style checkpointing is that
 //! DejaVu needs no second execution mechanism: replay regenerates
 //! everything between two checkpoints, so "reverse execution" is a restore
-//! plus ordinary replay. Motion here is [`interp::run_until`], in whatever
-//! dispatch tier the VM runs, paused at the nearest of the caller's target
-//! and the next checkpoint key. The debugger's reverse-step and the
+//! plus ordinary replay. Every motion is a seek — [`TimeTravel::seek`] by
+//! step, [`TimeTravel::seek_logical`] by logical time — and a forward run
+//! is a seek to a later step (`seek(u64::MAX)` runs to the end). The
+//! replay itself is [`interp::run_until`], in whatever dispatch tier the
+//! VM runs, paused at the nearest of the caller's target and the next
+//! checkpoint key. The debugger's step, continue and reverse-step and the
 //! fleet's `Replay`/`SeekLogical` RPCs sit on top.
 //!
 //! The same determinism means a checkpoint, once taken, is the state at
@@ -216,11 +219,6 @@ impl TimeTravel {
         stats.final_step = self.step;
         stats.final_logical = self.logical_time();
         stats
-    }
-
-    /// Run forward `n` steps (or until the VM stops).
-    pub fn advance(&mut self, n: u64) {
-        self.forward(self.step.saturating_add(n), u64::MAX);
     }
 
     /// Travel to an absolute step index, forward or backward.

@@ -88,8 +88,8 @@ fn every_landing_holds_the_straight_replays_whole_heap() {
                 match m {
                     Move::Seek(s) => tt.seek(s),
                     Move::SeekLogical(t) => drop(tt.seek_logical(t)),
-                    Move::Advance(n) => tt.advance(n),
-                    Move::StepOnce => tt.advance(1),
+                    Move::Advance(n) => tt.seek(tt.step.saturating_add(n)),
+                    Move::StepOnce => tt.seek(tt.step.saturating_add(1)),
                 }
                 let (at, mem) = observe(tt.vm());
                 let extent = tt.vm().heap.extent();

@@ -406,7 +406,7 @@ if [ "$rc" -ne 2 ]; then
     exit 1
 fi
 
-echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one packer, one replay loop, one reference map, one door to a hosted run, one heap extent, one heap commit, one reference read, one fleet driver, one request vocabulary, one trace spelling, one tier-2 path, one store log, one event door, no env knobs =="
+echo "== surface: one trace format, one server, one exit type, one semantics, one producer each, one timing harness, one packed block, one packer, one replay loop, one straight run, one reference map, one door to a hosted run, one heap extent, one heap commit, one reference read, one fleet driver, one request vocabulary, one trace spelling, one tier-2 path, one store log, one event door, no env knobs =="
 fail=0
 # Only the property harness reads the environment (QC_CASES / QC_SEED).
 if grep -rn 'env::var' crates src --include=*.rs | grep -v '^src/qc\.rs:'; then
@@ -419,7 +419,8 @@ if [ -e crates/bench ] ||
     echo "verify: a second timing harness (crates/bench or a [[bench]] target) is back" >&2
     fail=1
 fi
-if grep -rnE 'sniff_format|decode_any|serve_lines|DebugClient|check_scalar|check_array|virtual_receiver|DEFAULT_CHECKPOINT_INTERVAL|fn step_once|fn mode_name|fn on_halt|checkpoints.truncate' crates src --include=*.rs; then
+if grep -rnE 'sniff_format|decode_any|serve_lines|DebugClient|check_scalar|check_array|virtual_receiver|DEFAULT_CHECKPOINT_INTERVAL|fn step_once|fn mode_name|fn on_halt|checkpoints.truncate|BaselineReport' crates src --include=*.rs ||
+    grep -nE 'fn advance\b' crates/dejavu/src/timetravel.rs; then
     echo "verify: a deleted half of a fork is back" >&2
     fail=1
 fi
@@ -561,6 +562,13 @@ one_fn() { # what, the functions found, the one expected
         fail=1
     fi
 }
+# One way to run a hook over a VM: a straight run (every mode and every §5
+# scheme) is `dejavu::drive`, and a paused one is time travel's `forward`,
+# reached only through a seek.
+one_fn "a hook is run over a VM" \
+    "$(find crates/*/src src -name '*.rs' | fns_naming 'interp::run(_until)?\\(')" \
+    "crates/dejavu/src/driver.rs: fn drive
+crates/dejavu/src/timetravel.rs: fn forward"
 one_fn "the root set (.code_objects beside .io_read_scratch) is walked" \
     "$(both '\.code_objects' '\.io_read_scratch' | grep -vE ': fn (snapshot|restore)$' || true)" \
     "crates/djvm/src/vm.rs: fn each_root"

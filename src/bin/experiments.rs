@@ -364,17 +364,19 @@ fn e8_reflection() {
     let (s, natives) = bench_spec("racy_counter", 5);
     let (rec, trace) = record_run(&s, natives, SymmetryConfig::full(), true);
     let program = Arc::clone(&s.program);
-    let mut vm = s.replay_vm();
-    let mut replayer = dejavu::DejaVuReplayer::new(trace, SymmetryConfig::full());
-    {
-        use djvm::hook::ExecHook;
-        replayer.on_init(&mut vm);
-    }
-    djvm::interp::run(&mut vm, &mut replayer, 15_000);
+    let mut tt = TimeTravel::new_indexed(
+        s.replay_vm(),
+        trace,
+        SymmetryConfig::full(),
+        u64::MAX,
+        vec![],
+    );
+    tt.seek(15_000); // pause mid-execution
+    let vm = tt.vm();
     let before = vm.state_digest();
     let table = vm.boot_image.method_table;
     let (reads, interp_steps, queries) = {
-        let mem = reflect::CountingMemory::new(reflect::LocalVmMemory::new(&vm));
+        let mem = reflect::CountingMemory::new(reflect::LocalVmMemory::new(vm));
         let mut refl = reflect::RemoteReflector::new(program.clone(), &mem);
         refl.map_boot_method_table(table);
         let mut q = 0;
@@ -393,8 +395,8 @@ fn e8_reflection() {
         best_of_3(|| (0..CALLS).for_each(|_| f())).as_secs_f64() * 1e9 / CALLS as f64
     }
     let entry = program.entry;
-    let local = reflect::LocalVmMemory::new(&vm);
-    let snapshot = reflect::SnapshotMemory::from_vm(&vm);
+    let local = reflect::LocalVmMemory::new(vm);
+    let snapshot = reflect::SnapshotMemory::from_vm(vm);
     let [query_local, query_snapshot] = [&local as &dyn ProcessMemory, &snapshot].map(|mem| {
         let mut refl = reflect::RemoteReflector::new(program.clone(), mem);
         refl.map_boot_method_table(table);
@@ -406,8 +408,8 @@ fn e8_reflection() {
         black_box(local.read_word(black_box(table)));
     });
     let unperturbed = vm.state_digest() == before;
-    djvm::interp::run(&mut vm, &mut replayer, u64::MAX >> 1);
-    let resumed_ok = vm.fingerprint.digest() == rec.fingerprint;
+    tt.seek(u64::MAX);
+    let resumed_ok = tt.vm().fingerprint.digest() == rec.fingerprint;
     println!("queries executed: {queries}");
     println!(
         "remote word reads: {reads} ({:.1}/query)",

@@ -24,8 +24,8 @@
 
 use codec::Json;
 use dejavu::{
-    encode_trace, record_run, replay_run, BlockFile, DataRec, ExecSpec, SymmetryConfig,
-    TimeTravel, Trace, TraceFormat,
+    encode_trace, record_replay_forensic, record_run, replay_run, BlockFile, DataRec, ExecSpec,
+    SymmetryConfig, TimeTravel, Trace, TraceFormat,
 };
 use std::path::Path;
 
@@ -610,16 +610,15 @@ pub fn run_repro(spec: &ReproSpec, sym: SymmetryConfig) -> Result<(), String> {
         return Ok(());
     };
     let exec = spec.exec_spec(&w);
-    let (rec, trace) = record_run(&exec, w.natives, sym, true);
-    let (rep, desyncs) = replay_run(&exec, trace, sym);
-    if rec.matches(&rep) && desyncs.is_empty() {
+    let out = record_replay_forensic(&exec, w.natives, sym);
+    if out.accurate {
         return Ok(());
     }
     Err(format!(
         "diverged: record fp {:016x} vs replay fp {:016x}, {} desyncs",
-        rec.fingerprint,
-        rep.fingerprint,
-        desyncs.len()
+        out.record.fingerprint,
+        out.replay.fingerprint,
+        out.desyncs.len()
     ))
 }
 

@@ -112,7 +112,7 @@ fn time_travel_composes_with_reflection() {
 
     // Run out: matches the record.
     while tt.status().is_running() {
-        tt.advance(10_000);
+        tt.seek(tt.step.saturating_add(10_000));
     }
     assert_eq!(tt.vm().output, rec.output);
 }
@@ -143,7 +143,7 @@ fn every_replay_door_agrees_with_the_record() {
         };
         let mut tt =
             TimeTravel::new_indexed(spec.replay_vm(), trace.clone(), sym, u64::MAX, Vec::new());
-        tt.advance(u64::MAX);
+        tt.seek(tt.step.saturating_add(u64::MAX));
         agrees("TimeTravel", tt.vm(), tt.desyncs());
 
         let mut session = DebugSession::new(&spec, trace, Vec::new());

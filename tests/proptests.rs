@@ -1067,11 +1067,11 @@ fn time_travel_lands_on_the_same_state_in_every_tier() {
                         }
                         Move::SeekLogical(t) => Some(tt.seek_logical(t)),
                         Move::Advance(n) => {
-                            tt.advance(n);
+                            tt.seek(tt.step.saturating_add(n));
                             None
                         }
                         Move::StepOnce => {
-                            tt.advance(1);
+                            tt.seek(tt.step.saturating_add(1));
                             None
                         }
                     };
