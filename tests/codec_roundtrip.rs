@@ -1,9 +1,10 @@
 //! Round-trip coverage for the hermetic codec layer, through the public
 //! API: binary `Trace` edge cases, and the debugger's JSON door for
 //! *every* `Command`/`Response` variant — each command parses from its
-//! CLI spelling, each response prints as one JSON line.
+//! pinned CLI spelling to its pinned latency key, each response prints
+//! as its pinned JSON line.
 
-use codec::{FromJson, Json, ToJson};
+use codec::{FromJson, ToJson};
 use debugger::protocol::{Command, Response};
 use debugger::{FrameInfo, StopReason, ThreadInfo};
 use dejavu::{encode_trace, ingest_bytes, DataRec, SwitchRec, Trace, TraceFormat};
@@ -101,8 +102,9 @@ fn truncated_trace_rejected() {
 // binary fleet messages (tests/fleet_rpc.rs).
 // ---------------------------------------------------------------------
 
-/// Every command beside its documented CLI spelling.
-fn every_spelled_command() -> Vec<(&'static str, Command)> {
+/// Every command beside its documented CLI spelling and the latency key
+/// the fleet times it under.
+fn every_spelled_command() -> Vec<(&'static str, Command, &'static str)> {
     vec![
         (
             r#"{"cmd":"break","method":0,"pc":4294967295}"#,
@@ -110,6 +112,7 @@ fn every_spelled_command() -> Vec<(&'static str, Command)> {
                 method: 0,
                 pc: u32::MAX,
             },
+            "rpc.debug.break",
         ),
         (
             r#"{"cmd":"break_line","method":"Worker.run \"q\"","line":42}"#,
@@ -117,34 +120,60 @@ fn every_spelled_command() -> Vec<(&'static str, Command)> {
                 method: "Worker.run \"q\"".into(),
                 line: 42,
             },
+            "rpc.debug.break_line",
         ),
         (
             r#"{"cmd":"clear_break","method":3,"pc":7}"#,
             Command::ClearBreak { method: 3, pc: 7 },
+            "rpc.debug.clear_break",
         ),
-        (r#"{"cmd":"continue"}"#, Command::Continue),
-        (r#"{"cmd":"step"}"#, Command::Step),
-        (r#"{"cmd":"step_back"}"#, Command::StepBack),
+        (
+            r#"{"cmd":"continue"}"#,
+            Command::Continue,
+            "rpc.debug.continue",
+        ),
+        (r#"{"cmd":"step"}"#, Command::Step, "rpc.debug.step"),
+        (
+            r#"{"cmd":"step_back"}"#,
+            Command::StepBack,
+            "rpc.debug.step_back",
+        ),
         (
             r#"{"cmd":"seek","step":18446744073709551615}"#,
             Command::Seek { step: u64::MAX },
+            "rpc.debug.seek",
         ),
-        (r#"{"cmd":"stack","tid":1}"#, Command::Stack { tid: 1 }),
-        (r#"{"cmd":"threads"}"#, Command::Threads),
+        (
+            r#"{"cmd":"stack","tid":1}"#,
+            Command::Stack { tid: 1 },
+            "rpc.debug.stack",
+        ),
+        (
+            r#"{"cmd":"threads"}"#,
+            Command::Threads,
+            "rpc.debug.threads",
+        ),
         (
             r#"{"cmd":"inspect","addr":18446744073709551614}"#,
             Command::Inspect { addr: u64::MAX - 1 },
+            "rpc.debug.inspect",
         ),
         (
             r#"{"cmd":"disassemble","method":9}"#,
             Command::Disassemble { method: 9 },
+            "rpc.debug.disassemble",
         ),
-        (r#"{"cmd":"output"}"#, Command::Output),
-        (r#"{"cmd":"where"}"#, Command::Where),
-        (r#"{"cmd":"metrics"}"#, Command::Metrics),
+        (r#"{"cmd":"output"}"#, Command::Output, "rpc.debug.output"),
+        (r#"{"cmd":"where"}"#, Command::Where, "rpc.debug.where"),
+        (
+            r#"{"cmd":"metrics"}"#,
+            Command::Metrics,
+            "rpc.debug.metrics",
+        ),
         (
             r#"{"cmd":"profile","top":10}"#,
             Command::Profile { top: 10 },
+            "rpc.debug.profile",
         ),
         (
             r#"{"cmd":"read","addr":18446744073709551615,"n":4096}"#,
@@ -152,119 +181,161 @@ fn every_spelled_command() -> Vec<(&'static str, Command)> {
                 addr: u64::MAX,
                 n: 4096,
             },
+            "rpc.debug.read",
+        ),
+        // Fields in any order, with whitespace between tokens.
+        (
+            r#" { "pc" : 7 , "method" : 3 , "cmd" : "break" } "#,
+            Command::Break { method: 3, pc: 7 },
+            "rpc.debug.break",
         ),
     ]
 }
 
-fn every_response() -> Vec<Response> {
+/// Every response beside the exact line the CLI prints for it.
+fn every_response() -> Vec<(Response, &'static str)> {
     vec![
-        Response::Ok,
-        Response::Stopped {
-            reason: StopReason::StepDone,
-            step: 0,
-        },
-        Response::Stopped {
-            reason: StopReason::Halted,
-            step: u64::MAX,
-        },
-        Response::Stopped {
-            reason: StopReason::Deadlocked,
-            step: 17,
-        },
-        Response::Stopped {
-            reason: StopReason::Breakpoint {
-                method: 1,
-                pc: 2,
-                tid: 3,
+        (Response::Ok, r#"{"resp":"ok"}"#),
+        (
+            Response::Stopped {
+                reason: StopReason::StepDone,
+                step: 0,
             },
-            step: 9,
-        },
-        Response::Stopped {
-            reason: StopReason::Error("stack overflow — \"deep\"".into()),
-            step: 4,
-        },
-        Response::Stack {
-            frames: vec![FrameInfo {
-                method: 2,
-                method_name: "main".into(),
-                pc: 11,
-                line: -1,
-                op: "Add".into(),
-            }],
-        },
-        Response::Stack { frames: vec![] },
-        Response::Threads {
-            threads: vec![ThreadInfo {
-                tid: 0,
-                name: "t-ünïcode".into(),
-                status: "Runnable".into(),
-                method_name: "Worker.run".into(),
-                pc: 5,
-                yield_points: u64::MAX,
-            }],
-        },
-        Response::Object {
-            description: "Node { v: 1, next: null }".into(),
-        },
-        Response::Listing {
-            text: "0000  Iconst 1\n0001  Halt\n".into(),
-        },
-        Response::Output {
-            text: "line1\nline2\\with\\backslashes".into(),
-        },
-        Response::Location {
-            method: "main".into(),
-            pc: 0,
-            line: 1,
-            step: 2,
-        },
-        Response::Metrics {
-            json: r#"{"counters":{"clock_reads":3}}"#.into(),
-        },
-        Response::Profile {
-            json: r#"{"hot_methods":[],"total_cycles":0}"#.into(),
-        },
-        Response::Error {
-            message: "no such method \u{7}".into(),
-        },
-        Response::Words {
-            words: vec![0, u64::MAX],
-        },
+            r#"{"resp":"stopped","reason":"step_done","step":0}"#,
+        ),
+        (
+            Response::Stopped {
+                reason: StopReason::Halted,
+                step: u64::MAX,
+            },
+            r#"{"resp":"stopped","reason":"halted","step":18446744073709551615}"#,
+        ),
+        (
+            Response::Stopped {
+                reason: StopReason::Deadlocked,
+                step: 17,
+            },
+            r#"{"resp":"stopped","reason":"deadlocked","step":17}"#,
+        ),
+        (
+            Response::Stopped {
+                reason: StopReason::Breakpoint {
+                    method: 1,
+                    pc: 2,
+                    tid: 3,
+                },
+                step: 9,
+            },
+            r#"{"resp":"stopped","reason":{"breakpoint":{"method":1,"pc":2,"tid":3}},"step":9}"#,
+        ),
+        (
+            Response::Stopped {
+                reason: StopReason::Error("stack overflow — \"deep\"".into()),
+                step: 4,
+            },
+            r#"{"resp":"stopped","reason":{"error":"stack overflow — \"deep\""},"step":4}"#,
+        ),
+        (
+            Response::Stack {
+                frames: vec![FrameInfo {
+                    method: 2,
+                    method_name: "main".into(),
+                    pc: 11,
+                    line: -1,
+                    op: "Add".into(),
+                }],
+            },
+            r#"{"resp":"stack","frames":[{"method":2,"method_name":"main","pc":11,"line":-1,"op":"Add"}]}"#,
+        ),
+        (
+            Response::Stack { frames: vec![] },
+            r#"{"resp":"stack","frames":[]}"#,
+        ),
+        (
+            Response::Threads {
+                threads: vec![ThreadInfo {
+                    tid: 0,
+                    name: "t-ünïcode".into(),
+                    status: "Runnable".into(),
+                    method_name: "Worker.run".into(),
+                    pc: 5,
+                    yield_points: u64::MAX,
+                }],
+            },
+            r#"{"resp":"threads","threads":[{"tid":0,"name":"t-ünïcode","status":"Runnable","method_name":"Worker.run","pc":5,"yield_points":18446744073709551615}]}"#,
+        ),
+        (
+            Response::Object {
+                description: "Node { v: 1, next: null }".into(),
+            },
+            r#"{"resp":"object","description":"Node { v: 1, next: null }"}"#,
+        ),
+        (
+            Response::Listing {
+                text: "0000  Iconst 1\n0001  Halt\n".into(),
+            },
+            r#"{"resp":"listing","text":"0000  Iconst 1\n0001  Halt\n"}"#,
+        ),
+        (
+            Response::Output {
+                text: "line1\nline2\\with\\backslashes".into(),
+            },
+            r#"{"resp":"output","text":"line1\nline2\\with\\backslashes"}"#,
+        ),
+        (
+            Response::Location {
+                method: "main".into(),
+                pc: 0,
+                line: 1,
+                step: 2,
+            },
+            r#"{"resp":"location","method":"main","pc":0,"line":1,"step":2}"#,
+        ),
+        (
+            Response::Metrics {
+                json: r#"{"counters":{"clock_reads":3}}"#.into(),
+            },
+            r#"{"resp":"metrics","json":"{\"counters\":{\"clock_reads\":3}}"}"#,
+        ),
+        (
+            Response::Profile {
+                json: r#"{"hot_methods":[],"total_cycles":0}"#.into(),
+            },
+            r#"{"resp":"profile","json":"{\"hot_methods\":[],\"total_cycles\":0}"}"#,
+        ),
+        (
+            Response::Error {
+                message: "no such method \u{7}".into(),
+            },
+            r#"{"resp":"error","message":"no such method \u0007"}"#,
+        ),
+        (
+            Response::Words {
+                words: vec![0, u64::MAX],
+            },
+            r#"{"resp":"words","words":[0,18446744073709551615]}"#,
+        ),
     ]
 }
 
 #[test]
 fn every_command_parses_from_its_cli_spelling() {
-    for (line, cmd) in every_spelled_command() {
+    for (line, cmd, key) in every_spelled_command() {
         let parsed =
             Command::from_json_str(line).unwrap_or_else(|e| panic!("{cmd:?}: {e} in {line}"));
         assert_eq!(parsed, cmd, "spelling {line}");
-        // The fleet times each command under the name the CLI parses.
-        let name = Json::parse(line)
-            .unwrap()
-            .field("cmd")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .to_owned();
         let debug = Request::Debug {
             session: 1,
             command: cmd,
         };
-        assert_eq!(debug.name(), format!("debug.{name}"));
+        assert_eq!(debug.latency_key(), key, "spelling {line}");
     }
 }
 
 #[test]
 fn every_response_prints_as_one_json_line() {
-    for resp in every_response() {
-        let line = resp.to_json_string();
-        assert!(!line.contains('\n'), "multi-line output: {line}");
-        let doc = Json::parse(&line).unwrap_or_else(|e| panic!("{resp:?}: {e} in {line}"));
-        assert!(
-            doc.field("resp").unwrap().as_str().is_ok(),
-            "untagged: {line}"
-        );
+    for (resp, line) in every_response() {
+        assert_eq!(resp.to_json_string(), line, "{resp:?}");
     }
 }
 
