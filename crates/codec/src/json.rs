@@ -1,8 +1,9 @@
 //! A small JSON value model with a strict parser and a deterministic writer.
 //!
-//! This is the wire layer of the debugger's tool↔GUI protocol (paper §4:
-//! "transmitting small packets of data rather than large images") and of
-//! every canonical metrics/policy document. It is deliberately minimal:
+//! It is the layer under every canonical metrics/policy document, the
+//! store's catalog and the debugger CLI's spelling of a command and its
+//! response (a debugger message crosses the wire as a binary fleet frame).
+//! It is deliberately minimal:
 //!
 //! * integers are kept exact ([`Json::Int`] / [`Json::UInt`] — a `u64`
 //!   step index or address never goes through an `f64`),
@@ -55,27 +56,8 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Convert a value into its JSON representation.
-pub trait ToJson {
-    fn to_json(&self) -> Json;
-
-    /// One-line encoding, ready for a line-delimited protocol.
-    fn to_json_string(&self) -> String {
-        self.to_json().to_string()
-    }
-}
-
-/// Reconstruct a value from its JSON representation.
-pub trait FromJson: Sized {
-    fn from_json(j: &Json) -> Result<Self, JsonError>;
-
-    fn from_json_str(s: &str) -> Result<Self, JsonError> {
-        Self::from_json(&Json::parse(s)?)
-    }
-}
-
 // ---------------------------------------------------------------------
-// Value accessors — the ergonomics hand-rolled decoders lean on.
+// Value accessors.
 // ---------------------------------------------------------------------
 
 impl Json {
@@ -172,95 +154,6 @@ impl Json {
         let mut c = self.clone();
         c.canonicalize();
         c.to_string()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Primitive conversions.
-// ---------------------------------------------------------------------
-
-macro_rules! uint_json {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::UInt(*self as u64)
-            }
-        }
-        impl FromJson for $t {
-            fn from_json(j: &Json) -> Result<Self, JsonError> {
-                let v = j.as_u64()?;
-                <$t>::try_from(v)
-                    .map_err(|_| JsonError::new(format!("{v} overflows {}", stringify!($t))))
-            }
-        }
-    )*};
-}
-uint_json!(u8, u16, u32, u64, usize);
-
-impl ToJson for i64 {
-    fn to_json(&self) -> Json {
-        Json::Int(*self)
-    }
-}
-impl FromJson for i64 {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        j.as_i64()
-    }
-}
-
-impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-}
-impl FromJson for bool {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        j.as_bool()
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
-    }
-}
-impl FromJson for String {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        Ok(j.as_str()?.to_string())
-    }
-}
-
-impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
-    }
-}
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        j.as_arr()?.iter().map(T::from_json).collect()
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
-        match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
-        }
-    }
-}
-impl<T: FromJson> FromJson for Option<T> {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        match j {
-            Json::Null => Ok(None),
-            other => Ok(Some(T::from_json(other)?)),
-        }
     }
 }
 

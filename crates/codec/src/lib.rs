@@ -15,8 +15,8 @@
 //! * [`rans`] — the entropy coder every compressed trace block goes
 //!   through: static-model rANS over byte-class contexts.
 //! * [`json`] — a small JSON value model ([`json::Json`]) with a strict
-//!   recursive-descent parser and a writer, plus the [`json::FromJson`] /
-//!   [`json::ToJson`] traits the debugger protocol implements by hand.
+//!   recursive-descent parser and a writer, under the catalog, the corpus
+//!   policies, the metrics documents and the debugger's CLI spelling.
 //! * [`digest`] — 128-bit content digests (double-keyed SipHash-2-4), the
 //!   keying under the content-addressed trace store and the digest column
 //!   `trace inspect` prints.
@@ -33,5 +33,5 @@ pub mod rans;
 pub use bin::{get_varint, put_varint, unzigzag, varint_len, zigzag};
 pub use block::{compress, crc32, decompress};
 pub use digest::{digest128, Digest128};
-pub use json::{FromJson, Json, JsonError, ToJson};
+pub use json::{Json, JsonError};
 pub use rans::{entropy_compress, entropy_decompress, max_raw_len};

@@ -209,6 +209,12 @@ impl RunReport {
             && self.output == other.output
             && self.status == other.status
     }
+
+    /// The accuracy verdict on a replay of this record: the replay
+    /// [`matches`](Self::matches) it and the replayer raised no desync.
+    pub fn accurate(&self, replay: &RunReport, desyncs: &[Desync]) -> bool {
+        self.matches(replay) && desyncs.is_empty()
+    }
 }
 
 /// Run `vm` under `hook` to its end or `spec.max_steps`: the one straight
@@ -304,7 +310,7 @@ pub fn record_replay_forensic(
     let (rec, trace) = record_run(spec, natives, sym, true);
     let trace_stats = trace.stats();
     let (rep, desyncs) = replay_run(spec, trace, sym);
-    let accurate = rec.matches(&rep) && desyncs.is_empty();
+    let accurate = rec.accurate(&rep, &desyncs);
     let report = (!accurate).then(|| DivergenceReport::build(&rec, &rep, desyncs.clone()));
     ForensicOutcome {
         record: rec,

@@ -25,7 +25,10 @@
 //! The wire protocol ([`wire`], [`rpc`]) is a magic+version hello
 //! followed by length-prefixed binary frames; every malformed input is a
 //! typed [`WireError`], fuzzed the same way the DJVB decoder is. It is
-//! the only way to talk to a resident replay.
+//! the only way to talk to a resident replay. A debugger message's layout
+//! line is also its CLI spelling: the `debug` subcommand parses a command
+//! with [`ParseJson`] and prints its response with [`PrintJson`], both
+//! derived from that line.
 //!
 //! The accuracy rule holds across the service: every fingerprint a hosted
 //! session computes equals a single-session record/replay of the same
@@ -45,4 +48,4 @@ pub use manager::{SessionManager, DEFAULT_IDLE_TTL};
 pub use rpc::{Request, Response};
 pub use server::{FleetConfig, FleetServer};
 pub use session::{spec_for, FleetError, Phase, Session};
-pub use wire::{WireError, MAGIC, MAX_FRAME, VERSION};
+pub use wire::{ParseJson, PrintJson, WireError, MAGIC, MAX_FRAME, VERSION};

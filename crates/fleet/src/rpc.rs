@@ -2,12 +2,15 @@
 //! per message that lays each out on the wire ([`wire_layout`]: a tag
 //! byte, then each field's [`Wire`] encoding in order). A debugger
 //! [`Command`] and its [`DebugResponse`] are messages of the same codec,
-//! carried inside `Debug` frames. Decoding is strict — a payload must
-//! parse exactly and consume every byte, or it is a typed [`WireError`].
+//! carried inside `Debug` frames. Their lines are also their only CLI
+//! spelling: each variant's JSON name sits between its Rust name and its
+//! fields, and a command's `rpc.debug.<name>` latency key is read off the
+//! same line. Decoding is strict — a payload must parse exactly and
+//! consume every byte, or it is a typed [`WireError`].
 //! Tag 7 (the deleted `Profile` / `Profiled`; `Debug { Profile }` is the
 //! one road) stays reserved in both directions.
 
-use crate::wire::{self, wire_layout, Elem, WireError};
+use crate::wire::{self, wire_layout, Elem, Timed, WireError};
 use debugger::protocol::{Command, Response as DebugResponse};
 use debugger::{FrameInfo, StopReason, ThreadInfo};
 
@@ -132,57 +135,58 @@ wire_layout!(enum Response {
     12 => Error { code, message },
 });
 
-wire_layout!(enum Command {
-    1 => Break { method, pc },
-    2 => BreakLine { method, line },
-    3 => ClearBreak { method, pc },
-    4 => Continue,
-    5 => Step,
-    6 => StepBack,
-    7 => Seek { step },
-    8 => Stack { tid },
-    9 => Threads,
-    10 => Inspect { addr },
-    11 => Disassemble { method },
-    12 => Output,
-    13 => Where,
-    14 => Metrics,
-    15 => Profile { top },
-    16 => Read { addr, n },
+// A debugger message's line also names it as the CLI's `debug` spells it.
+wire_layout!(enum Command parse "cmd" timed "rpc.debug." {
+    1 => Break "break" { method, pc },
+    2 => BreakLine "break_line" { method, line },
+    3 => ClearBreak "clear_break" { method, pc },
+    4 => Continue "continue",
+    5 => Step "step",
+    6 => StepBack "step_back",
+    7 => Seek "seek" { step },
+    8 => Stack "stack" { tid },
+    9 => Threads "threads",
+    10 => Inspect "inspect" { addr },
+    11 => Disassemble "disassemble" { method },
+    12 => Output "output",
+    13 => Where "where",
+    14 => Metrics "metrics",
+    15 => Profile "profile" { top },
+    16 => Read "read" { addr, n },
 });
 
-wire_layout!(enum DebugResponse {
-    1 => Ok,
-    2 => Stopped { reason, step },
-    3 => Stack { frames },
-    4 => Threads { threads },
-    5 => Object { description },
-    6 => Listing { text },
-    7 => Output { text },
-    8 => Location { method, pc, line, step },
-    9 => Metrics { json },
-    10 => Profile { json },
-    11 => Words { words },
-    12 => Error { message },
+wire_layout!(enum DebugResponse print "resp" {
+    1 => Ok "ok",
+    2 => Stopped "stopped" { reason, step },
+    3 => Stack "stack" { frames },
+    4 => Threads "threads" { threads },
+    5 => Object "object" { description },
+    6 => Listing "listing" { text },
+    7 => Output "output" { text },
+    8 => Location "location" { method, pc, line, step },
+    9 => Metrics "metrics" { json },
+    10 => Profile "profile" { json },
+    11 => Words "words" { words },
+    12 => Error "error" { message },
 });
 
-wire_layout!(enum StopReason {
-    1 => Breakpoint { method, pc, tid },
-    2 => StepDone,
-    3 => Halted,
-    4 => Deadlocked,
-    5 => Error(message),
+wire_layout!(enum StopReason print {
+    1 => Breakpoint "breakpoint" { method, pc, tid },
+    2 => StepDone "step_done",
+    3 => Halted "halted",
+    4 => Deadlocked "deadlocked",
+    5 => Error "error" (message),
 });
 
-wire_layout!(struct FrameInfo { method, method_name, pc, line, op });
-wire_layout!(struct ThreadInfo { tid, name, status, method_name, pc, yield_points });
+wire_layout!(struct FrameInfo print { method, method_name, pc, line, op });
+wire_layout!(struct ThreadInfo print { tid, name, status, method_name, pc, yield_points });
 impl Elem for FrameInfo {}
 impl Elem for ThreadInfo {}
 
 impl Request {
     /// The request's latency-histogram key, `rpc.<name>` — the one table
-    /// of RPC names. A debugger command is timed under its own
-    /// `rpc.debug.<cmd>`, named as the CLI spells it.
+    /// of RPC names. A debugger command is timed under the key its layout
+    /// line gives it, `rpc.debug.<cmd>` with the name the CLI spells.
     pub fn latency_key(&self) -> &'static str {
         match self {
             Request::Open { .. } => "rpc.open",
@@ -192,24 +196,7 @@ impl Request {
             Request::SeekLogical { .. } => "rpc.seek",
             Request::DivergenceCheck { .. } => "rpc.divergence",
             Request::Close { .. } => "rpc.close",
-            Request::Debug { command, .. } => match command {
-                Command::Break { .. } => "rpc.debug.break",
-                Command::BreakLine { .. } => "rpc.debug.break_line",
-                Command::ClearBreak { .. } => "rpc.debug.clear_break",
-                Command::Continue => "rpc.debug.continue",
-                Command::Step => "rpc.debug.step",
-                Command::StepBack => "rpc.debug.step_back",
-                Command::Seek { .. } => "rpc.debug.seek",
-                Command::Stack { .. } => "rpc.debug.stack",
-                Command::Threads => "rpc.debug.threads",
-                Command::Inspect { .. } => "rpc.debug.inspect",
-                Command::Disassemble { .. } => "rpc.debug.disassemble",
-                Command::Output => "rpc.debug.output",
-                Command::Where => "rpc.debug.where",
-                Command::Metrics => "rpc.debug.metrics",
-                Command::Profile { .. } => "rpc.debug.profile",
-                Command::Read { .. } => "rpc.debug.read",
-            },
+            Request::Debug { command, .. } => command.latency_key(),
             Request::Stats => "rpc.stats",
             Request::Shutdown { .. } => "rpc.shutdown",
             Request::OpenStored { .. } => "rpc.open_stored",

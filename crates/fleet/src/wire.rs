@@ -10,12 +10,18 @@
 //! turns each message type's one line in [`crate::rpc`] into both
 //! directions.
 //!
+//! The same line is a debugger message's CLI spelling: it names the
+//! message in JSON, and `wire_layout!` derives from it the one direction
+//! of the JSON door the CLI uses — [`ParseJson`] for a command,
+//! [`PrintJson`] for a response — and a command's [`Timed`] latency key.
+//! The JSON door never touches the binary paths.
+//!
 //! Every failure mode is a typed [`WireError`] — a truncated frame, a
 //! bogus length, a dropped peer — never a panic. The framing layer is
 //! fuzzed in `tests/fleet_rpc.rs` with the same seeded-mutation loop as
 //! `djvb_fuzz.rs`.
 
-use codec::{get_varint, put_varint, unzigzag, zigzag};
+use codec::{get_varint, put_varint, unzigzag, zigzag, Json, JsonError};
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -205,13 +211,105 @@ impl<T: Elem> Wire for Vec<T> {
     }
 }
 
+// ---------------------------------------------------------------------
+// The CLI's JSON door: a debugger message as a person types or reads it.
+// ---------------------------------------------------------------------
+
+/// A value the CLI prints: a response, its parts, and their fields.
+pub trait PrintJson {
+    fn to_json(&self) -> Json;
+
+    /// One-line encoding, ready for a line-delimited protocol.
+    fn to_json_string(&self) -> String {
+        self.to_json().to_string()
+    }
+}
+
+/// A value the CLI parses: a command and its fields.
+pub trait ParseJson: Sized {
+    fn from_json(j: &Json) -> Result<Self, JsonError>;
+
+    fn from_json_str(s: &str) -> Result<Self, JsonError> {
+        Self::from_json(&Json::parse(s)?)
+    }
+}
+
+/// A message timed under a latency key of its own.
+pub(crate) trait Timed {
+    fn latency_key(&self) -> &'static str;
+}
+
+impl PrintJson for u32 {
+    fn to_json(&self) -> Json {
+        Json::UInt(*self as u64)
+    }
+}
+
+impl PrintJson for u64 {
+    fn to_json(&self) -> Json {
+        Json::UInt(*self)
+    }
+}
+
+impl PrintJson for i64 {
+    fn to_json(&self) -> Json {
+        Json::Int(*self)
+    }
+}
+
+impl PrintJson for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+}
+
+impl<T: PrintJson> PrintJson for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+}
+
+impl ParseJson for u64 {
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        j.as_u64()
+    }
+}
+
+impl ParseJson for u32 {
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        let v = j.as_u64()?;
+        u32::try_from(v).map_err(|_| JsonError::new(format!("{v} overflows u32")))
+    }
+}
+
+impl ParseJson for String {
+    fn from_json(j: &Json) -> Result<Self, JsonError> {
+        Ok(j.as_str()?.to_owned())
+    }
+}
+
 /// [`Wire`] for a message type from its one layout line:
 /// `struct T { fields }` writes the fields in order, and
 /// `enum T { tag => Variant { fields } | Variant(fields) | Variant, ... }`
 /// writes the tag byte and then the variant's fields. Decoding reads the
 /// same line back; an unknown tag is [`WireError::BadTag`].
+///
+/// A debugger message's line also gives each variant its JSON name
+/// (`tag => Variant "name" { fields }`) and says which way the CLI
+/// spells it; the line's [`Wire`] impl is the one the plain line makes:
+///
+/// * `enum T parse "cmd" timed "prefix" {...}` — [`ParseJson`] from
+///   `{"cmd": "name", ...fields}` (other keys ignored), and [`Timed`]
+///   under `"prefix" "name"`;
+/// * `enum T print "resp" {...}` — [`PrintJson`] as
+///   `{"resp": "name", ...fields}`, the tag first and the fields in
+///   layout order;
+/// * `enum T print {...}` — [`PrintJson`] externally tagged: `"name"`,
+///   `{"name": {fields}}` or, for a one-field tuple variant,
+///   `{"name": field}`;
+/// * `struct T print {...}` — [`PrintJson`] as `{fields}` in layout order.
 macro_rules! wire_layout {
-    (struct $ty:ty { $($f:ident),* $(,)? }) => {
+    (struct $ty:ident { $($f:ident),* $(,)? }) => {
         impl $crate::wire::Wire for $ty {
             fn put(&self, buf: &mut Vec<u8>) {
                 $($crate::wire::Wire::put(&self.$f, buf);)*
@@ -221,7 +319,7 @@ macro_rules! wire_layout {
             }
         }
     };
-    (enum $ty:ty { $($tag:literal => $var:ident $({ $($f:ident),* })? $(($($t:ident),*))?),* $(,)? }) => {
+    (enum $ty:ident { $($tag:literal => $var:ident $({ $($f:ident),* })? $(($($t:ident),*))?),* $(,)? }) => {
         impl $crate::wire::Wire for $ty {
             fn put(&self, buf: &mut Vec<u8>) {
                 match self {
@@ -241,6 +339,79 @@ macro_rules! wire_layout {
                 })
             }
         }
+    };
+    (struct $ty:ident print { $($f:ident),* $(,)? }) => {
+        $crate::wire::wire_layout!(struct $ty { $($f),* });
+        impl $crate::wire::PrintJson for $ty {
+            fn to_json(&self) -> codec::Json {
+                codec::Json::obj(vec![
+                    $((stringify!($f), $crate::wire::PrintJson::to_json(&self.$f))),*
+                ])
+            }
+        }
+    };
+    (enum $ty:ident parse $key:literal timed $prefix:literal {
+        $($tag:literal => $var:ident $name:literal $({ $($f:ident),* })?),* $(,)?
+    }) => {
+        $crate::wire::wire_layout!(enum $ty { $($tag => $var $({ $($f),* })?),* });
+        impl $crate::wire::ParseJson for $ty {
+            fn from_json(j: &codec::Json) -> Result<Self, codec::JsonError> {
+                Ok(match j.field($key)?.as_str()? {
+                    $($name => Self::$var $({ $($f:
+                        $crate::wire::ParseJson::from_json(j.field(stringify!($f))?)?),* })?,)*
+                    other => {
+                        let msg = format!("unknown command \"{other}\"");
+                        return Err(codec::JsonError::new(msg));
+                    }
+                })
+            }
+        }
+        impl $crate::wire::Timed for $ty {
+            fn latency_key(&self) -> &'static str {
+                match self {
+                    $(Self::$var { .. } => concat!($prefix, $name),)*
+                }
+            }
+        }
+    };
+    (enum $ty:ident print $key:literal {
+        $($tag:literal => $var:ident $name:literal $({ $($f:ident),* })?),* $(,)?
+    }) => {
+        $crate::wire::wire_layout!(enum $ty { $($tag => $var $({ $($f),* })?),* });
+        impl $crate::wire::PrintJson for $ty {
+            fn to_json(&self) -> codec::Json {
+                match self {
+                    $(Self::$var $({ $($f),* })? => codec::Json::obj(vec![
+                        ($key, codec::Json::Str($name.into()))
+                        $($(, (stringify!($f), $crate::wire::PrintJson::to_json($f)))*)?
+                    ]),)*
+                }
+            }
+        }
+    };
+    (enum $ty:ident print {
+        $($tag:literal => $var:ident $name:literal $({ $($f:ident),* })? $(($t:ident))?),* $(,)?
+    }) => {
+        $crate::wire::wire_layout!(enum $ty { $($tag => $var $({ $($f),* })? $(($t))?),* });
+        impl $crate::wire::PrintJson for $ty {
+            fn to_json(&self) -> codec::Json {
+                match self {
+                    $(Self::$var $({ $($f),* })? $(($t))? =>
+                        $crate::wire::wire_layout!(@external $name $({ $($f),* })? $(($t))?),)*
+                }
+            }
+        }
+    };
+    (@external $name:literal) => {
+        codec::Json::Str($name.into())
+    };
+    (@external $name:literal { $($f:ident),* }) => {
+        codec::Json::obj(vec![($name, codec::Json::obj(vec![
+            $((stringify!($f), $crate::wire::PrintJson::to_json($f))),*
+        ]))])
+    };
+    (@external $name:literal ($t:ident)) => {
+        codec::Json::obj(vec![($name, $crate::wire::PrintJson::to_json($t))])
     };
 }
 pub(crate) use wire_layout;

@@ -684,17 +684,37 @@ if [ -n "$clocks" ]; then
     fail=1
 fi
 # One request vocabulary: a debugger command and its response are typed
-# messages of the fleet's binary codec. JSON is only the CLI's door (it
-# parses a command and prints a response), and the commands that
+# messages of the fleet's binary codec, each described by its one layout
+# line in fleet's rpc.rs. JSON is only the CLI's door (it parses a command
+# and prints a response), derived from that line; no JSON impl is written
+# by hand, no second table names the commands, and the commands that
 # duplicated `SeekLogical` and `DivergenceCheck` stay deleted.
-if grep -rnE 'SeekTime|"seek_time"|Response::SeekStats|^[[:space:]]*SeekStats \{|BadDebugCommand|impl ToJson for Command|impl FromJson for (Response|StopReason|FrameInfo|ThreadInfo)' \
+if grep -rnE 'SeekTime|"seek_time"|Response::SeekStats|^[[:space:]]*SeekStats \{|BadDebugCommand|impl(<[^>]*>)? *([a-z_]+::)*(To|From)Json for' \
     crates src tests examples --include=*.rs; then
-    echo "verify: a debugger JSON codec path, or a command duplicating a fleet RPC, is back" >&2
+    echo "verify: a hand-written JSON codec impl, or a command duplicating a fleet RPC, is back" >&2
+    fail=1
+fi
+door=$(grep -rnE 'impl(<[^>]*>)? *([a-z_]+::)*(Print|Parse)Json for' crates src tests examples --include=*.rs |
+    grep -v '^crates/fleet/src/wire\.rs:' || true)
+if [ -n "$door" ]; then
+    echo "verify: the CLI's JSON door is implemented by hand outside wire_layout!:" >&2
+    printf '%s\n' "$door" >&2
     fail=1
 fi
 one_fn "a debugger command is parsed from JSON" \
-    "$(find crates src examples -name '*.rs' ! -path '*/tests/*' | fns_naming 'Command::from_json_str')" \
+    "$(find crates src examples -name '*.rs' ! -path '*/tests/*' ! -path crates/fleet/src/wire.rs |
+        fns_naming '(::|\\.)from_json_str\\(|ParseJson::')" \
     "src/bin/dejavu-cli.rs: fn debug"
+keys=$(find crates src examples -name '*.rs' ! -path '*/tests/*' | sort | xargs awk '
+    FNR == 1 { test = 0 }
+    /^#\[cfg\(test\)\]/ { test = 1 }
+    test || /^[[:space:]]*\/\// { next }
+    /rpc\.debug\./ { print FILENAME ":" FNR ": " $0 }')
+if [ "$(printf '%s\n' "$keys" | grep -c .)" -gt 1 ]; then
+    echo "verify: a debugger command's latency key is spelled on more than one line:" >&2
+    printf '%s\n' "$keys" >&2
+    fail=1
+fi
 # One trace spelling: a trace is written as DJVB and sized by
 # `Trace::stats`'s varint model (E5). The flat `DJV1` encoder nobody read
 # back stays deleted, and a varint's size is defined once, beside

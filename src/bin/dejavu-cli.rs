@@ -42,8 +42,10 @@
 //! …, the `debugger::protocol` command language). This is the platform's
 //! one JSON door: `debug` parses its argument into a typed command, which
 //! crosses the wire as a binary fleet message, and prints the typed
-//! response as one JSON line; `stats --fleet` prints the server's
-//! session counters and per-RPC latency histograms.
+//! response as one JSON line. Both spellings are derived from each
+//! message's layout line in `fleet::rpc` (`fleet::ParseJson`,
+//! `fleet::PrintJson`). `stats --fleet` prints the server's session
+//! counters and per-RPC latency histograms.
 //!
 //! Trace files are DJVB, the block-structured compressed format of
 //! [`dejavu::encode_trace`] — the only format `record` writes and the
@@ -88,7 +90,7 @@
 //! pre-compression payload — so its unique-block accounting predicts
 //! store dedup byte-for-byte.
 
-use codec::{FromJson, Json, ToJson};
+use codec::Json;
 use dejavu::{
     encode_trace, ingest_bytes, passthrough_run, record_replay_forensic, record_run, replay_run,
     run_metrics_json, BlockFile, ExecSpec, SymmetryConfig, Trace, TraceFormat,
@@ -397,7 +399,7 @@ fn replay(args: &mut Args) -> Cmd {
     }
     // verify against a fresh record of the same seed
     let (rec, _) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
-    let accurate = rec.matches(&rep) && desyncs.is_empty();
+    let accurate = rec.accurate(&rep, &desyncs);
     for d in &desyncs {
         eprintln!("desync: {}", d.describe());
     }
@@ -809,7 +811,7 @@ fn store_cmd(args: &mut Args) -> Cmd {
                 let spec = spec_of(&w, seed);
                 let (rep, desyncs) = replay_run(&spec, trace, SymmetryConfig::full());
                 let (rec, _) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
-                if !(rec.matches(&rep) && desyncs.is_empty()) {
+                if !rec.accurate(&rep, &desyncs) {
                     return Err(CliError::Diverged(format!(
                         "store put: {path} does not replay accurately as {}/{seed} \
                          ({} desyncs) — refusing to catalog a verified fingerprint",
@@ -911,6 +913,7 @@ fn debug(args: &mut Args) -> Cmd {
         }
         return Ok(());
     }
+    use fleet::{ParseJson, PrintJson};
     let cmd = debugger::Command::from_json_str(args.pos(2)?)
         .map_err(|e| CliError::Input(format!("bad debug command: {e}")))?;
     let resp = client.debug(args.int(1)?, &cmd)?;

@@ -602,7 +602,7 @@ fn e13_scalability() {
         s.timer_jitter = 30;
         let (rec, trace) = record_run(&s, |_| {}, SymmetryConfig::full(), false);
         let (rep, desyncs) = replay_run(&s, trace.clone(), SymmetryConfig::full());
-        let ok = rec.matches(&rep) && desyncs.is_empty();
+        let ok = rec.accurate(&rep, &desyncs);
         println!(
             "| {n} | {} | {} | {} | {} |",
             rec.counters.steps,

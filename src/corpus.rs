@@ -487,7 +487,7 @@ pub fn record_corpus(dir: &Path) -> Result<Vec<String>, String> {
         let (rec, trace) = record_run(&spec, w.natives, SymmetryConfig::full(), true);
         // Refuse to publish a trace that does not replay accurately.
         let (rep, desyncs) = replay_run(&spec, trace.clone(), SymmetryConfig::full());
-        if !rec.matches(&rep) || !desyncs.is_empty() {
+        if !rec.accurate(&rep, &desyncs) {
             return Err(format!(
                 "{name} seed {seed}: recorded trace does not replay"
             ));

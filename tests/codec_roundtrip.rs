@@ -4,11 +4,10 @@
 //! pinned CLI spelling to its pinned latency key, each response prints
 //! as its pinned JSON line.
 
-use codec::{FromJson, ToJson};
 use debugger::protocol::{Command, Response};
 use debugger::{FrameInfo, StopReason, ThreadInfo};
 use dejavu::{encode_trace, ingest_bytes, DataRec, SwitchRec, Trace, TraceFormat};
-use fleet::Request;
+use fleet::{ParseJson, PrintJson, Request};
 
 // ---------------------------------------------------------------------
 // Binary trace format
@@ -358,4 +357,23 @@ fn protocol_rejects_malformed_lines() {
     ] {
         assert!(Command::from_json_str(junk).is_err(), "accepted {junk:?}");
     }
+}
+
+#[test]
+fn a_command_that_is_not_an_object_or_lacks_a_field_is_refused() {
+    for junk in [
+        "[1,2,3]",
+        r#"{"cmd":3}"#,
+        r#"{"cmd":"break"}"#,
+        r#"{"cmd":"profile"}"#,
+        r#"{"cmd":"read","addr":0}"#,
+        r#"{"cmd":"break_line","method":7,"line":1}"#,
+    ] {
+        assert!(Command::from_json_str(junk).is_err(), "accepted {junk:?}");
+    }
+    let e = Command::from_json_str(r#"{"cmd":"quit"}"#).unwrap_err();
+    assert_eq!(
+        e.to_string(),
+        r#"json error at byte 0: unknown command "quit""#
+    );
 }
